@@ -13,12 +13,10 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "sim/kernel.hpp"
-#include "sim/parallel/windowed.hpp"
 
 using namespace vdep;
 
@@ -102,118 +100,6 @@ void BM_MacroKernelChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MacroKernelChurn)->Unit(benchmark::kMillisecond);
-
-// Tier B: the same churn storm on the lookahead-windowed parallel engine —
-// 8 hosts of 8 actors each, purely host-local work (the embarrassingly
-// parallel case windowing exists for). Arg = worker count; the workers==1
-// row prices the windowing machinery itself against BM_MacroKernelChurn.
-void BM_WindowedChurn(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::parallel::WindowedEngine::Config config;
-    config.workers = static_cast<int>(state.range(0));
-    config.lookahead = usec(10);
-    auto engine = std::make_unique<sim::parallel::WindowedEngine>(config);
-    struct Actor {
-      sim::parallel::WindowedEngine* engine;
-      int host;
-      SimTime period;
-      std::uint64_t remaining;
-      void fire() {
-        if (remaining-- == 0) return;
-        engine->post(host, period, [this] { fire(); });
-      }
-    };
-    constexpr int kHosts = 8;
-    constexpr int kActorsPerHost = 8;
-    constexpr std::uint64_t kRounds = 4000;
-    std::vector<Actor> actors;
-    actors.reserve(kHosts * kActorsPerHost);
-    for (int h = 0; h < kHosts; ++h) {
-      engine->add_host("host" + std::to_string(h));
-      for (int i = 0; i < kActorsPerHost; ++i) {
-        actors.push_back(Actor{engine.get(), h, usec(3 + (h * kActorsPerHost + i) % 17),
-                               kRounds});
-      }
-    }
-    state.ResumeTiming();
-
-    for (auto& a : actors) a.fire();
-    engine->run_until(sec(120));
-    events += engine->events_executed();
-
-    state.PauseTiming();
-    engine.reset();
-    state.ResumeTiming();
-  }
-  state.counters["events_per_sec"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WindowedChurn)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Tier B, active-replication-shaped traffic: client hosts broadcast request
-// waves to every replica host (delay >= lookahead = the network's minimum
-// propagation delay) and each replica replies, then does local "execution"
-// churn. Cross-host messaging exercises the outbox/merge path windowing adds.
-void BM_WindowedActiveFanout(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::parallel::WindowedEngine::Config config;
-    config.workers = static_cast<int>(state.range(0));
-    config.lookahead = usec(50);  // min client<->replica propagation delay
-    auto engine = std::make_unique<sim::parallel::WindowedEngine>(config);
-    constexpr int kClients = 4;
-    constexpr int kReplicas = 4;
-    constexpr int kWaves = 600;
-    std::vector<int> clients, replicas;
-    for (int c = 0; c < kClients; ++c)
-      clients.push_back(engine->add_host("client" + std::to_string(c)));
-    for (int r = 0; r < kReplicas; ++r)
-      replicas.push_back(engine->add_host("replica" + std::to_string(r)));
-
-    struct Driver {
-      sim::parallel::WindowedEngine* engine;
-      std::vector<int>* replicas;
-      int client;
-      int waves_left;
-      void wave() {
-        if (waves_left-- == 0) return;
-        for (int r : *replicas) {
-          // Request: client -> replica; replica executes (3 local events)
-          // and replies; the reply's arrival triggers the next wave pacing.
-          engine->send(client, r, usec(50) + usec(static_cast<int>(r) % 7),
-                       [this, r] {
-                         for (int k = 0; k < 3; ++k) {
-                           engine->post(r, usec(1 + k), [] {});
-                         }
-                         engine->send(r, client, usec(50), [] {});
-                       });
-        }
-        engine->post(client, usec(200), [this] { wave(); });
-      }
-    };
-    std::vector<Driver> drivers;
-    drivers.reserve(kClients);
-    for (int c : clients) drivers.push_back(Driver{engine.get(), &replicas, c, kWaves});
-    state.ResumeTiming();
-
-    for (auto& d : drivers) {
-      // Stagger wave starts so clients do not phase-lock.
-      engine->post(d.client, usec(10 * (d.client + 1)), [&d] { d.wave(); });
-    }
-    engine->run_until(sec(120));
-    events += engine->events_executed();
-
-    state.PauseTiming();
-    engine.reset();
-    state.ResumeTiming();
-  }
-  state.counters["events_per_sec"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WindowedActiveFanout)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

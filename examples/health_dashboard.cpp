@@ -61,7 +61,7 @@ int run_chaos_mode(const Config& cfg) {
 void print_dashboard(harness::Scenario& scenario) {
   auto& health = scenario.health();
   const double t_ms = to_msec(scenario.kernel().now());
-  const std::string style = replication::to_string(scenario.style());
+  const std::string style = replication::to_string(scenario.group().style());
   std::printf("[%8.1f ms] style=%-12s phi_max=%6.2f suspected=%zu/%zu links\n",
               t_ms, style.c_str(), health.max_phi(),
               health.suspected_replicas(), health.suspected_links());

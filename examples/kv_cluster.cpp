@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   // Capacity question an operator would ask next: what does five nines cost?
-  knobs::VersatileDependability vd(scenario);
+  knobs::VersatileDependability vd(scenario.group());
   vd.install_availability_knob(knobs::AvailabilityModel{});
   for (double target : {0.999, 0.99999}) {
     auto choice = vd.tune_for_availability(target);

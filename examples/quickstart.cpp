@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // 5. The knob view of the same system: this is the interface versatile
   //    dependability gives operators.
-  knobs::VersatileDependability vd(scenario);
+  knobs::VersatileDependability vd(scenario.group());
   std::printf("knobs available on this service:\n");
   for (const knobs::Knob* knob : vd.registry().list()) {
     std::printf("  [%s] %-22s = %-12s %s\n",
@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
   vd.registry().at("ReplicationStyle").set("warm_passive");
   scenario.drain(sec(1));
   std::printf("\nafter turning ReplicationStyle -> %s, responder is replica rank 0\n",
-              replication::to_string(scenario.style()).c_str());
+              replication::to_string(scenario.group().style()).c_str());
   return 0;
 }

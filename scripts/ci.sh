@@ -52,14 +52,18 @@ cmake --build "${repo_root}/build" -j"${jobs}" --target macro_events \
   --target macro_shard --target macro_campaign
 "${repo_root}/build/bench/macro_events" \
   --benchmark_filter='BM_MacroKernelChurn' --benchmark_min_time=0.01 > /dev/null
-"${repo_root}/build/bench/macro_events" \
-  --benchmark_filter='BM_Windowed(Churn|ActiveFanout)/8' \
-  --benchmark_min_time=0.01 > /dev/null
 "${repo_root}/build/bench/macro_shard" \
   --benchmark_filter='BM_MacroShardFleet/8/1000' --benchmark_min_time=0.01 > /dev/null
 "${repo_root}/build/bench/macro_campaign" \
   --benchmark_filter='BM_CampaignTrials/8' --benchmark_min_time=0.01 > /dev/null
 echo "macro_events, macro_shard and macro_campaign run clean"
+
+echo "== repository benchmark compiles =="
+# perfbench/ drives the harness through its public API; building it here
+# makes an API change fail CI instead of the benchmark run.
+cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench"
+cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
+echo "perfbench builds clean"
 
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded
@@ -132,10 +136,10 @@ if [[ "${skip_sanitize}" -eq 0 ]]; then
   ctest --test-dir "${repo_root}/build-asan" -L tier1 --output-on-failure -j"${jobs}"
 
   echo "== tier-1 (TSan) =="
-  # The work-stealing pool, the trial fleet and the windowed engine are real
-  # multi-threaded code now; the whole tier-1 suite (which includes the
-  # parallel pool/engine tests and the serial-vs-parallel campaign
-  # determinism tests) must be data-race-free under ThreadSanitizer.
+  # The work-stealing pool and the trial fleet are real multi-threaded code;
+  # the whole tier-1 suite (which includes the parallel pool tests and the
+  # serial-vs-parallel campaign determinism tests) must be data-race-free
+  # under ThreadSanitizer.
   cmake -B "${repo_root}/build-tsan" -S "${repo_root}" -DVDEP_SANITIZE=thread
   cmake --build "${repo_root}/build-tsan" -j"${jobs}"
   ctest --test-dir "${repo_root}/build-tsan" -L tier1 --output-on-failure -j"${jobs}"

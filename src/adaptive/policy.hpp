@@ -9,7 +9,7 @@
 #include <optional>
 #include <string>
 
-#include "monitor/rate_estimator.hpp"
+#include "monitor/threshold_watcher.hpp"
 #include "replication/types.hpp"
 
 namespace vdep::adaptive {

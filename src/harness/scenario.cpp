@@ -12,46 +12,17 @@ namespace {
 constexpr GroupId kAppGroup{1};
 constexpr GroupId kMonitorGroup{2};
 constexpr std::uint16_t kServerPort = 7001;
-constexpr ObjectId kObjectKey{1};
 // Replicas join staggered at boot; clients start once the group is settled.
 constexpr SimTime kReplicaBootStagger = msec(1);
 constexpr SimTime kClientStartTime = msec(200);
 }  // namespace
 
-// One replica: process, servant, ORB stack and (in replicated mode) the
-// replicator plus optional monitoring/adaptation.
-struct Scenario::ReplicaBundle {
-  ReplicaBundle(Scenario& owner, int index, NodeId host, ProcessId pid)
-      : index(index),
-        process(owner.kernel(), pid, host,
-                "replica" + std::to_string(index) + "@" +
-                    owner.network().host_name(host)),
-        servant(owner.make_servant_for(index)),
-        orb(owner.network(), process, poa) {
-    poa.activate(kObjectKey, *servant);
-  }
-
-  int index;
-  sim::Process process;
-  std::unique_ptr<replication::Checkpointable> servant;
-  orb::Poa poa;
-  orb::ServerOrb orb;
-  std::unique_ptr<replication::Replicator> replicator;
+// Per-replica monitoring and adaptation, rebuilt with every replicator.
+// Members drop in reverse order: the adaptation manager before the state
+// object it reads.
+struct Scenario::Monitoring final : ReplicaGroup::Attachment {
   std::unique_ptr<monitor::ReplicatedStateObject> state;
   std::unique_ptr<adaptive::AdaptationManager> adaptation;
-  // Non-replicated modes (Fig. 4 baseline / interception-only bars).
-  std::unique_ptr<orb::DirectServerAcceptor> acceptor;
-  std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor;
-  bool started = false;
-  bool recovery_hooked = false;
-  // Process incarnation the replicator was built for; a mismatch means the
-  // stack is stale (the process restarted underneath it) and needs recovery.
-  std::uint64_t replicator_incarnation = 0;
-
-  [[nodiscard]] bool live() const {
-    return started && process.alive() &&
-           (replicator == nullptr || !replicator->stopped());
-  }
 };
 
 struct Scenario::ClientBundle {
@@ -130,14 +101,32 @@ void Scenario::build() {
   for (auto& d : daemons_) d->boot();
 
   // Replicas.
+  ReplicaGroup::Config group;
+  group.id = kAppGroup;
+  group.name_prefix = "replica";
+  group.style = config_.style;
+  group.params.checkpoint_interval = config_.checkpoint_interval;
+  group.params.checkpoint_every_requests = config_.checkpoint_every_requests;
+  group.params.checkpoint_anchor_interval = config_.checkpoint_anchor_interval;
+  group.params.skip_reply_dedup = config_.skip_reply_dedup;
+  group.auto_recover = config_.auto_recover;
+  group.next_pid = [this] { return ProcessId{next_pid_++}; };
+  group.daemon_on = [this](NodeId host) -> gcs::Daemon& { return daemon_on(host); };
+  group.make_servant = [this](int index, bool) {
+    return config_.make_servant ? config_.make_servant(index)
+                                : std::make_unique<app::TestServant>(app::TestServant::Config{
+                                      config_.state_bytes, config_.reply_bytes,
+                                      config_.app_exec_time});
+  };
+  group.grow_host = [this] { return free_replica_host(); };
+  group.on_replicator_created = config_.on_replicator_created;
+  group.attach = [this](ReplicaGroup::Node& node) { return attach_monitoring(node); };
+  group_ = std::make_unique<ReplicaGroup>(*network_, std::move(group));
   next_pid_ = 1000;
   for (int r = 0; r < config_.replicas; ++r) {
-    const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-    replicas_.push_back(std::make_unique<ReplicaBundle>(
-        *this, r, host, ProcessId{next_pid_++}));
-    const int index = r;
-    kernel_->post(kReplicaBootStagger * (r + 1),
-                  [this, index] { start_replica(index, /*join_existing=*/false); });
+    const int index =
+        group_->add_node(NodeId{static_cast<std::uint64_t>(config_.clients + r)});
+    kernel_->post(kReplicaBootStagger * (r + 1), [this, index] { boot_replica(index); });
   }
 
   // Clients.
@@ -169,66 +158,34 @@ void Scenario::build() {
   }
 }
 
-std::unique_ptr<replication::Checkpointable> Scenario::make_servant_for(int index) {
-  if (config_.make_servant) return config_.make_servant(index);
-  return std::make_unique<app::TestServant>(app::TestServant::Config{
-      config_.state_bytes, config_.reply_bytes, config_.app_exec_time});
-}
-
-void Scenario::start_replica(int index, bool join_existing) {
-  auto& bundle = *replicas_.at(index);
-  VDEP_ASSERT(!bundle.started);
-  bundle.started = true;
-
-  if (!config_.replicated) {
-    // Plain/intercepted TCP server (only replica 0 serves).
-    const bool server_intercepted =
-        config_.intercept == interpose::InterceptMode::kServerOnly ||
-        config_.intercept == interpose::InterceptMode::kBoth;
-    if (server_intercepted) {
-      bundle.intercepting_acceptor = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
-          *channels_, bundle.process.host(), kServerPort, bundle.orb);
-    } else {
-      bundle.acceptor = std::make_unique<orb::DirectServerAcceptor>(
-          *channels_, bundle.process.host(), kServerPort, bundle.orb);
-    }
+void Scenario::boot_replica(int index) {
+  if (config_.replicated) {
+    group_->start(index, /*join_existing=*/false);
     return;
   }
-
-  replication::ReplicatorParams params;
-  params.checkpoint_interval = config_.checkpoint_interval;
-  params.checkpoint_every_requests = config_.checkpoint_every_requests;
-  params.checkpoint_anchor_interval = config_.checkpoint_anchor_interval;
-  params.skip_reply_dedup = config_.skip_reply_dedup;
-  bundle.replicator = std::make_unique<replication::Replicator>(
-      *network_, daemon_on(bundle.process.host()), bundle.process, bundle.orb,
-      *bundle.servant, kAppGroup, params);
-  if (config_.on_replicator_created) {
-    config_.on_replicator_created(index, *bundle.replicator);
+  // Plain/intercepted TCP server: only replica 0 serves.
+  auto& node = group_->node(index);
+  node.started = true;
+  if (index != 0) return;
+  const bool server_intercepted = config_.intercept == interpose::InterceptMode::kServerOnly ||
+                                  config_.intercept == interpose::InterceptMode::kBoth;
+  if (server_intercepted) {
+    intercepting_acceptor_ = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
+        *channels_, node.process.host(), kServerPort, node.orb);
+  } else {
+    acceptor_ = std::make_unique<orb::DirectServerAcceptor>(*channels_, node.process.host(),
+                                                            kServerPort, node.orb);
   }
-  if (config_.auto_recover && !bundle.recovery_hooked) {
-    bundle.recovery_hooked = true;
-    bundle.process.subscribe_restart([this, index](ProcessId) {
-      // The restart fires from inside a fault-plan event; rebuild the stack
-      // on a fresh event, and only if the process is still up and nothing
-      // else (a manual recover_replica) already rebuilt it by then.
-      kernel_->post(kTimeZero, [this, index] {
-        auto& b = *replicas_.at(index);
-        if (b.process.alive() &&
-            b.replicator_incarnation != b.process.incarnation()) {
-          recover_replica(index);
-        }
-      });
-    });
-  }
-  bundle.replicator_incarnation = bundle.process.incarnation();
-  bundle.replicator->start(config_.style, join_existing);
+}
 
+std::unique_ptr<ReplicaGroup::Attachment> Scenario::attach_monitoring(
+    ReplicaGroup::Node& node) {
+  auto monitoring = std::make_unique<Monitoring>();
   if (config_.enable_replicated_state || config_.adaptation) {
-    auto* replicator = bundle.replicator.get();
-    auto& process = bundle.process;
+    auto* replicator = node.replicator.get();
+    auto& process = node.process;
     auto& network = *network_;
-    bundle.state = std::make_unique<monitor::ReplicatedStateObject>(
+    monitoring->state = std::make_unique<monitor::ReplicatedStateObject>(
         daemon_on(process.host()), process, kMonitorGroup,
         [replicator, &process, &network] {
           monitor::StateEntry entry;
@@ -236,20 +193,34 @@ void Scenario::start_replica(int index, bool join_existing) {
           entry.request_rate = replicator->observed_request_rate();
           return entry;
         });
-    bundle.state->start();
+    monitoring->state->start();
   }
   if (config_.adaptation) {
-    bundle.adaptation = std::make_unique<adaptive::AdaptationManager>(
-        *bundle.replicator, *bundle.state,
+    monitoring->adaptation = std::make_unique<adaptive::AdaptationManager>(
+        *node.replicator, *monitoring->state,
         std::make_unique<adaptive::RateThresholdPolicy>(*config_.adaptation));
-    bundle.adaptation->start();
+    monitoring->adaptation->start();
   } else if (config_.health_adaptation) {
-    bundle.adaptation = std::make_unique<adaptive::AdaptationManager>(
-        *bundle.replicator,
+    monitoring->adaptation = std::make_unique<adaptive::AdaptationManager>(
+        *node.replicator,
         std::make_unique<adaptive::HealthThresholdPolicy>(*config_.health_adaptation));
-    bundle.adaptation->set_health_source(health_.get());
-    bundle.adaptation->start();
+    monitoring->adaptation->set_health_source(health_.get());
+    monitoring->adaptation->start();
   }
+  return monitoring;
+}
+
+NodeId Scenario::free_replica_host() const {
+  for (int r = 0; r < config_.max_replicas; ++r) {
+    const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
+    bool occupied = false;
+    for (int n = 0; n < group_->size(); ++n) {
+      const auto& node = group_->node(n);
+      occupied = occupied || (node.live() && node.process.host() == host);
+    }
+    if (!occupied) return host;
+  }
+  throw std::runtime_error("no free replica host; raise max_replicas");
 }
 
 monitor::health::HealthMonitor& Scenario::health() {
@@ -267,7 +238,7 @@ gcs::Daemon& Scenario::daemon_on(NodeId host) {
 
 orb::ObjectRef Scenario::object_ref() const {
   orb::ObjectRef ref;
-  ref.object_key = kObjectKey;
+  ref.object_key = ReplicaGroup::kObjectKey;
   ref.direct = orb::DirectProfile{NodeId{static_cast<std::uint64_t>(config_.clients)},
                                   kServerPort};
   ref.group = orb::GroupProfile{kAppGroup};
@@ -275,153 +246,36 @@ orb::ObjectRef Scenario::object_ref() const {
 }
 
 replication::Replicator& Scenario::replicator(int index) {
-  auto& r = replicas_.at(index)->replicator;
+  auto& r = group_->node(index).replicator;
   VDEP_ASSERT_MSG(r != nullptr, "not a replicated scenario");
   return *r;
 }
 
-replication::Checkpointable& Scenario::app(int index) {
-  return *replicas_.at(index)->servant;
-}
+replication::Checkpointable& Scenario::app(int index) { return *group_->node(index).servant; }
 
 app::TestServant& Scenario::servant(int index) {
-  auto* typed = dynamic_cast<app::TestServant*>(replicas_.at(index)->servant.get());
+  auto* typed = dynamic_cast<app::TestServant*>(group_->node(index).servant.get());
   VDEP_ASSERT_MSG(typed != nullptr, "scenario uses a custom servant; call app()");
   return *typed;
 }
 
-sim::Process& Scenario::replica_process(int index) { return replicas_.at(index)->process; }
+sim::Process& Scenario::replica_process(int index) { return group_->node(index).process; }
 
-ProcessId Scenario::replica_pid(int index) const { return replicas_.at(index)->process.id(); }
+ProcessId Scenario::replica_pid(int index) const { return group_->node(index).process.id(); }
 
-NodeId Scenario::replica_host(int index) const { return replicas_.at(index)->process.host(); }
-
-ProcessId Scenario::client_pid(int index) const { return clients_.at(index)->process.id(); }
-
-int Scenario::live_replicas() const {
-  int n = 0;
-  for (const auto& r : replicas_) {
-    if (r->live()) ++n;
-  }
-  return n;
-}
-
-Scenario::ReplicaBundle& Scenario::first_live_replica() {
-  for (auto& r : replicas_) {
-    if (r->live()) return *r;
-  }
-  throw std::runtime_error("no live replica");
-}
-
-const Scenario::ReplicaBundle& Scenario::first_live_replica() const {
-  for (const auto& r : replicas_) {
-    if (r->live()) return *r;
-  }
-  throw std::runtime_error("no live replica");
-}
+NodeId Scenario::replica_host(int index) const { return group_->node(index).process.host(); }
 
 void Scenario::arm_faults() {
   if (faults_armed_ || fault_plan_.empty()) return;
   faults_armed_ = true;
   std::vector<sim::Process*> processes;
   for (auto& d : daemons_) processes.push_back(d.get());
-  for (auto& r : replicas_) processes.push_back(&r->process);
+  for (int r = 0; r < group_->size(); ++r) processes.push_back(&group_->node(r).process);
   for (auto& c : clients_) processes.push_back(&c->process);
   fault_plan_.arm(*kernel_, *network_, std::move(processes));
 }
 
-void Scenario::recover_replica(int index) {
-  VDEP_ASSERT_MSG(config_.replicated, "recovery needs a replicated scenario");
-  auto& bundle = *replicas_.at(index);
-  if (!bundle.process.alive()) bundle.process.restart();
-  // The new incarnation lost all volatile state: monitoring, replicator and
-  // servant are rebuilt from scratch, and the replicator joins the running
-  // group as a state-transfer joiner.
-  bundle.adaptation.reset();
-  bundle.state.reset();
-  bundle.replicator.reset();
-  bundle.poa.deactivate(kObjectKey);
-  bundle.servant = make_servant_for(index);
-  bundle.poa.activate(kObjectKey, *bundle.servant);
-  bundle.started = false;
-  start_replica(index, /*join_existing=*/true);
-}
-
-// --- knob actuation -------------------------------------------------------------
-
-void Scenario::set_style(replication::ReplicationStyle style) {
-  first_live_replica().replicator->request_style_switch(style);
-}
-
-replication::ReplicationStyle Scenario::style() const {
-  return first_live_replica().replicator->style();
-}
-
-void Scenario::set_replica_count(int replicas) {
-  VDEP_ASSERT(replicas >= 1);
-  int live = live_replicas();
-  // Shrink: retire the most junior live replicas.
-  for (auto it = replicas_.rbegin(); it != replicas_.rend() && live > replicas; ++it) {
-    if (!(*it)->live()) continue;
-    (*it)->replicator->stop();
-    --live;
-  }
-  // Grow: start new replicas on replica hosts without a live resident.
-  while (live < replicas) {
-    NodeId free_host;
-    bool found = false;
-    for (int r = 0; r < config_.max_replicas && !found; ++r) {
-      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-      const bool occupied = std::any_of(
-          replicas_.begin(), replicas_.end(),
-          [host](const auto& b) { return b->live() && b->process.host() == host; });
-      if (!occupied) {
-        free_host = host;
-        found = true;
-      }
-    }
-    if (!found) throw std::runtime_error("no free replica host; raise max_replicas");
-    const int index = static_cast<int>(replicas_.size());
-    replicas_.push_back(std::make_unique<ReplicaBundle>(*this, index, free_host,
-                                                        ProcessId{next_pid_++}));
-    start_replica(index, /*join_existing=*/true);
-    ++live;
-  }
-}
-
-int Scenario::replica_count() const { return live_replicas(); }
-
-void Scenario::set_checkpoint_interval(SimTime interval) {
-  config_.checkpoint_interval = interval;
-  for (auto& r : replicas_) {
-    if (r->live() && r->replicator) r->replicator->set_checkpoint_interval(interval);
-  }
-}
-
-SimTime Scenario::checkpoint_interval() const { return config_.checkpoint_interval; }
-
-void Scenario::set_checkpoint_anchor_interval(std::uint32_t interval) {
-  config_.checkpoint_anchor_interval = interval;
-  for (auto& r : replicas_) {
-    if (r->live() && r->replicator) {
-      r->replicator->set_checkpoint_anchor_interval(interval);
-    }
-  }
-}
-
-std::uint32_t Scenario::checkpoint_anchor_interval() const {
-  return config_.checkpoint_anchor_interval;
-}
-
 void Scenario::drain(SimTime extra) { kernel_->run_until(kernel_->now() + extra); }
-
-std::vector<std::uint64_t> Scenario::live_state_digests() const {
-  std::vector<std::uint64_t> out;
-  for (const auto& r : replicas_) {
-    if (r->live()) out.push_back(r->servant->state_digest());
-  }
-  return out;
-}
 
 // --- runs -----------------------------------------------------------------------
 
@@ -520,7 +374,7 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
   const SimTime sample_end = kClientStartTime + config.duration;
   std::function<void()> sample = [&] {
     if (kernel_->now() > sample_end) return;
-    auto& head = first_live_replica();
+    auto& head = group_->first_live();
     result.observed_rate.record(kernel_->now(),
                                 head.replicator->observed_request_rate());
     const auto style = head.replicator->style();
@@ -554,7 +408,7 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
   result.totals.throughput_rps =
       static_cast<double>(result.totals.completed) / to_sec(config.duration);
   result.totals.faults_tolerated = live_replicas() - 1;
-  result.switches = first_live_replica().replicator->switch_history();
+  result.switches = group_->first_live().replicator->switch_history();
   return result;
 }
 

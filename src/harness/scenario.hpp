@@ -4,9 +4,11 @@
 // one process per host, a group-communication daemon on every host, clients
 // on their own machines ("we were limited to eight computers").
 //
-// Scenario also implements knobs::ReplicaGroupController, so the knob layer
-// can actuate live changes: style switches, replica growth/shrink with state
-// transfer, checkpoint-interval changes.
+// The server is one harness::ReplicaGroup, exposed as group(): it is the
+// knobs::ReplicaGroupController the knob layer actuates (style switches,
+// replica growth/shrink with state transfer, checkpoint-interval changes).
+// Scenario itself keeps the fabric, the clients, the Fig. 4 plain and
+// intercepted server paths, and the per-replica monitoring/adaptation.
 #pragma once
 
 #include <memory>
@@ -16,13 +18,12 @@
 #include "adaptive/adaptation_manager.hpp"
 #include "app/test_app.hpp"
 #include "app/workload.hpp"
+#include "harness/replica_group.hpp"
 #include "interpose/interposer.hpp"
-#include "knobs/low_level.hpp"
-#include "monitor/bandwidth_meter.hpp"
 #include "monitor/health/health_monitor.hpp"
 #include "net/fault_plan.hpp"
 #include "replication/client_coordinator.hpp"
-#include "replication/replicator.hpp"
+#include "sim/trace.hpp"
 
 namespace vdep::harness {
 
@@ -87,7 +88,7 @@ struct ScenarioConfig {
 
   // When true, a replica process restarted by the fault plan automatically
   // rebuilds its replication stack and rejoins the group with a state
-  // transfer (see recover_replica).
+  // transfer (see ReplicaGroup::recover).
   bool auto_recover = false;
 
   // TEST ONLY — forwarded to ReplicatorParams::skip_reply_dedup (the chaos
@@ -123,10 +124,10 @@ struct OpenLoopResult {
   std::vector<replication::Replicator::SwitchRecord> switches;
 };
 
-class Scenario final : public knobs::ReplicaGroupController {
+class Scenario final {
  public:
   explicit Scenario(ScenarioConfig config);
-  ~Scenario() override;
+  ~Scenario();
 
   // --- runs ---------------------------------------------------------------------
   struct CycleConfig {
@@ -150,14 +151,11 @@ class Scenario final : public knobs::ReplicaGroupController {
   // or call arm_faults() yourself when driving the kernel manually.
   net::FaultPlan& fault_plan() { return fault_plan_; }
   void arm_faults();
-  // Rebuilds a crashed (or just-restarted) replica's stack as a fresh
-  // incarnation: blank servant, new replicator joining the running group
-  // with a state transfer. Called automatically after a fault-plan restart
-  // when config.auto_recover is set.
-  void recover_replica(int index);
+  // The replica group: node access, recovery (ReplicaGroup::recover) and
+  // the knobs::ReplicaGroupController.
+  [[nodiscard]] ReplicaGroup& group() { return *group_; }
   [[nodiscard]] ProcessId replica_pid(int index) const;
   [[nodiscard]] NodeId replica_host(int index) const;
-  [[nodiscard]] ProcessId client_pid(int index) const;
 
   // --- accessors ----------------------------------------------------------------
   [[nodiscard]] sim::Kernel& kernel() { return *kernel_; }
@@ -172,21 +170,11 @@ class Scenario final : public knobs::ReplicaGroupController {
   [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] orb::ObjectRef object_ref() const;
-  [[nodiscard]] int live_replicas() const;
+  [[nodiscard]] int live_replicas() const { return group_->live_count(); }
   // Health plane (health() asserts config.health / health_adaptation).
   [[nodiscard]] monitor::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] bool health_enabled() const { return health_ != nullptr; }
   [[nodiscard]] monitor::health::HealthMonitor& health();
-
-  // --- knobs::ReplicaGroupController ----------------------------------------------
-  void set_style(replication::ReplicationStyle style) override;
-  [[nodiscard]] replication::ReplicationStyle style() const override;
-  void set_replica_count(int replicas) override;
-  [[nodiscard]] int replica_count() const override;
-  void set_checkpoint_interval(SimTime interval) override;
-  [[nodiscard]] SimTime checkpoint_interval() const override;
-  void set_checkpoint_anchor_interval(std::uint32_t interval) override;
-  [[nodiscard]] std::uint32_t checkpoint_anchor_interval() const override;
 
   // Lets in-flight work settle after a run stopped at the last client reply
   // (slower replicas may still have executions queued). Call before
@@ -194,24 +182,29 @@ class Scenario final : public knobs::ReplicaGroupController {
   void drain(SimTime extra = msec(200));
 
   // Consistency probe used by tests: digests of all live, caught-up replicas.
-  [[nodiscard]] std::vector<std::uint64_t> live_state_digests() const;
+  [[nodiscard]] std::vector<std::uint64_t> live_state_digests() const {
+    return group_->live_state_digests();
+  }
 
  private:
-  struct ReplicaBundle;
+  struct Monitoring;
   struct ClientBundle;
 
   void build();
-  void start_replica(int index, bool join_existing);
-  [[nodiscard]] std::unique_ptr<replication::Checkpointable> make_servant_for(int index);
-  ReplicaBundle& first_live_replica();
-  const ReplicaBundle& first_live_replica() const;
+  void boot_replica(int index);
+  [[nodiscard]] NodeId free_replica_host() const;
+  [[nodiscard]] std::unique_ptr<ReplicaGroup::Attachment> attach_monitoring(
+      ReplicaGroup::Node& node);
 
   ScenarioConfig config_;
   std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::ChannelManager> channels_;
   std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
-  std::vector<std::unique_ptr<ReplicaBundle>> replicas_;
+  std::unique_ptr<ReplicaGroup> group_;
+  // Non-replicated modes (Fig. 4 baseline / interception-only bars).
+  std::unique_ptr<orb::DirectServerAcceptor> acceptor_;
+  std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor_;
   std::vector<std::unique_ptr<ClientBundle>> clients_;
   monitor::MetricsRegistry metrics_;
   std::unique_ptr<monitor::health::HealthMonitor> health_;

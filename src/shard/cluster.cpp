@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -10,123 +11,12 @@ namespace vdep::shard {
 namespace {
 constexpr std::uint64_t kDirectoryGroupValue = 1;
 constexpr std::uint64_t kFirstDataGroupValue = 10;
-constexpr ObjectId kObjectKey{1};
+constexpr ObjectId kObjectKey = harness::ReplicaGroup::kObjectKey;
 constexpr SimTime kBootStagger = msec(1);
 constexpr std::uint64_t kFirstDaemonPid = 100;
 constexpr std::uint64_t kMigratorPid = 4000;
 constexpr std::uint64_t kFirstClientPid = 5000;
-
-replication::ReplicationStyle style_of(const ShardPolicy& policy) {
-  return static_cast<replication::ReplicationStyle>(policy.style);
-}
 }  // namespace
-
-// One replica of one group (directory or shard), same shape as a
-// harness::Scenario replica: process + servant + POA + server ORB +
-// replicator.
-struct ShardedCluster::ReplicaNode {
-  ReplicaNode(ShardedCluster& owner, int index, NodeId host, ProcessId pid,
-              std::string name, std::unique_ptr<replication::Checkpointable> app)
-      : index(index),
-        process(owner.kernel(), pid, host, std::move(name)),
-        servant(std::move(app)),
-        orb(owner.network(), process, poa) {
-    poa.activate(kObjectKey, *servant);
-  }
-
-  int index;
-  sim::Process process;
-  std::unique_ptr<replication::Checkpointable> servant;
-  orb::Poa poa;
-  orb::ServerOrb orb;
-  std::unique_ptr<replication::Replicator> replicator;
-  bool started = false;
-  bool recovery_hooked = false;
-  std::uint64_t replicator_incarnation = 0;
-
-  [[nodiscard]] bool live() const {
-    return started && process.alive() && replicator != nullptr &&
-           !replicator->stopped();
-  }
-};
-
-// Adapts one replica group to the knob layer's actuation interface, so each
-// shard's policy can be tuned independently.
-struct ShardedCluster::GroupBundle final : knobs::ReplicaGroupController {
-  GroupBundle(ShardedCluster& owner, GroupId id, ShardPolicy policy,
-              bool is_directory)
-      : owner(owner), id(id), policy(policy), is_directory(is_directory) {}
-
-  ShardedCluster& owner;
-  GroupId id;
-  ShardPolicy policy;
-  bool is_directory;
-  SimTime ckpt_interval{calib::kDefaultCheckpointInterval};
-  std::vector<std::unique_ptr<ReplicaNode>> nodes;
-
-  [[nodiscard]] ReplicaNode& first_live() {
-    for (auto& n : nodes) {
-      if (n->live()) return *n;
-    }
-    throw std::runtime_error("group " + std::to_string(id.value()) +
-                             ": no live replica");
-  }
-
-  [[nodiscard]] int live_count() const {
-    int n = 0;
-    for (const auto& node : nodes) {
-      if (node->live()) ++n;
-    }
-    return n;
-  }
-
-  // --- knobs::ReplicaGroupController ---------------------------------------
-  void set_style(replication::ReplicationStyle style) override {
-    policy.style = static_cast<std::uint8_t>(style);
-    first_live().replicator->request_style_switch(style);
-  }
-  [[nodiscard]] replication::ReplicationStyle style() const override {
-    for (const auto& n : nodes) {
-      if (n->live()) return n->replicator->style();
-    }
-    return style_of(policy);
-  }
-  void set_replica_count(int replicas) override {
-    VDEP_ASSERT(replicas >= 1);
-    policy.replicas = static_cast<std::uint8_t>(replicas);
-    int live = live_count();
-    for (auto it = nodes.rbegin(); it != nodes.rend() && live > replicas; ++it) {
-      if (!(*it)->live()) continue;
-      (*it)->replicator->stop();
-      --live;
-    }
-    while (live < replicas) {
-      owner.add_node(*this, owner.pick_server_host());
-      owner.start_node(*this, static_cast<int>(nodes.size()) - 1,
-                       /*join_existing=*/true);
-      ++live;
-    }
-  }
-  [[nodiscard]] int replica_count() const override { return live_count(); }
-  void set_checkpoint_interval(SimTime interval) override {
-    ckpt_interval = interval;
-    for (auto& n : nodes) {
-      if (n->live()) n->replicator->set_checkpoint_interval(interval);
-    }
-  }
-  [[nodiscard]] SimTime checkpoint_interval() const override {
-    return ckpt_interval;
-  }
-  void set_checkpoint_anchor_interval(std::uint32_t interval) override {
-    policy.checkpoint_anchor_interval = interval;
-    for (auto& n : nodes) {
-      if (n->live()) n->replicator->set_checkpoint_anchor_interval(interval);
-    }
-  }
-  [[nodiscard]] std::uint32_t checkpoint_anchor_interval() const override {
-    return policy.checkpoint_anchor_interval;
-  }
-};
 
 struct ShardedCluster::ClientBundle {
   ClientBundle(ShardedCluster& owner, int index, NodeId host, ProcessId pid)
@@ -184,33 +74,28 @@ void ShardedCluster::build() {
   // Directory group.
   ShardPolicy dir_policy;
   dir_policy.style = static_cast<std::uint8_t>(config_.directory_style);
-  dir_policy.replicas = static_cast<std::uint8_t>(config_.directory_replicas);
   dir_policy.checkpoint_every_requests = 10;
-  auto& directory = add_group(GroupId{kDirectoryGroupValue}, dir_policy,
-                              /*is_directory=*/true);
+  auto& directory = add_group(GroupId{kDirectoryGroupValue}, dir_policy);
   for (int r = 0; r < config_.directory_replicas; ++r) {
-    add_node(directory,
-             server_hosts_[static_cast<std::size_t>(r) % server_hosts_.size()]);
+    directory.add_node(server_hosts_[static_cast<std::size_t>(r) % server_hosts_.size()]);
   }
 
   // One data group per shard, replicas co-located round-robin on the server
   // hosts.
   std::size_t placement = static_cast<std::size_t>(config_.directory_replicas);
   for (const auto& entry : initial_map_.entries()) {
-    auto& group = add_group(entry.group, entry.policy, /*is_directory=*/false);
+    auto& group = add_group(entry.group, entry.policy);
     for (int r = 0; r < entry.policy.replicas; ++r) {
-      add_node(group, server_hosts_[placement++ % server_hosts_.size()]);
+      group.add_node(server_hosts_[placement++ % server_hosts_.size()]);
     }
   }
 
   // Staggered boots: one replica per tick so views form without join storms.
   int boot_slot = 0;
   for (auto& group : groups_) {
-    for (std::size_t n = 0; n < group->nodes.size(); ++n) {
-      GroupBundle* g = group.get();
-      const int node = static_cast<int>(n);
-      kernel_->post(kBootStagger * (++boot_slot), [this, g, node] {
-        start_node(*g, node, /*join_existing=*/false);
+    for (int node = 0; node < group->size(); ++node) {
+      kernel_->post(kBootStagger * (++boot_slot), [g = group.get(), node] {
+        g->start(node, /*join_existing=*/false);
       });
     }
   }
@@ -262,83 +147,42 @@ void ShardedCluster::build() {
   }
 }
 
-ShardedCluster::GroupBundle& ShardedCluster::add_group(GroupId id,
-                                                       const ShardPolicy& policy,
-                                                       bool is_directory) {
-  groups_.push_back(
-      std::make_unique<GroupBundle>(*this, id, policy, is_directory));
-  groups_.back()->ckpt_interval = config_.checkpoint_interval;
+harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& policy) {
+  harness::ReplicaGroup::Config group;
+  group.id = id;
+  group.name_prefix = "g" + std::to_string(id.value()) + "r";
+  group.style = static_cast<replication::ReplicationStyle>(policy.style);
+  group.params.checkpoint_interval = config_.checkpoint_interval;
+  group.params.checkpoint_every_requests = policy.checkpoint_every_requests;
+  group.params.checkpoint_anchor_interval = policy.checkpoint_anchor_interval;
+  group.auto_recover = config_.auto_recover;
+  group.next_pid = [this] { return ProcessId{next_replica_pid_++}; };
+  group.daemon_on = [this](NodeId host) -> gcs::Daemon& { return daemon_on(host); };
+  // Seeded nodes start from the initial map / owned ranges; blank ones fill
+  // in via state transfer or shard.install.
+  group.make_servant = [this, id](int, bool blank)
+      -> std::unique_ptr<replication::Checkpointable> {
+    if (id == directory_group()) {
+      if (blank) return std::make_unique<DirectoryServant>();
+      return std::make_unique<DirectoryServant>(initial_map_);
+    }
+    if (blank) return std::make_unique<ShardServant>();
+    return std::make_unique<ShardServant>(ShardServant::Config{}, initial_map_.ranges_of(id),
+                                          initial_map_.epoch());
+  };
+  group.grow_host = [this] { return pick_server_host(); };
+  groups_.push_back(std::make_unique<harness::ReplicaGroup>(*network_, std::move(group)));
   return *groups_.back();
 }
 
-std::unique_ptr<replication::Checkpointable> ShardedCluster::make_group_servant(
-    GroupBundle& group, bool blank) {
-  if (group.is_directory) {
-    if (blank) return std::make_unique<DirectoryServant>();
-    return std::make_unique<DirectoryServant>(initial_map_);
-  }
-  if (blank) return std::make_unique<ShardServant>();
-  return std::make_unique<ShardServant>(ShardServant::Config{},
-                                        initial_map_.ranges_of(group.id),
-                                        initial_map_.epoch());
-}
-
-void ShardedCluster::add_node(GroupBundle& group, NodeId host) {
-  const int index = static_cast<int>(group.nodes.size());
-  // Nodes created at t=0 are seeded with the initial map / owned ranges;
-  // anything added later (growth, provisioned split targets) starts blank
-  // and fills in via state transfer or shard.install.
-  const bool seeded = kernel_->now() == kTimeZero;
-  const std::string name = "g" + std::to_string(group.id.value()) + "r" +
-                           std::to_string(index) + "@" +
-                           network_->host_name(host);
-  group.nodes.push_back(std::make_unique<ReplicaNode>(
-      *this, index, host, ProcessId{next_replica_pid_++}, name,
-      make_group_servant(group, /*blank=*/!seeded)));
-}
-
-void ShardedCluster::start_node(GroupBundle& group, int node, bool join_existing) {
-  auto& n = *group.nodes.at(static_cast<std::size_t>(node));
-  VDEP_ASSERT(!n.started);
-  n.started = true;
-
-  replication::ReplicatorParams params;
-  params.checkpoint_interval = group.ckpt_interval;
-  params.checkpoint_every_requests = group.policy.checkpoint_every_requests;
-  params.checkpoint_anchor_interval = group.policy.checkpoint_anchor_interval;
-  n.replicator = std::make_unique<replication::Replicator>(
-      *network_, daemon_on(n.process.host()), n.process, n.orb, *n.servant,
-      group.id, params);
-  if (config_.auto_recover && !n.recovery_hooked) {
-    n.recovery_hooked = true;
-    GroupBundle* g = &group;
-    const int index = node;
-    n.process.subscribe_restart([this, g, index](ProcessId) {
-      kernel_->post(kTimeZero, [this, g, index] {
-        auto& b = *g->nodes.at(static_cast<std::size_t>(index));
-        if (b.process.alive() &&
-            b.replicator_incarnation != b.process.incarnation()) {
-          recover_replica(g->id, index);
-        }
-      });
-    });
-  }
-  n.replicator_incarnation = n.process.incarnation();
-  n.replicator->start(group_style(group), join_existing);
-}
-
-replication::ReplicationStyle ShardedCluster::group_style(
-    const GroupBundle& g) const {
-  return g.is_directory ? config_.directory_style : style_of(g.policy);
-}
-
-NodeId ShardedCluster::pick_server_host() {
+NodeId ShardedCluster::pick_server_host() const {
   // Fewest resident replicas wins; ties break on host order (deterministic).
   std::map<std::uint64_t, int> load;
   for (NodeId h : server_hosts_) load[h.value()] = 0;
   for (const auto& g : groups_) {
-    for (const auto& n : g->nodes) {
-      if (n->live() || !n->started) ++load[n->process.host().value()];
+    for (int i = 0; i < g->size(); ++i) {
+      const auto& n = g->node(i);
+      if (n.live() || !n.started) ++load[n.process.host().value()];
     }
   }
   NodeId best = server_hosts_.front();
@@ -359,18 +203,15 @@ gcs::Daemon& ShardedCluster::daemon_on(NodeId host) {
   throw std::out_of_range("no daemon on that host");
 }
 
-ShardedCluster::GroupBundle& ShardedCluster::bundle(GroupId group) {
-  for (auto& g : groups_) {
-    if (g->id == group) return *g;
-  }
-  throw std::out_of_range("unknown group " + std::to_string(group.value()));
+harness::ReplicaGroup& ShardedCluster::group(GroupId id) {
+  return const_cast<harness::ReplicaGroup&>(std::as_const(*this).group(id));
 }
 
-const ShardedCluster::GroupBundle& ShardedCluster::bundle(GroupId group) const {
+const harness::ReplicaGroup& ShardedCluster::group(GroupId id) const {
   for (const auto& g : groups_) {
-    if (g->id == group) return *g;
+    if (g->id() == id) return *g;
   }
-  throw std::out_of_range("unknown group " + std::to_string(group.value()));
+  throw std::out_of_range("unknown group " + std::to_string(id.value()));
 }
 
 // --- directory ----------------------------------------------------------------
@@ -380,14 +221,11 @@ GroupId ShardedCluster::directory_group() const {
 }
 
 const ShardMap& ShardedCluster::directory_map() const {
-  const auto& dir = bundle(GroupId{kDirectoryGroupValue});
-  for (const auto& n : dir.nodes) {
-    if (!n->live()) continue;
-    auto* servant = dynamic_cast<const DirectoryServant*>(n->servant.get());
-    VDEP_ASSERT_MSG(servant != nullptr, "directory node hosts a DirectoryServant");
-    return servant->map();
-  }
-  return initial_map_;
+  const auto& dir = group(directory_group());
+  if (dir.live_count() == 0) return initial_map_;
+  auto* servant = dynamic_cast<const DirectoryServant*>(dir.first_live().servant.get());
+  VDEP_ASSERT_MSG(servant != nullptr, "directory node hosts a DirectoryServant");
+  return servant->map();
 }
 
 // --- groups ---------------------------------------------------------------------
@@ -395,65 +233,48 @@ const ShardMap& ShardedCluster::directory_map() const {
 std::vector<GroupId> ShardedCluster::data_groups() const {
   std::vector<GroupId> out;
   for (const auto& g : groups_) {
-    if (!g->is_directory) out.push_back(g->id);
+    if (g->id() != directory_group()) out.push_back(g->id());
   }
   return out;
 }
 
-int ShardedCluster::replicas_in(GroupId group) const {
-  return static_cast<int>(bundle(group).nodes.size());
-}
+int ShardedCluster::replicas_in(GroupId id) const { return group(id).size(); }
 
-replication::Replicator& ShardedCluster::replicator(GroupId group, int node) {
-  auto& r = bundle(group).nodes.at(static_cast<std::size_t>(node))->replicator;
+replication::Replicator& ShardedCluster::replicator(GroupId id, int node) {
+  auto& r = group(id).node(node).replicator;
   VDEP_ASSERT_MSG(r != nullptr, "replica not started yet");
   return *r;
 }
 
-ShardServant& ShardedCluster::shard_servant(GroupId group, int node) {
-  auto& b = bundle(group);
-  VDEP_ASSERT_MSG(!b.is_directory, "directory group has no shard servant");
-  auto* servant = dynamic_cast<ShardServant*>(
-      b.nodes.at(static_cast<std::size_t>(node))->servant.get());
+ShardServant& ShardedCluster::shard_servant(GroupId id, int node) {
+  VDEP_ASSERT_MSG(id != directory_group(), "directory group has no shard servant");
+  auto* servant = dynamic_cast<ShardServant*>(group(id).node(node).servant.get());
   VDEP_ASSERT_MSG(servant != nullptr, "shard node hosts a ShardServant");
   return *servant;
 }
 
-sim::Process& ShardedCluster::replica_process(GroupId group, int node) {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->process;
+sim::Process& ShardedCluster::replica_process(GroupId id, int node) {
+  return group(id).node(node).process;
 }
 
-ProcessId ShardedCluster::replica_pid(GroupId group, int node) const {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->process.id();
+ProcessId ShardedCluster::replica_pid(GroupId id, int node) const {
+  return group(id).node(node).process.id();
 }
 
-bool ShardedCluster::replica_live(GroupId group, int node) const {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->live();
+bool ShardedCluster::replica_live(GroupId id, int node) const {
+  return group(id).node(node).live();
 }
 
-void ShardedCluster::recover_replica(GroupId group, int node) {
-  auto& g = bundle(group);
-  auto& n = *g.nodes.at(static_cast<std::size_t>(node));
-  if (!n.process.alive()) n.process.restart();
-  n.replicator.reset();
-  n.poa.deactivate(kObjectKey);
-  n.servant = make_group_servant(g, /*blank=*/true);
-  n.poa.activate(kObjectKey, *n.servant);
-  n.started = false;
-  start_node(g, node, /*join_existing=*/true);
-}
+void ShardedCluster::recover_replica(GroupId id, int node) { group(id).recover(node); }
 
 // --- knobs ----------------------------------------------------------------------
 
-knobs::ReplicaGroupController& ShardedCluster::controller(GroupId group) {
-  return bundle(group);
-}
+knobs::ReplicaGroupController& ShardedCluster::controller(GroupId id) { return group(id); }
 
-knobs::VersatileDependability& ShardedCluster::vd(GroupId group) {
-  auto it = vds_.find(group.value());
+knobs::VersatileDependability& ShardedCluster::vd(GroupId id) {
+  auto it = vds_.find(id.value());
   if (it == vds_.end()) {
-    it = vds_.emplace(group.value(), std::make_unique<knobs::VersatileDependability>(
-                                         bundle(group)))
+    it = vds_.emplace(id.value(), std::make_unique<knobs::VersatileDependability>(group(id)))
              .first;
   }
   return *it->second;
@@ -469,23 +290,17 @@ orb::ClientOrb& ShardedCluster::client_orb(int client) {
   return clients_.at(static_cast<std::size_t>(client))->orb;
 }
 
-ProcessId ShardedCluster::client_pid(int client) const {
-  return clients_.at(static_cast<std::size_t>(client))->process.id();
-}
-
 // --- migration ------------------------------------------------------------------
 
 GroupId ShardedCluster::provision_group(const ShardPolicy& policy) {
   const GroupId id{next_group_value_++};
-  auto& group = add_group(id, policy, /*is_directory=*/false);
-  for (int r = 0; r < policy.replicas; ++r) add_node(group, pick_server_host());
+  auto& group = add_group(id, policy);
+  for (int r = 0; r < policy.replicas; ++r) group.add_node(pick_server_host());
   // The first member founds the (empty) group; the rest join it and catch up
   // by state transfer, so a later install reaches every member's state.
-  for (std::size_t n = 0; n < group.nodes.size(); ++n) {
-    GroupBundle* g = &group;
-    const int node = static_cast<int>(n);
-    kernel_->post(kBootStagger * static_cast<std::int64_t>(n + 1), [this, g, node] {
-      start_node(*g, node, /*join_existing=*/node > 0);
+  for (int node = 0; node < group.size(); ++node) {
+    kernel_->post(kBootStagger * (node + 1), [g = &group, node] {
+      g->start(node, /*join_existing=*/node > 0);
     });
   }
   return id;
@@ -505,7 +320,7 @@ void ShardedCluster::arm_faults() {
   faults_armed_ = true;
   std::vector<sim::Process*> processes;
   for (auto& g : groups_) {
-    for (auto& n : g->nodes) processes.push_back(&n->process);
+    for (int n = 0; n < g->size(); ++n) processes.push_back(&g->node(n).process);
   }
   for (auto& c : clients_) processes.push_back(&c->process);
   fault_plan_.arm(*kernel_, *network_, processes);

@@ -6,8 +6,9 @@
 // co-located round-robin on a bounded set of server hosts, so 32 shards do
 // not need 64 machines (the daemon mesh cost grows with hosts, not groups).
 //
-// Per-shard knob actuation: controller(group) adapts one group to the
-// knobs::ReplicaGroupController interface and vd(group) wraps it in a
+// Every group — the directory and each shard — is one harness::ReplicaGroup,
+// the same building block Scenario uses. controller(group) returns it as the
+// group's knobs::ReplicaGroupController and vd(group) wraps it in a
 // VersatileDependability facade, so availability/scalability synthesis runs
 // independently per shard.
 #pragma once
@@ -16,10 +17,10 @@
 #include <memory>
 
 #include "gcs/daemon.hpp"
+#include "harness/replica_group.hpp"
 #include "knobs/versatile.hpp"
 #include "monitor/health/health_monitor.hpp"
 #include "net/fault_plan.hpp"
-#include "replication/replicator.hpp"
 #include "shard/migration.hpp"
 #include "shard/router.hpp"
 #include "util/stats.hpp"
@@ -92,7 +93,6 @@ class ShardedCluster {
   // --- clients --------------------------------------------------------------
   [[nodiscard]] ShardRouter& router(int client);
   [[nodiscard]] orb::ClientOrb& client_orb(int client);
-  [[nodiscard]] ProcessId client_pid(int client) const;
 
   // --- migration ------------------------------------------------------------
   [[nodiscard]] MigrationController& migration() { return *migration_; }
@@ -131,21 +131,14 @@ class ShardedCluster {
   WorkloadResult run_workload(const WorkloadConfig& wc);
 
  private:
-  struct ReplicaNode;
-  struct GroupBundle;
   struct ClientBundle;
 
   void build();
-  [[nodiscard]] std::unique_ptr<replication::Checkpointable> make_group_servant(
-      GroupBundle& group, bool blank);
-  GroupBundle& add_group(GroupId id, const ShardPolicy& policy, bool is_directory);
-  void add_node(GroupBundle& group, NodeId host);
-  void start_node(GroupBundle& group, int node, bool join_existing);
-  [[nodiscard]] NodeId pick_server_host();
-  [[nodiscard]] GroupBundle& bundle(GroupId group);
-  [[nodiscard]] const GroupBundle& bundle(GroupId group) const;
+  harness::ReplicaGroup& add_group(GroupId id, const ShardPolicy& policy);
+  [[nodiscard]] NodeId pick_server_host() const;
+  [[nodiscard]] harness::ReplicaGroup& group(GroupId id);
+  [[nodiscard]] const harness::ReplicaGroup& group(GroupId id) const;
   [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
-  [[nodiscard]] replication::ReplicationStyle group_style(const GroupBundle& g) const;
 
   ShardedClusterConfig config_;
   std::unique_ptr<sim::Kernel> kernel_;
@@ -154,7 +147,7 @@ class ShardedCluster {
   std::vector<NodeId> server_hosts_;
   std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
   ShardMap initial_map_;
-  std::vector<std::unique_ptr<GroupBundle>> groups_;  // [0] is the directory
+  std::vector<std::unique_ptr<harness::ReplicaGroup>> groups_;  // [0] is the directory
   std::vector<std::unique_ptr<ClientBundle>> clients_;
   std::unique_ptr<MigrationController> migration_;
   std::map<std::uint64_t, std::unique_ptr<knobs::VersatileDependability>> vds_;

@@ -8,9 +8,7 @@
 // A Kernel and its entire object graph (tracer, interner, pools, every
 // component scheduled on it) are confined to one thread at a time. Parallel
 // execution never shares a kernel: the chaos trial fleet runs one isolated
-// Kernel per trial on pool workers, and the windowed engine
-// (sim/parallel/windowed.hpp) partitions a simulation into per-host queues
-// with its own cross-thread handoff rules.
+// Kernel per trial on pool workers.
 #pragma once
 
 #include <cstdint>

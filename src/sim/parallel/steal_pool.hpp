@@ -13,7 +13,7 @@
 //    does on the serial path.
 //  - Determinism is the *caller's* job. The pool executes tasks in an
 //    arbitrary order on arbitrary threads; callers that need reproducible
-//    results (the chaos campaign, the windowed engine) write into
+//    results (the chaos campaign, the parallel shrinker) write into
 //    pre-assigned slots and merge in a deterministic order afterwards.
 //
 // TaskGroup is the completion primitive: every submit against a group

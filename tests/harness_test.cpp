@@ -127,21 +127,62 @@ TEST(Scenario, KnobControllerInterfaceRoundTrips) {
   // Boot the replicas.
   scenario.kernel().run_until(msec(100));
 
-  EXPECT_EQ(scenario.replica_count(), 2);
-  EXPECT_EQ(scenario.style(), replication::ReplicationStyle::kWarmPassive);
-  EXPECT_EQ(scenario.checkpoint_interval(), calib::kDefaultCheckpointInterval);
+  EXPECT_EQ(scenario.group().replica_count(), 2);
+  EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kWarmPassive);
+  EXPECT_EQ(scenario.group().checkpoint_interval(), calib::kDefaultCheckpointInterval);
 
-  scenario.set_checkpoint_interval(msec(80));
-  EXPECT_EQ(scenario.checkpoint_interval(), msec(80));
+  scenario.group().set_checkpoint_interval(msec(80));
+  EXPECT_EQ(scenario.group().checkpoint_interval(), msec(80));
   EXPECT_EQ(scenario.replicator(0).checkpoint_interval(), msec(80));
 
-  scenario.set_replica_count(3);
+  scenario.group().set_replica_count(3);
   scenario.kernel().run_until(msec(600));
-  EXPECT_EQ(scenario.replica_count(), 3);
+  EXPECT_EQ(scenario.group().replica_count(), 3);
 
-  scenario.set_style(replication::ReplicationStyle::kActive);
+  scenario.group().set_style(replication::ReplicationStyle::kActive);
   scenario.kernel().run_until(msec(1200));
-  EXPECT_EQ(scenario.style(), replication::ReplicationStyle::kActive);
+  EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kActive);
+}
+
+// Knob changes reach replicas that join later: a grown node starts with the
+// group's current checkpoint cadence, on the first free replica host.
+TEST(ReplicaGroup, GrownNodeStartsWithCurrentKnobs) {
+  ScenarioConfig config;
+  config.replicas = 2;
+  config.max_replicas = 3;
+  config.style = replication::ReplicationStyle::kWarmPassive;
+  Scenario scenario(config);
+  auto& group = scenario.group();
+  EXPECT_EQ(group.replica_count(), 0);  // nothing booted: configured style
+  EXPECT_EQ(group.style(), replication::ReplicationStyle::kWarmPassive);
+
+  scenario.kernel().run_until(msec(100));
+  group.set_checkpoint_interval(msec(80));
+  group.set_checkpoint_anchor_interval(4);
+  group.set_replica_count(3);
+  EXPECT_EQ(scenario.replica_host(2), NodeId{3});  // cli0, srv0, srv1, srv2
+  EXPECT_EQ(scenario.replicator(2).checkpoint_interval(), msec(80));
+  EXPECT_EQ(scenario.replicator(2).checkpoint_anchor_interval(), 4u);
+}
+
+// A manual recover rebuilds a crashed node, monitoring included, as a fresh
+// incarnation that catches up by state transfer.
+TEST(ReplicaGroup, RecoverRebuildsCrashedNode) {
+  ScenarioConfig config;
+  config.replicas = 2;
+  config.enable_replicated_state = true;
+  Scenario scenario(config);
+  scenario.fault_plan().crash_process(msec(400), scenario.replica_pid(1));
+  scenario.kernel().post_at(msec(700), [&] { scenario.group().recover(1); });
+
+  Scenario::CycleConfig cycle;
+  cycle.requests_per_client = 600;
+  EXPECT_EQ(scenario.run_closed_loop(cycle).completed, 800u);
+  scenario.drain();
+  EXPECT_EQ(scenario.live_replicas(), 2);
+  const auto digests = scenario.live_state_digests();
+  ASSERT_EQ(digests.size(), 2u);
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(Scenario, OpenLoopSuppressionUnderOverload) {

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "gcs/endpoint.hpp"
-#include "monitor/bandwidth_meter.hpp"
 #include "monitor/metrics.hpp"
-#include "monitor/rate_estimator.hpp"
 #include "monitor/replicated_state.hpp"
+#include "monitor/threshold_watcher.hpp"
 
 namespace vdep::monitor {
 namespace {
@@ -97,21 +96,6 @@ TEST(MetricsRegistry, SnapshotDiffEdgeCases) {
   EXPECT_DOUBLE_EQ(delta.gauges.at("new_gauge"), 9.0);
 }
 
-TEST(RateEstimator, SmoothedRate) {
-  RateEstimator est(msec(100), /*ewma_alpha=*/1.0);  // alpha 1: no smoothing
-  for (int i = 0; i < 50; ++i) est.record(msec(i * 2));
-  EXPECT_NEAR(est.rate(msec(99)), 500.0, 20.0);
-}
-
-TEST(RateEstimator, WindowRollover) {
-  RateEstimator est(msec(100), /*ewma_alpha=*/1.0);
-  for (int i = 0; i < 10; ++i) est.record(msec(i * 10));
-  EXPECT_GT(est.rate(msec(95)), 0.0);
-  // The window has rolled past every recorded event: the rate reads zero
-  // (not a stale value from the old window).
-  EXPECT_DOUBLE_EQ(est.rate(msec(300)), 0.0);
-}
-
 TEST(ThresholdWatcher, HysteresisAndDwell) {
   ThresholdWatcher w(100, 200, msec(50));
   // Starts low; values between the thresholds never transition.
@@ -135,33 +119,6 @@ TEST(ThresholdWatcher, NoThrashingAtBoundary) {
     if (w.update(msec(t), 150 + (t % 2 ? 30 : -30))) ++transitions;
   }
   EXPECT_EQ(transitions, 0);
-}
-
-TEST(BandwidthMeter, MeasuresTrafficRate) {
-  sim::Kernel kernel(1);
-  net::Network network(kernel);
-  const NodeId a = network.add_host("a");
-  const NodeId b = network.add_host("b");
-  network.bind(b, net::Port::kTcp, [](net::Packet&&) {});
-
-  BandwidthMeter meter(kernel, network, msec(100));
-  meter.start();
-  // 1 MB over 1 second.
-  for (int i = 0; i < 100; ++i) {
-    kernel.post(msec(i * 10), [&network, a, b] {
-      net::Packet p;
-      p.src = a;
-      p.dst = b;
-      p.port = net::Port::kTcp;
-      p.payload = filler_bytes(100);
-      p.wire_bytes = 10000;
-      network.send(std::move(p));
-    });
-  }
-  kernel.run_until(sec(1));
-  EXPECT_NEAR(meter.average_rate(), 1.0, 0.15);
-  EXPECT_FALSE(meter.series().empty());
-  meter.stop();
 }
 
 // --- replicated system-state object over a real GCS world ---------------------

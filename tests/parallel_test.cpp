@@ -1,25 +1,16 @@
-// Work-stealing pool and lookahead-windowed engine tests.
+// Work-stealing deque and pool tests.
 //
-// The StealPool tests pin the pool's liveness contract (every submitted task
-// runs exactly once, from outside threads and from nested fan-outs alike);
-// the WindowedEngine tests pin the determinism contract — a seeded model run
-// at workers {1, 2, 8} produces a byte-identical execution log.
+// The StealPool tests pin the pool's liveness contract: every submitted task
+// runs exactly once, from outside threads and from nested fan-outs alike.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <string>
+#include <cstddef>
 #include <thread>
 #include <vector>
 
 #include "sim/parallel/steal_deque.hpp"
 #include "sim/parallel/steal_pool.hpp"
-#include "sim/parallel/windowed.hpp"
-#include "util/rng.hpp"
-#include "util/time.hpp"
 
 namespace vdep::sim::parallel {
 namespace {
@@ -133,146 +124,6 @@ TEST(StealPool, TryRunOneDrainsInjector) {
   release.store(true, std::memory_order_release);
   group.wait(pool);
   EXPECT_EQ(runs.load(), 4);
-}
-
-// --- WindowedEngine ----------------------------------------------------------
-//
-// Model used by the determinism tests: a small cluster where every host runs
-// seeded local churn (self-reposting events at sub-lookahead delays, i.e.
-// heavy intra-window work) and periodically sends seeded "requests" to a
-// neighbour, which replies. Every executed event appends a line to a log
-// keyed by (time, host, per-host sequence); sorting by that key gives a
-// total order that must not depend on the worker count.
-
-struct LogEntry {
-  std::int64_t at_ns;
-  int host;
-  std::uint64_t seq;
-  std::string what;
-
-  bool operator<(const LogEntry& o) const {
-    if (at_ns != o.at_ns) return at_ns < o.at_ns;
-    if (host != o.host) return host < o.host;
-    return seq < o.seq;
-  }
-};
-
-std::string run_model(int workers, std::uint64_t seed, int hosts, SimTime horizon) {
-  WindowedEngine::Config config;
-  config.workers = workers;
-  config.seed = seed;
-  config.lookahead = usec(10);
-  WindowedEngine engine(config);
-
-  std::vector<int> ids;
-  for (int h = 0; h < hosts; ++h) ids.push_back(engine.add_host("h" + std::to_string(h)));
-
-  std::mutex log_mutex;
-  std::vector<LogEntry> log;
-  std::vector<std::uint64_t> seq(static_cast<std::size_t>(hosts), 0);
-  std::vector<Rng> rng;
-  for (int h = 0; h < hosts; ++h) rng.push_back(engine.fork_rng(h, 0));
-
-  auto record = [&](int host, const std::string& what) {
-    // Worker threads of different hosts append concurrently; the sort below
-    // removes the arrival-order nondeterminism this lock allows.
-    std::lock_guard<std::mutex> hold(log_mutex);
-    log.push_back(LogEntry{engine.now(host).count(), host, seq[static_cast<std::size_t>(host)]++, what});
-  };
-
-  // Local churn: self-repost at a seeded sub-lookahead delay.
-  std::function<void(int, int)> churn = [&](int host, int remaining) {
-    record(host, "churn r" + std::to_string(remaining) + " x" + std::to_string(rng[static_cast<std::size_t>(host)].next() & 0xff));
-    if (remaining > 0) {
-      const auto delay = SimTime{static_cast<std::int64_t>(rng[static_cast<std::size_t>(host)].below(3000)) + 1};
-      engine.post(host, delay, [&churn, host, remaining] { churn(host, remaining - 1); });
-    }
-  };
-
-  // Cross-host ping/pong at >= lookahead delays.
-  std::function<void(int, int, int)> ping = [&](int from, int to, int remaining) {
-    record(from, "ping->" + std::to_string(to));
-    engine.send(from, to, usec(10) + SimTime{static_cast<std::int64_t>(rng[static_cast<std::size_t>(from)].below(5000))},
-                [&, from, to, remaining] {
-                  record(to, "pong<-" + std::to_string(from));
-                  if (remaining > 0) {
-                    engine.post(to, usec(2), [&ping, to, from, remaining] {
-                      ping(to, from, remaining - 1);
-                    });
-                  }
-                });
-  };
-
-  for (int h = 0; h < hosts; ++h) {
-    engine.post(h, SimTime{static_cast<std::int64_t>(rng[static_cast<std::size_t>(h)].below(2000))},
-                [&churn, h] { churn(h, 60); });
-    engine.post(h, usec(1), [&ping, h, hosts] { ping(h, (h + 1) % hosts, 12); });
-  }
-
-  engine.run_until(horizon);
-
-  std::sort(log.begin(), log.end());
-  std::string rendered;
-  for (const auto& e : log) {
-    rendered += std::to_string(e.at_ns) + " h" + std::to_string(e.host) + " #" +
-                std::to_string(e.seq) + " " + e.what + "\n";
-  }
-  rendered += "events=" + std::to_string(engine.events_executed()) +
-              " windows=" + std::to_string(engine.windows_run()) + "\n";
-  return rendered;
-}
-
-TEST(WindowedEngine, ByteIdenticalAcrossWorkerCounts) {
-  for (std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
-    const std::string serial = run_model(1, seed, 6, msec(5));
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_model(2, seed, 6, msec(5)), serial) << "seed " << seed;
-    EXPECT_EQ(run_model(8, seed, 6, msec(5)), serial) << "seed " << seed;
-  }
-}
-
-TEST(WindowedEngine, SkipsEmptyWindows) {
-  WindowedEngine::Config config;
-  config.workers = 2;
-  config.lookahead = usec(10);
-  WindowedEngine engine(config);
-  const int a = engine.add_host("a");
-  const int b = engine.add_host("b");
-
-  int ran = 0;
-  engine.post(a, msec(100), [&] { ++ran; });
-  engine.post(b, msec(200), [&] { ++ran; });
-  engine.run_until(sec(1));
-
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(engine.events_executed(), 2u);
-  // A sparse simulation pays per event, not per window: two events far apart
-  // must cost two windows, not 100k empty ones.
-  EXPECT_EQ(engine.windows_run(), 2u);
-}
-
-TEST(WindowedEngine, ClocksLandOnDeadline) {
-  WindowedEngine::Config config;
-  WindowedEngine engine(config);
-  const int a = engine.add_host("a");
-  const int b = engine.add_host("b");
-  engine.post(a, usec(3), [] {});
-  engine.run_until(msec(1));
-  EXPECT_EQ(engine.now(a), msec(1));
-  EXPECT_EQ(engine.now(b), msec(1));
-}
-
-TEST(WindowedEngine, SetupSendDeliversDirectly) {
-  WindowedEngine::Config config;
-  config.workers = 2;
-  WindowedEngine engine(config);
-  const int a = engine.add_host("a");
-  const int b = engine.add_host("b");
-  bool delivered = false;
-  engine.send(a, b, usec(50), [&] { delivered = true; });
-  engine.run_until(msec(1));
-  EXPECT_TRUE(delivered);
-  EXPECT_EQ(engine.events_executed(), 1u);
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(Failover, ReplicaGrowthWithStateTransfer) {
   config.style = ReplicationStyle::kActive;
   Scenario scenario(config);
 
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(3); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(3); });
 
   Scenario::CycleConfig cycle;
   cycle.requests_per_client = 800;
@@ -206,7 +206,7 @@ TEST(Failover, ReplicaShrinkGraceful) {
   config.max_replicas = 3;
   config.style = ReplicationStyle::kActive;
   Scenario scenario(config);
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(1); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(1); });
 
   Scenario::CycleConfig cycle;
   cycle.requests_per_client = 600;

@@ -161,7 +161,7 @@ TEST(SwitchProtocol, SwitchRacingWithJoinerStateTransfer) {
   config.max_replicas = 3;
   config.style = ReplicationStyle::kWarmPassive;
   Scenario scenario(config);
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(3); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(3); });
   scenario.kernel().post_at(sec(1) + msec(5), [&] {
     scenario.replicator(0).request_style_switch(ReplicationStyle::kActive);
   });
@@ -178,6 +178,35 @@ TEST(SwitchProtocol, SwitchRacingWithJoinerStateTransfer) {
     EXPECT_EQ(scenario.replicator(i).style(), ReplicationStyle::kActive) << i;
   }
   auto digests = scenario.live_state_digests();
+  ASSERT_EQ(digests.size(), 3u);
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[1], digests[2]);
+}
+
+// A replica added after a style switch joins in the group's current style,
+// not the style the scenario was configured with: a warm-passive joiner in
+// an active group would never execute requests and its state would diverge.
+TEST(SwitchProtocol, JoinerAfterSwitchStartsInCurrentStyle) {
+  ScenarioConfig config;
+  config.clients = 1;
+  config.replicas = 2;
+  config.max_replicas = 3;
+  config.style = ReplicationStyle::kWarmPassive;
+  Scenario scenario(config);
+  scenario.kernel().post_at(msec(500),
+                            [&] { scenario.group().set_style(ReplicationStyle::kActive); });
+  scenario.kernel().post_at(sec(2), [&] { scenario.group().set_replica_count(3); });
+
+  Scenario::OpenLoopConfig open;
+  open.plan = app::RatePlan::constant(200);
+  open.duration = sec(3);
+  scenario.run_open_loop(open);
+  scenario.drain();
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(scenario.replicator(i).style(), ReplicationStyle::kActive) << i;
+  }
+  const auto digests = scenario.live_state_digests();
   ASSERT_EQ(digests.size(), 3u);
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[1], digests[2]);

@@ -78,7 +78,7 @@ TEST(Recovery, CrashThenReprovisionRestoresRedundancy) {
 
   scenario.fault_plan().crash_process(sec(1), scenario.replica_pid(0));
   scenario.kernel().post_at(sec(2), [&] {
-    scenario.set_replica_count(3);  // new process on the freed host
+    scenario.group().set_replica_count(3);  // new process on the freed host
   });
   scenario.fault_plan().crash_process(sec(3), scenario.replica_pid(1));
 
@@ -107,7 +107,7 @@ TEST(Recovery, WarmPassiveReprovisionedBackupCanPromote) {
   // Backup dies; a replacement joins (state transfer); then the primary
   // dies and the replacement must take over correctly.
   scenario.fault_plan().crash_process(sec(1), scenario.replica_pid(1));
-  scenario.kernel().post_at(sec(2), [&] { scenario.set_replica_count(2); });
+  scenario.kernel().post_at(sec(2), [&] { scenario.group().set_replica_count(2); });
   scenario.fault_plan().crash_process(sec(3), scenario.replica_pid(0));
 
   Scenario::CycleConfig cycle;

@@ -171,5 +171,36 @@ TEST(ShardClusterTest, PerShardKnobsActuateIndependently) {
             replication::ReplicationStyle::kWarmPassive);
 }
 
+// A shard replica grown after a style switch joins in the group's current
+// style, even when the switch was started on a replicator directly rather
+// than through the group's controller.
+TEST(ShardClusterTest, GrownReplicaJoinsInCurrentStyle) {
+  auto cc = small_cluster(2);
+  cc.default_policy.style =
+      static_cast<std::uint8_t>(replication::ReplicationStyle::kWarmPassive);
+  ShardedCluster cluster(cc);
+  const GroupId g = cluster.data_groups().front();
+  cluster.kernel().post_at(msec(500), [&] {
+    cluster.replicator(g, 0).request_style_switch(replication::ReplicationStyle::kActive);
+  });
+  cluster.kernel().post_at(sec(1), [&] { cluster.controller(g).set_replica_count(3); });
+
+  ShardedCluster::WorkloadConfig wc;
+  wc.ops_per_client = 150;
+  const auto result = cluster.run_workload(wc);
+  cluster.drain(msec(500));
+
+  EXPECT_TRUE(result.all_done);
+  ASSERT_EQ(cluster.replicas_in(g), 3);
+  std::vector<std::uint64_t> digests;
+  for (int n = 0; n < 3; ++n) {
+    ASSERT_TRUE(cluster.replica_live(g, n)) << n;
+    EXPECT_EQ(cluster.replicator(g, n).style(), replication::ReplicationStyle::kActive) << n;
+    digests.push_back(cluster.shard_servant(g, n).state_digest());
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[1], digests[2]);
+}
+
 }  // namespace
 }  // namespace vdep::shard
