@@ -115,6 +115,13 @@ trap 'rm -rf "${trace_dir}"' EXIT
   out="${trace_dir}/run2.json" txt="${trace_dir}/run2.txt" > /dev/null
 diff "${trace_dir}/run1.json" "${trace_dir}/run2.json"
 diff "${trace_dir}/run1.txt" "${trace_dir}/run2.txt"
+# The sharded cluster builds on the same fabric; its export must replay too.
+"${repo_root}/build/examples/trace_explorer" seed=42 shards=4 \
+  out="${trace_dir}/shards1.json" > "${trace_dir}/shards1.out"
+"${repo_root}/build/examples/trace_explorer" seed=42 shards=4 \
+  out="${trace_dir}/shards2.json" > "${trace_dir}/shards2.out"
+diff "${trace_dir}/shards1.json" "${trace_dir}/shards2.json"
+diff <(grep -v wrote "${trace_dir}/shards1.out") <(grep -v wrote "${trace_dir}/shards2.out")
 echo "trace exports are byte-identical across same-seed runs"
 
 echo "== health-event determinism gate =="

@@ -22,7 +22,6 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       orb::CdrWriter w;
       w.boolean(existed);
       result.output = std::move(w).take();
-      if (on_apply_) on_apply_(operation, key);
       return result;
     }
     if (operation == "append") {
@@ -35,7 +34,6 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       orb::CdrWriter w;
       w.ulong(static_cast<std::uint32_t>(cell.size()));
       result.output = std::move(w).take();
-      if (on_apply_) on_apply_(operation, key);
       return result;
     }
     if (operation == "get") {
@@ -56,7 +54,6 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       if (existed) mark_erased(key);
       w.boolean(existed);
       result.output = std::move(w).take();
-      if (on_apply_) on_apply_(operation, key);
       return result;
     }
     if (operation == "size") {

@@ -16,7 +16,6 @@
 // where an idempotent "put" would hide it.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -64,12 +63,6 @@ class KvStoreServant final : public replication::Checkpointable {
     return data_;
   }
 
-  // Observer called after every state-mutating execution with (operation,
-  // key) — the chaos engine's history recorder.
-  void set_on_apply(std::function<void(const std::string&, const std::string&)> fn) {
-    on_apply_ = std::move(fn);
-  }
-
   // --- typed client-side helpers (encode args / decode results) -------------
   static Bytes encode_put(const std::string& key, const std::string& value);
   static Bytes encode_key(const std::string& key);  // for get/erase
@@ -88,7 +81,6 @@ class KvStoreServant final : public replication::Checkpointable {
 
   Config config_;
   std::map<std::string, std::string> data_;
-  std::function<void(const std::string&, const std::string&)> on_apply_;
 
   // Dirty-key tracking. `epoch_` is the open (still-mutating) epoch;
   // cut_epoch() closes it. `delta_floor_` is the oldest cut a delta can

@@ -57,14 +57,6 @@ std::set<int> permanently_lost(const net::FaultPlan& plan,
   return lost;
 }
 
-// Mutable state shared between the scenario hooks and the trial driver.
-struct TrialContext {
-  sim::Kernel* kernel = nullptr;
-  sim::TraceRecorder trace;
-  std::vector<TrialObservation::CheckpointEvent> checkpoints;
-  std::vector<std::uint64_t> incarnations;  // per replica, bumped per rebuild
-};
-
 }  // namespace
 
 TrialResult run_trial(const TrialConfig& config) {
@@ -81,10 +73,10 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
 
   const bool generate = plan.empty() && config.faults.total_actions() > 0;
 
-  auto context = std::make_unique<TrialContext>();
-  context->incarnations.resize(static_cast<std::size_t>(config.replicas), 0);
-  if (config.record_trace) context->trace.enable();
-  TrialContext& ctx = *context;
+  // Filled by the replicator hooks below; incarnations are per replica,
+  // bumped per rebuild.
+  std::vector<TrialObservation::CheckpointEvent> checkpoints;
+  std::vector<std::uint64_t> incarnations(static_cast<std::size_t>(config.replicas), 0);
 
   harness::ScenarioConfig sc;
   sc.seed = config.seed;
@@ -99,29 +91,15 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   sc.skip_reply_dedup = config.inject_dedup_bug;
   sc.tracing = config.record_spans;
   sc.health = config.health;
-  sc.make_servant = [&ctx](int index) {
-    auto servant = std::make_unique<app::KvStoreServant>();
-    servant->set_on_apply([&ctx, index](const std::string& op, const std::string& key) {
-      if (ctx.trace.enabled() && ctx.kernel != nullptr) {
-        ctx.trace.add(ctx.kernel->now(), "replica" + std::to_string(index),
-                      "apply " + op + " " + key);
-      }
-    });
-    return servant;
-  };
-  sc.on_replicator_created = [&ctx](int index, replication::Replicator& rep) {
-    const std::uint64_t incarnation = ctx.incarnations[static_cast<std::size_t>(index)]++;
-    rep.set_on_checkpoint([&ctx, index, incarnation](std::uint64_t id) {
-      ctx.checkpoints.push_back({index, incarnation, id});
-      if (ctx.trace.enabled() && ctx.kernel != nullptr) {
-        ctx.trace.add(ctx.kernel->now(), "replica" + std::to_string(index),
-                      "checkpoint " + std::to_string(id));
-      }
+  sc.make_servant = [](int) { return std::make_unique<app::KvStoreServant>(); };
+  sc.on_replicator_created = [&](int index, replication::Replicator& rep) {
+    const std::uint64_t incarnation = incarnations[static_cast<std::size_t>(index)]++;
+    rep.set_on_checkpoint([&checkpoints, index, incarnation](std::uint64_t id) {
+      checkpoints.push_back({index, incarnation, id});
     });
   };
 
   harness::Scenario scenario(sc);
-  ctx.kernel = &scenario.kernel();
 
   if (generate) {
     Rng plan_rng = Rng(config.seed).fork(0xfa017);
@@ -130,11 +108,6 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
     scenario.fault_plan() = plan;
   }
   const net::FaultPlan& active_plan = scenario.fault_plan();
-  if (ctx.trace.enabled()) {
-    for (const auto& a : active_plan.actions()) {
-      ctx.trace.add(a.at, "faultplan", a.to_string());
-    }
-  }
   scenario.arm_faults();
 
   // Workload.
@@ -147,8 +120,7 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
     wc.gap = config.op_gap;
     wc.append_ratio = config.append_ratio;
     auto client = std::make_unique<WorkloadClient>(
-        scenario, wc, Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)),
-        ctx.trace.enabled() ? &ctx.trace : nullptr);
+        scenario, wc, Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
     client->on_done = [&scenario, &remaining] {
       if (--remaining == 0) scenario.kernel().stop();
     };
@@ -190,7 +162,7 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   }
   obs.finished_at = finished;
   obs.last_fault_end = result.last_fault_end;
-  obs.checkpoints = ctx.checkpoints;
+  obs.checkpoints = checkpoints;
 
   for (int r = 0; r < config.replicas; ++r) {
     TrialObservation::ReplicaState rs;
@@ -227,11 +199,6 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   result.recovery_ms =
       finished > result.last_fault_end ? to_usec(finished - result.last_fault_end) / 1000.0
                                        : 0.0;
-  if (ctx.trace.enabled()) {
-    const std::string rendered = ctx.trace.render();
-    result.trace_digest = fnv1a(
-        {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
-  }
   if (config.record_spans) {
     const obs::Tracer& tracer = scenario.kernel().tracer();
     result.spans_recorded = tracer.spans_recorded();

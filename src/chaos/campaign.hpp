@@ -47,9 +47,6 @@ struct TrialConfig {
   // the oracles actually catch violations. See ReplicatorParams.
   bool inject_dedup_bug = false;
 
-  // Record a structured trace and digest it (determinism tests).
-  bool record_trace = false;
-
   // Live health plane: attach a HealthMonitor to the trial scenario, feed
   // client latencies into the service SLO, and judge the run with the
   // detection oracle — every injected crash/partition must be flagged within
@@ -83,7 +80,6 @@ struct TrialResult {
   SimTime last_fault_end = kTimeZero;
   double recovery_ms = 0.0;  // last fault effect -> workload completion
   std::uint64_t completed_ops = 0;
-  std::uint64_t trace_digest = 0;  // fnv1a over the rendered trace
 
   // Span telemetry (populated when TrialConfig::record_spans is set).
   std::uint64_t spans_recorded = 0;

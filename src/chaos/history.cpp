@@ -25,12 +25,10 @@ std::vector<std::string> parse_tokens(const std::string& log_value) {
   return out;
 }
 
-WorkloadClient::WorkloadClient(harness::Scenario& scenario, Config config, Rng rng,
-                               sim::TraceRecorder* trace)
+WorkloadClient::WorkloadClient(harness::Scenario& scenario, Config config, Rng rng)
     : scenario_(scenario),
       config_(config),
       rng_(rng),
-      trace_(trace),
       process_(scenario.kernel(), ProcessId{7000 + static_cast<std::uint64_t>(config.index)},
                NodeId{static_cast<std::uint64_t>(config.index)},
                "chaos-client" + std::to_string(config.index)),
@@ -76,11 +74,6 @@ void WorkloadClient::issue_next() {
 
   const std::size_t slot = history_.size();
   history_.push_back(rec);
-  if (trace_ != nullptr) {
-    trace_->add(process_.now(), "client" + std::to_string(config_.index),
-                "issue " + rec.op + " " + rec.key +
-                    (rec.token.empty() ? "" : " " + rec.token));
-  }
 
   orb_.invoke(scenario_.object_ref(), rec.op, std::move(args),
               [this, slot](orb::ReplyStatus status, Bytes /*body*/) {
@@ -95,11 +88,6 @@ void WorkloadClient::issue_next() {
                                   to_usec(process_.now() - done.issued_at));
                   metrics.add("service.requests");
                   if (!done.ok) metrics.add("service.failures");
-                }
-                if (trace_ != nullptr) {
-                  trace_->add(process_.now(), "client" + std::to_string(config_.index),
-                              "complete " + done.op + " " + done.key +
-                                  (done.ok ? " ok" : " fail"));
                 }
                 if (this->done()) {
                   if (on_done) on_done();

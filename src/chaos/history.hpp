@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
-#include "sim/trace.hpp"
 
 namespace vdep::chaos {
 
@@ -48,8 +47,7 @@ class WorkloadClient {
     double append_ratio = 0.7;     // rest split between put and get
   };
 
-  WorkloadClient(harness::Scenario& scenario, Config config, Rng rng,
-                 sim::TraceRecorder* trace);
+  WorkloadClient(harness::Scenario& scenario, Config config, Rng rng);
 
   // Schedules the first request on the scenario kernel.
   void start();
@@ -68,7 +66,6 @@ class WorkloadClient {
   harness::Scenario& scenario_;
   Config config_;
   Rng rng_;
-  sim::TraceRecorder* trace_;
   sim::Process process_;
   orb::ClientOrb orb_;
   std::uint64_t next_seq_ = 0;

@@ -6,27 +6,27 @@
 
 namespace vdep::harness {
 
-ReplicaGroup::Node::Node(net::Network& network, NodeId host, ProcessId pid, std::string name,
+ReplicaGroup::Node::Node(Fabric& fabric, NodeId host, std::string name,
                          std::unique_ptr<replication::Checkpointable> app)
-    : process(network.kernel(), pid, host, std::move(name)),
+    : process(fabric.kernel(), fabric.next_replica_pid(), host, std::move(name)),
       servant(std::move(app)),
-      orb(network, process, poa) {
+      orb(fabric.network(), process, poa) {
   poa.activate(kObjectKey, *servant);
 }
 
-ReplicaGroup::ReplicaGroup(net::Network& network, Config config)
-    : network_(network), config_(std::move(config)) {}
+ReplicaGroup::ReplicaGroup(Fabric& fabric, Config config)
+    : fabric_(fabric), config_(std::move(config)) {}
 
 int ReplicaGroup::add_node(NodeId host) {
   const int index = size();
-  const ProcessId pid = config_.next_pid();
   // Nodes created at t=0 start from the deployment's seed state; anything
   // added later fills in by state transfer.
-  const bool blank = network_.kernel().now() != kTimeZero;
+  const bool blank = fabric_.kernel().now() != kTimeZero;
   nodes_.push_back(std::make_unique<Node>(
-      network_, host, pid,
-      config_.name_prefix + std::to_string(index) + "@" + network_.host_name(host),
+      fabric_, host,
+      config_.name_prefix + std::to_string(index) + "@" + fabric_.network().host_name(host),
       config_.make_servant(index, blank)));
+  fabric_.track(nodes_.back()->process);
   return index;
 }
 
@@ -39,7 +39,7 @@ void ReplicaGroup::start(int index, bool join_existing) {
   n.started = true;
 
   n.replicator = std::make_unique<replication::Replicator>(
-      network_, config_.daemon_on(n.process.host()), n.process, n.orb, *n.servant,
+      fabric_.network(), fabric_.daemon_on(n.process.host()), n.process, n.orb, *n.servant,
       config_.id, config_.params);
   if (config_.on_replicator_created) config_.on_replicator_created(index, *n.replicator);
   if (config_.auto_recover && !n.recovery_hooked) {
@@ -48,7 +48,7 @@ void ReplicaGroup::start(int index, bool join_existing) {
       // The restart fires from inside a fault-plan event; rebuild the stack
       // on a fresh event, and only if the process is still up and nothing
       // else (a manual recover) already rebuilt it by then.
-      network_.kernel().post(kTimeZero, [this, index] {
+      fabric_.kernel().post(kTimeZero, [this, index] {
         auto& b = node(index);
         if (b.process.alive() && b.replicator_incarnation != b.process.incarnation()) {
           recover(index);

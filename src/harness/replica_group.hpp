@@ -8,8 +8,9 @@
 // knobs::ReplicaGroupController: style switches, replica growth/shrink,
 // checkpoint and anchor intervals. A grown or recovered node starts in the
 // group's current style (the first live node's), not the one it was built
-// with. The owner keeps the fabric (kernel, network, daemons, health) and
-// passes in what differs between deployments: names, PIDs, servants, params
+// with. The group stands on a harness::Fabric, which hands out node PIDs,
+// the daemon on each host and fault tracking for every node process; the
+// owner passes in what differs between deployments: names, servants, params
 // and where to grow.
 #pragma once
 
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/fabric.hpp"
 #include "knobs/low_level.hpp"
 #include "replication/replicator.hpp"
 
@@ -38,7 +40,7 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
   };
 
   struct Node {
-    Node(net::Network& network, NodeId host, ProcessId pid, std::string name,
+    Node(Fabric& fabric, NodeId host, std::string name,
          std::unique_ptr<replication::Checkpointable> app);
 
     sim::Process process;
@@ -68,8 +70,6 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
     replication::ReplicatorParams params;
     // Rebuild a node the fault plan restarts (see recover).
     bool auto_recover = false;
-    std::function<ProcessId()> next_pid;
-    std::function<gcs::Daemon&(NodeId)> daemon_on;
     // blank: the node catches up by state transfer (recovery, or any node
     // added after t=0) instead of starting from the deployment's seed state.
     std::function<std::unique_ptr<replication::Checkpointable>(int node, bool blank)>
@@ -82,12 +82,13 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
     std::function<std::unique_ptr<Attachment>(Node&)> attach;
   };
 
-  ReplicaGroup(net::Network& network, Config config);
+  ReplicaGroup(Fabric& fabric, Config config);
   // Restart hooks and owner callbacks hold the group's address.
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;
 
-  // Adds a node on `host` (not started) and returns its index.
+  // Adds a node on `host` (not started, tracked by the fabric) and returns
+  // its index.
   int add_node(NodeId host);
   // Builds and starts the node's replicator: founding the group, or joining
   // a running one with a state transfer.
@@ -122,7 +123,7 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
   }
 
  private:
-  net::Network& network_;
+  Fabric& fabric_;
   Config config_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };

@@ -15,6 +15,23 @@ constexpr std::uint16_t kServerPort = 7001;
 // Replicas join staggered at boot; clients start once the group is settled.
 constexpr SimTime kReplicaBootStagger = msec(1);
 constexpr SimTime kClientStartTime = msec(200);
+
+ScenarioConfig normalized(ScenarioConfig config) {
+  VDEP_ASSERT(config.clients >= 1);
+  VDEP_ASSERT(config.replicas >= 1);
+  config.max_replicas = std::max(config.max_replicas, config.replicas);
+  if (config.health_adaptation) config.health = true;
+  return config;
+}
+
+// Latency statistics over every client's samples.
+void set_latencies(ExperimentResult& result, const Sampler& merged) {
+  result.avg_latency_us = merged.stats().mean();
+  result.jitter_us = merged.stats().stddev();
+  result.p50_latency_us = merged.percentile(50);
+  result.p99_latency_us = merged.percentile(99);
+  result.max_latency_us = merged.stats().max();
+}
 }  // namespace
 
 // Per-replica monitoring and adaptation, rebuilt with every replicator.
@@ -26,79 +43,45 @@ struct Scenario::Monitoring final : ReplicaGroup::Attachment {
 };
 
 struct Scenario::ClientBundle {
-  ClientBundle(Scenario& owner, int index, NodeId host, ProcessId pid)
-      : index(index),
-        process(owner.kernel(), pid, host,
-                "client" + std::to_string(index) + "@" +
-                    owner.network().host_name(host)),
-        orb(owner.network(), process) {}
+  explicit ClientBundle(Fabric::Client& endpoint) : endpoint(endpoint) {}
 
-  int index;
-  sim::Process process;
-  orb::ClientOrb orb;
-  replication::ClientCoordinator* coordinator = nullptr;  // owned by orb
+  Fabric::Client& endpoint;
+  replication::ClientCoordinator* coordinator = nullptr;  // owned by the orb
   std::unique_ptr<app::ClosedLoopClient> closed;
   std::unique_ptr<app::OpenLoopClient> open;
 };
 
-Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
-  VDEP_ASSERT(config_.clients >= 1);
-  VDEP_ASSERT(config_.replicas >= 1);
-  config_.max_replicas = std::max(config_.max_replicas, config_.replicas);
-  if (config_.health_adaptation) config_.health = true;
-  build();
-}
-
-Scenario::~Scenario() = default;
-
-void Scenario::build() {
-  kernel_ = std::make_unique<sim::Kernel>(config_.seed);
-  if (config_.tracing) kernel_->tracer().enable();
-  network_ = std::make_unique<net::Network>(*kernel_);
-  channels_ = std::make_unique<net::ChannelManager>(*network_);
-
-  // Hosts: clients first (so the first client's daemon is the GCS leader,
-  // matching the calibration of the request path), then replica machines.
-  std::vector<NodeId> hosts;
-  for (int c = 0; c < config_.clients; ++c) {
-    hosts.push_back(network_->add_host("cli" + std::to_string(c)));
-  }
-  for (int r = 0; r < config_.max_replicas; ++r) {
-    hosts.push_back(network_->add_host("srv" + std::to_string(r)));
-  }
-
-  for (NodeId host : hosts) {
-    daemons_.push_back(std::make_unique<gcs::Daemon>(
-        *kernel_, *network_, ProcessId{next_pid_++}, host, hosts, config_.daemon));
-  }
-
-  if (config_.health) {
-    health_ = std::make_unique<monitor::health::HealthMonitor>(
-        *kernel_, metrics_, config_.health_params);
-    for (auto& d : daemons_) health_->attach(*d);
+Scenario::Scenario(ScenarioConfig config)
+    : config_(normalized(std::move(config))),
+      fabric_({.seed = config_.seed,
+               .client_hosts = config_.clients,
+               .server_hosts = config_.max_replicas,
+               .daemon = config_.daemon,
+               .tracing = config_.tracing,
+               .health = config_.health,
+               .health_params = config_.health_params}),
+      channels_(fabric_.network()) {
+  if (health_enabled()) {
+    auto& health = fabric_.health();
     if (config_.slos.empty()) {
       monitor::health::SloSpec slo;
       slo.name = "service";
       slo.latency_metric = "service.latency_us";
       slo.request_counter = "service.requests";
       slo.failure_counter = "service.failures";
-      health_->add_slo(slo);
+      health.add_slo(slo);
     } else {
-      for (const auto& slo : config_.slos) health_->add_slo(slo);
+      for (const auto& slo : config_.slos) health.add_slo(slo);
     }
     // Queue-depth probes on the replica machines: committed-but-unserved CPU
     // time is the backlog a gray failure (e.g. a slow host) builds up.
-    for (int r = 0; r < config_.max_replicas; ++r) {
-      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-      auto& cpu = network_->cpu(host);
-      health_->add_probe("cpu_backlog." + network_->host_name(host),
-                         config_.cpu_backlog_threshold_us,
-                         [&cpu] { return to_usec(cpu.backlog()); });
+    for (NodeId host : fabric_.server_hosts()) {
+      auto& cpu = network().cpu(host);
+      health.add_probe("cpu_backlog." + network().host_name(host),
+                       config_.cpu_backlog_threshold_us,
+                       [&cpu] { return to_usec(cpu.backlog()); });
     }
-    health_->start();
   }
-
-  for (auto& d : daemons_) d->boot();
 
   // Replicas.
   ReplicaGroup::Config group;
@@ -110,8 +93,6 @@ void Scenario::build() {
   group.params.checkpoint_anchor_interval = config_.checkpoint_anchor_interval;
   group.params.skip_reply_dedup = config_.skip_reply_dedup;
   group.auto_recover = config_.auto_recover;
-  group.next_pid = [this] { return ProcessId{next_pid_++}; };
-  group.daemon_on = [this](NodeId host) -> gcs::Daemon& { return daemon_on(host); };
   group.make_servant = [this](int index, bool) {
     return config_.make_servant ? config_.make_servant(index)
                                 : std::make_unique<app::TestServant>(app::TestServant::Config{
@@ -121,42 +102,41 @@ void Scenario::build() {
   group.grow_host = [this] { return free_replica_host(); };
   group.on_replicator_created = config_.on_replicator_created;
   group.attach = [this](ReplicaGroup::Node& node) { return attach_monitoring(node); };
-  group_ = std::make_unique<ReplicaGroup>(*network_, std::move(group));
-  next_pid_ = 1000;
+  group_ = std::make_unique<ReplicaGroup>(fabric_, std::move(group));
   for (int r = 0; r < config_.replicas; ++r) {
-    const int index =
-        group_->add_node(NodeId{static_cast<std::uint64_t>(config_.clients + r)});
-    kernel_->post(kReplicaBootStagger * (r + 1), [this, index] { boot_replica(index); });
+    const int index = group_->add_node(fabric_.server_host(r));
+    kernel().post(kReplicaBootStagger * (r + 1), [this, index] { boot_replica(index); });
   }
 
   // Clients.
-  next_pid_ = 5000;
   for (int c = 0; c < config_.clients; ++c) {
-    const NodeId host{static_cast<std::uint64_t>(c)};
-    auto client = std::make_unique<ClientBundle>(*this, c, host, ProcessId{next_pid_++});
-
+    const NodeId host = fabric_.client_host(c);
+    auto& client = clients_.emplace_back(fabric_.add_client(host));
+    auto& process = client.endpoint.process;
+    auto& orb = client.endpoint.orb;
     if (config_.replicated) {
       replication::ClientCoordinatorParams params;
       params.policy = config_.response_policy;
       auto coordinator = std::make_unique<replication::ClientCoordinator>(
-          *network_, daemon_on(host), client->process, params);
-      client->coordinator = coordinator.get();
-      client->orb.use_transport(std::move(coordinator));
+          network(), daemon_on(host), process, params);
+      client.coordinator = coordinator.get();
+      orb.use_transport(std::move(coordinator));
     } else {
       std::unique_ptr<orb::ClientTransport> transport =
-          std::make_unique<orb::DirectClientTransport>(*channels_, host);
+          std::make_unique<orb::DirectClientTransport>(channels_, host);
       const bool client_intercepted =
           config_.intercept == interpose::InterceptMode::kClientOnly ||
           config_.intercept == interpose::InterceptMode::kBoth;
       if (client_intercepted) {
         transport = std::make_unique<interpose::InterceptOnlyClientTransport>(
-            *network_, client->process, std::move(transport));
+            network(), process, std::move(transport));
       }
-      client->orb.use_transport(std::move(transport));
+      orb.use_transport(std::move(transport));
     }
-    clients_.push_back(std::move(client));
   }
 }
+
+Scenario::~Scenario() = default;
 
 void Scenario::boot_replica(int index) {
   if (config_.replicated) {
@@ -171,9 +151,9 @@ void Scenario::boot_replica(int index) {
                                   config_.intercept == interpose::InterceptMode::kBoth;
   if (server_intercepted) {
     intercepting_acceptor_ = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
-        *channels_, node.process.host(), kServerPort, node.orb);
+        channels_, node.process.host(), kServerPort, node.orb);
   } else {
-    acceptor_ = std::make_unique<orb::DirectServerAcceptor>(*channels_, node.process.host(),
+    acceptor_ = std::make_unique<orb::DirectServerAcceptor>(channels_, node.process.host(),
                                                             kServerPort, node.orb);
   }
 }
@@ -184,7 +164,7 @@ std::unique_ptr<ReplicaGroup::Attachment> Scenario::attach_monitoring(
   if (config_.enable_replicated_state || config_.adaptation) {
     auto* replicator = node.replicator.get();
     auto& process = node.process;
-    auto& network = *network_;
+    auto& network = this->network();
     monitoring->state = std::make_unique<monitor::ReplicatedStateObject>(
         daemon_on(process.host()), process, kMonitorGroup,
         [replicator, &process, &network] {
@@ -204,15 +184,14 @@ std::unique_ptr<ReplicaGroup::Attachment> Scenario::attach_monitoring(
     monitoring->adaptation = std::make_unique<adaptive::AdaptationManager>(
         *node.replicator,
         std::make_unique<adaptive::HealthThresholdPolicy>(*config_.health_adaptation));
-    monitoring->adaptation->set_health_source(health_.get());
+    monitoring->adaptation->set_health_source(&health());
     monitoring->adaptation->start();
   }
   return monitoring;
 }
 
 NodeId Scenario::free_replica_host() const {
-  for (int r = 0; r < config_.max_replicas; ++r) {
-    const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
+  for (NodeId host : fabric_.server_hosts()) {
     bool occupied = false;
     for (int n = 0; n < group_->size(); ++n) {
       const auto& node = group_->node(n);
@@ -223,24 +202,10 @@ NodeId Scenario::free_replica_host() const {
   throw std::runtime_error("no free replica host; raise max_replicas");
 }
 
-monitor::health::HealthMonitor& Scenario::health() {
-  VDEP_ASSERT_MSG(health_ != nullptr,
-                  "scenario built without config.health / health_adaptation");
-  return *health_;
-}
-
-gcs::Daemon& Scenario::daemon_on(NodeId host) {
-  for (auto& d : daemons_) {
-    if (d->host() == host) return *d;
-  }
-  throw std::out_of_range("no daemon on host " + host.str());
-}
-
 orb::ObjectRef Scenario::object_ref() const {
   orb::ObjectRef ref;
   ref.object_key = ReplicaGroup::kObjectKey;
-  ref.direct = orb::DirectProfile{NodeId{static_cast<std::uint64_t>(config_.clients)},
-                                  kServerPort};
+  ref.direct = orb::DirectProfile{fabric_.server_host(0), kServerPort};
   ref.group = orb::GroupProfile{kAppGroup};
   return ref;
 }
@@ -251,31 +216,11 @@ replication::Replicator& Scenario::replicator(int index) {
   return *r;
 }
 
-replication::Checkpointable& Scenario::app(int index) { return *group_->node(index).servant; }
-
 app::TestServant& Scenario::servant(int index) {
   auto* typed = dynamic_cast<app::TestServant*>(group_->node(index).servant.get());
   VDEP_ASSERT_MSG(typed != nullptr, "scenario uses a custom servant; call app()");
   return *typed;
 }
-
-sim::Process& Scenario::replica_process(int index) { return group_->node(index).process; }
-
-ProcessId Scenario::replica_pid(int index) const { return group_->node(index).process.id(); }
-
-NodeId Scenario::replica_host(int index) const { return group_->node(index).process.host(); }
-
-void Scenario::arm_faults() {
-  if (faults_armed_ || fault_plan_.empty()) return;
-  faults_armed_ = true;
-  std::vector<sim::Process*> processes;
-  for (auto& d : daemons_) processes.push_back(d.get());
-  for (int r = 0; r < group_->size(); ++r) processes.push_back(&group_->node(r).process);
-  for (auto& c : clients_) processes.push_back(&c->process);
-  fault_plan_.arm(*kernel_, *network_, std::move(processes));
-}
-
-void Scenario::drain(SimTime extra) { kernel_->run_until(kernel_->now() + extra); }
 
 // --- runs -----------------------------------------------------------------------
 
@@ -285,62 +230,55 @@ ExperimentResult Scenario::run_closed_loop(CycleConfig cycle) {
   int warm_remaining = static_cast<int>(clients_.size());
   int done_remaining = static_cast<int>(clients_.size());
   SimTime measure_start = kTimeZero;
-  std::uint64_t bytes_at_measure_start = 0;
 
   for (auto& client : clients_) {
     app::ClosedLoopClient::Config cfg;
     cfg.request_bytes = config_.request_bytes;
     cfg.warmup_requests = cycle.warmup_requests;
     cfg.total_requests = cycle.warmup_requests + cycle.requests_per_client;
-    client->closed =
-        std::make_unique<app::ClosedLoopClient>(client->orb, object_ref(), cfg);
-    client->closed->set_on_warmup_done([&] {
+    client.closed =
+        std::make_unique<app::ClosedLoopClient>(client.endpoint.orb, object_ref(), cfg);
+    client.closed->set_on_warmup_done([&] {
       if (--warm_remaining == 0) {
-        measure_start = kernel_->now();
-        network_->reset_totals();
-        bytes_at_measure_start = 0;
+        measure_start = kernel().now();
+        network().reset_totals();
       }
     });
-    client->closed->set_on_done([&] {
-      if (--done_remaining == 0) kernel_->stop();
+    client.closed->set_on_done([&] {
+      if (--done_remaining == 0) kernel().stop();
     });
     if (health_enabled()) {
-      client->closed->set_on_complete([this](double latency_us) {
-        metrics_.observe("service.latency_us", latency_us);
-        metrics_.add("service.requests");
+      client.closed->set_on_complete([this](double latency_us) {
+        metrics().observe("service.latency_us", latency_us);
+        metrics().add("service.requests");
       });
     }
-    const int index = client->index;
-    kernel_->post_at(kClientStartTime + usec(250) * index,
-                     [this, index] { clients_[index]->closed->start(); });
+    const int index = client.endpoint.index;
+    kernel().post_at(kClientStartTime + usec(250) * index,
+                     [this, index] { clients_[index].closed->start(); });
   }
 
-  kernel_->run_until(cycle.max_duration);
+  kernel().run_until(cycle.max_duration);
 
   // Gather.
   ExperimentResult result;
   Sampler merged;
   SimTime last_done = kTimeZero;
   for (auto& client : clients_) {
-    merged.merge(client->closed->latencies());
-    last_done = std::max(last_done, client->closed->last_completed_at());
-    result.completed += static_cast<std::uint64_t>(client->closed->completed());
-    if (client->coordinator != nullptr) {
-      result.retransmissions += client->coordinator->retransmissions();
+    merged.merge(client.closed->latencies());
+    last_done = std::max(last_done, client.closed->last_completed_at());
+    result.completed += static_cast<std::uint64_t>(client.closed->completed());
+    if (client.coordinator != nullptr) {
+      result.retransmissions += client.coordinator->retransmissions();
     }
   }
-  result.avg_latency_us = merged.stats().mean();
-  result.jitter_us = merged.stats().stddev();
-  result.p50_latency_us = merged.percentile(50);
-  result.p99_latency_us = merged.percentile(99);
-  result.max_latency_us = merged.stats().max();
+  set_latencies(result, merged);
 
   const SimTime window = last_done - measure_start;
   result.duration_s = to_sec(window);
   if (window > kTimeZero) {
     result.bandwidth_mbps =
-        static_cast<double>(network_->totals().bytes - bytes_at_measure_start) / 1e6 /
-        to_sec(window);
+        static_cast<double>(network().totals().bytes) / 1e6 / to_sec(window);
     result.throughput_rps = static_cast<double>(merged.count()) / to_sec(window);
   }
   result.faults_tolerated = config_.replicated ? live_replicas() - 1 : 0;
@@ -362,48 +300,44 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
     app::OpenLoopClient::Config cfg;
     cfg.request_bytes = config.request_bytes;
     cfg.duration = config.duration;
-    client->open = std::make_unique<app::OpenLoopClient>(
-        client->orb, object_ref(), per_client_plan, cfg,
-        kernel_->fork_rng(0xc11e0000 + static_cast<std::uint64_t>(client->index)));
-    const int index = client->index;
-    kernel_->post_at(kClientStartTime + usec(250) * index,
-                     [this, index] { clients_[index]->open->start(); });
+    client.open = std::make_unique<app::OpenLoopClient>(
+        client.endpoint.orb, object_ref(), per_client_plan, cfg,
+        kernel().fork_rng(0xc11e0000 + static_cast<std::uint64_t>(client.endpoint.index)));
+    const int index = client.endpoint.index;
+    kernel().post_at(kClientStartTime + usec(250) * index,
+                     [this, index] { clients_[index].open->start(); });
   }
 
   // Periodic sampling of the Fig. 6 series.
   const SimTime sample_end = kClientStartTime + config.duration;
   std::function<void()> sample = [&] {
-    if (kernel_->now() > sample_end) return;
+    if (kernel().now() > sample_end) return;
     auto& head = group_->first_live();
-    result.observed_rate.record(kernel_->now(),
+    result.observed_rate.record(kernel().now(),
                                 head.replicator->observed_request_rate());
     const auto style = head.replicator->style();
     const bool active_family = style == replication::ReplicationStyle::kActive ||
                                style == replication::ReplicationStyle::kSemiActive;
-    result.style_series.record(kernel_->now(), active_family ? 1.0 : 0.0);
-    kernel_->post(config.sample_interval, sample);
+    result.style_series.record(kernel().now(), active_family ? 1.0 : 0.0);
+    kernel().post(config.sample_interval, sample);
   };
-  kernel_->post_at(kClientStartTime, sample);
+  kernel().post_at(kClientStartTime, sample);
 
-  const std::uint64_t bytes_before = network_->totals().bytes;
-  kernel_->run_until(kClientStartTime + config.duration + sec(2));
+  const std::uint64_t bytes_before = network().totals().bytes;
+  kernel().run_until(kClientStartTime + config.duration + sec(2));
 
   Sampler merged;
   for (auto& client : clients_) {
-    merged.merge(client->open->latencies());
-    result.totals.completed += client->open->completed();
-    if (client->coordinator != nullptr) {
-      result.totals.retransmissions += client->coordinator->retransmissions();
+    merged.merge(client.open->latencies());
+    result.totals.completed += client.open->completed();
+    if (client.coordinator != nullptr) {
+      result.totals.retransmissions += client.coordinator->retransmissions();
     }
   }
-  result.totals.avg_latency_us = merged.stats().mean();
-  result.totals.jitter_us = merged.stats().stddev();
-  result.totals.p50_latency_us = merged.percentile(50);
-  result.totals.p99_latency_us = merged.percentile(99);
-  result.totals.max_latency_us = merged.stats().max();
+  set_latencies(result.totals, merged);
   result.totals.duration_s = to_sec(config.duration);
   result.totals.bandwidth_mbps =
-      static_cast<double>(network_->totals().bytes - bytes_before) / 1e6 /
+      static_cast<double>(network().totals().bytes - bytes_before) / 1e6 /
       to_sec(config.duration);
   result.totals.throughput_rps =
       static_cast<double>(result.totals.completed) / to_sec(config.duration);

@@ -1,14 +1,15 @@
-// Scenario: builds a complete simulated testbed — hosts, daemons, a
-// replicated (or plain) server, clients — runs workloads against it and
-// collects the metrics the paper reports. Mirrors the paper's deployment:
-// one process per host, a group-communication daemon on every host, clients
-// on their own machines ("we were limited to eight computers").
+// Scenario: builds a complete simulated testbed — a replicated (or plain)
+// server and its clients — runs workloads against it and collects the
+// metrics the paper reports.
 //
-// The server is one harness::ReplicaGroup, exposed as group(): it is the
-// knobs::ReplicaGroupController the knob layer actuates (style switches,
-// replica growth/shrink with state transfer, checkpoint-interval changes).
-// Scenario itself keeps the fabric, the clients, the Fig. 4 plain and
-// intercepted server paths, and the per-replica monitoring/adaptation.
+// The testbed stands on a harness::Fabric (kernel, network, one daemon per
+// host, client endpoints, health plane, fault plan): client hosts first,
+// then max_replicas server hosts. The server is one harness::ReplicaGroup,
+// exposed as group(): it is the knobs::ReplicaGroupController the knob
+// layer actuates (style switches, replica growth/shrink with state transfer,
+// checkpoint-interval changes). Scenario itself keeps the Fig. 4 plain and
+// intercepted server paths, the service SLO and CPU backlog probes, and the
+// per-replica monitoring/adaptation.
 #pragma once
 
 #include <memory>
@@ -18,10 +19,9 @@
 #include "adaptive/adaptation_manager.hpp"
 #include "app/test_app.hpp"
 #include "app/workload.hpp"
+#include "harness/fabric.hpp"
 #include "harness/replica_group.hpp"
 #include "interpose/interposer.hpp"
-#include "monitor/health/health_monitor.hpp"
-#include "net/fault_plan.hpp"
 #include "replication/client_coordinator.hpp"
 #include "sim/trace.hpp"
 
@@ -149,37 +149,37 @@ class Scenario final {
   // --- faults -------------------------------------------------------------------
   // Schedule before calling a run method (armed automatically at run start),
   // or call arm_faults() yourself when driving the kernel manually.
-  net::FaultPlan& fault_plan() { return fault_plan_; }
-  void arm_faults();
+  net::FaultPlan& fault_plan() { return fabric_.fault_plan(); }
+  void arm_faults() { fabric_.arm_faults(); }
   // The replica group: node access, recovery (ReplicaGroup::recover) and
   // the knobs::ReplicaGroupController.
   [[nodiscard]] ReplicaGroup& group() { return *group_; }
-  [[nodiscard]] ProcessId replica_pid(int index) const;
-  [[nodiscard]] NodeId replica_host(int index) const;
+  [[nodiscard]] ProcessId replica_pid(int index) const { return group_->node(index).process.id(); }
+  [[nodiscard]] NodeId replica_host(int index) const { return group_->node(index).process.host(); }
 
   // --- accessors ----------------------------------------------------------------
-  [[nodiscard]] sim::Kernel& kernel() { return *kernel_; }
-  [[nodiscard]] net::Network& network() { return *network_; }
+  [[nodiscard]] sim::Kernel& kernel() { return fabric_.kernel(); }
+  [[nodiscard]] net::Network& network() { return fabric_.network(); }
   [[nodiscard]] replication::Replicator& replicator(int index);
   // The replica's application, generically...
-  [[nodiscard]] replication::Checkpointable& app(int index);
+  [[nodiscard]] replication::Checkpointable& app(int index) { return *group_->node(index).servant; }
   // ...and as the default micro-benchmark servant (asserts the scenario was
   // built without a custom factory).
   [[nodiscard]] app::TestServant& servant(int index);
-  [[nodiscard]] sim::Process& replica_process(int index);
-  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
+  [[nodiscard]] sim::Process& replica_process(int index) { return group_->node(index).process; }
+  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host) { return fabric_.daemon_on(host); }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] orb::ObjectRef object_ref() const;
   [[nodiscard]] int live_replicas() const { return group_->live_count(); }
   // Health plane (health() asserts config.health / health_adaptation).
-  [[nodiscard]] monitor::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] bool health_enabled() const { return health_ != nullptr; }
-  [[nodiscard]] monitor::health::HealthMonitor& health();
+  [[nodiscard]] monitor::MetricsRegistry& metrics() { return fabric_.metrics(); }
+  [[nodiscard]] bool health_enabled() const { return fabric_.health_enabled(); }
+  [[nodiscard]] monitor::health::HealthMonitor& health() { return fabric_.health(); }
 
   // Lets in-flight work settle after a run stopped at the last client reply
   // (slower replicas may still have executions queued). Call before
   // comparing replica states.
-  void drain(SimTime extra = msec(200));
+  void drain(SimTime extra = msec(200)) { fabric_.drain(extra); }
 
   // Consistency probe used by tests: digests of all live, caught-up replicas.
   [[nodiscard]] std::vector<std::uint64_t> live_state_digests() const {
@@ -190,27 +190,19 @@ class Scenario final {
   struct Monitoring;
   struct ClientBundle;
 
-  void build();
   void boot_replica(int index);
   [[nodiscard]] NodeId free_replica_host() const;
   [[nodiscard]] std::unique_ptr<ReplicaGroup::Attachment> attach_monitoring(
       ReplicaGroup::Node& node);
 
   ScenarioConfig config_;
-  std::unique_ptr<sim::Kernel> kernel_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<net::ChannelManager> channels_;
-  std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
+  Fabric fabric_;
+  net::ChannelManager channels_;
   std::unique_ptr<ReplicaGroup> group_;
   // Non-replicated modes (Fig. 4 baseline / interception-only bars).
   std::unique_ptr<orb::DirectServerAcceptor> acceptor_;
   std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor_;
-  std::vector<std::unique_ptr<ClientBundle>> clients_;
-  monitor::MetricsRegistry metrics_;
-  std::unique_ptr<monitor::health::HealthMonitor> health_;
-  net::FaultPlan fault_plan_;
-  bool faults_armed_ = false;
-  std::uint64_t next_pid_ = 100;
+  std::vector<ClientBundle> clients_;
 };
 
 }  // namespace vdep::harness

@@ -9,63 +9,30 @@
 namespace vdep::shard {
 
 namespace {
-constexpr std::uint64_t kDirectoryGroupValue = 1;
 constexpr std::uint64_t kFirstDataGroupValue = 10;
 constexpr ObjectId kObjectKey = harness::ReplicaGroup::kObjectKey;
 constexpr SimTime kBootStagger = msec(1);
-constexpr std::uint64_t kFirstDaemonPid = 100;
 constexpr std::uint64_t kMigratorPid = 4000;
-constexpr std::uint64_t kFirstClientPid = 5000;
+
+ShardedClusterConfig normalized(ShardedClusterConfig config) {
+  VDEP_ASSERT(config.shards >= 1);
+  VDEP_ASSERT(config.clients >= 1);
+  VDEP_ASSERT(config.server_hosts >= 1);
+  config.client_hosts = std::max(1, std::min(config.client_hosts, config.clients));
+  return config;
+}
 }  // namespace
 
-struct ShardedCluster::ClientBundle {
-  ClientBundle(ShardedCluster& owner, int index, NodeId host, ProcessId pid)
-      : index(index),
-        process(owner.kernel(), pid, host,
-                "client" + std::to_string(index) + "@" +
-                    owner.network().host_name(host)),
-        orb(owner.network(), process) {}
-
-  int index;
-  sim::Process process;
-  orb::ClientOrb orb;
-  std::unique_ptr<ShardRouter> router;
-};
-
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
-    : config_(std::move(config)) {
-  VDEP_ASSERT(config_.shards >= 1);
-  VDEP_ASSERT(config_.clients >= 1);
-  VDEP_ASSERT(config_.server_hosts >= 1);
-  config_.client_hosts = std::max(1, std::min(config_.client_hosts, config_.clients));
-  build();
-}
-
-ShardedCluster::~ShardedCluster() = default;
-
-void ShardedCluster::build() {
-  kernel_ = std::make_unique<sim::Kernel>(config_.seed);
-  if (config_.tracing) kernel_->tracer().enable();
-  network_ = std::make_unique<net::Network>(*kernel_);
-
-  // Client hosts first: the lowest-id daemon is the GCS leader/sequencer,
-  // and it should live on a machine the fault schedules never touch.
-  for (int c = 0; c < config_.client_hosts; ++c) {
-    hosts_.push_back(network_->add_host("cli" + std::to_string(c)));
-  }
-  for (int s = 0; s < config_.server_hosts; ++s) {
-    const NodeId host = network_->add_host("srv" + std::to_string(s));
-    hosts_.push_back(host);
-    server_hosts_.push_back(host);
-  }
-  std::uint64_t daemon_pid = kFirstDaemonPid;
-  for (NodeId host : hosts_) {
-    daemons_.push_back(std::make_unique<gcs::Daemon>(
-        *kernel_, *network_, ProcessId{daemon_pid++}, host, hosts_,
-        config_.daemon));
-  }
-  for (auto& d : daemons_) d->boot();
-
+    : config_(normalized(std::move(config))),
+      fabric_({.seed = config_.seed,
+               .client_hosts = config_.client_hosts,
+               .server_hosts = config_.server_hosts,
+               .daemon = config_.daemon,
+               .tracing = config_.tracing,
+               .health = config_.health,
+               .health_params = config_.health_params}) {
+  const std::vector<NodeId>& servers = fabric_.server_hosts();
   initial_map_ = ShardMap::uniform(config_.shards, kFirstDataGroupValue,
                                    config_.default_policy);
   next_group_value_ =
@@ -75,9 +42,9 @@ void ShardedCluster::build() {
   ShardPolicy dir_policy;
   dir_policy.style = static_cast<std::uint8_t>(config_.directory_style);
   dir_policy.checkpoint_every_requests = 10;
-  auto& directory = add_group(GroupId{kDirectoryGroupValue}, dir_policy);
+  auto& directory = add_group(directory_group(), dir_policy);
   for (int r = 0; r < config_.directory_replicas; ++r) {
-    directory.add_node(server_hosts_[static_cast<std::size_t>(r) % server_hosts_.size()]);
+    directory.add_node(servers[static_cast<std::size_t>(r) % servers.size()]);
   }
 
   // One data group per shard, replicas co-located round-robin on the server
@@ -86,7 +53,7 @@ void ShardedCluster::build() {
   for (const auto& entry : initial_map_.entries()) {
     auto& group = add_group(entry.group, entry.policy);
     for (int r = 0; r < entry.policy.replicas; ++r) {
-      group.add_node(server_hosts_[placement++ % server_hosts_.size()]);
+      group.add_node(servers[placement++ % servers.size()]);
     }
   }
 
@@ -94,7 +61,7 @@ void ShardedCluster::build() {
   int boot_slot = 0;
   for (auto& group : groups_) {
     for (int node = 0; node < group->size(); ++node) {
-      kernel_->post(kBootStagger * (++boot_slot), [g = group.get(), node] {
+      kernel().post(kBootStagger * (++boot_slot), [g = group.get(), node] {
         g->start(node, /*join_existing=*/false);
       });
     }
@@ -102,36 +69,30 @@ void ShardedCluster::build() {
 
   // Clients with routers.
   for (int c = 0; c < config_.clients; ++c) {
-    const NodeId host = hosts_[static_cast<std::size_t>(c) %
-                               static_cast<std::size_t>(config_.client_hosts)];
-    auto client = std::make_unique<ClientBundle>(
-        *this, c, host, ProcessId{kFirstClientPid + static_cast<std::uint64_t>(c)});
-    client->orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-        *network_, daemon_on(host), client->process, config_.coordinator));
+    const NodeId host = fabric_.client_host(c % config_.client_hosts);
+    auto& client = fabric_.add_client(host);
+    client.orb.use_transport(std::make_unique<replication::ClientCoordinator>(
+        network(), fabric_.daemon_on(host), client.process, config_.coordinator));
     ShardRouter::Params rp = config_.router;
     rp.object_key = kObjectKey;
-    rp.directory_group = GroupId{kDirectoryGroupValue};
-    client->router =
-        std::make_unique<ShardRouter>(client->orb, initial_map_, rp, &metrics_);
-    clients_.push_back(std::move(client));
+    rp.directory_group = directory_group();
+    routers_.push_back(std::make_unique<ShardRouter>(client.orb, initial_map_, rp, &metrics()));
   }
 
   // Migration controller on the (never-faulted) first client host.
   MigrationController::Params mp;
   mp.object_key = kObjectKey;
-  mp.directory_group = GroupId{kDirectoryGroupValue};
+  mp.directory_group = directory_group();
   mp.coordinator = config_.coordinator;
+  const NodeId migrator_host = fabric_.client_host(0);
   migration_ = std::make_unique<MigrationController>(
-      *network_, daemon_on(hosts_[0]), *kernel_, ProcessId{kMigratorPid},
-      hosts_[0], mp, &metrics_);
+      network(), fabric_.daemon_on(migrator_host), kernel(), ProcessId{kMigratorPid},
+      migrator_host, mp, &metrics());
 
-  metrics_.set_gauge("shard.map_epoch", static_cast<double>(initial_map_.epoch()));
-  metrics_.set_gauge("shard.count", static_cast<double>(config_.shards));
+  metrics().set_gauge("shard.map_epoch", static_cast<double>(initial_map_.epoch()));
+  metrics().set_gauge("shard.count", static_cast<double>(config_.shards));
 
-  if (config_.health) {
-    health_ = std::make_unique<monitor::health::HealthMonitor>(
-        *kernel_, metrics_, config_.health_params);
-    for (auto& d : daemons_) health_->attach(*d);
+  if (health_enabled()) {
     for (const auto& entry : initial_map_.entries()) {
       monitor::health::SloSpec slo;
       const std::string prefix = "shard." + std::to_string(entry.shard);
@@ -141,9 +102,8 @@ void ShardedCluster::build() {
       slo.failure_counter = prefix + ".failed";
       slo.latency_p99_target_us = config_.shard_slo_p99_target_us;
       slo.availability_target = config_.shard_slo_availability_target;
-      health_->add_slo(slo);
+      health().add_slo(slo);
     }
-    health_->start();
   }
 }
 
@@ -156,8 +116,6 @@ harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& 
   group.params.checkpoint_every_requests = policy.checkpoint_every_requests;
   group.params.checkpoint_anchor_interval = policy.checkpoint_anchor_interval;
   group.auto_recover = config_.auto_recover;
-  group.next_pid = [this] { return ProcessId{next_replica_pid_++}; };
-  group.daemon_on = [this](NodeId host) -> gcs::Daemon& { return daemon_on(host); };
   // Seeded nodes start from the initial map / owned ranges; blank ones fill
   // in via state transfer or shard.install.
   group.make_servant = [this, id](int, bool blank)
@@ -171,36 +129,22 @@ harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& 
                                           initial_map_.epoch());
   };
   group.grow_host = [this] { return pick_server_host(); };
-  groups_.push_back(std::make_unique<harness::ReplicaGroup>(*network_, std::move(group)));
+  groups_.push_back(std::make_unique<harness::ReplicaGroup>(fabric_, std::move(group)));
   return *groups_.back();
 }
 
 NodeId ShardedCluster::pick_server_host() const {
   // Fewest resident replicas wins; ties break on host order (deterministic).
-  std::map<std::uint64_t, int> load;
-  for (NodeId h : server_hosts_) load[h.value()] = 0;
+  std::map<NodeId, int> load;
   for (const auto& g : groups_) {
     for (int i = 0; i < g->size(); ++i) {
       const auto& n = g->node(i);
-      if (n.live() || !n.started) ++load[n.process.host().value()];
+      if (n.live() || !n.started) ++load[n.process.host()];
     }
   }
-  NodeId best = server_hosts_.front();
-  int best_load = load[best.value()];
-  for (NodeId h : server_hosts_) {
-    if (load[h.value()] < best_load) {
-      best = h;
-      best_load = load[h.value()];
-    }
-  }
-  return best;
-}
-
-gcs::Daemon& ShardedCluster::daemon_on(NodeId host) {
-  for (auto& d : daemons_) {
-    if (d->host() == host) return *d;
-  }
-  throw std::out_of_range("no daemon on that host");
+  const std::vector<NodeId>& servers = fabric_.server_hosts();
+  return *std::min_element(servers.begin(), servers.end(),
+                           [&load](NodeId a, NodeId b) { return load[a] < load[b]; });
 }
 
 harness::ReplicaGroup& ShardedCluster::group(GroupId id) {
@@ -215,10 +159,6 @@ const harness::ReplicaGroup& ShardedCluster::group(GroupId id) const {
 }
 
 // --- directory ----------------------------------------------------------------
-
-GroupId ShardedCluster::directory_group() const {
-  return GroupId{kDirectoryGroupValue};
-}
 
 const ShardMap& ShardedCluster::directory_map() const {
   const auto& dir = group(directory_group());
@@ -238,8 +178,6 @@ std::vector<GroupId> ShardedCluster::data_groups() const {
   return out;
 }
 
-int ShardedCluster::replicas_in(GroupId id) const { return group(id).size(); }
-
 replication::Replicator& ShardedCluster::replicator(GroupId id, int node) {
   auto& r = group(id).node(node).replicator;
   VDEP_ASSERT_MSG(r != nullptr, "replica not started yet");
@@ -253,41 +191,12 @@ ShardServant& ShardedCluster::shard_servant(GroupId id, int node) {
   return *servant;
 }
 
-sim::Process& ShardedCluster::replica_process(GroupId id, int node) {
-  return group(id).node(node).process;
-}
-
-ProcessId ShardedCluster::replica_pid(GroupId id, int node) const {
-  return group(id).node(node).process.id();
-}
-
-bool ShardedCluster::replica_live(GroupId id, int node) const {
-  return group(id).node(node).live();
-}
-
-void ShardedCluster::recover_replica(GroupId id, int node) { group(id).recover(node); }
-
 // --- knobs ----------------------------------------------------------------------
 
-knobs::ReplicaGroupController& ShardedCluster::controller(GroupId id) { return group(id); }
-
 knobs::VersatileDependability& ShardedCluster::vd(GroupId id) {
-  auto it = vds_.find(id.value());
-  if (it == vds_.end()) {
-    it = vds_.emplace(id.value(), std::make_unique<knobs::VersatileDependability>(group(id)))
-             .first;
-  }
-  return *it->second;
-}
-
-// --- clients --------------------------------------------------------------------
-
-ShardRouter& ShardedCluster::router(int client) {
-  return *clients_.at(static_cast<std::size_t>(client))->router;
-}
-
-orb::ClientOrb& ShardedCluster::client_orb(int client) {
-  return clients_.at(static_cast<std::size_t>(client))->orb;
+  auto& vd = vds_[id.value()];
+  if (vd == nullptr) vd = std::make_unique<knobs::VersatileDependability>(group(id));
+  return *vd;
 }
 
 // --- migration ------------------------------------------------------------------
@@ -299,7 +208,7 @@ GroupId ShardedCluster::provision_group(const ShardPolicy& policy) {
   // The first member founds the (empty) group; the rest join it and catch up
   // by state transfer, so a later install reaches every member's state.
   for (int node = 0; node < group.size(); ++node) {
-    kernel_->post(kBootStagger * (node + 1), [g = &group, node] {
+    kernel().post(kBootStagger * (node + 1), [g = &group, node] {
       g->start(node, /*join_existing=*/node > 0);
     });
   }
@@ -311,28 +220,6 @@ void ShardedCluster::split_shard(std::uint32_t shard_id, std::uint32_t split_poi
                                  MigrationController::Done done) {
   const GroupId target = provision_group(policy);
   migration_->split(shard_id, split_point, target, policy, std::move(done));
-}
-
-// --- faults ---------------------------------------------------------------------
-
-void ShardedCluster::arm_faults() {
-  if (faults_armed_ || fault_plan_.empty()) return;
-  faults_armed_ = true;
-  std::vector<sim::Process*> processes;
-  for (auto& g : groups_) {
-    for (int n = 0; n < g->size(); ++n) processes.push_back(&g->node(n).process);
-  }
-  for (auto& c : clients_) processes.push_back(&c->process);
-  fault_plan_.arm(*kernel_, *network_, processes);
-}
-
-void ShardedCluster::drain(SimTime extra) {
-  kernel_->run_until(kernel_->now() + extra);
-}
-
-monitor::health::HealthMonitor& ShardedCluster::health() {
-  VDEP_ASSERT_MSG(health_ != nullptr, "cluster built without config.health");
-  return *health_;
 }
 
 // --- workload -------------------------------------------------------------------
@@ -360,13 +247,13 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
   *issue_fn = [this, wc, states, sampler, remaining, weak_issue](int c) {
     auto& st = (*states)[static_cast<std::size_t>(c)];
     if (st.issued >= wc.ops_per_client) {
-      if (--*remaining == 0) kernel_->stop();
+      if (--*remaining == 0) kernel().stop();
       return;
     }
     ++st.issued;
     const std::string key =
         "u" + std::to_string(st.rng.range(0, wc.key_space - 1));
-    const SimTime issued_at = kernel_->now();
+    const SimTime issued_at = kernel().now();
     const double pick = st.rng.uniform01();
     auto& r = router(c);
     // Shard attribution for per-shard SLO metrics: by the key's hash position
@@ -378,22 +265,22 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
       auto& s = (*states)[static_cast<std::size_t>(c)];
       if (status == ShardStatus::kOk) {
         ++s.completed;
-        const double lat_us = to_usec(kernel_->now() - issued_at);
+        const double lat_us = to_usec(kernel().now() - issued_at);
         sampler->add(lat_us);
-        metrics_.observe("shard.latency_us", lat_us);
-        if (health_ != nullptr) {
+        metrics().observe("shard.latency_us", lat_us);
+        if (health_enabled()) {
           const std::string prefix = "shard." + std::to_string(shard_id);
-          metrics_.observe(prefix + ".latency_us", lat_us);
-          metrics_.add(prefix + ".ops");
+          metrics().observe(prefix + ".latency_us", lat_us);
+          metrics().add(prefix + ".ops");
         }
       } else {
         ++s.failed;
-        if (health_ != nullptr) {
-          metrics_.add("shard." + std::to_string(shard_id) + ".failed");
+        if (health_enabled()) {
+          metrics().add("shard." + std::to_string(shard_id) + ".failed");
         }
       }
-      s.last_done = kernel_->now();
-      kernel_->post(gap, [weak_issue, c] {
+      s.last_done = kernel().now();
+      kernel().post(gap, [weak_issue, c] {
         if (auto fn = weak_issue.lock()) (*fn)(c);
       });
     };
@@ -409,10 +296,10 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
   for (int c = 0; c < config_.clients; ++c) {
     (*states)[static_cast<std::size_t>(c)].rng =
         Rng(config_.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c));
-    kernel_->post_at(wc.start_at + wc.stagger * c, [issue_fn, c] { (*issue_fn)(c); });
+    kernel().post_at(wc.start_at + wc.stagger * c, [issue_fn, c] { (*issue_fn)(c); });
   }
 
-  kernel_->run_until(wc.deadline);
+  kernel().run_until(wc.deadline);
 
   WorkloadResult result;
   result.all_done = *remaining == 0;

@@ -1,13 +1,15 @@
-// ShardedCluster — a complete multi-group testbed: one GCS daemon per host,
-// a replicated shard directory, one replica group per shard (each with its
-// own style / replica count / checkpoint profile from the shard policy),
-// routed clients, and a migration controller. The multi-shard analogue of
-// harness::Scenario, built for the scale-out experiments: replica groups are
-// co-located round-robin on a bounded set of server hosts, so 32 shards do
-// not need 64 machines (the daemon mesh cost grows with hosts, not groups).
+// ShardedCluster — a complete multi-group testbed: a replicated shard
+// directory, one replica group per shard (each with its own style / replica
+// count / checkpoint profile from the shard policy), routed clients, and a
+// migration controller. The multi-shard analogue of harness::Scenario, built
+// for the scale-out experiments: replica groups are co-located round-robin
+// on a bounded set of server hosts, so 32 shards do not need 64 machines
+// (the daemon mesh cost grows with hosts, not groups).
 //
+// The cluster stands on the same harness::Fabric as Scenario (kernel,
+// network, one daemon per host, client endpoints, health plane, fault plan).
 // Every group — the directory and each shard — is one harness::ReplicaGroup,
-// the same building block Scenario uses. controller(group) returns it as the
+// the building block Scenario uses too. controller(group) returns it as the
 // group's knobs::ReplicaGroupController and vd(group) wraps it in a
 // VersatileDependability facade, so availability/scalability synthesis runs
 // independently per shard.
@@ -16,11 +18,9 @@
 #include <map>
 #include <memory>
 
-#include "gcs/daemon.hpp"
+#include "harness/fabric.hpp"
 #include "harness/replica_group.hpp"
 #include "knobs/versatile.hpp"
-#include "monitor/health/health_monitor.hpp"
-#include "net/fault_plan.hpp"
 #include "shard/migration.hpp"
 #include "shard/router.hpp"
 #include "util/stats.hpp"
@@ -56,43 +56,51 @@ struct ShardedClusterConfig {
 class ShardedCluster {
  public:
   explicit ShardedCluster(ShardedClusterConfig config);
-  ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
   // --- fabric ---------------------------------------------------------------
-  [[nodiscard]] sim::Kernel& kernel() { return *kernel_; }
-  [[nodiscard]] net::Network& network() { return *network_; }
-  [[nodiscard]] monitor::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] sim::Kernel& kernel() { return fabric_.kernel(); }
+  [[nodiscard]] net::Network& network() { return fabric_.network(); }
+  [[nodiscard]] monitor::MetricsRegistry& metrics() { return fabric_.metrics(); }
   [[nodiscard]] const ShardedClusterConfig& config() const { return config_; }
+  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host) { return fabric_.daemon_on(host); }
   // Health plane (health() asserts config.health).
-  [[nodiscard]] bool health_enabled() const { return health_ != nullptr; }
-  [[nodiscard]] monitor::health::HealthMonitor& health();
+  [[nodiscard]] bool health_enabled() const { return fabric_.health_enabled(); }
+  [[nodiscard]] monitor::health::HealthMonitor& health() { return fabric_.health(); }
 
   // --- directory ------------------------------------------------------------
   [[nodiscard]] const ShardMap& initial_map() const { return initial_map_; }
   // The map currently in force, read off a live directory replica.
   [[nodiscard]] const ShardMap& directory_map() const;
-  [[nodiscard]] GroupId directory_group() const;
+  [[nodiscard]] GroupId directory_group() const { return GroupId{1}; }
 
   // --- groups ---------------------------------------------------------------
   [[nodiscard]] std::vector<GroupId> data_groups() const;
-  [[nodiscard]] int replicas_in(GroupId group) const;
+  [[nodiscard]] int replicas_in(GroupId id) const { return group(id).size(); }
   [[nodiscard]] replication::Replicator& replicator(GroupId group, int node);
   [[nodiscard]] ShardServant& shard_servant(GroupId group, int node);
-  [[nodiscard]] sim::Process& replica_process(GroupId group, int node);
-  [[nodiscard]] ProcessId replica_pid(GroupId group, int node) const;
-  [[nodiscard]] bool replica_live(GroupId group, int node) const;
-  void recover_replica(GroupId group, int node);
+  [[nodiscard]] sim::Process& replica_process(GroupId id, int node) {
+    return group(id).node(node).process;
+  }
+  [[nodiscard]] ProcessId replica_pid(GroupId id, int node) const {
+    return group(id).node(node).process.id();
+  }
+  [[nodiscard]] bool replica_live(GroupId id, int node) const {
+    return group(id).node(node).live();
+  }
+  void recover_replica(GroupId id, int node) { group(id).recover(node); }
 
   // --- per-shard knobs ------------------------------------------------------
-  [[nodiscard]] knobs::ReplicaGroupController& controller(GroupId group);
+  [[nodiscard]] knobs::ReplicaGroupController& controller(GroupId id) { return group(id); }
   [[nodiscard]] knobs::VersatileDependability& vd(GroupId group);
 
   // --- clients --------------------------------------------------------------
-  [[nodiscard]] ShardRouter& router(int client);
-  [[nodiscard]] orb::ClientOrb& client_orb(int client);
+  [[nodiscard]] ShardRouter& router(int client) {
+    return *routers_.at(static_cast<std::size_t>(client));
+  }
+  [[nodiscard]] orb::ClientOrb& client_orb(int client) { return fabric_.client(client).orb; }
 
   // --- migration ------------------------------------------------------------
   [[nodiscard]] MigrationController& migration() { return *migration_; }
@@ -103,10 +111,11 @@ class ShardedCluster {
                    const ShardPolicy& policy, MigrationController::Done done = {});
 
   // --- faults ---------------------------------------------------------------
-  [[nodiscard]] net::FaultPlan& fault_plan() { return fault_plan_; }
-  void arm_faults();
+  // Crashing a server host takes down its daemon and every replica on it.
+  [[nodiscard]] net::FaultPlan& fault_plan() { return fabric_.fault_plan(); }
+  void arm_faults() { fabric_.arm_faults(); }
 
-  void drain(SimTime extra = msec(200));
+  void drain(SimTime extra = msec(200)) { fabric_.drain(extra); }
 
   // --- built-in workload ----------------------------------------------------
   struct WorkloadConfig {
@@ -131,32 +140,19 @@ class ShardedCluster {
   WorkloadResult run_workload(const WorkloadConfig& wc);
 
  private:
-  struct ClientBundle;
-
-  void build();
   harness::ReplicaGroup& add_group(GroupId id, const ShardPolicy& policy);
   [[nodiscard]] NodeId pick_server_host() const;
   [[nodiscard]] harness::ReplicaGroup& group(GroupId id);
   [[nodiscard]] const harness::ReplicaGroup& group(GroupId id) const;
-  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
 
   ShardedClusterConfig config_;
-  std::unique_ptr<sim::Kernel> kernel_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<NodeId> hosts_;  // clients first, then servers
-  std::vector<NodeId> server_hosts_;
-  std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
+  harness::Fabric fabric_;
   ShardMap initial_map_;
   std::vector<std::unique_ptr<harness::ReplicaGroup>> groups_;  // [0] is the directory
-  std::vector<std::unique_ptr<ClientBundle>> clients_;
+  std::vector<std::unique_ptr<ShardRouter>> routers_;  // one per client
   std::unique_ptr<MigrationController> migration_;
   std::map<std::uint64_t, std::unique_ptr<knobs::VersatileDependability>> vds_;
-  monitor::MetricsRegistry metrics_;
-  std::unique_ptr<monitor::health::HealthMonitor> health_;
-  net::FaultPlan fault_plan_;
-  bool faults_armed_ = false;
   std::uint64_t next_group_value_ = 0;
-  std::uint64_t next_replica_pid_ = 1000;
 };
 
 }  // namespace vdep::shard

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <sstream>
-
 namespace vdep::sim {
 
 std::vector<TimeSeries::Point> TimeSeries::resample(SimTime start, SimTime end,
@@ -18,20 +16,6 @@ std::vector<TimeSeries::Point> TimeSeries::resample(SimTime start, SimTime end,
     out.push_back({t, last});
   }
   return out;
-}
-
-void TraceRecorder::add(SimTime at, std::string_view component,
-                        std::string_view event) {
-  if (!enabled_) return;
-  entries_.push_back({at, std::string(component), std::string(event)});
-}
-
-std::string TraceRecorder::render() const {
-  std::ostringstream os;
-  for (const auto& e : entries_) {
-    os << e.at.count() << " " << e.component << " " << e.event << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace vdep::sim

@@ -1,13 +1,9 @@
-// Trace recording: named time-series and a structured event trace.
-//
-// TimeSeries feeds the Fig. 6 style plots (request rate / replication style
-// over time); TraceRecorder supports determinism tests (two runs with the
-// same seed must produce identical traces).
+// Named time-series: the Fig. 6 style plots (request rate / replication
+// style over time). Causal event tracing lives in obs::Tracer.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/time.hpp"
@@ -37,34 +33,6 @@ class TimeSeries {
  private:
   std::string name_;
   std::vector<Point> points_;
-};
-
-// Append-only structured trace. Disabled by default; when disabled, add() is
-// a true no-op — the string_view parameters mean no std::string is
-// constructed for the arguments, so hot paths can trace unconditionally.
-// (Callers that *concatenate* into their arguments should still guard on
-// enabled() to skip building the temporaries.)
-class TraceRecorder {
- public:
-  void enable() { enabled_ = true; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void add(SimTime at, std::string_view component, std::string_view event);
-
-  struct Entry {
-    SimTime at;
-    std::string component;
-    std::string event;
-  };
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  // Canonical one-line-per-entry rendering, for golden comparisons.
-  [[nodiscard]] std::string render() const;
-
- private:
-  bool enabled_ = false;
-  std::vector<Entry> entries_;
 };
 
 }  // namespace vdep::sim

@@ -67,11 +67,11 @@ TEST(ChaosTrial, GeneratedScheduleSmokeTrialPasses) {
 
 TEST(ChaosTrial, SameSeedSameConfigIsByteIdentical) {
   TrialConfig config = small_trial(23);
-  config.record_trace = true;
+  config.record_spans = true;
   const TrialResult a = run_trial(config);
   const TrialResult b = run_trial(config);
-  ASSERT_NE(a.trace_digest, 0u);
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
+  ASSERT_FALSE(a.flight_recording.empty());
+  EXPECT_EQ(a.flight_recording, b.flight_recording);
   EXPECT_EQ(a.plan, b.plan);
   EXPECT_EQ(a.completed_ops, b.completed_ops);
   EXPECT_EQ(a.finished_at, b.finished_at);
@@ -79,7 +79,7 @@ TEST(ChaosTrial, SameSeedSameConfigIsByteIdentical) {
   TrialConfig other = config;
   other.seed = 24;
   const TrialResult c = run_trial(other);
-  EXPECT_NE(a.trace_digest, c.trace_digest);
+  EXPECT_NE(a.flight_recording, c.flight_recording);
 }
 
 TEST(ChaosTrial, RecordedSpansMakeDeterministicFlightRecordings) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gcs/endpoint.hpp"
+#include "harness/fabric.hpp"
 
 namespace vdep::gcs {
 namespace {
@@ -20,26 +21,20 @@ struct Member_ {
 
 struct World {
   void build(int hosts, std::uint64_t seed = 1, DaemonParams params = {}) {
-    kernel = std::make_unique<sim::Kernel>(seed);
-    network = std::make_unique<net::Network>(*kernel);
-    std::vector<NodeId> host_ids;
-    for (int i = 0; i < hosts; ++i) {
-      host_ids.push_back(network->add_host("h" + std::to_string(i)));
-    }
-    for (NodeId h : host_ids) {
-      daemons.push_back(std::make_unique<Daemon>(*kernel, *network,
-                                                 ProcessId{100 + h.value()}, h,
-                                                 host_ids, params));
-    }
-    for (auto& d : daemons) d->boot();
+    fabric = std::make_unique<harness::Fabric>(
+        harness::FabricConfig{.seed = seed, .server_hosts = hosts, .daemon = params});
+    kernel = &fabric->kernel();
+    network = &fabric->network();
   }
+
+  Daemon& daemon(std::uint64_t host) { return fabric->daemon_on(NodeId{host}); }
 
   // Creates a process + endpoint on the given host.
   Member_& add_member(NodeId host, std::uint64_t pid) {
     auto m = std::make_unique<Member_>();
     m->process = std::make_unique<sim::Process>(*kernel, ProcessId{pid}, host,
                                                 "m" + std::to_string(pid));
-    m->endpoint = std::make_unique<Endpoint>(*daemons[host.value()], *m->process);
+    m->endpoint = std::make_unique<Endpoint>(fabric->daemon_on(host), *m->process);
     Member_* raw = m.get();
     m->endpoint->set_message_handler([raw](const GroupMessage& gm) {
       raw->delivered.push_back("msg:" + std::to_string(gm.sender.value()) + ":" +
@@ -81,9 +76,10 @@ struct World {
     return -1;
   }
 
-  std::unique_ptr<sim::Kernel> kernel;
-  std::unique_ptr<net::Network> network;
-  std::vector<std::unique_ptr<Daemon>> daemons;
+  // Daemons on hosts 0..N-1 with PIDs 100+host; host 0 is the first leader.
+  std::unique_ptr<harness::Fabric> fabric;
+  sim::Kernel* kernel = nullptr;
+  net::Network* network = nullptr;
   std::vector<std::unique_ptr<Member_>> members;
 };
 
@@ -256,7 +252,7 @@ TEST_F(GcsFixture, LeaderDaemonCrashTakeoverPreservesDelivery) {
   }
   kernel->post(msec(30), [&] {
     network->set_host_up(NodeId{0}, false);
-    daemons[0]->crash();
+    daemon(0).crash();
   });
   // After detection + takeover, send more.
   kernel->post(msec(400), [&] {
@@ -267,7 +263,7 @@ TEST_F(GcsFixture, LeaderDaemonCrashTakeoverPreservesDelivery) {
   });
   kernel->run_until(sec(2));
 
-  EXPECT_TRUE(daemons[1]->is_leader());
+  EXPECT_TRUE(daemon(1).is_leader());
   EXPECT_EQ(msgs_only(m1.delivered), msgs_only(m2.delivered));
   int post = 0;
   for (const auto& d : m1.delivered) {
@@ -353,7 +349,7 @@ TEST_F(GcsFixture, SafeMessageSurvivesLeaderTakeoverExactlyOnce) {
   // the stability-token window.
   kernel->post(msec(2), [&] {
     network->set_host_up(NodeId{0}, false);
-    daemons[0]->crash();
+    daemon(0).crash();
   });
   kernel->run_until(sec(2));
 
@@ -365,7 +361,7 @@ TEST_F(GcsFixture, SafeMessageSurvivesLeaderTakeoverExactlyOnce) {
     EXPECT_EQ(critical, 1);
   }
   EXPECT_EQ(msgs_only(m1.delivered), msgs_only(m2.delivered));
-  EXPECT_TRUE(daemons[1]->is_leader());
+  EXPECT_TRUE(daemon(1).is_leader());
 }
 
 TEST_F(GcsFixture, NodeCrashRemovesItsMemberViaHeartbeatTimeout) {
@@ -378,7 +374,7 @@ TEST_F(GcsFixture, NodeCrashRemovesItsMemberViaHeartbeatTimeout) {
 
   kernel->post(msec(10), [&] {
     network->set_host_up(NodeId{1}, false);
-    daemons[1]->crash();
+    daemon(1).crash();
     m1.process->crash();
   });
   kernel->run_until(sec(1));

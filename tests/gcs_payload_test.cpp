@@ -5,6 +5,7 @@
 
 #include "gcs/endpoint.hpp"
 #include "gcs/message.hpp"
+#include "harness/fabric.hpp"
 #include "util/payload.hpp"
 #include "util/rng.hpp"
 
@@ -268,25 +269,17 @@ struct FanoutMember {
 
 struct FanoutWorld {
   void build(int hosts, std::uint64_t seed = 1) {
-    kernel = std::make_unique<sim::Kernel>(seed);
-    network = std::make_unique<net::Network>(*kernel);
-    std::vector<NodeId> host_ids;
-    for (int i = 0; i < hosts; ++i) {
-      host_ids.push_back(network->add_host("h" + std::to_string(i)));
-    }
-    for (NodeId h : host_ids) {
-      daemons.push_back(std::make_unique<Daemon>(*kernel, *network,
-                                                 ProcessId{100 + h.value()}, h,
-                                                 host_ids, DaemonParams{}));
-    }
-    for (auto& d : daemons) d->boot();
+    fabric = std::make_unique<harness::Fabric>(
+        harness::FabricConfig{.seed = seed, .server_hosts = hosts});
+    kernel = &fabric->kernel();
+    network = &fabric->network();
   }
 
   FanoutMember& add_member(NodeId host, std::uint64_t pid) {
     auto m = std::make_unique<FanoutMember>();
     m->process = std::make_unique<sim::Process>(*kernel, ProcessId{pid}, host,
                                                 "m" + std::to_string(pid));
-    m->endpoint = std::make_unique<Endpoint>(*daemons[host.value()], *m->process);
+    m->endpoint = std::make_unique<Endpoint>(fabric->daemon_on(host), *m->process);
     FanoutMember* raw = m.get();
     m->endpoint->set_message_handler(
         [raw](const GroupMessage& gm) { raw->delivered.push_back(gm); });
@@ -294,9 +287,10 @@ struct FanoutWorld {
     return *members.back();
   }
 
-  std::unique_ptr<sim::Kernel> kernel;
-  std::unique_ptr<net::Network> network;
-  std::vector<std::unique_ptr<Daemon>> daemons;
+  // Daemons on hosts 0..N-1 with PIDs 100+host; host 0 is the leader.
+  std::unique_ptr<harness::Fabric> fabric;
+  sim::Kernel* kernel = nullptr;
+  net::Network* network = nullptr;
   std::vector<std::unique_ptr<FanoutMember>> members;
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gcs/endpoint.hpp"
+#include "harness/fabric.hpp"
 #include "util/rng.hpp"
 
 namespace vdep::gcs {
@@ -22,19 +23,12 @@ class GcsStress : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GcsStress, SurvivorsAgreeUnderRandomFaults) {
   const std::uint64_t seed = GetParam();
-  sim::Kernel kernel(seed);
-  net::Network network(kernel);
-
   constexpr int kHosts = 5;
   constexpr int kMembers = 4;  // on hosts 1..4; host 0 is the initial leader
-  std::vector<NodeId> hosts;
-  for (int i = 0; i < kHosts; ++i) hosts.push_back(network.add_host("h" + std::to_string(i)));
-  std::vector<std::unique_ptr<Daemon>> daemons;
-  for (NodeId h : hosts) {
-    daemons.push_back(
-        std::make_unique<Daemon>(kernel, network, ProcessId{100 + h.value()}, h, hosts));
-  }
-  for (auto& d : daemons) d->boot();
+  harness::Fabric fabric({.seed = seed, .server_hosts = kHosts});
+  sim::Kernel& kernel = fabric.kernel();
+  net::Network& network = fabric.network();
+  const std::vector<NodeId>& hosts = fabric.server_hosts();
 
   std::vector<Member_> members(kMembers);
   for (int i = 0; i < kMembers; ++i) {
@@ -43,7 +37,7 @@ TEST_P(GcsStress, SurvivorsAgreeUnderRandomFaults) {
                                                ProcessId{static_cast<std::uint64_t>(10 + i)},
                                                hosts[1 + i % 4],
                                                "m" + std::to_string(i));
-    m.endpoint = std::make_unique<Endpoint>(*daemons[1 + i % 4], *m.process);
+    m.endpoint = std::make_unique<Endpoint>(fabric.daemon_on(hosts[1 + i % 4]), *m.process);
     auto* log = &m.delivered;
     m.endpoint->set_message_handler([log](const GroupMessage& gm) {
       log->push_back("msg:" + std::to_string(gm.sender.value()) + ":" +
@@ -82,7 +76,7 @@ TEST_P(GcsStress, SurvivorsAgreeUnderRandomFaults) {
   if (kill_leader_daemon) {
     kernel.post_at(msec(100) + usec(rng.below(900'000)), [&] {
       network.set_host_up(hosts[0], false);
-      daemons[0]->crash();
+      fabric.daemon_on(hosts[0]).crash();
     });
   }
   kernel.run_until(sec(4));

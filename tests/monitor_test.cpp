@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gcs/endpoint.hpp"
+#include "harness/fabric.hpp"
 #include "monitor/metrics.hpp"
 #include "monitor/replicated_state.hpp"
 #include "monitor/threshold_watcher.hpp"
@@ -124,20 +125,12 @@ TEST(ThresholdWatcher, NoThrashingAtBoundary) {
 // --- replicated system-state object over a real GCS world ---------------------
 
 struct StateWorld {
-  StateWorld() : kernel(3), network(kernel) {
-    for (int i = 0; i < 3; ++i) hosts.push_back(network.add_host("h" + std::to_string(i)));
-    for (NodeId h : hosts) {
-      daemons.push_back(std::make_unique<gcs::Daemon>(kernel, network,
-                                                      ProcessId{100 + h.value()}, h,
-                                                      hosts));
-    }
-    for (auto& d : daemons) d->boot();
-  }
+  // Daemons on hosts 0..2 with PIDs 100+host.
+  gcs::Daemon& daemon(std::uint64_t host) { return fabric.daemon_on(NodeId{host}); }
 
-  sim::Kernel kernel;
-  net::Network network;
-  std::vector<NodeId> hosts;
-  std::vector<std::unique_ptr<gcs::Daemon>> daemons;
+  harness::Fabric fabric{{.seed = 3, .server_hosts = 3}};
+  sim::Kernel& kernel = fabric.kernel();
+  const std::vector<NodeId>& hosts = fabric.server_hosts();
 };
 
 TEST(ReplicatedStateObject, MembersConvergeOnIdenticalState) {
@@ -145,9 +138,9 @@ TEST(ReplicatedStateObject, MembersConvergeOnIdenticalState) {
   sim::Process p1(w.kernel, ProcessId{10}, w.hosts[1], "p1");
   sim::Process p2(w.kernel, ProcessId{20}, w.hosts[2], "p2");
 
-  ReplicatedStateObject s1(*w.daemons[1], p1, GroupId{50},
+  ReplicatedStateObject s1(w.daemon(1), p1, GroupId{50},
                            [] { return StateEntry{{}, kTimeZero, 0.25, 100.0, {}}; });
-  ReplicatedStateObject s2(*w.daemons[2], p2, GroupId{50},
+  ReplicatedStateObject s2(w.daemon(2), p2, GroupId{50},
                            [] { return StateEntry{{}, kTimeZero, 0.75, 300.0, {}}; });
   s1.start();
   s2.start();
@@ -171,9 +164,9 @@ TEST(ReplicatedStateObject, DepartedMemberDropsFromState) {
   StateWorld w;
   sim::Process p1(w.kernel, ProcessId{10}, w.hosts[1], "p1");
   sim::Process p2(w.kernel, ProcessId{20}, w.hosts[2], "p2");
-  ReplicatedStateObject s1(*w.daemons[1], p1, GroupId{50},
+  ReplicatedStateObject s1(w.daemon(1), p1, GroupId{50},
                            [] { return StateEntry{{}, kTimeZero, 0.1, 10.0, {}}; });
-  ReplicatedStateObject s2(*w.daemons[2], p2, GroupId{50},
+  ReplicatedStateObject s2(w.daemon(2), p2, GroupId{50},
                            [] { return StateEntry{{}, kTimeZero, 0.9, 90.0, {}}; });
   s1.start();
   s2.start();

@@ -2,7 +2,7 @@
 //
 // The trial fleet's contract is that workers is a pure throughput knob: for
 // the same campaign seed, the summary JSON, the on_trial callback sequence,
-// the per-trial trace digests, and the health event streams are all
+// the per-trial flight-recording digests, and the health event streams are all
 // byte-identical whether the trials ran on 1, 2, or 8 workers. These tests
 // pin that contract property-style; the wide variant in
 // parallel_campaign_chaos_test.cpp repeats it at the full 200-trial
@@ -15,13 +15,18 @@
 
 #include "chaos/campaign.hpp"
 #include "monitor/health/events.hpp"
+#include "util/bytes.hpp"
 
 namespace vdep::chaos {
 namespace {
 
+std::uint64_t fnv1a_text(const std::string& text) {
+  return fnv1a({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
 // Everything a campaign run exposes, flattened to one comparable string:
 // the summary JSON plus, per trial (in index order), the sweep position,
-// verdict, trace digest and rendered health event stream.
+// verdict, FNV-1a of the flight recording and rendered health event stream.
 std::string campaign_witness(CampaignConfig config, int workers) {
   config.workers = workers;
   std::string witness;
@@ -33,7 +38,7 @@ std::string campaign_witness(CampaignConfig config, int workers) {
                    " cp" + std::to_string(trial.checkpoint_every_requests) +
                    " seed" + std::to_string(trial.seed) +
                    (r.pass() ? " PASS" : " FAIL") +
-                   " digest=" + std::to_string(r.trace_digest) +
+                   " digest=" + std::to_string(fnv1a_text(r.flight_recording)) +
                    " ops=" + std::to_string(r.completed_ops) + "\n";
         if (r.health_observation.enabled) {
           witness += "health_events=" +
@@ -51,7 +56,7 @@ TEST(ParallelCampaign, ByteIdenticalAcrossWorkerCounts) {
   config.trials = 24;
   config.base.clients = 2;
   config.base.ops_per_client = 40;
-  config.base.record_trace = true;
+  config.base.record_spans = true;
 
   const std::string serial = campaign_witness(config, 1);
   ASSERT_FALSE(serial.empty());

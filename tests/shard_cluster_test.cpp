@@ -202,5 +202,30 @@ TEST(ShardClusterTest, GrownReplicaJoinsInCurrentStyle) {
   EXPECT_EQ(digests[1], digests[2]);
 }
 
+// The fault plan strikes a server host's GCS daemon like any other process on
+// it: crash_node takes the daemon down with the replicas (it stays down after
+// restore_node, like they do), and crash_process reaches a daemon by PID.
+TEST(ShardClusterTest, CrashNodeTakesDownItsDaemon) {
+  ShardedCluster cluster(small_cluster(2));
+  const GroupId g = cluster.data_groups().front();
+  const NodeId crashed = cluster.replica_process(g, 0).host();
+  const NodeId other = cluster.replica_process(g, 1).host();
+  ASSERT_NE(crashed, other);
+  gcs::Daemon& crashed_daemon = cluster.daemon_on(crashed);
+  gcs::Daemon& other_daemon = cluster.daemon_on(other);
+  cluster.fault_plan().crash_node(msec(500), crashed);
+  cluster.fault_plan().restore_node(msec(900), crashed);
+  cluster.fault_plan().crash_process(msec(600), other_daemon.id());
+  cluster.arm_faults();
+  cluster.kernel().run_until(msec(1200));
+
+  EXPECT_FALSE(cluster.replica_process(g, 0).alive());
+  EXPECT_FALSE(crashed_daemon.alive());
+  EXPECT_FALSE(other_daemon.alive());
+  // Daemons on untouched hosts keep running.
+  EXPECT_TRUE(
+      cluster.daemon_on(cluster.replica_process(cluster.directory_group(), 0).host()).alive());
+}
+
 }  // namespace
 }  // namespace vdep::shard

@@ -161,15 +161,5 @@ TEST(TimeSeries, ResampleCarriesLastValueForward) {
   EXPECT_DOUBLE_EQ(points[4].value, 2.0);
 }
 
-TEST(TraceRecorder, DisabledByDefault) {
-  TraceRecorder t;
-  t.add(usec(1), "a", "b");
-  EXPECT_TRUE(t.entries().empty());
-  t.enable();
-  t.add(usec(2), "c", "d");
-  ASSERT_EQ(t.entries().size(), 1u);
-  EXPECT_EQ(t.render(), "2000 c d\n");
-}
-
 }  // namespace
 }  // namespace vdep::sim
