@@ -9,11 +9,17 @@
 //
 // Neither run switches style before a join, so the pins do not depend on
 // which style a joiner starts in.
+//
+// A last pin covers the chaos trials: two small campaigns (health-on
+// single-group trials, and sharded trials with online splits) rendered
+// without process names, so what it pins is the observable outcome of every
+// trial — schedule, verdict, per-op history and final replica/shard state.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "chaos/campaign.hpp"
 #include "harness/scenario.hpp"
 #include "monitor/health/events.hpp"
 #include "obs/export.hpp"
@@ -233,6 +239,77 @@ TEST(GoldenPin, ShardedClusterHealthPlane) {
       << std::hex << fnv1a_text(monitor::health::render_text(events));
   EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0xbbf179911d4bda8dull)
       << std::hex << fnv1a_text(obs::render_text(cluster.kernel().tracer()));
+}
+
+// Everything a chaos trial observes, minus flight recordings (which carry
+// process names): one line per fact, in observation order.
+std::string render_trial(const chaos::TrialResult& r) {
+  std::string out = r.plan.to_string();
+  for (const auto& f : r.verdict.failures) out += "fail " + f + "\n";
+  out += "ops " + std::to_string(r.completed_ops) + " recovery_ms " +
+         std::to_string(r.recovery_ms) + " finished " +
+         std::to_string(r.finished_at.count()) + "\n";
+  const chaos::TrialObservation& obs = r.observation;
+  for (const auto& op : obs.history) {
+    out += "op " + std::to_string(op.client) + " " + std::to_string(op.seq) + " " + op.op +
+           " " + op.key + " " + op.token + " " + std::to_string(op.issued_at.count()) + " " +
+           (op.completed_at ? std::to_string(op.completed_at->count()) : "-") +
+           (op.ok ? " ok\n" : " err\n");
+  }
+  for (const auto& rs : obs.replicas) {
+    out += "replica " + std::to_string(rs.index) + " live " + std::to_string(rs.live) +
+           " responder " + std::to_string(rs.responder) + " view " +
+           (rs.view_id ? std::to_string(*rs.view_id) : "-");
+    for (ProcessId m : rs.view_members) out += " " + m.str();
+    out += "\n";
+    for (const auto& [key, value] : rs.logs) out += "  " + key + "=" + value + "\n";
+  }
+  for (const auto& c : obs.checkpoints) {
+    out += "ckpt " + std::to_string(c.replica) + " " + std::to_string(c.incarnation) + " " +
+           std::to_string(c.checkpoint_id) + "\n";
+  }
+  const chaos::ShardObservation& sobs = r.shard_observation;
+  out += "migrations " + std::to_string(sobs.migrations_attempted) + "/" +
+         std::to_string(sobs.migrations_committed) + " epoch " +
+         std::to_string(sobs.final_map.epoch()) + "\n";
+  for (const auto& g : sobs.groups) {
+    out += "group " + g.group.str() + " live " + std::to_string(g.any_live);
+    for (const auto& range : g.owned) out += " " + range.str();
+    out += "\n";
+    for (const auto& [key, value] : g.logs) out += "  " + key + "=" + value + "\n";
+    for (const auto& key : g.keys) out += "  " + key + "\n";
+  }
+  return out + monitor::health::render_text(r.health_observation.events);
+}
+
+std::uint64_t campaign_pin(const chaos::CampaignConfig& config) {
+  std::string text;
+  const auto result = chaos::run_campaign(
+      config, [&text](int index, const chaos::TrialConfig&, const chaos::TrialResult& r) {
+        text += "trial " + std::to_string(index) + "\n" + render_trial(r);
+      });
+  EXPECT_EQ(result.trials, config.trials);
+  return fnv1a_text(text);
+}
+
+TEST(GoldenPin, ChaosTrialObservations) {
+  chaos::CampaignConfig single;
+  single.seed = 31;
+  single.trials = 20;
+  single.base.health = true;
+  const std::uint64_t single_pin = campaign_pin(single);
+  EXPECT_EQ(single_pin, 0xe75e598c293a4662ull) << std::hex << single_pin;
+
+  chaos::CampaignConfig sharded;
+  sharded.seed = 37;
+  sharded.trials = 8;
+  sharded.shard_counts = {8};
+  sharded.replica_counts = {2};
+  sharded.styles = {replication::ReplicationStyle::kActive,
+                    replication::ReplicationStyle::kWarmPassive};
+  sharded.base.faults.slow_hosts = 0;
+  const std::uint64_t sharded_pin = campaign_pin(sharded);
+  EXPECT_EQ(sharded_pin, 0x6e19ff5abe74082bull) << std::hex << sharded_pin;
 }
 
 }  // namespace
