@@ -4,7 +4,8 @@
 # BENCH_obs.json (observability layer), BENCH_checkpoint.json (incremental
 # checkpointing), BENCH_kernel.json (macro events/sec of the simulation
 # kernel across whole scenarios), BENCH_shard.json (10k routed clients over
-# a 32-shard fleet), then runs the seeded chaos campaign and records
+# a 32-shard fleet), BENCH_parallel.json (chaos trials per second on the
+# trial fleet), then runs the seeded chaos campaign and records
 # BENCH_chaos.json.
 #
 # Bench hygiene: baselines must never be recorded from a debug build. The

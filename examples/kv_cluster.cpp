@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   harness::ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-  config.clients = 1;  // we drive traffic ourselves below
+  config.clients = 1;  // one client endpoint; we drive its traffic below
   config.replicas = 3;
   config.max_replicas = 3;
   config.style = replication::ReplicationStyle::kWarmPassive;
@@ -112,11 +112,9 @@ int main(int argc, char** argv) {
   scenario.arm_faults();  // manual kernel driving: arm explicitly
   scenario.kernel().run_until(msec(300));
 
-  // A hand-assembled client: process + ORB + replicated transport.
-  sim::Process client(scenario.kernel(), ProcessId{9001}, NodeId{0}, "kv-client");
-  orb::ClientOrb orb(scenario.network(), client);
-  orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-      scenario.network(), scenario.daemon_on(NodeId{0}), client));
+  // The scenario's client endpoint: its ORB invokes through a replicated
+  // (coordinator) transport.
+  orb::ClientOrb& orb = scenario.client_orb(0);
 
   int stored = 0;
   for (int i = 0; i < keys; ++i) {

@@ -1,14 +1,8 @@
 #!/usr/bin/env python3
 """Fails when recorded benchmark baselines regress beyond their allowance.
 
-Two modes:
-
-Legacy single-counter mode (kept for ad-hoc use):
-  check_bench_regression.py BASELINE.json CURRENT.json \
-      --counter events_per_sec [--max-regression 0.20]
-
-Gate-file mode — one gate per recorded BENCH_*.json baseline, each with its
-own metric allowlist and thresholds (scripts/bench_gates.json):
+One gate per recorded BENCH_*.json baseline, each with its own metric
+allowlist and thresholds (scripts/bench_gates.json):
   check_bench_regression.py --gate-file scripts/bench_gates.json \
       --baseline-dir . --current-dir /tmp/bench
   check_bench_regression.py --gate-file scripts/bench_gates.json --list-gates
@@ -34,7 +28,8 @@ the built-in real_time/cpu_time); for "chaos" gates the metric name is a
 dotted path into the flat report (e.g. "recovery_ms.mean"). Only benchmarks
 present in both files are compared; a metric missing from both sides of a
 gate is an error (the allowlist names something the benchmark no longer
-emits).
+emits). A gate whose baseline file is missing is an error too: a gate
+without a baseline would otherwise be silently off.
 """
 import argparse
 import json
@@ -77,17 +72,18 @@ def compare(name, metric, direction, allowance, base, cur):
 
 
 def run_gate(gate, baseline_dir, current_dir):
-    """Returns (ok, skipped) for one gate."""
+    """Returns whether one gate passes."""
     name = gate["baseline"]
     base_path = os.path.join(baseline_dir, name)
     cur_path = os.path.join(current_dir, gate.get("current", name))
     if not os.path.exists(base_path):
-        print(f"{name}: no recorded baseline; skipping")
-        return True, True
+        print(f"error: {name}: no recorded baseline at {base_path}",
+              file=sys.stderr)
+        return False
     if not os.path.exists(cur_path):
-        print(f"error: {name}: baseline exists but no current measurement "
-              f"at {cur_path}", file=sys.stderr)
-        return False, False
+        print(f"error: {name}: no current measurement at {cur_path}",
+              file=sys.stderr)
+        return False
 
     base_doc = load_json(base_path)
     cur_doc = load_json(cur_path)
@@ -121,17 +117,12 @@ def run_gate(gate, baseline_dir, current_dir):
                                      allowance, base_vals[bench], cur_vals[bench])
                 print(line)
                 ok = ok and good
-    return ok, False
+    return ok
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("baseline", nargs="?")
-    ap.add_argument("current", nargs="?")
-    ap.add_argument("--counter")
-    ap.add_argument("--max-regression", type=float, default=0.20,
-                    help="fail when current < baseline * (1 - this)")
-    ap.add_argument("--gate-file", help="scripts/bench_gates.json")
+    ap.add_argument("--gate-file", required=True, help="scripts/bench_gates.json")
     ap.add_argument("--baseline-dir", default=".")
     ap.add_argument("--current-dir")
     ap.add_argument("--list-gates", action="store_true",
@@ -139,49 +130,21 @@ def main():
                          "<TAB>kind per gate")
     args = ap.parse_args()
 
-    if args.gate_file:
-        gates = load_json(args.gate_file)["gates"]
-        if args.list_gates:
-            for g in gates:
-                print(f"{g['baseline']}\t{g.get('current', g['baseline'])}\t"
-                      f"{g.get('binary', '')}\t{g.get('filter', '')}\t"
-                      f"{g.get('kind', 'gbench')}")
-            return 0
-        if not args.current_dir:
-            print("error: --current-dir is required with --gate-file",
-                  file=sys.stderr)
-            return 2
-        all_ok = True
-        for gate in gates:
-            ok, _ = run_gate(gate, args.baseline_dir, args.current_dir)
-            all_ok = all_ok and ok
-        if not all_ok:
-            print("error: benchmark baselines regressed beyond allowance",
-                  file=sys.stderr)
-            return 1
+    gates = load_json(args.gate_file)["gates"]
+    if args.list_gates:
+        for g in gates:
+            print(f"{g['baseline']}\t{g.get('current', g['baseline'])}\t"
+                  f"{g.get('binary', '')}\t{g.get('filter', '')}\t"
+                  f"{g.get('kind', 'gbench')}")
         return 0
-
-    # Legacy mode.
-    if not (args.baseline and args.current and args.counter):
-        print("error: BASELINE CURRENT --counter NAME (or --gate-file)",
-              file=sys.stderr)
+    if not args.current_dir:
+        print("error: --current-dir is required", file=sys.stderr)
         return 2
-    base = gbench_values(load_json(args.baseline), args.counter)
-    cur = gbench_values(load_json(args.current), args.counter)
-    common = sorted(set(base) & set(cur))
-    if not common:
-        print(f"error: no common benchmarks with counter {args.counter!r} "
-              f"between {args.baseline} and {args.current}", file=sys.stderr)
-        return 2
-    failed = False
-    for name in common:
-        ok, line = compare(name, args.counter, "higher", args.max_regression,
-                           base[name], cur[name])
-        print(line)
-        failed = failed or not ok
-    if failed:
-        print(f"error: {args.counter} regressed more than "
-              f"{args.max_regression:.0%} vs baseline", file=sys.stderr)
+    all_ok = True
+    for gate in gates:
+        all_ok = run_gate(gate, args.baseline_dir, args.current_dir) and all_ok
+    if not all_ok:
+        print("error: benchmark gates failed", file=sys.stderr)
         return 1
     return 0
 

@@ -68,43 +68,33 @@ echo "perfbench builds clean"
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded
 # BENCH_*.json baseline against the fresh numbers, with the per-file metric
-# allowlists and allowances in scripts/bench_gates.json. Gates whose
-# baseline file is absent are skipped.
+# allowlists and allowances in scripts/bench_gates.json. A gate whose
+# baseline file is absent fails.
 gate_file="${repo_root}/scripts/bench_gates.json"
-need_bench=0
+cmake -B "${repo_root}/build-bench" -S "${repo_root}" \
+  -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
+bench_dir="$(mktemp -d)"
+# Fresh measurements land at the gate's "current" name (distinct from the
+# baseline name when several gated binaries share one recorded baseline).
 while IFS=$'\t' read -r baseline current binary filter kind; do
-  [[ -f "${repo_root}/${baseline}" ]] && need_bench=1
+  cmake --build "${repo_root}/build-bench" -j"${jobs}" \
+    --target "$(basename "${binary}")"
+  if [[ "${kind}" == "chaos" ]]; then
+    "${repo_root}/build-bench/${binary}" trials=200 seed=1 \
+      out="${bench_dir}/${current}" > /dev/null
+  else
+    bench_args=(--benchmark_format=json
+                --benchmark_out="${bench_dir}/${current}"
+                --benchmark_out_format=json)
+    [[ -n "${filter}" ]] && bench_args+=("--benchmark_filter=${filter}")
+    "${repo_root}/build-bench/${binary}" "${bench_args[@]}" > /dev/null
+  fi
 done < <(python3 "${repo_root}/scripts/check_bench_regression.py" \
            --gate-file "${gate_file}" --list-gates)
-if [[ "${need_bench}" -eq 1 ]]; then
-  cmake -B "${repo_root}/build-bench" -S "${repo_root}" \
-    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
-  bench_dir="$(mktemp -d)"
-  # Fresh measurements land at the gate's "current" name (distinct from the
-  # baseline name when several gated binaries share one recorded baseline).
-  while IFS=$'\t' read -r baseline current binary filter kind; do
-    [[ -f "${repo_root}/${baseline}" ]] || continue
-    cmake --build "${repo_root}/build-bench" -j"${jobs}" \
-      --target "$(basename "${binary}")"
-    if [[ "${kind}" == "chaos" ]]; then
-      "${repo_root}/build-bench/${binary}" trials=200 seed=1 \
-        out="${bench_dir}/${current}" > /dev/null
-    else
-      bench_args=(--benchmark_format=json
-                  --benchmark_out="${bench_dir}/${current}"
-                  --benchmark_out_format=json)
-      [[ -n "${filter}" ]] && bench_args+=("--benchmark_filter=${filter}")
-      "${repo_root}/build-bench/${binary}" "${bench_args[@]}" > /dev/null
-    fi
-  done < <(python3 "${repo_root}/scripts/check_bench_regression.py" \
-             --gate-file "${gate_file}" --list-gates)
-  python3 "${repo_root}/scripts/check_bench_regression.py" \
-    --gate-file "${gate_file}" \
-    --baseline-dir "${repo_root}" --current-dir "${bench_dir}"
-  rm -rf "${bench_dir}"
-else
-  echo "no recorded baselines; skipping regression gates"
-fi
+python3 "${repo_root}/scripts/check_bench_regression.py" \
+  --gate-file "${gate_file}" \
+  --baseline-dir "${repo_root}" --current-dir "${bench_dir}"
+rm -rf "${bench_dir}"
 
 echo "== trace determinism gate =="
 trace_dir="$(mktemp -d)"

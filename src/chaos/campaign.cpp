@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "app/kv_store.hpp"
-#include "chaos/history.hpp"
 #include "chaos/shard_trial.hpp"
 #include "harness/scenario.hpp"
 #include "obs/export.hpp"
@@ -57,6 +56,31 @@ std::set<int> permanently_lost(const net::FaultPlan& plan,
   return lost;
 }
 
+// Sends recorded ops to the scenario's KvStore through client endpoint
+// `orb`; with health on, each reply also feeds the service SLO metrics.
+RecordedClient::Send kv_sender(harness::Scenario& scenario, orb::ClientOrb& orb) {
+  return [&scenario, &orb](const OpRecord& op, const std::string& value,
+                           RecordedClient::Done done) {
+    using app::KvStoreServant;
+    Bytes args = op.op == "append" ? KvStoreServant::encode_append(op.key, value)
+                 : op.op == "put"  ? KvStoreServant::encode_put(op.key, value)
+                                   : KvStoreServant::encode_key(op.key);
+    orb.invoke(scenario.object_ref(), op.op, std::move(args),
+               [&scenario, issued = op.issued_at, done = std::move(done)](
+                   orb::ReplyStatus status, Bytes) {
+                 const bool ok = status == orb::ReplyStatus::kNoException;
+                 if (scenario.health_enabled()) {
+                   auto& metrics = scenario.metrics();
+                   metrics.observe("service.latency_us",
+                                   to_usec(scenario.kernel().now() - issued));
+                   metrics.add("service.requests");
+                   if (!ok) metrics.add("service.failures");
+                 }
+                 done(ok);
+               });
+  };
+}
+
 }  // namespace
 
 TrialResult run_trial(const TrialConfig& config) {
@@ -65,13 +89,53 @@ TrialResult run_trial(const TrialConfig& config) {
   return run_trial(config, net::FaultPlan{});
 }
 
-TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
-  // Sharded trials run on their own multi-group cluster; their fault plan
-  // regenerates deterministically from the seed (the explicit-plan path is
-  // the single-group shrinker's entry point).
-  if (config.shards > 1) return run_shard_trial(config);
+TrialResult drive_trial(const TrialConfig& config, const TrialKind& kind) {
+  std::vector<std::unique_ptr<RecordedClient>> clients;
+  int remaining = config.clients;
+  for (int c = 0; c < config.clients; ++c) {
+    auto client = kind.client(
+        {.index = c, .ops = config.ops_per_client, .gap = config.op_gap,
+         .append_ratio = config.append_ratio},
+        Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
+    client->on_done = [&kind, &remaining] {
+      if (--remaining == 0) kind.kernel.stop();
+    };
+    client->start(kind.first_op + kind.stagger * c);
+    clients.push_back(std::move(client));
+  }
+  kind.kernel.run_until(kind.deadline);
+  const bool all_done = remaining == 0;
+  kind.settle();
 
-  const bool generate = plan.empty() && config.faults.total_actions() > 0;
+  TrialResult result;
+  result.plan = kind.plan;
+  result.last_fault_end = kind.plan.last_effect_end();
+  TrialObservation& obs = result.observation;
+  obs.recovery_bound = config.recovery_bound;
+  obs.all_clients_done = all_done;
+  obs.last_fault_end = result.last_fault_end;
+  SimTime finished = all_done ? kTimeZero : kind.deadline;
+  for (const auto& client : clients) {
+    const auto& h = client->history();
+    obs.history.insert(obs.history.end(), h.begin(), h.end());
+    result.completed_ops += static_cast<std::uint64_t>(client->completed());
+    finished = std::max(finished, client->last_completed_at());
+  }
+  obs.finished_at = result.finished_at = finished;
+  result.recovery_ms =
+      finished > result.last_fault_end ? to_usec(finished - result.last_fault_end) / 1000.0
+                                       : 0.0;
+  if (config.record_spans) {
+    const obs::Tracer& tracer = kind.kernel.tracer();
+    result.spans_recorded = tracer.spans_recorded();
+    result.spans_dropped = tracer.spans_dropped();
+    result.flight_recording = obs::to_chrome_trace(tracer);
+  }
+  return result;
+}
+
+TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
+  if (config.shards > 1) return run_shard_trial(config, plan);
 
   // Filled by the replicator hooks below; incarnations are per replica,
   // bumped per rebuild.
@@ -101,7 +165,7 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
 
   harness::Scenario scenario(sc);
 
-  if (generate) {
+  if (plan.empty() && config.faults.total_actions() > 0) {
     Rng plan_rng = Rng(config.seed).fork(0xfa017);
     scenario.fault_plan() = generate_schedule(plan_rng, config.faults, scenario);
   } else {
@@ -110,60 +174,40 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   const net::FaultPlan& active_plan = scenario.fault_plan();
   scenario.arm_faults();
 
-  // Workload.
-  std::vector<std::unique_ptr<WorkloadClient>> clients;
-  int remaining = config.clients;
-  for (int c = 0; c < config.clients; ++c) {
-    WorkloadClient::Config wc;
-    wc.index = c;
-    wc.ops = config.ops_per_client;
-    wc.gap = config.op_gap;
-    wc.append_ratio = config.append_ratio;
-    auto client = std::make_unique<WorkloadClient>(
-        scenario, wc, Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
-    client->on_done = [&scenario, &remaining] {
-      if (--remaining == 0) scenario.kernel().stop();
-    };
-    client->start();
-    clients.push_back(std::move(client));
-  }
+  TrialResult result = drive_trial(
+      config,
+      {.kernel = scenario.kernel(),
+       .plan = active_plan,
+       .deadline = std::max(config.hard_deadline,
+                            active_plan.last_effect_end() + config.recovery_bound + sec(2)),
+       .first_op = msec(250),
+       .stagger = usec(125),
+       .client =
+           [&scenario](RecordedClient::Config rc, Rng rng) {
+             rc.key_prefix = "kv:c" + std::to_string(rc.index) + ":";
+             rc.key_space = 8;
+             orb::ClientOrb& orb = scenario.client_orb(rc.index);
+             return std::make_unique<RecordedClient>(orb.process(), std::move(rc), rng,
+                                                     kv_sender(scenario, orb));
+           },
+       .settle =
+           [&] {
+             if (config.health) {
+               // The detection oracle judges every scheduled fault, so each
+               // one must actually strike while the health plane is
+               // watching: when the workload finishes early, keep the
+               // simulation alive through the last fault effect plus the
+               // detection bound instead of stopping with late faults still
+               // pending.
+               scenario.kernel().run_until(active_plan.last_effect_end() +
+                                           config.detection_bound + msec(200));
+             }
+             scenario.drain(msec(500));  // let replies, checkpoints and joins settle
+           }});
 
-  const SimTime deadline =
-      std::max(config.hard_deadline,
-               active_plan.last_effect_end() + config.recovery_bound + sec(2));
-  scenario.kernel().run_until(deadline);
-  const bool all_done = remaining == 0;
-  if (config.health) {
-    // The detection oracle judges every scheduled fault, so each one must
-    // actually strike while the health plane is watching: when the workload
-    // finishes early, keep the simulation alive through the last fault
-    // effect plus the detection bound instead of stopping with late faults
-    // still pending.
-    scenario.kernel().run_until(active_plan.last_effect_end() +
-                                config.detection_bound + msec(200));
-  }
-  scenario.drain(msec(500));  // let replies, checkpoints and joins settle
-
-  // Observation.
-  TrialResult result;
-  result.plan = active_plan;
-  result.last_fault_end = active_plan.last_effect_end();
-
-  TrialObservation obs;
-  obs.recovery_bound = config.recovery_bound;
+  TrialObservation& obs = result.observation;
   obs.expected_lost = permanently_lost(active_plan, scenario);
-  obs.all_clients_done = all_done;
-  SimTime finished = all_done ? kTimeZero : deadline;
-  for (const auto& client : clients) {
-    const auto& h = client->history();
-    obs.history.insert(obs.history.end(), h.begin(), h.end());
-    result.completed_ops += static_cast<std::uint64_t>(client->completed());
-    finished = std::max(finished, client->last_completed_at());
-  }
-  obs.finished_at = finished;
-  obs.last_fault_end = result.last_fault_end;
-  obs.checkpoints = checkpoints;
-
+  obs.checkpoints = std::move(checkpoints);
   for (int r = 0; r < config.replicas; ++r) {
     TrialObservation::ReplicaState rs;
     rs.index = r;
@@ -195,17 +239,6 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
     result.verdict.merge(check_detection(hobs));
     result.health_observation = std::move(hobs);
   }
-  result.finished_at = finished;
-  result.recovery_ms =
-      finished > result.last_fault_end ? to_usec(finished - result.last_fault_end) / 1000.0
-                                       : 0.0;
-  if (config.record_spans) {
-    const obs::Tracer& tracer = scenario.kernel().tracer();
-    result.spans_recorded = tracer.spans_recorded();
-    result.spans_dropped = tracer.spans_dropped();
-    result.flight_recording = obs::to_chrome_trace(tracer);
-  }
-  result.observation = std::move(obs);
   return result;
 }
 

@@ -1,10 +1,12 @@
 // Chaos campaign runner: seeded trials over the dependability design space.
 //
-// One trial = build a replicated KV scenario, generate (or accept) a fault
-// schedule, run a recorded client workload through it, then judge the
-// completed run with the invariant oracles. A trial is reproducible from
-// (seed, config) alone — the schedule, the workload mix, every network
-// coin-flip and the final verdict all derive from them deterministically.
+// One trial = build a replicated KV harness (a single-group Scenario, or a
+// sharded cluster when shards > 1), generate (or accept) a fault schedule,
+// drive the harness's own client endpoints with recorded clients, then
+// judge the completed run with the invariant oracles. A trial is
+// reproducible from (seed, config) alone — the schedule, the workload mix,
+// every network coin-flip and the final verdict all derive from them
+// deterministically.
 //
 // A campaign sweeps trials across {replication style x replica count x
 // checkpoint frequency} and aggregates verdicts and recovery-time metrics
@@ -19,6 +21,7 @@
 #include "chaos/schedule.hpp"
 #include "monitor/metrics.hpp"
 #include "replication/types.hpp"
+#include "sim/trace.hpp"
 
 namespace vdep::chaos {
 
@@ -93,7 +96,8 @@ struct TrialResult {
 [[nodiscard]] TrialResult run_trial(const TrialConfig& config);
 
 // Runs one trial with an explicit schedule (the shrinker's entry point; also
-// how a minimal reproducer is replayed).
+// how a minimal reproducer is replayed), single-group or sharded alike. An
+// empty plan means "generate one from the seed", as above.
 [[nodiscard]] TrialResult run_trial(const TrialConfig& config,
                                     const net::FaultPlan& plan);
 

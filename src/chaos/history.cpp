@@ -1,8 +1,5 @@
 #include "chaos/history.hpp"
 
-#include "app/kv_store.hpp"
-#include "util/assert.hpp"
-
 namespace vdep::chaos {
 
 std::string client_log_key(int client_index) {
@@ -25,76 +22,43 @@ std::vector<std::string> parse_tokens(const std::string& log_value) {
   return out;
 }
 
-WorkloadClient::WorkloadClient(harness::Scenario& scenario, Config config, Rng rng)
-    : scenario_(scenario),
-      config_(config),
-      rng_(rng),
-      process_(scenario.kernel(), ProcessId{7000 + static_cast<std::uint64_t>(config.index)},
-               NodeId{static_cast<std::uint64_t>(config.index)},
-               "chaos-client" + std::to_string(config.index)),
-      orb_(scenario.network(), process_) {
-  VDEP_ASSERT_MSG(config_.index < scenario.config().clients,
-                  "one workload client per scenario client host");
-  orb_.use_transport(std::make_unique<replication::ClientCoordinator>(
-      scenario.network(), scenario.daemon_on(process_.host()), process_));
+RecordedClient::RecordedClient(sim::Process& process, Config config, Rng rng, Send send)
+    : process_(process), config_(std::move(config)), rng_(rng), send_(std::move(send)) {}
+
+void RecordedClient::start(SimTime at) {
+  process_.kernel().post_at(at, process_.guarded([this] { issue_next(); }));
 }
 
-void WorkloadClient::start() {
-  scenario_.kernel().post_at(config_.start_at + usec(125) * config_.index,
-                             process_.guarded([this] { issue_next(); }));
-}
-
-void WorkloadClient::issue_next() {
-  if (next_seq_ >= static_cast<std::uint64_t>(config_.ops)) return;
-  const std::uint64_t seq = next_seq_++;
-
+void RecordedClient::issue_next() {
+  if (history_.size() >= static_cast<std::size_t>(config_.ops)) return;
   OpRecord rec;
   rec.client = config_.index;
-  rec.seq = seq;
+  rec.seq = history_.size();
   rec.issued_at = process_.now();
 
   const double draw = rng_.uniform01();
-  Bytes args;
+  std::string value;
   if (draw < config_.append_ratio) {
     rec.op = "append";
     rec.key = client_log_key(config_.index);
-    rec.token = append_token(config_.index, seq);
-    args = app::KvStoreServant::encode_append(rec.key, rec.token);
-  } else if (draw < config_.append_ratio + (1.0 - config_.append_ratio) / 2.0) {
-    rec.op = "put";
-    rec.key = "kv:c" + std::to_string(config_.index) + ":" +
-              std::to_string(rng_.below(8));
-    args = app::KvStoreServant::encode_put(rec.key, "v" + std::to_string(seq));
+    rec.token = value = append_token(config_.index, rec.seq);
   } else {
-    rec.op = "get";
-    rec.key = "kv:c" + std::to_string(config_.index) + ":" +
-              std::to_string(rng_.below(8));
-    args = app::KvStoreServant::encode_key(rec.key);
+    rec.op = draw < config_.append_ratio + (1.0 - config_.append_ratio) / 2.0 ? "put" : "get";
+    rec.key = config_.key_prefix + std::to_string(rng_.below(config_.key_space));
+    if (rec.op == "put") value = "v" + std::to_string(rec.seq);
   }
-
-  const std::size_t slot = history_.size();
   history_.push_back(rec);
 
-  orb_.invoke(scenario_.object_ref(), rec.op, std::move(args),
-              [this, slot](orb::ReplyStatus status, Bytes /*body*/) {
-                OpRecord& done = history_[slot];
-                done.completed_at = process_.now();
-                done.ok = status == orb::ReplyStatus::kNoException;
-                last_completed_ = process_.now();
-                ++completed_;
-                if (scenario_.health_enabled()) {
-                  auto& metrics = scenario_.metrics();
-                  metrics.observe("service.latency_us",
-                                  to_usec(process_.now() - done.issued_at));
-                  metrics.add("service.requests");
-                  if (!done.ok) metrics.add("service.failures");
-                }
-                if (this->done()) {
-                  if (on_done) on_done();
-                } else {
-                  process_.post(config_.gap, [this] { issue_next(); });
-                }
-              });
+  send_(history_.back(), value, [this, slot = history_.size() - 1](bool ok) {
+    OpRecord& done = history_[slot];
+    done.completed_at = last_completed_ = process_.now();
+    done.ok = ok;
+    if (++completed_ == config_.ops) {
+      if (on_done) on_done();
+    } else {
+      process_.post(config_.gap, [this] { issue_next(); });
+    }
+  });
 }
 
 }  // namespace vdep::chaos

@@ -1,9 +1,12 @@
-// Chaos workload clients: closed-loop KV traffic with a recorded history.
+// Recorded chaos clients: closed-loop KV traffic with a recorded history.
 //
-// Each WorkloadClient is a real client process on a client host — its own
-// ORB and client-side replicator (ClientCoordinator), exactly like the
-// application clients in examples/kv_cluster.cpp — so retransmissions,
-// failovers and reply dedup all happen on the genuine code paths.
+// A RecordedClient runs on one of the harness's own client endpoints — a
+// real client process with its ORB and client-side replicator
+// (ClientCoordinator), the one harness::Fabric builds per client host — so
+// retransmissions, failovers and reply dedup all happen on the genuine code
+// paths. It only draws and records ops; the trial hands it a send function:
+// a single-group trial invokes the KvStore through the endpoint's ORB, a
+// sharded trial goes through the endpoint's shard router.
 //
 // The exactly-once oracle needs duplicated executions to be *visible in
 // state*, so the workload's backbone is "append" operations carrying unique
@@ -16,7 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "harness/scenario.hpp"
+#include "sim/actor.hpp"
+#include "util/rng.hpp"
 
 namespace vdep::chaos {
 
@@ -28,7 +32,7 @@ struct OpRecord {
   std::string token;         // append payload token, "" otherwise
   SimTime issued_at = kTimeZero;
   std::optional<SimTime> completed_at;
-  bool ok = false;  // reply status was kNoException
+  bool ok = false;  // the service answered without an error
 };
 
 // The log key replica state is audited under, and the token grammar.
@@ -37,22 +41,32 @@ struct OpRecord {
 // Splits a log value back into tokens ("[...]" concatenation).
 [[nodiscard]] std::vector<std::string> parse_tokens(const std::string& log_value);
 
-class WorkloadClient {
+class RecordedClient {
  public:
+  // Completes one op; ok = the service answered without an error.
+  using Done = std::function<void(bool ok)>;
+  // Hands one op to the service. `value` is the append token or put value
+  // ("" for a get).
+  using Send = std::function<void(const OpRecord& op, const std::string& value, Done done)>;
+
   struct Config {
     int index = 0;
     int ops = 100;
-    SimTime gap = msec(12);        // think time between completions
-    SimTime start_at = msec(250);  // after the group settles
-    double append_ratio = 0.7;     // rest split between put and get
+    SimTime gap = msec(12);     // think time between completions
+    double append_ratio = 0.7;  // rest split between put and get
+    // Put/get keys: key_prefix + a draw from [0, key_space).
+    std::string key_prefix = "k";
+    std::uint64_t key_space = 64;
   };
 
-  WorkloadClient(harness::Scenario& scenario, Config config, Rng rng);
+  // Runs on `process`, the client endpoint `send` talks through.
+  RecordedClient(sim::Process& process, Config config, Rng rng, Send send);
+  RecordedClient(const RecordedClient&) = delete;
+  RecordedClient& operator=(const RecordedClient&) = delete;
 
-  // Schedules the first request on the scenario kernel.
-  void start();
+  // Schedules the first op.
+  void start(SimTime at);
 
-  [[nodiscard]] bool done() const { return completed_ == config_.ops; }
   [[nodiscard]] int completed() const { return completed_; }
   [[nodiscard]] SimTime last_completed_at() const { return last_completed_; }
   [[nodiscard]] const std::vector<OpRecord>& history() const { return history_; }
@@ -63,12 +77,10 @@ class WorkloadClient {
  private:
   void issue_next();
 
-  harness::Scenario& scenario_;
+  sim::Process& process_;
   Config config_;
   Rng rng_;
-  sim::Process process_;
-  orb::ClientOrb orb_;
-  std::uint64_t next_seq_ = 0;
+  Send send_;
   int completed_ = 0;
   SimTime last_completed_ = kTimeZero;
   std::vector<OpRecord> history_;

@@ -47,7 +47,7 @@ net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
   std::vector<NodeId> replica_hosts;
   for (int r = 0; r < replicas; ++r) replica_hosts.push_back(scenario.replica_host(r));
   std::vector<NodeId> all_hosts;
-  for (int c = 0; c < clients; ++c) all_hosts.push_back(NodeId{static_cast<std::uint64_t>(c)});
+  for (int c = 0; c < clients; ++c) all_hosts.push_back(scenario.client_host(c));
   all_hosts.insert(all_hosts.end(), replica_hosts.begin(), replica_hosts.end());
 
   net::FaultPlan plan;

@@ -3,95 +3,12 @@
 #include <algorithm>
 #include <memory>
 
-#include "obs/export.hpp"
 #include "shard/cluster.hpp"
 #include "util/assert.hpp"
 
 namespace vdep::chaos {
 
 namespace {
-
-// A recorded workload client driving the shard router — the multi-group
-// counterpart of WorkloadClient. Appends carry unique tokens to the client's
-// log key (so lost/duplicated executions are visible in state); the rest of
-// the mix is puts/gets on a small shared key space that straddles shards.
-class RouterClient {
- public:
-  struct Config {
-    int index = 0;
-    int ops = 100;
-    SimTime gap = msec(12);
-    SimTime start_at = msec(300);
-    double append_ratio = 0.7;
-  };
-
-  RouterClient(shard::ShardedCluster& cluster, Config config, Rng rng)
-      : cluster_(cluster), config_(config), rng_(rng) {}
-
-  void start() {
-    cluster_.kernel().post_at(
-        config_.start_at + usec(137) * config_.index, [this] { issue_next(); });
-  }
-
-  [[nodiscard]] int completed() const { return completed_; }
-  [[nodiscard]] SimTime last_completed_at() const { return last_completed_; }
-  [[nodiscard]] const std::vector<OpRecord>& history() const { return history_; }
-
-  std::function<void()> on_done;
-
- private:
-  void issue_next() {
-    if (completed_ == config_.ops) {
-      if (on_done) on_done();
-      return;
-    }
-    const std::uint64_t seq = next_seq_++;
-    OpRecord rec;
-    rec.client = config_.index;
-    rec.seq = seq;
-    rec.issued_at = cluster_.kernel().now();
-
-    const double pick = rng_.uniform01();
-    if (pick < config_.append_ratio) {
-      rec.op = "append";
-      rec.key = client_log_key(config_.index);
-      rec.token = append_token(config_.index, seq);
-    } else if (pick < config_.append_ratio + (1.0 - config_.append_ratio) / 2) {
-      rec.op = "put";
-      rec.key = "k" + std::to_string(rng_.below(64));
-    } else {
-      rec.op = "get";
-      rec.key = "k" + std::to_string(rng_.below(64));
-    }
-    const std::size_t slot = history_.size();
-    history_.push_back(rec);
-
-    auto done = [this, slot](shard::ShardStatus status, const Bytes&) {
-      OpRecord& r = history_[slot];
-      r.completed_at = cluster_.kernel().now();
-      r.ok = status == shard::ShardStatus::kOk;
-      ++completed_;
-      last_completed_ = cluster_.kernel().now();
-      cluster_.kernel().post(config_.gap, [this] { issue_next(); });
-    };
-    auto& router = cluster_.router(config_.index);
-    if (rec.op == "append") {
-      router.append(rec.key, rec.token, done);
-    } else if (rec.op == "put") {
-      router.put(rec.key, "v" + std::to_string(seq), done);
-    } else {
-      router.get(rec.key, done);
-    }
-  }
-
-  shard::ShardedCluster& cluster_;
-  Config config_;
-  Rng rng_;
-  std::uint64_t next_seq_ = 0;
-  int completed_ = 0;
-  SimTime last_completed_ = kTimeZero;
-  std::vector<OpRecord> history_;
-};
 
 // Draws the fault budget into the split windows: crashes strike while a
 // range is frozen/donated/installed, partitions and loss bursts silence
@@ -111,16 +28,23 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
   };
 
   const auto groups = cluster.data_groups();
-  std::set<std::uint64_t> server_host_set;
+  std::set<NodeId> server_host_set;
   for (GroupId g : groups) {
     for (int n = 0; n < cluster.replicas_in(g); ++n) {
-      server_host_set.insert(cluster.replica_process(g, n).host().value());
+      server_host_set.insert(cluster.replica_process(g, n).host());
     }
   }
-  std::vector<NodeId> server_hosts;
-  for (std::uint64_t h : server_host_set) server_hosts.push_back(NodeId{h});
+  const std::vector<NodeId> server_hosts(server_host_set.begin(), server_host_set.end());
 
   int slot = 0;
+  // A windowed fault's [strike, lift): it strikes up to `spread_ms` into the
+  // next split window.
+  auto fault_window = [&](std::uint64_t spread_ms) {
+    const SimTime at = window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(spread_ms)));
+    const SimTime dur =
+        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
+    return std::pair{at, at + dur};
+  };
   for (int i = 0; i < p.crash_recoveries; ++i) {
     const GroupId group = groups[static_cast<std::size_t>(i) % groups.size()];
     const int node =
@@ -135,51 +59,34 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
   for (int i = 0; i < p.partitions && server_hosts.size() > 1; ++i) {
     const NodeId victim =
         server_hosts[rng.below(static_cast<std::uint64_t>(server_hosts.size()))];
-    std::set<NodeId> side_a{victim};
-    std::set<NodeId> side_b;
-    for (NodeId h : server_hosts) {
-      if (h != victim) side_b.insert(h);
-    }
-    const SimTime at =
-        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(200)));
-    const SimTime dur =
-        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
-    plan.partition_window(at, at + dur, std::move(side_a), std::move(side_b));
+    std::set<NodeId> rest(server_hosts.begin(), server_hosts.end());
+    rest.erase(victim);
+    const auto [from, to] = fault_window(200);
+    plan.partition_window(from, to, {victim}, std::move(rest));
   }
   for (int i = 0; i < p.loss_bursts && server_hosts.size() > 1; ++i) {
     const std::size_t a = rng.below(static_cast<std::uint64_t>(server_hosts.size()));
     std::size_t b = rng.below(static_cast<std::uint64_t>(server_hosts.size() - 1));
     if (b >= a) ++b;
-    const SimTime at =
-        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(250)));
-    const SimTime dur =
-        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
-    plan.loss_burst(at, at + dur, server_hosts[a], server_hosts[b],
+    const auto [from, to] = fault_window(250);
+    plan.loss_burst(from, to, server_hosts[a], server_hosts[b],
                     rng.uniform(p.min_loss, p.max_loss));
   }
   for (int i = 0; i < p.slow_hosts && !server_hosts.empty(); ++i) {
     const NodeId host =
         server_hosts[rng.below(static_cast<std::uint64_t>(server_hosts.size()))];
-    const SimTime at =
-        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(300)));
-    const SimTime dur =
-        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
-    plan.slow_host(at, at + dur, host, rng.uniform(p.min_slow, p.max_slow));
+    const auto [from, to] = fault_window(300);
+    plan.slow_host(from, to, host, rng.uniform(p.min_slow, p.max_slow));
   }
   return plan;
 }
 
-// Split-picking context kept alive for the posted split events.
-struct SplitContext {
-  Rng rng{1};
-  int scheduled = 0;
-};
-
-void schedule_splits(shard::ShardedCluster& cluster, const TrialConfig& config,
-                     std::shared_ptr<SplitContext> ctx,
+// Posts one online split per split time; `rng` picks the fallback shards
+// and must outlive the cluster's kernel.
+void schedule_splits(shard::ShardedCluster& cluster, Rng& rng,
                      const std::vector<SimTime>& split_times) {
   for (std::size_t j = 0; j < split_times.size(); ++j) {
-    cluster.kernel().post_at(split_times[j], [&cluster, ctx, j] {
+    cluster.kernel().post_at(split_times[j], [&cluster, &rng, j] {
       const shard::ShardMap& map = cluster.directory_map();
       const auto& entries = map.entries();
       const shard::ShardEntry* pickd = nullptr;
@@ -198,7 +105,7 @@ void schedule_splits(shard::ShardedCluster& cluster, const TrialConfig& config,
       if (pickd == nullptr) {
         // Deterministic fallback: a random splittable shard, cut mid-range.
         for (std::size_t tries = 0; tries < entries.size(); ++tries) {
-          const auto& e = entries[ctx->rng.below(entries.size())];
+          const auto& e = entries[rng.below(entries.size())];
           if (e.range.lo < e.range.hi) {
             pickd = &e;
             point = e.range.lo +
@@ -209,17 +116,32 @@ void schedule_splits(shard::ShardedCluster& cluster, const TrialConfig& config,
         }
       }
       if (pickd == nullptr) return;  // nothing splittable (degenerate map)
-      shard::ShardPolicy policy = cluster.config().default_policy;
-      cluster.split_shard(pickd->shard, point, policy);
-      ++ctx->scheduled;
+      cluster.split_shard(pickd->shard, point, cluster.config().default_policy);
     });
   }
 }
 
+// Sends recorded ops through a client endpoint's shard router.
+RecordedClient::Send router_sender(shard::ShardRouter& router) {
+  return [&router](const OpRecord& op, const std::string& value, RecordedClient::Done done) {
+    auto reply = [done = std::move(done)](shard::ShardStatus status, const Bytes&) {
+      done(status == shard::ShardStatus::kOk);
+    };
+    if (op.op == "append") {
+      router.append(op.key, value, std::move(reply));
+    } else if (op.op == "put") {
+      router.put(op.key, value, std::move(reply));
+    } else {
+      router.get(op.key, std::move(reply));
+    }
+  };
+}
+
 }  // namespace
 
-TrialResult run_shard_trial(const TrialConfig& config) {
+TrialResult run_shard_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   VDEP_ASSERT(config.shards > 1);
+  Rng split_rng = Rng(config.seed).fork(0x59117);
 
   shard::ShardedClusterConfig cc;
   cc.seed = config.seed;
@@ -239,63 +161,44 @@ TrialResult run_shard_trial(const TrialConfig& config) {
   for (int j = 0; j < config.splits; ++j) {
     split_times.push_back(msec(600) + msec(900) * j);
   }
-  auto split_ctx = std::make_shared<SplitContext>();
-  split_ctx->rng = Rng(config.seed).fork(0x59117);
-  schedule_splits(cluster, config, split_ctx, split_times);
+  schedule_splits(cluster, split_rng, split_times);
 
-  if (config.faults.total_actions() > 0) {
+  if (!plan.empty()) {
+    cluster.fault_plan() = plan;
+  } else if (config.faults.total_actions() > 0) {
     Rng fault_rng = Rng(config.seed).fork(0xfa017);
     cluster.fault_plan() = make_shard_plan(fault_rng, config, cluster, split_times);
   }
-  const net::FaultPlan plan = cluster.fault_plan();
+  const net::FaultPlan& active_plan = cluster.fault_plan();
   cluster.arm_faults();
 
-  // Workload.
-  std::vector<std::unique_ptr<RouterClient>> clients;
-  int remaining = config.clients;
-  for (int c = 0; c < config.clients; ++c) {
-    RouterClient::Config wc;
-    wc.index = c;
-    wc.ops = config.ops_per_client;
-    wc.gap = config.op_gap;
-    wc.append_ratio = config.append_ratio;
-    auto client = std::make_unique<RouterClient>(
-        cluster, wc, Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
-    client->on_done = [&cluster, &remaining] {
-      if (--remaining == 0) cluster.kernel().stop();
-    };
-    client->start();
-    clients.push_back(std::move(client));
-  }
-
   const SimTime last_split = split_times.empty() ? kTimeZero : split_times.back();
-  const SimTime deadline = std::max(
-      {config.hard_deadline, last_split + sec(6),
-       cluster.fault_plan().last_effect_end() + config.recovery_bound + sec(2)});
-  cluster.kernel().run_until(deadline);
-  const bool all_done = remaining == 0;
-  // Let in-flight migrations finish (they are bounded by step retries), then
-  // settle replies and joins.
-  for (int i = 0; i < 20 && !cluster.migration().idle(); ++i) cluster.drain(msec(500));
-  cluster.drain(msec(500));
-
-  // Observation.
-  TrialResult result;
-  result.plan = plan;
-  result.last_fault_end = plan.last_effect_end();
-
-  TrialObservation obs;
-  obs.recovery_bound = config.recovery_bound;
-  obs.all_clients_done = all_done;
-  SimTime finished = all_done ? kTimeZero : deadline;
-  for (const auto& client : clients) {
-    const auto& h = client->history();
-    obs.history.insert(obs.history.end(), h.begin(), h.end());
-    result.completed_ops += static_cast<std::uint64_t>(client->completed());
-    finished = std::max(finished, client->last_completed_at());
-  }
-  obs.finished_at = finished;
-  obs.last_fault_end = result.last_fault_end;
+  TrialResult result = drive_trial(
+      config,
+      {.kernel = cluster.kernel(),
+       .plan = active_plan,
+       .deadline = std::max({config.hard_deadline, last_split + sec(6),
+                             active_plan.last_effect_end() + config.recovery_bound + sec(2)}),
+       .first_op = msec(300),
+       .stagger = usec(137),
+       .client =
+           [&cluster](RecordedClient::Config rc, Rng rng) {
+             // Puts and gets use the default key space ("k0".."k63"), shared
+             // by all clients and straddling shards.
+             return std::make_unique<RecordedClient>(cluster.client_orb(rc.index).process(),
+                                                     std::move(rc), rng,
+                                                     router_sender(cluster.router(rc.index)));
+           },
+       .settle =
+           [&cluster] {
+             // Let in-flight migrations finish (they are bounded by step
+             // retries), then settle replies and joins.
+             for (int i = 0; i < 20 && !cluster.migration().idle(); ++i) {
+               cluster.drain(msec(500));
+             }
+             cluster.drain(msec(500));
+           }});
+  TrialObservation& obs = result.observation;
 
   ShardObservation sobs;
   sobs.initial_epoch = cluster.initial_map().epoch();
@@ -309,7 +212,6 @@ TrialResult run_shard_trial(const TrialConfig& config) {
   }
   if (!cluster.migration().idle()) ++sobs.migrations_attempted;  // stuck job
 
-  int pseudo_index = 0;
   for (GroupId g : cluster.data_groups()) {
     ShardObservation::GroupState gs;
     gs.group = g;
@@ -336,32 +238,17 @@ TrialResult run_shard_trial(const TrialConfig& config) {
       }
       for (const auto& [key, value] : servant.store().items()) gs.keys.insert(key);
     }
-    sobs.groups.push_back(std::move(gs));
-
-    TrialObservation::ReplicaState rs;
-    rs.index = pseudo_index++;
-    rs.live = sobs.groups.back().any_live;
-    rs.initialized = true;
-    rs.responder = rs.live;
+    TrialObservation::ReplicaState rs;  // one pseudo-replica per group
+    rs.index = static_cast<int>(obs.replicas.size());
+    rs.live = rs.responder = gs.any_live;
     obs.replicas.push_back(std::move(rs));
+    sobs.groups.push_back(std::move(gs));
   }
 
   result.verdict = check_shard_ownership(sobs);
   result.verdict.merge(check_shard_migration_integrity(obs, sobs));
   result.verdict.merge(check_bounded_recovery(obs));
 
-  result.finished_at = finished;
-  result.recovery_ms =
-      finished > result.last_fault_end
-          ? to_usec(finished - result.last_fault_end) / 1000.0
-          : 0.0;
-  if (config.record_spans) {
-    const obs::Tracer& tracer = cluster.kernel().tracer();
-    result.spans_recorded = tracer.spans_recorded();
-    result.spans_dropped = tracer.spans_dropped();
-    result.flight_recording = obs::to_chrome_trace(tracer);
-  }
-  result.observation = std::move(obs);
   result.shard_observation = std::move(sobs);
   return result;
 }

@@ -168,6 +168,10 @@ class Scenario final {
   [[nodiscard]] app::TestServant& servant(int index);
   [[nodiscard]] sim::Process& replica_process(int index) { return group_->node(index).process; }
   [[nodiscard]] gcs::Daemon& daemon_on(NodeId host) { return fabric_.daemon_on(host); }
+  // Client endpoint i (on client host i): its ORB invokes through the
+  // scenario's transport, so callers can drive their own operations.
+  [[nodiscard]] orb::ClientOrb& client_orb(int i) { return fabric_.client(i).orb; }
+  [[nodiscard]] NodeId client_host(int i) const { return fabric_.client_host(i); }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] orb::ObjectRef object_ref() const;
   [[nodiscard]] int live_replicas() const { return group_->live_count(); }

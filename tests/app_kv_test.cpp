@@ -172,14 +172,8 @@ TEST(KvStore, ReplicatedClusterSurvivesPrimaryCrash) {
   scenario.kernel().run_until(msec(300));  // group forms
 
   // The scenario's built-in drivers speak the micro-benchmark protocol, so
-  // drive typed KV operations through a hand-assembled client: a process, a
-  // client ORB, and a replicated (coordinator) transport — the same pieces
-  // an application would wire up.
-  sim::Process client_process(scenario.kernel(), ProcessId{7777}, NodeId{0},
-                              "kv-client");
-  orb::ClientOrb orb(scenario.network(), client_process);
-  orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-      scenario.network(), scenario.daemon_on(NodeId{0}), client_process));
+  // drive typed KV operations through its client endpoint's ORB directly.
+  orb::ClientOrb& orb = scenario.client_orb(0);
 
   int replies = 0;
   std::string read_back;

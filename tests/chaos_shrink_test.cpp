@@ -32,7 +32,7 @@ net::FaultPlan noisy_failing_plan(const TrialConfig& config) {
   net::FaultPlan plan;
   plan.slow_host(msec(320), msec(480), probe.replica_host(1), 3.0);
   plan.partition_window(msec(500), msec(950),
-                        {NodeId{0}, NodeId{1}},
+                        {probe.client_host(0), probe.client_host(1)},
                         {probe.replica_host(0), probe.replica_host(1),
                          probe.replica_host(2)});
   plan.loss_burst(msec(1100), msec(1250), probe.replica_host(1),

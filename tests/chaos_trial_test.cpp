@@ -49,7 +49,7 @@ net::FaultPlan reply_loss_partition_plan(const TrialConfig& config) {
   sc.style = config.style;
   harness::Scenario probe(sc);
   std::set<NodeId> client_hosts, replica_hosts;
-  for (int c = 0; c < config.clients; ++c) client_hosts.insert(NodeId{static_cast<std::uint64_t>(c)});
+  for (int c = 0; c < config.clients; ++c) client_hosts.insert(probe.client_host(c));
   for (int r = 0; r < config.replicas; ++r) replica_hosts.insert(probe.replica_host(r));
   net::FaultPlan plan;
   plan.partition_window(msec(500), msec(950), client_hosts, replica_hosts);
@@ -155,6 +155,26 @@ TEST(ChaosTrial, CampaignSweepCoversTheDesignSpace) {
         << code;
   }
   EXPECT_EQ(result.recovery_series.points().size(), 10u);
+}
+
+// A sharded trial replays the plan it is given instead of regenerating one
+// from the seed, so shrinking a sharded failure probes the real candidates.
+TEST(ChaosTrial, ShardedTrialReplaysAnExplicitPlan) {
+  TrialConfig config = small_trial(13);
+  config.shards = 4;
+  config.replicas = 2;
+  const TrialResult faulted = run_trial(config);
+  const auto& actions = faulted.plan.actions();
+  ASSERT_GE(actions.size(), 3u);
+  ASSERT_EQ(actions[0].kind, net::FaultAction::Kind::kCrashProcess);
+  ASSERT_EQ(actions[1].kind, net::FaultAction::Kind::kRestartProcess);
+
+  net::FaultPlan pair;
+  pair.add(actions[0]);
+  pair.add(actions[1]);
+  const TrialResult replay = run_trial(config, pair);
+  EXPECT_EQ(replay.plan, pair) << replay.plan.to_string();
+  EXPECT_TRUE(replay.pass()) << replay.verdict.to_string();
 }
 
 }  // namespace
