@@ -56,12 +56,18 @@ TEST_P(FailoverTest, PrimaryCrashMidCycleStillCompletesExactlyOnce) {
   }
 }
 
+// Static storage zero-fills the padding after `style`; gtest prints the
+// parameter's raw bytes into the test name, so stack-built cases would give
+// names that change from build to build.
+constexpr FailoverCase kFailoverCases[] = {
+    {ReplicationStyle::kActive, "active"},
+    {ReplicationStyle::kSemiActive, "semi_active"},
+    {ReplicationStyle::kWarmPassive, "warm_passive"},
+    {ReplicationStyle::kColdPassive, "cold_passive"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllStyles, FailoverTest,
-    ::testing::Values(FailoverCase{ReplicationStyle::kActive, "active"},
-                      FailoverCase{ReplicationStyle::kSemiActive, "semi_active"},
-                      FailoverCase{ReplicationStyle::kWarmPassive, "warm_passive"},
-                      FailoverCase{ReplicationStyle::kColdPassive, "cold_passive"}),
+    AllStyles, FailoverTest, ::testing::ValuesIn(kFailoverCases),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Failover, ActiveAbsorbsCrashWithoutRetransmissions) {

@@ -58,12 +58,18 @@ TEST_P(StylesTest, CycleCompletesWithConsistentReplicas) {
   }
 }
 
+// Static storage zero-fills the padding after `style`; gtest prints the
+// parameter's raw bytes into the test name, so stack-built cases would give
+// names that change from build to build.
+constexpr StyleCase kStyleCases[] = {
+    {ReplicationStyle::kActive, "active"},
+    {ReplicationStyle::kSemiActive, "semi_active"},
+    {ReplicationStyle::kWarmPassive, "warm_passive"},
+    {ReplicationStyle::kColdPassive, "cold_passive"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllStyles, StylesTest,
-    ::testing::Values(StyleCase{ReplicationStyle::kActive, "active"},
-                      StyleCase{ReplicationStyle::kSemiActive, "semi_active"},
-                      StyleCase{ReplicationStyle::kWarmPassive, "warm_passive"},
-                      StyleCase{ReplicationStyle::kColdPassive, "cold_passive"}),
+    AllStyles, StylesTest, ::testing::ValuesIn(kStyleCases),
     [](const auto& info) { return std::string(info.param.name); });
 
 ExperimentResult run_style(ReplicationStyle style, int clients, int replicas,
