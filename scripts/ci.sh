@@ -20,7 +20,9 @@ for arg in "$@"; do
 done
 
 echo "== tier-1 (default build) =="
-cmake -B "${repo_root}/build" -S "${repo_root}"
+# Warnings are errors on the default build; the sanitizer and benchmark
+# trees below keep the toolchain's default.
+cmake -B "${repo_root}/build" -S "${repo_root}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${repo_root}/build" -j"${jobs}"
 ctest --test-dir "${repo_root}/build" -L tier1 --output-on-failure -j"${jobs}"
 

@@ -86,7 +86,6 @@ void AdaptationManager::evaluate() {
            replicator_.process().name() + " policy '" + policy_->name() +
                "' requests switch to " + replication::to_string(*desired) +
                " (rate=" + std::to_string(s.request_rate) + " req/s)");
-  ++initiated_;
   span.note("action", "initiated");
   obs::Tracer::Scope scope(tracer, span.context());
   replicator_.request_style_switch(*desired);

@@ -46,7 +46,6 @@ class AdaptationManager {
   void set_policy(std::unique_ptr<AdaptationPolicy> policy);
 
   [[nodiscard]] const AdaptationPolicy& policy() const { return *policy_; }
-  [[nodiscard]] std::uint64_t switches_initiated() const { return initiated_; }
 
  private:
   void evaluate();
@@ -56,7 +55,6 @@ class AdaptationManager {
   const monitor::health::HealthMonitor* health_ = nullptr;
   std::unique_ptr<AdaptationPolicy> policy_;
   SimTime interval_;
-  std::uint64_t initiated_ = 0;
 };
 
 }  // namespace vdep::adaptive

@@ -2,25 +2,29 @@
 
 namespace vdep::adaptive {
 
+namespace {
+constexpr double kBurnDegraded = 1.0;  // slo_burn at/above this degrades
+constexpr double kPhiDegraded = 8.0;   // max_phi at/above this degrades
+}  // namespace
+
 RateThresholdPolicy::RateThresholdPolicy(Config config)
-    : config_(config),
-      watcher_(config.low_rate, config.high_rate, config.min_dwell) {}
+    : watcher_(config.low_rate, config.high_rate, config.min_dwell) {}
 
 std::optional<replication::ReplicationStyle> RateThresholdPolicy::evaluate(
     const Signals& s) {
   auto transition = watcher_.update(s.now, s.request_rate);
   if (!transition) return std::nullopt;
-  return *transition == monitor::ThresholdWatcher::State::kHigh ? config_.high_style
-                                                                : config_.low_style;
+  return *transition == monitor::ThresholdWatcher::State::kHigh
+             ? replication::ReplicationStyle::kActive
+             : replication::ReplicationStyle::kWarmPassive;
 }
 
 HealthThresholdPolicy::HealthThresholdPolicy(Config config) : config_(config) {}
 
 std::optional<replication::ReplicationStyle> HealthThresholdPolicy::evaluate(
     const Signals& s) {
-  const bool at_risk =
-      s.slo_burn >= config_.burn_degraded || s.max_phi >= config_.phi_degraded ||
-      (config_.degrade_on_suspect && s.suspected_replicas > 0);
+  const bool at_risk = s.slo_burn >= kBurnDegraded || s.max_phi >= kPhiDegraded ||
+                       s.suspected_replicas > 0;
   if (at_risk == degraded_) return std::nullopt;
   // Degrading is urgent (dependability is at risk now); recovering respects
   // the dwell so a clearing-then-reappearing signal cannot thrash.
@@ -31,7 +35,8 @@ std::optional<replication::ReplicationStyle> HealthThresholdPolicy::evaluate(
   degraded_ = at_risk;
   transitioned_once_ = true;
   last_transition_ = s.now;
-  return degraded_ ? config_.degraded_style : config_.normal_style;
+  return degraded_ ? replication::ReplicationStyle::kActive
+                   : replication::ReplicationStyle::kWarmPassive;
 }
 
 std::optional<replication::ReplicationStyle> ModePolicy::evaluate(const Signals&) {

@@ -51,8 +51,6 @@ class RateThresholdPolicy final : public AdaptationPolicy {
     double high_rate = 600.0;  // req/s: switch to active above this
     double low_rate = 350.0;   // req/s: switch back to passive below this
     SimTime min_dwell = msec(500);
-    replication::ReplicationStyle high_style = replication::ReplicationStyle::kActive;
-    replication::ReplicationStyle low_style = replication::ReplicationStyle::kWarmPassive;
   };
 
   RateThresholdPolicy() : RateThresholdPolicy(Config{}) {}
@@ -62,7 +60,6 @@ class RateThresholdPolicy final : public AdaptationPolicy {
   std::optional<replication::ReplicationStyle> evaluate(const Signals& s) override;
 
  private:
-  Config config_;
   monitor::ThresholdWatcher watcher_;
 };
 
@@ -75,14 +72,7 @@ class RateThresholdPolicy final : public AdaptationPolicy {
 class HealthThresholdPolicy final : public AdaptationPolicy {
  public:
   struct Config {
-    double burn_degraded = 1.0;  // slo_burn at/above this degrades
-    double phi_degraded = 8.0;   // max_phi at/above this degrades
-    bool degrade_on_suspect = true;
     SimTime min_dwell = msec(500);
-    replication::ReplicationStyle degraded_style =
-        replication::ReplicationStyle::kActive;
-    replication::ReplicationStyle normal_style =
-        replication::ReplicationStyle::kWarmPassive;
   };
 
   HealthThresholdPolicy() : HealthThresholdPolicy(Config{}) {}

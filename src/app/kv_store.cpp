@@ -5,7 +5,11 @@
 
 namespace vdep::app {
 
-KvStoreServant::KvStoreServant(Config config) : config_(config) {}
+namespace {
+// Simulated CPU time per operation: a read costs calib::kAppProcessing, a
+// write three times that.
+constexpr SimTime kWriteTime = calib::kAppProcessing * 3;
+}  // namespace
 
 orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
                                             const Bytes& args) {
@@ -15,7 +19,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
     if (operation == "put") {
       const std::string key = r.string();
       const std::string value = r.string();
-      result.cpu_time = config_.write_time;
+      result.cpu_time = kWriteTime;
       const bool existed = data_.contains(key);
       data_[key] = value;
       mark_written(key);
@@ -27,7 +31,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
     if (operation == "append") {
       const std::string key = r.string();
       const std::string value = r.string();
-      result.cpu_time = config_.write_time;
+      result.cpu_time = kWriteTime;
       std::string& cell = data_[key];
       cell += value;
       mark_written(key);
@@ -38,7 +42,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
     }
     if (operation == "get") {
       const std::string key = r.string();
-      result.cpu_time = config_.read_time;
+      result.cpu_time = calib::kAppProcessing;
       orb::CdrWriter w;
       auto it = data_.find(key);
       w.boolean(it != data_.end());
@@ -48,7 +52,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
     }
     if (operation == "erase") {
       const std::string key = r.string();
-      result.cpu_time = config_.write_time;
+      result.cpu_time = kWriteTime;
       orb::CdrWriter w;
       const bool existed = data_.erase(key) > 0;
       if (existed) mark_erased(key);
@@ -57,7 +61,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       return result;
     }
     if (operation == "size") {
-      result.cpu_time = config_.read_time;
+      result.cpu_time = calib::kAppProcessing;
       orb::CdrWriter w;
       w.ulong(static_cast<std::uint32_t>(data_.size()));
       result.output = std::move(w).take();

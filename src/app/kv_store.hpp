@@ -27,15 +27,6 @@ namespace vdep::app {
 
 class KvStoreServant final : public replication::Checkpointable {
  public:
-  struct Config {
-    // Simulated CPU time per operation (writes cost more than reads).
-    SimTime read_time = calib::kAppProcessing;
-    SimTime write_time = calib::kAppProcessing * 3;
-  };
-
-  KvStoreServant() : KvStoreServant(Config{}) {}
-  explicit KvStoreServant(Config config);
-
   Result invoke(const std::string& operation, const Bytes& args) override;
 
   [[nodiscard]] Bytes snapshot() const override;
@@ -79,7 +70,6 @@ class KvStoreServant final : public replication::Checkpointable {
   void mark_written(const std::string& key);
   void mark_erased(const std::string& key);
 
-  Config config_;
   std::map<std::string, std::string> data_;
 
   // Dirty-key tracking. `epoch_` is the open (still-mutating) epoch;

@@ -11,7 +11,7 @@ TestServant::TestServant(Config config)
 orb::Servant::Result TestServant::invoke(const std::string& operation,
                                          const Bytes& args) {
   Result result;
-  result.cpu_time = config_.exec_time;
+  result.cpu_time = calib::kAppProcessing;
 
   if (operation == "process") {
     ++counter_;

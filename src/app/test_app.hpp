@@ -19,7 +19,6 @@ class TestServant final : public replication::Checkpointable {
   struct Config {
     std::size_t state_bytes = calib::kDefaultStateBytes;
     std::size_t reply_bytes = calib::kDefaultReplyBytes;
-    SimTime exec_time = calib::kAppProcessing;
   };
 
   TestServant() : TestServant(Config{}) {}

@@ -6,6 +6,12 @@
 
 namespace vdep::app {
 
+namespace {
+// Cap on in-flight requests so an overloaded passive server degrades by
+// queueing at the client, as a real ORB connection pool would.
+constexpr std::uint64_t kMaxOutstanding = 64;
+}  // namespace
+
 RatePlan::RatePlan(std::vector<Segment> segments) : segments_(std::move(segments)) {
   VDEP_ASSERT(std::is_sorted(segments_.begin(), segments_.end(),
                              [](const Segment& a, const Segment& b) {
@@ -73,7 +79,7 @@ void OpenLoopClient::schedule_next_arrival() {
 }
 
 void OpenLoopClient::issue() {
-  if (outstanding_ >= config_.max_outstanding) {
+  if (outstanding_ >= kMaxOutstanding) {
     ++suppressed_;
     return;
   }

@@ -47,9 +47,6 @@ class OpenLoopClient {
   struct Config {
     std::size_t request_bytes = calib::kDefaultRequestBytes;
     SimTime duration = sec(30);
-    // Cap on in-flight requests so an overloaded passive server degrades by
-    // queueing at the client, as a real ORB connection pool would.
-    std::size_t max_outstanding = 64;
   };
 
   OpenLoopClient(orb::ClientOrb& orb, orb::ObjectRef ref, RatePlan plan, Config config,

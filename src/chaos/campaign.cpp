@@ -17,6 +17,8 @@ namespace vdep::chaos {
 
 namespace {
 
+constexpr SimTime kOpGap = msec(12);  // client think time between ops
+
 // splitmix64: decorrelates per-trial seeds derived from one campaign seed.
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t index) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (index + 1);
@@ -94,7 +96,7 @@ TrialResult drive_trial(const TrialConfig& config, const TrialKind& kind) {
   int remaining = config.clients;
   for (int c = 0; c < config.clients; ++c) {
     auto client = kind.client(
-        {.index = c, .ops = config.ops_per_client, .gap = config.op_gap,
+        {.index = c, .ops = config.ops_per_client, .gap = kOpGap,
          .append_ratio = config.append_ratio},
         Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
     client->on_done = [&kind, &remaining] {
@@ -178,7 +180,7 @@ TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
       config,
       {.kernel = scenario.kernel(),
        .plan = active_plan,
-       .deadline = std::max(config.hard_deadline,
+       .deadline = std::max(kTrialHardDeadline,
                             active_plan.last_effect_end() + config.recovery_bound + sec(2)),
        .first_op = msec(250),
        .stagger = usec(125),

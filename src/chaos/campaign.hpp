@@ -37,14 +37,12 @@ struct TrialConfig {
   std::uint32_t checkpoint_anchor_interval = 1;
 
   int ops_per_client = 100;
-  SimTime op_gap = msec(12);
   double append_ratio = 0.7;
 
   SchedulePolicy faults;
 
   // Judging knobs.
   SimTime recovery_bound = sec(12);  // client retry budget is ~10 s
-  SimTime hard_deadline = sec(25);   // absolute per-trial cutoff
 
   // Deliberate safety bug (reply dedup disabled) — used to validate that
   // the oracles actually catch violations. See ReplicatorParams.

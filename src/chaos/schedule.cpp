@@ -52,7 +52,7 @@ net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
 
   net::FaultPlan plan;
   std::set<int> killed;  // replica indexes permanently lost
-  SimTime cursor = policy.window_start;
+  SimTime cursor = kWindowStart;
 
   auto pick_survivor = [&](Rng& r) {
     // A replica index that is not permanently gone.
@@ -64,35 +64,35 @@ net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
   };
 
   for (Slot slot : slots) {
-    const SimTime at = cursor + uniform_time(rng, kTimeZero, policy.min_gap);
+    const SimTime at = cursor + uniform_time(rng, kTimeZero, kMinGap);
     switch (slot) {
       case Slot::kCrashRecovery: {
         const int victim = pick_survivor(rng);
-        const SimTime down = uniform_time(rng, policy.min_down, policy.max_down);
+        const SimTime down = uniform_time(rng, kMinDown, kMaxDown);
         plan.crash_process(at, scenario.replica_pid(victim));
         plan.restart_process(at + down, scenario.replica_pid(victim));
-        cursor = at + down + policy.min_gap;
+        cursor = at + down + kMinGap;
         break;
       }
       case Slot::kNodeKill: {
         const int victim = pick_survivor(rng);
         killed.insert(victim);
         plan.crash_node(at, scenario.replica_host(victim));
-        cursor = at + policy.min_gap;
+        cursor = at + kMinGap;
         break;
       }
       case Slot::kLossBurst: {
-        const SimTime dur = uniform_time(rng, policy.min_window, policy.max_window);
+        const SimTime dur = uniform_time(rng, kMinWindow, kMaxWindow);
         const std::size_t a = rng.below(all_hosts.size());
         std::size_t b = rng.below(all_hosts.size() - 1);
         if (b >= a) ++b;
         plan.loss_burst(at, at + dur, all_hosts[a], all_hosts[b],
-                        rng.uniform(policy.min_loss, policy.max_loss));
-        cursor = at + dur + policy.min_gap;
+                        rng.uniform(kMinLoss, kMaxLoss));
+        cursor = at + dur + kMinGap;
         break;
       }
       case Slot::kPartition: {
-        const SimTime dur = uniform_time(rng, policy.min_window, policy.max_window);
+        const SimTime dur = uniform_time(rng, kMinWindow, kMaxWindow);
         // Far side: a nonempty subset of replica hosts; near side: everything
         // else. Isolating every replica is allowed — the window is shorter
         // than both the suspicion threshold and the clients' retry budget.
@@ -107,13 +107,13 @@ net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
         }
         if (near.empty()) break;  // degenerate single-host topologies
         plan.partition_window(at, at + dur, far, near);
-        cursor = at + dur + policy.min_gap;
+        cursor = at + dur + kMinGap;
         break;
       }
       case Slot::kSlowHost: {
-        const SimTime dur = uniform_time(rng, policy.min_window, policy.max_window);
+        const SimTime dur = uniform_time(rng, kMinWindow, kMaxWindow);
         plan.slow_host(at, at + dur, all_hosts[rng.below(all_hosts.size())],
-                       rng.uniform(policy.min_slow, policy.max_slow));
+                       rng.uniform(kMinSlow, kMaxSlow));
         // Performance faults silence nobody; no quiet gap needed, but the
         // cursor still advances so schedules stay spread out.
         cursor = at + dur;

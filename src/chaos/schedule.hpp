@@ -28,25 +28,25 @@ class Scenario;
 
 namespace vdep::chaos {
 
-// Fault budget and timing envelope for one generated schedule.
+// Timing and strength envelope of every generated schedule.
+inline constexpr SimTime kWindowStart = msec(300);  // first fault strikes at/after this
+inline constexpr SimTime kMinWindow = msec(100);    // windowed fault duration bounds
+inline constexpr SimTime kMaxWindow = msec(400);    // < detector threshold (500 ms)
+inline constexpr SimTime kMinGap = msec(200);       // quiet gap between silencing faults
+inline constexpr SimTime kMinDown = msec(150);      // crash -> restart delay bounds
+inline constexpr SimTime kMaxDown = msec(400);
+inline constexpr double kMinLoss = 0.4;  // loss-burst probability bounds
+inline constexpr double kMaxLoss = 1.0;
+inline constexpr double kMinSlow = 2.0;  // slow-host factor bounds
+inline constexpr double kMaxSlow = 8.0;
+
+// Fault budget for one generated schedule.
 struct SchedulePolicy {
   int crash_recoveries = 1;  // crash+restart pairs on replica processes
   int node_kills = 0;        // permanent replica-host losses
   int loss_bursts = 2;
   int partitions = 1;
   int slow_hosts = 1;
-
-  SimTime window_start = msec(300);  // first fault strikes at/after this
-  SimTime min_window = msec(100);    // windowed fault duration bounds
-  SimTime max_window = msec(400);    // < detector threshold (500 ms)
-  SimTime min_gap = msec(200);       // quiet gap between silencing faults
-  SimTime min_down = msec(150);      // crash -> restart delay bounds
-  SimTime max_down = msec(400);
-
-  double min_loss = 0.4;  // loss-burst probability bounds
-  double max_loss = 1.0;
-  double min_slow = 2.0;  // slow-host factor bounds
-  double max_slow = 8.0;
 
   [[nodiscard]] int total_actions() const {
     return crash_recoveries + node_kills + loss_bursts + partitions + slow_hosts;

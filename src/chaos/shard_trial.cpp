@@ -22,7 +22,7 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
   const SchedulePolicy& p = config.faults;
 
   std::vector<SimTime> windows = split_times;
-  if (windows.empty()) windows.push_back(p.window_start);
+  if (windows.empty()) windows.push_back(kWindowStart);
   auto window_at = [&windows](int i) {
     return windows[static_cast<std::size_t>(i) % windows.size()];
   };
@@ -41,8 +41,7 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
   // next split window.
   auto fault_window = [&](std::uint64_t spread_ms) {
     const SimTime at = window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(spread_ms)));
-    const SimTime dur =
-        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
+    const SimTime dur = kMinWindow + usec_f(rng.uniform(0.0, to_usec(kMaxWindow - kMinWindow)));
     return std::pair{at, at + dur};
   };
   for (int i = 0; i < p.crash_recoveries; ++i) {
@@ -51,8 +50,7 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
         static_cast<int>(rng.below(static_cast<std::uint64_t>(config.replicas)));
     const SimTime at =
         window_at(slot++) + msec(100) + msec(static_cast<std::int64_t>(rng.below(200)));
-    const SimTime down =
-        p.min_down + usec_f(rng.uniform(0.0, to_usec(p.max_down - p.min_down)));
+    const SimTime down = kMinDown + usec_f(rng.uniform(0.0, to_usec(kMaxDown - kMinDown)));
     plan.crash_process(at, cluster.replica_pid(group, node));
     plan.restart_process(at + down, cluster.replica_pid(group, node));
   }
@@ -70,13 +68,13 @@ net::FaultPlan make_shard_plan(Rng& rng, const TrialConfig& config,
     if (b >= a) ++b;
     const auto [from, to] = fault_window(250);
     plan.loss_burst(from, to, server_hosts[a], server_hosts[b],
-                    rng.uniform(p.min_loss, p.max_loss));
+                    rng.uniform(kMinLoss, kMaxLoss));
   }
   for (int i = 0; i < p.slow_hosts && !server_hosts.empty(); ++i) {
     const NodeId host =
         server_hosts[rng.below(static_cast<std::uint64_t>(server_hosts.size()))];
     const auto [from, to] = fault_window(300);
-    plan.slow_host(from, to, host, rng.uniform(p.min_slow, p.max_slow));
+    plan.slow_host(from, to, host, rng.uniform(kMinSlow, kMaxSlow));
   }
   return plan;
 }
@@ -177,7 +175,7 @@ TrialResult run_shard_trial(const TrialConfig& config, const net::FaultPlan& pla
       config,
       {.kernel = cluster.kernel(),
        .plan = active_plan,
-       .deadline = std::max({config.hard_deadline, last_split + sec(6),
+       .deadline = std::max({kTrialHardDeadline, last_split + sec(6),
                              active_plan.last_effect_end() + config.recovery_bound + sec(2)}),
        .first_op = msec(300),
        .stagger = usec(137),

@@ -26,6 +26,9 @@
 
 namespace vdep::chaos {
 
+// Every trial runs at least this long (absolute sim time) before it is cut.
+inline constexpr SimTime kTrialHardDeadline = sec(25);
+
 // What one trial kind hands to drive_trial.
 struct TrialKind {
   sim::Kernel& kernel;

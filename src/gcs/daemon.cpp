@@ -6,19 +6,20 @@
 #include "net/link.hpp"
 #include "obs/tracer.hpp"
 #include "util/assert.hpp"
+#include "util/calibration.hpp"
 #include "util/logging.hpp"
 
 namespace vdep::gcs {
 
 namespace {
 constexpr SimTime kLoopbackDelay = usec(4);
-}
+constexpr SimTime kControlCost = usec(5);
+}  // namespace
 
 Daemon::Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId host,
-               std::vector<NodeId> all_daemon_hosts, DaemonParams params)
+               std::vector<NodeId> all_daemon_hosts)
     : sim::Process(kernel, pid, host, "gcsd@" + network.host_name(host)),
       network_(network),
-      params_(params),
       all_daemons_(std::move(all_daemon_hosts)) {
   std::sort(all_daemons_.begin(), all_daemons_.end());
   VDEP_ASSERT(!all_daemons_.empty());
@@ -42,7 +43,7 @@ Daemon::Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId
         w.u64(this->host().value());
         link_->send_raw(peer, std::move(w).take());
       },
-      params_.heartbeat_interval, params_.heartbeat_misses);
+      calib::kDefaultHeartbeatInterval, calib::kDefaultHeartbeatMisses);
   fd_->set_on_suspect([this](NodeId d) { on_suspect(d); });
 
   leader_ = all_daemons_.front();
@@ -66,7 +67,7 @@ void Daemon::stability_token_tick() {
   if (leader_state_ != nullptr && !awaiting_sync_) {
     emit(leader_state_->publish_stability());
   }
-  post(params_.stability_token_interval, [this] { stability_token_tick(); });
+  post(calib::kStabilityTokenInterval, [this] { stability_token_tick(); });
 }
 
 void Daemon::on_crash() {
@@ -90,10 +91,10 @@ void Daemon::on_link_deliver(NodeId from, Payload&& inner) {
   // daemon cost (per MTU fragment for bulk payloads such as checkpoints),
   // plus the sequencing decision when we are the leader ordering a Forward
   // (inner[0] == 1 is the Forward tag).
-  SimTime cost = params_.packet_cost *
+  SimTime cost = calib::kGcsDaemonPacketCost *
                  static_cast<std::int64_t>(net::fragment_count(inner.size()));
   if (is_leader() && !inner.empty() && inner[0] == 1) {
-    cost += params_.sequencer_cost;
+    cost += calib::kGcsSequencerCost;
   }
   network_.cpu(host()).execute(cost, guarded([this, from, raw = std::move(inner)] {
     handle_inner(from, decode_inner(raw));
@@ -508,7 +509,7 @@ void Daemon::submit_join(ProcessId pid, GroupId group, std::uint64_t origin_seq)
   fwd.kind = Forward::Kind::kJoin;
   fwd.origin = OriginId{pid, origin_seq};
   fwd.origin_daemon = host();
-  network_.cpu(host()).execute(params_.control_cost, guarded([this, fwd] {
+  network_.cpu(host()).execute(kControlCost, guarded([this, fwd] {
     pending_[PendingKey{fwd.group, fwd.origin}] = fwd;
     send_forward_to_leader(fwd);
   }));
@@ -520,7 +521,7 @@ void Daemon::submit_leave(ProcessId pid, GroupId group, std::uint64_t origin_seq
   fwd.kind = Forward::Kind::kLeave;
   fwd.origin = OriginId{pid, origin_seq};
   fwd.origin_daemon = host();
-  network_.cpu(host()).execute(params_.control_cost, guarded([this, fwd] {
+  network_.cpu(host()).execute(kControlCost, guarded([this, fwd] {
     pending_[PendingKey{fwd.group, fwd.origin}] = fwd;
     send_forward_to_leader(fwd);
   }));
@@ -538,8 +539,8 @@ void Daemon::submit_multicast(ProcessId pid, GroupId group, ServiceType svc,
   // Capture the caller's context synchronously — by the time the CPU queue
   // runs the send, `current()` belongs to someone else.
   fwd.trace = kernel().tracer().current();
-  const SimTime cost =
-      params_.packet_cost * static_cast<std::int64_t>(net::fragment_count(fwd.payload.size()));
+  const SimTime cost = calib::kGcsDaemonPacketCost *
+                       static_cast<std::int64_t>(net::fragment_count(fwd.payload.size()));
   network_.cpu(host()).execute(cost, guarded([this, fwd = std::move(fwd)] {
     if (fwd.svc != ServiceType::kBestEffort) {
       pending_[PendingKey{fwd.group, fwd.origin}] = fwd;
@@ -556,7 +557,7 @@ void Daemon::submit_unicast(ProcessId pid, ProcessId dst, NodeId dst_daemon,
   msg.destination = dst;
   msg.payload = std::move(payload);
   msg.trace = kernel().tracer().current();
-  const SimTime cost = params_.packet_cost *
+  const SimTime cost = calib::kGcsDaemonPacketCost *
                        static_cast<std::int64_t>(net::fragment_count(msg.payload.size()));
   network_.cpu(host()).execute(cost, guarded([this, dst_daemon, m = std::move(msg)] {
     send_inner(dst_daemon, m);

@@ -36,21 +36,10 @@ namespace vdep::gcs {
 
 class Endpoint;
 
-struct DaemonParams {
-  SimTime heartbeat_interval = calib::kDefaultHeartbeatInterval;
-  int heartbeat_misses = calib::kDefaultHeartbeatMisses;
-  SimTime packet_cost = calib::kGcsDaemonPacketCost;
-  SimTime sequencer_cost = calib::kGcsSequencerCost;
-  SimTime control_cost = usec(5);
-  // Token rotation period: how often the leader publishes stability
-  // watermarks (gates SAFE delivery).
-  SimTime stability_token_interval = calib::kStabilityTokenInterval;
-};
-
 class Daemon : public sim::Process {
  public:
   Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId host,
-         std::vector<NodeId> all_daemon_hosts, DaemonParams params = {});
+         std::vector<NodeId> all_daemon_hosts);
   ~Daemon() override;
 
   // Binds the network port and starts heartbeats. Call once, after every
@@ -134,7 +123,6 @@ class Daemon : public sim::Process {
   };
 
   net::Network& network_;
-  DaemonParams params_;
   std::vector<NodeId> all_daemons_;
   HealthObserver* health_ = nullptr;
   std::unique_ptr<ReliableLink> link_;

@@ -36,13 +36,12 @@ Fabric::Fabric(const FabricConfig& config) : kernel_(config.seed), network_(kern
   std::uint64_t pid = kFirstDaemonPid;
   for (NodeId host : hosts) {
     daemons_.push_back(std::make_unique<gcs::Daemon>(kernel_, network_, ProcessId{pid++}, host,
-                                                     hosts, config.daemon));
+                                                     hosts));
   }
   for (auto& d : daemons_) d->boot();
 
   if (config.health) {
-    health_ = std::make_unique<monitor::health::HealthMonitor>(kernel_, metrics_,
-                                                               config.health_params);
+    health_ = std::make_unique<monitor::health::HealthMonitor>(kernel_, metrics_);
     for (auto& d : daemons_) health_->attach(*d);
     health_->start();
   }

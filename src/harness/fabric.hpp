@@ -27,10 +27,8 @@ struct FabricConfig {
   std::uint64_t seed = 1;
   int client_hosts = 0;
   int server_hosts = 0;
-  gcs::DaemonParams daemon{};
   bool tracing = false;
   bool health = false;
-  monitor::health::HealthParams health_params{};
 };
 
 class Fabric final {

@@ -15,6 +15,8 @@ constexpr std::uint16_t kServerPort = 7001;
 // Replicas join staggered at boot; clients start once the group is settled.
 constexpr SimTime kReplicaBootStagger = msec(1);
 constexpr SimTime kClientStartTime = msec(200);
+// Open-loop runs sample the Fig. 6 series at this period.
+constexpr SimTime kSampleInterval = msec(100);
 
 ScenarioConfig normalized(ScenarioConfig config) {
   VDEP_ASSERT(config.clients >= 1);
@@ -56,10 +58,8 @@ Scenario::Scenario(ScenarioConfig config)
       fabric_({.seed = config_.seed,
                .client_hosts = config_.clients,
                .server_hosts = config_.max_replicas,
-               .daemon = config_.daemon,
                .tracing = config_.tracing,
-               .health = config_.health,
-               .health_params = config_.health_params}),
+               .health = config_.health}),
       channels_(fabric_.network()) {
   if (health_enabled()) {
     auto& health = fabric_.health();
@@ -96,8 +96,7 @@ Scenario::Scenario(ScenarioConfig config)
   group.make_servant = [this](int index, bool) {
     return config_.make_servant ? config_.make_servant(index)
                                 : std::make_unique<app::TestServant>(app::TestServant::Config{
-                                      config_.state_bytes, config_.reply_bytes,
-                                      config_.app_exec_time});
+                                      config_.state_bytes, config_.reply_bytes});
   };
   group.grow_host = [this] { return free_replica_host(); };
   group.on_replicator_created = config_.on_replicator_created;
@@ -319,7 +318,7 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
     const bool active_family = style == replication::ReplicationStyle::kActive ||
                                style == replication::ReplicationStyle::kSemiActive;
     result.style_series.record(kernel().now(), active_family ? 1.0 : 0.0);
-    kernel().post(config.sample_interval, sample);
+    kernel().post(kSampleInterval, sample);
   };
   kernel().post_at(kClientStartTime, sample);
 

@@ -46,7 +46,6 @@ struct ScenarioConfig {
   std::size_t request_bytes = calib::kDefaultRequestBytes;
   std::size_t reply_bytes = calib::kDefaultReplyBytes;
   std::size_t state_bytes = calib::kDefaultStateBytes;
-  SimTime app_exec_time = calib::kAppProcessing;
 
   // Low-level knob defaults.
   SimTime checkpoint_interval = calib::kDefaultCheckpointInterval;
@@ -54,7 +53,6 @@ struct ScenarioConfig {
   // Incremental checkpointing: every K-th checkpoint is a full anchor, the
   // rest are dirty-set deltas. 1 = every checkpoint full (seed protocol).
   std::uint32_t checkpoint_anchor_interval = 1;
-  gcs::DaemonParams daemon;
 
   // Monitoring / adaptation (Fig. 6).
   bool enable_replicated_state = false;
@@ -65,7 +63,6 @@ struct ScenarioConfig {
   // into "service.latency_us"/"service.requests", a default service SLO
   // (override via `slos`) and per-replica-host CPU queue-depth probes.
   bool health = false;
-  monitor::health::HealthParams health_params;
   std::vector<monitor::health::SloSpec> slos;  // empty = one default SLO
   double cpu_backlog_threshold_us = 100'000.0;
   // Health-driven adaptation: each replica gets an AdaptationManager with
@@ -141,7 +138,6 @@ class Scenario final {
   struct OpenLoopConfig {
     app::RatePlan plan = app::RatePlan::constant(200);
     SimTime duration = sec(30);
-    SimTime sample_interval = msec(100);
     std::size_t request_bytes = calib::kDefaultRequestBytes;
   };
   OpenLoopResult run_open_loop(const OpenLoopConfig& config);

@@ -84,18 +84,4 @@ DesignSpaceMap rescale_checkpoint_bandwidth(const DesignSpaceMap& map,
   return out;
 }
 
-ScalabilityKnob::ScalabilityKnob(ScalabilityPolicy policy, Actuators actuators)
-    : policy_(std::move(policy)), actuators_(std::move(actuators)) {
-  VDEP_ASSERT(actuators_.set_style && actuators_.set_replicas);
-}
-
-std::optional<PolicyEntry> ScalabilityKnob::apply(int clients) {
-  auto entry = policy_.for_clients(clients);
-  if (!entry) return std::nullopt;
-  actuators_.set_replicas(entry->config.replicas);
-  actuators_.set_style(entry->config.style);
-  current_ = clients;
-  return entry;
-}
-
 }  // namespace vdep::knobs

@@ -60,28 +60,4 @@ struct ScalabilityPolicy {
     const DesignSpaceMap& map, const CheckpointProfile& profile,
     double checkpoint_fraction = 0.5);
 
-// The runtime side of the knob: setting the client count applies the policy
-// entry via caller-supplied actuators (style switch, replica add/remove).
-class ScalabilityKnob {
- public:
-  struct Actuators {
-    std::function<void(replication::ReplicationStyle)> set_style;
-    std::function<void(int)> set_replicas;
-  };
-
-  ScalabilityKnob(ScalabilityPolicy policy, Actuators actuators);
-
-  // Applies the configuration for `clients`; returns the chosen entry, or
-  // nullopt (and leaves the system untouched) when infeasible.
-  std::optional<PolicyEntry> apply(int clients);
-
-  [[nodiscard]] const ScalabilityPolicy& policy() const { return policy_; }
-  [[nodiscard]] std::optional<int> current_clients() const { return current_; }
-
- private:
-  ScalabilityPolicy policy_;
-  Actuators actuators_;
-  std::optional<int> current_;
-};
-
 }  // namespace vdep::knobs

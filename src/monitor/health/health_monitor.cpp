@@ -11,23 +11,19 @@ namespace {
 // scale's cap, i.e. certainty (the co-located daemon saw the crash; there is
 // no model uncertainty to accrue).
 constexpr double kDirectObservation = 100.0;
+constexpr SimTime kWindowInterval = msec(100);  // telemetry cut + SLO/probe cadence
+constexpr SimTime kPhiInterval = msec(20);      // failure-detector evaluation cadence
+constexpr std::size_t kWindows = 64;            // TimeSeries ring capacity
 }  // namespace
 
-HealthMonitor::HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry,
-                             HealthParams params)
-    : kernel_(kernel),
-      registry_(registry),
-      params_(params),
-      series_(params.windows) {
-  VDEP_ASSERT(params_.window_interval > kTimeZero);
-  VDEP_ASSERT(params_.phi_interval > kTimeZero);
-}
+HealthMonitor::HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry)
+    : kernel_(kernel), registry_(registry), series_(kWindows) {}
 
 void HealthMonitor::start() {
   if (running_) return;
   running_ = true;
-  kernel_.post(params_.phi_interval, [this] { phi_tick(); });
-  kernel_.post(params_.window_interval, [this] { window_tick(); });
+  kernel_.post(kPhiInterval, [this] { phi_tick(); });
+  kernel_.post(kWindowInterval, [this] { window_tick(); });
 }
 
 void HealthMonitor::add_slo(SloSpec spec) {
@@ -49,9 +45,7 @@ std::string HealthMonitor::link_label(NodeId from, NodeId at) {
 // --- ingestion (called from daemon context) -----------------------------------
 
 void HealthMonitor::on_heartbeat(NodeId from, NodeId at, SimTime now) {
-  auto [it, created] = links_.try_emplace(std::make_pair(from, at),
-                                          LinkState{PhiAccrualDetector(params_.phi)});
-  it->second.detector.heartbeat(now);
+  links_[std::make_pair(from, at)].detector.heartbeat(now);
 }
 
 void HealthMonitor::on_endpoint_registered(ProcessId pid, NodeId host,
@@ -63,7 +57,7 @@ void HealthMonitor::on_endpoint_registered(ProcessId pid, NodeId host,
   if (!created && it->second.suspected) {
     it->second.suspected = false;
     stream_.emit(now, HealthEventKind::kReplicaClear, "replica:" + it->second.label,
-                 pid.value(), host.value(), 0.0, params_.phi.phi_suspect);
+                 pid.value(), host.value(), 0.0, PhiAccrualDetector::kPhiSuspect);
     registry_.add("health.events.replica_clear");
   }
 }
@@ -76,7 +70,7 @@ void HealthMonitor::on_endpoint_crashed(ProcessId pid, NodeId host,
   it->second.suspected = true;
   stream_.emit(now, HealthEventKind::kReplicaSuspect, "replica:" + it->second.label,
                pid.value(), host.value(), kDirectObservation,
-               params_.phi.phi_suspect);
+               PhiAccrualDetector::kPhiSuspect);
   registry_.add("health.events.replica_suspect");
 }
 
@@ -89,17 +83,17 @@ void HealthMonitor::phi_tick() {
     const double phi = link.detector.phi(now);
     link.last_phi = phi;
     registry_.set_gauge("health.phi." + link_label(key.first, key.second), phi);
-    if (!link.suspected && phi >= params_.phi.phi_suspect) {
+    if (!link.suspected && phi >= PhiAccrualDetector::kPhiSuspect) {
       link.suspected = true;
       stream_.emit(now, HealthEventKind::kLinkSuspect,
                    "link:" + link_label(key.first, key.second), key.first.value(),
-                   key.second.value(), phi, params_.phi.phi_suspect);
+                   key.second.value(), phi, PhiAccrualDetector::kPhiSuspect);
       registry_.add("health.events.link_suspect");
-    } else if (link.suspected && phi < params_.phi.phi_clear) {
+    } else if (link.suspected && phi < PhiAccrualDetector::kPhiClear) {
       link.suspected = false;
       stream_.emit(now, HealthEventKind::kLinkClear,
                    "link:" + link_label(key.first, key.second), key.first.value(),
-                   key.second.value(), phi, params_.phi.phi_clear);
+                   key.second.value(), phi, PhiAccrualDetector::kPhiClear);
       registry_.add("health.events.link_clear");
     }
   }
@@ -120,7 +114,7 @@ void HealthMonitor::phi_tick() {
   registry_.set_gauge("health.suspected_links",
                       static_cast<double>(suspected_links()));
   registry_.set_gauge("health.max_phi", max_phi());
-  kernel_.post(params_.phi_interval, [this] { phi_tick(); });
+  kernel_.post(kPhiInterval, [this] { phi_tick(); });
 }
 
 void HealthMonitor::window_tick() {
@@ -181,7 +175,7 @@ void HealthMonitor::window_tick() {
     }
   }
 
-  kernel_.post(params_.window_interval, [this] { window_tick(); });
+  kernel_.post(kWindowInterval, [this] { window_tick(); });
 }
 
 // --- queries --------------------------------------------------------------------

@@ -6,8 +6,8 @@
 //    heartbeat arrivals (one phi-accrual detector per directed daemon link)
 //    and local endpoint lifecycle (replica crash/recovery, observed by the
 //    co-located daemon the way Spread notices a dead IPC connection).
-//  - Cadences: every `phi_interval` it evaluates the link detectors and the
-//    per-replica suspicion gauges; every `window_interval` it cuts a
+//  - Cadences: every 20 ms it evaluates the link detectors and the
+//    per-replica suspicion gauges; every 100 ms it cuts a
 //    telemetry window from the registry and evaluates SLO trackers and
 //    queue-depth probes against the windowed series.
 //  - Output: suspicion/attainment/burn gauges published back into the same
@@ -36,17 +36,9 @@
 
 namespace vdep::monitor::health {
 
-struct HealthParams {
-  SimTime window_interval = msec(100);  // telemetry cut + SLO/probe cadence
-  SimTime phi_interval = msec(20);      // failure-detector evaluation cadence
-  std::size_t windows = 64;             // TimeSeries ring capacity
-  PhiAccrualDetector::Params phi{};     // per-link detector parameters
-};
-
 class HealthMonitor final : public gcs::HealthObserver {
  public:
-  HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry,
-                HealthParams params = {});
+  HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry);
 
   // Subscribes this monitor to a daemon's health taps.
   void attach(gcs::Daemon& daemon) { daemon.set_health_observer(this); }
@@ -85,7 +77,6 @@ class HealthMonitor final : public gcs::HealthObserver {
   [[nodiscard]] const std::map<std::string, SloStatus>& slo_status() const {
     return slo_status_;
   }
-  [[nodiscard]] const HealthParams& params() const { return params_; }
 
  private:
   struct ReplicaState {
@@ -116,7 +107,6 @@ class HealthMonitor final : public gcs::HealthObserver {
 
   sim::Kernel& kernel_;
   MetricsRegistry& registry_;
-  HealthParams params_;
   TimeSeries series_;
   HealthEventStream stream_;
   bool running_ = false;

@@ -10,40 +10,43 @@ namespace vdep::monitor::health {
 
 namespace {
 constexpr double kPhiCap = 100.0;
-}
+// Inter-arrival samples kept for the mean/stddev estimate.
+constexpr std::size_t kWindow = 64;
+constexpr std::size_t kMinSamples = 3;
+// Stddev floor (us): absorbs the near-zero variance of simulated heartbeats
+// so one slightly-late arrival cannot spike phi.
+constexpr double kMinStddevUs = 5000.0;
+// A sample longer than factor x mean is clamped before entering the window:
+// a survived outage is a failure observation, not a latency sample, and must
+// not desensitize the detector for the next fault.
+constexpr double kMaxIntervalFactor = 5.0;
+}  // namespace
 
-PhiAccrualDetector::PhiAccrualDetector(Params params) : params_(params) {
-  VDEP_ASSERT(params_.window > 0);
-  VDEP_ASSERT(params_.bootstrap_interval > kTimeZero);
-  VDEP_ASSERT(params_.min_stddev_us > 0.0);
-  VDEP_ASSERT(params_.phi_clear < params_.phi_suspect);
-}
+static_assert(PhiAccrualDetector::kPhiClear < PhiAccrualDetector::kPhiSuspect);
 
 double PhiAccrualDetector::mean_interval_us() const {
-  if (intervals_us_.size() < params_.min_samples) {
-    return to_usec(params_.bootstrap_interval);
-  }
+  if (intervals_us_.size() < kMinSamples) return to_usec(kBootstrapInterval);
   return sum_ / static_cast<double>(intervals_us_.size());
 }
 
 double PhiAccrualDetector::stddev_interval_us() const {
-  if (intervals_us_.size() < params_.min_samples) return params_.min_stddev_us;
+  if (intervals_us_.size() < kMinSamples) return kMinStddevUs;
   const auto n = static_cast<double>(intervals_us_.size());
   const double mean = sum_ / n;
   const double var = std::max(0.0, sum_sq_ / n - mean * mean);
-  return std::max(std::sqrt(var), params_.min_stddev_us);
+  return std::max(std::sqrt(var), kMinStddevUs);
 }
 
 void PhiAccrualDetector::heartbeat(SimTime now) {
   if (started_) {
     VDEP_ASSERT_MSG(now >= last_at_, "heartbeats must be observed in time order");
     double interval = to_usec(now - last_at_);
-    const double cap = params_.max_interval_factor * mean_interval_us();
+    const double cap = kMaxIntervalFactor * mean_interval_us();
     interval = std::min(interval, cap);
     intervals_us_.push_back(interval);
     sum_ += interval;
     sum_sq_ += interval * interval;
-    if (intervals_us_.size() > params_.window) {
+    if (intervals_us_.size() > kWindow) {
       const double evicted = intervals_us_.front();
       intervals_us_.pop_front();
       sum_ -= evicted;

@@ -23,26 +23,12 @@ namespace vdep::monitor::health {
 
 class PhiAccrualDetector {
  public:
-  struct Params {
-    // Inter-arrival samples kept for the mean/stddev estimate.
-    std::size_t window = 64;
-    // Below this many samples the bootstrap interval stands in for the mean.
-    std::size_t min_samples = 3;
-    SimTime bootstrap_interval = msec(20);
-    // Stddev floor (us): absorbs the near-zero variance of simulated
-    // heartbeats so one slightly-late arrival cannot spike phi.
-    double min_stddev_us = 5000.0;
-    // A sample longer than factor x mean is clamped before entering the
-    // window: a survived outage is a failure observation, not a latency
-    // sample, and must not desensitize the detector for the next fault.
-    double max_interval_factor = 5.0;
-    // Suspicion threshold and the hysteresis level that clears it.
-    double phi_suspect = 8.0;
-    double phi_clear = 1.0;
-  };
-
-  PhiAccrualDetector() : PhiAccrualDetector(Params{}) {}
-  explicit PhiAccrualDetector(Params params);
+  // Until a few intervals are observed, the bootstrap interval stands in
+  // for the mean.
+  static constexpr SimTime kBootstrapInterval = msec(20);
+  // Suspicion threshold and the hysteresis level that clears it.
+  static constexpr double kPhiSuspect = 8.0;
+  static constexpr double kPhiClear = 1.0;
 
   // A heartbeat arrived at `now` (must be non-decreasing).
   void heartbeat(SimTime now);
@@ -51,14 +37,11 @@ class PhiAccrualDetector {
   [[nodiscard]] double phi(SimTime now) const;
 
   [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] SimTime last_heartbeat() const { return last_at_; }
   [[nodiscard]] std::size_t samples() const { return intervals_us_.size(); }
   [[nodiscard]] double mean_interval_us() const;
   [[nodiscard]] double stddev_interval_us() const;
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
-  Params params_;
   bool started_ = false;
   SimTime last_at_ = kTimeZero;
   std::deque<double> intervals_us_;

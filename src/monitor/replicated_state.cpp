@@ -51,8 +51,6 @@ void ReplicatedStateObject::start() {
     StateEntry entry = StateEntry::decode(msg.payload);
     entries_[entry.reporter] = std::move(entry);
     version_.tick(msg.sender);
-    ++updates_;
-    if (on_update_) on_update_();
   });
   endpoint_->set_view_handler([this](const gcs::View& view) {
     view_ = view;

@@ -54,11 +54,6 @@ class ReplicatedStateObject {
   // Version clock: ticks per accepted update; equal clocks imply equal state.
   [[nodiscard]] const gcs::VectorClock& version() const { return version_; }
 
-  // Fires after each applied update (adaptation managers hook here).
-  void set_on_update(std::function<void()> fn) { on_update_ = std::move(fn); }
-
-  [[nodiscard]] std::uint64_t updates_applied() const { return updates_; }
-
  private:
   void publish();
 
@@ -71,8 +66,6 @@ class ReplicatedStateObject {
   std::optional<gcs::View> view_;
   std::map<ProcessId, StateEntry> entries_;
   gcs::VectorClock version_;
-  std::uint64_t updates_ = 0;
-  std::function<void()> on_update_;
 };
 
 }  // namespace vdep::monitor

@@ -36,7 +36,6 @@ class Channel : public std::enable_shared_from_this<Channel> {
 
   [[nodiscard]] bool open() const { return open_; }
   [[nodiscard]] NodeId local_host() const { return local_; }
-  [[nodiscard]] NodeId remote_host() const { return remote_; }
   [[nodiscard]] ChannelId id() const { return id_; }
 
  private:

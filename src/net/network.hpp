@@ -77,7 +77,6 @@ class Network {
 
   // --- topology -------------------------------------------------------------
   NodeId add_host(const std::string& name);
-  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] const std::string& host_name(NodeId id) const;
   [[nodiscard]] sim::Cpu& cpu(NodeId id);
 

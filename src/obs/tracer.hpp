@@ -76,7 +76,6 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   // Starts a span. An invalid `parent` starts a new trace (fresh trace id);

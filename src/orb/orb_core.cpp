@@ -115,7 +115,6 @@ void ServerOrb::handle_request(Payload giop_request, ReplySender send_reply) {
                   result.ok ? ReplyStatus::kNoException : ReplyStatus::kUserException;
               rep.body = std::move(result.output);
             }
-            ++served_;
 
             if (!req.response_expected) return;
             // std::function captures must be copyable; park the move-only

@@ -97,14 +97,12 @@ class ServerOrb {
 
   [[nodiscard]] Poa& poa() { return poa_; }
   [[nodiscard]] sim::Process& process() { return process_; }
-  [[nodiscard]] std::uint64_t requests_served() const { return served_; }
 
  private:
   net::Network& network_;
   sim::Process& process_;
   Poa& poa_;
   SimTime traversal_cost_;
-  std::uint64_t served_ = 0;
 };
 
 // --- plain TCP transports (the non-replicated baseline path) -------------------

@@ -7,8 +7,11 @@
 
 namespace vdep::replication {
 
-ClientCoordinatorParams::ClientCoordinatorParams()
-    : traversal_cost(calib::kReplicatorTraversal) {}
+namespace {
+constexpr SimTime kRetryTimeout = msec(400);
+constexpr int kMaxRetries = 25;
+constexpr SimTime kRequestExpiration = sec(30);  // FT_REQUEST expiration field
+}  // namespace
 
 ClientCoordinator::ClientCoordinator(net::Network& network, gcs::Daemon& daemon,
                                      sim::Process& process,
@@ -32,7 +35,7 @@ void ClientCoordinator::send_request(const orb::ObjectRef& ref, Payload giop) {
   ctx.client = process_.id();
   ctx.retention_id = parsed.request->request_id;
   ctx.client_daemon = endpoint_->daemon_host();
-  ctx.expiration = process_.now() + params_.request_expiration;
+  ctx.expiration = process_.now() + kRequestExpiration;
   parsed.request->service_contexts.push_back(ctx.to_context());
 
   // The trace context is injected unconditionally (zeros when tracing is
@@ -54,7 +57,7 @@ void ClientCoordinator::send_request(const orb::ObjectRef& ref, Payload giop) {
 
   // Interposition cost, then multicast into the server group.
   network_.cpu(process_.host())
-      .execute(params_.traversal_cost, process_.guarded([this, request_id] {
+      .execute(calib::kReplicatorTraversal, process_.guarded([this, request_id] {
         auto pit = outstanding_.find(request_id);
         if (pit == outstanding_.end()) return;  // cancelled meanwhile
         transmit(request_id, pit->second);
@@ -73,11 +76,10 @@ void ClientCoordinator::arm_retry(std::uint32_t request_id) {
   auto it = outstanding_.find(request_id);
   if (it == outstanding_.end()) return;
   it->second.retry_timer.cancel();
-  it->second.retry_timer = process_.post(params_.retry_timeout, [this, request_id] {
+  it->second.retry_timer = process_.post(kRetryTimeout, [this, request_id] {
     auto pit = outstanding_.find(request_id);
     if (pit == outstanding_.end()) return;
-    if (pit->second.retries >= params_.max_retries) {
-      ++expired_;
+    if (pit->second.retries >= kMaxRetries) {
       pit->second.span.note("outcome", "gave_up");
       log_warn(process_.now(), "client-coord",
                process_.name() + " giving up on request " + std::to_string(request_id));
@@ -105,16 +107,13 @@ void ClientCoordinator::cancel(std::uint32_t request_id) {
 void ClientCoordinator::on_private(const gcs::PrivateMessage& msg) {
   // Interposition cost on the reply path, then coordinate.
   network_.cpu(process_.host())
-      .execute(params_.traversal_cost,
+      .execute(calib::kReplicatorTraversal,
                process_.guarded([this, sender = msg.sender, raw = msg.payload] {
                  orb::GiopMessage parsed = orb::decode_giop(raw);
                  if (parsed.type != orb::GiopMsgType::kReply || !parsed.reply) return;
                  const std::uint32_t request_id = parsed.reply->request_id;
                  auto it = outstanding_.find(request_id);
-                 if (it == outstanding_.end()) {
-                   ++duplicate_replies_;
-                   return;
-                 }
+                 if (it == outstanding_.end()) return;  // duplicate reply
                  Pending& pending = it->second;
 
                  if (params_.policy == ResponsePolicy::kFirstReply) {

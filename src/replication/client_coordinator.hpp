@@ -29,13 +29,7 @@ enum class ResponsePolicy : std::uint8_t {
 };
 
 struct ClientCoordinatorParams {
-  SimTime traversal_cost;          // interposition cost per message
-  SimTime retry_timeout = msec(400);
-  int max_retries = 25;
   ResponsePolicy policy = ResponsePolicy::kFirstReply;
-  SimTime request_expiration = sec(30);  // FT_REQUEST expiration field
-
-  ClientCoordinatorParams();
 };
 
 class ClientCoordinator final : public orb::ClientTransport {
@@ -47,8 +41,6 @@ class ClientCoordinator final : public orb::ClientTransport {
   void cancel(std::uint32_t request_id) override;
 
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  [[nodiscard]] std::uint64_t duplicate_replies() const { return duplicate_replies_; }
-  [[nodiscard]] std::uint64_t expired_requests() const { return expired_; }
   [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
   [[nodiscard]] gcs::Endpoint& endpoint() { return *endpoint_; }
 
@@ -79,8 +71,6 @@ class ClientCoordinator final : public orb::ClientTransport {
   std::unique_ptr<gcs::Endpoint> endpoint_;
   std::map<std::uint32_t, Pending> outstanding_;
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t duplicate_replies_ = 0;
-  std::uint64_t expired_ = 0;
 };
 
 }  // namespace vdep::replication

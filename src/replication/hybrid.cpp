@@ -4,13 +4,7 @@
 
 namespace vdep::replication {
 
-bool HybridEngine::rank_in_core(std::size_t rank, std::size_t core) {
-  return rank < core;
-}
-
-bool HybridEngine::in_core() const {
-  return rank_in_core(r_.my_rank(), r_.params().hybrid_active_core);
-}
+bool HybridEngine::in_core() const { return r_.my_rank() < kActiveCore; }
 
 bool HybridEngine::responder() const { return in_core(); }
 
@@ -29,12 +23,11 @@ void HybridEngine::on_checkpoint(const CheckpointMsg& msg) {
 
 void HybridEngine::on_view_change(const gcs::View& old_view, const gcs::View& new_view) {
   const ProcessId self = r_.process().id();
-  const auto core = r_.params().hybrid_active_core;
   const auto old_rank = old_view.rank_of(self);
   const auto new_rank = new_view.rank_of(self);
   if (!new_rank) return;
-  const bool was_core = old_rank && rank_in_core(*old_rank, core);
-  const bool is_core = rank_in_core(*new_rank, core);
+  const bool was_core = old_rank && *old_rank < kActiveCore;
+  const bool is_core = *new_rank < kActiveCore;
   if (is_core && !was_core) {
     // Ascending into the core: catch up from the log. Reply while replaying
     // only when we are the new head (other core members may all be gone).
@@ -50,7 +43,7 @@ void HybridEngine::on_timer() {
   const auto& view = r_.current_view();
   if (r_.my_rank() != 0 || !view) return;
   if (++ticks_ % kObserverSyncEvery != 0) return;
-  if (view->size() > r_.params().hybrid_active_core) {
+  if (view->size() > kActiveCore) {
     r_.take_checkpoint();
   } else {
     r_.take_local_checkpoint();

@@ -3,7 +3,7 @@
 // replicas can be active and some can be passive in order to increase the
 // scalability of the system while keeping low fail-over delays."
 //
-// The first `hybrid_active_core` replicas (by view rank) form an active
+// The first kActiveCore replicas (by view rank) form an active
 // core: each executes every request and replies, so the failure of a core
 // replica is absorbed with no client-visible gap. Replicas beyond the core
 // are warm observers: they log requests and install periodic checkpoints
@@ -18,6 +18,9 @@ namespace vdep::replication {
 
 class HybridEngine final : public ReplicationEngine {
  public:
+  // How many replicas (by view rank) form the active core.
+  static constexpr std::size_t kActiveCore = 2;
+
   using ReplicationEngine::ReplicationEngine;
 
   [[nodiscard]] ReplicationStyle style() const override {
@@ -32,7 +35,6 @@ class HybridEngine final : public ReplicationEngine {
 
  private:
   [[nodiscard]] bool in_core() const;
-  [[nodiscard]] static bool rank_in_core(std::size_t rank, std::size_t core);
 
   // Observer checkpoints fire every Nth engine tick (see on_timer).
   static constexpr std::uint64_t kObserverSyncEvery = 4;

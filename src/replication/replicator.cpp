@@ -9,9 +9,18 @@
 #include "replication/semi_active.hpp"
 #include "replication/warm_passive.hpp"
 #include "util/assert.hpp"
+#include "util/calibration.hpp"
 #include "util/logging.hpp"
 
 namespace vdep::replication {
+
+namespace {
+constexpr double kSnapshotBytesPerSec = 100e6;  // state (de)serialization CPU rate
+constexpr SimTime kColdLaunchDelay = msec(800);  // cold passive: backup start-up time
+// How many recent replies travel inside a checkpoint (see
+// ReplyCache::serialize_recent).
+constexpr std::size_t kCheckpointReplyEntries = 16;
+}  // namespace
 
 Replicator::Replicator(net::Network& network, gcs::Daemon& daemon,
                        sim::Process& process, orb::ServerOrb& orb, Checkpointable& app,
@@ -22,8 +31,7 @@ Replicator::Replicator(net::Network& network, gcs::Daemon& daemon,
       orb_(orb),
       app_(app),
       group_(group),
-      params_(params),
-      reply_cache_(params.reply_cache_capacity) {}
+      params_(params) {}
 
 Replicator::~Replicator() = default;
 
@@ -39,7 +47,7 @@ void Replicator::start(ReplicationStyle style, bool join_existing) {
   // SAFE checkpoint here once caused double-execution on promotion.)
   endpoint_->set_view_handler([this](const gcs::View& v) {
     network_.cpu(process_.host())
-        .execute(params_.traversal_cost, process_.guarded([this, v] { on_view(v); }));
+        .execute(calib::kReplicatorTraversal, process_.guarded([this, v] { on_view(v); }));
   });
 
   engine_ = make_engine(style);
@@ -92,7 +100,7 @@ void Replicator::arm_engine_timer() {
 void Replicator::on_group_message(const gcs::GroupMessage& msg) {
   // Interposition cost: one replicator traversal per inbound message.
   network_.cpu(process_.host())
-      .execute(params_.traversal_cost, process_.guarded([this, msg] {
+      .execute(calib::kReplicatorTraversal, process_.guarded([this, msg] {
         // Re-establish the message's causal context (captured on the wire)
         // for everything the handlers do synchronously.
         obs::Tracer::Scope scope(process_.kernel().tracer(), msg.trace);
@@ -204,7 +212,8 @@ void Replicator::handle_checkpoint(const CheckpointMsg& msg) {
       stored_deltas_.clear();
     }
     uninitialized_ = false;
-    replay_log(!params_.quiet_joiner_replay);
+    // Quiet replay: the live replicas already replied to these requests.
+    replay_log(/*send_replies=*/false);
     log_info(process_.now(), "replicator",
              process_.name() + " state transfer complete");
     if (switch_awaiting_checkpoint_) complete_switch();
@@ -263,7 +272,8 @@ void Replicator::handle_state_transfer(const StateTransferMsg& msg) {
       stored_deltas_ = std::move(deltas);
     }
     uninitialized_ = false;
-    replay_log(!params_.quiet_joiner_replay);
+    // Quiet replay: the live replicas already replied to these requests.
+    replay_log(/*send_replies=*/false);
     log_info(process_.now(), "replicator",
              process_.name() + " state transfer complete (chain of " +
                  std::to_string(1 + msg.deltas.size()) + ")");
@@ -335,7 +345,6 @@ void Replicator::complete_switch() {
   log_info(process_.now(), "replicator",
            process_.name() + " now " + to_string(to) +
                (engine_->responder() ? " (responder)" : ""));
-  if (on_style_changed_) on_style_changed_(to);
   holding_ = false;
   drain_holdq();
 }
@@ -486,7 +495,7 @@ void Replicator::log_request(const RequestRecord& rec) {
 void Replicator::send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop) {
   // Interposition cost on the way out, then unicast to the client's daemon.
   network_.cpu(process_.host())
-      .execute(params_.traversal_cost,
+      .execute(calib::kReplicatorTraversal,
                process_.guarded([this, rid = rec.rid, daemon = rec.client_daemon,
                                  trace = rec.trace,
                                  reply = augment_reply(reply_giop)]() mutable {
@@ -563,7 +572,7 @@ void Replicator::cut_and_multicast(bool donation) {
   CheckpointMsg msg;
   msg.checkpoint_id = id;
   msg.applied = applied_rid_;
-  msg.reply_cache = reply_cache_.serialize_recent(params_.checkpoint_reply_entries);
+  msg.reply_cache = reply_cache_.serialize_recent(kCheckpointReplyEntries);
 
   // Cut a dirty-set delta when the cadence knob allows it and the app can
   // still answer for the previous cut (a restore in between makes it full).
@@ -612,7 +621,7 @@ void Replicator::cut_and_multicast(bool donation) {
   // incremental checkpointing (the blackout shrinks with the dirty fraction).
   network_.cpu(process_.host())
       .execute(checkpoint_cpu_time(app_.state_size(), delta_bytes,
-                                   params_.snapshot_bytes_per_sec),
+                                   kSnapshotBytesPerSec),
                [] {});
   obs::Tracer::Scope scope(process_.kernel().tracer(), checkpoint_span_.context());
   if (donation && is_delta) {
@@ -675,12 +684,12 @@ void Replicator::take_local_checkpoint() {
     msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
     msg.applied = applied_rid_;
     msg.app_state = app_.snapshot();
-    msg.reply_cache = reply_cache_.serialize_recent(params_.checkpoint_reply_entries);
+    msg.reply_cache = reply_cache_.serialize_recent(kCheckpointReplyEntries);
     if (on_checkpoint_) on_checkpoint_(msg.checkpoint_id);
     stored_checkpoint_ = std::move(msg);
     stored_deltas_.clear();
     network_.cpu(process_.host())
-        .execute(snapshot_cpu_time(app_.state_size(), params_.snapshot_bytes_per_sec),
+        .execute(snapshot_cpu_time(app_.state_size(), kSnapshotBytesPerSec),
                  process_.guarded([this] {
                    holding_ = false;
                    drain_holdq();
@@ -743,7 +752,7 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
   // Deserialization cost: occupy the CPU (delays whatever comes next). A
   // delta costs its own (dirty-set) bytes, not the full state.
   network_.cpu(process_.host())
-      .execute(snapshot_cpu_time(state_size, params_.snapshot_bytes_per_sec), [] {});
+      .execute(snapshot_cpu_time(state_size, kSnapshotBytesPerSec), [] {});
 }
 
 void Replicator::store_checkpoint(const CheckpointMsg& msg) {
@@ -826,7 +835,7 @@ void Replicator::promote_cold() {
   if (cold_launch_pending_) return;
   cold_launch_pending_ = true;
   log_info(process_.now(), "replicator", process_.name() + " launching cold backup");
-  process_.post(params_.cold_launch_delay, [this] {
+  process_.post(kColdLaunchDelay, [this] {
     if (process_.kernel().tracer().enabled()) {
       auto span = process_.kernel().tracer().start_span("rep.promote", "replication",
                                                         process_.name());
@@ -877,7 +886,7 @@ bool Replicator::needs_final_checkpoint(ReplicationStyle from, ReplicationStyle 
       case ReplicationStyle::kColdPassive:
         return 1;
       case ReplicationStyle::kHybrid:
-        return 2;  // == default hybrid_active_core; conservative lower bound
+        return HybridEngine::kActiveCore;
       case ReplicationStyle::kActive:
       case ReplicationStyle::kSemiActive:
         return SIZE_MAX;

@@ -72,7 +72,6 @@ class Replicator {
   [[nodiscard]] bool is_responder() const;
   // False while a joiner is still waiting for its state transfer.
   [[nodiscard]] bool initialized() const { return !uninitialized_; }
-  [[nodiscard]] std::uint64_t requests_delivered() const { return request_index_; }
   [[nodiscard]] std::uint64_t requests_executed() const { return executed_count_; }
   [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoint_counter_; }
   // Incremental-checkpoint telemetry: cuts by kind, encoded bytes multicast,
@@ -84,11 +83,6 @@ class Replicator {
   [[nodiscard]] std::uint64_t installs_full() const { return installs_full_; }
   [[nodiscard]] std::uint64_t installs_delta() const { return installs_delta_; }
   [[nodiscard]] std::uint64_t anchor_requests_sent() const { return anchor_requests_; }
-  // Chain position of this replica's state (last cut or installed checkpoint
-  // id); nullopt before any checkpoint activity.
-  [[nodiscard]] const std::optional<std::uint64_t>& installed_epoch() const {
-    return installed_epoch_;
-  }
   // Exposed for retention tests/monitoring (reply GC under delta installs).
   [[nodiscard]] const ReplyCache& reply_cache() const { return reply_cache_; }
   // Requests discarded because their FT_REQUEST expiration had passed.
@@ -112,9 +106,6 @@ class Replicator {
   };
   [[nodiscard]] const std::vector<SwitchRecord>& switch_history() const {
     return switch_history_;
-  }
-  void set_on_style_changed(std::function<void(ReplicationStyle)> fn) {
-    on_style_changed_ = std::move(fn);
   }
   // Fires whenever this replica snapshots its state (group or local
   // checkpoint) with the fresh checkpoint id — the chaos engine's
@@ -144,9 +135,6 @@ class Replicator {
   // Cold path: retain without applying — a full anchor plus the delta suffix
   // chained onto it.
   void store_checkpoint(const CheckpointMsg& msg);
-  [[nodiscard]] const std::optional<CheckpointMsg>& stored_checkpoint() const {
-    return stored_checkpoint_;
-  }
   // Replays every logged request not yet reflected in this replica's state
   // (promotion / rollback / joiner catch-up); duplicate suppression comes
   // from the per-client applied-retention-id map.
@@ -155,10 +143,6 @@ class Replicator {
   // checkpoint trigger in the passive engines).
   [[nodiscard]] std::uint64_t executions_since_checkpoint() const {
     return executions_since_checkpoint_;
-  }
-  // Highest retention id applied per client (the exactly-once frontier).
-  [[nodiscard]] const std::map<ProcessId, std::uint64_t>& applied_frontier() const {
-    return applied_rid_;
   }
   // Promotion entry points.
   void promote_warm();   // replay with replies, assume primary duties
@@ -269,7 +253,6 @@ class Replicator {
   bool switch_awaiting_checkpoint_ = false;
   SimTime switch_started_ = kTimeZero;
   std::vector<SwitchRecord> switch_history_;
-  std::function<void(ReplicationStyle)> on_style_changed_;
   std::function<void(std::uint64_t)> on_checkpoint_;
 };
 

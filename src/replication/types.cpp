@@ -1,7 +1,6 @@
 #include "replication/types.hpp"
 
 #include "util/assert.hpp"
-#include "util/calibration.hpp"
 
 namespace vdep::replication {
 
@@ -26,11 +25,6 @@ std::string style_code(ReplicationStyle style) {
   }
   return "?";
 }
-
-ReplicatorParams::ReplicatorParams()
-    : traversal_cost(calib::kReplicatorTraversal),
-      checkpoint_interval(calib::kDefaultCheckpointInterval),
-      cold_launch_delay(msec(800)) {}
 
 Bytes RepEnvelope::encode() const {
   ByteWriter w(payload.size() + 8);

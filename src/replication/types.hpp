@@ -23,6 +23,7 @@
 #include <string>
 
 #include "util/bytes.hpp"
+#include "util/calibration.hpp"
 #include "util/ids.hpp"
 #include "util/payload.hpp"
 #include "util/time.hpp"
@@ -120,35 +121,21 @@ struct SwitchMsg {
 };
 
 struct ReplicatorParams {
-  SimTime traversal_cost;            // per-message interposition cost
   // Checkpointing frequency — the paper's low-level knob, in both flavours:
   // a periodic floor (time-based) and an every-N-requests trigger so that
   // backup staleness stays bounded under load (0 disables the trigger).
-  SimTime checkpoint_interval;       // warm/cold passive
+  SimTime checkpoint_interval = calib::kDefaultCheckpointInterval;  // warm/cold passive
   std::uint32_t checkpoint_every_requests = 25;
   // Incremental checkpointing cadence ("CheckpointAnchorInterval" knob):
   // every K-th group checkpoint is a full anchor; the up-to-K-1 checkpoints
   // between anchors are dirty-set deltas (when the app supports them). 1 =
   // every checkpoint is full — byte-identical to the pre-delta protocol.
   std::uint32_t checkpoint_anchor_interval = 1;
-  // Hybrid style: how many replicas (by view rank) form the active core.
-  std::size_t hybrid_active_core = 2;
-  double snapshot_bytes_per_sec = 100e6;  // state (de)serialization CPU rate
-  SimTime cold_launch_delay;         // cold passive: backup start-up time
-  std::size_t reply_cache_capacity = 4096;
-  // How many recent replies travel inside a checkpoint (see
-  // ReplyCache::serialize_recent).
-  std::size_t checkpoint_reply_entries = 16;
-  // Suppress replies when replaying as a catching-up joiner (live replicas
-  // already replied); failover replays always reply.
-  bool quiet_joiner_replay = true;
   // TEST ONLY — deliberate safety bug for the chaos engine's oracle
   // self-check: disables the applied-frontier/reply-cache dedup so client
   // retransmissions and log replays execute again. Never enable in a real
   // configuration.
   bool skip_reply_dedup = false;
-
-  ReplicatorParams();
 };
 
 }  // namespace vdep::replication

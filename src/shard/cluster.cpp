@@ -10,9 +10,15 @@ namespace vdep::shard {
 
 namespace {
 constexpr std::uint64_t kFirstDataGroupValue = 10;
-constexpr ObjectId kObjectKey = harness::ReplicaGroup::kObjectKey;
+static_assert(kObjectKey == harness::ReplicaGroup::kObjectKey);
 constexpr SimTime kBootStagger = msec(1);
 constexpr std::uint64_t kMigratorPid = 4000;
+constexpr int kDirectoryReplicas = 2;
+constexpr auto kDirectoryStyle = replication::ReplicationStyle::kActive;
+constexpr double kShardSloAvailabilityTarget = 0.99;
+// run_workload: half the ops are puts; the first op issues at this time.
+constexpr double kPutRatio = 0.5;
+constexpr SimTime kWorkloadStart = msec(300);
 
 ShardedClusterConfig normalized(ShardedClusterConfig config) {
   VDEP_ASSERT(config.shards >= 1);
@@ -28,10 +34,8 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
       fabric_({.seed = config_.seed,
                .client_hosts = config_.client_hosts,
                .server_hosts = config_.server_hosts,
-               .daemon = config_.daemon,
                .tracing = config_.tracing,
-               .health = config_.health,
-               .health_params = config_.health_params}) {
+               .health = config_.health}) {
   const std::vector<NodeId>& servers = fabric_.server_hosts();
   initial_map_ = ShardMap::uniform(config_.shards, kFirstDataGroupValue,
                                    config_.default_policy);
@@ -40,16 +44,16 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
 
   // Directory group.
   ShardPolicy dir_policy;
-  dir_policy.style = static_cast<std::uint8_t>(config_.directory_style);
+  dir_policy.style = static_cast<std::uint8_t>(kDirectoryStyle);
   dir_policy.checkpoint_every_requests = 10;
   auto& directory = add_group(directory_group(), dir_policy);
-  for (int r = 0; r < config_.directory_replicas; ++r) {
+  for (int r = 0; r < kDirectoryReplicas; ++r) {
     directory.add_node(servers[static_cast<std::size_t>(r) % servers.size()]);
   }
 
   // One data group per shard, replicas co-located round-robin on the server
   // hosts.
-  std::size_t placement = static_cast<std::size_t>(config_.directory_replicas);
+  std::size_t placement = static_cast<std::size_t>(kDirectoryReplicas);
   for (const auto& entry : initial_map_.entries()) {
     auto& group = add_group(entry.group, entry.policy);
     for (int r = 0; r < entry.policy.replicas; ++r) {
@@ -72,22 +76,15 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     const NodeId host = fabric_.client_host(c % config_.client_hosts);
     auto& client = fabric_.add_client(host);
     client.orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-        network(), fabric_.daemon_on(host), client.process, config_.coordinator));
-    ShardRouter::Params rp = config_.router;
-    rp.object_key = kObjectKey;
-    rp.directory_group = directory_group();
-    routers_.push_back(std::make_unique<ShardRouter>(client.orb, initial_map_, rp, &metrics()));
+        network(), fabric_.daemon_on(host), client.process));
+    routers_.push_back(std::make_unique<ShardRouter>(client.orb, initial_map_, &metrics()));
   }
 
   // Migration controller on the (never-faulted) first client host.
-  MigrationController::Params mp;
-  mp.object_key = kObjectKey;
-  mp.directory_group = directory_group();
-  mp.coordinator = config_.coordinator;
   const NodeId migrator_host = fabric_.client_host(0);
   migration_ = std::make_unique<MigrationController>(
       network(), fabric_.daemon_on(migrator_host), kernel(), ProcessId{kMigratorPid},
-      migrator_host, mp, &metrics());
+      migrator_host, &metrics());
 
   metrics().set_gauge("shard.map_epoch", static_cast<double>(initial_map_.epoch()));
   metrics().set_gauge("shard.count", static_cast<double>(config_.shards));
@@ -101,7 +98,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
       slo.request_counter = prefix + ".ops";
       slo.failure_counter = prefix + ".failed";
       slo.latency_p99_target_us = config_.shard_slo_p99_target_us;
-      slo.availability_target = config_.shard_slo_availability_target;
+      slo.availability_target = kShardSloAvailabilityTarget;
       health().add_slo(slo);
     }
   }
@@ -125,8 +122,7 @@ harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& 
       return std::make_unique<DirectoryServant>(initial_map_);
     }
     if (blank) return std::make_unique<ShardServant>();
-    return std::make_unique<ShardServant>(ShardServant::Config{}, initial_map_.ranges_of(id),
-                                          initial_map_.epoch());
+    return std::make_unique<ShardServant>(initial_map_.ranges_of(id), initial_map_.epoch());
   };
   group.grow_host = [this] { return pick_server_host(); };
   groups_.push_back(std::make_unique<harness::ReplicaGroup>(fabric_, std::move(group)));
@@ -284,9 +280,9 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
         if (auto fn = weak_issue.lock()) (*fn)(c);
       });
     };
-    if (pick < wc.put_ratio) {
+    if (pick < kPutRatio) {
       r.put(key, "v" + std::to_string(st.issued), on_done);
-    } else if (pick < wc.put_ratio + wc.append_ratio) {
+    } else if (pick < kPutRatio + wc.append_ratio) {
       r.append(key, "[t" + std::to_string(st.issued) + "]", on_done);
     } else {
       r.get(key, on_done);
@@ -296,7 +292,7 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
   for (int c = 0; c < config_.clients; ++c) {
     (*states)[static_cast<std::size_t>(c)].rng =
         Rng(config_.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c));
-    kernel().post_at(wc.start_at + wc.stagger * c, [issue_fn, c] { (*issue_fn)(c); });
+    kernel().post_at(kWorkloadStart + wc.stagger * c, [issue_fn, c] { (*issue_fn)(c); });
   }
 
   kernel().run_until(wc.deadline);
@@ -314,7 +310,7 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
     result.avg_latency_us = sampler->stats().mean();
     result.p99_latency_us = sampler->percentile(99);
   }
-  const SimTime window = finished - wc.start_at;
+  const SimTime window = finished - kWorkloadStart;
   if (window > kTimeZero && result.completed > 0) {
     result.throughput_rps = static_cast<double>(result.completed) / to_sec(window);
   }

@@ -31,16 +31,10 @@ struct ShardedClusterConfig {
   std::uint64_t seed = 1;
   int shards = 4;
   ShardPolicy default_policy{};  // style/replicas/checkpointing per shard
-  int directory_replicas = 2;
-  replication::ReplicationStyle directory_style =
-      replication::ReplicationStyle::kActive;
   int server_hosts = 8;
   int clients = 2;
   int client_hosts = 2;
   SimTime checkpoint_interval = calib::kDefaultCheckpointInterval;
-  gcs::DaemonParams daemon;
-  replication::ClientCoordinatorParams coordinator;
-  ShardRouter::Params router;  // directory_group/object_key filled in build
   bool tracing = false;
   bool auto_recover = true;
 
@@ -48,9 +42,7 @@ struct ShardedClusterConfig {
   // tracker per shard ("shard.<id>" over the per-shard latency/ops/failed
   // metrics that run_workload records when health is on).
   bool health = false;
-  monitor::health::HealthParams health_params;
   double shard_slo_p99_target_us = 50'000.0;
-  double shard_slo_availability_target = 0.99;
 };
 
 class ShardedCluster {
@@ -74,7 +66,7 @@ class ShardedCluster {
   [[nodiscard]] const ShardMap& initial_map() const { return initial_map_; }
   // The map currently in force, read off a live directory replica.
   [[nodiscard]] const ShardMap& directory_map() const;
-  [[nodiscard]] GroupId directory_group() const { return GroupId{1}; }
+  [[nodiscard]] GroupId directory_group() const { return kDirectoryGroup; }
 
   // --- groups ---------------------------------------------------------------
   [[nodiscard]] std::vector<GroupId> data_groups() const;
@@ -121,10 +113,8 @@ class ShardedCluster {
   struct WorkloadConfig {
     int ops_per_client = 50;
     SimTime gap = msec(10);  // think time between completions
-    double put_ratio = 0.5;
-    double append_ratio = 0.2;  // rest are gets
+    double append_ratio = 0.2;  // puts are half the ops, the rest gets
     int key_space = 512;
-    SimTime start_at = msec(300);
     SimTime stagger = usec(100);  // spacing between client first ops
     SimTime deadline = sec(120);
   };

@@ -5,11 +5,11 @@
 
 namespace vdep::shard {
 
-DirectoryServant::DirectoryServant(ShardMap initial)
-    : DirectoryServant(std::move(initial), Config()) {}
+namespace {
+constexpr SimTime kOpTime = usec(5);
+}  // namespace
 
-DirectoryServant::DirectoryServant(ShardMap initial, Config config)
-    : config_(config), map_(std::move(initial)) {
+DirectoryServant::DirectoryServant(ShardMap initial) : map_(std::move(initial)) {
   std::string why;
   VDEP_ASSERT_MSG(map_.validate(&why), "initial shard map invalid");
   (void)why;
@@ -18,7 +18,7 @@ DirectoryServant::DirectoryServant(ShardMap initial, Config config)
 DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
                                                   const Bytes& args) {
   Result result;
-  result.cpu_time = config_.op_time;
+  result.cpu_time = kOpTime;
   orb::CdrWriter w;
 
   if (operation == "dir.get") {

@@ -19,15 +19,15 @@
 
 namespace vdep::shard {
 
+// Every shard-layer group serves its servant under one object key; the
+// directory is always group 1.
+inline constexpr ObjectId kObjectKey{1};
+inline constexpr GroupId kDirectoryGroup{1};
+
 class DirectoryServant final : public replication::Checkpointable {
  public:
-  struct Config {
-    SimTime op_time = usec(5);
-  };
-
   DirectoryServant() = default;  // blank: a joiner restores by state transfer
   explicit DirectoryServant(ShardMap initial);
-  DirectoryServant(ShardMap initial, Config config);
 
   Result invoke(const std::string& operation, const Bytes& args) override;
 
@@ -55,7 +55,6 @@ class DirectoryServant final : public replication::Checkpointable {
   static ShardStatus decode_commit_reply(const Bytes& body);
 
  private:
-  Config config_;
   ShardMap map_;
   std::uint64_t commits_ = 0;
 };

@@ -5,6 +5,11 @@
 
 namespace vdep::shard {
 
+namespace {
+constexpr SimTime kStepRetry = msec(200);  // app-level rejection -> retry delay
+constexpr int kMaxStepAttempts = 50;
+}  // namespace
+
 struct MigrationController::Job {
   bool is_split = true;
   std::uint32_t shard_id = 0;
@@ -20,23 +25,20 @@ struct MigrationController::Job {
 
 MigrationController::MigrationController(net::Network& network, gcs::Daemon& daemon,
                                          sim::Kernel& kernel, ProcessId pid,
-                                         NodeId host, Params params,
-                                         monitor::MetricsRegistry* metrics)
+                                         NodeId host, monitor::MetricsRegistry* metrics)
     : kernel_(kernel),
-      params_(params),
       metrics_(metrics),
       process_(kernel, pid, host, "migrator@" + network.host_name(host)),
       orb_(network, process_) {
-  auto coordinator = std::make_unique<replication::ClientCoordinator>(
-      network, daemon, process_, params_.coordinator);
-  orb_.use_transport(std::move(coordinator));
+  orb_.use_transport(
+      std::make_unique<replication::ClientCoordinator>(network, daemon, process_));
 }
 
 MigrationController::~MigrationController() = default;
 
 orb::ObjectRef MigrationController::group_ref(GroupId group) const {
   orb::ObjectRef ref;
-  ref.object_key = params_.object_key;
+  ref.object_key = kObjectKey;
   ref.group = orb::GroupProfile{group};
   return ref;
 }
@@ -114,11 +116,11 @@ void MigrationController::step(std::shared_ptr<Job> job, const std::string& what
                 [this, job, what, on_ok, attempts, self](
                     orb::ReplyStatus status, Bytes body) {
                   if (status != orb::ReplyStatus::kNoException) {
-                    if (*attempts >= params_.max_step_attempts) {
+                    if (*attempts >= kMaxStepAttempts) {
                       finish(job, false, what + ": no reply");
                       return;
                     }
-                    kernel_.post(params_.step_retry, [self] { (*self)(); });
+                    kernel_.post(kStepRetry, [self] { (*self)(); });
                     return;
                   }
                   orb::CdrReader r(body);
@@ -136,7 +138,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
   job->rec.to = job->target;
 
   // 1. Read the authoritative map and compute the successor.
-  step(job, "dir.get", group_ref(params_.directory_group), "dir.get", {},
+  step(job, "dir.get", group_ref(kDirectoryGroup), "dir.get", {},
        [this, job](ShardStatus status, Bytes body) {
          if (status != ShardStatus::kOk) {
            finish(job, false, "dir.get: " + to_string(status));
@@ -195,7 +197,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
                          return;
                        }
                        orb::CdrReader r(body2);
-                       r.ulong();  // status, already checked
+                       (void)r.ulong();  // status, already checked
                        job->bundle = r.octets();
                        job->rec.bytes_moved = job->bundle.size();
 
@@ -217,7 +219,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
                               // 5. Commit the successor map (AGREED within
                               // the directory group).
                               step(job, "commit",
-                                   group_ref(params_.directory_group),
+                                   group_ref(kDirectoryGroup),
                                    "dir.commit",
                                    DirectoryServant::encode_commit(job->next),
                                    [this, job](ShardStatus s4, Bytes) {

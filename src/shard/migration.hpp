@@ -33,14 +33,6 @@ namespace vdep::shard {
 
 class MigrationController {
  public:
-  struct Params {
-    ObjectId object_key{1};
-    GroupId directory_group;
-    SimTime step_retry = msec(200);  // app-level rejection -> retry delay
-    int max_step_attempts = 50;
-    replication::ClientCoordinatorParams coordinator;
-  };
-
   struct Record {
     std::uint64_t id = 0;           // migration id (unique per controller)
     std::uint32_t source_shard = 0;
@@ -62,7 +54,7 @@ class MigrationController {
 
   MigrationController(net::Network& network, gcs::Daemon& daemon,
                       sim::Kernel& kernel, ProcessId pid, NodeId host,
-                      Params params, monitor::MetricsRegistry* metrics = nullptr);
+                      monitor::MetricsRegistry* metrics = nullptr);
   ~MigrationController();
 
   // Split `shard_id` at `split_point` (the upper part moves to
@@ -88,7 +80,6 @@ class MigrationController {
   [[nodiscard]] orb::ObjectRef group_ref(GroupId group) const;
 
   sim::Kernel& kernel_;
-  Params params_;
   monitor::MetricsRegistry* metrics_;
   sim::Process process_;
   orb::ClientOrb orb_;

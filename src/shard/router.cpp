@@ -5,6 +5,11 @@
 
 namespace vdep::shard {
 
+namespace {
+constexpr int kMaxAttempts = 16;              // route attempts per op (incl. refreshes)
+constexpr SimTime kFrozenBackoff = msec(25);  // wait before retrying a frozen range
+}  // namespace
+
 struct RouteState {
   std::string operation;
   std::string key;
@@ -14,9 +19,9 @@ struct RouteState {
   ShardStatus last_status = ShardStatus::kOk;
 };
 
-ShardRouter::ShardRouter(orb::ClientOrb& orb, ShardMap initial, Params params,
+ShardRouter::ShardRouter(orb::ClientOrb& orb, ShardMap initial,
                          monitor::MetricsRegistry* metrics)
-    : orb_(orb), map_(std::move(initial)), params_(params), metrics_(metrics) {}
+    : orb_(orb), map_(std::move(initial)), metrics_(metrics) {}
 
 void ShardRouter::route(const std::string& operation, const std::string& key,
                         std::optional<std::string> value, Callback cb) {
@@ -29,7 +34,7 @@ void ShardRouter::route(const std::string& operation, const std::string& key,
 }
 
 void ShardRouter::attempt(std::shared_ptr<RouteState> state) {
-  if (state->attempts >= params_.max_attempts) {
+  if (state->attempts >= kMaxAttempts) {
     state->cb(state->last_status, {});
     return;
   }
@@ -54,7 +59,7 @@ void ShardRouter::attempt(std::shared_ptr<RouteState> state) {
   obs::Tracer::Scope scope(tracer, span.context());
 
   orb::ObjectRef ref;
-  ref.object_key = params_.object_key;
+  ref.object_key = kObjectKey;
   ref.group = orb::GroupProfile{entry->group};
   const std::string* value = state->value ? &*state->value : nullptr;
   Bytes args = ShardServant::encode_data_args(map_.epoch(), state->key, value);
@@ -77,7 +82,7 @@ void ShardRouter::attempt(std::shared_ptr<RouteState> state) {
                 if (reply.status == ShardStatus::kFrozen) {
                   // Mid-donation: give the migration time to commit, then
                   // re-read the map and follow the range to its new group.
-                  orb_.process().kernel().post(params_.frozen_backoff, [this, state] {
+                  orb_.process().kernel().post(kFrozenBackoff, [this, state] {
                     refresh_map([this, state] { attempt(state); });
                   });
                 } else {
@@ -92,8 +97,8 @@ void ShardRouter::refresh_map(std::function<void()> then) {
   refresh_in_flight_ = true;
 
   orb::ObjectRef ref;
-  ref.object_key = params_.object_key;
-  ref.group = orb::GroupProfile{params_.directory_group};
+  ref.object_key = kObjectKey;
+  ref.group = orb::GroupProfile{kDirectoryGroup};
   orb_.invoke(ref, "dir.get", {}, [this](orb::ReplyStatus status, Bytes body) {
     refresh_in_flight_ = false;
     if (status == orb::ReplyStatus::kNoException) {

@@ -25,18 +25,11 @@ struct RouteState;  // per-operation retry state (router.cpp)
 
 class ShardRouter {
  public:
-  struct Params {
-    ObjectId object_key{1};
-    GroupId directory_group;
-    int max_attempts = 16;           // route attempts per op (incl. refreshes)
-    SimTime frozen_backoff = msec(25);  // wait before retrying a frozen range
-  };
-
   // Status is the final shard-level outcome; `inner` holds the KV result
   // bytes (KvStoreServant::decode_* applies) when status == kOk.
   using Callback = std::function<void(ShardStatus, Bytes inner)>;
 
-  ShardRouter(orb::ClientOrb& orb, ShardMap initial, Params params,
+  ShardRouter(orb::ClientOrb& orb, ShardMap initial,
               monitor::MetricsRegistry* metrics = nullptr);
 
   void put(const std::string& key, const std::string& value, Callback cb) {
@@ -69,7 +62,6 @@ class ShardRouter {
 
   orb::ClientOrb& orb_;
   ShardMap map_;
-  Params params_;
   monitor::MetricsRegistry* metrics_;
   bool refresh_in_flight_ = false;
   std::vector<std::function<void()>> refresh_waiters_;

@@ -9,8 +9,11 @@ namespace vdep::shard {
 
 namespace {
 
-SimTime bundle_cpu(std::size_t bytes, double bytes_per_sec) {
-  return usec_f(static_cast<double>(bytes) / bytes_per_sec * 1e6);
+constexpr SimTime kRouteCheckTime = usec(2);  // fence lookup per request
+constexpr double kBundleBytesPerSec = 100e6;  // donate/install (de)serialization
+
+SimTime bundle_cpu(std::size_t bytes) {
+  return usec_f(static_cast<double>(bytes) / kBundleBytesPerSec * 1e6);
 }
 
 // The donated range as flat (key, value) pairs — the app_state of the
@@ -43,10 +46,8 @@ std::string to_string(ShardStatus status) {
   return "unknown";
 }
 
-ShardServant::ShardServant(Config config, std::vector<KeyRange> owned,
-                           std::uint64_t fence_epoch)
-    : config_(config), inner_(config.kv), fence_epoch_(fence_epoch),
-      owned_(std::move(owned)) {
+ShardServant::ShardServant(std::vector<KeyRange> owned, std::uint64_t fence_epoch)
+    : fence_epoch_(fence_epoch), owned_(std::move(owned)) {
   std::sort(owned_.begin(), owned_.end(),
             [](const KeyRange& a, const KeyRange& b) { return a.lo < b.lo; });
 }
@@ -81,19 +82,19 @@ ShardServant::Result ShardServant::invoke(const std::string& operation,
 
   const bool needs_value = operation == "put" || operation == "append";
   const bool known = needs_value || operation == "get" || operation == "erase";
-  if (!known) return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
+  if (!known) return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
 
   orb::CdrReader r(args);
-  r.ulonglong();  // client's cached map epoch — diagnostic; fencing is by ownership
+  (void)r.ulonglong();  // client's cached map epoch — diagnostic; fencing is by ownership
   const std::string key = r.string();
   const std::string value = needs_value ? r.string() : std::string{};
 
   const std::uint32_t h = shard_hash(key);
   if (frozen_ && frozen_->range.contains(h)) {
-    return status_reply(ShardStatus::kFrozen, config_.route_check_time);
+    return status_reply(ShardStatus::kFrozen, kRouteCheckTime);
   }
   if (!owns(h)) {
-    return status_reply(ShardStatus::kWrongShard, config_.route_check_time);
+    return status_reply(ShardStatus::kWrongShard, kRouteCheckTime);
   }
 
   Bytes inner_args;
@@ -112,7 +113,7 @@ ShardServant::Result ShardServant::invoke(const std::string& operation,
   w.octets(inner.output);
   Result result;
   result.output = std::move(w).take();
-  result.cpu_time = config_.route_check_time + inner.cpu_time;
+  result.cpu_time = kRouteCheckTime + inner.cpu_time;
   return result;
 }
 
@@ -139,16 +140,16 @@ ShardServant::Result ShardServant::control(const std::string& operation,
     return install(id, range, post_epoch, bundle);
   }
   if (operation == "shard.release") return release(r.ulonglong());
-  return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
+  return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
 }
 
 ShardServant::Result ShardServant::freeze(const Migration& m) {
   if (done_migrations_.count(m.id) != 0 || (frozen_ && frozen_->id == m.id)) {
-    return status_reply(ShardStatus::kOk, config_.route_check_time);  // duplicate
+    return status_reply(ShardStatus::kOk, kRouteCheckTime);  // duplicate
   }
   if (frozen_) {
     // One outbound migration at a time; the controller serializes them.
-    return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
+    return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
   }
   // The range must be entirely owned here.
   std::uint64_t covered = 0;
@@ -158,15 +159,15 @@ ShardServant::Result ShardServant::freeze(const Migration& m) {
     if (lo <= hi) covered += static_cast<std::uint64_t>(hi) - lo + 1;
   }
   if (covered != m.range.width()) {
-    return status_reply(ShardStatus::kWrongShard, config_.route_check_time);
+    return status_reply(ShardStatus::kWrongShard, kRouteCheckTime);
   }
   frozen_ = m;
-  return status_reply(ShardStatus::kOk, config_.route_check_time);
+  return status_reply(ShardStatus::kOk, kRouteCheckTime);
 }
 
 ShardServant::Result ShardServant::donate(std::uint64_t id) {
   if (!frozen_ || frozen_->id != id) {
-    return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
+    return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
   }
   // Encode once: the frozen range as the anchor of a StateTransferMsg, the
   // same bundle format a joiner receives. The range cannot mutate while
@@ -179,8 +180,7 @@ ShardServant::Result ShardServant::donate(std::uint64_t id) {
   bundle.anchor = Payload(anchor.encode());
   Bytes encoded = bundle.encode();
 
-  const SimTime cpu = config_.route_check_time +
-                      bundle_cpu(encoded.size(), config_.bundle_bytes_per_sec);
+  const SimTime cpu = kRouteCheckTime + bundle_cpu(encoded.size());
   orb::CdrWriter w;
   w.ulong(static_cast<std::uint32_t>(ShardStatus::kOk));
   w.octets(encoded);
@@ -194,10 +194,9 @@ ShardServant::Result ShardServant::install(std::uint64_t id, KeyRange range,
                                            std::uint64_t post_epoch,
                                            const Bytes& bundle) {
   if (done_migrations_.count(id) != 0) {
-    return status_reply(ShardStatus::kOk, config_.route_check_time);  // duplicate
+    return status_reply(ShardStatus::kOk, kRouteCheckTime);  // duplicate
   }
-  SimTime cpu = config_.route_check_time +
-                bundle_cpu(bundle.size(), config_.bundle_bytes_per_sec);
+  SimTime cpu = kRouteCheckTime + bundle_cpu(bundle.size());
   const auto msg = replication::StateTransferMsg::decode(Payload::copy_of(bundle));
   const auto anchor = replication::CheckpointMsg::decode(msg.anchor);
   ByteReader r(anchor.app_state.view());
@@ -218,12 +217,12 @@ ShardServant::Result ShardServant::install(std::uint64_t id, KeyRange range,
 
 ShardServant::Result ShardServant::release(std::uint64_t id) {
   if (done_migrations_.count(id) != 0) {
-    return status_reply(ShardStatus::kOk, config_.route_check_time);  // duplicate
+    return status_reply(ShardStatus::kOk, kRouteCheckTime);  // duplicate
   }
   if (!frozen_ || frozen_->id != id) {
-    return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
+    return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
   }
-  SimTime cpu = config_.route_check_time;
+  SimTime cpu = kRouteCheckTime;
   std::vector<std::string> moved;
   for (const auto& [k, v] : inner_.items()) {
     if (frozen_->range.contains(shard_hash(k))) moved.push_back(k);

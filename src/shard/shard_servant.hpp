@@ -44,16 +44,10 @@ enum class ShardStatus : std::uint32_t {
 
 class ShardServant final : public replication::Checkpointable {
  public:
-  struct Config {
-    app::KvStoreServant::Config kv;
-    SimTime route_check_time = usec(2);  // fence lookup per request
-    double bundle_bytes_per_sec = 100e6;  // donate/install (de)serialization
-  };
-
   // A servant joining an existing group starts blank (no ranges); the state
   // transfer brings both the data and the control state.
-  ShardServant() : ShardServant(Config{}, {}, 0) {}
-  ShardServant(Config config, std::vector<KeyRange> owned, std::uint64_t fence_epoch);
+  ShardServant() : ShardServant({}, 0) {}
+  ShardServant(std::vector<KeyRange> owned, std::uint64_t fence_epoch);
 
   // Data: "put" | "get" | "erase" | "append", args = CDR {ulonglong
   // map_epoch; string key; [string value]}; output = CDR {ulong status;
@@ -123,7 +117,6 @@ class ShardServant final : public replication::Checkpointable {
   // Returns the remaining (inner) portion of the buffer.
   std::span<const std::uint8_t> decode_control(std::span<const std::uint8_t> raw);
 
-  Config config_;
   app::KvStoreServant inner_;
   std::uint64_t fence_epoch_ = 0;
   std::vector<KeyRange> owned_;  // sorted by lo, disjoint

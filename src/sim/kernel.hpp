@@ -58,7 +58,6 @@ class Kernel {
 
   // Statistics about the run.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
   // The experiment's tracer: one per kernel so span/trace ids are sequential
   // within a run and independent across runs. Off by default; the disabled

@@ -1,9 +1,25 @@
 #include "util/config.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <vector>
 
 namespace vdep {
+
+namespace {
+// The whole value must be one number: "5x", "0x2a" or "" are rejected rather
+// than read as their longest numeric prefix.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text, const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(std::string("bad ") + kind + " for key " + key + ": " + text);
+  }
+  return value;
+}
+}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -40,13 +56,13 @@ std::string Config::get_str(const std::string& key, const std::string& fallback)
 std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
   auto v = get(key);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_number<std::int64_t>(key, *v, "integer");
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   auto v = get(key);
   if (!v) return fallback;
-  return std::stod(*v);
+  return parse_number<double>(key, *v, "number");
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

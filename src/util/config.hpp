@@ -26,6 +26,8 @@ class Config {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_str(const std::string& key,
                                     const std::string& fallback) const;
+  // The numeric getters throw std::invalid_argument, naming the key, unless
+  // the whole value parses as one number.
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;

@@ -68,29 +68,6 @@ double Sampler::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  VDEP_ASSERT(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  VDEP_ASSERT(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i) + width_; }
-
 std::size_t LogHistogram::bucket_index(double x) {
   if (!(x > 0.0)) return 0;  // zero, negatives and NaN land in the floor bucket
   int exp = 0;

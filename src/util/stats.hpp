@@ -59,26 +59,6 @@ class Sampler {
   RunningStats stats_;
 };
 
-// Fixed-bucket histogram over [lo, hi); out-of-range values clamp to the edge
-// buckets. Used for latency distributions in reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const;
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] double bucket_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 // Fixed-bucket log-scale histogram for non-negative samples (latencies in
 // us, sizes in bytes). Bucket boundaries are geometric — kSubBuckets per
 // octave — so relative error is bounded (~9%) across twelve decades at a

@@ -64,15 +64,15 @@ TEST(ChaosSchedule, SilencingWindowsStayUnderDetectorThresholdWithGaps) {
     for (const auto& a : plan.actions()) {
       if (a.kind == net::FaultAction::Kind::kLossBurst ||
           a.kind == net::FaultAction::Kind::kPartition) {
-        EXPECT_LE((a.until - a.at).count(), policy.max_window.count()) << "seed " << seed;
-        EXPECT_GE((a.until - a.at).count(), policy.min_window.count()) << "seed " << seed;
+        EXPECT_LE((a.until - a.at).count(), kMaxWindow.count()) << "seed " << seed;
+        EXPECT_GE((a.until - a.at).count(), kMinWindow.count()) << "seed " << seed;
         windows.emplace_back(a.at, a.until);
       }
     }
     std::sort(windows.begin(), windows.end());
     for (std::size_t i = 1; i < windows.size(); ++i) {
       EXPECT_GE((windows[i].first - windows[i - 1].second).count(),
-                policy.min_gap.count())
+                kMinGap.count())
           << "seed " << seed << ": silencing faults must not chain into "
           << "detector-visible silence";
     }

@@ -20,9 +20,9 @@ struct Member_ {
 };
 
 struct World {
-  void build(int hosts, std::uint64_t seed = 1, DaemonParams params = {}) {
+  void build(int hosts, std::uint64_t seed = 1) {
     fabric = std::make_unique<harness::Fabric>(
-        harness::FabricConfig{.seed = seed, .server_hosts = hosts, .daemon = params});
+        harness::FabricConfig{.seed = seed, .server_hosts = hosts});
     kernel = &fabric->kernel();
     network = &fabric->network();
   }

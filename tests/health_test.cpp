@@ -38,9 +38,9 @@ TEST(PhiAccrual, BootstrapBeforeMinSamples) {
   PhiAccrualDetector d;
   EXPECT_DOUBLE_EQ(d.phi(msec(100)), 0.0);  // never started: no opinion
   d.heartbeat(msec(100));
-  // Below min_samples the detector falls back to the bootstrap interval, so
+  // Below the minimum sample count the detector falls back to the bootstrap interval, so
   // it is already useful: quiet on schedule, loud after a long silence.
-  EXPECT_DOUBLE_EQ(d.mean_interval_us(), to_usec(d.params().bootstrap_interval));
+  EXPECT_DOUBLE_EQ(d.mean_interval_us(), to_usec(PhiAccrualDetector::kBootstrapInterval));
   EXPECT_LT(d.phi(msec(120)), 1.0);
   EXPECT_GT(d.phi(msec(400)), 8.0);
 }
@@ -52,7 +52,7 @@ TEST(PhiAccrual, OutlierIntervalClamped) {
     t += msec(20);
     d.heartbeat(t);
   }
-  // One 500 ms outage-polluted gap is clamped to max_interval_factor x mean,
+  // One 500 ms outage-polluted gap is clamped to 5 x mean (the max-interval factor),
   // so the window mean cannot be dragged far from the true cadence.
   t += msec(500);
   d.heartbeat(t);

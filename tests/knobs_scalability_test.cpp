@@ -157,27 +157,5 @@ TEST(ScalabilityPolicy, DeltaProfileRescuesPassiveBandwidth) {
   EXPECT_GT(after->faults_tolerated, before->faults_tolerated);
 }
 
-TEST(ScalabilityKnob, AppliesPolicyThroughActuators) {
-  const ScalabilityPolicy policy =
-      synthesize_scalability_policy(paper_map(), ScalabilityRequirements{});
-  ReplicationStyle applied_style = ReplicationStyle::kActive;
-  int applied_replicas = 0;
-  ScalabilityKnob knob(policy, ScalabilityKnob::Actuators{
-                                   [&](ReplicationStyle s) { applied_style = s; },
-                                   [&](int n) { applied_replicas = n; }});
-
-  auto e = knob.apply(4);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(applied_style, ReplicationStyle::kWarmPassive);
-  EXPECT_EQ(applied_replicas, 3);
-  EXPECT_EQ(knob.current_clients(), 4);
-
-  // Unsupported count leaves the system untouched.
-  applied_replicas = 0;
-  EXPECT_FALSE(knob.apply(9).has_value());
-  EXPECT_EQ(applied_replicas, 0);
-  EXPECT_EQ(knob.current_clients(), 4);
-}
-
 }  // namespace
 }  // namespace vdep::knobs

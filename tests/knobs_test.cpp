@@ -368,6 +368,13 @@ TEST(VersatileDependability, ScalabilityKnobDrivesController) {
   EXPECT_EQ(controller.replicas_, entry->config.replicas);
   EXPECT_EQ(controller.style_, entry->config.style);
   EXPECT_EQ(vd.registry().at("Scalability").get(), "2");
+
+  // An unsupported client count leaves the controller untouched.
+  controller.replicas_ = 0;
+  EXPECT_FALSE(vd.tune_for_clients(9).has_value());
+  EXPECT_EQ(controller.replicas_, 0);
+  EXPECT_EQ(controller.style_, entry->config.style);
+  EXPECT_EQ(vd.registry().at("Scalability").get(), "2");
 }
 
 TEST(VersatileDependability, ContractManagement) {

@@ -66,7 +66,7 @@ TEST(ReplyCache, SerializeRecentKeepsNewest) {
 TEST(MessageLog, AppendTruncateAppliedReplayWindow) {
   MessageLog log;
   for (std::uint64_t i = 1; i <= 10; ++i) {
-    log.append(LoggedRequest{i, rid(1, i), NodeId{0}, kTimeZero, filler_bytes(10)});
+    log.append(LoggedRequest{i, rid(1, i), NodeId{0}, kTimeZero, filler_bytes(10), {}});
   }
   EXPECT_EQ(log.size(), 10u);
   EXPECT_EQ(log.highest_index(), 10u);
@@ -86,8 +86,8 @@ TEST(MessageLog, AppendTruncateAppliedReplayWindow) {
 
 TEST(MessageLog, TruncateAppliedIsPerClient) {
   MessageLog log;
-  log.append(LoggedRequest{1, rid(1, 3), NodeId{0}, kTimeZero, {}});
-  log.append(LoggedRequest{2, rid(2, 3), NodeId{0}, kTimeZero, {}});
+  log.append(LoggedRequest{1, rid(1, 3), NodeId{0}, kTimeZero, {}, {}});
+  log.append(LoggedRequest{2, rid(2, 3), NodeId{0}, kTimeZero, {}, {}});
   log.truncate_applied({{ProcessId{1}, 5}});  // only client 1 covered
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log.take_all()[0].request_id.client, ProcessId{2});
@@ -95,7 +95,7 @@ TEST(MessageLog, TruncateAppliedIsPerClient) {
 
 TEST(MessageLog, UnknownClientNeverTruncated) {
   MessageLog log;
-  log.append(LoggedRequest{5, rid(7, 5), NodeId{0}, kTimeZero, {}});
+  log.append(LoggedRequest{5, rid(7, 5), NodeId{0}, kTimeZero, {}, {}});
   log.truncate_applied({{ProcessId{1}, 100}});
   EXPECT_EQ(log.size(), 1u);
 }
@@ -105,10 +105,10 @@ TEST(MessageLog, TruncateWithRetentionIdGapsKeepsEverythingAboveFrontier) {
   // execution); truncation is a <= comparison against the frontier, not a
   // membership test, so gaps below it vanish and gaps above it survive.
   MessageLog log;
-  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, {}});
-  log.append(LoggedRequest{2, rid(1, 3), NodeId{0}, kTimeZero, {}});
-  log.append(LoggedRequest{3, rid(1, 5), NodeId{0}, kTimeZero, {}});
-  log.append(LoggedRequest{4, rid(2, 2), NodeId{0}, kTimeZero, {}});
+  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, {}, {}});
+  log.append(LoggedRequest{2, rid(1, 3), NodeId{0}, kTimeZero, {}, {}});
+  log.append(LoggedRequest{3, rid(1, 5), NodeId{0}, kTimeZero, {}, {}});
+  log.append(LoggedRequest{4, rid(2, 2), NodeId{0}, kTimeZero, {}, {}});
   log.truncate_applied({{ProcessId{1}, 4}, {ProcessId{2}, 1}});
   auto rest = log.take_all();
   ASSERT_EQ(rest.size(), 2u);
@@ -118,7 +118,7 @@ TEST(MessageLog, TruncateWithRetentionIdGapsKeepsEverythingAboveFrontier) {
 
 TEST(MessageLog, TruncateWithEmptyAppliedMapIsANoOp) {
   MessageLog log;
-  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, filler_bytes(8)});
+  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, filler_bytes(8), {}});
   log.truncate_applied({});
   EXPECT_EQ(log.size(), 1u);
   EXPECT_EQ(log.bytes(), 8u);
@@ -128,7 +128,7 @@ TEST(MessageLog, TakeAllMovesPayloadsWithoutCopying) {
   MessageLog log;
   Payload giop = filler_bytes(64);
   const std::uint8_t* buffer = giop.data();
-  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, std::move(giop)});
+  log.append(LoggedRequest{1, rid(1, 1), NodeId{0}, kTimeZero, std::move(giop), {}});
   auto out = log.take_all();
   ASSERT_EQ(out.size(), 1u);
   // Same underlying buffer: the entry changed hands by move, not by copy.

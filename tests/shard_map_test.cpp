@@ -175,13 +175,13 @@ TEST(ShardServantTest, FencesStaleRoutesAndFrozenRanges) {
   // Owns only the half NOT containing the key.
   KeyRange other = h < 0x80000000u ? KeyRange{0x80000000u, 0xffffffffu}
                                    : KeyRange{0u, 0x7fffffffu};
-  ShardServant wrong(ShardServant::Config{}, {other}, 1);
+  ShardServant wrong({other}, 1);
   const std::string value = "v";
   auto result = wrong.invoke("put", ShardServant::encode_data_args(1, key, &value));
   EXPECT_EQ(ShardServant::decode_data_reply(result.output).status,
             ShardStatus::kWrongShard);
 
-  ShardServant owner(ShardServant::Config{}, {{0u, 0xffffffffu}}, 1);
+  ShardServant owner({{0u, 0xffffffffu}}, 1);
   result = owner.invoke("put", ShardServant::encode_data_args(1, key, &value));
   EXPECT_EQ(ShardServant::decode_data_reply(result.output).status, ShardStatus::kOk);
 

@@ -44,6 +44,25 @@ TEST(Config, BadBooleanThrows) {
   EXPECT_THROW((void)cfg.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Config, MalformedNumbersThrow) {
+  Config cfg = parse({"clients=5x", "seed=0x2a", "n=abc", "rate=1.5ms", "empty="});
+  EXPECT_THROW((void)cfg.get_int("clients", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_double("rate", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_double("n", 0), std::invalid_argument);
+  // The error names the offending key.
+  for (const char* key : {"clients", "n", "rate"}) {
+    try {
+      (void)cfg.get_double(key, 0);
+      ADD_FAILURE() << key << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Config, ValueWithEqualsSign) {
   Config cfg = parse({"expr=a=b"});
   EXPECT_EQ(cfg.get_str("expr", ""), "a=b");

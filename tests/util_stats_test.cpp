@@ -73,19 +73,6 @@ TEST(Sampler, MergeCombinesSamples) {
   EXPECT_DOUBLE_EQ(a.percentile(100), 4.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bucket 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
 TEST(LogHistogram, CountsMomentsAndRange) {
   LogHistogram h;
   EXPECT_EQ(h.count(), 0u);
