@@ -10,12 +10,21 @@
 // Neither run switches style before a join, so the pins do not depend on
 // which style a joiner starts in.
 //
+// CheckpointChainPaths pins the checkpoint-chain paths the runs above never
+// reach (they run warm passive with every checkpoint a full anchor): cold
+// passive retention with delta chains, a cold launch and a delta state
+// transfer to a recovered joiner; a warm-to-active switch with deltas in
+// flight; and hybrid observers. It also hashes the replicators' summed
+// checkpoint counters.
+//
 // A last pin covers the chaos trials: two small campaigns (health-on
 // single-group trials, and sharded trials with online splits) rendered
 // without process names, so what it pins is the observable outcome of every
 // trial — schedule, verdict, per-op history and final replica/shard state.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -239,6 +248,90 @@ TEST(GoldenPin, ShardedClusterHealthPlane) {
       << std::hex << fnv1a_text(monitor::health::render_text(events));
   EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0xbbf179911d4bda8dull)
       << std::hex << fnv1a_text(obs::render_text(cluster.kernel().tracer()));
+}
+
+struct ChainPins {
+  std::uint64_t digests = 0;
+  std::uint64_t counters = 0;
+  std::uint64_t trace = 0;
+};
+
+// One traced open-loop run of a 3-replica group with K = 4 delta chains;
+// `script` schedules faults and knob changes before it starts.
+ChainPins chain_pins(harness::ScenarioConfig config,
+                     const std::function<void(harness::Scenario&)>& script) {
+  config.clients = 2;
+  config.replicas = 3;
+  config.max_replicas = 3;
+  config.checkpoint_anchor_interval = 4;
+  config.tracing = true;
+  harness::Scenario scenario(config);
+  script(scenario);
+
+  harness::Scenario::OpenLoopConfig open;
+  open.plan = app::RatePlan::constant(150);
+  open.duration = sec(3);
+  const auto result = scenario.run_open_loop(open);
+  scenario.drain(msec(500));
+  EXPECT_GT(result.totals.completed, 400u);
+  EXPECT_EQ(scenario.kernel().tracer().spans_dropped(), 0u);
+
+  // Each counter summed over every node's latest replicator.
+  std::uint64_t sums[7] = {};
+  for (int i = 0; i < scenario.group().size(); ++i) {
+    const replication::Replicator& r = *scenario.group().node(i).replicator;
+    const std::uint64_t counters[7] = {r.checkpoints_taken(),      r.checkpoints_full_taken(),
+                                       r.checkpoints_delta_taken(), r.checkpoint_bytes_sent(),
+                                       r.installs_full(),          r.installs_delta(),
+                                       r.anchor_requests_sent()};
+    for (int c = 0; c < 7; ++c) sums[c] += counters[c];
+  }
+  return ChainPins{fnv1a_digests(scenario.live_state_digests()),
+                   fnv1a_digests(std::vector<std::uint64_t>(std::begin(sums), std::end(sums))),
+                   fnv1a_text(obs::render_text(scenario.kernel().tracer()))};
+}
+
+void expect_pins(const ChainPins& got, const ChainPins& want) {
+  EXPECT_EQ(got.digests, want.digests) << std::hex << got.digests;
+  EXPECT_EQ(got.counters, want.counters) << std::hex << got.counters;
+  EXPECT_EQ(got.trace, want.trace) << std::hex << got.trace;
+}
+
+TEST(GoldenPin, CheckpointChainPaths) {
+  // Cold passive: a backup crashes and its recovered incarnation joins
+  // through a donated anchor + delta bundle, then the primary crashes and
+  // the senior dormant backup launches from its retained chain.
+  harness::ScenarioConfig cold;
+  cold.seed = 43;
+  cold.style = replication::ReplicationStyle::kColdPassive;
+  cold.auto_recover = true;
+  expect_pins(chain_pins(cold,
+                         [](harness::Scenario& s) {
+                           s.fault_plan().crash_process(msec(500), s.replica_pid(2));
+                           s.fault_plan().restart_process(msec(880), s.replica_pid(2));
+                           s.fault_plan().crash_process(msec(1500), s.replica_pid(0));
+                         }),
+              ChainPins{0xea1f772dbc695d38ull, 0x26b30125df1b48d4ull, 0x06bf5c215ccd83deull});
+
+  // Warm passive switched to active under load: the final anchor lands while
+  // delta cuts may still be in flight.
+  harness::ScenarioConfig warm;
+  warm.seed = 47;
+  warm.style = replication::ReplicationStyle::kWarmPassive;
+  expect_pins(chain_pins(warm,
+                         [](harness::Scenario& s) {
+                           s.kernel().post_at(msec(1200), [&s] {
+                             s.group().set_style(replication::ReplicationStyle::kActive);
+                           });
+                         }),
+              ChainPins{0x6d308858c01683edull, 0x8b148bf0a7dddaeaull, 0xed5f4e3153d3f12bull});
+
+  // Hybrid: the third replica is an observer kept warm by the head's chain.
+  harness::ScenarioConfig hybrid;
+  hybrid.seed = 53;
+  hybrid.style = replication::ReplicationStyle::kHybrid;
+  expect_pins(chain_pins(hybrid, [](harness::Scenario&) {}),
+              ChainPins{0xde1e9073571f103cull, 0x3f0f354eff3d669cull, 0x3c8703ccbe20f8deull});
 }
 
 // Everything a chaos trial observes, minus flight recordings (which carry
