@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   config.max_replicas = 3;
   config.style = replication::ReplicationStyle::kWarmPassive;
   config.auto_recover = true;
-  config.health_adaptation = adaptive::HealthThresholdPolicy::Config{};
+  config.health_adaptation = true;
   harness::Scenario scenario(config);
 
   // Fault script: the primary dies (and auto-recovers), then a partition

@@ -5,6 +5,7 @@ namespace vdep::adaptive {
 namespace {
 constexpr double kBurnDegraded = 1.0;  // slo_burn at/above this degrades
 constexpr double kPhiDegraded = 8.0;   // max_phi at/above this degrades
+constexpr SimTime kMinDwell = msec(500);  // least time between a degrade and recovery
 }  // namespace
 
 RateThresholdPolicy::RateThresholdPolicy(Config config)
@@ -19,8 +20,6 @@ std::optional<replication::ReplicationStyle> RateThresholdPolicy::evaluate(
              : replication::ReplicationStyle::kWarmPassive;
 }
 
-HealthThresholdPolicy::HealthThresholdPolicy(Config config) : config_(config) {}
-
 std::optional<replication::ReplicationStyle> HealthThresholdPolicy::evaluate(
     const Signals& s) {
   const bool at_risk = s.slo_burn >= kBurnDegraded || s.max_phi >= kPhiDegraded ||
@@ -28,8 +27,7 @@ std::optional<replication::ReplicationStyle> HealthThresholdPolicy::evaluate(
   if (at_risk == degraded_) return std::nullopt;
   // Degrading is urgent (dependability is at risk now); recovering respects
   // the dwell so a clearing-then-reappearing signal cannot thrash.
-  if (!at_risk && transitioned_once_ &&
-      s.now - last_transition_ < config_.min_dwell) {
+  if (!at_risk && transitioned_once_ && s.now - last_transition_ < kMinDwell) {
     return std::nullopt;
   }
   degraded_ = at_risk;

@@ -71,18 +71,10 @@ class RateThresholdPolicy final : public AdaptationPolicy {
 // flapping signal cannot thrash the switch protocol.
 class HealthThresholdPolicy final : public AdaptationPolicy {
  public:
-  struct Config {
-    SimTime min_dwell = msec(500);
-  };
-
-  HealthThresholdPolicy() : HealthThresholdPolicy(Config{}) {}
-  explicit HealthThresholdPolicy(Config config);
-
   [[nodiscard]] std::string name() const override { return "health_threshold"; }
   std::optional<replication::ReplicationStyle> evaluate(const Signals& s) override;
 
  private:
-  Config config_;
   bool degraded_ = false;
   bool transitioned_once_ = false;
   SimTime last_transition_ = kTimeZero;

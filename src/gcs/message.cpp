@@ -178,16 +178,18 @@ SyncState SyncState::decode(ByteReader& r) {
   SyncState s;
   s.term = r.u64();
   s.from = NodeId{r.u64()};
-  const auto nb = r.u32();
+  // Smallest encodings: Ordered 86 bytes, Forward 54, a length-prefixed
+  // View 24, OrdAck 32.
+  const auto nb = r.count(86);
   s.buffered.reserve(nb);
   for (std::uint32_t i = 0; i < nb; ++i) s.buffered.push_back(Ordered::decode(r));
-  const auto np = r.u32();
+  const auto np = r.count(54);
   s.pending.reserve(np);
   for (std::uint32_t i = 0; i < np; ++i) s.pending.push_back(Forward::decode(r));
-  const auto nv = r.u32();
+  const auto nv = r.count(24);
   s.views.reserve(nv);
   for (std::uint32_t i = 0; i < nv; ++i) s.views.push_back(View::decode(r.bytes_view()));
-  const auto na = r.u32();
+  const auto na = r.count(32);
   s.acks.reserve(na);
   for (std::uint32_t i = 0; i < na; ++i) s.acks.push_back(OrdAck::decode(r));
   return s;

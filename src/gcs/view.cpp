@@ -41,7 +41,7 @@ View View::decode(std::span<const std::uint8_t> raw) {
   View v;
   v.group = GroupId{r.u64()};
   v.view_id = r.u64();
-  const auto n = r.u32();
+  const auto n = r.count(16);  // process + daemon
   v.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Member m;

@@ -182,7 +182,7 @@ std::unique_ptr<ReplicaGroup::Attachment> Scenario::attach_monitoring(
   } else if (config_.health_adaptation) {
     monitoring->adaptation = std::make_unique<adaptive::AdaptationManager>(
         *node.replicator,
-        std::make_unique<adaptive::HealthThresholdPolicy>(*config_.health_adaptation));
+        std::make_unique<adaptive::HealthThresholdPolicy>());
     monitoring->adaptation->set_health_source(&health());
     monitoring->adaptation->start();
   }

@@ -68,7 +68,7 @@ struct ScenarioConfig {
   // Health-driven adaptation: each replica gets an AdaptationManager with
   // the HealthMonitor as signal source and a HealthThresholdPolicy (implies
   // `health`).
-  std::optional<adaptive::HealthThresholdPolicy::Config> health_adaptation;
+  bool health_adaptation = false;
 
   // The application each replica hosts. Default (null): the paper's
   // micro-benchmark TestServant built from the parameters above. Supply a

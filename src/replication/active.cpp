@@ -8,11 +8,6 @@ void ActiveEngine::on_request(const RequestRecord& rec) {
   r_.execute_request(rec, /*send_reply=*/true);
 }
 
-void ActiveEngine::on_checkpoint(const CheckpointMsg& /*msg*/) {
-  // State transfers for joiners are handled before the engine sees them; an
-  // up-to-date active replica needs nothing from a checkpoint.
-}
-
 void ActiveEngine::on_view_change(const gcs::View& /*old_view*/,
                                   const gcs::View& /*new_view*/) {
   // Survivors keep executing; nothing to do. Crash recovery of the *client's*

@@ -11,12 +11,7 @@ bool ColdPassiveEngine::responder() const {
 void ColdPassiveEngine::on_request(const RequestRecord& rec) {
   if (responder()) {
     r_.execute_request(rec, /*send_reply=*/true);
-    const auto every = r_.params().checkpoint_every_requests;
-    const auto& view = r_.current_view();
-    if (every > 0 && view && view->size() > 1 &&
-        r_.executions_since_checkpoint() >= every) {
-      r_.take_checkpoint();
-    }
+    r_.checkpoint_if_due();
   } else {
     // Dormant backups (and a still-launching promotee) just log.
     r_.log_request(rec);
@@ -37,13 +32,7 @@ void ColdPassiveEngine::on_view_change(const gcs::View& old_view,
 }
 
 void ColdPassiveEngine::on_timer() {
-  if (!responder()) return;
-  const auto& view = r_.current_view();
-  if (view && view->size() > 1) {
-    r_.take_checkpoint();
-  } else {
-    r_.take_local_checkpoint();
-  }
+  if (responder()) r_.checkpoint_tick(/*first_stale_rank=*/1);
 }
 
 }  // namespace vdep::replication

@@ -42,8 +42,10 @@ class ReplicationEngine {
   // A client request delivered in total order.
   virtual void on_request(const RequestRecord& rec) = 0;
 
-  // A checkpoint from another replica delivered in total order.
-  virtual void on_checkpoint(const CheckpointMsg& msg) = 0;
+  // A checkpoint from another replica delivered in total order. The active
+  // styles ignore it: their replicas are always current, and state transfers
+  // to joiners are handled before the engine sees them.
+  virtual void on_checkpoint(const CheckpointMsg& /*msg*/) {}
 
   // Membership changed (crash, leave, join) — delivered in total order.
   virtual void on_view_change(const gcs::View& old_view, const gcs::View& new_view) = 0;

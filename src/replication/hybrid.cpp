@@ -40,13 +40,8 @@ void HybridEngine::on_timer() {
   // failures instantly, so they are kept warm on a relaxed cadence — every
   // few checkpoint-interval ticks, not per batch of requests. That is what
   // keeps hybrid cheaper on the wire than both active and warm passive.
-  const auto& view = r_.current_view();
-  if (r_.my_rank() != 0 || !view) return;
-  if (++ticks_ % kObserverSyncEvery != 0) return;
-  if (view->size() > kActiveCore) {
-    r_.take_checkpoint();
-  } else {
-    r_.take_local_checkpoint();
+  if (r_.my_rank() == 0 && ++ticks_ % kObserverSyncEvery == 0) {
+    r_.checkpoint_tick(kActiveCore);
   }
 }
 

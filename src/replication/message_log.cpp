@@ -37,10 +37,6 @@ std::vector<LoggedRequest> MessageLog::take_all() {
   return out;
 }
 
-std::uint64_t MessageLog::highest_index() const {
-  return entries_.empty() ? 0 : entries_.rbegin()->first;
-}
-
 void MessageLog::clear() {
   entries_.clear();
   bytes_ = 0;

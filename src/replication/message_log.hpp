@@ -41,7 +41,6 @@ class MessageLog {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::uint64_t highest_index() const;
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
 
   void clear();

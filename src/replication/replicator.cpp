@@ -1,6 +1,7 @@
 #include "replication/replicator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "orb/giop.hpp"
 #include "replication/active.hpp"
@@ -110,23 +111,33 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
             handle_request_envelope(msg, std::move(env.payload));
             return;
           case RepEnvelope::Type::kCheckpoint:
-            handle_checkpoint(CheckpointMsg::decode(env.payload));
+          case RepEnvelope::Type::kCheckpointDelta: {
+            const CheckpointMsg msg = CheckpointMsg::decode(
+                env.payload, env.type == RepEnvelope::Type::kCheckpointDelta
+                                 ? CheckpointMsg::Kind::kDelta
+                                 : CheckpointMsg::Kind::kFull);
+            handle_chain({&msg, 1});
             return;
+          }
           case RepEnvelope::Type::kSwitch:
             handle_switch(SwitchMsg::decode(env.payload));
             return;
           case RepEnvelope::Type::kStateRequest:
             // The current head of the group donates state via a checkpoint
             // (or an anchor + delta bundle when a chain is retained).
-            if (!uninitialized_ && my_rank() == 0) donate_state();
+            if (!uninitialized_ && my_rank() == 0) begin_round(/*donation=*/true);
             return;
-          case RepEnvelope::Type::kCheckpointDelta:
-            handle_checkpoint(
-                CheckpointMsg::decode(env.payload, CheckpointMsg::Kind::kDelta));
+          case RepEnvelope::Type::kStateTransfer: {
+            const StateTransferMsg bundle = StateTransferMsg::decode(env.payload);
+            std::vector<CheckpointMsg> chain;
+            chain.reserve(1 + bundle.deltas.size());
+            chain.push_back(CheckpointMsg::decode(bundle.anchor, CheckpointMsg::Kind::kFull));
+            for (const auto& d : bundle.deltas) {
+              chain.push_back(CheckpointMsg::decode(d, CheckpointMsg::Kind::kDelta));
+            }
+            handle_chain(chain);
             return;
-          case RepEnvelope::Type::kStateTransfer:
-            handle_state_transfer(StateTransferMsg::decode(env.payload));
-            return;
+          }
           case RepEnvelope::Type::kAnchorRequest:
             // A backup hit a chain gap: the head pins a full anchor. The
             // latch survives an in-flight round (served when it completes).
@@ -156,143 +167,69 @@ void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload g
   rec.trace = orb::trace_from_contexts(parsed.request->service_contexts);
   if (!rec.trace.valid()) rec.trace = msg.trace;
 
-  if (uninitialized_) {
+  if (uninitialized_ || holding_) {
     if (rec.trace.valid()) {
       auto span = process_.kernel().tracer().start_span(
           "rep.enqueue", "replication", process_.name(), rec.trace);
-      span.note("reason", "state_transfer_pending");
+      span.note("reason", uninitialized_ ? "state_transfer_pending" : "quiescence_hold");
     }
-    log_request(rec);
-    return;
-  }
-  if (holding_) {
-    if (rec.trace.valid()) {
-      auto span = process_.kernel().tracer().start_span(
-          "rep.enqueue", "replication", process_.name(), rec.trace);
-      span.note("reason", "quiescence_hold");
+    if (uninitialized_) {
+      log_request(rec);
+    } else {
+      holdq_.push_back(std::move(rec));
     }
-    holdq_.push_back(std::move(rec));
     return;
   }
   engine_->on_request(rec);
 }
 
-void Replicator::handle_checkpoint(const CheckpointMsg& msg) {
-  if (outstanding_checkpoint_ && *outstanding_checkpoint_ == msg.checkpoint_id) {
-    // Our own checkpoint completed the SAFE round: every member daemon holds
-    // it. Quiescence ends here (the paper's checkpoint blackout).
-    outstanding_checkpoint_.reset();
-    checkpoint_span_.note("checkpoint_id", std::to_string(msg.checkpoint_id));
-    checkpoint_span_.end();
-    if (switch_awaiting_checkpoint_) {
-      complete_switch();
-      finish_checkpoint_round();
-      return;
-    }
-    holding_ = false;
-    drain_holdq();
-    finish_checkpoint_round();
+void Replicator::handle_chain(std::span<const CheckpointMsg> chain) {
+  const std::uint64_t tip = chain.back().checkpoint_id;
+  if (outstanding_checkpoint_ && *outstanding_checkpoint_ == tip) {
+    end_round(tip);
     return;
   }
 
   if (uninitialized_) {
-    // A joiner cannot apply a delta (it has no base state); it keeps waiting
-    // for the donation, which always carries a full anchor.
-    if (msg.kind == CheckpointMsg::Kind::kDelta) return;
-    // The state transfer we asked for. When a style switch raced with our
-    // catch-up, this same checkpoint is also the switch's final checkpoint —
-    // complete it, or we would hold requests forever waiting for a second
-    // one that never comes.
-    install_checkpoint(msg);
-    // A dormant cold joiner also retains the snapshot, so later deltas have
-    // a stored chain tip to extend instead of forcing an anchor re-request.
-    if (engine_ != nullptr && engine_->style() == ReplicationStyle::kColdPassive &&
-        !engine_->responder()) {
-      stored_checkpoint_ = msg;
-      stored_deltas_.clear();
-    }
+    // A joiner cannot apply a bare delta (it has no base state); it keeps
+    // waiting for the donation, which always starts with a full anchor.
+    if (chain.front().kind == CheckpointMsg::Kind::kDelta) return;
+    // The state transfer we asked for: install the whole chain in order. The
+    // tip covers every request ordered before the donor's cut; the log replay
+    // below covers the rest. When a style switch raced with our catch-up,
+    // this same chain is also the switch's final checkpoint — complete it,
+    // or we would hold requests forever waiting for a second one that never
+    // comes.
+    for (const CheckpointMsg& part : chain) install_checkpoint(part);
+    // A dormant cold joiner also retains the chain, so later deltas have a
+    // stored tip to extend instead of forcing an anchor re-request. Only
+    // after installing: install_checkpoint() clears the stored chain.
+    if (dormant_cold()) stored_chain_.assign(chain.begin(), chain.end());
     uninitialized_ = false;
     // Quiet replay: the live replicas already replied to these requests.
     replay_log(/*send_replies=*/false);
-    log_info(process_.now(), "replicator",
-             process_.name() + " state transfer complete");
+    const std::string parts =
+        chain.size() > 1 ? " (chain of " + std::to_string(chain.size()) + ")" : "";
+    log_info(process_.now(), "replicator", process_.name() + " state transfer complete" + parts);
     if (switch_awaiting_checkpoint_) complete_switch();
     return;
   }
 
-  if (switch_awaiting_checkpoint_ && msg.kind == CheckpointMsg::Kind::kFull) {
+  if (switch_awaiting_checkpoint_ && chain.front().kind == CheckpointMsg::Kind::kFull) {
     // Fig. 5, case warm-passive -> active: the final checkpoint before the
     // switch. Backups synchronize their state with the primary, then switch.
     // (Switch finals are always full anchors; a delta delivered while
     // awaiting is an earlier in-flight cut and takes the normal engine path
     // below — it must not complete the switch.)
-    install_checkpoint(msg);
+    for (const CheckpointMsg& part : chain) install_checkpoint(part);
     complete_switch();
     return;
   }
 
-  engine_->on_checkpoint(msg);
-}
-
-void Replicator::handle_state_transfer(const StateTransferMsg& msg) {
-  CheckpointMsg anchor = CheckpointMsg::decode(msg.anchor, CheckpointMsg::Kind::kFull);
-  std::vector<CheckpointMsg> deltas;
-  deltas.reserve(msg.deltas.size());
-  for (const auto& d : msg.deltas) {
-    deltas.push_back(CheckpointMsg::decode(d, CheckpointMsg::Kind::kDelta));
-  }
-  const std::uint64_t tip =
-      deltas.empty() ? anchor.checkpoint_id : deltas.back().delta_epoch;
-
-  if (outstanding_checkpoint_ && *outstanding_checkpoint_ == tip) {
-    // Our own donation bundle came back stable: the SAFE round is over.
-    outstanding_checkpoint_.reset();
-    checkpoint_span_.note("checkpoint_id", std::to_string(tip));
-    checkpoint_span_.end();
-    if (switch_awaiting_checkpoint_) {
-      complete_switch();
-      finish_checkpoint_round();
-      return;
-    }
-    holding_ = false;
-    drain_holdq();
-    finish_checkpoint_round();
-    return;
-  }
-
-  if (uninitialized_) {
-    // The donation we asked for: install the whole chain — anchor first,
-    // then the delta suffix in order. The tip covers every request ordered
-    // before the donor's cut; the log replay below covers the rest.
-    install_checkpoint(anchor);
-    for (const auto& d : deltas) install_checkpoint(d);
-    if (engine_ != nullptr && engine_->style() == ReplicationStyle::kColdPassive &&
-        !engine_->responder()) {
-      stored_checkpoint_ = std::move(anchor);
-      stored_deltas_ = std::move(deltas);
-    }
-    uninitialized_ = false;
-    // Quiet replay: the live replicas already replied to these requests.
-    replay_log(/*send_replies=*/false);
-    log_info(process_.now(), "replicator",
-             process_.name() + " state transfer complete (chain of " +
-                 std::to_string(1 + msg.deltas.size()) + ")");
-    if (switch_awaiting_checkpoint_) complete_switch();
-    return;
-  }
-
-  if (switch_awaiting_checkpoint_) {
-    install_checkpoint(anchor);
-    for (const auto& d : deltas) install_checkpoint(d);
-    complete_switch();
-    return;
-  }
-
-  // Initialized bystanders treat each chain part like an ordinary checkpoint
-  // delivery: warm backups install (rolling back to the anchor and forward to
-  // the tip — same final state), cold backups retain, active styles ignore.
-  engine_->on_checkpoint(anchor);
-  for (const auto& d : deltas) engine_->on_checkpoint(d);
+  // Initialized bystanders take each part like an ordinary checkpoint: warm
+  // backups install (rolling back to an anchor and forward to the tip — same
+  // final state), cold backups retain, active styles ignore.
+  for (const CheckpointMsg& part : chain) engine_->on_checkpoint(part);
 }
 
 void Replicator::handle_switch(const SwitchMsg& msg) {
@@ -335,7 +272,9 @@ void Replicator::complete_switch() {
   VDEP_ASSERT(switch_target_.has_value());
   const ReplicationStyle from = engine_->style();
   const ReplicationStyle to = *switch_target_;
-  ensure_cold_applied();
+  // A dormant cold backup retains checkpoints without applying them; before
+  // it can execute under any other role, the retained chain must land.
+  if (dormant_cold()) install_stored_chain();
   engine_ = make_engine(to);
   switch_target_.reset();
   switch_awaiting_checkpoint_ = false;
@@ -389,7 +328,7 @@ void Replicator::on_view(const gcs::View& view) {
       log_info(process_.now(), "replicator",
                process_.name() + " switch rollback: primary crashed before checkpoint");
       switch_span_.note("rollback", "primary_crashed_before_checkpoint");
-      ensure_cold_applied();
+      if (dormant_cold()) install_stored_chain();
       replay_log(true);
       complete_switch();
       return;
@@ -526,36 +465,71 @@ Bytes Replicator::augment_reply(const Payload& reply_giop) const {
 
 void Replicator::take_checkpoint(bool force_full) {
   if (force_full) anchor_requested_ = true;  // latch survives an open round
-  // One round at a time: either a cut is already multicast (outstanding) or
-  // a quiescence waiter is about to cut (pending). The force_full latch
-  // still applies to whichever cut fires next.
-  if (outstanding_checkpoint_.has_value() || cut_pending_) return;
-  cut_pending_ = true;
-  holding_ = true;
-  // Open across quiescence wait + serialization + the SAFE round; ends when
-  // our own checkpoint message comes back stable (handle_checkpoint). Parent
-  // is whatever caused the round: timer, switch, or a backup's anchor request.
-  if (!checkpoint_span_.active()) {
-    checkpoint_span_ = process_.kernel().tracer().start_child(
-        "rep.checkpoint", "replication", process_.name());
-  }
-  quiescence_.when_quiescent(
-      process_.guarded([this] { cut_and_multicast(/*donation=*/false); }));
+  begin_round(/*donation=*/false);
 }
 
-void Replicator::donate_state() {
+void Replicator::begin_round(bool donation) {
+  // Either a cut is already multicast (outstanding) or a quiescence waiter is
+  // about to cut (pending). A force_full latch still applies to whichever
+  // cut fires next.
   if (outstanding_checkpoint_.has_value() || cut_pending_) {
-    pending_donation_ = true;  // served when the open round completes
+    if (donation) pending_donation_ = true;
     return;
   }
   cut_pending_ = true;
   holding_ = true;
+  // Open across quiescence wait + serialization + the SAFE round; ends when
+  // our own checkpoint message comes back stable (end_round). Parent is
+  // whatever caused the round: timer, switch, a joiner or a backup's anchor
+  // request.
   if (!checkpoint_span_.active()) {
     checkpoint_span_ = process_.kernel().tracer().start_child(
         "rep.checkpoint", "replication", process_.name());
   }
   quiescence_.when_quiescent(
-      process_.guarded([this] { cut_and_multicast(/*donation=*/true); }));
+      process_.guarded([this, donation] { cut_and_multicast(donation); }));
+}
+
+void Replicator::end_round(std::uint64_t checkpoint_id) {
+  // Every member daemon holds our checkpoint: quiescence ends here (the
+  // paper's checkpoint blackout).
+  outstanding_checkpoint_.reset();
+  checkpoint_span_.note("checkpoint_id", std::to_string(checkpoint_id));
+  checkpoint_span_.end();
+  if (switch_awaiting_checkpoint_) {
+    complete_switch();
+  } else {
+    holding_ = false;
+    drain_holdq();
+  }
+  if (stopped_ || uninitialized_ || engine_ == nullptr) return;
+  if (pending_donation_) {
+    pending_donation_ = false;
+    if (my_rank() == 0) {
+      begin_round(/*donation=*/true);
+      return;
+    }
+  }
+  if (anchor_requested_ && my_rank() == 0 && !switch_target_.has_value()) {
+    take_checkpoint(/*force_full=*/true);
+  }
+}
+
+void Replicator::checkpoint_if_due() {
+  const auto every = params_.checkpoint_every_requests;
+  if (every > 0 && view_ && view_->size() > 1 && executions_since_checkpoint_ >= every) {
+    take_checkpoint();
+  }
+}
+
+void Replicator::checkpoint_tick(std::size_t first_stale_rank) {
+  if (view_ && view_->size() > first_stale_rank) {
+    take_checkpoint();
+  } else {
+    // Nobody to keep current: snapshot locally so a restart has a recovery
+    // point. Costs quiescence + serialization, no traffic.
+    take_local_checkpoint();
+  }
 }
 
 bool Replicator::can_cut_delta() const {
@@ -564,15 +538,21 @@ bool Replicator::can_cut_delta() const {
          deltas_since_anchor_ + 1 < params_.checkpoint_anchor_interval;
 }
 
-void Replicator::cut_and_multicast(bool donation) {
-  cut_pending_ = false;
+CheckpointMsg Replicator::new_cut() {
   ++checkpoint_counter_;
   executions_since_checkpoint_ = 0;
-  const std::uint64_t id = (process_.id().value() << 20) | checkpoint_counter_;
   CheckpointMsg msg;
-  msg.checkpoint_id = id;
+  msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
   msg.applied = applied_rid_;
   msg.reply_cache = reply_cache_.serialize_recent(kCheckpointReplyEntries);
+  if (on_checkpoint_) on_checkpoint_(msg.checkpoint_id);
+  return msg;
+}
+
+void Replicator::cut_and_multicast(bool donation) {
+  cut_pending_ = false;
+  CheckpointMsg msg = new_cut();
+  const std::uint64_t id = msg.checkpoint_id;
 
   // Cut a dirty-set delta when the cadence knob allows it and the app can
   // still answer for the previous cut (a restore in between makes it full).
@@ -609,7 +589,6 @@ void Replicator::cut_and_multicast(bool donation) {
   checkpoint_bytes_ += enc.size();
 
   outstanding_checkpoint_ = id;
-  if (on_checkpoint_) on_checkpoint_(id);
   checkpoint_span_.note("kind", is_delta ? "delta" : "full");
   checkpoint_span_.note("state_bytes", std::to_string(msg.app_state.size()));
   if (is_delta) checkpoint_span_.note("base_epoch", std::to_string(msg.base_epoch));
@@ -641,20 +620,6 @@ void Replicator::cut_and_multicast(bool donation) {
   }
 }
 
-void Replicator::finish_checkpoint_round() {
-  if (stopped_ || uninitialized_ || engine_ == nullptr) return;
-  if (pending_donation_) {
-    pending_donation_ = false;
-    if (my_rank() == 0) {
-      donate_state();
-      return;
-    }
-  }
-  if (anchor_requested_ && my_rank() == 0 && !switch_target_.has_value()) {
-    take_checkpoint(/*force_full=*/true);
-  }
-}
-
 void Replicator::request_anchor() {
   if (anchor_request_outstanding_) return;  // one in flight is enough
   anchor_request_outstanding_ = true;
@@ -678,16 +643,10 @@ void Replicator::take_local_checkpoint() {
     obs::Span span = process_.kernel().tracer().start_child(
         "rep.checkpoint", "replication", process_.name());
     span.note("local", "1");
-    ++checkpoint_counter_;
-    executions_since_checkpoint_ = 0;
-    CheckpointMsg msg;
-    msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
-    msg.applied = applied_rid_;
+    CheckpointMsg msg = new_cut();
     msg.app_state = app_.snapshot();
-    msg.reply_cache = reply_cache_.serialize_recent(kCheckpointReplyEntries);
-    if (on_checkpoint_) on_checkpoint_(msg.checkpoint_id);
-    stored_checkpoint_ = std::move(msg);
-    stored_deltas_.clear();
+    stored_chain_.clear();
+    stored_chain_.push_back(std::move(msg));
     network_.cpu(process_.host())
         .execute(snapshot_cpu_time(app_.state_size(), kSnapshotBytesPerSec),
                  process_.guarded([this] {
@@ -732,17 +691,13 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
   }
   reply_cache_.restore(msg.reply_cache);
   // The state now *is* the snapshot (or the snapshot plus this delta); the
-  // applied frontier must match it, and any checkpoint retained for a cold
-  // launch is superseded.
+  // applied frontier must match it, and any chain retained for a cold launch
+  // is superseded.
   applied_rid_ = msg.applied;
   log_.truncate_applied(msg.applied);
   installed_epoch_ = msg.checkpoint_id;
   const std::size_t state_size = msg.app_state.size();
-  // `msg` may alias `*stored_checkpoint_` / `stored_deltas_` (cold launch
-  // installs the retained chain), so the supersede must come after the last
-  // read of `msg`.
-  stored_checkpoint_.reset();
-  stored_deltas_.clear();
+  stored_chain_.clear();
   // Our own cut lineage (as a past or future checkpoint taker) is superseded
   // by the installed state: the next cut we take must be a full anchor.
   last_cut_id_.reset();
@@ -757,8 +712,7 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
 
 void Replicator::store_checkpoint(const CheckpointMsg& msg) {
   if (msg.kind == CheckpointMsg::Kind::kFull) {
-    stored_checkpoint_ = msg;
-    stored_deltas_.clear();
+    stored_chain_.assign(1, msg);
     anchor_request_outstanding_ = false;
   } else {
     // Retain a delta only if it extends the stored chain tip; otherwise this
@@ -766,34 +720,27 @@ void Replicator::store_checkpoint(const CheckpointMsg& msg) {
     // it must re-anchor. The log is deliberately NOT truncated on a rejected
     // delta — truncating against a checkpoint we do not hold would lose the
     // only copy of those requests.
-    if (!stored_checkpoint_.has_value()) {
+    if (stored_chain_.empty()) {
       request_anchor();
       return;
     }
-    const std::uint64_t tip = stored_deltas_.empty()
-                                  ? stored_checkpoint_->checkpoint_id
-                                  : stored_deltas_.back().delta_epoch;
+    const std::uint64_t tip = stored_chain_.back().checkpoint_id;
     if (msg.delta_epoch == tip) return;  // duplicate (e.g. re-sent in a bundle)
     if (msg.base_epoch != tip) {
       request_anchor();
       return;
     }
-    stored_deltas_.push_back(msg);
+    stored_chain_.push_back(msg);
   }
   log_.truncate_applied(msg.applied);
 }
 
 void Replicator::install_stored_chain() {
-  if (!stored_checkpoint_.has_value()) return;
-  // Move the chain out first: install_checkpoint() clears the stored members.
-  CheckpointMsg anchor = std::move(*stored_checkpoint_);
-  std::vector<CheckpointMsg> deltas = std::move(stored_deltas_);
-  stored_checkpoint_.reset();
-  stored_deltas_.clear();
-  install_checkpoint(anchor);
+  // Move the chain out first: install_checkpoint() clears the stored chain.
+  const std::vector<CheckpointMsg> chain = std::exchange(stored_chain_, {});
   // Each retained delta was chain-checked on store, so the whole suffix
   // installs without gaps.
-  for (const auto& d : deltas) install_checkpoint(d);
+  for (const CheckpointMsg& part : chain) install_checkpoint(part);
 }
 
 void Replicator::replay_log(bool send_replies) {
@@ -809,26 +756,25 @@ void Replicator::replay_log(bool send_replies) {
   }
 }
 
+void Replicator::trace_promotion(ReplicationStyle style) {
+  if (!process_.kernel().tracer().enabled()) return;
+  auto span =
+      process_.kernel().tracer().start_span("rep.promote", "replication", process_.name());
+  span.note("style", to_string(style));
+  span.note("replayed", std::to_string(log_.size()));
+}
+
 void Replicator::promote_warm() {
-  if (process_.kernel().tracer().enabled()) {
-    auto span = process_.kernel().tracer().start_span("rep.promote", "replication",
-                                                      process_.name());
-    span.note("style", "warm_passive");
-    span.note("replayed", std::to_string(log_.size()));
-  }
+  trace_promotion(ReplicationStyle::kWarmPassive);
   log_info(process_.now(), "replicator",
            process_.name() + " promoted to primary (warm), replaying " +
                std::to_string(log_.size()) + " requests");
   replay_log(true);
 }
 
-void Replicator::ensure_cold_applied() {
-  // A dormant cold backup retains checkpoints without applying them; before
-  // it can execute under any other role, the retained chain must land.
-  if (engine_ != nullptr && engine_->style() == ReplicationStyle::kColdPassive &&
-      !engine_->responder() && stored_checkpoint_.has_value()) {
-    install_stored_chain();
-  }
+bool Replicator::dormant_cold() const {
+  return engine_ != nullptr && engine_->style() == ReplicationStyle::kColdPassive &&
+         !engine_->responder();
 }
 
 void Replicator::promote_cold() {
@@ -836,12 +782,7 @@ void Replicator::promote_cold() {
   cold_launch_pending_ = true;
   log_info(process_.now(), "replicator", process_.name() + " launching cold backup");
   process_.post(kColdLaunchDelay, [this] {
-    if (process_.kernel().tracer().enabled()) {
-      auto span = process_.kernel().tracer().start_span("rep.promote", "replication",
-                                                        process_.name());
-      span.note("style", "cold_passive");
-      span.note("replayed", std::to_string(log_.size()));
-    }
+    trace_promotion(ReplicationStyle::kColdPassive);
     install_stored_chain();
     cold_launch_pending_ = false;
     replay_log(true);

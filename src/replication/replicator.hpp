@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gcs/endpoint.hpp"
@@ -96,7 +97,6 @@ class Replicator {
   [[nodiscard]] sim::Process& process() { return process_; }
   [[nodiscard]] gcs::Endpoint& endpoint() { return *endpoint_; }
   [[nodiscard]] GroupId group() const { return group_; }
-  [[nodiscard]] const ReplicatorParams& params() const { return params_; }
 
   struct SwitchRecord {
     SimTime initiated;
@@ -128,6 +128,12 @@ class Replicator {
   // Quiesce and snapshot locally without multicasting — what a lone passive
   // primary does so a cold restart still has a recovery point.
   void take_local_checkpoint();
+  // Passive primary, after each execution: checkpoint every N requests, so
+  // backup staleness is bounded in requests, not just in wall-clock time.
+  void checkpoint_if_due();
+  // Timer tick of the checkpoint taker: a group round when some member ranks
+  // at `first_stale_rank` or beyond, else a local checkpoint.
+  void checkpoint_tick(std::size_t first_stale_rank);
   // Warm install: restore app + reply cache (full), or apply the dirty set
   // onto the matching base (delta), truncate log. A delta that does not
   // continue this replica's chain is dropped and a full anchor re-requested.
@@ -139,15 +145,8 @@ class Replicator {
   // (promotion / rollback / joiner catch-up); duplicate suppression comes
   // from the per-client applied-retention-id map.
   void replay_log(bool send_replies);
-  // Executions since the last checkpoint (drives the every-N-requests
-  // checkpoint trigger in the passive engines).
-  [[nodiscard]] std::uint64_t executions_since_checkpoint() const {
-    return executions_since_checkpoint_;
-  }
   // Promotion entry points.
   void promote_warm();   // replay with replies, assume primary duties
-  // Applies a retained (cold) checkpoint if one is pending; see .cpp.
-  void ensure_cold_applied();
   void promote_cold();   // launch delay, apply stored checkpoint, then warm path
   [[nodiscard]] const MessageLog& message_log() const { return log_; }
   // Cold passive: true while a promoted dormant backup is still launching.
@@ -157,23 +156,30 @@ class Replicator {
   void on_group_message(const gcs::GroupMessage& msg);
   void on_view(const gcs::View& view);
   void handle_request_envelope(const gcs::GroupMessage& msg, Payload giop);
-  void handle_checkpoint(const CheckpointMsg& msg);
-  void handle_state_transfer(const StateTransferMsg& msg);
+  // Every checkpoint delivery is a chain: one full anchor, one delta, or a
+  // state-transfer bundle's anchor followed by its delta suffix.
+  void handle_chain(std::span<const CheckpointMsg> chain);
   void handle_switch(const SwitchMsg& msg);
-  // Quiescent-context body of take_checkpoint/donate_state: cut full or
-  // delta, update the chain, charge CPU, multicast.
+  // Starts a round unless one is open. A donation serves a joiner: it
+  // bundles the retained anchor + delta suffix (+ a fresh delta covering the
+  // order point), or falls back to a full checkpoint.
+  void begin_round(bool donation);
+  // Our own round came back stable: serve a deferred donation / anchor request.
+  void end_round(std::uint64_t checkpoint_id);
+  // Quiescent-context body of a round: cut full or delta, update the chain,
+  // charge CPU, multicast.
   void cut_and_multicast(bool donation);
   [[nodiscard]] bool can_cut_delta() const;
-  // Serve a joiner: bundle the retained anchor + delta suffix (+ a fresh
-  // delta covering the order point), or fall back to a full checkpoint.
-  void donate_state();
-  // After a SAFE round completes: serve a deferred donation / anchor request.
-  void finish_checkpoint_round();
+  // Id, applied frontier and recent replies of a new cut; the caller adds the
+  // app state.
+  [[nodiscard]] CheckpointMsg new_cut();
   // Backup side: a delta did not continue our chain — ask the taker for a
   // full anchor (deduplicated until one arrives).
   void request_anchor();
+  [[nodiscard]] bool dormant_cold() const;  // cold passive and not (yet) serving
   // Install the retained cold chain: anchor, then the delta suffix.
   void install_stored_chain();
+  void trace_promotion(ReplicationStyle style);
   void complete_switch();
   void drain_holdq();
   void send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop);
@@ -210,8 +216,8 @@ class Replicator {
   std::uint64_t executions_since_checkpoint_ = 0;
   std::optional<std::uint64_t> outstanding_checkpoint_;  // id we multicast
   bool cut_pending_ = false;  // quiescence waiter registered, cut not yet taken
-  std::optional<CheckpointMsg> stored_checkpoint_;       // cold passive: anchor
-  std::vector<CheckpointMsg> stored_deltas_;  // cold passive: retained suffix
+  // Cold passive: the retained anchor and its delta suffix; back() is the tip.
+  std::vector<CheckpointMsg> stored_chain_;
 
   // Incremental checkpoint chain — taker side. The encoded anchor and delta
   // suffix are retained (encode-once) so state transfer can ship

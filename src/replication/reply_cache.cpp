@@ -34,8 +34,6 @@ std::optional<Payload> ReplyCache::get(const RequestId& id) const {
 
 bool ReplyCache::contains(const RequestId& id) const { return entries_.contains(id); }
 
-Bytes ReplyCache::serialize() const { return serialize_recent(order_.size()); }
-
 Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
   const std::size_t n = std::min(max_entries, order_.size());
   ByteWriter w;

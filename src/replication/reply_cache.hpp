@@ -34,7 +34,6 @@ class ReplyCache {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  [[nodiscard]] Bytes serialize() const;
   // Only the newest `max_entries` replies — what checkpoints carry. Older
   // replies are past the client retransmission window (FT-CORBA's request
   // duration policy), so a promoted backup never needs them.

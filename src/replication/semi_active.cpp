@@ -13,11 +13,6 @@ void SemiActiveEngine::on_request(const RequestRecord& rec) {
   r_.execute_request(rec, /*send_reply=*/responder());
 }
 
-void SemiActiveEngine::on_checkpoint(const CheckpointMsg& /*msg*/) {
-  // Followers are always current; checkpoints only matter for state
-  // transfers to joiners, handled before the engine.
-}
-
 void SemiActiveEngine::on_view_change(const gcs::View& /*old_view*/,
                                       const gcs::View& /*new_view*/) {
   // Leadership follows view rank; nothing to replay.

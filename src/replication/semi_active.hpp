@@ -19,7 +19,6 @@ class SemiActiveEngine final : public ReplicationEngine {
   [[nodiscard]] bool responder() const override;
 
   void on_request(const RequestRecord& rec) override;
-  void on_checkpoint(const CheckpointMsg& msg) override;
   void on_view_change(const gcs::View& old_view, const gcs::View& new_view) override;
 };
 

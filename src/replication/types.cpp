@@ -102,7 +102,7 @@ StateTransferMsg StateTransferMsg::decode(const Payload& raw) {
   ByteReader r(raw.owner(), raw);
   StateTransferMsg m;
   m.anchor = read_payload(r);
-  const auto n = r.u32();
+  const auto n = r.count(4);  // each delta is at least its length prefix
   m.deltas.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.deltas.push_back(read_payload(r));
   return m;

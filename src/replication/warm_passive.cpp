@@ -9,14 +9,7 @@ bool WarmPassiveEngine::responder() const { return r_.my_rank() == 0; }
 void WarmPassiveEngine::on_request(const RequestRecord& rec) {
   if (responder()) {
     r_.execute_request(rec, /*send_reply=*/true);
-    // Load-coupled checkpointing: bound how stale the backups may get in
-    // requests, not just in wall-clock time.
-    const auto every = r_.params().checkpoint_every_requests;
-    const auto& view = r_.current_view();
-    if (every > 0 && view && view->size() > 1 &&
-        r_.executions_since_checkpoint() >= every) {
-      r_.take_checkpoint();
-    }
+    r_.checkpoint_if_due();
   } else {
     r_.log_request(rec);
   }
@@ -40,15 +33,7 @@ void WarmPassiveEngine::on_view_change(const gcs::View& old_view,
 }
 
 void WarmPassiveEngine::on_timer() {
-  if (!responder()) return;
-  const auto& view = r_.current_view();
-  if (view && view->size() > 1) {
-    r_.take_checkpoint();
-  } else {
-    // No backups to warm: snapshot locally so a restart has a recovery
-    // point. Costs quiescence + serialization, no traffic.
-    r_.take_local_checkpoint();
-  }
+  if (responder()) r_.checkpoint_tick(/*first_stale_rank=*/1);
 }
 
 }  // namespace vdep::replication

@@ -170,7 +170,7 @@ ShardMap ShardMap::decode(std::span<const std::uint8_t> raw) {
   }
   ShardMap map;
   map.epoch_ = r.u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(30);  // one entry's fixed-width fields
   map.entries_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ShardEntry e;

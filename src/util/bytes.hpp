@@ -119,6 +119,16 @@ class ByteReader {
     return std::string_view(reinterpret_cast<const char*>(s.data()), s.size());
   }
 
+  // A u32 element count read from the frame. Each element takes at least
+  // `min_element_bytes`, so a count the remaining bytes cannot hold is
+  // corrupt; rejecting it keeps a hostile count from driving reserve().
+  [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes) {
+    const std::size_t at = pos_;
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_element_bytes) throw error("element count exceeds frame", at);
+    return n;
+  }
+
   [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return remaining() == 0; }

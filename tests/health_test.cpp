@@ -338,7 +338,7 @@ TEST(HealthScenario, EventStreamByteIdenticalAcrossRuns) {
 
 TEST(HealthScenario, AdaptationReactsToSuspicion) {
   harness::ScenarioConfig config = health_scenario_config(15);
-  config.health_adaptation = adaptive::HealthThresholdPolicy::Config{};
+  config.health_adaptation = true;
   harness::Scenario scenario(config);
   scenario.fault_plan().partition_window(
       msec(800), msec(1200), {scenario.replica_host(2)},

@@ -47,7 +47,7 @@ TEST(ReplyCache, SerializeRestoreRoundTrip) {
   cache.put(rid(1, 1), Bytes{1});
   cache.put(rid(2, 5), Bytes{5, 5});
   ReplyCache other(8);
-  other.restore(cache.serialize());
+  other.restore(cache.serialize_recent(cache.size()));
   EXPECT_EQ(other.size(), 2u);
   EXPECT_EQ(*other.get(rid(2, 5)), (Bytes{5, 5}));
 }
@@ -69,7 +69,6 @@ TEST(MessageLog, AppendTruncateAppliedReplayWindow) {
     log.append(LoggedRequest{i, rid(1, i), NodeId{0}, kTimeZero, filler_bytes(10), {}});
   }
   EXPECT_EQ(log.size(), 10u);
-  EXPECT_EQ(log.highest_index(), 10u);
   EXPECT_EQ(log.bytes(), 100u);
 
   // A checkpoint covering client 1 through retention id 4.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "gcs/message.hpp"
+#include "gcs/view.hpp"
+#include "replication/types.hpp"
+#include "shard/map.hpp"
 #include "util/bytes.hpp"
 
 namespace vdep {
@@ -95,6 +99,38 @@ TEST(Fnv1a, KnownProperties) {
   b[10] ^= 1;
   EXPECT_NE(fnv1a(a), fnv1a(b));
   EXPECT_EQ(fnv1a(a), fnv1a(a));
+}
+
+// A frame whose element count claims far more elements than its remaining
+// bytes can hold is rejected as corrupt before any allocation sized by it.
+TEST(ByteReader, OversizedCountsThrowDecodeError) {
+  constexpr std::uint32_t kHuge = 0xffffffff;
+  ByteWriter view;
+  view.u64(1);  // group
+  view.u64(2);  // view id
+  view.u32(kHuge);
+  EXPECT_THROW((void)gcs::View::decode(view.data()), DecodeError);
+
+  // SyncState carries four counts; each one is checked.
+  for (int field = 0; field < 4; ++field) {
+    ByteWriter sync;
+    sync.u64(3);  // term
+    sync.u64(4);  // from
+    for (int i = 0; i < field; ++i) sync.u32(0);
+    sync.u32(kHuge);
+    ByteReader r(sync.data());
+    EXPECT_THROW((void)gcs::SyncState::decode(r), DecodeError) << "count " << field;
+  }
+
+  Bytes map = shard::ShardMap().encode();
+  for (std::size_t i = map.size() - 4; i < map.size(); ++i) map[i] = 0xff;
+  EXPECT_THROW((void)shard::ShardMap::decode(map), DecodeError);
+
+  ByteWriter bundle;
+  bundle.u32(0);  // empty anchor
+  bundle.u32(kHuge);
+  EXPECT_THROW((void)replication::StateTransferMsg::decode(Payload(std::move(bundle).take())),
+               DecodeError);
 }
 
 }  // namespace
