@@ -91,6 +91,8 @@ void Daemon::on_link_deliver(NodeId from, Payload&& inner) {
   // daemon cost (per MTU fragment for bulk payloads such as checkpoints),
   // plus the sequencing decision when we are the leader ordering a Forward
   // (inner[0] == 1 is the Forward tag).
+  static_assert(std::is_same_v<std::variant_alternative_t<0, InnerMsg>, Forward>,
+                "the Forward tag byte is 1");
   SimTime cost = calib::kGcsDaemonPacketCost *
                  static_cast<std::int64_t>(net::fragment_count(inner.size()));
   if (is_leader() && !inner.empty() && inner[0] == 1) {

@@ -36,8 +36,13 @@ struct Forward {
   Payload payload;
   obs::TraceContext trace;  // sender's causal context (zeros when untraced)
 
-  void encode_to(ByteWriter& w) const;
-  static Forward decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, Forward& m) {
+    io(m.group);
+    io.enum_in(m.kind, Kind::kData, Kind::kCrash, "bad forward kind");
+    io.enum_in(m.svc, ServiceType::kBestEffort, ServiceType::kSafe, "bad service type");
+    io(m.origin, m.origin_daemon, m.payload, m.trace);
+  }
 };
 
 struct Ordered {
@@ -59,8 +64,13 @@ struct Ordered {
   std::uint64_t stable_upto = 0;
   obs::TraceContext trace;  // carried through from the Forward
 
-  void encode_to(ByteWriter& w) const;
-  static Ordered decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, Ordered& m) {
+    io(m.group, m.epoch, m.seq);
+    io.enum_in(m.kind, Kind::kData, Kind::kView, "bad ordered kind");
+    io.enum_in(m.svc, ServiceType::kBestEffort, ServiceType::kSafe, "bad service type");
+    io(m.origin, m.origin_daemon, m.payload, m.prev_epoch_end, m.stable_upto, m.trace);
+  }
 };
 
 struct OrdAck {
@@ -69,8 +79,8 @@ struct OrdAck {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;  // cumulative: holds everything <= seq in epoch
 
-  void encode_to(ByteWriter& w) const;
-  static OrdAck decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, OrdAck& m) { io(m.from, m.group, m.epoch, m.seq); }
 };
 
 struct StableMsg {
@@ -78,8 +88,8 @@ struct StableMsg {
   std::uint64_t epoch = 0;
   std::uint64_t upto = 0;  // count: seqs < upto are stable
 
-  void encode_to(ByteWriter& w) const;
-  static StableMsg decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, StableMsg& m) { io(m.group, m.epoch, m.upto); }
 };
 
 // Leader -> origin daemon: the forward identified by (group, origin) has been
@@ -90,16 +100,16 @@ struct FwdAck {
   GroupId group;
   OriginId origin;
 
-  void encode_to(ByteWriter& w) const;
-  static FwdAck decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, FwdAck& m) { io(m.group, m.origin); }
 };
 
 struct Takeover {
   std::uint64_t term = 0;  // monotone leadership term
   NodeId leader;
 
-  void encode_to(ByteWriter& w) const;
-  static Takeover decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, Takeover& m) { io(m.term, m.leader); }
 };
 
 struct SyncState {
@@ -110,8 +120,16 @@ struct SyncState {
   std::vector<View> views;         // latest view per group this daemon knows
   std::vector<OrdAck> acks;        // current contiguous-receipt watermarks
 
-  void encode_to(ByteWriter& w) const;
-  static SyncState decode(ByteReader& r);
+  // Smallest encodings: Ordered 86 bytes, Forward 54, a length-prefixed
+  // View 24, OrdAck 32.
+  template <typename IO>
+  friend void wire_fields(IO& io, SyncState& m) {
+    io(m.term, m.from);
+    io.seq(m.buffered, 86);
+    io.seq(m.pending, 54);
+    io.seq_blobs(m.views, 24);
+    io.seq(m.acks, 32);
+  }
 };
 
 struct PrivateMsg {
@@ -121,10 +139,14 @@ struct PrivateMsg {
   Payload payload;
   obs::TraceContext trace;  // sender's causal context (zeros when untraced)
 
-  void encode_to(ByteWriter& w) const;
-  static PrivateMsg decode(ByteReader& r);
+  template <typename IO>
+  friend void wire_fields(IO& io, PrivateMsg& m) {
+    io(m.sender, m.sender_daemon, m.destination, m.payload, m.trace);
+  }
 };
 
+// An encoded inner message starts with a tag byte: the alternative's index
+// + 1. Append new alternatives at the end so no existing tag moves.
 using InnerMsg = std::variant<Forward, Ordered, OrdAck, StableMsg, Takeover, SyncState,
                               PrivateMsg, FwdAck>;
 

@@ -35,6 +35,8 @@ struct OriginId {
   ProcessId sender;
   std::uint64_t seq = 0;
 
+  template <typename IO>
+  friend void wire_fields(IO& io, OriginId& m) { io(m.sender, m.seq); }
   friend constexpr auto operator<=>(const OriginId&, const OriginId&) = default;
 };
 

@@ -40,34 +40,4 @@ bool VectorClock::concurrent_with(const VectorClock& other) const {
   return !leq(other) && !other.leq(*this);
 }
 
-void VectorClock::encode_to(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(clock_.size()));
-  for (const auto& [p, v] : clock_) {
-    w.u64(p.value());
-    w.u64(v);
-  }
-}
-
-Bytes VectorClock::encode() const {
-  ByteWriter w;
-  encode_to(w);
-  return std::move(w).take();
-}
-
-VectorClock VectorClock::decode(ByteReader& r) {
-  VectorClock vc;
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ProcessId p{r.u64()};
-    const std::uint64_t v = r.u64();
-    vc.clock_[p] = v;
-  }
-  return vc;
-}
-
-VectorClock VectorClock::decode(const Bytes& raw) {
-  ByteReader r(raw);
-  return decode(r);
-}
-
 }  // namespace vdep::gcs

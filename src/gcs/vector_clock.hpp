@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 
-#include "util/bytes.hpp"
 #include "util/ids.hpp"
 
 namespace vdep::gcs {
@@ -28,11 +27,6 @@ class VectorClock {
   // Partial order.
   [[nodiscard]] bool happens_before(const VectorClock& other) const;  // this < other
   [[nodiscard]] bool concurrent_with(const VectorClock& other) const;
-
-  [[nodiscard]] Bytes encode() const;
-  static VectorClock decode(const Bytes& raw);
-  static VectorClock decode(ByteReader& r);
-  void encode_to(ByteWriter& w) const;
 
   [[nodiscard]] const std::map<ProcessId, std::uint64_t>& components() const {
     return clock_;

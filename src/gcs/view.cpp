@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/wire.hpp"
+
 namespace vdep::gcs {
 
 bool View::contains(ProcessId p) const {
@@ -24,33 +26,9 @@ std::optional<std::size_t> View::rank_of(ProcessId p) const {
   return std::nullopt;
 }
 
-Bytes View::encode() const {
-  ByteWriter w;
-  w.u64(group.value());
-  w.u64(view_id);
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (const auto& m : members) {
-    w.u64(m.process.value());
-    w.u64(m.daemon.value());
-  }
-  return std::move(w).take();
-}
+Bytes View::encode() const { return wire::encode(*this); }
 
-View View::decode(std::span<const std::uint8_t> raw) {
-  ByteReader r(raw);
-  View v;
-  v.group = GroupId{r.u64()};
-  v.view_id = r.u64();
-  const auto n = r.count(16);  // process + daemon
-  v.members.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Member m;
-    m.process = ProcessId{r.u64()};
-    m.daemon = NodeId{r.u64()};
-    v.members.push_back(m);
-  }
-  return v;
-}
+View View::decode(std::span<const std::uint8_t> raw) { return wire::decode<View>(raw); }
 
 std::string View::str() const {
   std::ostringstream os;

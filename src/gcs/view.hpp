@@ -23,6 +23,8 @@ struct Member {
   ProcessId process;
   NodeId daemon;  // host whose daemon serves this process
 
+  template <typename IO>
+  friend void wire_fields(IO& io, Member& m) { io(m.process, m.daemon); }
   friend constexpr auto operator<=>(const Member&, const Member&) = default;
 };
 
@@ -42,6 +44,11 @@ struct View {
 
   [[nodiscard]] Bytes encode() const;
   static View decode(std::span<const std::uint8_t> raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, View& m) {
+    io(m.group, m.view_id);
+    io.seq(m.members, 16);  // process + daemon
+  }
 
   [[nodiscard]] std::string str() const;
 

@@ -2,35 +2,14 @@
 
 #include <algorithm>
 
+#include "util/wire.hpp"
+
 namespace vdep::monitor {
 
-Bytes StateEntry::encode() const {
-  ByteWriter w;
-  w.u64(reporter.value());
-  w.i64(reported_at.count());
-  w.f64(cpu_load);
-  w.f64(request_rate);
-  w.u32(static_cast<std::uint32_t>(extra.size()));
-  for (const auto& [key, value] : extra) {
-    w.str(key);
-    w.f64(value);
-  }
-  return std::move(w).take();
-}
+Bytes StateEntry::encode() const { return wire::encode(*this); }
 
 StateEntry StateEntry::decode(std::span<const std::uint8_t> raw) {
-  ByteReader r(raw);
-  StateEntry e;
-  e.reporter = ProcessId{r.u64()};
-  e.reported_at = SimTime{r.i64()};
-  e.cpu_load = r.f64();
-  e.request_rate = r.f64();
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    e.extra[key] = r.f64();
-  }
-  return e;
+  return wire::decode<StateEntry>(raw);
 }
 
 ReplicatedStateObject::ReplicatedStateObject(gcs::Daemon& daemon, sim::Process& process,

@@ -30,6 +30,11 @@ struct StateEntry {
 
   [[nodiscard]] Bytes encode() const;
   static StateEntry decode(std::span<const std::uint8_t> raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, StateEntry& m) {
+    io(m.reporter, m.reported_at, m.cpu_load, m.request_rate);
+    io.seq(m.extra, 12);  // empty key + value
+  }
 };
 
 class ReplicatedStateObject {

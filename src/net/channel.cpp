@@ -3,6 +3,7 @@
 #include "net/link.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::net {
 
@@ -17,29 +18,13 @@ struct Frame {
   std::uint64_t seq = 0;       // DATA only
   Payload message;             // DATA only
 
-  [[nodiscard]] Bytes encode() const {
-    ByteWriter w(message.size() + 32);
-    w.u8(static_cast<std::uint8_t>(type));
-    w.u64(channel);
-    w.u16(tcp_port);
-    w.u64(seq);
-    w.bytes(message);
-    return std::move(w).take();
+  template <typename IO>
+  friend void wire_fields(IO& io, Frame& m) {
+    io.enum_in(m.type, FrameType::kSyn, FrameType::kFin, "bad channel frame type");
+    io(m.channel, m.tcp_port, m.seq, m.message);
   }
 
-  // The decoded message aliases `raw`'s buffer (no copy).
-  static Frame decode(const Payload& raw) {
-    ByteReader r(raw.owner(), raw);
-    Frame f;
-    const auto t = r.u8();
-    if (t < 1 || t > 3) throw r.error("bad channel frame type", 0);
-    f.type = static_cast<FrameType>(t);
-    f.channel = r.u64();
-    f.tcp_port = r.u16();
-    f.seq = r.u64();
-    f.message = read_payload(r);
-    return f;
-  }
+  [[nodiscard]] Bytes encode() const { return wire::encode(*this, message.size() + 32); }
 };
 
 }  // namespace
@@ -145,7 +130,7 @@ void ChannelManager::transmit(NodeId from, NodeId to, Bytes frame,
 }
 
 void ChannelManager::handle_packet(NodeId host, Packet&& packet) {
-  Frame f = Frame::decode(packet.payload);
+  Frame f = wire::decode<Frame>(packet.payload);  // the message aliases the packet
   const auto key = std::make_pair(host, f.channel);
 
   if (f.type == FrameType::kSyn) {

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "util/assert.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::net {
 
@@ -25,18 +26,6 @@ std::string set_str(const std::set<NodeId>& s) {
     out += n.str();
   }
   return out + "}";
-}
-
-void encode_node_set(ByteWriter& w, const std::set<NodeId>& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (NodeId n : s) w.u64(n.value());
-}
-
-std::set<NodeId> decode_node_set(ByteReader& r) {
-  std::set<NodeId> out;
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) out.insert(NodeId{r.u64()});
-  return out;
 }
 
 // Shared interpreter state for windowed faults, so overlapping windows
@@ -138,34 +127,6 @@ std::string FaultAction::to_string() const {
   return "<invalid>";
 }
 
-void FaultAction::encode(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.i64(at.count());
-  w.i64(until.count());
-  w.u64(pid.value());
-  w.u64(node.value());
-  w.u64(peer.value());
-  encode_node_set(w, side_a);
-  encode_node_set(w, side_b);
-  w.f64(value);
-}
-
-FaultAction FaultAction::decode(ByteReader& r) {
-  FaultAction a;
-  const std::uint8_t k = r.u8();
-  if (k < 1 || k > 7) throw r.error("fault action kind out of range");
-  a.kind = static_cast<Kind>(k);
-  a.at = SimTime{r.i64()};
-  a.until = SimTime{r.i64()};
-  a.pid = ProcessId{r.u64()};
-  a.node = NodeId{r.u64()};
-  a.peer = NodeId{r.u64()};
-  a.side_a = decode_node_set(r);
-  a.side_b = decode_node_set(r);
-  a.value = r.f64();
-  return a;
-}
-
 void FaultPlan::crash_process(SimTime at, ProcessId pid) {
   FaultAction a;
   a.kind = FaultAction::Kind::kCrashProcess;
@@ -249,19 +210,10 @@ std::string FaultPlan::to_string() const {
   return out;
 }
 
-Bytes FaultPlan::encode() const {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(actions_.size()));
-  for (const auto& a : actions_) a.encode(w);
-  return std::move(w).take();
-}
+Bytes FaultPlan::encode() const { return wire::encode(*this); }
 
 FaultPlan FaultPlan::decode(std::span<const std::uint8_t> raw) {
-  ByteReader r(raw);
-  FaultPlan plan;
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) plan.actions_.push_back(FaultAction::decode(r));
-  return plan;
+  return wire::decode<FaultPlan>(raw);
 }
 
 void FaultPlan::arm(sim::Kernel& kernel, Network& network,

@@ -53,8 +53,22 @@ struct FaultAction {
   [[nodiscard]] SimTime effect_end() const { return windowed() ? until : at; }
 
   [[nodiscard]] std::string to_string() const;
-  void encode(ByteWriter& w) const;
-  static FaultAction decode(ByteReader& r);
+
+  // Decoding enforces what the FaultPlan builders guarantee: a window never
+  // lifts before it strikes, a loss probability lies in [0, 1] and a
+  // slowdown factor is positive.
+  template <typename IO>
+  friend void wire_fields(IO& io, FaultAction& m) {
+    io.enum_in(m.kind, Kind::kCrashProcess, Kind::kSlowHost, "fault action kind out of range");
+    io(m.at, m.until, m.pid, m.node, m.peer);
+    io.seq(m.side_a, 8);
+    io.seq(m.side_b, 8);
+    io(m.value);
+    io.check(!m.windowed() || m.at <= m.until, "fault window lifts before it strikes");
+    io.check(m.kind != Kind::kLossBurst || (m.value >= 0.0 && m.value <= 1.0),
+             "loss probability outside [0, 1]");
+    io.check(m.kind != Kind::kSlowHost || m.value > 0.0, "slowdown factor not positive");
+  }
 
   friend bool operator==(const FaultAction&, const FaultAction&) = default;
 };
@@ -99,6 +113,10 @@ class FaultPlan {
 
   [[nodiscard]] Bytes encode() const;
   static FaultPlan decode(std::span<const std::uint8_t> raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, FaultPlan& m) {
+    io.seq(m.actions_, 57);  // one action with empty partition sides
+  }
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 

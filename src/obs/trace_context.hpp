@@ -9,8 +9,6 @@
 
 #include <cstdint>
 
-#include "util/bytes.hpp"
-
 namespace vdep::obs {
 
 struct TraceContext {
@@ -19,16 +17,8 @@ struct TraceContext {
 
   [[nodiscard]] bool valid() const { return trace != 0; }
 
-  void encode_to(ByteWriter& w) const {
-    w.u64(trace);
-    w.u64(span);
-  }
-  static TraceContext decode(ByteReader& r) {
-    TraceContext ctx;
-    ctx.trace = r.u64();
-    ctx.span = r.u64();
-    return ctx;
-  }
+  template <typename IO>
+  friend void wire_fields(IO& io, TraceContext& m) { io(m.trace, m.span); }
 
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
 };

@@ -63,6 +63,11 @@ struct RepEnvelope {
   [[nodiscard]] Bytes encode() const;
   // The decoded payload aliases `raw`'s buffer when it carries an owner.
   static RepEnvelope decode(const Payload& raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, RepEnvelope& m) {
+    io.enum_in(m.type, Type::kRequest, Type::kAnchorRequest, "bad envelope type");
+    io(m.payload);
+  }
 };
 
 // A checkpoint: the application snapshot plus everything a backup needs to
@@ -96,6 +101,19 @@ struct CheckpointMsg {
 
   [[nodiscard]] Bytes encode() const;
   static CheckpointMsg decode(const Payload& raw, Kind kind = Kind::kFull);
+  // The kind itself travels in the envelope type (kCheckpointDelta), so
+  // full checkpoints stay byte-identical to the pre-delta wire format.
+  template <typename IO>
+  friend void wire_fields(IO& io, CheckpointMsg& m) {
+    io(m.checkpoint_id);
+    if (m.kind == Kind::kDelta) {
+      io(m.base_epoch, m.delta_epoch);
+      io.check(m.delta_epoch == m.checkpoint_id, "delta checkpoint id/epoch mismatch");
+      io.check(m.base_epoch < m.delta_epoch, "delta checkpoint chains backwards");
+    }
+    io.seq(m.applied, 16);  // client + retention id
+    io(m.app_state, m.reply_cache);
+  }
 };
 
 // State transfer bundle: the donor's retained full anchor plus the encoded
@@ -108,6 +126,11 @@ struct StateTransferMsg {
 
   [[nodiscard]] Bytes encode() const;
   static StateTransferMsg decode(const Payload& raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, StateTransferMsg& m) {
+    io(m.anchor);
+    io.seq(m.deltas, 4);  // each delta is at least its length prefix
+  }
 };
 
 struct SwitchMsg {
@@ -118,6 +141,12 @@ struct SwitchMsg {
 
   [[nodiscard]] Bytes encode() const;
   static SwitchMsg decode(std::span<const std::uint8_t> raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, SwitchMsg& m) {
+    io.enum_in(m.target, ReplicationStyle::kActive, ReplicationStyle::kHybrid,
+               "bad switch target");
+    io(m.initiator);
+  }
 };
 
 struct ReplicatorParams {

@@ -1,5 +1,7 @@
 #include "shard/directory.hpp"
 
+#include <optional>
+
 #include "orb/cdr.hpp"
 #include "util/assert.hpp"
 
@@ -29,19 +31,23 @@ DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
   }
 
   if (operation == "dir.commit") {
-    orb::CdrReader r(args);
-    const Bytes encoded = r.octets();
-    ShardMap proposed = ShardMap::decode(encoded);
+    std::optional<ShardMap> proposed;
+    try {
+      orb::CdrReader r(args);
+      proposed = ShardMap::decode(r.octets());
+    } catch (const DecodeError&) {
+      // Malformed arguments: answered as a bad request below.
+    }
     ShardStatus status = ShardStatus::kOk;
     std::string why;
-    if (!proposed.validate(&why)) {
+    if (!proposed || !proposed->validate(&why)) {
       status = ShardStatus::kBadRequest;
-    } else if (proposed.epoch() == map_.epoch() && proposed == map_) {
+    } else if (proposed->epoch() == map_.epoch() && *proposed == map_) {
       // Retransmitted commit of the map already in force: idempotent accept.
-    } else if (proposed.epoch() != map_.epoch() + 1) {
+    } else if (proposed->epoch() != map_.epoch() + 1) {
       status = ShardStatus::kStaleEpoch;  // lost a reconfiguration race
     } else {
-      map_ = std::move(proposed);
+      map_ = std::move(*proposed);
       ++commits_;
     }
     w.ulong(static_cast<std::uint32_t>(status));

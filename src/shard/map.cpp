@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/wire.hpp"
+
 namespace vdep::shard {
 
 namespace {
-constexpr std::uint8_t kMagic[4] = {'S', 'M', 'A', 'P'};
-constexpr std::uint8_t kVersion = 1;
 constexpr std::uint64_t kKeySpace = 1ULL << 32;
 }  // namespace
 
@@ -141,50 +141,12 @@ ShardMap ShardMap::reassign(std::uint32_t shard_id, GroupId target) const {
   throw std::invalid_argument("unknown shard id " + std::to_string(shard_id));
 }
 
-Bytes ShardMap::encode() const {
-  ByteWriter w;
-  for (std::uint8_t b : kMagic) w.u8(b);
-  w.u8(kVersion);
-  w.u64(epoch_);
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& e : entries_) {
-    w.u32(e.shard);
-    w.u32(e.range.lo);
-    w.u32(e.range.hi);
-    w.u64(e.group.value());
-    w.u8(e.policy.style);
-    w.u8(e.policy.replicas);
-    w.u32(e.policy.checkpoint_every_requests);
-    w.u32(e.policy.checkpoint_anchor_interval);
-  }
-  return std::move(w).take();
-}
+Bytes ShardMap::encode() const { return wire::encode(*this); }
 
 ShardMap ShardMap::decode(std::span<const std::uint8_t> raw) {
-  ByteReader r(raw);
-  for (std::uint8_t b : kMagic) {
-    if (r.u8() != b) throw r.error("bad shard map magic");
-  }
-  if (const std::uint8_t v = r.u8(); v != kVersion) {
-    throw r.error("unsupported shard map version " + std::to_string(v));
-  }
-  ShardMap map;
-  map.epoch_ = r.u64();
-  const std::uint32_t n = r.count(30);  // one entry's fixed-width fields
-  map.entries_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ShardEntry e;
-    e.shard = r.u32();
-    e.range.lo = r.u32();
-    e.range.hi = r.u32();
-    e.group = GroupId{r.u64()};
-    e.policy.style = r.u8();
-    e.policy.replicas = r.u8();
-    e.policy.checkpoint_every_requests = r.u32();
-    e.policy.checkpoint_anchor_interval = r.u32();
-    map.entries_.push_back(e);
-  }
-  if (r.remaining() != 0) throw r.error("trailing bytes after shard map");
+  wire::Reader r(raw);
+  const auto map = r.read<ShardMap>();
+  r.check(r.at_end(), "trailing bytes after shard map");
   return map;
 }
 

@@ -12,6 +12,7 @@
 // every other infrastructure codec in this repo).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -55,6 +56,12 @@ struct ShardEntry {
   KeyRange range;
   GroupId group;  // replica group currently owning the range
   ShardPolicy policy;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, ShardEntry& m) {
+    io(m.shard, m.range.lo, m.range.hi, m.group, m.policy.style, m.policy.replicas,
+       m.policy.checkpoint_every_requests, m.policy.checkpoint_anchor_interval);
+  }
 
   friend bool operator==(const ShardEntry&, const ShardEntry&) = default;
 };
@@ -101,10 +108,24 @@ class ShardMap {
   [[nodiscard]] Bytes encode() const;
   // Throws DecodeError on malformed input.
   static ShardMap decode(std::span<const std::uint8_t> raw);
+  template <typename IO>
+  friend void wire_fields(IO& io, ShardMap& m) {
+    std::array<std::uint8_t, 4> magic = kMagic;
+    std::uint8_t version = kVersion;
+    io(magic[0], magic[1], magic[2], magic[3]);
+    io.check(magic == kMagic, "bad shard map magic");
+    io(version);
+    io.check(version == kVersion, "unsupported shard map version");
+    io(m.epoch_);
+    io.seq(m.entries_, 30);  // one entry's fixed-width fields
+  }
 
   friend bool operator==(const ShardMap&, const ShardMap&) = default;
 
  private:
+  static constexpr std::array<std::uint8_t, 4> kMagic = {'S', 'M', 'A', 'P'};
+  static constexpr std::uint8_t kVersion = 1;
+
   std::uint64_t epoch_ = 0;
   std::vector<ShardEntry> entries_;  // sorted by range.lo
 };

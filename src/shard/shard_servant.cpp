@@ -78,8 +78,17 @@ ShardServant::Result ShardServant::status_reply(ShardStatus status, SimTime cpu)
 
 ShardServant::Result ShardServant::invoke(const std::string& operation,
                                           const Bytes& args) {
-  if (operation.rfind("shard.", 0) == 0) return control(operation, args);
+  try {
+    return operation.rfind("shard.", 0) == 0 ? control(operation, args)
+                                             : data_op(operation, args);
+  } catch (const DecodeError&) {
+    // Malformed arguments, answered like an unknown operation.
+    return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
+  }
+}
 
+ShardServant::Result ShardServant::data_op(const std::string& operation,
+                                           const Bytes& args) {
   const bool needs_value = operation == "put" || operation == "append";
   const bool known = needs_value || operation == "get" || operation == "erase";
   if (!known) return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
@@ -199,11 +208,15 @@ ShardServant::Result ShardServant::install(std::uint64_t id, KeyRange range,
   SimTime cpu = kRouteCheckTime + bundle_cpu(bundle.size());
   const auto msg = replication::StateTransferMsg::decode(Payload::copy_of(bundle));
   const auto anchor = replication::CheckpointMsg::decode(msg.anchor);
+  // Decode the whole range before applying any of it: a malformed bundle
+  // must leave the store untouched.
   ByteReader r(anchor.app_state.view());
-  const std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string key = r.str();
-    const std::string value = r.str();
+  std::vector<std::pair<std::string, std::string>> items(r.count(8));  // two empty strings
+  for (auto& [key, value] : items) {
+    key = r.str();
+    value = r.str();
+  }
+  for (const auto& [key, value] : items) {
     // Through the inner invoke so dirty-set tracking and on_apply stay
     // coherent with normal writes.
     Result put = inner_.invoke("put", app::KvStoreServant::encode_put(key, value));

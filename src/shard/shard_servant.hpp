@@ -102,6 +102,7 @@ class ShardServant final : public replication::Checkpointable {
     GroupId target;
   };
 
+  Result data_op(const std::string& operation, const Bytes& args);
   Result control(const std::string& operation, const Bytes& args);
   Result freeze(const Migration& m);
   Result donate(std::uint64_t id);

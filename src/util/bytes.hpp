@@ -1,7 +1,8 @@
 // Flat byte buffers and a little-endian serialization reader/writer.
 //
 // This is the wire format used *inside* the simulated infrastructure (group
-// communication headers, checkpoints, replicated-state updates). Application
+// communication headers, checkpoints, replicated-state updates); messages
+// state their layouts over it as field lists (util/wire.hpp). Application
 // payloads carried over the ORB use the CDR encoding in src/orb/cdr.hpp,
 // which follows CORBA alignment rules instead.
 #pragma once

@@ -68,14 +68,6 @@ TEST(VectorClock, ZeroComponentsIgnored) {
   EXPECT_EQ(a, empty);
 }
 
-TEST(VectorClock, EncodeDecodeRoundTrip) {
-  VectorClock a;
-  a.set(kA, 3);
-  a.set(kC, 9);
-  const VectorClock b = VectorClock::decode(a.encode());
-  EXPECT_EQ(a, b);
-}
-
 TEST(VectorClock, EqualClocksNeitherBeforeNorConcurrent) {
   VectorClock a;
   a.set(kA, 2);

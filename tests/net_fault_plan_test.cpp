@@ -2,6 +2,9 @@
 // actions, clamping, and the wire round-trip the chaos shrinker relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "net/fault_plan.hpp"
 #include "net/network.hpp"
 #include "sim/actor.hpp"
@@ -116,6 +119,42 @@ TEST(FaultPlanEdge, DecodeRejectsCorruptKind) {
   // equal plans are not.
   if (!threw) {
     EXPECT_NE(plan, FaultPlan::decode(wire));
+  }
+}
+
+// A decoded action must satisfy what the builders guarantee. encode()
+// refuses such actions, so the frames are patched by hand.
+TEST(FaultPlanEdge, DecodeRejectsActionsTheBuildersRefuse) {
+  // One action with empty partition sides: u32 count, u8 kind, at, until,
+  // pid, node, peer, two empty sets, then the value.
+  constexpr std::size_t kUntil = 4 + 1 + 8;
+  constexpr std::size_t kValue = kUntil + 8 * 4 + 4 + 4;
+  const auto patched = [](const FaultPlan& plan, std::size_t offset, auto v) {
+    ByteWriter w;
+    if constexpr (std::is_same_v<decltype(v), double>) {
+      w.f64(v);
+    } else {
+      w.i64(v.count());
+    }
+    Bytes bytes = plan.encode();
+    EXPECT_EQ(bytes.size(), kValue + 8);
+    std::copy(w.data().begin(), w.data().end(), bytes.begin() + static_cast<long>(offset));
+    return bytes;
+  };
+  FaultPlan loss;
+  loss.loss_burst(msec(10), msec(20), NodeId{1}, NodeId{2}, 0.5);
+  FaultPlan slow;
+  slow.slow_host(msec(10), msec(20), NodeId{1}, 2.0);
+  FaultPlan cut;
+  cut.partition_window(msec(10), msec(20), {}, {});
+
+  EXPECT_EQ(FaultPlan::decode(patched(loss, kValue, 1.0)).actions()[0].value, 1.0);
+  EXPECT_EQ(FaultPlan::decode(patched(cut, kUntil, msec(10))).actions()[0].until, msec(10));
+  for (const Bytes& bad : {patched(loss, kUntil, msec(5)), patched(slow, kUntil, msec(9)),
+                           patched(cut, kUntil, msec(5)), patched(loss, kValue, 1.5),
+                           patched(loss, kValue, -0.25), patched(loss, kValue, std::nan("")),
+                           patched(slow, kValue, 0.0), patched(slow, kValue, -2.0)}) {
+    EXPECT_THROW((void)FaultPlan::decode(bad), DecodeError);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "obs/export.hpp"
 #include "obs/tracer.hpp"
 #include "util/time.hpp"
+#include "util/wire.hpp"
 
 namespace vdep {
 namespace {
@@ -130,16 +131,11 @@ TEST(Tracer, NotesAttachInOrder) {
 
 TEST(TraceContext, WireRoundTripAndZeroWhenInvalid) {
   obs::TraceContext ctx{0x1234, 0x5678};
-  ByteWriter w;
-  ctx.encode_to(w);
-  Bytes wire = std::move(w).take();
-  EXPECT_EQ(wire.size(), 16u);  // always 16 bytes on the wire
-  ByteReader r(wire);
-  EXPECT_EQ(obs::TraceContext::decode(r), ctx);
+  const Bytes bytes = wire::encode(ctx);
+  EXPECT_EQ(bytes.size(), 16u);  // always 16 bytes on the wire
+  EXPECT_EQ(wire::decode<obs::TraceContext>(bytes), ctx);
 
-  ByteWriter w2;
-  obs::TraceContext{}.encode_to(w2);
-  Bytes zero = std::move(w2).take();
+  const Bytes zero = wire::encode(obs::TraceContext{});
   EXPECT_EQ(zero.size(), 16u);  // disabled tracing: same size, all zeros
   EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
                           [](std::uint8_t b) { return b == 0; }));

@@ -114,12 +114,12 @@ TEST(ByteReader, OversizedCountsThrowDecodeError) {
   // SyncState carries four counts; each one is checked.
   for (int field = 0; field < 4; ++field) {
     ByteWriter sync;
+    sync.u8(6);   // SyncState's inner-message tag
     sync.u64(3);  // term
     sync.u64(4);  // from
     for (int i = 0; i < field; ++i) sync.u32(0);
     sync.u32(kHuge);
-    ByteReader r(sync.data());
-    EXPECT_THROW((void)gcs::SyncState::decode(r), DecodeError) << "count " << field;
+    EXPECT_THROW((void)gcs::decode_inner(sync.data()), DecodeError) << "count " << field;
   }
 
   Bytes map = shard::ShardMap().encode();
