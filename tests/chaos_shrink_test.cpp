@@ -94,7 +94,10 @@ TEST(ChaosShrink, ParallelRoundsFindTheSameMinimalSchedule) {
       shrink_schedule(config, failing, dedup_violated, &pool);
 
   EXPECT_EQ(fleet.minimal.to_string(), serial.minimal.to_string());
-  EXPECT_GE(fleet.probes, serial.probes);
+  // Exact probe counts: the serial scan stops at each round's first failing
+  // candidate; the 8-wide round runs every candidate of the round.
+  EXPECT_EQ(serial.probes, 8);
+  EXPECT_EQ(fleet.probes, 10);
   EXPECT_FALSE(fleet.reproduction.pass());
 }
 
