@@ -211,11 +211,6 @@ Bytes KvStoreServant::encode_append(const std::string& key, const std::string& v
   return encode_put(key, value);
 }
 
-std::uint32_t KvStoreServant::decode_ulong(const Bytes& body) {
-  orb::CdrReader r(body);
-  return r.ulong();
-}
-
 std::optional<std::string> KvStoreServant::lookup(const std::string& key) const {
   auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;

@@ -58,7 +58,6 @@ class KvStoreServant final : public replication::Checkpointable {
   static Bytes encode_put(const std::string& key, const std::string& value);
   static Bytes encode_key(const std::string& key);  // for get/erase
   static Bytes encode_append(const std::string& key, const std::string& value);
-  static std::uint32_t decode_ulong(const Bytes& body);  // append/size result
   struct GetResult {
     bool found = false;
     std::string value;

@@ -93,10 +93,7 @@ void ClosedLoopClient::issue_next() {
                 const SimTime now = orb_.process().now();
                 ++completed_;
                 last_completed_ = now;
-                if (completed_ > config_.warmup_requests) {
-                  if (latencies_.count() == 0) first_measured_ = sent;
-                  latencies_.add(to_usec(now - sent));
-                }
+                if (completed_ > config_.warmup_requests) latencies_.add(to_usec(now - sent));
                 if (on_complete_) on_complete_(to_usec(now - sent));
                 if (completed_ == config_.warmup_requests && on_warmup_) on_warmup_();
                 if (done()) {

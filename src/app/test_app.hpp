@@ -84,9 +84,7 @@ class ClosedLoopClient {
 
   [[nodiscard]] bool done() const { return completed_ >= config_.total_requests; }
   [[nodiscard]] int completed() const { return completed_; }
-  [[nodiscard]] bool past_warmup() const { return completed_ >= config_.warmup_requests; }
   [[nodiscard]] const Sampler& latencies() const { return latencies_; }
-  [[nodiscard]] SimTime first_measured_at() const { return first_measured_; }
   [[nodiscard]] SimTime last_completed_at() const { return last_completed_; }
 
   // Fired once when warm-up finishes and once when the cycle completes.
@@ -106,7 +104,6 @@ class ClosedLoopClient {
   Config config_;
   int completed_ = 0;
   Sampler latencies_;
-  SimTime first_measured_ = kTimeZero;
   SimTime last_completed_ = kTimeZero;
   std::function<void()> on_warmup_;
   std::function<void()> on_done_;

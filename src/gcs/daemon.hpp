@@ -59,7 +59,6 @@ class Daemon : public sim::Process {
   void submit_unicast(ProcessId pid, ProcessId dst, NodeId dst_daemon, Payload payload);
 
   // --- introspection ------------------------------------------------------------
-  [[nodiscard]] NodeId current_leader() const { return leader_; }
   [[nodiscard]] bool is_leader() const { return leader_ == host() && !awaiting_sync_; }
   [[nodiscard]] const FailureDetector& failure_detector() const { return *fd_; }
   [[nodiscard]] std::uint64_t term() const { return term_; }

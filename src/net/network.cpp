@@ -43,8 +43,6 @@ void Network::bind(NodeId host, Port port, PacketHandler handler) {
   rec.handlers[port] = std::move(handler);
 }
 
-void Network::unbind(NodeId host, Port port) { host_rec(host).handlers.erase(port); }
-
 void Network::set_host_up(NodeId id, bool up) { host_rec(id).up = up; }
 
 bool Network::host_up(NodeId id) const { return host_rec(id).up; }

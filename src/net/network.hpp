@@ -64,8 +64,6 @@ struct TrafficTotals {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
   std::uint64_t dropped_packets = 0;
-
-  [[nodiscard]] double megabytes() const { return static_cast<double>(bytes) / 1e6; }
 };
 
 class Network {
@@ -82,7 +80,6 @@ class Network {
 
   // --- component binding ------------------------------------------------------
   void bind(NodeId host, Port port, PacketHandler handler);
-  void unbind(NodeId host, Port port);
 
   // --- transmission -----------------------------------------------------------
   // Sends a packet; applies the link model. Loopback (src == dst) delivers

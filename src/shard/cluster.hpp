@@ -82,7 +82,6 @@ class ShardedCluster {
   [[nodiscard]] bool replica_live(GroupId id, int node) const {
     return group(id).node(node).live();
   }
-  void recover_replica(GroupId id, int node) { group(id).recover(node); }
 
   // --- per-shard knobs ------------------------------------------------------
   [[nodiscard]] knobs::ReplicaGroupController& controller(GroupId id) { return group(id); }

@@ -94,7 +94,6 @@ EventHandle EventQueue::schedule(SimTime at, EventFn fn) {
   s.at = at.count();
   s.fn = std::move(fn);
   place(idx, t);
-  ++seq_;
   ++pool_->live;
   return EventHandle{pool_, idx, s.gen};
 }

@@ -129,7 +129,6 @@ class EventQueue {
   [[nodiscard]] Popped pop();
 
   [[nodiscard]] std::size_t size() const { return pool_->live; }
-  [[nodiscard]] std::uint64_t scheduled_total() const { return seq_; }
 
  private:
   static constexpr int kLevelBits = 6;
@@ -154,7 +153,6 @@ class EventQueue {
   mutable std::uint64_t bitmap_[kLevels] = {};
   mutable std::uint32_t head_[kLevels][kSlots];
   mutable std::uint32_t tail_[kLevels][kSlots];
-  std::uint64_t seq_ = 0;  // events ever scheduled
 };
 
 }  // namespace vdep::sim

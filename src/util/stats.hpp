@@ -99,9 +99,6 @@ class LogHistogram {
 
   [[nodiscard]] static std::size_t bucket_index(double x);
   [[nodiscard]] static double bucket_lower_bound(std::size_t index);
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t index) const {
-    return counts_[index];
-  }
 
  private:
   std::vector<std::uint64_t> counts_ = std::vector<std::uint64_t>(kBuckets, 0);

@@ -25,9 +25,6 @@ constexpr SimTime kTimeZero{0};
 [[nodiscard]] constexpr SimTime usec_f(double n) {
   return SimTime{static_cast<std::int64_t>(n * 1000.0)};
 }
-[[nodiscard]] constexpr SimTime msec_f(double n) {
-  return SimTime{static_cast<std::int64_t>(n * 1'000'000.0)};
-}
 [[nodiscard]] constexpr SimTime sec_f(double n) {
   return SimTime{static_cast<std::int64_t>(n * 1'000'000'000.0)};
 }
