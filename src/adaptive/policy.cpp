@@ -1,10 +1,11 @@
 #include "adaptive/policy.hpp"
 
+#include "monitor/health/phi_accrual.hpp"
+
 namespace vdep::adaptive {
 
 namespace {
 constexpr double kBurnDegraded = 1.0;  // slo_burn at/above this degrades
-constexpr double kPhiDegraded = 8.0;   // max_phi at/above this degrades
 constexpr SimTime kMinDwell = msec(500);  // least time between a degrade and recovery
 }  // namespace
 
@@ -22,7 +23,9 @@ std::optional<replication::ReplicationStyle> RateThresholdPolicy::evaluate(
 
 std::optional<replication::ReplicationStyle> HealthThresholdPolicy::evaluate(
     const Signals& s) {
-  const bool at_risk = s.slo_burn >= kBurnDegraded || s.max_phi >= kPhiDegraded ||
+  // A link the phi-accrual detector would suspect degrades the group.
+  const bool at_risk = s.slo_burn >= kBurnDegraded ||
+                       s.max_phi >= monitor::health::PhiAccrualDetector::kPhiSuspect ||
                        s.suspected_replicas > 0;
   if (at_risk == degraded_) return std::nullopt;
   // Degrading is urgent (dependability is at risk now); recovering respects
