@@ -127,14 +127,16 @@ def main():
     ap.add_argument("--current-dir")
     ap.add_argument("--list-gates", action="store_true",
                     help="print baseline<TAB>current<TAB>binary<TAB>filter"
-                         "<TAB>kind per gate")
+                         "<TAB>kind per gate, with '-' for no filter")
     args = ap.parse_args()
 
     gates = load_json(args.gate_file)["gates"]
     if args.list_gates:
         for g in gates:
+            # A tab is whitespace to a shell's `read`, so an empty field
+            # would collapse into the next one: "-" stands for no filter.
             print(f"{g['baseline']}\t{g.get('current', g['baseline'])}\t"
-                  f"{g.get('binary', '')}\t{g.get('filter', '')}\t"
+                  f"{g.get('binary', '')}\t{g.get('filter') or '-'}\t"
                   f"{g.get('kind', 'gbench')}")
         return 0
     if not args.current_dir:

@@ -85,6 +85,8 @@ cmake -B "${repo_root}/build-bench" -S "${repo_root}" \
 bench_dir="$(mktemp -d)"
 # Fresh measurements land at the gate's "current" name (distinct from the
 # baseline name when several gated binaries share one recorded baseline).
+# --list-gates prints "-" for an empty filter: `read` with a tab IFS would
+# otherwise collapse the empty field and shift the kind into it.
 while IFS=$'\t' read -r baseline current binary filter kind; do
   cmake --build "${repo_root}/build-bench" -j"${jobs}" \
     --target "$(basename "${binary}")"
@@ -95,7 +97,7 @@ while IFS=$'\t' read -r baseline current binary filter kind; do
     bench_args=(--benchmark_format=json
                 --benchmark_out="${bench_dir}/${current}"
                 --benchmark_out_format=json)
-    [[ -n "${filter}" ]] && bench_args+=("--benchmark_filter=${filter}")
+    [[ "${filter}" != "-" ]] && bench_args+=("--benchmark_filter=${filter}")
     "${repo_root}/build-bench/${binary}" "${bench_args[@]}" > /dev/null
   fi
 done < <(python3 "${repo_root}/scripts/check_bench_regression.py" \
@@ -142,10 +144,10 @@ if [[ "${skip_sanitize}" -eq 0 ]]; then
   ctest --test-dir "${repo_root}/build-asan" -L tier1 --output-on-failure -j"${jobs}"
 
   echo "== tier-1 (TSan) =="
-  # The work-stealing pool and the trial fleet are real multi-threaded code;
-  # the whole tier-1 suite (which includes the parallel pool tests and the
-  # serial-vs-parallel campaign determinism tests) must be data-race-free
-  # under ThreadSanitizer.
+  # The trial fleet (chaos/fleet.hpp) is real multi-threaded code; the
+  # whole tier-1 suite (which includes the run_ordered tests, the parallel
+  # shrinker and the serial-vs-parallel campaign determinism tests) must be
+  # data-race-free under ThreadSanitizer.
   cmake -B "${repo_root}/build-tsan" -S "${repo_root}" -DVDEP_SANITIZE=thread
   cmake --build "${repo_root}/build-tsan" -j"${jobs}"
   ctest --test-dir "${repo_root}/build-tsan" -L tier1 --output-on-failure -j"${jobs}"
