@@ -1,12 +1,13 @@
 // Trial-fleet throughput benchmark (BENCH_parallel.json).
 //
 // Measures chaos-campaign trials per wall second at 1, 4 and 8 workers —
-// the headline number for the work-stealing fleet. Every trial is a full
-// isolated Kernel (scenario + schedule + oracles), so this is an honest
-// end-to-end parallel-efficiency measurement, not a task-overhead micro.
+// the headline number for the trial fleet (chaos/fleet.hpp). Every trial is
+// a full isolated Kernel (scenario + schedule + oracles), so this is an
+// honest end-to-end parallel-efficiency measurement, not a task-overhead
+// micro.
 //
 // On a single-core CI machine the 4/8-worker rows will not beat the serial
-// row (they mostly pay the pool's coordination overhead); the regression
+// row (they mostly pay the fleet's thread overhead); the regression
 // gate in scripts/bench_gates.json therefore keys on the serial row's
 // trials_per_sec, while the multi-worker rows document scaling on the
 // machine that recorded the baseline.

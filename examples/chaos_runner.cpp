@@ -11,7 +11,6 @@
 // On failure the minimal reproducer (after delta-debugging) is printed so it
 // can be pasted into a regression test.
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "chaos/campaign.hpp"
@@ -92,12 +91,8 @@ int main(int argc, char** argv) {
     if (shrink_failures) {
       // Re-use the fleet width for the shrinker's candidate replays (each
       // probe is an independent kernel, same as a campaign trial).
-      std::unique_ptr<sim::parallel::StealPool> shrink_pool;
-      if (config.workers > 1) {
-        shrink_pool = std::make_unique<sim::parallel::StealPool>(config.workers);
-      }
       const auto shrunk = chaos::shrink_schedule(failure.config, failure.plan, {},
-                                                 shrink_pool.get());
+                                                 config.workers);
       std::printf("minimal reproducer (%zu actions, %d probes):\n%s",
                   shrunk.minimal.size(), shrunk.probes,
                   shrunk.minimal.to_string().c_str());

@@ -1,16 +1,14 @@
 #include "chaos/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "app/kv_store.hpp"
+#include "chaos/fleet.hpp"
 #include "chaos/shard_trial.hpp"
 #include "harness/scenario.hpp"
 #include "obs/export.hpp"
-#include "sim/parallel/steal_pool.hpp"
 #include "util/assert.hpp"
 
 namespace vdep::chaos {
@@ -361,46 +359,16 @@ CampaignResult run_campaign(
     const CampaignConfig& config,
     const std::function<void(int, const TrialConfig&, const TrialResult&)>& on_trial) {
   CampaignResult result;
-  const int workers = std::min(std::max(config.workers, 1), std::max(config.trials, 1));
-
-  if (workers == 1) {
-    for (int i = 0; i < config.trials; ++i) {
-      merge_trial(result, i, execute_campaign_trial(config, i), on_trial);
-    }
-  } else {
-    // Trial fleet: every trial is reproducible from (campaign seed, index)
-    // with its own isolated Kernel, so trials run as independent pool tasks
-    // writing pre-assigned slots. The driver commits finished slots in index
-    // order — streaming, so memory is bounded by the fleet's out-of-order
-    // window, and on_trial still observes the serial sequence.
-    sim::parallel::StealPool pool(workers);
-    const auto n = static_cast<std::size_t>(config.trials);
-    std::vector<std::unique_ptr<ExecutedTrial>> slots(n);
-    std::vector<std::unique_ptr<std::atomic<bool>>> ready;
-    ready.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ready.push_back(std::make_unique<std::atomic<bool>>(false));
-    }
-    for (int i = 0; i < config.trials; ++i) {
-      const auto slot = static_cast<std::size_t>(i);
-      pool.submit([&config, &slots, &ready, i, slot] {
-        slots[slot] = std::make_unique<ExecutedTrial>(execute_campaign_trial(config, i));
-        ready[slot]->store(true, std::memory_order_release);
+  // Every trial is reproducible from (campaign seed, index) with its own
+  // isolated Kernel; the fleet commits them in index order, streaming, so
+  // on_trial and the aggregate see the serial sequence at any worker count.
+  run_ordered(
+      config.trials, config.workers,
+      [&config](int i) { return execute_campaign_trial(config, i); },
+      [&](int i, const ExecutedTrial& executed) {
+        merge_trial(result, i, executed, on_trial);
+        return true;
       });
-    }
-    for (int i = 0; i < config.trials; ++i) {
-      const auto slot = static_cast<std::size_t>(i);
-      while (!ready[slot]->load(std::memory_order_acquire)) {
-        // Help run trials while waiting; once nothing is claimable the
-        // remaining trials are mid-execution on workers — back off briefly.
-        if (!pool.try_run_one()) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
-      merge_trial(result, i, *slots[slot], on_trial);
-      slots[slot].reset();
-    }
-  }
 
   result.metrics.set_gauge("chaos.pass_rate",
                            result.trials == 0

@@ -119,10 +119,11 @@ struct CampaignConfig {
   std::vector<int> shard_counts = {1};
   TrialConfig base;  // everything not swept
 
-  // Trial-fleet parallelism: > 1 runs trials on a work-stealing pool (one
-  // isolated Kernel per trial) and commits results in trial-index order, so
-  // the campaign output — metrics, failures, JSON, on_trial sequence — is
-  // byte-identical to the serial (workers == 1) run with the same seeds.
+  // Trial-fleet parallelism: > 1 runs trials on that many worker threads
+  // (chaos/fleet.hpp; one isolated Kernel per trial) and commits results in
+  // trial-index order, so the campaign output — metrics, failures, JSON,
+  // on_trial sequence — is byte-identical to the serial (workers == 1) run
+  // with the same seeds.
   int workers = 1;
 };
 

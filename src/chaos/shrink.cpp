@@ -1,7 +1,10 @@
 #include "chaos/shrink.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 
+#include "chaos/fleet.hpp"
 #include "util/assert.hpp"
 
 namespace vdep::chaos {
@@ -22,8 +25,7 @@ SimTime snap_down(SimTime t, SimTime grid) {
 }  // namespace
 
 ShrinkResult shrink_schedule(const TrialConfig& config, const net::FaultPlan& failing,
-                             const FailPredicate& still_fails,
-                             sim::parallel::StealPool* pool) {
+                             const FailPredicate& still_fails, int workers) {
   const FailPredicate fails_pred =
       still_fails ? still_fails
                   : [](const TrialResult& r) { return !r.pass(); };
@@ -52,14 +54,12 @@ ShrinkResult shrink_schedule(const TrialConfig& config, const net::FaultPlan& fa
   // Phase 1 — ddmin on the action list: repeatedly try dropping one of n
   // chunks; on success restart at coarse granularity, otherwise refine.
   //
-  // Serial rounds scan candidates in start order and commit the first
-  // failure; parallel rounds (with a pool) evaluate every candidate of the
-  // round as an independent trial and commit the lowest-indexed failure —
-  // the same commit, reached by racing the whole round at once.
+  // Each round runs its candidates through the fleet and commits the
+  // lowest-indexed failure: serially the scan stops there; with workers the
+  // whole round runs at once and reaches the same commit.
   std::vector<net::FaultAction> actions = out.minimal.actions();
   std::size_t n = 2;
   while (actions.size() >= 2) {
-    bool reduced = false;
     const std::size_t chunk = std::max<std::size_t>(1, actions.size() / n);
 
     std::vector<std::vector<net::FaultAction>> complements;
@@ -71,40 +71,27 @@ ShrinkResult shrink_schedule(const TrialConfig& config, const net::FaultPlan& fa
       if (complement.size() < actions.size()) complements.push_back(std::move(complement));
     }
 
-    if (pool != nullptr && complements.size() > 1) {
-      std::vector<net::FaultPlan> plans(complements.size());
-      std::vector<TrialResult> results(complements.size());
-      sim::parallel::TaskGroup round;
-      for (std::size_t k = 0; k < complements.size(); ++k) {
-        plans[k] = plan_from(complements[k]);
-        pool->submit(round, [&config, &plans, &results, k] {
-          results[k] = run_trial(config, plans[k]);
+    std::atomic<int> round_probes{0};
+    std::optional<std::size_t> reduced;
+    run_ordered(
+        static_cast<int>(complements.size()), workers,
+        [&](int k) {
+          round_probes.fetch_add(1, std::memory_order_relaxed);
+          return run_trial(config, plan_from(complements[static_cast<std::size_t>(k)]));
+        },
+        [&](int k, TrialResult result) {
+          if (!fails_pred(result)) return true;
+          reduced = static_cast<std::size_t>(k);
+          out.reproduction = std::move(result);
+          return false;
         });
-      }
-      round.wait(*pool);
-      out.probes += static_cast<int>(complements.size());
-      for (std::size_t k = 0; k < complements.size(); ++k) {
-        if (fails_pred(results[k])) {
-          out.minimal = std::move(plans[k]);
-          out.reproduction = std::move(results[k]);
-          actions = std::move(complements[k]);
-          n = std::max<std::size_t>(2, n - 1);
-          reduced = true;
-          break;
-        }
-      }
-    } else {
-      for (auto& complement : complements) {
-        if (probe(plan_from(complement))) {
-          actions = std::move(complement);
-          n = std::max<std::size_t>(2, n - 1);
-          reduced = true;
-          break;
-        }
-      }
-    }
+    out.probes += round_probes.load();
 
-    if (!reduced) {
+    if (reduced) {
+      actions = std::move(complements[*reduced]);
+      out.minimal = plan_from(actions);
+      n = std::max<std::size_t>(2, n - 1);
+    } else {
       if (n >= actions.size()) break;
       n = std::min(actions.size(), n * 2);
     }

@@ -8,18 +8,18 @@
 // result is an honest minimal reproducer, printable via FaultPlan::to_string
 // and replayable with run_trial(config, minimal).
 //
-// With a StealPool, each ddmin round evaluates all of its candidate plans as
-// parallel trials (each probe is an independent kernel) and commits the
-// lowest-indexed failing candidate — the same candidate the serial scan
-// would have taken, so the minimal schedule is identical; only the probe
-// count differs (the parallel round finishes candidates the serial scan
-// would have skipped past). The sequential retiming phase stays serial.
+// With workers > 1, each ddmin round evaluates all of its candidate plans as
+// parallel trials on the fleet (chaos/fleet.hpp; each probe is an
+// independent kernel) and commits the lowest-indexed failing candidate — the
+// same candidate the serial scan would have taken, so the minimal schedule
+// is identical; only the probe count differs (the parallel round finishes
+// candidates the serial scan would have skipped past). The sequential
+// retiming phase stays serial.
 #pragma once
 
 #include <functional>
 
 #include "chaos/campaign.hpp"
-#include "sim/parallel/steal_pool.hpp"
 
 namespace vdep::chaos {
 
@@ -36,6 +36,6 @@ struct ShrinkResult {
 [[nodiscard]] ShrinkResult shrink_schedule(const TrialConfig& config,
                                            const net::FaultPlan& failing,
                                            const FailPredicate& still_fails = {},
-                                           sim::parallel::StealPool* pool = nullptr);
+                                           int workers = 1);
 
 }  // namespace vdep::chaos

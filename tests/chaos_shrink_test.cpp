@@ -77,7 +77,7 @@ TEST(ChaosShrink, MinimizesInjectedBugToAtMostThreeActions) {
 }
 
 TEST(ChaosShrink, ParallelRoundsFindTheSameMinimalSchedule) {
-  // A ddmin round on the pool evaluates every candidate as a parallel trial
+  // A ddmin round on 8 workers evaluates every candidate as a parallel trial
   // and commits the lowest-indexed failure — the same candidate the serial
   // scan commits, so the minimal schedule must be identical byte for byte
   // (only the probe count may differ: parallel rounds finish candidates the
@@ -89,9 +89,7 @@ TEST(ChaosShrink, ParallelRoundsFindTheSameMinimalSchedule) {
   };
 
   const ShrinkResult serial = shrink_schedule(config, failing, dedup_violated);
-  sim::parallel::StealPool pool(8);
-  const ShrinkResult fleet =
-      shrink_schedule(config, failing, dedup_violated, &pool);
+  const ShrinkResult fleet = shrink_schedule(config, failing, dedup_violated, 8);
 
   EXPECT_EQ(fleet.minimal.to_string(), serial.minimal.to_string());
   // Exact probe counts: the serial scan stops at each round's first failing

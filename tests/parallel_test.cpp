@@ -1,130 +1,110 @@
-// Work-stealing deque and pool tests.
+// Trial-fleet tests.
 //
-// The StealPool tests pin the pool's liveness contract: every submitted task
-// runs exactly once, from outside threads and from nested fan-outs alike.
+// run_ordered's contract: every index runs exactly once, commits arrive on
+// the calling thread in index order at any worker count, and a stop either
+// skips the later runs (serial) or drops their results (parallel).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "sim/parallel/steal_deque.hpp"
-#include "sim/parallel/steal_pool.hpp"
+#include "chaos/fleet.hpp"
 
-namespace vdep::sim::parallel {
+namespace vdep::chaos {
 namespace {
 
-// --- StealDeque (single-threaded semantics) --------------------------------
-
-TEST(StealDeque, OwnerPushPopIsLifo) {
-  StealDeque<int> dq;
-  int a = 1, b = 2, c = 3;
-  ASSERT_TRUE(dq.push_bottom(&a));
-  ASSERT_TRUE(dq.push_bottom(&b));
-  ASSERT_TRUE(dq.push_bottom(&c));
-  EXPECT_EQ(dq.pop_bottom(), &c);
-  EXPECT_EQ(dq.pop_bottom(), &b);
-  EXPECT_EQ(dq.pop_bottom(), &a);
-  EXPECT_EQ(dq.pop_bottom(), nullptr);
-}
-
-TEST(StealDeque, StealTakesOldestFirst) {
-  StealDeque<int> dq;
-  int a = 1, b = 2;
-  ASSERT_TRUE(dq.push_bottom(&a));
-  ASSERT_TRUE(dq.push_bottom(&b));
-  EXPECT_EQ(dq.steal_top(), &a);  // FIFO from the top
-  EXPECT_EQ(dq.pop_bottom(), &b);
-  EXPECT_EQ(dq.steal_top(), nullptr);
-}
-
-TEST(StealDeque, RejectsPushWhenFull) {
-  StealDeque<int> dq;
-  int x = 0;
-  std::size_t pushed = 0;
-  while (dq.push_bottom(&x)) ++pushed;
-  EXPECT_EQ(pushed, dq.capacity());
-  EXPECT_FALSE(dq.push_bottom(&x));
-  EXPECT_EQ(dq.pop_bottom(), &x);
-  EXPECT_TRUE(dq.push_bottom(&x));  // slot freed
-}
-
-// --- StealPool --------------------------------------------------------------
-
-TEST(StealPool, RunsEverySubmittedTaskExactlyOnce) {
-  constexpr int kTasks = 4096;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  {
-    StealPool pool(4);
-    TaskGroup group;
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit(group, [&runs, i] { runs[static_cast<std::size_t>(i)].fetch_add(1); });
-    }
-    group.wait(pool);
-  }
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
-  }
-}
-
-TEST(StealPool, NestedFanOutFromWorkerDoesNotDeadlock) {
-  // Each outer task fans out an inner batch and waits on it from inside the
-  // pool — the classic helping-wait deadlock shape (parallel shrinker inside
-  // a campaign worker). With 2 workers and 8 outer tasks this deadlocks
-  // unless wait() helps.
-  StealPool pool(2);
-  TaskGroup outer;
-  std::atomic<int> inner_runs{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit(outer, [&pool, &inner_runs] {
-      TaskGroup inner;
-      for (int j = 0; j < 16; ++j) {
-        pool.submit(inner, [&inner_runs] { inner_runs.fetch_add(1); });
+TEST(RunOrdered, RunsEveryIndexOnceAndCommitsInOrder) {
+  for (const int workers : {1, 2, 8}) {
+    for (const int n : {0, 1, 3, 257}) {
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+      std::vector<int> committed;
+      const auto caller = std::this_thread::get_id();
+      run_ordered(
+          n, workers,
+          [&runs](int i) {
+            runs[static_cast<std::size_t>(i)].fetch_add(1);
+            return i * 7;
+          },
+          [&](int i, int result) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_EQ(result, i * 7);
+            committed.push_back(i);
+            return true;
+          });
+      ASSERT_EQ(committed.size(), static_cast<std::size_t>(n))
+          << "workers " << workers << " n " << n;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(committed[static_cast<std::size_t>(i)], i);
+        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+            << "workers " << workers << " index " << i;
       }
-      inner.wait(pool);
-    });
+    }
   }
-  outer.wait(pool);
-  EXPECT_EQ(inner_runs.load(), 8 * 16);
 }
 
-TEST(StealPool, GroupIsReusableAcrossWaves) {
-  StealPool pool(2);
-  TaskGroup group;
-  std::atomic<int> runs{0};
-  for (int wave = 0; wave < 10; ++wave) {
-    for (int i = 0; i < 32; ++i) pool.submit(group, [&runs] { runs.fetch_add(1); });
-    group.wait(pool);
-    EXPECT_EQ(group.pending(), 0u);
+TEST(RunOrdered, StopSkipsLaterRunsSeriallyAndDropsThemInParallel) {
+  for (const int workers : {1, 4}) {
+    std::atomic<int> runs{0};
+    std::vector<int> committed;
+    run_ordered(
+        64, workers,
+        [&runs](int i) {
+          runs.fetch_add(1);
+          return i;
+        },
+        [&committed](int i, int) {
+          committed.push_back(i);
+          return i < 2;  // stop after committing index 2
+        });
+    EXPECT_EQ(committed, (std::vector<int>{0, 1, 2})) << "workers " << workers;
+    EXPECT_EQ(runs.load(), workers == 1 ? 3 : 64) << "workers " << workers;
   }
-  EXPECT_EQ(runs.load(), 10 * 32);
 }
 
-TEST(StealPool, TryRunOneDrainsInjector) {
-  StealPool pool(1);
-  // Park the worker in a blocking task so the tasks injected afterwards stay
-  // available to the caller; wait until the worker has actually taken it, or
-  // this thread's try_run_one could grab the blocker and spin forever.
-  std::atomic<bool> grabbed{false};
-  std::atomic<bool> release{false};
-  TaskGroup group;
-  pool.submit(group, [&grabbed, &release] {
-    grabbed.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  while (!grabbed.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  std::atomic<int> runs{0};
-  for (int i = 0; i < 4; ++i) pool.submit(group, [&runs] { runs.fetch_add(1); });
-  while (runs.load() < 4) {
-    if (!pool.try_run_one()) std::this_thread::yield();
+TEST(RunOrdered, ExceptionFromRunReachesTheCallerInIndexOrder) {
+  for (const int workers : {1, 4}) {
+    std::vector<int> committed;
+    EXPECT_THROW(run_ordered(
+                     16, workers,
+                     [](int i) {
+                       if (i == 5) throw std::runtime_error("trial 5");
+                       return i;
+                     },
+                     [&committed](int i, int) {
+                       committed.push_back(i);
+                       return true;
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(committed, (std::vector<int>{0, 1, 2, 3, 4})) << "workers " << workers;
   }
-  release.store(true, std::memory_order_release);
-  group.wait(pool);
-  EXPECT_EQ(runs.load(), 4);
+}
+
+TEST(RunOrdered, CallerRunsTrialsWhileItsNextResultIsPending) {
+  // Worker-run indices block until the calling thread has run one itself,
+  // so this finishes only if the caller claims work while it waits.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  int committed = 0;
+  run_ordered(
+      3, 2,
+      [&](int) {
+        if (std::this_thread::get_id() == caller) {
+          caller_ran.store(true);
+        } else {
+          while (!caller_ran.load()) std::this_thread::yield();
+        }
+        return 0;
+      },
+      [&committed](int, int) {
+        ++committed;
+        return true;
+      });
+  EXPECT_TRUE(caller_ran.load());
+  EXPECT_EQ(committed, 3);
 }
 
 }  // namespace
-}  // namespace vdep::sim::parallel
+}  // namespace vdep::chaos
