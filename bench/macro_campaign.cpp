@@ -39,7 +39,7 @@ void BM_CampaignTrials(benchmark::State& state) {
   state.counters["pass_rate"] =
       benchmark::Counter(static_cast<double>(passed) / static_cast<double>(trials));
 }
-// UseRealTime: the fleet's work happens on pool threads, so the default
+// UseRealTime: the fleet's work happens on worker threads, so the default
 // main-thread CPU clock would grossly inflate the multi-worker rows;
 // trials_per_sec must mean wall-clock trials per second.
 BENCHMARK(BM_CampaignTrials)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();

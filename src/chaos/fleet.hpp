@@ -73,8 +73,10 @@ void run_ordered(int n, int workers, const Run& run, Commit&& commit) {
       // the rest are mid-run on workers, so back off briefly.
       if (!claim()) std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    if (live && slot.error) std::rethrow_exception(slot.error);
-    if (live) live = commit(i, std::move(*slot.result));
+    if (live) {
+      if (slot.error) std::rethrow_exception(slot.error);
+      live = commit(i, std::move(*slot.result));
+    }
     slot.result.reset();
   }
 }
