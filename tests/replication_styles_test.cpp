@@ -3,6 +3,9 @@
 // the style-specific properties (who replies, who logs, reply bandwidth).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "harness/scenario.hpp"
 
 namespace vdep::harness {
@@ -14,6 +17,21 @@ struct StyleCase {
   ReplicationStyle style;
   const char* name;
 };
+
+// Expected role of each replica (by view rank) after the cycle, one
+// three-letter code per rank: R = responds to clients, E = executed requests,
+// I = installed checkpoints; '-' marks a role it does not hold. Kept out of
+// StyleCase: gtest prints the parameter's raw bytes into each test's name.
+std::array<const char*, 3> expected_roles(ReplicationStyle style) {
+  switch (style) {
+    case ReplicationStyle::kActive: return {"RE-", "RE-", "RE-"};
+    case ReplicationStyle::kSemiActive: return {"RE-", "-E-", "-E-"};
+    case ReplicationStyle::kWarmPassive: return {"RE-", "--I", "--I"};
+    case ReplicationStyle::kColdPassive: return {"RE-", "---", "---"};
+    case ReplicationStyle::kHybrid: return {"RE-", "RE-", "--I"};
+  }
+  return {};
+}
 
 class StylesTest : public ::testing::TestWithParam<StyleCase> {};
 
@@ -56,6 +74,16 @@ TEST_P(StylesTest, CycleCompletesWithConsistentReplicas) {
       EXPECT_GT(scenario.servant(1).counter(), total / 2);  // checkpoints applied
     }
   }
+
+  const auto all_roles = expected_roles(GetParam().style);
+  for (int i = 0; i < 3; ++i) {
+    const replication::Replicator& rep = scenario.replicator(i);
+    const std::string roles = all_roles[i];
+    EXPECT_EQ(rep.is_responder(), roles[0] == 'R') << "replica " << i;
+    EXPECT_EQ(rep.requests_executed() > 0, roles[1] == 'E') << "replica " << i;
+    EXPECT_EQ(rep.installs_full() + rep.installs_delta() > 0, roles[2] == 'I')
+        << "replica " << i;
+  }
 }
 
 // Static storage zero-fills the padding after `style`; gtest prints the
@@ -66,6 +94,7 @@ constexpr StyleCase kStyleCases[] = {
     {ReplicationStyle::kSemiActive, "semi_active"},
     {ReplicationStyle::kWarmPassive, "warm_passive"},
     {ReplicationStyle::kColdPassive, "cold_passive"},
+    {ReplicationStyle::kHybrid, "hybrid"},
 };
 
 INSTANTIATE_TEST_SUITE_P(
