@@ -1,12 +1,11 @@
 // Micro-benchmarks of the substrate components (google-benchmark): event
-// queue, RNG, byte/CDR/GIOP codecs, reply cache, vector clocks and the
-// ordered-delivery buffer. These quantify the *real* (not simulated) cost of
-// the infrastructure the experiments run on.
+// queue, RNG, byte/CDR/GIOP codecs, reply cache and the ordered-delivery
+// buffer. These quantify the *real* (not simulated) cost of the
+// infrastructure the experiments run on.
 #include <benchmark/benchmark.h>
 
 #include "gcs/message.hpp"
 #include "gcs/ordering.hpp"
-#include "gcs/vector_clock.hpp"
 #include "orb/giop.hpp"
 #include "replication/reply_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -93,21 +92,6 @@ void BM_ReplyCachePutGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplyCachePutGet);
-
-void BM_VectorClockMerge(benchmark::State& state) {
-  gcs::VectorClock a;
-  gcs::VectorClock b;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    a.set(ProcessId{i}, i * 3);
-    b.set(ProcessId{i}, i * 5 % 7);
-  }
-  for (auto _ : state) {
-    gcs::VectorClock c = a;
-    c.merge(b);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_VectorClockMerge);
 
 void BM_OrderedBufferOfferDeliver(benchmark::State& state) {
   // All message construction — including the 64-byte filler payload, which

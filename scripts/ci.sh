@@ -1,9 +1,19 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 quick suite on the default build, the golden output
-# manifest, then the trace and health-event determinism gates (two same-seed
-# runs must export byte-identical recordings / HealthEvent streams), then the
-# same suite under ASan/UBSan (VDEP_SANITIZE=ON), then the long chaos
-# campaign.
+# CI gate. Stages, in order:
+#   1. the tier-1 suite on the default build, with warnings as errors;
+#   2. the golden output manifest (scripts/golden.py check);
+#   3. the shard quick gate (the shard label, without the chaos campaign);
+#   4. smoke runs: kv_cluster --shards 4, micro_checkpoint, micro_health,
+#      macro_events, macro_shard and macro_campaign;
+#   5. the perfbench/ build (the repository benchmark must compile);
+#   6. the benchmark regression gates: Release re-measurement of every gate
+#      in scripts/bench_gates.json against the recorded BENCH_*.json files;
+#   7. the trace determinism gate and the health-event determinism gate (two
+#      same-seed runs must export byte-identical recordings / HealthEvent
+#      streams);
+#   8. the tier-1 suite under ASan/UBSan (VDEP_SANITIZE=ON) and under TSan
+#      (VDEP_SANITIZE=thread), skipped with --skip-sanitize;
+#   9. the long chaos campaign (the chaos label), skipped with --skip-chaos.
 #
 # Usage: scripts/ci.sh [--skip-sanitize] [--skip-chaos]
 set -euo pipefail

@@ -79,10 +79,7 @@ void OpenLoopClient::schedule_next_arrival() {
 }
 
 void OpenLoopClient::issue() {
-  if (outstanding_ >= kMaxOutstanding) {
-    ++suppressed_;
-    return;
-  }
+  if (outstanding_ >= kMaxOutstanding) return;
   ++issued_;
   ++outstanding_;
   const SimTime sent = orb_.process().now();

@@ -56,7 +56,6 @@ class OpenLoopClient {
 
   [[nodiscard]] std::uint64_t issued() const { return issued_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t suppressed() const { return suppressed_; }
   [[nodiscard]] const Sampler& latencies() const { return latencies_; }
 
   void set_on_done(std::function<void()> fn) { on_done_ = std::move(fn); }
@@ -73,7 +72,6 @@ class OpenLoopClient {
   SimTime started_ = kTimeZero;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t suppressed_ = 0;
   std::uint64_t outstanding_ = 0;
   Sampler latencies_;
   std::function<void()> on_done_;

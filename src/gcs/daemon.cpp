@@ -43,8 +43,7 @@ Daemon::Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId
         w.u64(this->host().value());
         link_->send_raw(peer, std::move(w).take());
       },
-      calib::kDefaultHeartbeatInterval, calib::kDefaultHeartbeatMisses);
-  fd_->set_on_suspect([this](NodeId d) { on_suspect(d); });
+      [this](NodeId d) { on_suspect(d); });
 
   leader_ = all_daemons_.front();
   if (leader_ == host) leader_state_ = std::make_unique<LeaderState>(host);
@@ -68,10 +67,6 @@ void Daemon::stability_token_tick() {
     emit(leader_state_->publish_stability());
   }
   post(calib::kStabilityTokenInterval, [this] { stability_token_tick(); });
-}
-
-void Daemon::on_crash() {
-  // Scheduled callbacks die with the epoch bump; nothing else to tear down.
 }
 
 // --- packet pipeline ----------------------------------------------------------

@@ -60,14 +60,11 @@ class Daemon : public sim::Process {
 
   // --- introspection ------------------------------------------------------------
   [[nodiscard]] bool is_leader() const { return leader_ == host() && !awaiting_sync_; }
-  [[nodiscard]] const FailureDetector& failure_detector() const { return *fd_; }
   [[nodiscard]] std::uint64_t term() const { return term_; }
 
   // Health-plane tap (see gcs/health_observer.hpp). The observer must
   // outlive the daemon; nullptr detaches.
   void set_health_observer(HealthObserver* observer) { health_ = observer; }
-
-  void on_crash() override;
 
  private:
   friend class Endpoint;

@@ -1,16 +1,15 @@
 #include "gcs/failure_detector.hpp"
 
+#include "util/calibration.hpp"
 #include "util/logging.hpp"
 
 namespace vdep::gcs {
 
 FailureDetector::FailureDetector(sim::Process& owner, std::vector<NodeId> peers,
-                                 SendHeartbeatFn send_heartbeat, SimTime interval,
-                                 int miss_limit)
+                                 SendHeartbeatFn send_heartbeat, SuspectFn on_suspect)
     : owner_(owner),
       send_heartbeat_(std::move(send_heartbeat)),
-      interval_(interval),
-      miss_limit_(miss_limit) {
+      on_suspect_(std::move(on_suspect)) {
   for (NodeId p : peers) peers_[p] = PeerState{};
 }
 
@@ -25,15 +24,16 @@ void FailureDetector::tick() {
   for (auto& [peer, st] : peers_) {
     if (st.suspected) continue;
     send_heartbeat_(peer);
-    const SimTime deadline = st.last_heard + interval_ * miss_limit_;
+    const SimTime deadline =
+        st.last_heard + calib::kDefaultHeartbeatInterval * calib::kDefaultHeartbeatMisses;
     if (owner_.now() > deadline) {
       st.suspected = true;
       log_info(owner_.now(), "fd",
                owner_.name() + " suspects daemon@" + peer.str());
-      if (on_suspect_) on_suspect_(peer);
+      on_suspect_(peer);
     }
   }
-  owner_.post(interval_, [this] { tick(); });
+  owner_.post(calib::kDefaultHeartbeatInterval, [this] { tick(); });
 }
 
 void FailureDetector::heartbeat_received(NodeId from) {
@@ -47,7 +47,7 @@ void FailureDetector::mark_dead(NodeId peer) {
   auto it = peers_.find(peer);
   if (it == peers_.end() || it->second.suspected) return;
   it->second.suspected = true;
-  if (on_suspect_) on_suspect_(peer);
+  on_suspect_(peer);
 }
 
 bool FailureDetector::alive(NodeId peer) const {

@@ -1,9 +1,9 @@
 // Heartbeat-based failure detection between daemons.
 //
-// Implements the FT-CORBA "fault monitoring interval" low-level knob: every
-// daemon sends heartbeats each `interval` and suspects a peer after
-// `miss_limit` silent intervals. Detection latency therefore tunes between
-// fast-but-jumpy and slow-but-safe — one of the trade-offs versatile
+// The FT-CORBA "fault monitoring interval": every daemon sends heartbeats
+// each calib::kDefaultHeartbeatInterval and suspects a peer after
+// calib::kDefaultHeartbeatMisses silent intervals. Detection latency trades
+// fast-but-jumpy against slow-but-safe — one of the trade-offs versatile
 // dependability exposes.
 #pragma once
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/actor.hpp"
-#include "util/calibration.hpp"
 #include "util/ids.hpp"
 
 namespace vdep::gcs {
@@ -23,14 +22,10 @@ class FailureDetector {
   using SuspectFn = std::function<void(NodeId peer)>;
 
   FailureDetector(sim::Process& owner, std::vector<NodeId> peers,
-                  SendHeartbeatFn send_heartbeat,
-                  SimTime interval = calib::kDefaultHeartbeatInterval,
-                  int miss_limit = calib::kDefaultHeartbeatMisses);
+                  SendHeartbeatFn send_heartbeat, SuspectFn on_suspect);
 
   // Begins the heartbeat/check timer loop.
   void start();
-
-  void set_on_suspect(SuspectFn fn) { on_suspect_ = std::move(fn); }
 
   // Called by the daemon when a heartbeat arrives.
   void heartbeat_received(NodeId from);
@@ -41,7 +36,6 @@ class FailureDetector {
 
   [[nodiscard]] bool alive(NodeId peer) const;
   [[nodiscard]] std::vector<NodeId> live_peers() const;
-  [[nodiscard]] SimTime interval() const { return interval_; }
 
  private:
   void tick();
@@ -49,8 +43,6 @@ class FailureDetector {
   sim::Process& owner_;
   SendHeartbeatFn send_heartbeat_;
   SuspectFn on_suspect_;
-  SimTime interval_;
-  int miss_limit_;
 
   struct PeerState {
     SimTime last_heard = kTimeZero;

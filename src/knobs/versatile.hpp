@@ -55,10 +55,6 @@ class VersatileDependability {
     return contract_monitor_ ? contract_monitor_.get() : nullptr;
   }
 
-  [[nodiscard]] const std::optional<ScalabilityPolicy>& scalability_policy() const {
-    return scalability_policy_;
-  }
-
  private:
   ReplicaGroupController& controller_;
   KnobRegistry registry_;

@@ -29,7 +29,6 @@ void ReplicatedStateObject::start() {
     if (view_ && !view_->contains(msg.sender)) return;
     StateEntry entry = StateEntry::decode(msg.payload);
     entries_[entry.reporter] = std::move(entry);
-    version_.tick(msg.sender);
   });
   endpoint_->set_view_handler([this](const gcs::View& view) {
     view_ = view;

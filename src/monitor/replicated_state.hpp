@@ -17,7 +17,6 @@
 #include <string>
 
 #include "gcs/endpoint.hpp"
-#include "gcs/vector_clock.hpp"
 
 namespace vdep::monitor {
 
@@ -56,8 +55,6 @@ class ReplicatedStateObject {
   // Deterministic aggregates over the agreed state.
   [[nodiscard]] double aggregate_request_rate() const;
   [[nodiscard]] double max_cpu_load() const;
-  // Version clock: ticks per accepted update; equal clocks imply equal state.
-  [[nodiscard]] const gcs::VectorClock& version() const { return version_; }
 
  private:
   void publish();
@@ -70,7 +67,6 @@ class ReplicatedStateObject {
   std::unique_ptr<gcs::Endpoint> endpoint_;
   std::optional<gcs::View> view_;
   std::map<ProcessId, StateEntry> entries_;
-  gcs::VectorClock version_;
 };
 
 }  // namespace vdep::monitor

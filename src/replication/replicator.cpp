@@ -4,11 +4,6 @@
 #include <utility>
 
 #include "orb/giop.hpp"
-#include "replication/active.hpp"
-#include "replication/cold_passive.hpp"
-#include "replication/hybrid.hpp"
-#include "replication/semi_active.hpp"
-#include "replication/warm_passive.hpp"
 #include "util/assert.hpp"
 #include "util/calibration.hpp"
 #include "util/logging.hpp"
@@ -21,6 +16,39 @@ constexpr SimTime kColdLaunchDelay = msec(800);  // cold passive: backup start-u
 // How many recent replies travel inside a checkpoint (see
 // ReplyCache::serialize_recent).
 constexpr std::size_t kCheckpointReplyEntries = 16;
+
+// Hybrid replication (the paper's Sec. 6 direction, after Bakken et al.):
+// the first kHybridCore replicas by view rank form an active core that
+// executes and replies; the rest are warm observers that log requests and
+// install the head's checkpoints, every kHybridObserverSyncEvery-th
+// checkpoint-interval tick.
+constexpr std::size_t kHybridCore = 2;
+constexpr std::uint64_t kHybridObserverSyncEvery = 4;
+
+// The first view rank whose state a style lets go stale between checkpoints:
+// every backup under warm/cold passive, the observers under hybrid, nobody
+// under active/semi-active (SIZE_MAX).
+std::size_t first_stale_rank(ReplicationStyle style) {
+  switch (style) {
+    case ReplicationStyle::kWarmPassive:
+    case ReplicationStyle::kColdPassive:
+      return 1;
+    case ReplicationStyle::kHybrid:
+      return kHybridCore;
+    case ReplicationStyle::kActive:
+    case ReplicationStyle::kSemiActive:
+      return SIZE_MAX;
+  }
+  return SIZE_MAX;
+}
+
+// A final checkpoint is needed exactly when some replica holds stale state
+// under `from` but takes an executing role under `to`. Ranks do not change
+// at the switch point, so it suffices that `to`'s stale set does not cover
+// `from`'s.
+bool needs_final_checkpoint(ReplicationStyle from, ReplicationStyle to) {
+  return first_stale_rank(from) < first_stale_rank(to);
+}
 }  // namespace
 
 Replicator::Replicator(net::Network& network, gcs::Daemon& daemon,
@@ -51,21 +79,21 @@ void Replicator::start(ReplicationStyle style, bool join_existing) {
         .execute(calib::kReplicatorTraversal, process_.guarded([this, v] { on_view(v); }));
   });
 
-  engine_ = make_engine(style);
+  style_ = style;
   endpoint_->join(group_);
-  arm_engine_timer();
+  arm_timer();
 }
 
 void Replicator::stop() {
   if (stopped_ || endpoint_ == nullptr) return;
   stopped_ = true;
-  engine_timer_.cancel();
+  timer_.cancel();
   endpoint_->leave(group_);
 }
 
 ReplicationStyle Replicator::style() const {
-  VDEP_ASSERT(engine_ != nullptr);
-  return engine_->style();
+  VDEP_ASSERT(endpoint_ != nullptr);
+  return style_;
 }
 
 std::size_t Replicator::my_rank() const {
@@ -73,14 +101,30 @@ std::size_t Replicator::my_rank() const {
   return view_->rank_of(process_.id()).value_or(SIZE_MAX);
 }
 
-bool Replicator::is_responder() const { return engine_ != nullptr && engine_->responder(); }
+bool Replicator::is_responder() const {
+  if (endpoint_ == nullptr) return false;
+  switch (style_) {
+    case ReplicationStyle::kActive:
+      return true;
+    case ReplicationStyle::kSemiActive:
+      return my_rank() == 0;  // followers execute but stay silent
+    case ReplicationStyle::kColdPassive:
+      if (cold_launch_pending_) return false;
+      [[fallthrough]];
+    case ReplicationStyle::kWarmPassive:
+    case ReplicationStyle::kHybrid:
+      // The passive primary, or the hybrid core: the ranks kept current.
+      return my_rank() < first_stale_rank(style_);
+  }
+  return false;
+}
 
 double Replicator::observed_request_rate() { return rate_.rate(process_.now()); }
 
 void Replicator::set_checkpoint_interval(SimTime interval) {
   VDEP_ASSERT(interval > kTimeZero);
   params_.checkpoint_interval = interval;
-  arm_engine_timer();
+  arm_timer();
 }
 
 void Replicator::set_checkpoint_anchor_interval(std::uint32_t interval) {
@@ -88,11 +132,11 @@ void Replicator::set_checkpoint_anchor_interval(std::uint32_t interval) {
   params_.checkpoint_anchor_interval = interval;
 }
 
-void Replicator::arm_engine_timer() {
-  engine_timer_.cancel();
-  engine_timer_ = process_.post(params_.checkpoint_interval, [this] {
-    if (engine_ != nullptr && !uninitialized_) engine_->on_timer();
-    arm_engine_timer();
+void Replicator::arm_timer() {
+  timer_.cancel();
+  timer_ = process_.post(params_.checkpoint_interval, [this] {
+    if (endpoint_ != nullptr && !uninitialized_) on_timer();
+    arm_timer();
   });
 }
 
@@ -180,7 +224,7 @@ void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload g
     }
     return;
   }
-  engine_->on_request(rec);
+  on_request(rec);
 }
 
 void Replicator::handle_chain(std::span<const CheckpointMsg> chain) {
@@ -219,7 +263,7 @@ void Replicator::handle_chain(std::span<const CheckpointMsg> chain) {
     // Fig. 5, case warm-passive -> active: the final checkpoint before the
     // switch. Backups synchronize their state with the primary, then switch.
     // (Switch finals are always full anchors; a delta delivered while
-    // awaiting is an earlier in-flight cut and takes the normal engine path
+    // awaiting is an earlier in-flight cut and takes the normal per-style path
     // below — it must not complete the switch.)
     for (const CheckpointMsg& part : chain) install_checkpoint(part);
     complete_switch();
@@ -229,13 +273,12 @@ void Replicator::handle_chain(std::span<const CheckpointMsg> chain) {
   // Initialized bystanders take each part like an ordinary checkpoint: warm
   // backups install (rolling back to an anchor and forward to the tip — same
   // final state), cold backups retain, active styles ignore.
-  for (const CheckpointMsg& part : chain) engine_->on_checkpoint(part);
+  for (const CheckpointMsg& part : chain) on_checkpoint(part);
 }
 
 void Replicator::handle_switch(const SwitchMsg& msg) {
-  VDEP_ASSERT(engine_ != nullptr);
   // Step I: duplicate switch messages are discarded.
-  if (switch_target_.has_value() || msg.target == engine_->style()) return;
+  if (switch_target_.has_value() || msg.target == style_) return;
 
   switch_target_ = msg.target;
   switch_started_ = process_.now();
@@ -243,18 +286,18 @@ void Replicator::handle_switch(const SwitchMsg& msg) {
   // carried its context, re-established by on_group_message's scope).
   switch_span_ = process_.kernel().tracer().start_child(
       "rep.switch", "replication", process_.name());
-  switch_span_.note("from", to_string(engine_->style()));
+  switch_span_.note("from", to_string(style_));
   switch_span_.note("to", to_string(msg.target));
   log_info(process_.now(), "replicator",
-           process_.name() + " switch " + to_string(engine_->style()) + " -> " +
+           process_.name() + " switch " + to_string(style_) + " -> " +
                to_string(msg.target));
 
-  if (needs_final_checkpoint(engine_->style(), msg.target)) {
+  if (needs_final_checkpoint(style_, msg.target)) {
     // Step II, case 1 (passive -> active): everyone enqueues application
     // messages; the primary sends one more checkpoint; backups wait for it.
     holding_ = true;
     switch_awaiting_checkpoint_ = true;
-    if (engine_->responder()) {
+    if (is_responder()) {
       obs::Tracer::Scope scope(process_.kernel().tracer(), switch_span_.context());
       // Always a full anchor: cold backups about to take executing roles may
       // hold arbitrarily stale retained state a delta could not extend.
@@ -270,20 +313,20 @@ void Replicator::handle_switch(const SwitchMsg& msg) {
 
 void Replicator::complete_switch() {
   VDEP_ASSERT(switch_target_.has_value());
-  const ReplicationStyle from = engine_->style();
+  const ReplicationStyle from = style_;
   const ReplicationStyle to = *switch_target_;
   // A dormant cold backup retains checkpoints without applying them; before
   // it can execute under any other role, the retained chain must land.
   if (dormant_cold()) install_stored_chain();
-  engine_ = make_engine(to);
+  style_ = to;
+  hybrid_ticks_ = 0;
   switch_target_.reset();
   switch_awaiting_checkpoint_ = false;
-  engine_->on_start();
   switch_span_.end();
   switch_history_.push_back(SwitchRecord{switch_started_, process_.now(), from, to});
   log_info(process_.now(), "replicator",
            process_.name() + " now " + to_string(to) +
-               (engine_->responder() ? " (responder)" : ""));
+               (is_responder() ? " (responder)" : ""));
   holding_ = false;
   drain_holdq();
 }
@@ -295,7 +338,7 @@ void Replicator::drain_holdq() {
     if (holding_) {
       holdq_.push_back(std::move(rec));  // re-held (nested checkpoint)
     } else {
-      engine_->on_request(rec);
+      on_request(rec);
     }
   }
 }
@@ -311,12 +354,9 @@ void Replicator::on_view(const gcs::View& view) {
 
   const bool joined_now =
       view.contains(process_.id()) && (!old || !old->contains(process_.id()));
-  if (joined_now) {
-    if (view.size() > 1 && join_existing_) {
-      uninitialized_ = true;
-      request_state_transfer();
-    }
-    engine_->on_start();
+  if (joined_now && view.size() > 1 && join_existing_) {
+    uninitialized_ = true;
+    request_state_transfer();
   }
 
   // Fig. 5, step III case 1: if the primary crashed before its final
@@ -335,9 +375,7 @@ void Replicator::on_view(const gcs::View& view) {
     }
   }
 
-  if (old && engine_ != nullptr && !uninitialized_) {
-    engine_->on_view_change(*old, view);
-  }
+  if (old && !uninitialized_) on_view_change(*old, view);
 }
 
 void Replicator::request_state_transfer() {
@@ -348,6 +386,93 @@ void Replicator::request_state_transfer() {
   obs::Tracer::Scope scope(process_.kernel().tracer(), span.context());
   RepEnvelope env{RepEnvelope::Type::kStateRequest, {}};
   endpoint_->multicast(group_, gcs::ServiceType::kAgreed, env.encode());
+}
+
+// --- per-style rules ------------------------------------------------------------
+
+void Replicator::on_request(const RequestRecord& rec) {
+  switch (style_) {
+    case ReplicationStyle::kActive:
+    case ReplicationStyle::kSemiActive:
+      // Every replica executes (the state-machine approach); semi-active
+      // followers stay silent, and a client retransmission after leader
+      // failover hits the new leader's reply cache.
+      execute_request(rec, /*send_reply=*/is_responder());
+      return;
+    case ReplicationStyle::kWarmPassive:
+    case ReplicationStyle::kColdPassive:
+    case ReplicationStyle::kHybrid:
+      if (!is_responder()) {
+        // Backups, hybrid observers and a still-launching cold promotee log.
+        log_request(rec);
+        return;
+      }
+      execute_request(rec, /*send_reply=*/true);
+      if (style_ != ReplicationStyle::kHybrid) checkpoint_if_due();
+      return;
+  }
+}
+
+void Replicator::on_checkpoint(const CheckpointMsg& msg) {
+  switch (style_) {
+    case ReplicationStyle::kActive:
+    case ReplicationStyle::kSemiActive:
+      return;  // every replica is always current
+    case ReplicationStyle::kWarmPassive:
+      install_checkpoint(msg);  // backups apply eagerly ("warm")
+      return;
+    case ReplicationStyle::kColdPassive:
+      store_checkpoint(msg);  // retain without applying; installed at launch
+      return;
+    case ReplicationStyle::kHybrid:
+      // The core is current; observers install with warm semantics.
+      if (my_rank() >= first_stale_rank(style_)) install_checkpoint(msg);
+      return;
+  }
+}
+
+void Replicator::on_view_change(const gcs::View& old_view, const gcs::View& new_view) {
+  // Crash recovery of the clients' pending requests is the client
+  // coordinator's retransmission job; a style acts only when this replica
+  // rises into the ranks it keeps current.
+  const std::size_t first_stale = first_stale_rank(style_);
+  if (first_stale == SIZE_MAX) return;  // active styles: survivors keep executing
+  const auto old_rank = old_view.rank_of(process_.id());
+  const auto new_rank = new_view.rank_of(process_.id());
+  if (!new_rank || *new_rank >= first_stale) return;
+  if (old_rank && *old_rank < first_stale) return;  // already current
+  if (style_ == ReplicationStyle::kHybrid) {
+    // Ascending into the core: catch up from the log. Reply while replaying
+    // only when we are the new head (other core members may all be gone).
+    replay_log(/*send_replies=*/*new_rank == 0);
+  } else if (style_ == ReplicationStyle::kWarmPassive) {
+    // The primary failed (or left): replay the log since the last
+    // checkpoint and assume primary duties.
+    promote_warm();
+  } else {
+    promote_cold();
+  }
+}
+
+void Replicator::on_timer() {
+  switch (style_) {
+    case ReplicationStyle::kActive:
+    case ReplicationStyle::kSemiActive:
+      return;
+    case ReplicationStyle::kWarmPassive:
+    case ReplicationStyle::kColdPassive:
+      if (is_responder()) checkpoint_tick();
+      return;
+    case ReplicationStyle::kHybrid:
+      // Observers are third-tier redundancy: the core already absorbs single
+      // failures instantly, so they are kept warm on a relaxed cadence — every
+      // few ticks, not per batch of requests. That is what keeps hybrid
+      // cheaper on the wire than both active and warm passive.
+      if (my_rank() == 0 && ++hybrid_ticks_ % kHybridObserverSyncEvery == 0) {
+        checkpoint_tick();
+      }
+      return;
+  }
 }
 
 // --- execution ----------------------------------------------------------------------
@@ -502,7 +627,7 @@ void Replicator::end_round(std::uint64_t checkpoint_id) {
     holding_ = false;
     drain_holdq();
   }
-  if (stopped_ || uninitialized_ || engine_ == nullptr) return;
+  if (stopped_ || uninitialized_) return;
   if (pending_donation_) {
     pending_donation_ = false;
     if (my_rank() == 0) {
@@ -522,8 +647,8 @@ void Replicator::checkpoint_if_due() {
   }
 }
 
-void Replicator::checkpoint_tick(std::size_t first_stale_rank) {
-  if (view_ && view_->size() > first_stale_rank) {
+void Replicator::checkpoint_tick() {
+  if (view_ && view_->size() > first_stale_rank(style_)) {
     take_checkpoint();
   } else {
     // Nobody to keep current: snapshot locally so a restart has a recovery
@@ -773,8 +898,7 @@ void Replicator::promote_warm() {
 }
 
 bool Replicator::dormant_cold() const {
-  return engine_ != nullptr && engine_->style() == ReplicationStyle::kColdPassive &&
-         !engine_->responder();
+  return style_ == ReplicationStyle::kColdPassive && !is_responder();
 }
 
 void Replicator::promote_cold() {
@@ -790,51 +914,16 @@ void Replicator::promote_cold() {
   });
 }
 
-std::unique_ptr<ReplicationEngine> Replicator::make_engine(ReplicationStyle style) {
-  switch (style) {
-    case ReplicationStyle::kActive: return std::make_unique<ActiveEngine>(*this);
-    case ReplicationStyle::kWarmPassive: return std::make_unique<WarmPassiveEngine>(*this);
-    case ReplicationStyle::kColdPassive: return std::make_unique<ColdPassiveEngine>(*this);
-    case ReplicationStyle::kSemiActive: return std::make_unique<SemiActiveEngine>(*this);
-    case ReplicationStyle::kHybrid: return std::make_unique<HybridEngine>(*this);
-  }
-  VDEP_ASSERT_MSG(false, "unknown replication style");
-  return nullptr;
-}
-
 void Replicator::request_style_switch(ReplicationStyle target) {
   // Fig. 5, step I: one or more replicas send a "switch" message to the
   // whole group; duplicates are discarded at delivery.
   if (!process_.alive() || stopped_) return;
-  if (engine_ != nullptr && target == engine_->style()) return;
+  if (target == style_) return;
   SwitchMsg msg;
   msg.target = target;
   msg.initiator = process_.id();
   RepEnvelope env{RepEnvelope::Type::kSwitch, msg.encode()};
   endpoint_->multicast(group_, gcs::ServiceType::kAgreed, env.encode());
-}
-
-bool Replicator::needs_final_checkpoint(ReplicationStyle from, ReplicationStyle to) {
-  // A final checkpoint is needed exactly when some replica holds stale state
-  // under `from` but takes an executing role under `to`. Which ranks are
-  // stale: warm/cold passive — every backup (rank >= 1); hybrid — the
-  // observers (rank >= core); active/semi-active — nobody. Ranks do not
-  // change at the switch point, so it suffices that `to`'s stale set does
-  // not cover `from`'s.
-  const auto first_stale_rank = [](ReplicationStyle s) -> std::size_t {
-    switch (s) {
-      case ReplicationStyle::kWarmPassive:
-      case ReplicationStyle::kColdPassive:
-        return 1;
-      case ReplicationStyle::kHybrid:
-        return HybridEngine::kActiveCore;
-      case ReplicationStyle::kActive:
-      case ReplicationStyle::kSemiActive:
-        return SIZE_MAX;
-    }
-    return SIZE_MAX;
-  };
-  return first_stale_rank(from) < first_stale_rank(to);
 }
 
 }  // namespace vdep::replication

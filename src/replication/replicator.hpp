@@ -4,10 +4,12 @@
 //   top    — interface to the application/ORB: feeds intercepted GIOP
 //            requests into the server ORB and collects replies, charging the
 //            calibrated interposition cost per traversal;
-//   middle — tunable replication mechanisms: the active / warm-passive /
-//            cold-passive / semi-active engines, reply cache, message log,
-//            checkpointing with quiescence, recovery/state transfer, and the
-//            runtime style-switch protocol of Fig. 5;
+//   middle — tunable replication mechanisms: the per-style rules of active,
+//            semi-active, warm-passive, cold-passive and hybrid replication
+//            (who executes, who replies, who logs, what a view change means),
+//            reply cache, message log, checkpointing with quiescence,
+//            recovery/state transfer, and the runtime style-switch protocol
+//            of Fig. 5;
 //   bottom — interface to group communication: one gcs::Endpoint, AGREED
 //            multicast for requests/switches, SAFE for checkpoints, private
 //            unicast for replies.
@@ -20,15 +22,27 @@
 #include <vector>
 
 #include "gcs/endpoint.hpp"
+#include "gcs/view.hpp"
+#include "obs/trace_context.hpp"
 #include "orb/orb_core.hpp"
 #include "replication/app_state.hpp"
 #include "replication/checkpoint.hpp"
-#include "replication/engine.hpp"
 #include "replication/message_log.hpp"
 #include "replication/reply_cache.hpp"
+#include "replication/types.hpp"
 #include "util/stats.hpp"
 
 namespace vdep::replication {
+
+// A client request as delivered by the group layer, with its FT identity.
+struct RequestRecord {
+  std::uint64_t index = 0;  // local delivery index (1-based)
+  RequestId rid;            // FT_REQUEST identity
+  NodeId client_daemon;     // reply destination daemon
+  SimTime expiration = kTimeZero;  // FT_REQUEST expiration (0 = none)
+  Payload giop;             // raw GIOP request (aliases the delivered frame)
+  obs::TraceContext trace;  // caller's context (from the GIOP trace context)
+};
 
 class Replicator {
  public:
@@ -70,6 +84,8 @@ class Replicator {
   [[nodiscard]] const std::optional<gcs::View>& current_view() const { return view_; }
   // Rank in the current view; SIZE_MAX when not (yet) a member.
   [[nodiscard]] std::size_t my_rank() const;
+  // Whether this replica answers clients under the current style and view
+  // rank; false before start().
   [[nodiscard]] bool is_responder() const;
   // False while a joiner is still waiting for its state transfer.
   [[nodiscard]] bool initialized() const { return !uninitialized_; }
@@ -114,26 +130,44 @@ class Replicator {
     on_checkpoint_ = std::move(fn);
   }
 
-  // --- facilities used by the engines -------------------------------------------
-  // Executes a request through the ORB (dedup via reply cache); replies to
-  // the client iff `send_reply`.
-  void execute_request(const RequestRecord& rec, bool send_reply);
-  // Appends to the backup log.
-  void log_request(const RequestRecord& rec);
+  // --- checkpoint and log (tests and bench/micro_checkpoint.cpp drive these) --
   // Quiesce, snapshot, SAFE-multicast; resumes held requests when the
   // checkpoint comes back (i.e. is stable at every member daemon). Cuts a
   // dirty-set delta when the anchor-interval knob and the app allow it;
   // force_full pins an anchor (switch finals, gap recovery).
   void take_checkpoint(bool force_full = false);
+  [[nodiscard]] const MessageLog& message_log() const { return log_; }
+
+ private:
+  void on_group_message(const gcs::GroupMessage& msg);
+  void on_view(const gcs::View& view);
+  void handle_request_envelope(const gcs::GroupMessage& msg, Payload giop);
+
+  // --- per-style rules: each switches on style_ ----------------------------
+  // A client request delivered in total order (and not held).
+  void on_request(const RequestRecord& rec);
+  // A checkpoint part from another replica delivered in total order to an
+  // initialized bystander.
+  void on_checkpoint(const CheckpointMsg& msg);
+  // Membership changed (crash, leave, join) on an initialized replica.
+  void on_view_change(const gcs::View& old_view, const gcs::View& new_view);
+  // Periodic tick (the checkpointing-frequency knob drives its period).
+  void on_timer();
+
+  // Executes a request through the ORB (dedup via reply cache); replies to
+  // the client iff `send_reply`.
+  void execute_request(const RequestRecord& rec, bool send_reply);
+  // Appends to the backup log.
+  void log_request(const RequestRecord& rec);
   // Quiesce and snapshot locally without multicasting — what a lone passive
   // primary does so a cold restart still has a recovery point.
   void take_local_checkpoint();
   // Passive primary, after each execution: checkpoint every N requests, so
   // backup staleness is bounded in requests, not just in wall-clock time.
   void checkpoint_if_due();
-  // Timer tick of the checkpoint taker: a group round when some member ranks
-  // at `first_stale_rank` or beyond, else a local checkpoint.
-  void checkpoint_tick(std::size_t first_stale_rank);
+  // Timer tick of the checkpoint taker: a group round when some member holds
+  // a rank the style keeps stale, else a local checkpoint.
+  void checkpoint_tick();
   // Warm install: restore app + reply cache (full), or apply the dirty set
   // onto the matching base (delta), truncate log. A delta that does not
   // continue this replica's chain is dropped and a full anchor re-requested.
@@ -148,14 +182,6 @@ class Replicator {
   // Promotion entry points.
   void promote_warm();   // replay with replies, assume primary duties
   void promote_cold();   // launch delay, apply stored checkpoint, then warm path
-  [[nodiscard]] const MessageLog& message_log() const { return log_; }
-  // Cold passive: true while a promoted dormant backup is still launching.
-  [[nodiscard]] bool cold_launch_pending() const { return cold_launch_pending_; }
-
- private:
-  void on_group_message(const gcs::GroupMessage& msg);
-  void on_view(const gcs::View& view);
-  void handle_request_envelope(const gcs::GroupMessage& msg, Payload giop);
   // Every checkpoint delivery is a chain: one full anchor, one delta, or a
   // state-transfer bundle's anchor followed by its delta suffix.
   void handle_chain(std::span<const CheckpointMsg> chain);
@@ -184,10 +210,7 @@ class Replicator {
   void drain_holdq();
   void send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop);
   [[nodiscard]] Bytes augment_reply(const Payload& reply_giop) const;
-  void arm_engine_timer();
-  [[nodiscard]] std::unique_ptr<ReplicationEngine> make_engine(ReplicationStyle style);
-  [[nodiscard]] static bool needs_final_checkpoint(ReplicationStyle from,
-                                                   ReplicationStyle to);
+  void arm_timer();
   void request_state_transfer();
 
   net::Network& network_;
@@ -199,7 +222,9 @@ class Replicator {
   ReplicatorParams params_;
 
   std::unique_ptr<gcs::Endpoint> endpoint_;
-  std::unique_ptr<ReplicationEngine> engine_;
+  ReplicationStyle style_ = ReplicationStyle::kActive;  // set by start()
+  // Hybrid: checkpoint-interval ticks seen as head since the style was entered.
+  std::uint64_t hybrid_ticks_ = 0;
 
   std::optional<gcs::View> view_;
   std::uint64_t request_index_ = 0;   // local delivery index of kRequest envelopes
@@ -245,9 +270,9 @@ class Replicator {
   std::vector<RequestRecord> holdq_;
   bool uninitialized_ = false;  // joiner awaiting state transfer
   bool join_existing_ = false;
-  bool cold_launch_pending_ = false;
+  bool cold_launch_pending_ = false;  // promoted cold backup still launching
   bool stopped_ = false;
-  sim::EventHandle engine_timer_;
+  sim::EventHandle timer_;
 
   // Long-running protocol spans: opened when the round starts, closed when
   // the SAFE round / switch completes (possibly many deliveries later).

@@ -12,7 +12,6 @@ void Process::crash() {
   log_info(kernel_.now(), "process", name_ + " CRASH");
   alive_ = false;
   ++epoch_;
-  on_crash();
   // Copy: listeners may unsubscribe/re-subscribe during iteration.
   auto listeners = crash_listeners_;
   for (auto& l : listeners) l(id_);
@@ -23,7 +22,6 @@ void Process::restart() {
   log_info(kernel_.now(), "process", name_ + " RESTART");
   alive_ = true;
   ++epoch_;
-  on_start();
   auto listeners = restart_listeners_;
   for (auto& l : listeners) l(id_);
 }

@@ -52,13 +52,9 @@ class Process {
   // Kills the process (crash-stop). Idempotent. Fires crash listeners once.
   void crash();
 
-  // Brings a crashed process back as a new incarnation and calls on_start().
+  // Brings a crashed process back as a new incarnation and fires the
+  // restart listeners.
   void restart();
-
-  // Called on restart; subclasses reinitialise volatile state here.
-  virtual void on_start() {}
-  // Called on crash, before external listeners.
-  virtual void on_crash() {}
 
   // External observers (e.g. the local group-communication daemon) register
   // to learn of this process's crash the way an OS would report a dead child.
@@ -66,7 +62,7 @@ class Process {
 
   // Observers of the opposite transition (e.g. the scenario harness
   // rebuilding a replica's replication stack when the fault plan brings the
-  // process back). Fired after on_start(), once per restart.
+  // process back). Fired once per restart, after the epoch bump.
   void subscribe_restart(std::function<void(ProcessId)> listener);
 
   [[nodiscard]] std::uint64_t incarnation() const { return epoch_; }

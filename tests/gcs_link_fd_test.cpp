@@ -105,19 +105,18 @@ TEST_F(LinkFixture, BidirectionalTrafficIndependent) {
 }
 
 // --- failure detector -----------------------------------------------------------
+// The detector heartbeats every 20 ms and suspects a peer after 25 silent
+// intervals, so every timing below straddles the 500 ms timeout.
 
 struct FdFixture : ::testing::Test {
   FdFixture() : kernel(1) {
     owner = std::make_unique<sim::Process>(kernel, ProcessId{1}, NodeId{0}, "fd-owner");
   }
 
-  std::unique_ptr<FailureDetector> make(std::vector<NodeId> peers,
-                                        SimTime interval = msec(20), int misses = 3) {
-    auto fd = std::make_unique<FailureDetector>(
+  std::unique_ptr<FailureDetector> make(std::vector<NodeId> peers) {
+    return std::make_unique<FailureDetector>(
         *owner, std::move(peers), [this](NodeId peer) { heartbeats_sent.push_back(peer); },
-        interval, misses);
-    fd->set_on_suspect([this](NodeId peer) { suspected.push_back(peer); });
-    return fd;
+        [this](NodeId peer) { suspected.push_back(peer); });
   }
 
   sim::Kernel kernel;
@@ -131,45 +130,45 @@ TEST_F(FdFixture, SendsHeartbeatsPeriodically) {
   fd->start();
   // Keep the peers alive so sends continue.
   kernel.post(msec(1), [&] {});
-  for (int t = 0; t < 10; ++t) {
+  for (int t = 0; t < 50; ++t) {
     kernel.post(msec(t * 20 + 10), [&] {
       fd->heartbeat_received(NodeId{1});
       fd->heartbeat_received(NodeId{2});
     });
   }
-  kernel.run_until(msec(200));
-  EXPECT_GE(heartbeats_sent.size(), 18u);  // ~10 rounds x 2 peers
+  kernel.run_until(msec(1000));
+  EXPECT_GE(heartbeats_sent.size(), 98u);  // ~50 rounds x 2 peers
   EXPECT_TRUE(suspected.empty());
 }
 
 TEST_F(FdFixture, SilentPeerSuspectedAfterTimeout) {
-  auto fd = make({NodeId{1}}, msec(20), 3);
+  auto fd = make({NodeId{1}});
   fd->start();
-  kernel.run_until(msec(300));
+  kernel.run_until(msec(600));
   ASSERT_EQ(suspected.size(), 1u);
   EXPECT_EQ(suspected[0], NodeId{1});
   EXPECT_FALSE(fd->alive(NodeId{1}));
 }
 
 TEST_F(FdFixture, HeartbeatsKeepPeerAlive) {
-  auto fd = make({NodeId{1}}, msec(20), 3);
+  auto fd = make({NodeId{1}});
   fd->start();
-  for (int t = 10; t < 500; t += 30) {
+  for (int t = 10; t < 1500; t += 30) {
     kernel.post(msec(t), [&] { fd->heartbeat_received(NodeId{1}); });
   }
-  kernel.run_until(msec(500));
+  kernel.run_until(msec(1500));
   EXPECT_TRUE(suspected.empty());
   EXPECT_TRUE(fd->alive(NodeId{1}));
 }
 
 TEST_F(FdFixture, SuspicionIsSticky) {
-  auto fd = make({NodeId{1}}, msec(20), 3);
+  auto fd = make({NodeId{1}});
   fd->start();
-  kernel.run_until(msec(300));
+  kernel.run_until(msec(600));
   ASSERT_EQ(suspected.size(), 1u);
   // Late heartbeats from a suspected peer are ignored (crash-stop model).
   fd->heartbeat_received(NodeId{1});
-  kernel.run_until(msec(600));
+  kernel.run_until(msec(1200));
   EXPECT_FALSE(fd->alive(NodeId{1}));
   EXPECT_EQ(suspected.size(), 1u);  // no duplicate notification
 }
