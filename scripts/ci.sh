@@ -5,7 +5,10 @@
 #   3. the shard quick gate (the shard label, without the chaos campaign);
 #   4. smoke runs: kv_cluster --shards 4, micro_checkpoint, micro_health,
 #      macro_events, macro_shard and macro_campaign;
-#   5. the perfbench/ build (the repository benchmark must compile);
+#   5. the perfbench/ build and a 1-s run of each of its workloads, which
+#      must report "correct": true (for fleet_sparse: every client finished
+#      and the replicas of each of the 32 delta-chained shards agree on their
+#      state digest);
 #   6. the benchmark regression gates: Release re-measurement of every gate
 #      in scripts/bench_gates.json against the recorded BENCH_*.json files;
 #   7. the trace determinism gate and the health-event determinism gate (two
@@ -77,12 +80,22 @@ cmake --build "${repo_root}/build" -j"${jobs}" --target macro_events \
   --benchmark_filter='BM_CampaignTrials/8' --benchmark_min_time=0.01 > /dev/null
 echo "macro_events, macro_shard and macro_campaign run clean"
 
-echo "== repository benchmark compiles =="
+echo "== repository benchmark compiles and runs correct =="
 # perfbench/ drives the harness through its public API; building it here
-# makes an API change fail CI instead of the benchmark run.
+# makes an API change fail CI instead of the benchmark run. Each workload
+# then runs for 1 s; its last output line is a JSON result whose "correct"
+# field carries the workload's own checks.
 cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench"
 cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
-echo "perfbench builds clean"
+for workload in fleet_sparse group_active chaos_fleet; do
+  "${repo_root}/build-perfbench/perfbench" --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result["correct"] is True else 1)' \
+    || { echo "perfbench ${workload}: \"correct\" is not true" >&2; exit 1; }
+done
+echo "perfbench builds clean and every workload reports correct"
 
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded

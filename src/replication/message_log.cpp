@@ -12,16 +12,10 @@ void MessageLog::append(LoggedRequest entry) {
 }
 
 void MessageLog::truncate_applied(const std::map<ProcessId, std::uint64_t>& applied) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const auto ait = applied.find(it->second.request_id.client);
-    const bool covered = ait != applied.end() && it->second.request_id.seq <= ait->second;
-    if (covered) {
-      bytes_ -= it->second.giop.size();
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  truncate_covered([&applied](ProcessId client) -> std::uint64_t {
+    const auto it = applied.find(client);
+    return it == applied.end() ? 0 : it->second;
+  });
 }
 
 std::vector<LoggedRequest> MessageLog::take_all() {

@@ -34,6 +34,17 @@ class MessageLog {
   // Drops every entry already covered by the applied map (retention id at or
   // below the client's entry).
   void truncate_applied(const std::map<ProcessId, std::uint64_t>& applied);
+  // The same, reading each client's frontier through `frontier_of(client)`
+  // (0 when the client has none).
+  template <typename FrontierOf>
+  void truncate_covered(FrontierOf&& frontier_of) {
+    std::erase_if(entries_, [&](const auto& kv) {
+      const LoggedRequest& e = kv.second;
+      if (e.request_id.seq > frontier_of(e.request_id.client)) return false;
+      bytes_ -= e.giop.size();
+      return true;
+    });
+  }
 
   // All retained entries in delivery order; the log is cleared. Used by
   // promotion/rollback replay.

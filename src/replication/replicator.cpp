@@ -119,6 +119,14 @@ bool Replicator::is_responder() const {
   return false;
 }
 
+std::map<ProcessId, std::uint64_t> Replicator::applied_frontier() const {
+  std::map<ProcessId, std::uint64_t> out;
+  for (const auto& [client, frontier] : applied_rid_) {
+    out.emplace_hint(out.end(), client, frontier.seq);
+  }
+  return out;
+}
+
 double Replicator::observed_request_rate() { return rate_.rate(process_.now()); }
 
 void Replicator::set_checkpoint_interval(SimTime interval) {
@@ -494,8 +502,8 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
   // Exactly-once: retention ids are per-client monotone, so anything at or
   // below the applied frontier is a duplicate (client retransmission,
   // group-layer replay, or already covered by an installed checkpoint).
-  auto& frontier = applied_rid_[rec.rid.client];
-  if (rec.rid.seq <= frontier && !params_.skip_reply_dedup) {
+  Frontier& frontier = applied_rid_[rec.rid.client];
+  if (rec.rid.seq <= frontier.seq && !params_.skip_reply_dedup) {
     obs::Span span;
     if (rec.trace.valid()) {
       span = tracer.start_span("rep.execute", "replication", process_.name(),
@@ -516,7 +524,11 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
     }
     return;
   }
-  frontier = std::max(frontier, rec.rid.seq);
+  frontier.seq = std::max(frontier.seq, rec.rid.seq);
+  if (frontier.moved_in != cut_generation_) {
+    frontier.moved_in = cut_generation_;
+    moved_clients_.push_back(rec.rid.client);
+  }
 
   quiescence_.begin_execution();
   ++executed_count_;
@@ -649,7 +661,13 @@ void Replicator::checkpoint_if_due() {
 
 void Replicator::checkpoint_tick() {
   if (view_ && view_->size() > first_stale_rank(style_)) {
-    take_checkpoint();
+    // A clean round would multicast what every member already holds: every
+    // state change is an execution, and every execution moves a frontier.
+    // The first cut of a lineage (at start, after an install) is owed
+    // anyway: the backups' chains start from it. Donations, anchor requests
+    // and switch finals never come through the timer.
+    const bool owed = !last_cut_id_.has_value() || anchor_requested_;
+    if (owed || !moved_clients_.empty()) take_checkpoint();
   } else {
     // Nobody to keep current: snapshot locally so a restart has a recovery
     // point. Costs quiescence + serialization, no traffic.
@@ -663,38 +681,50 @@ bool Replicator::can_cut_delta() const {
          deltas_since_anchor_ + 1 < params_.checkpoint_anchor_interval;
 }
 
-CheckpointMsg Replicator::new_cut() {
+CheckpointMsg Replicator::new_cut(bool delta) {
   ++checkpoint_counter_;
   executions_since_checkpoint_ = 0;
   CheckpointMsg msg;
   msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
-  msg.applied = applied_rid_;
-  msg.reply_cache = reply_cache_.serialize_recent(kCheckpointReplyEntries);
+  std::size_t replies = kCheckpointReplyEntries;
+  if (delta) {
+    for (ProcessId client : moved_clients_) {
+      msg.applied.emplace(client, applied_rid_.at(client).seq);
+    }
+    replies = std::min<std::uint64_t>(replies, reply_cache_.added() - last_cut_replies_);
+  } else {
+    msg.applied = applied_frontier();
+  }
+  msg.reply_cache = reply_cache_.serialize_recent(replies);
   if (on_checkpoint_) on_checkpoint_(msg.checkpoint_id);
   return msg;
 }
 
 void Replicator::cut_and_multicast(bool donation) {
   cut_pending_ = false;
-  CheckpointMsg msg = new_cut();
-  const std::uint64_t id = msg.checkpoint_id;
-
   // Cut a dirty-set delta when the cadence knob allows it and the app can
   // still answer for the previous cut (a restore in between makes it full).
+  std::optional<Bytes> delta;
+  if (can_cut_delta()) delta = app_.snapshot_delta(last_cut_app_epoch_);
+  const bool is_delta = delta.has_value();
+  CheckpointMsg msg = new_cut(is_delta);
+  const std::uint64_t id = msg.checkpoint_id;
+
   std::optional<std::size_t> delta_bytes;
-  if (can_cut_delta()) {
-    if (auto delta = app_.snapshot_delta(last_cut_app_epoch_)) {
-      msg.kind = CheckpointMsg::Kind::kDelta;
-      msg.base_epoch = *last_cut_id_;
-      msg.delta_epoch = id;
-      msg.app_state = std::move(*delta);
-      delta_bytes = msg.app_state.size();
-    }
+  if (is_delta) {
+    msg.kind = CheckpointMsg::Kind::kDelta;
+    msg.base_epoch = *last_cut_id_;
+    msg.delta_epoch = id;
+    msg.app_state = std::move(*delta);
+    delta_bytes = msg.app_state.size();
+  } else {
+    msg.app_state = app_.snapshot();
   }
-  const bool is_delta = msg.kind == CheckpointMsg::Kind::kDelta;
-  if (!is_delta) msg.app_state = app_.snapshot();
   last_cut_app_epoch_ = app_.cut_epoch();
   last_cut_id_ = id;
+  last_cut_replies_ = reply_cache_.added();
+  moved_clients_.clear();
+  ++cut_generation_;
   installed_epoch_ = id;
 
   // Encode once; the chain retains the same buffers a later state-transfer
@@ -768,7 +798,7 @@ void Replicator::take_local_checkpoint() {
     obs::Span span = process_.kernel().tracer().start_child(
         "rep.checkpoint", "replication", process_.name());
     span.note("local", "1");
-    CheckpointMsg msg = new_cut();
+    CheckpointMsg msg = new_cut(/*delta=*/false);
     msg.app_state = app_.snapshot();
     stored_chain_.clear();
     stored_chain_.push_back(std::move(msg));
@@ -806,20 +836,34 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
     span.note("checkpoint_id", std::to_string(msg.checkpoint_id));
     span.note("state_bytes", std::to_string(msg.app_state.size()));
   }
+  // The state now *is* the snapshot (or the snapshot plus this delta); the
+  // applied frontier and reply cache must match it, and any chain retained
+  // for a cold launch is superseded. A delta carries only the frontiers that
+  // moved and the replies added since its base, which this replica holds:
+  // merging them gives what a full checkpoint of the same cut would.
   if (is_delta) {
     app_.apply_delta(msg.app_state);
     ++installs_delta_;
+    for (const auto& [client, seq] : msg.applied) {
+      Frontier& frontier = applied_rid_[client];
+      frontier.seq = std::max(frontier.seq, seq);
+    }
+    reply_cache_.append(msg.reply_cache, kCheckpointReplyEntries);
   } else {
     app_.restore(msg.app_state);
     ++installs_full_;
     anchor_request_outstanding_ = false;  // the anchor we asked for arrived
+    applied_rid_.clear();
+    moved_clients_.clear();
+    for (const auto& [client, seq] : msg.applied) {
+      applied_rid_.emplace_hint(applied_rid_.end(), client, Frontier{seq, 0});
+    }
+    reply_cache_.restore(msg.reply_cache);
   }
-  reply_cache_.restore(msg.reply_cache);
-  // The state now *is* the snapshot (or the snapshot plus this delta); the
-  // applied frontier must match it, and any chain retained for a cold launch
-  // is superseded.
-  applied_rid_ = msg.applied;
-  log_.truncate_applied(msg.applied);
+  log_.truncate_covered([this](ProcessId client) -> std::uint64_t {
+    const auto it = applied_rid_.find(client);
+    return it == applied_rid_.end() ? 0 : it->second.seq;
+  });
   installed_epoch_ = msg.checkpoint_id;
   const std::size_t state_size = msg.app_state.size();
   stored_chain_.clear();
@@ -857,6 +901,7 @@ void Replicator::store_checkpoint(const CheckpointMsg& msg) {
     }
     stored_chain_.push_back(msg);
   }
+  // Per part: a delta's moved frontiers cover what its predecessors' did not.
   log_.truncate_applied(msg.applied);
 }
 

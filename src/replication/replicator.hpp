@@ -102,6 +102,9 @@ class Replicator {
   [[nodiscard]] std::uint64_t anchor_requests_sent() const { return anchor_requests_; }
   // Exposed for retention tests/monitoring (reply GC under delta installs).
   [[nodiscard]] const ReplyCache& reply_cache() const { return reply_cache_; }
+  // Per client, the highest retention id folded into this replica's state:
+  // what a full checkpoint cut now would carry.
+  [[nodiscard]] std::map<ProcessId, std::uint64_t> applied_frontier() const;
   // Requests discarded because their FT_REQUEST expiration had passed.
   [[nodiscard]] std::uint64_t expired_requests_dropped() const {
     return expired_dropped_;
@@ -166,10 +169,13 @@ class Replicator {
   // backup staleness is bounded in requests, not just in wall-clock time.
   void checkpoint_if_due();
   // Timer tick of the checkpoint taker: a group round when some member holds
-  // a rank the style keeps stale, else a local checkpoint.
+  // a rank the style keeps stale, else a local checkpoint. A group round
+  // whose cut would be clean (no applied frontier moved since our last group
+  // cut) is skipped unless the cut is owed.
   void checkpoint_tick();
-  // Warm install: restore app + reply cache (full), or apply the dirty set
-  // onto the matching base (delta), truncate log. A delta that does not
+  // Warm install: restore app + frontier + reply cache (full), or apply the
+  // dirty set onto the matching base and merge its moved frontiers and new
+  // replies (delta); truncate log. A delta that does not
   // continue this replica's chain is dropped and a full anchor re-requested.
   void install_checkpoint(const CheckpointMsg& msg);
   // Cold path: retain without applying — a full anchor plus the delta suffix
@@ -197,8 +203,9 @@ class Replicator {
   void cut_and_multicast(bool donation);
   [[nodiscard]] bool can_cut_delta() const;
   // Id, applied frontier and recent replies of a new cut; the caller adds the
-  // app state.
-  [[nodiscard]] CheckpointMsg new_cut();
+  // app state. A delta carries only the frontiers that moved and the replies
+  // added since our last group cut.
+  [[nodiscard]] CheckpointMsg new_cut(bool delta);
   // Backup side: a delta did not continue our chain — ask the taker for a
   // full anchor (deduplicated until one arrives).
   void request_anchor();
@@ -228,7 +235,19 @@ class Replicator {
 
   std::optional<gcs::View> view_;
   std::uint64_t request_index_ = 0;   // local delivery index of kRequest envelopes
-  std::map<ProcessId, std::uint64_t> applied_rid_;  // exactly-once frontier
+  // Exactly-once frontier: per client, the highest retention id applied and
+  // the group-cut generation in which it last moved.
+  struct Frontier {
+    std::uint64_t seq = 0;
+    std::uint64_t moved_in = 0;  // a cut_generation_ value; 0 = not by us
+  };
+  std::map<ProcessId, Frontier> applied_rid_;
+  // Clients whose frontier moved in the open generation, each listed once
+  // (the stamp above dedupes): a round with none is clean, and a delta ships
+  // only theirs. Under the styles that never cut, each client is listed at
+  // most once ever, so tracking costs no per-request allocation.
+  std::vector<ProcessId> moved_clients_;
+  std::uint64_t cut_generation_ = 1;  // advanced by each group cut we take
   std::uint64_t executed_count_ = 0;  // actual executions (dedups excluded)
   std::uint64_t expired_dropped_ = 0;
   ReplyCache reply_cache_;
@@ -249,6 +268,7 @@ class Replicator {
   // `anchor + deltas` instead of a monolithic snapshot.
   std::optional<std::uint64_t> last_cut_id_;  // our last group checkpoint
   std::uint64_t last_cut_app_epoch_ = 0;      // app epoch of that cut
+  std::uint64_t last_cut_replies_ = 0;        // reply_cache_.added() at that cut
   std::uint64_t deltas_since_anchor_ = 0;
   bool anchor_requested_ = false;   // next cut must be a full anchor
   bool pending_donation_ = false;   // state request arrived mid-round

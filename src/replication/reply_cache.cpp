@@ -1,5 +1,7 @@
 #include "replication/reply_cache.hpp"
 
+#include <iterator>
+
 #include "util/assert.hpp"
 
 namespace vdep::replication {
@@ -16,11 +18,12 @@ void ReplyCache::put(const RequestId& id, Payload reply_giop) {
     return;
   }
   order_.push_back(id);
-  evict_to_capacity();
+  ++added_;
+  evict_to(capacity_);
 }
 
-void ReplyCache::evict_to_capacity() {
-  while (entries_.size() > capacity_) {
+void ReplyCache::evict_to(std::size_t limit) {
+  while (entries_.size() > limit) {
     entries_.erase(order_.front());
     order_.pop_front();
   }
@@ -38,9 +41,9 @@ Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
   const std::size_t n = std::min(max_entries, order_.size());
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(n));
-  auto it = order_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(order_.size() - n));
-  for (; it != order_.end(); ++it) {
+  // Walk back from the newest entry: O(n), not O(cache size).
+  for (auto it = std::prev(order_.end(), static_cast<std::ptrdiff_t>(n));
+       it != order_.end(); ++it) {
     w.u64(it->client.value());
     w.u64(it->seq);
     w.bytes(entries_.at(*it));
@@ -50,6 +53,10 @@ Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
 
 void ReplyCache::restore(const Payload& raw) {
   clear();
+  append(raw, capacity_);
+}
+
+void ReplyCache::append(const Payload& raw, std::size_t keep) {
   ByteReader r(raw.owner(), raw);
   const auto n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -58,6 +65,7 @@ void ReplyCache::restore(const Payload& raw) {
     id.seq = r.u64();
     put(id, read_payload(r));
   }
+  evict_to(keep);
 }
 
 void ReplyCache::clear() {

@@ -33,19 +33,28 @@ class ReplyCache {
   [[nodiscard]] bool contains(const RequestId& id) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  // Replies recorded so far (re-recorded ones excluded), never reset: a
+  // checkpoint taker diffs it between cuts to know how many are new.
+  [[nodiscard]] std::uint64_t added() const { return added_; }
 
-  // Only the newest `max_entries` replies — what checkpoints carry. Older
-  // replies are past the client retransmission window (FT-CORBA's request
-  // duration policy), so a promoted backup never needs them.
+  // Only the newest `max_entries` replies, oldest first — what checkpoints
+  // carry. Older replies are past the client retransmission window
+  // (FT-CORBA's request duration policy), so a promoted backup never needs
+  // them.
   [[nodiscard]] Bytes serialize_recent(std::size_t max_entries) const;
+  // Replaces the cache with serialized replies (a full checkpoint's).
   // Restored entries alias `raw`'s buffer when it carries an owner.
   void restore(const Payload& raw);
+  // Appends serialized replies (a delta checkpoint's), then keeps only the
+  // newest `keep` entries.
+  void append(const Payload& raw, std::size_t keep);
   void clear();
 
  private:
-  void evict_to_capacity();
+  void evict_to(std::size_t limit);
 
   std::size_t capacity_;
+  std::uint64_t added_ = 0;
   // Insertion-ordered FIFO eviction; a map from id to the reply plus the FIFO
   // queue of ids. (LRU would touch on get; FIFO matches "old requests have
   // expired" semantics from FT-CORBA's request duration policy.)

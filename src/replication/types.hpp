@@ -85,9 +85,12 @@ struct RepEnvelope {
 // since `base_epoch` (the checkpoint id it chains onto) and is only
 // installable on a replica whose state is exactly at `base_epoch`;
 // `delta_epoch` equals `checkpoint_id` and is written explicitly so the
-// chain position survives re-encoding. The applied map and reply cache are
-// always complete (they are small), so log truncation and exactly-once dedup
-// work identically for both kinds.
+// chain position survives re-encoding. A full checkpoint's applied map and
+// reply cache are complete (every client; the newest 16 replies). A delta's
+// hold only the frontier entries that moved and the replies added since
+// `base_epoch`; installers merge them (frontiers by max, replies appended and
+// trimmed to the newest 16), which gives exactly what a full checkpoint of
+// the same cut would.
 struct CheckpointMsg {
   enum class Kind : std::uint8_t { kFull = 0, kDelta = 1 };
 

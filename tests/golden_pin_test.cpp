@@ -11,7 +11,8 @@
 // which style a joiner starts in.
 //
 // CheckpointChainPaths pins the checkpoint-chain paths the runs above never
-// reach (they run warm passive with every checkpoint a full anchor): cold
+// reach (they run warm passive only: the scenario runs with every checkpoint
+// a full anchor, the sharded runs with the shards' K = 8 delta chains): cold
 // passive retention with delta chains, a cold launch and a delta state
 // transfer to a recovered joiner; a warm-to-active switch with deltas in
 // flight; and hybrid observers. It also hashes the replicators' summed
@@ -92,7 +93,7 @@ TEST(GoldenPin, ScenarioGroupLifecycle) {
   ASSERT_EQ(digests.size(), 2u);
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(fnv1a_digests(digests), 0xddf968f184deb065ull) << std::hex << fnv1a_digests(digests);
-  EXPECT_EQ(fnv1a_text(obs::render_text(scenario.kernel().tracer())), 0x5317384c28f95020ull)
+  EXPECT_EQ(fnv1a_text(obs::render_text(scenario.kernel().tracer())), 0x99d16e4c7cde2d0dull)
       << std::hex << fnv1a_text(obs::render_text(scenario.kernel().tracer()));
 }
 
@@ -144,7 +145,7 @@ TEST(GoldenPin, ShardedClusterGroupLifecycle) {
   }
   ASSERT_EQ(digests.size(), 7u);
   EXPECT_EQ(fnv1a_digests(digests), 0xb1cc05b3c0de9f94ull) << std::hex << fnv1a_digests(digests);
-  EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0x814f35cc8915c2baull)
+  EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0xf03170f6c1981d22ull)
       << std::hex << fnv1a_text(obs::render_text(cluster.kernel().tracer()));
 }
 
@@ -186,9 +187,9 @@ TEST(GoldenPin, ScenarioHealthPlane) {
   const auto digests = scenario.live_state_digests();
   ASSERT_EQ(digests.size(), 3u);
   EXPECT_EQ(fnv1a_digests(digests), 0x3e626fe9bc4a72ccull) << std::hex << fnv1a_digests(digests);
-  EXPECT_EQ(fnv1a_text(monitor::health::render_text(events)), 0x89e24184640d66cfull)
+  EXPECT_EQ(fnv1a_text(monitor::health::render_text(events)), 0xe0438133ab1ace1aull)
       << std::hex << fnv1a_text(monitor::health::render_text(events));
-  EXPECT_EQ(fnv1a_text(obs::render_text(scenario.kernel().tracer())), 0xbd97e2d1e102ec2dull)
+  EXPECT_EQ(fnv1a_text(obs::render_text(scenario.kernel().tracer())), 0x21e89bda061f6774ull)
       << std::hex << fnv1a_text(obs::render_text(scenario.kernel().tracer()));
 }
 
@@ -244,9 +245,9 @@ TEST(GoldenPin, ShardedClusterHealthPlane) {
   }
   ASSERT_EQ(digests.size(), 6u);
   EXPECT_EQ(fnv1a_digests(digests), 0x535fec604f4db6bdull) << std::hex << fnv1a_digests(digests);
-  EXPECT_EQ(fnv1a_text(monitor::health::render_text(events)), 0x51bc4ec8830efd10ull)
+  EXPECT_EQ(fnv1a_text(monitor::health::render_text(events)), 0x02460cda34363f81ull)
       << std::hex << fnv1a_text(monitor::health::render_text(events));
-  EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0xbbf179911d4bda8dull)
+  EXPECT_EQ(fnv1a_text(obs::render_text(cluster.kernel().tracer())), 0xabca267860f750e0ull)
       << std::hex << fnv1a_text(obs::render_text(cluster.kernel().tracer()));
 }
 
@@ -311,7 +312,7 @@ TEST(GoldenPin, CheckpointChainPaths) {
                            s.fault_plan().restart_process(msec(880), s.replica_pid(2));
                            s.fault_plan().crash_process(msec(1500), s.replica_pid(0));
                          }),
-              ChainPins{0xea1f772dbc695d38ull, 0x26b30125df1b48d4ull, 0x06bf5c215ccd83deull});
+              ChainPins{0xea1f772dbc695d38ull, 0xcb0046c60107373dull, 0x716a4cf3710c047cull});
 
   // Warm passive switched to active under load: the final anchor lands while
   // delta cuts may still be in flight.
@@ -324,14 +325,14 @@ TEST(GoldenPin, CheckpointChainPaths) {
                              s.group().set_style(replication::ReplicationStyle::kActive);
                            });
                          }),
-              ChainPins{0x6d308858c01683edull, 0x8b148bf0a7dddaeaull, 0xed5f4e3153d3f12bull});
+              ChainPins{0x6d308858c01683edull, 0x0339eb6b9435ae92ull, 0x826f4c5a6b88e6caull});
 
   // Hybrid: the third replica is an observer kept warm by the head's chain.
   harness::ScenarioConfig hybrid;
   hybrid.seed = 53;
   hybrid.style = replication::ReplicationStyle::kHybrid;
   expect_pins(chain_pins(hybrid, [](harness::Scenario&) {}),
-              ChainPins{0xde1e9073571f103cull, 0x3f0f354eff3d669cull, 0x3c8703ccbe20f8deull});
+              ChainPins{0xde1e9073571f103cull, 0x9a41a846472bd857ull, 0x4303ec108e85373eull});
 }
 
 // Everything a chaos trial observes, minus flight recordings (which carry
@@ -391,7 +392,7 @@ TEST(GoldenPin, ChaosTrialObservations) {
   single.trials = 20;
   single.base.health = true;
   const std::uint64_t single_pin = campaign_pin(single);
-  EXPECT_EQ(single_pin, 0xe75e598c293a4662ull) << std::hex << single_pin;
+  EXPECT_EQ(single_pin, 0x2a80e7ea9b845d8full) << std::hex << single_pin;
 
   chaos::CampaignConfig sharded;
   sharded.seed = 37;
@@ -402,7 +403,7 @@ TEST(GoldenPin, ChaosTrialObservations) {
                     replication::ReplicationStyle::kWarmPassive};
   sharded.base.faults.slow_hosts = 0;
   const std::uint64_t sharded_pin = campaign_pin(sharded);
-  EXPECT_EQ(sharded_pin, 0x6e19ff5abe74082bull) << std::hex << sharded_pin;
+  EXPECT_EQ(sharded_pin, 0xc918039e857ac589ull) << std::hex << sharded_pin;
 }
 
 }  // namespace

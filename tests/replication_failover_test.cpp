@@ -4,6 +4,8 @@
 // backup — with exactly-once application semantics throughout.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/scenario.hpp"
 
 namespace vdep::harness {
@@ -15,6 +17,10 @@ struct FailoverCase {
   ReplicationStyle style;
   const char* name;
 };
+
+// gtest prints the parameter into each ctest name; without this it prints the
+// struct's raw bytes, whose name pointer moves from build to build.
+void PrintTo(const FailoverCase& c, std::ostream* os) { *os << c.name; }
 
 class FailoverTest : public ::testing::TestWithParam<FailoverCase> {};
 

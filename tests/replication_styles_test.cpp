@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <string>
 
 #include "harness/scenario.hpp"
@@ -18,10 +19,13 @@ struct StyleCase {
   const char* name;
 };
 
+// gtest prints the parameter into each ctest name; without this it prints the
+// struct's raw bytes, whose name pointer moves from build to build.
+void PrintTo(const StyleCase& c, std::ostream* os) { *os << c.name; }
+
 // Expected role of each replica (by view rank) after the cycle, one
 // three-letter code per rank: R = responds to clients, E = executed requests,
-// I = installed checkpoints; '-' marks a role it does not hold. Kept out of
-// StyleCase: gtest prints the parameter's raw bytes into each test's name.
+// I = installed checkpoints; '-' marks a role it does not hold.
 std::array<const char*, 3> expected_roles(ReplicationStyle style) {
   switch (style) {
     case ReplicationStyle::kActive: return {"RE-", "RE-", "RE-"};

@@ -63,6 +63,38 @@ TEST(ReplyCache, SerializeRecentKeepsNewest) {
   EXPECT_TRUE(other.contains(rid(1, 10)));
 }
 
+TEST(ReplyCache, SerializeRecentOnAFullCacheReturnsTheNewestInOrder) {
+  ReplyCache cache;  // the replicator's 4096-entry default
+  for (std::uint64_t i = 1; i <= 5000; ++i) {
+    cache.put(rid(i % 7, i), Bytes{std::uint8_t(i)});
+  }
+  ASSERT_EQ(cache.size(), 4096u);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{16}, std::size_t{4096}}) {
+    const Bytes raw = cache.serialize_recent(n);
+    ByteReader r(raw);
+    ASSERT_EQ(r.u32(), n);
+    for (std::uint64_t seq = 5001 - n; seq <= 5000; ++seq) {
+      EXPECT_EQ(r.u64(), seq % 7);
+      EXPECT_EQ(r.u64(), seq);
+      EXPECT_EQ(r.bytes(), (Bytes{std::uint8_t(seq)}));
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(ReplyCache, AppendKeepsTheNewest) {
+  ReplyCache base(64);
+  for (std::uint64_t i = 1; i <= 16; ++i) base.put(rid(1, i), Bytes{std::uint8_t(i)});
+  ReplyCache newer(64);
+  for (std::uint64_t i = 17; i <= 21; ++i) newer.put(rid(2, i), Bytes{std::uint8_t(i)});
+  base.append(newer.serialize_recent(5), 16);
+  EXPECT_EQ(base.size(), 16u);
+  EXPECT_FALSE(base.contains(rid(1, 5)));
+  EXPECT_TRUE(base.contains(rid(1, 6)));
+  EXPECT_TRUE(base.contains(rid(2, 21)));
+  EXPECT_EQ(base.added(), 21u);
+}
+
 TEST(MessageLog, AppendTruncateAppliedReplayWindow) {
   MessageLog log;
   for (std::uint64_t i = 1; i <= 10; ++i) {
