@@ -8,7 +8,8 @@
 #   5. the perfbench/ build and a 1-s run of each of its workloads, which
 #      must report "correct": true (for fleet_sparse: every client finished
 #      and the replicas of each of the 32 delta-chained shards agree on their
-#      state digest);
+#      state digest) and print the seed-1 digests pinned in
+#      goldens/perfbench_digests.json (simulated results unchanged);
 #   6. the benchmark regression gates: Release re-measurement of every gate
 #      in scripts/bench_gates.json against the recorded BENCH_*.json files;
 #   7. the trace determinism gate and the health-event determinism gate (two
@@ -84,18 +85,28 @@ echo "== repository benchmark compiles and runs correct =="
 # perfbench/ drives the harness through its public API; building it here
 # makes an API change fail CI instead of the benchmark run. Each workload
 # then runs for 1 s; its last output line is a JSON result whose "correct"
-# field carries the workload's own checks.
+# field carries the workload's own checks, and its "digest" lines hash the
+# simulated results, which must match goldens/perfbench_digests.json: a
+# speed-up that moves a simulated result fails here.
 cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench"
 cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
 for workload in fleet_sparse group_active chaos_fleet; do
   "${repo_root}/build-perfbench/perfbench" --workload "${workload}" --seed 1 \
-    --seconds 1 --trace 0 | tail -n 1 | python3 -c '
+    --seconds 1 --trace 0 | python3 -c '
 import json, sys
-result = json.loads(sys.stdin.read())
-sys.exit(0 if result["correct"] is True else 1)' \
-    || { echo "perfbench ${workload}: \"correct\" is not true" >&2; exit 1; }
+workload, golden_path = sys.argv[1], sys.argv[2]
+lines = sys.stdin.read().splitlines()
+if json.loads(lines[-1])["correct"] is not True:
+    sys.exit(f"perfbench {workload}: \"correct\" is not true")
+printed = {f[1]: f[2] for f in map(str.split, lines) if len(f) == 3 and f[0] == "digest"}
+with open(golden_path) as f:
+    pinned = {k: v for k, v in json.load(f)["digests"].items()
+              if k.startswith(workload + ".")}
+if printed != pinned:
+    sys.exit(f"perfbench {workload}: digests {printed} != pinned {pinned}")' \
+    "${workload}" "${repo_root}/goldens/perfbench_digests.json"
 done
-echo "perfbench builds clean and every workload reports correct"
+echo "perfbench builds clean, every workload reports correct, digests match"
 
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded

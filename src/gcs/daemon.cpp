@@ -26,24 +26,20 @@ Daemon::Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId
 
   link_ = std::make_unique<ReliableLink>(
       *this, network_,
-      [this](NodeId from, Payload&& inner) { on_link_deliver(from, std::move(inner)); },
-      [this](NodeId from, Payload&&) {
-        fd_->heartbeat_received(from);
-        if (health_ != nullptr) health_->on_heartbeat(from, this->host(), now());
-      });
+      [this](NodeId from, Payload&& inner) { on_link_deliver(from, std::move(inner)); });
 
   std::vector<NodeId> peers;
   for (NodeId d : all_daemons_) {
     if (d != host) peers.push_back(d);
   }
   fd_ = std::make_unique<FailureDetector>(
-      *this, peers,
-      [this](NodeId peer) {
-        ByteWriter w;
-        w.u64(this->host().value());
-        link_->send_raw(peer, std::move(w).take());
-      },
-      [this](NodeId d) { on_suspect(d); });
+      *this, network_, peers, [this](NodeId d) { on_suspect(d); },
+      [this](NodeId from, SimTime arrival) {
+        if (health_ != nullptr) health_->on_heartbeat(from, this->host(), arrival);
+      });
+  // A heartbeat counts only while this daemon is alive: read what arrived up
+  // to the crash; poll_heartbeats drops what lands after it.
+  subscribe_crash([this](ProcessId) { fd_->poll(); });
 
   leader_ = all_daemons_.front();
   if (leader_ == host) leader_state_ = std::make_unique<LeaderState>(host);
@@ -58,6 +54,14 @@ void Daemon::boot() {
   });
   fd_->start();
   stability_token_tick();
+}
+
+void Daemon::poll_heartbeats() {
+  if (alive()) {
+    fd_->poll();
+  } else {
+    fd_->discard();
+  }
 }
 
 void Daemon::stability_token_tick() {

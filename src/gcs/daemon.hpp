@@ -66,6 +66,12 @@ class Daemon : public sim::Process {
   // outlive the daemon; nullptr detaches.
   void set_health_observer(HealthObserver* observer) { health_ = observer; }
 
+  // Reads the heartbeats that arrived before now: the failure detector takes
+  // them, and each goes to the health observer with its arrival time. The
+  // detector polls on its own ticks; an observer that evaluates between them
+  // polls first. Once this daemon has crashed, arrivals are dropped unread.
+  void poll_heartbeats();
+
  private:
   friend class Endpoint;
 

@@ -1,16 +1,30 @@
 #include "gcs/failure_detector.hpp"
 
+#include <algorithm>
+
 #include "util/calibration.hpp"
 #include "util/logging.hpp"
 
 namespace vdep::gcs {
 
-FailureDetector::FailureDetector(sim::Process& owner, std::vector<NodeId> peers,
-                                 SendHeartbeatFn send_heartbeat, SuspectFn on_suspect)
+FailureDetector::FailureDetector(sim::Process& owner, net::Network& network,
+                                 std::vector<NodeId> peers, SuspectFn on_suspect,
+                                 ArrivalFn on_arrival)
     : owner_(owner),
-      send_heartbeat_(std::move(send_heartbeat)),
-      on_suspect_(std::move(on_suspect)) {
-  for (NodeId p : peers) peers_[p] = PeerState{};
+      network_(network),
+      on_suspect_(std::move(on_suspect)),
+      on_arrival_(std::move(on_arrival)) {
+  std::sort(peers.begin(), peers.end());
+  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
+  for (NodeId p : peers) peers_.emplace_back(p, PeerState{});
+}
+
+template <typename PeersT>
+auto FailureDetector::find(PeersT& peers, NodeId peer) {
+  auto it = std::lower_bound(
+      peers.begin(), peers.end(), peer,
+      [](const auto& entry, NodeId id) { return entry.first < id; });
+  return it != peers.end() && it->first == peer ? it : peers.end();
 }
 
 void FailureDetector::start() {
@@ -20,10 +34,29 @@ void FailureDetector::start() {
   tick();
 }
 
+void FailureDetector::poll() {
+  const SimTime now = owner_.now();
+  for (auto& [peer, st] : peers_) {
+    network_.take_beacons(peer, owner_.host(), now, [&](SimTime arrival) {
+      // Suspicion is sticky: a suspected daemon stays out (crash-stop model).
+      if (!st.suspected) st.last_heard = arrival;
+      on_arrival_(peer, arrival);
+    });
+  }
+}
+
+void FailureDetector::discard() {
+  const SimTime now = owner_.now();
+  for (auto& [peer, st] : peers_) {
+    network_.take_beacons(peer, owner_.host(), now, [](SimTime) {});
+  }
+}
+
 void FailureDetector::tick() {
+  poll();
   for (auto& [peer, st] : peers_) {
     if (st.suspected) continue;
-    send_heartbeat_(peer);
+    network_.beacon(owner_.host(), peer);
     const SimTime deadline =
         st.last_heard + calib::kDefaultHeartbeatInterval * calib::kDefaultHeartbeatMisses;
     if (owner_.now() > deadline) {
@@ -36,24 +69,16 @@ void FailureDetector::tick() {
   owner_.post(calib::kDefaultHeartbeatInterval, [this] { tick(); });
 }
 
-void FailureDetector::heartbeat_received(NodeId from) {
-  auto it = peers_.find(from);
-  if (it == peers_.end()) return;
-  // Suspicion is sticky: a suspected daemon stays out (crash-stop model).
-  if (!it->second.suspected) it->second.last_heard = owner_.now();
-}
-
 void FailureDetector::mark_dead(NodeId peer) {
-  auto it = peers_.find(peer);
+  auto it = find(peers_, peer);
   if (it == peers_.end() || it->second.suspected) return;
   it->second.suspected = true;
   on_suspect_(peer);
 }
 
 bool FailureDetector::alive(NodeId peer) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return false;
-  return !it->second.suspected;
+  auto it = find(peers_, peer);
+  return it != peers_.end() && !it->second.suspected;
 }
 
 std::vector<NodeId> FailureDetector::live_peers() const {

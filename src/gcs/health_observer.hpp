@@ -20,9 +20,12 @@ class HealthObserver {
  public:
   virtual ~HealthObserver() = default;
 
-  // A daemon heartbeat from `from` arrived at daemon `at` (link level, before
-  // any CPU queueing — the inter-arrival times feed phi-accrual detectors).
-  virtual void on_heartbeat(NodeId from, NodeId at, SimTime now) = 0;
+  // A daemon heartbeat from `from` arrived at daemon `at` at time `arrival`
+  // (link level, before any CPU queueing — the inter-arrival times feed
+  // phi-accrual detectors). Heartbeats are beacons read after they land
+  // (Daemon::poll_heartbeats), so this fires at or after `arrival`, in
+  // arrival order per link.
+  virtual void on_heartbeat(NodeId from, NodeId at, SimTime arrival) = 0;
 
   // A local process registered an endpoint with its daemon (replica boot or
   // recovery; fires once per endpoint, so several times per process).

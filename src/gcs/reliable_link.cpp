@@ -10,7 +10,7 @@ namespace {
 
 constexpr SimTime kRetransmitTimeout = msec(15);
 
-enum class FrameType : std::uint8_t { kData = 1, kAck = 2, kRaw = 3 };
+enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
 
 // Same wire layout ByteWriter would produce (u8 type, u64 seq, u32-length-
 // prefixed inner), written into a pooled buffer instead of a fresh one.
@@ -33,12 +33,8 @@ Payload encode_frame(BufferPool& pool, FrameType type, std::uint64_t seq,
 
 }  // namespace
 
-ReliableLink::ReliableLink(sim::Process& owner, net::Network& network, DeliverFn deliver,
-                           RawFn raw_deliver)
-    : owner_(owner),
-      network_(network),
-      deliver_(std::move(deliver)),
-      raw_deliver_(std::move(raw_deliver)) {}
+ReliableLink::ReliableLink(sim::Process& owner, net::Network& network, DeliverFn deliver)
+    : owner_(owner), network_(network), deliver_(std::move(deliver)) {}
 
 void ReliableLink::transmit(NodeId to, Payload frame, std::size_t wire,
                             bool counted) {
@@ -63,12 +59,6 @@ void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
   peer.unacked[seq] = Unacked{frame, wire};
   transmit(to, std::move(frame), wire, /*counted=*/true);
   arm_retransmit(to);
-}
-
-void ReliableLink::send_raw(NodeId to, Bytes inner) {
-  Payload frame = encode_frame(frame_pool_, FrameType::kRaw, 0, inner);
-  const std::size_t wire = frame.size();
-  transmit(to, std::move(frame), wire, /*counted=*/false);
 }
 
 void ReliableLink::send_ack(NodeId to, std::uint64_t cumulative) {
@@ -107,10 +97,6 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
   Payload inner = read_payload(r);
 
   switch (type) {
-    case FrameType::kRaw:
-      raw_deliver_(packet.src, std::move(inner));
-      return;
-
     case FrameType::kAck: {
       auto it = tx_.find(packet.src);
       if (it == tx_.end()) return;

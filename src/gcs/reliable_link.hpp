@@ -5,7 +5,9 @@
 // acks and timer-driven retransmission so every daemon-to-daemon message is
 // delivered exactly once and in order — the substrate the sequencer protocol
 // is built on. Link acks are control traffic (uncounted, cheap), standing in
-// for the acknowledgement piggybacking on Spread's token.
+// for the acknowledgement piggybacking on Spread's token. Heartbeats do not
+// travel here: they are payload-free net::Network beacons, which the failure
+// detector sends and reads itself (gcs/failure_detector.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,11 +26,8 @@ class ReliableLink {
   // `deliver` receives in-order inner message frames from a peer daemon; the
   // Payload aliases the received packet's buffer (no copy).
   using DeliverFn = std::function<void(NodeId from, Payload&& inner)>;
-  // Raw (unreliable, uncounted) frames: heartbeats.
-  using RawFn = std::function<void(NodeId from, Payload&& inner)>;
 
-  ReliableLink(sim::Process& owner, net::Network& network, DeliverFn deliver,
-               RawFn raw_deliver);
+  ReliableLink(sim::Process& owner, net::Network& network, DeliverFn deliver);
 
   // Reliable FIFO send. `payload_bytes` is the application-payload portion
   // used for fragmentation-aware wire accounting. `inner` may be a frame
@@ -36,9 +35,6 @@ class ReliableLink {
   // is spliced on here, and that framed buffer is then shared between the
   // retransmit queue and the in-flight packet.
   void send(NodeId to, Payload inner, std::size_t payload_bytes);
-
-  // Fire-and-forget, uncounted (heartbeats).
-  void send_raw(NodeId to, Bytes inner);
 
   // Entry point for packets arriving on Port::kGcsDaemon.
   void handle_packet(net::Packet&& packet);
@@ -73,7 +69,6 @@ class ReliableLink {
   sim::Process& owner_;
   net::Network& network_;
   DeliverFn deliver_;
-  RawFn raw_deliver_;
   std::map<NodeId, PeerTx> tx_;
   std::map<NodeId, PeerRx> rx_;
   // Recycles frame buffers: a frame is reusable once the network (and, for

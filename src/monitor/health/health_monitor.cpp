@@ -44,8 +44,8 @@ std::string HealthMonitor::link_label(NodeId from, NodeId at) {
 
 // --- ingestion (called from daemon context) -----------------------------------
 
-void HealthMonitor::on_heartbeat(NodeId from, NodeId at, SimTime now) {
-  links_[std::make_pair(from, at)].detector.heartbeat(now);
+void HealthMonitor::on_heartbeat(NodeId from, NodeId at, SimTime arrival) {
+  links_[std::make_pair(from, at)].detector.heartbeat(arrival);
 }
 
 void HealthMonitor::on_endpoint_registered(ProcessId pid, NodeId host,
@@ -78,6 +78,7 @@ void HealthMonitor::on_endpoint_crashed(ProcessId pid, NodeId host,
 
 void HealthMonitor::phi_tick() {
   if (!running_) return;
+  for (gcs::Daemon* daemon : daemons_) daemon->poll_heartbeats();
   const SimTime now = kernel_.now();
   for (auto& [key, link] : links_) {
     const double phi = link.detector.phi(now);

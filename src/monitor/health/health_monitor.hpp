@@ -6,7 +6,10 @@
 //    heartbeat arrivals (one phi-accrual detector per directed daemon link)
 //    and local endpoint lifecycle (replica crash/recovery, observed by the
 //    co-located daemon the way Spread notices a dead IPC connection).
-//  - Cadences: every 20 ms it evaluates the link detectors and the
+//  - Cadences: every 20 ms it polls the attached daemons for the heartbeats
+//    that arrived since their last read (each is reported with its arrival
+//    time, so a detector sees the same inter-arrival times whenever it is
+//    read), then evaluates the link detectors and the
 //    per-replica suspicion gauges; every 100 ms it cuts a
 //    telemetry window from the registry and evaluates SLO trackers and
 //    queue-depth probes against the windowed series.
@@ -17,7 +20,8 @@
 //
 // Hot-path discipline: nothing here runs on the request path. The daemon's
 // per-heartbeat tap is a map lookup every heartbeat interval (20ms of sim
-// time) per link; an unattached daemon pays one nullptr compare.
+// time) per link, paid when the heartbeat is read; an unattached daemon pays
+// one nullptr compare.
 #pragma once
 
 #include <functional>
@@ -40,8 +44,12 @@ class HealthMonitor final : public gcs::HealthObserver {
  public:
   HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry);
 
-  // Subscribes this monitor to a daemon's health taps.
-  void attach(gcs::Daemon& daemon) { daemon.set_health_observer(this); }
+  // Subscribes this monitor to a daemon's health taps; each detector
+  // evaluation polls the daemon first.
+  void attach(gcs::Daemon& daemon) {
+    daemon.set_health_observer(this);
+    daemons_.push_back(&daemon);
+  }
 
   // Begins the evaluation cadences; idempotent.
   void start();
@@ -55,7 +63,7 @@ class HealthMonitor final : public gcs::HealthObserver {
   void add_probe(std::string name, double threshold, std::function<double()> fn);
 
   // --- gcs::HealthObserver ----------------------------------------------------
-  void on_heartbeat(NodeId from, NodeId at, SimTime now) override;
+  void on_heartbeat(NodeId from, NodeId at, SimTime arrival) override;
   void on_endpoint_registered(ProcessId pid, NodeId host, std::string_view name,
                               SimTime now) override;
   void on_endpoint_crashed(ProcessId pid, NodeId host, std::string_view name,
@@ -111,6 +119,7 @@ class HealthMonitor final : public gcs::HealthObserver {
   HealthEventStream stream_;
   bool running_ = false;
 
+  std::vector<gcs::Daemon*> daemons_;  // attached, polled each phi tick
   std::map<ProcessId, ReplicaState> replicas_;
   std::map<std::pair<NodeId, NodeId>, LinkState> links_;
   std::map<std::string, SloState> slos_;

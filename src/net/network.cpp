@@ -19,7 +19,7 @@ Network::Network(sim::Kernel& kernel, LinkParams defaults)
 
 NodeId Network::add_host(const std::string& name) {
   const NodeId id{hosts_.size()};
-  hosts_.push_back(HostRec{name, sim::Cpu(kernel_, id), true, {}, {}});
+  hosts_.push_back(HostRec{name, sim::Cpu(kernel_, id), true, {}, {}, {}});
   return id;
 }
 
@@ -43,32 +43,62 @@ void Network::bind(NodeId host, Port port, PacketHandler handler) {
   rec.handlers[port] = std::move(handler);
 }
 
-void Network::set_host_up(NodeId id, bool up) { host_rec(id).up = up; }
+Network::Link& Network::link(NodeId from, NodeId to) {
+  auto& links = host_rec(from).links;
+  VDEP_ASSERT(to.value() < hosts_.size());
+  if (to.value() >= links.size()) {
+    links.resize(to.value() + 1, Link{defaults_, kTimeZero, false, {}});
+  }
+  return links[to.value()];
+}
+
+const Network::Link* Network::find_link(NodeId from, NodeId to) const {
+  const auto& links = host_rec(from).links;
+  return to.value() < links.size() ? &links[to.value()] : nullptr;
+}
+
+void Network::set_host_up(NodeId id, bool up) {
+  host_rec(id).up = up;
+  if (up) return;
+  // Beacons landing from now on would find the host down.
+  const SimTime now = kernel_.now();
+  for (auto& sender : hosts_) {
+    if (id.value() >= sender.links.size()) continue;
+    auto& arrivals = sender.links[id.value()].arrivals;
+    arrivals.erase(std::lower_bound(arrivals.begin(), arrivals.end(), now),
+                   arrivals.end());
+  }
+}
 
 bool Network::host_up(NodeId id) const { return host_rec(id).up; }
 
 void Network::set_link_params(NodeId from, NodeId to, LinkParams params) {
-  link_overrides_[{from, to}] = params;
+  link(from, to).params = params;
 }
 
 const LinkParams& Network::link_params(NodeId from, NodeId to) const {
-  auto it = link_overrides_.find({from, to});
-  return it != link_overrides_.end() ? it->second : defaults_;
+  const Link* l = find_link(from, to);
+  return l != nullptr ? l->params : defaults_;
 }
 
 void Network::partition(const std::set<NodeId>& side_a, const std::set<NodeId>& side_b) {
   for (NodeId a : side_a) {
     for (NodeId b : side_b) {
-      cut_pairs_.insert({a, b});
-      cut_pairs_.insert({b, a});
+      link(a, b).cut = true;
+      link(b, a).cut = true;
     }
   }
 }
 
-void Network::heal_partitions() { cut_pairs_.clear(); }
+void Network::heal_partitions() {
+  for (auto& h : hosts_) {
+    for (auto& l : h.links) l.cut = false;
+  }
+}
 
 bool Network::partitioned(NodeId a, NodeId b) const {
-  return cut_pairs_.contains({a, b});
+  const Link* l = find_link(a, b);
+  return l != nullptr && l->cut;
 }
 
 const TrafficTotals& Network::host_sent(NodeId id) const { return host_rec(id).sent; }
@@ -76,6 +106,34 @@ const TrafficTotals& Network::host_sent(NodeId id) const { return host_rec(id).s
 void Network::reset_totals() {
   totals_ = {};
   for (auto& h : hosts_) h.sent = {};
+}
+
+std::optional<SimTime> Network::transit(NodeId src, NodeId dst,
+                                        std::size_t wire_bytes, bool reliable) {
+  Link& l = link(src, dst);
+
+  // Loss / partition handling.
+  SimTime penalty = kTimeZero;
+  const bool cut = l.cut || !host_up(dst);
+  if (cut || rng_.chance(l.params.loss_probability)) {
+    if (!reliable || cut) {
+      ++totals_.dropped_packets;
+      return std::nullopt;
+    }
+    // Reliable transport retransmits; model the recovery as added delay.
+    penalty = kTcpRetransmitPenalty;
+  }
+
+  // Serialization queue at the sender's link.
+  const SimTime serialize =
+      sec_f(static_cast<double>(wire_bytes) / l.params.bandwidth_bytes_per_sec);
+  const SimTime start = std::max(kernel_.now(), l.next_free);
+  l.next_free = start + serialize;
+
+  const double jitter_ns = std::max(
+      0.0, rng_.normal(0.0, static_cast<double>(l.params.jitter_stddev.count())));
+  return l.next_free + l.params.propagation +
+         SimTime{static_cast<std::int64_t>(jitter_ns)} + penalty;
 }
 
 void Network::send(Packet packet) {
@@ -93,32 +151,9 @@ void Network::send(Packet packet) {
     return;
   }
 
-  const LinkParams& link = link_params(packet.src, packet.dst);
-
-  // Loss / partition handling.
-  SimTime penalty = kTimeZero;
-  const bool cut = partitioned(packet.src, packet.dst) || !host_up(packet.dst);
-  if (cut || rng_.chance(link.loss_probability)) {
-    if (!packet.reliable || cut) {
-      ++totals_.dropped_packets;
-      return;
-    }
-    // Reliable transport retransmits; model the recovery as added delay.
-    penalty = kTcpRetransmitPenalty;
-  }
-
-  // Serialization queue at the sender's link.
-  auto& state = link_states_[{packet.src, packet.dst}];
-  const SimTime serialize = sec_f(static_cast<double>(packet.wire_bytes) /
-                                  link.bandwidth_bytes_per_sec);
-  const SimTime start = std::max(kernel_.now(), state.next_free);
-  state.next_free = start + serialize;
-
-  const double jitter_ns =
-      std::max(0.0, rng_.normal(0.0, static_cast<double>(link.jitter_stddev.count())));
-  const SimTime arrival =
-      state.next_free + link.propagation + SimTime{static_cast<std::int64_t>(jitter_ns)} +
-      penalty;
+  const auto arrival =
+      transit(packet.src, packet.dst, packet.wire_bytes, packet.reliable);
+  if (!arrival) return;
 
   if (packet.counted) {
     ++totals_.packets;
@@ -127,8 +162,18 @@ void Network::send(Packet packet) {
     src.sent.bytes += packet.wire_bytes;
   }
 
-  kernel_.post_at(arrival,
+  kernel_.post_at(*arrival,
                   [this, p = std::move(packet)]() mutable { deliver(std::move(p)); });
+}
+
+void Network::beacon(NodeId src, NodeId dst) {
+  VDEP_ASSERT(src != dst);
+  if (!host_rec(src).up) return;
+  const auto arrival = transit(src, dst, kBeaconWireBytes, /*reliable=*/false);
+  if (!arrival) return;
+  // Jitter can let a beacon overtake the one before it; keep the link sorted.
+  auto& arrivals = link(src, dst).arrivals;
+  arrivals.insert(std::upper_bound(arrivals.begin(), arrivals.end(), *arrival), *arrival);
 }
 
 void Network::deliver(Packet&& packet) {

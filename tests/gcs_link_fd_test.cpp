@@ -16,17 +16,13 @@ struct LinkFixture : ::testing::Test {
     pb = std::make_unique<sim::Process>(kernel, ProcessId{2}, b, "pb");
 
     link_a = std::make_unique<ReliableLink>(
-        *pa, network,
-        [this](NodeId from, Payload&& inner) {
+        *pa, network, [this](NodeId from, Payload&& inner) {
           at_a.push_back({from, std::move(inner)});
-        },
-        [this](NodeId from, Payload&&) { raw_a.push_back(from); });
+        });
     link_b = std::make_unique<ReliableLink>(
-        *pb, network,
-        [this](NodeId from, Payload&& inner) {
+        *pb, network, [this](NodeId from, Payload&& inner) {
           at_b.push_back({from, std::move(inner)});
-        },
-        [this](NodeId from, Payload&&) { raw_b.push_back(from); });
+        });
 
     network.bind(a, net::Port::kGcsDaemon,
                  [this](net::Packet&& p) { link_a->handle_packet(std::move(p)); });
@@ -40,7 +36,6 @@ struct LinkFixture : ::testing::Test {
   std::unique_ptr<sim::Process> pa, pb;
   std::unique_ptr<ReliableLink> link_a, link_b;
   std::vector<std::pair<NodeId, Payload>> at_a, at_b;
-  std::vector<NodeId> raw_a, raw_b;
 };
 
 TEST_F(LinkFixture, DeliversInOrder) {
@@ -74,14 +69,18 @@ TEST_F(LinkFixture, NoDuplicateDeliveryDespiteRetransmissions) {
   EXPECT_EQ(at_b.size(), 10u);
 }
 
-TEST_F(LinkFixture, RawFramesBypassReliability) {
-  link_a->send_raw(b, Bytes{7});
+TEST_F(LinkFixture, HeartbeatBeaconsAreUncountedControlTraffic) {
+  // Heartbeats bypass the link layer: a beacon is read off the network, never
+  // delivered as a link frame, and costs neither bandwidth nor an event.
+  network.beacon(a, b);
   kernel.run();
-  ASSERT_EQ(raw_b.size(), 1u);
-  EXPECT_EQ(raw_b[0], a);
+  std::vector<SimTime> arrivals;
+  network.take_beacons(a, b, sec(1), [&](SimTime t) { arrivals.push_back(t); });
+  ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_TRUE(at_b.empty());
-  // Raw traffic is uncounted control traffic.
+  EXPECT_EQ(network.totals().packets, 0u);
   EXPECT_EQ(network.totals().bytes, 0u);
+  EXPECT_EQ(kernel.events_executed(), 0u);
 }
 
 TEST_F(LinkFixture, ForgetPeerStopsRetransmitting) {
@@ -109,36 +108,51 @@ TEST_F(LinkFixture, BidirectionalTrafficIndependent) {
 // intervals, so every timing below straddles the 500 ms timeout.
 
 struct FdFixture : ::testing::Test {
-  FdFixture() : kernel(1) {
-    owner = std::make_unique<sim::Process>(kernel, ProcessId{1}, NodeId{0}, "fd-owner");
+  FdFixture() : kernel(1), network(kernel) {
+    for (int h = 0; h < 3; ++h) network.add_host("h" + std::to_string(h));
+    owner = std::make_unique<sim::Process>(kernel, ProcessId{1}, kOwner, "fd-owner");
   }
 
   std::unique_ptr<FailureDetector> make(std::vector<NodeId> peers) {
     return std::make_unique<FailureDetector>(
-        *owner, std::move(peers), [this](NodeId peer) { heartbeats_sent.push_back(peer); },
-        [this](NodeId peer) { suspected.push_back(peer); });
+        *owner, network, std::move(peers),
+        [this](NodeId peer) { suspected.push_back(peer); },
+        [this](NodeId from, SimTime) { heard.push_back(from); });
   }
 
+  // A heartbeat from `peer` to the detector's owner, sent at `at`.
+  void heartbeat_at(SimTime at, NodeId peer) {
+    kernel.post_at(at, [this, peer] { network.beacon(peer, kOwner); });
+  }
+
+  // Heartbeats the detector has sent to `peer` (in flight ones included).
+  std::size_t heartbeats_sent_to(NodeId peer) {
+    std::size_t n = 0;
+    network.take_beacons(kOwner, peer, sec(3600), [&](SimTime) { ++n; });
+    return n;
+  }
+
+  static constexpr NodeId kOwner{0};
   sim::Kernel kernel;
+  net::Network network;
   std::unique_ptr<sim::Process> owner;
-  std::vector<NodeId> heartbeats_sent;
   std::vector<NodeId> suspected;
+  std::vector<NodeId> heard;  // heartbeats the detector read, by sender
 };
 
 TEST_F(FdFixture, SendsHeartbeatsPeriodically) {
   auto fd = make({NodeId{1}, NodeId{2}});
   fd->start();
   // Keep the peers alive so sends continue.
-  kernel.post(msec(1), [&] {});
   for (int t = 0; t < 50; ++t) {
-    kernel.post(msec(t * 20 + 10), [&] {
-      fd->heartbeat_received(NodeId{1});
-      fd->heartbeat_received(NodeId{2});
-    });
+    heartbeat_at(msec(t * 20 + 10), NodeId{1});
+    heartbeat_at(msec(t * 20 + 10), NodeId{2});
   }
   kernel.run_until(msec(1000));
-  EXPECT_GE(heartbeats_sent.size(), 98u);  // ~50 rounds x 2 peers
+  // ~50 rounds x 2 peers
+  EXPECT_GE(heartbeats_sent_to(NodeId{1}) + heartbeats_sent_to(NodeId{2}), 98u);
   EXPECT_TRUE(suspected.empty());
+  EXPECT_GE(heard.size(), 96u);  // read on the ticks after they landed
 }
 
 TEST_F(FdFixture, SilentPeerSuspectedAfterTimeout) {
@@ -153,9 +167,7 @@ TEST_F(FdFixture, SilentPeerSuspectedAfterTimeout) {
 TEST_F(FdFixture, HeartbeatsKeepPeerAlive) {
   auto fd = make({NodeId{1}});
   fd->start();
-  for (int t = 10; t < 1500; t += 30) {
-    kernel.post(msec(t), [&] { fd->heartbeat_received(NodeId{1}); });
-  }
+  for (int t = 10; t < 1500; t += 30) heartbeat_at(msec(t), NodeId{1});
   kernel.run_until(msec(1500));
   EXPECT_TRUE(suspected.empty());
   EXPECT_TRUE(fd->alive(NodeId{1}));
@@ -167,10 +179,15 @@ TEST_F(FdFixture, SuspicionIsSticky) {
   kernel.run_until(msec(600));
   ASSERT_EQ(suspected.size(), 1u);
   // Late heartbeats from a suspected peer are ignored (crash-stop model).
-  fd->heartbeat_received(NodeId{1});
+  for (int t = 610; t < 1200; t += 20) heartbeat_at(msec(t), NodeId{1});
   kernel.run_until(msec(1200));
   EXPECT_FALSE(fd->alive(NodeId{1}));
   EXPECT_EQ(suspected.size(), 1u);  // no duplicate notification
+  // Once suspected, the detector stops heartbeating the peer.
+  const std::size_t sent = heartbeats_sent_to(NodeId{1});
+  kernel.run_until(msec(1400));
+  EXPECT_EQ(heartbeats_sent_to(NodeId{1}), 0u);
+  EXPECT_GT(sent, 0u);
 }
 
 TEST_F(FdFixture, MarkDeadImmediate) {
@@ -187,7 +204,23 @@ TEST_F(FdFixture, MarkDeadImmediate) {
 TEST_F(FdFixture, UnknownPeerNeverAlive) {
   auto fd = make({NodeId{1}});
   EXPECT_FALSE(fd->alive(NodeId{9}));
-  fd->heartbeat_received(NodeId{9});  // ignored, no crash
+  // A heartbeat from a host that is not a peer is never read.
+  heartbeat_at(msec(1), NodeId{2});
+  kernel.run_until(msec(30));
+  fd->poll();
+  EXPECT_TRUE(heard.empty());
+  EXPECT_FALSE(fd->alive(NodeId{2}));
+}
+
+TEST_F(FdFixture, DiscardDropsArrivalsUnread) {
+  auto fd = make({NodeId{1}});
+  heartbeat_at(msec(1), NodeId{1});
+  heartbeat_at(msec(5), NodeId{1});
+  kernel.run_until(msec(3));
+  fd->discard();  // the first landed: dropped unread
+  kernel.run_until(msec(10));
+  fd->poll();     // the second landed after the discard: read
+  EXPECT_EQ(heard, std::vector<NodeId>{NodeId{1}});
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adaptive/policy.hpp"
+#include "gcs/daemon.hpp"
 #include "harness/scenario.hpp"
 #include "monitor/health/events.hpp"
 #include "monitor/health/health_monitor.hpp"
@@ -213,6 +214,74 @@ TEST(HealthThresholdPolicy, DegradesImmediatelyRecoversAfterDwell) {
   auto again = policy.evaluate(s);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, replication::ReplicationStyle::kActive);
+}
+
+// --- heartbeat ingestion -------------------------------------------------------
+// A bare three-daemon mesh feeding one HealthMonitor. Heartbeats are network
+// beacons the daemons read when they poll, so the monitor must poll them
+// itself before each phi evaluation.
+
+struct HeartbeatMesh {
+  explicit HeartbeatMesh(SimTime boot_at)
+      : kernel(7), network(kernel), monitor(kernel, registry) {
+    std::vector<NodeId> hosts;
+    for (int h = 0; h < 3; ++h) {
+      hosts.push_back(network.add_host("h" + std::to_string(h)));
+    }
+    for (NodeId host : hosts) {
+      daemons.push_back(std::make_unique<gcs::Daemon>(
+          kernel, network, ProcessId{100 + host.value()}, host, hosts));
+      monitor.attach(*daemons.back());
+    }
+    kernel.post_at(boot_at, [this] {
+      for (auto& d : daemons) d->boot();
+    });
+    monitor.start();
+  }
+
+  sim::Kernel kernel;
+  net::Network network;
+  MetricsRegistry registry;
+  HealthMonitor monitor;
+  std::vector<std::unique_ptr<gcs::Daemon>> daemons;
+};
+
+TEST(HealthIngestion, PhiReadBetweenDetectorTicksSeesFreshHeartbeats) {
+  // Booting 10 ms off the monitor's cadence puts every phi evaluation halfway
+  // between two detector ticks. Unless the monitor polls first, each link's
+  // newest heartbeat (~10 ms old) would still be unread and its last-known
+  // one ~30 ms old against a 20 ms mean interval: phi ~1.6, above the clear
+  // level, on every link.
+  HeartbeatMesh mesh(msec(10));
+  for (int t = 1; t <= 50; ++t) {
+    mesh.kernel.run_until(msec(20 * t) + msec(1));
+    if (t < 5) continue;  // detectors still bootstrapping
+    EXPECT_LT(mesh.monitor.max_phi(), PhiAccrualDetector::kPhiClear) << "at tick " << t;
+  }
+  EXPECT_EQ(mesh.monitor.suspected_links(), 0u);
+  EXPECT_TRUE(mesh.monitor.events().empty());
+}
+
+TEST(HealthIngestion, CrashedDaemonsLaterHeartbeatsNeverReachTheMonitor) {
+  // The daemon on h2 crashes while its host stays up: h0 and h1 keep
+  // heartbeating it until their detectors expel it 500 ms later. Those
+  // heartbeats land on a dead daemon and must not reach the monitor, so the
+  // links into h2 go silent at the crash.
+  HeartbeatMesh mesh(kTimeZero);
+  const SimTime crash_at = msec(400);
+  mesh.kernel.post_at(crash_at, [&] { mesh.daemons[2]->crash(); });
+  mesh.kernel.run_until(crash_at + msec(300));
+
+  SimTime into_dead_suspected = kTimeZero;
+  for (const auto& e : mesh.monitor.events()) {
+    EXPECT_GE(e.at, crash_at) << e.subject;  // quiet while everyone lived
+    if (e.kind == HealthEventKind::kLinkSuspect && e.id_a == 0 && e.id_b == 2 &&
+        into_dead_suspected == kTimeZero) {
+      into_dead_suspected = e.at;
+    }
+  }
+  ASSERT_GT(into_dead_suspected, kTimeZero) << "link 0->2 never went silent";
+  EXPECT_LT(into_dead_suspected, crash_at + msec(100));
 }
 
 // --- scenario integration ------------------------------------------------------

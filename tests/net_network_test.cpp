@@ -179,6 +179,101 @@ TEST_F(NetFixture, ResetTotalsClearsCounters) {
   EXPECT_EQ(network.host_sent(a).bytes, 0u);
 }
 
+// --- beacons -----------------------------------------------------------------
+
+std::vector<SimTime> take_all(Network& network, NodeId src, NodeId dst,
+                              SimTime before = sec(3600)) {
+  std::vector<SimTime> out;
+  network.take_beacons(src, dst, before, [&](SimTime t) { out.push_back(t); });
+  return out;
+}
+
+TEST_F(NetFixture, BeaconTakesTheLinkModelOfAnUncountedPacket) {
+  // A twin network on a same-seed kernel carries uncounted packets of the
+  // beacon's wire size where this one carries beacons: same RNG draws in the
+  // same order and the same serialization queue give the same arrivals.
+  sim::Kernel twin_kernel(1);
+  Network twin(twin_kernel);
+  const NodeId ta = twin.add_host("a");
+  const NodeId tb = twin.add_host("b");
+  std::vector<SimTime> packet_arrivals;
+  twin.bind(tb, Port::kTcp,
+            [&](Packet&&) { packet_arrivals.push_back(twin_kernel.now()); });
+
+  for (int round = 0; round < 3; ++round) {
+    kernel.post_at(msec(20 * round), [&] {
+      for (int i = 0; i < 4; ++i) network.beacon(a, b);  // back to back
+    });
+    twin_kernel.post_at(msec(20 * round), [&] {
+      for (int i = 0; i < 4; ++i) {
+        Packet p;
+        p.src = ta;
+        p.dst = tb;
+        p.wire_bytes = kBeaconWireBytes;
+        p.counted = false;
+        twin.send(std::move(p));
+      }
+    });
+  }
+  kernel.run();
+  twin_kernel.run();
+
+  ASSERT_EQ(packet_arrivals.size(), 12u);
+  EXPECT_EQ(take_all(network, a, b), packet_arrivals);
+  // Beacons are uncounted control traffic and schedule no delivery event.
+  EXPECT_EQ(network.totals().packets, 0u);
+  EXPECT_EQ(network.totals().bytes, 0u);
+  EXPECT_EQ(kernel.events_executed(), 3u);  // only the three posting events
+}
+
+TEST_F(NetFixture, BeaconDroppedAcrossPartitionOrToDeadHost) {
+  network.partition({a}, {b});
+  network.beacon(a, b);
+  EXPECT_EQ(network.totals().dropped_packets, 1u);
+  network.heal_partitions();
+  network.set_host_up(b, false);
+  network.beacon(a, b);
+  EXPECT_EQ(network.totals().dropped_packets, 2u);
+  network.set_host_up(b, true);
+  kernel.run();
+  EXPECT_TRUE(take_all(network, a, b).empty());
+  // A dead sender sends nothing, and that is no drop.
+  network.set_host_up(a, false);
+  network.beacon(a, b);
+  EXPECT_EQ(network.totals().dropped_packets, 2u);
+  EXPECT_TRUE(take_all(network, a, b).empty());
+}
+
+TEST_F(NetFixture, PendingBeaconsPurgedWhenDestinationGoesDown) {
+  network.beacon(a, b);  // lands after ~85 us
+  kernel.post(usec(10), [&] { network.set_host_up(b, false); });
+  kernel.post(usec(20), [&] { network.set_host_up(b, true); });
+  kernel.run();
+  EXPECT_TRUE(take_all(network, a, b).empty());
+  // In flight when sent, not when purged: no drop is counted.
+  EXPECT_EQ(network.totals().dropped_packets, 0u);
+
+  // A beacon that landed before the host went down stays readable.
+  network.beacon(a, b);
+  kernel.post(msec(1), [&] { network.set_host_up(b, false); });
+  kernel.run();
+  EXPECT_EQ(take_all(network, a, b).size(), 1u);
+}
+
+TEST_F(NetFixture, BeaconNotVisibleAtOrBeforeItsArrival) {
+  LinkParams link;
+  link.propagation = usec(100);
+  link.jitter_stddev = kTimeZero;
+  link.bandwidth_bytes_per_sec = 1e6;  // 21 bytes take 21 us
+  network.set_link_params(a, b, link);
+  network.beacon(a, b);
+  const SimTime arrival = usec(121);
+  EXPECT_TRUE(take_all(network, a, b, arrival - nsec(1)).empty());
+  EXPECT_TRUE(take_all(network, a, b, arrival).empty());
+  EXPECT_EQ(take_all(network, a, b, arrival + nsec(1)), std::vector<SimTime>{arrival});
+  EXPECT_TRUE(take_all(network, a, b).empty());  // taken once
+}
+
 TEST(LinkHelpers, FragmentCounts) {
   EXPECT_EQ(fragment_count(0), 1u);
   EXPECT_EQ(fragment_count(1), 1u);

@@ -90,9 +90,8 @@ TEST_P(StylesTest, CycleCompletesWithConsistentReplicas) {
   }
 }
 
-// Static storage zero-fills the padding after `style`; gtest prints the
-// parameter's raw bytes into the test name, so stack-built cases would give
-// names that change from build to build.
+// One case per style. Each case's name is the test-name suffix (the generator
+// below) and, through PrintTo above, the parameter shown in the ctest listing.
 constexpr StyleCase kStyleCases[] = {
     {ReplicationStyle::kActive, "active"},
     {ReplicationStyle::kSemiActive, "semi_active"},
