@@ -3,8 +3,8 @@
 // Builds the simulated testbed (hosts + group-communication daemons), runs a
 // 3-replica actively-replicated service under client load, crashes the
 // lowest-ranked replica mid-run, and shows that the cycle completes with no
-// client-visible failures — then walks the knob registry the way an operator
-// would.
+// client-visible failures — then lists and turns the knobs the way an
+// operator would.
 //
 // Run:  ./quickstart [requests=2000] [seed=42]
 #include <cstdio>
@@ -60,16 +60,16 @@ int main(int argc, char** argv) {
   //    dependability gives operators.
   knobs::VersatileDependability vd(scenario.group());
   std::printf("knobs available on this service:\n");
-  for (const knobs::Knob* knob : vd.registry().list()) {
+  for (const knobs::KnobDescriptor& knob : vd.knobs()) {
     std::printf("  [%s] %-22s = %-12s %s\n",
-                knob->level() == knobs::KnobLevel::kLow ? "low " : "high",
-                knob->name().c_str(), knob->get().c_str(),
-                knob->description().c_str());
+                knob.level == knobs::KnobLevel::kLow ? "low " : "high",
+                std::string(knob.name).c_str(), vd.get(knob.name).c_str(),
+                std::string(knob.description).c_str());
   }
 
   // 6. Turn one: drop to a resource-frugal style at runtime (the Fig. 5
   //    protocol runs live) and prove the service still works.
-  vd.registry().at("ReplicationStyle").set("warm_passive");
+  vd.set("ReplicationStyle", "warm_passive");
   scenario.drain(sec(1));
   std::printf("\nafter turning ReplicationStyle -> %s, responder is replica rank 0\n",
               replication::to_string(scenario.group().style()).c_str());

@@ -29,11 +29,15 @@ dotted path into the flat report (e.g. "recovery_ms.mean"). Only benchmarks
 present in both files are compared; a metric missing from both sides of a
 gate is an error (the allowlist names something the benchmark no longer
 emits). A gate whose baseline file is missing is an error too: a gate
-without a baseline would otherwise be silently off.
+without a baseline would otherwise be silently off. So is a baseline row
+that a gbench gate's filter selects (no filter selects every row) but that
+no current file of the gates over that baseline contains: a removed or
+renamed benchmark would otherwise drop out of its gate unreported.
 """
 import argparse
 import json
 import os
+import re
 import sys
 
 
@@ -120,6 +124,35 @@ def run_gate(gate, baseline_dir, current_dir):
     return ok
 
 
+def missing_rows(gates, baseline_dir, current_dir):
+    """Returns whether every selected baseline row was measured again.
+
+    Gates can share one baseline (each then writes its own current file), so
+    a row counts as present when any of those current files contains it.
+    """
+    selected, produced = {}, {}
+    for gate in gates:
+        name = gate["baseline"]
+        cur_path = os.path.join(current_dir, gate.get("current", name))
+        if os.path.exists(cur_path):
+            produced.setdefault(name, set()).update(
+                b["name"] for b in load_json(cur_path).get("benchmarks", []))
+        base_path = os.path.join(baseline_dir, name)
+        if gate.get("kind", "gbench") != "gbench" or not os.path.exists(base_path):
+            continue  # run_gate reports a missing baseline
+        pattern = re.compile(gate.get("filter") or "")
+        selected.setdefault(name, set()).update(
+            b["name"] for b in load_json(base_path).get("benchmarks", [])
+            if pattern.search(b["name"]))
+    ok = True
+    for name, rows in selected.items():
+        for row in sorted(rows - produced.get(name, set())):
+            print(f"error: {name}: baseline row {row!r} is missing from the "
+                  f"current run", file=sys.stderr)
+            ok = False
+    return ok
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--gate-file", required=True, help="scripts/bench_gates.json")
@@ -142,7 +175,7 @@ def main():
     if not args.current_dir:
         print("error: --current-dir is required", file=sys.stderr)
         return 2
-    all_ok = True
+    all_ok = missing_rows(gates, args.baseline_dir, args.current_dir)
     for gate in gates:
         all_ok = run_gate(gate, args.baseline_dir, args.current_dir) and all_ok
     if not all_ok:

@@ -5,11 +5,12 @@
 #   3. the shard quick gate (the shard label, without the chaos campaign);
 #   4. smoke runs: kv_cluster --shards 4, micro_checkpoint, micro_health,
 #      macro_events, macro_shard and macro_campaign;
-#   5. the perfbench/ build and a 1-s run of each of its workloads, which
-#      must report "correct": true (for fleet_sparse: every client finished
-#      and the replicas of each of the 32 delta-chained shards agree on their
-#      state digest) and print the seed-1 digests pinned in
-#      goldens/perfbench_digests.json (simulated results unchanged);
+#   5. the perfbench/ build and a 1-s run of each of its workloads, untraced
+#      and traced, which must report "correct": true (for fleet_sparse: every
+#      client finished and the replicas of each of the 32 delta-chained shards
+#      agree on their state digest; the traced run adds the tracing checks)
+#      and print the seed-1 digests pinned in goldens/perfbench_digests.json
+#      (simulated results unchanged);
 #   6. the benchmark regression gates: Release re-measurement of every gate
 #      in scripts/bench_gates.json against the recorded BENCH_*.json files;
 #   7. the trace determinism gate and the health-event determinism gate (two
@@ -90,23 +91,30 @@ echo "== repository benchmark compiles and runs correct =="
 # speed-up that moves a simulated result fails here.
 cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench"
 cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
-for workload in fleet_sparse group_active chaos_fleet; do
-  "${repo_root}/build-perfbench/perfbench" --workload "${workload}" --seed 1 \
-    --seconds 1 --trace 0 | python3 -c '
+# --trace 1 adds the checks that only a traced run makes: tracing does not
+# change the run, no span is dropped, at most 1% of requests lack a complete
+# blocking path, the group_active Fig. 3 cross-check, and chaos_fleet's
+# parallel campaign equals the serial traced pass.
+for trace in 0 1; do
+  for workload in fleet_sparse group_active chaos_fleet; do
+    "${repo_root}/build-perfbench/perfbench" --workload "${workload}" --seed 1 \
+      --seconds 1 --trace "${trace}" | python3 -c '
 import json, sys
-workload, golden_path = sys.argv[1], sys.argv[2]
+workload, trace, golden_path = sys.argv[1], sys.argv[2], sys.argv[3]
+run = f"perfbench {workload} --trace {trace}"
 lines = sys.stdin.read().splitlines()
 if json.loads(lines[-1])["correct"] is not True:
-    sys.exit(f"perfbench {workload}: \"correct\" is not true")
+    sys.exit(f"{run}: \"correct\" is not true")
 printed = {f[1]: f[2] for f in map(str.split, lines) if len(f) == 3 and f[0] == "digest"}
 with open(golden_path) as f:
     pinned = {k: v for k, v in json.load(f)["digests"].items()
               if k.startswith(workload + ".")}
 if printed != pinned:
-    sys.exit(f"perfbench {workload}: digests {printed} != pinned {pinned}")' \
-    "${workload}" "${repo_root}/goldens/perfbench_digests.json"
+    sys.exit(f"{run}: digests {printed} != pinned {pinned}")' \
+      "${workload}" "${trace}" "${repo_root}/goldens/perfbench_digests.json"
+  done
 done
-echo "perfbench builds clean, every workload reports correct, digests match"
+echo "perfbench builds clean, every workload reports correct traced and untraced, digests match"
 
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded

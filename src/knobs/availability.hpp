@@ -33,27 +33,24 @@ struct AvailabilityModel {
   SimTime cold_failover = msec(1000);    // launch + install + replay
 };
 
-// Steady-state availability of a configuration under the model.
-[[nodiscard]] double predicted_availability(const Configuration& config,
-                                            const AvailabilityModel& model);
-
-// Style-dependent failover outage used above; exposed for tests.
-[[nodiscard]] SimTime failover_time(replication::ReplicationStyle style,
-                                    const AvailabilityModel& model);
-
-// Incremental-checkpointing-aware variants. Cheaper checkpoints let a passive
-// primary checkpoint more often at the same blackout budget, which shrinks
-// backup staleness and therefore the replay component of failover in
+// Style-dependent failover outage. A measured incremental-checkpoint
+// profile shrinks the passive styles' outages: cheaper checkpoints let a
+// passive primary checkpoint more often at the same blackout budget, which
+// shrinks backup staleness and therefore the replay component of failover in
 // proportion to the profile's average byte ratio:
 //   warm' = warm * ratio
 //   cold' = (cold - warm) + warm * ratio   (the launch part does not shrink)
 // Active/semi-active failovers involve no checkpoints and are unchanged.
+// Without a profile every style takes the model's failover time as it is.
 [[nodiscard]] SimTime failover_time(replication::ReplicationStyle style,
                                     const AvailabilityModel& model,
-                                    const CheckpointProfile& profile);
-[[nodiscard]] double predicted_availability(const Configuration& config,
-                                            const AvailabilityModel& model,
-                                            const CheckpointProfile& profile);
+                                    const std::optional<CheckpointProfile>& profile = {});
+
+// Steady-state availability of a configuration under the model, with the
+// failover outages above.
+[[nodiscard]] double predicted_availability(
+    const Configuration& config, const AvailabilityModel& model,
+    const std::optional<CheckpointProfile>& profile = {});
 
 struct AvailabilityChoice {
   Configuration config;
@@ -62,16 +59,13 @@ struct AvailabilityChoice {
 
 // Picks the cheapest configuration meeting `target` (e.g. 0.999): fewest
 // replicas first, then the most resource-frugal style. Styles considered are
-// those present in `allowed` (defaults to all four).
+// those present in `allowed` (defaults to all four). With a profile, passive
+// styles are evaluated with the rescaled failover outages: a good delta
+// profile can make warm passive meet a target that previously forced an
+// active configuration.
 [[nodiscard]] std::optional<AvailabilityChoice> choose_for_availability(
-    double target, const AvailabilityModel& model, int max_replicas = 5,
+    double target, const AvailabilityModel& model,
+    const std::optional<CheckpointProfile>& profile = {}, int max_replicas = 5,
     std::vector<replication::ReplicationStyle> allowed = {});
-
-// Profile-aware choice: evaluates the passive styles with the rescaled
-// failover outages above. A good delta profile can make warm passive meet a
-// target that previously forced an active configuration.
-[[nodiscard]] std::optional<AvailabilityChoice> choose_for_availability(
-    double target, const AvailabilityModel& model, const CheckpointProfile& profile,
-    int max_replicas = 5, std::vector<replication::ReplicationStyle> allowed = {});
 
 }  // namespace vdep::knobs

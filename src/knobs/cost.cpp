@@ -12,10 +12,4 @@ double configuration_cost(double latency_us, double bandwidth_mbps,
          (1.0 - params.p) * bandwidth_mbps / params.bandwidth_limit_mbps;
 }
 
-CostFunction make_paper_cost_function(CostParams params) {
-  return [params](double latency_us, double bandwidth_mbps) {
-    return configuration_cost(latency_us, bandwidth_mbps, params);
-  };
-}
-
 }  // namespace vdep::knobs

@@ -6,10 +6,8 @@
 // latency/bandwidth/fault-tolerance requirements. The paper uses p = 0.5
 // (latency and bandwidth weighted equally) with L_max = 7000 us and
 // B_max = 3 MB/s, and notes the rule is a heuristic other developers may
-// replace — hence the CostFunction alias for custom rules.
+// replace.
 #pragma once
-
-#include <functional>
 
 namespace vdep::knobs {
 
@@ -21,10 +19,5 @@ struct CostParams {
 
 [[nodiscard]] double configuration_cost(double latency_us, double bandwidth_mbps,
                                         const CostParams& params = {});
-
-// Custom tie-breakers get the same inputs.
-using CostFunction = std::function<double(double latency_us, double bandwidth_mbps)>;
-
-[[nodiscard]] CostFunction make_paper_cost_function(CostParams params = {});
 
 }  // namespace vdep::knobs

@@ -4,82 +4,86 @@
 // Low-level knobs tune internal fault-tolerance mechanisms (replication
 // style, number of replicas, checkpointing frequency — the FT-CORBA
 // "fault-tolerance properties"). High-level knobs express externally-
-// observable properties (scalability, availability, throughput) and encode
-// the empirically-derived mapping onto low-level settings, so operators tune
+// observable properties (scalability, availability) and encode the
+// empirically-derived mapping onto low-level settings, so operators tune
 // what they can observe without knowing the implementation.
+//
+// A low-level knob's value is a typed Setting; ReplicaGroupController::apply
+// and read (knobs/low_level.hpp) actuate it. Text exists only at the
+// VersatileDependability facade, which names knobs by the descriptors below.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <optional>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include <array>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <variant>
+
+#include "replication/types.hpp"
+#include "util/time.hpp"
 
 namespace vdep::knobs {
 
 enum class KnobLevel : std::uint8_t { kLow = 0, kHigh = 1 };
 
-class Knob {
- public:
-  Knob(std::string name, KnobLevel level, std::string description)
-      : name_(std::move(name)), level_(level), description_(std::move(description)) {}
-  virtual ~Knob() = default;
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] KnobLevel level() const { return level_; }
-  [[nodiscard]] const std::string& description() const { return description_; }
-
-  // Knob values travel as strings at this interface so heterogeneous knobs
-  // share one registry; typed accessors live on the concrete classes.
-  [[nodiscard]] virtual std::string get() const = 0;
-  virtual void set(const std::string& value) = 0;
-  // The discrete settings this knob accepts, or empty for continuous ranges.
-  [[nodiscard]] virtual std::vector<std::string> choices() const { return {}; }
-
- private:
-  std::string name_;
-  KnobLevel level_;
-  std::string description_;
+// The low-level knobs first, in the order of Setting's alternatives, then
+// the high-level knobs the facade installs.
+enum class KnobId : std::uint8_t {
+  kReplicationStyle = 0,
+  kReplicas = 1,
+  kCheckpointInterval = 2,
+  kCheckpointAnchorInterval = 3,
+  kScalability = 4,
+  kAvailability = 5,
 };
 
-// A knob backed by caller-supplied getter/setter closures; the usual way the
-// low-level knobs bind to a live Replicator.
-class FunctionKnob final : public Knob {
- public:
-  FunctionKnob(std::string name, KnobLevel level, std::string description,
-               std::function<std::string()> getter,
-               std::function<void(const std::string&)> setter,
-               std::vector<std::string> choices = {})
-      : Knob(std::move(name), level, std::move(description)),
-        getter_(std::move(getter)),
-        setter_(std::move(setter)),
-        choices_(std::move(choices)) {}
+// One low-level knob with its typed value: a replication style, a replica
+// count, a checkpoint interval or a full-anchor cadence K. The alternative
+// held names the knob.
+struct Setting {
+  std::variant<replication::ReplicationStyle, int, SimTime, std::uint32_t> value;
 
-  [[nodiscard]] std::string get() const override { return getter_(); }
-  void set(const std::string& value) override { setter_(value); }
-  [[nodiscard]] std::vector<std::string> choices() const override { return choices_; }
-
- private:
-  std::function<std::string()> getter_;
-  std::function<void(const std::string&)> setter_;
-  std::vector<std::string> choices_;
+  [[nodiscard]] KnobId id() const { return static_cast<KnobId>(value.index()); }
+  friend bool operator==(const Setting&, const Setting&) = default;
 };
 
-class KnobRegistry {
- public:
-  // Throws std::invalid_argument on duplicate names.
-  void register_knob(std::unique_ptr<Knob> knob);
-
-  [[nodiscard]] Knob* find(const std::string& name) const;
-  // Throws std::out_of_range if missing.
-  [[nodiscard]] Knob& at(const std::string& name) const;
-  [[nodiscard]] std::vector<const Knob*> list(std::optional<KnobLevel> level = {}) const;
-  [[nodiscard]] std::size_t size() const { return knobs_.size(); }
-
- private:
-  std::map<std::string, std::unique_ptr<Knob>> knobs_;
+struct KnobDescriptor {
+  KnobId id;
+  std::string_view name;
+  KnobLevel level;
+  std::string_view description;
+  // The discrete values the knob accepts, or empty for continuous ranges.
+  std::span<const std::string_view> choices;
 };
+
+inline constexpr std::array<std::string_view, 5> kStyleChoices = {
+    "active", "warm_passive", "cold_passive", "semi_active", "hybrid"};
+
+// Every knob, in name order. Names follow the FT-CORBA fault-tolerance
+// properties for the low-level knobs.
+inline constexpr std::array<KnobDescriptor, 6> kKnobs = {{
+    {KnobId::kAvailability, "Availability", KnobLevel::kHigh,
+     "Target steady-state availability (e.g. 0.999); picks {style, replicas} "
+     "under the MTTF/MTTR model",
+     {}},
+    {KnobId::kCheckpointAnchorInterval, "CheckpointAnchorInterval", KnobLevel::kLow,
+     "Incremental checkpointing cadence: every K-th checkpoint is a full "
+     "anchor, the rest dirty-set deltas (1 = every checkpoint full)",
+     {}},
+    {KnobId::kCheckpointInterval, "CheckpointInterval", KnobLevel::kLow,
+     "Warm/cold passive checkpointing period, in microseconds", {}},
+    {KnobId::kReplicas, "MinimumNumberReplicas", KnobLevel::kLow,
+     "Number of replicas in the server group; growth triggers join + state "
+     "transfer, shrinkage a graceful leave",
+     {}},
+    {KnobId::kReplicationStyle, "ReplicationStyle", KnobLevel::kLow,
+     "Replication style of the server group; runtime changes run the Fig. 5 "
+     "switch protocol",
+     kStyleChoices},
+    {KnobId::kScalability, "Scalability", KnobLevel::kHigh,
+     "Number of clients to serve; applies the profiled {style, replicas} "
+     "policy under the latency/bandwidth/fault-tolerance requirements",
+     {}},
+}};
 
 }  // namespace vdep::knobs

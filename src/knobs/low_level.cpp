@@ -1,73 +1,50 @@
 #include "knobs/low_level.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace vdep::knobs {
 
-replication::ReplicationStyle parse_style(const std::string& name) {
-  using replication::ReplicationStyle;
-  if (name == "active") return ReplicationStyle::kActive;
-  if (name == "warm_passive") return ReplicationStyle::kWarmPassive;
-  if (name == "cold_passive") return ReplicationStyle::kColdPassive;
-  if (name == "semi_active") return ReplicationStyle::kSemiActive;
-  if (name == "hybrid") return ReplicationStyle::kHybrid;
-  throw std::invalid_argument("unknown replication style: " + name);
+void ReplicaGroupController::apply(const Setting& setting) {
+  const auto& v = setting.value;
+  switch (setting.id()) {
+    case KnobId::kReplicationStyle:
+      set_style(std::get<replication::ReplicationStyle>(v));
+      return;
+    case KnobId::kReplicas: {
+      const int n = std::get<int>(v);
+      if (n < kMinReplicas || n > kMaxReplicas) {
+        throw std::invalid_argument("replica count out of range: " + std::to_string(n));
+      }
+      set_replica_count(n);
+      return;
+    }
+    case KnobId::kCheckpointInterval:
+      set_checkpoint_interval(std::get<SimTime>(v));
+      return;
+    case KnobId::kCheckpointAnchorInterval: {
+      const std::uint32_t k = std::get<std::uint32_t>(v);
+      if (k < 1) throw std::invalid_argument("anchor interval out of range: 0");
+      set_checkpoint_anchor_interval(k);
+      return;
+    }
+    case KnobId::kScalability:
+    case KnobId::kAvailability:
+      break;  // no Setting holds a high-level id
+  }
 }
 
-std::unique_ptr<Knob> make_replication_style_knob(ReplicaGroupController& controller) {
-  return std::make_unique<FunctionKnob>(
-      "ReplicationStyle", KnobLevel::kLow,
-      "Replication style of the server group; runtime changes run the Fig. 5 "
-      "switch protocol",
-      [&controller] { return replication::to_string(controller.style()); },
-      [&controller](const std::string& v) { controller.set_style(parse_style(v)); },
-      std::vector<std::string>{"active", "warm_passive", "cold_passive", "semi_active",
-                               "hybrid"});
-}
-
-std::unique_ptr<Knob> make_num_replicas_knob(ReplicaGroupController& controller,
-                                             int min_replicas, int max_replicas) {
-  return std::make_unique<FunctionKnob>(
-      "MinimumNumberReplicas", KnobLevel::kLow,
-      "Number of replicas in the server group; growth triggers join + state "
-      "transfer, shrinkage a graceful leave",
-      [&controller] { return std::to_string(controller.replica_count()); },
-      [&controller, min_replicas, max_replicas](const std::string& v) {
-        const int n = std::stoi(v);
-        if (n < min_replicas || n > max_replicas) {
-          throw std::invalid_argument("replica count out of range: " + v);
-        }
-        controller.set_replica_count(n);
-      });
-}
-
-std::unique_ptr<Knob> make_checkpoint_interval_knob(ReplicaGroupController& controller) {
-  return std::make_unique<FunctionKnob>(
-      "CheckpointInterval", KnobLevel::kLow,
-      "Warm/cold passive checkpointing period, in microseconds",
-      [&controller] {
-        return std::to_string(
-            static_cast<long long>(to_usec(controller.checkpoint_interval())));
-      },
-      [&controller](const std::string& v) {
-        controller.set_checkpoint_interval(usec(std::stoll(v)));
-      });
-}
-
-std::unique_ptr<Knob> make_checkpoint_anchor_interval_knob(
-    ReplicaGroupController& controller) {
-  return std::make_unique<FunctionKnob>(
-      "CheckpointAnchorInterval", KnobLevel::kLow,
-      "Incremental checkpointing cadence: every K-th checkpoint is a full "
-      "anchor, the rest dirty-set deltas (1 = every checkpoint full)",
-      [&controller] { return std::to_string(controller.checkpoint_anchor_interval()); },
-      [&controller](const std::string& v) {
-        const long long k = std::stoll(v);
-        if (k < 1 || k > 0xffffffffLL) {
-          throw std::invalid_argument("anchor interval out of range: " + v);
-        }
-        controller.set_checkpoint_anchor_interval(static_cast<std::uint32_t>(k));
-      });
+Setting ReplicaGroupController::read(KnobId id) const {
+  switch (id) {
+    case KnobId::kReplicationStyle: return {style()};
+    case KnobId::kReplicas: return {replica_count()};
+    case KnobId::kCheckpointInterval: return {checkpoint_interval()};
+    case KnobId::kCheckpointAnchorInterval: return {checkpoint_anchor_interval()};
+    case KnobId::kScalability:
+    case KnobId::kAvailability:
+      break;
+  }
+  throw std::invalid_argument("not a low-level knob");
 }
 
 }  // namespace vdep::knobs

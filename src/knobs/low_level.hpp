@@ -1,15 +1,13 @@
 // The low-level knobs (paper Table 1): replication style, number of
-// replicas, checkpointing frequency, fault-monitoring interval — bound to a
-// live replica group. Names follow the FT-CORBA fault-tolerance properties
-// the paper critiques for lacking operator guidance; versatile dependability
-// keeps them available but expects operators to use the high-level knobs.
+// replicas, checkpointing frequency and the full-anchor cadence, actuated on
+// a live replica group. The paper critiques the FT-CORBA properties these
+// mirror for lacking operator guidance; versatile dependability keeps them
+// available but expects operators to use the high-level knobs.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 
 #include "knobs/knob.hpp"
-#include "replication/types.hpp"
 
 namespace vdep::knobs {
 
@@ -18,43 +16,36 @@ namespace vdep::knobs {
 // something one replicator instance can do alone.
 class ReplicaGroupController {
  public:
+  static constexpr int kMinReplicas = 1;
+  static constexpr int kMaxReplicas = 8;
+
   virtual ~ReplicaGroupController() = default;
 
+  // Sets one low-level knob. Throws std::invalid_argument for a replica
+  // count outside [kMinReplicas, kMaxReplicas] or an anchor interval of 0.
+  void apply(const Setting& setting);
+  // The current value of a low-level knob; throws std::invalid_argument for
+  // a high-level id.
+  [[nodiscard]] Setting read(KnobId id) const;
+
+  // "ReplicationStyle" — switches at runtime through the Fig. 5 protocol.
   virtual void set_style(replication::ReplicationStyle style) = 0;
   [[nodiscard]] virtual replication::ReplicationStyle style() const = 0;
 
+  // "MinimumNumberReplicas" — grows via join + state transfer, shrinks via
+  // leave.
   virtual void set_replica_count(int replicas) = 0;
   [[nodiscard]] virtual int replica_count() const = 0;
 
+  // "CheckpointInterval" — the checkpointing-frequency knob.
   virtual void set_checkpoint_interval(SimTime interval) = 0;
   [[nodiscard]] virtual SimTime checkpoint_interval() const = 0;
 
   // "CheckpointAnchorInterval" — incremental checkpointing cadence: every
-  // K-th checkpoint is a full anchor, the rest are dirty-set deltas. Default
-  // implementations (1 = all full) keep pre-delta controllers working.
-  virtual void set_checkpoint_anchor_interval(std::uint32_t /*interval*/) {}
-  [[nodiscard]] virtual std::uint32_t checkpoint_anchor_interval() const { return 1; }
+  // K-th checkpoint is a full anchor, the rest are dirty-set deltas (K = 1
+  // disables deltas).
+  virtual void set_checkpoint_anchor_interval(std::uint32_t interval) = 0;
+  [[nodiscard]] virtual std::uint32_t checkpoint_anchor_interval() const = 0;
 };
-
-// "ReplicationStyle" — switches at runtime through the Fig. 5 protocol.
-[[nodiscard]] std::unique_ptr<Knob> make_replication_style_knob(
-    ReplicaGroupController& controller);
-
-// "MinimumNumberReplicas" — grows via join + state transfer, shrinks via
-// leave.
-[[nodiscard]] std::unique_ptr<Knob> make_num_replicas_knob(
-    ReplicaGroupController& controller, int min_replicas = 1, int max_replicas = 8);
-
-// "CheckpointInterval" — the checkpointing-frequency knob, microseconds.
-[[nodiscard]] std::unique_ptr<Knob> make_checkpoint_interval_knob(
-    ReplicaGroupController& controller);
-
-// "CheckpointAnchorInterval" — full-anchor cadence for incremental
-// checkpointing (integer K >= 1; 1 disables deltas).
-[[nodiscard]] std::unique_ptr<Knob> make_checkpoint_anchor_interval_knob(
-    ReplicaGroupController& controller);
-
-// Parses the strings the style knob accepts ("active", "warm_passive", ...).
-[[nodiscard]] replication::ReplicationStyle parse_style(const std::string& name);
 
 }  // namespace vdep::knobs

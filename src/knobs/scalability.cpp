@@ -2,9 +2,13 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace vdep::knobs {
+
+namespace {
+// The share of a passive configuration's measured bandwidth that is
+// checkpoint multicast.
+constexpr double kCheckpointBandwidthFraction = 0.5;
+}  // namespace
 
 std::optional<PolicyEntry> ScalabilityPolicy::for_clients(int clients) const {
   for (const auto& e : entries) {
@@ -23,7 +27,6 @@ ScalabilityPolicy synthesize_scalability_policy(
     const DesignSpaceMap& map, const ScalabilityRequirements& requirements) {
   ScalabilityPolicy policy;
   policy.requirements = requirements;
-  const CostFunction cost = make_paper_cost_function(requirements.cost);
 
   for (int clients : map.client_counts()) {
     // Steps 1-2: hard latency and bandwidth planes.
@@ -47,9 +50,10 @@ ScalabilityPolicy synthesize_scalability_policy(
 
     // Step 4: minimum cost breaks the remaining tie.
     const DesignPoint* chosen = &candidates.front();
-    double chosen_cost = cost(chosen->latency_us, chosen->bandwidth_mbps);
+    double chosen_cost =
+        configuration_cost(chosen->latency_us, chosen->bandwidth_mbps, requirements.cost);
     for (const auto& p : candidates) {
-      const double c = cost(p.latency_us, p.bandwidth_mbps);
+      const double c = configuration_cost(p.latency_us, p.bandwidth_mbps, requirements.cost);
       if (c < chosen_cost) {
         chosen = &p;
         chosen_cost = c;
@@ -67,9 +71,7 @@ ScalabilityPolicy synthesize_scalability_policy(
 }
 
 DesignSpaceMap rescale_checkpoint_bandwidth(const DesignSpaceMap& map,
-                                            const CheckpointProfile& profile,
-                                            double checkpoint_fraction) {
-  VDEP_ASSERT(checkpoint_fraction >= 0.0 && checkpoint_fraction <= 1.0);
+                                            const CheckpointProfile& profile) {
   const double ratio = std::clamp(profile.average_ratio(), 0.0, 1.0);
   DesignSpaceMap out;
   for (DesignPoint p : map.points()) {
@@ -77,7 +79,8 @@ DesignSpaceMap rescale_checkpoint_bandwidth(const DesignSpaceMap& map,
     const bool passive = p.config.style == ReplicationStyle::kWarmPassive ||
                          p.config.style == ReplicationStyle::kColdPassive;
     if (passive) {
-      p.bandwidth_mbps *= (1.0 - checkpoint_fraction) + checkpoint_fraction * ratio;
+      p.bandwidth_mbps *=
+          (1.0 - kCheckpointBandwidthFraction) + kCheckpointBandwidthFraction * ratio;
     }
     out.add(p);
   }

@@ -1,5 +1,7 @@
 #include "replication/types.hpp"
 
+#include <stdexcept>
+
 #include "util/wire.hpp"
 
 namespace vdep::replication {
@@ -13,6 +15,15 @@ std::string to_string(ReplicationStyle style) {
     case ReplicationStyle::kHybrid: return "hybrid";
   }
   return "?";
+}
+
+ReplicationStyle parse_style(const std::string& name) {
+  if (name == "active") return ReplicationStyle::kActive;
+  if (name == "warm_passive") return ReplicationStyle::kWarmPassive;
+  if (name == "cold_passive") return ReplicationStyle::kColdPassive;
+  if (name == "semi_active") return ReplicationStyle::kSemiActive;
+  if (name == "hybrid") return ReplicationStyle::kHybrid;
+  throw std::invalid_argument("unknown replication style: " + name);
 }
 
 std::string style_code(ReplicationStyle style) {

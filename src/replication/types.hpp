@@ -39,6 +39,8 @@ enum class ReplicationStyle : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(ReplicationStyle style);
+// The inverse of to_string; throws std::invalid_argument on any other name.
+[[nodiscard]] ReplicationStyle parse_style(const std::string& name);
 
 // Short form used in the paper's tables: A(3), P(2), ...
 [[nodiscard]] std::string style_code(ReplicationStyle style);

@@ -4,13 +4,29 @@
 //   bench/fig7_tradeoffs clients=5 replicas=3 seed=42
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace vdep {
+
+// Parses `text` as one number of type T. The whole text must be the number:
+// "5x", "0x2a" or "" throw std::invalid_argument("bad <what>: <text>") rather
+// than read as their longest numeric prefix.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("bad " + what + ": " + text);
+  }
+  return value;
+}
 
 class Config {
  public:

@@ -144,6 +144,25 @@ TEST(Scenario, KnobControllerInterfaceRoundTrips) {
   EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kActive);
 }
 
+// A typed setting applied to the live group reaches every replica, and
+// out-of-range values never reach the group.
+TEST(Scenario, AppliesTypedSettingToLiveGroup) {
+  ScenarioConfig config;
+  config.replicas = 2;
+  config.style = replication::ReplicationStyle::kWarmPassive;
+  Scenario scenario(config);
+  scenario.kernel().run_until(msec(100));
+
+  auto& group = scenario.group();
+  group.apply({std::uint32_t{4}});
+  EXPECT_EQ(group.read(knobs::KnobId::kCheckpointAnchorInterval),
+            knobs::Setting{std::uint32_t{4}});
+  EXPECT_EQ(scenario.replicator(0).checkpoint_anchor_interval(), 4u);
+  EXPECT_EQ(scenario.replicator(1).checkpoint_anchor_interval(), 4u);
+  EXPECT_THROW(group.apply({0}), std::invalid_argument);
+  EXPECT_EQ(group.read(knobs::KnobId::kReplicas), knobs::Setting{2});
+}
+
 // Knob changes reach replicas that join later: a grown node starts with the
 // group's current checkpoint cadence, on the first free replica host.
 TEST(ReplicaGroup, GrownNodeStartsWithCurrentKnobs) {

@@ -5,7 +5,6 @@
 #include "knobs/design_space.hpp"
 #include "knobs/knob.hpp"
 #include "knobs/low_level.hpp"
-#include "knobs/throughput.hpp"
 #include "knobs/versatile.hpp"
 
 namespace vdep::knobs {
@@ -31,45 +30,6 @@ TEST(CostFunction, WeightsAreConvex) {
   EXPECT_DOUBLE_EQ(configuration_cost(999, 1.5, bandwidth_only), 0.5);
 }
 
-TEST(CostFunction, CustomFunctionFactory) {
-  auto cost = make_paper_cost_function({0.5, 7000, 3});
-  EXPECT_NEAR(cost(1245.8, 1.074), 0.268, 0.002);
-}
-
-// --- knob registry ------------------------------------------------------------
-
-TEST(KnobRegistry, RegisterFindList) {
-  KnobRegistry registry;
-  int value = 1;
-  registry.register_knob(std::make_unique<FunctionKnob>(
-      "TestKnob", KnobLevel::kLow, "a knob",
-      [&value] { return std::to_string(value); },
-      [&value](const std::string& v) { value = std::stoi(v); },
-      std::vector<std::string>{"1", "2"}));
-
-  Knob* k = registry.find("TestKnob");
-  ASSERT_NE(k, nullptr);
-  EXPECT_EQ(k->get(), "1");
-  k->set("2");
-  EXPECT_EQ(value, 2);
-  EXPECT_EQ(k->choices().size(), 2u);
-  EXPECT_EQ(registry.list(KnobLevel::kLow).size(), 1u);
-  EXPECT_TRUE(registry.list(KnobLevel::kHigh).empty());
-  EXPECT_EQ(registry.find("nope"), nullptr);
-  EXPECT_THROW((void)registry.at("nope"), std::out_of_range);
-}
-
-TEST(KnobRegistry, DuplicateNameRejected) {
-  KnobRegistry registry;
-  auto make = [] {
-    return std::make_unique<FunctionKnob>("K", KnobLevel::kLow, "",
-                                          [] { return ""; },
-                                          [](const std::string&) {});
-  };
-  registry.register_knob(make());
-  EXPECT_THROW(registry.register_knob(make()), std::invalid_argument);
-}
-
 // --- low-level knobs against a fake controller --------------------------------
 
 struct FakeController : ReplicaGroupController {
@@ -90,48 +50,73 @@ struct FakeController : ReplicaGroupController {
 
 TEST(LowLevelKnobs, StyleKnobRoundTrips) {
   FakeController controller;
-  auto knob = make_replication_style_knob(controller);
-  EXPECT_EQ(knob->get(), "warm_passive");
-  knob->set("active");
-  EXPECT_EQ(controller.style_, ReplicationStyle::kActive);
-  EXPECT_THROW(knob->set("bogus"), std::invalid_argument);
-  EXPECT_EQ(knob->choices().size(), 5u);
-  EXPECT_EQ(knob->level(), KnobLevel::kLow);
+  EXPECT_EQ(controller.read(KnobId::kReplicationStyle),
+            Setting{ReplicationStyle::kWarmPassive});
+  for (ReplicationStyle style : {ReplicationStyle::kActive, ReplicationStyle::kColdPassive,
+                                 ReplicationStyle::kSemiActive, ReplicationStyle::kHybrid,
+                                 ReplicationStyle::kWarmPassive}) {
+    controller.apply({style});
+    EXPECT_EQ(controller.style_, style);
+    EXPECT_EQ(controller.read(KnobId::kReplicationStyle), Setting{style});
+  }
+  EXPECT_EQ((Setting{ReplicationStyle::kActive}).id(), KnobId::kReplicationStyle);
 }
 
 TEST(LowLevelKnobs, NumReplicasKnobEnforcesRange) {
   FakeController controller;
-  auto knob = make_num_replicas_knob(controller, 1, 3);
-  knob->set("3");
+  EXPECT_EQ(controller.read(KnobId::kReplicas), Setting{2});
+  controller.apply({3});
   EXPECT_EQ(controller.replicas_, 3);
-  EXPECT_THROW(knob->set("4"), std::invalid_argument);
-  EXPECT_THROW(knob->set("0"), std::invalid_argument);
-  EXPECT_EQ(knob->get(), "3");
+  controller.apply({ReplicaGroupController::kMaxReplicas});
+  EXPECT_EQ(controller.replicas_, 8);
+  controller.apply({ReplicaGroupController::kMinReplicas});
+  EXPECT_EQ(controller.replicas_, 1);
+  EXPECT_THROW(controller.apply({0}), std::invalid_argument);
+  EXPECT_THROW(controller.apply({9}), std::invalid_argument);
+  EXPECT_EQ(controller.replicas_, 1);  // a rejected setting changes nothing
+  EXPECT_EQ(controller.read(KnobId::kReplicas), Setting{1});
+  EXPECT_EQ((Setting{1}).id(), KnobId::kReplicas);
 }
 
 TEST(LowLevelKnobs, CheckpointIntervalKnobUsesMicroseconds) {
   FakeController controller;
-  auto knob = make_checkpoint_interval_knob(controller);
-  EXPECT_EQ(knob->get(), "50000");
-  knob->set("25000");
+  EXPECT_EQ(controller.read(KnobId::kCheckpointInterval), Setting{msec(50)});
+  controller.apply({msec(25)});
   EXPECT_EQ(controller.interval_, msec(25));
+  EXPECT_EQ(controller.read(KnobId::kCheckpointInterval), Setting{msec(25)});
+
+  // Text at the facade is in microseconds.
+  VersatileDependability vd(controller);
+  EXPECT_EQ(vd.get("CheckpointInterval"), "25000");
+  vd.set("CheckpointInterval", "40000");
+  EXPECT_EQ(controller.interval_, msec(40));
 }
 
 TEST(LowLevelKnobs, CheckpointAnchorIntervalKnobRoundTrips) {
   FakeController controller;
-  auto knob = make_checkpoint_anchor_interval_knob(controller);
-  EXPECT_EQ(knob->get(), "1");
-  knob->set("8");
+  EXPECT_EQ(controller.read(KnobId::kCheckpointAnchorInterval), Setting{1u});
+  controller.apply({8u});
   EXPECT_EQ(controller.anchor_interval_, 8u);
-  EXPECT_EQ(knob->get(), "8");
-  EXPECT_THROW(knob->set("0"), std::invalid_argument);  // 1 = deltas off, minimum
-  EXPECT_EQ(knob->level(), KnobLevel::kLow);
+  EXPECT_EQ(controller.read(KnobId::kCheckpointAnchorInterval), Setting{8u});
+  EXPECT_THROW(controller.apply({0u}), std::invalid_argument);  // 1 = deltas off, minimum
+  EXPECT_EQ(controller.anchor_interval_, 8u);
+  EXPECT_EQ((Setting{8u}).id(), KnobId::kCheckpointAnchorInterval);
+}
+
+TEST(LowLevelKnobs, ReadRejectsHighLevelIds) {
+  FakeController controller;
+  EXPECT_THROW((void)controller.read(KnobId::kScalability), std::invalid_argument);
+  EXPECT_THROW((void)controller.read(KnobId::kAvailability), std::invalid_argument);
 }
 
 TEST(LowLevelKnobs, ParseStyleNames) {
-  EXPECT_EQ(parse_style("active"), ReplicationStyle::kActive);
-  EXPECT_EQ(parse_style("semi_active"), ReplicationStyle::kSemiActive);
-  EXPECT_THROW((void)parse_style(""), std::invalid_argument);
+  for (std::string_view name : kStyleChoices) {
+    const std::string text(name);
+    EXPECT_EQ(replication::to_string(replication::parse_style(text)), text);
+  }
+  EXPECT_EQ(replication::parse_style("active"), ReplicationStyle::kActive);
+  EXPECT_EQ(replication::parse_style("semi_active"), ReplicationStyle::kSemiActive);
+  EXPECT_THROW((void)replication::parse_style(""), std::invalid_argument);
 }
 
 // --- design space ---------------------------------------------------------------
@@ -291,7 +276,7 @@ TEST(Availability, DeltaProfileCanUnlockATargetFullSnapshotsMiss) {
   // choose_for_availability under the profile meets a target the plain
   // model cannot reach with the same allowed styles.
   const std::vector<ReplicationStyle> warm_only = {ReplicationStyle::kWarmPassive};
-  auto plain = choose_for_availability(target, model, 3, warm_only);
+  auto plain = choose_for_availability(target, model, std::nullopt, 3, warm_only);
   auto with_profile =
       choose_for_availability(target, model, profile, 3, warm_only);
   EXPECT_FALSE(plain.has_value());
@@ -299,58 +284,126 @@ TEST(Availability, DeltaProfileCanUnlockATargetFullSnapshotsMiss) {
   EXPECT_GE(with_profile->availability, target);
 }
 
-// --- throughput knob ------------------------------------------------------------
-
-TEST(Throughput, PicksSustainingConfiguration) {
-  const auto map = synthetic_map();
-  // 450 req/s within 3 MB/s: A(3) at 2 clients does 450.
-  auto choice = choose_for_throughput(map, 440, 3.0);
-  ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->config.style, ReplicationStyle::kActive);
-  EXPECT_GE(choice->throughput_rps, 440);
-  // Unreachable rate.
-  EXPECT_FALSE(choose_for_throughput(map, 5000, 3.0).has_value());
-  // Bandwidth cap excludes everything.
-  EXPECT_FALSE(choose_for_throughput(map, 100, 0.1).has_value());
-}
-
 // --- the facade ------------------------------------------------------------------
 
 TEST(VersatileDependability, RegistersStandardKnobsAndActuates) {
   FakeController controller;
   VersatileDependability vd(controller);
-  EXPECT_NE(vd.registry().find("ReplicationStyle"), nullptr);
-  EXPECT_NE(vd.registry().find("MinimumNumberReplicas"), nullptr);
-  EXPECT_NE(vd.registry().find("CheckpointInterval"), nullptr);
+  EXPECT_EQ(vd.get("ReplicationStyle"), "warm_passive");
+  EXPECT_EQ(vd.get("MinimumNumberReplicas"), "2");
+  EXPECT_EQ(vd.get("CheckpointInterval"), "50000");
 
-  vd.registry().at("ReplicationStyle").set("active");
+  vd.set("ReplicationStyle", "active");
   EXPECT_EQ(controller.style_, ReplicationStyle::kActive);
 
   vd.install_availability_knob(AvailabilityModel{});
-  EXPECT_NE(vd.registry().find("Availability"), nullptr);
+  EXPECT_EQ(vd.get("Availability"),
+            std::to_string(predicted_availability({ReplicationStyle::kActive, 2},
+                                                  AvailabilityModel{})));
   auto choice = vd.tune_for_availability(0.999);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(controller.replicas_, choice->config.replicas);
 }
 
+TEST(VersatileDependability, ListsKnobsInTableOrder) {
+  FakeController controller;
+  VersatileDependability vd(controller);
+  auto names = [&vd] {
+    std::vector<std::string> out;
+    for (const KnobDescriptor& knob : vd.knobs()) out.emplace_back(knob.name);
+    return out;
+  };
+  EXPECT_EQ(names(), (std::vector<std::string>{"CheckpointAnchorInterval",
+                                               "CheckpointInterval",
+                                               "MinimumNumberReplicas",
+                                               "ReplicationStyle"}));
+  for (const KnobDescriptor& knob : vd.knobs()) EXPECT_EQ(knob.level, KnobLevel::kLow);
+  EXPECT_THROW((void)vd.get("Scalability"), std::out_of_range);
+  EXPECT_THROW((void)vd.get("Availability"), std::out_of_range);
+
+  vd.install_scalability_knob(synthetic_map(), ScalabilityRequirements{});
+  vd.install_availability_knob(AvailabilityModel{});
+  const std::vector<std::string> all = {"Availability",          "CheckpointAnchorInterval",
+                                        "CheckpointInterval",    "MinimumNumberReplicas",
+                                        "ReplicationStyle",      "Scalability"};
+  EXPECT_EQ(names(), all);
+  EXPECT_EQ(vd.knobs().front().level, KnobLevel::kHigh);
+  EXPECT_EQ(vd.knobs().back().level, KnobLevel::kHigh);
+  EXPECT_EQ(vd.knobs()[4].choices.size(), 5u);  // ReplicationStyle
+  EXPECT_TRUE(vd.knobs()[3].choices.empty());
+}
+
+TEST(VersatileDependability, GetSetRoundTripsEveryKnob) {
+  FakeController controller;
+  VersatileDependability vd(controller);
+  for (std::string_view style : kStyleChoices) {
+    vd.set("ReplicationStyle", std::string(style));
+    EXPECT_EQ(vd.get("ReplicationStyle"), style);
+  }
+  vd.set("MinimumNumberReplicas", "5");
+  EXPECT_EQ(controller.replicas_, 5);
+  EXPECT_EQ(vd.get("MinimumNumberReplicas"), "5");
+  vd.set("CheckpointInterval", "125");
+  EXPECT_EQ(controller.interval_, usec(125));
+  EXPECT_EQ(vd.get("CheckpointInterval"), "125");
+  vd.set("CheckpointAnchorInterval", "16");
+  EXPECT_EQ(controller.anchor_interval_, 16u);
+  EXPECT_EQ(vd.get("CheckpointAnchorInterval"), "16");
+
+  vd.install_scalability_knob(synthetic_map(), ScalabilityRequirements{});
+  EXPECT_EQ(vd.get("Scalability"), "");
+  vd.set("Scalability", "1");
+  EXPECT_EQ(vd.get("Scalability"), "1");
+
+  vd.install_availability_knob(AvailabilityModel{});
+  vd.set("Availability", "0.9");
+  EXPECT_EQ(controller.replicas_, 1);  // one frugal replica meets 0.9
+  EXPECT_EQ(vd.get("Availability"),
+            std::to_string(predicted_availability(
+                {controller.style_, controller.replicas_}, AvailabilityModel{})));
+}
+
+TEST(VersatileDependability, RejectsUnknownNameAndUnparsableText) {
+  FakeController controller;
+  VersatileDependability vd(controller);
+  EXPECT_THROW((void)vd.get("nope"), std::out_of_range);
+  EXPECT_THROW(vd.set("nope", "1"), std::out_of_range);
+  EXPECT_THROW(vd.set("ReplicationStyle", "bogus"), std::invalid_argument);
+  EXPECT_THROW(vd.set("MinimumNumberReplicas", "3x"), std::invalid_argument);
+  EXPECT_THROW(vd.set("MinimumNumberReplicas", ""), std::invalid_argument);
+  EXPECT_THROW(vd.set("MinimumNumberReplicas", "9"), std::invalid_argument);
+  EXPECT_THROW(vd.set("CheckpointInterval", "0x10"), std::invalid_argument);
+  EXPECT_THROW(vd.set("CheckpointAnchorInterval", "0"), std::invalid_argument);
+  EXPECT_THROW(vd.set("CheckpointAnchorInterval", "-1"), std::invalid_argument);
+  EXPECT_THROW(vd.set("CheckpointAnchorInterval", "4294967296"), std::invalid_argument);
+  vd.install_availability_knob(AvailabilityModel{});
+  EXPECT_THROW(vd.set("Availability", "high"), std::invalid_argument);
+  // Nothing above reached the controller.
+  EXPECT_EQ(controller.style_, ReplicationStyle::kWarmPassive);
+  EXPECT_EQ(controller.replicas_, 2);
+  EXPECT_EQ(controller.interval_, msec(50));
+  EXPECT_EQ(controller.anchor_interval_, 1u);
+}
+
 TEST(VersatileDependability, CheckpointProfileActuatesAnchorIntervalKnob) {
   FakeController controller;
   VersatileDependability vd(controller);
-  ASSERT_NE(vd.registry().find("CheckpointAnchorInterval"), nullptr);
-  EXPECT_EQ(vd.registry().at("CheckpointAnchorInterval").get(), "1");
+  EXPECT_EQ(vd.get("CheckpointAnchorInterval"), "1");
 
   vd.set_checkpoint_profile({20000.0, 400.0, 8});
   EXPECT_EQ(controller.anchor_interval_, 8u);
-  EXPECT_EQ(vd.registry().at("CheckpointAnchorInterval").get(), "8");
+  EXPECT_EQ(vd.get("CheckpointAnchorInterval"), "8");
   ASSERT_TRUE(vd.checkpoint_profile().has_value());
   EXPECT_LT(vd.checkpoint_profile()->average_ratio(), 0.15);
 
   // With the profile installed, availability tuning evaluates passive
-  // styles under the rescaled failover model.
+  // styles under the rescaled failover model, and the knob reads back the
+  // availability the choice was made with.
   vd.install_availability_knob(AvailabilityModel{});
   auto choice = vd.tune_for_availability(0.999);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(controller.replicas_, choice->config.replicas);
+  EXPECT_EQ(vd.get("Availability"), std::to_string(choice->availability));
 }
 
 TEST(VersatileDependability, ScalabilityKnobDrivesController) {
@@ -361,32 +414,19 @@ TEST(VersatileDependability, ScalabilityKnobDrivesController) {
   requirements.max_bandwidth_mbps = 3.0;
   const auto& policy = vd.install_scalability_knob(synthetic_map(), requirements);
   EXPECT_FALSE(policy.entries.empty());
-  EXPECT_NE(vd.registry().find("Scalability"), nullptr);
 
   auto entry = vd.tune_for_clients(2);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(controller.replicas_, entry->config.replicas);
   EXPECT_EQ(controller.style_, entry->config.style);
-  EXPECT_EQ(vd.registry().at("Scalability").get(), "2");
+  EXPECT_EQ(vd.get("Scalability"), "2");
 
   // An unsupported client count leaves the controller untouched.
   controller.replicas_ = 0;
   EXPECT_FALSE(vd.tune_for_clients(9).has_value());
   EXPECT_EQ(controller.replicas_, 0);
   EXPECT_EQ(controller.style_, entry->config.style);
-  EXPECT_EQ(vd.registry().at("Scalability").get(), "2");
-}
-
-TEST(VersatileDependability, ContractManagement) {
-  FakeController controller;
-  VersatileDependability vd(controller);
-  adaptive::Contract main;
-  main.max_latency_us = 2000;
-  adaptive::Contract fallback;
-  fallback.max_latency_us = 9000;
-  vd.set_contract(main, {fallback});
-  ASSERT_NE(vd.contract_monitor(), nullptr);
-  EXPECT_DOUBLE_EQ(vd.contract_monitor()->active().max_latency_us, 2000);
+  EXPECT_EQ(vd.get("Scalability"), "2");
 }
 
 }  // namespace
