@@ -5,6 +5,9 @@
 //  1. BM_KvDeltaCut — the application layer: cutting a dirty-set delta of a
 //     4096-key store at a swept dirty percentage, vs. BM_KvFullSnapshot.
 //     Counters report encoded sizes and the full/delta reduction factor.
+//     BM_KvDeltaCutStoreSize cuts the same 40 dirty keys out of stores of
+//     4096 and 65536 keys: a delta's wall cost follows the dirty set, so the
+//     rows read alike, and a walk over the whole store shows as a 16x gap.
 //  2. BM_CheckpointStream — the wire: a live 2-replica warm-passive group
 //     runs the same seeded sparse-write checkpoint schedule with anchor
 //     interval K; the counter is the primary's actual multicast checkpoint
@@ -28,8 +31,8 @@ namespace {
 constexpr int kKeys = 4096;
 constexpr int kValueBytes = 64;
 
-void seed_store(app::KvStoreServant& kv) {
-  for (int i = 0; i < kKeys; ++i) {
+void seed_store(app::KvStoreServant& kv, int keys = kKeys) {
+  for (int i = 0; i < keys; ++i) {
     (void)kv.invoke("put",
                     app::KvStoreServant::encode_put("key" + std::to_string(i),
                                                     std::string(kValueBytes, 'v')));
@@ -49,12 +52,11 @@ void BM_KvFullSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_KvFullSnapshot);
 
-// Arg: percentage of keys dirtied between cuts (1 = the headline case).
-void BM_KvDeltaCut(benchmark::State& state) {
+// Times snapshot_delta over `dirty` keys rewritten (untimed) since the last
+// cut of a `keys`-key store.
+void run_delta_cuts(benchmark::State& state, int keys, int dirty) {
   app::KvStoreServant kv;
-  seed_store(kv);
-  const int dirty =
-      std::max(1, kKeys * static_cast<int>(state.range(0)) / 100);
+  seed_store(kv, keys);
   const std::size_t full_bytes = kv.snapshot().size();
   std::size_t delta_bytes = 0;
   int offset = 0;
@@ -62,7 +64,7 @@ void BM_KvDeltaCut(benchmark::State& state) {
     state.PauseTiming();
     const std::uint64_t cut = kv.cut_epoch();
     for (int i = 0; i < dirty; ++i) {
-      const int key = (offset + i * (kKeys / dirty)) % kKeys;
+      const int key = (offset + i * (keys / dirty)) % keys;
       (void)kv.invoke("put",
                       app::KvStoreServant::encode_put(
                           "key" + std::to_string(key), std::string(kValueBytes, 'w')));
@@ -83,7 +85,19 @@ void BM_KvDeltaCut(benchmark::State& state) {
       delta_bytes == 0 ? 0.0
                        : static_cast<double>(full_bytes) / static_cast<double>(delta_bytes);
 }
+
+// Arg: percentage of keys dirtied between cuts (1 = the headline case).
+void BM_KvDeltaCut(benchmark::State& state) {
+  run_delta_cuts(state, kKeys,
+                 std::max(1, kKeys * static_cast<int>(state.range(0)) / 100));
+}
 BENCHMARK(BM_KvDeltaCut)->Arg(1)->Arg(10)->Arg(50)->ArgName("dirty_pct");
+
+// Arg: store size in keys, at 40 dirty keys per cut.
+void BM_KvDeltaCutStoreSize(benchmark::State& state) {
+  run_delta_cuts(state, static_cast<int>(state.range(0)), 40);
+}
+BENCHMARK(BM_KvDeltaCutStoreSize)->Arg(4096)->Arg(65536)->ArgName("keys");
 
 // Arg: checkpoint_anchor_interval K. One iteration = one full scenario run:
 // seed 256 keys, anchor, then 12 single-key-write checkpoint rounds. The

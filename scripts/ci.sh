@@ -10,7 +10,10 @@
 #      client finished and the replicas of each of the 32 delta-chained shards
 #      agree on their state digest; the traced run adds the tracing checks)
 #      and print the seed-1 digests pinned in goldens/perfbench_digests.json
-#      (simulated results unchanged);
+#      (simulated results unchanged); the traced run must also print the
+#      seed-1 work counts pinned in goldens/perfbench_counts.json (events,
+#      packets, wire bytes, deliveries, executions, checkpoint rounds and
+#      bytes, spans per request);
 #   6. the benchmark regression gates: Release re-measurement of every gate
 #      in scripts/bench_gates.json against the recorded BENCH_*.json files;
 #   7. the trace determinism gate and the health-event determinism gate (two
@@ -94,27 +97,40 @@ cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
 # --trace 1 adds the checks that only a traced run makes: tracing does not
 # change the run, no span is dropped, at most 1% of requests lack a complete
 # blocking path, the group_active Fig. 3 cross-check, and chaos_fleet's
-# parallel campaign equals the serial traced pass.
+# parallel campaign equals the serial traced pass. It also prints the work
+# counts, which must equal goldens/perfbench_counts.json exactly: a wall-time
+# change moves none of them, and any moved count fails the run.
 for trace in 0 1; do
   for workload in fleet_sparse group_active chaos_fleet; do
     "${repo_root}/build-perfbench/perfbench" --workload "${workload}" --seed 1 \
       --seconds 1 --trace "${trace}" | python3 -c '
 import json, sys
-workload, trace, golden_path = sys.argv[1], sys.argv[2], sys.argv[3]
+workload, trace, golden_path, counts_path = sys.argv[1:5]
 run = f"perfbench {workload} --trace {trace}"
 lines = sys.stdin.read().splitlines()
-if json.loads(lines[-1])["correct"] is not True:
+result = json.loads(lines[-1])
+if result["correct"] is not True:
     sys.exit(f"{run}: \"correct\" is not true")
 printed = {f[1]: f[2] for f in map(str.split, lines) if len(f) == 3 and f[0] == "digest"}
 with open(golden_path) as f:
     pinned = {k: v for k, v in json.load(f)["digests"].items()
               if k.startswith(workload + ".")}
 if printed != pinned:
-    sys.exit(f"{run}: digests {printed} != pinned {pinned}")' \
-      "${workload}" "${trace}" "${repo_root}/goldens/perfbench_digests.json"
+    sys.exit(f"{run}: digests {printed} != pinned {pinned}")
+if trace == "1":
+    with open(counts_path) as f:
+        pinned = {k.removeprefix(workload + "."): v for k, v in json.load(f)["counts"].items()
+                  if k.startswith(workload + ".")}
+    moved = {k: (v, result["metrics"][k]["value"]) for k, v in pinned.items()
+             if result["metrics"][k]["value"] != v}
+    if moved:
+        sys.exit(f"{run}: work counts moved from goldens/perfbench_counts.json "
+                 f"(name: (pinned, printed)): {moved}")' \
+      "${workload}" "${trace}" "${repo_root}/goldens/perfbench_digests.json" \
+      "${repo_root}/goldens/perfbench_counts.json"
   done
 done
-echo "perfbench builds clean, every workload reports correct traced and untraced, digests match"
+echo "perfbench builds clean, every workload reports correct traced and untraced, digests and work counts match"
 
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded

@@ -1,7 +1,9 @@
 #include "app/kv_store.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "orb/cdr.hpp"
-#include "util/assert.hpp"
 
 namespace vdep::app {
 
@@ -18,13 +20,10 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
     orb::CdrReader r(args);
     if (operation == "put") {
       const std::string key = r.string();
-      const std::string value = r.string();
+      std::string value = r.string();
       result.cpu_time = kWriteTime;
-      const bool existed = data_.contains(key);
-      data_[key] = value;
-      mark_written(key);
       orb::CdrWriter w;
-      w.boolean(existed);
+      w.boolean(assign(key, std::move(value)));
       result.output = std::move(w).take();
       return result;
     }
@@ -32,11 +31,12 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       const std::string key = r.string();
       const std::string value = r.string();
       result.cpu_time = kWriteTime;
-      std::string& cell = data_[key];
-      cell += value;
-      mark_written(key);
+      auto [cell, fresh] = data_.try_emplace(key);
+      cell->second += value;
+      bytes_ += (fresh ? key.size() + 8 : 0) + value.size();
+      stamp(cell->first, &cell->second);
       orb::CdrWriter w;
-      w.ulong(static_cast<std::uint32_t>(cell.size()));
+      w.ulong(static_cast<std::uint32_t>(cell->second.size()));
       result.output = std::move(w).take();
       return result;
     }
@@ -54,9 +54,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       const std::string key = r.string();
       result.cpu_time = kWriteTime;
       orb::CdrWriter w;
-      const bool existed = data_.erase(key) > 0;
-      if (existed) mark_erased(key);
-      w.boolean(existed);
+      w.boolean(erase(key));
       result.output = std::move(w).take();
       return result;
     }
@@ -92,51 +90,81 @@ void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
     std::string key = r.str();
     data_[std::move(key)] = r.str();
   }
-  // The per-key stamps described the overwritten state; deltas can only be
-  // answered for cuts taken from here on. Epochs stay monotone across
-  // restores so stale `since` values are rejected, never misanswered.
-  write_epoch_.clear();
-  tombstone_.clear();
+  bytes_ = 4;
+  for (const auto& [key, value] : data_) bytes_ += key.size() + value.size() + 8;
+  // The stamps described the overwritten state; deltas can only be answered
+  // for cuts taken from here on. Epochs stay monotone across restores so
+  // stale `since` values are rejected, never misanswered.
+  stamps_.clear();
+  newest_ = nullptr;
   delta_floor_ = epoch_;
 }
 
-void KvStoreServant::mark_written(const std::string& key) {
-  write_epoch_[key] = epoch_;
-  tombstone_.erase(key);
+bool KvStoreServant::assign(const std::string& key, std::string value) {
+  auto [it, fresh] = data_.try_emplace(key);
+  bytes_ += (fresh ? key.size() + 8 : 0) + value.size();
+  bytes_ -= it->second.size();
+  it->second = std::move(value);
+  stamp(it->first, &it->second);
+  return !fresh;
 }
 
-void KvStoreServant::mark_erased(const std::string& key) {
-  write_epoch_.erase(key);
-  tombstone_[key] = epoch_;
+bool KvStoreServant::erase(const std::string& key) {
+  const auto it = data_.find(key);
+  if (it == data_.end()) return false;
+  bytes_ -= it->first.size() + it->second.size() + 8;
+  data_.erase(it);
+  stamp(key, nullptr);
+  return true;
+}
+
+void KvStoreServant::stamp(const std::string& key, const std::string* value) {
+  auto [it, fresh] = stamps_.try_emplace(key);
+  StampNode* node = &*it;
+  Stamp& s = node->second;
+  s.value = value;
+  if (!fresh) {
+    if (s.epoch == epoch_) return;  // already the newest stamp
+    // Unlink, to relink at the newest end below.
+    if (s.older != nullptr) s.older->second.newer = s.newer;
+    (s.newer != nullptr ? s.newer->second.older : newest_) = s.older;
+  }
+  s.epoch = epoch_;
+  s.older = newest_;
+  s.newer = nullptr;
+  if (newest_ != nullptr) newest_->second.newer = node;
+  newest_ = node;
 }
 
 std::uint64_t KvStoreServant::cut_epoch() { return epoch_++; }
 
 std::optional<Bytes> KvStoreServant::snapshot_delta(std::uint64_t since_epoch) const {
   // Mutations in the cut labelled `e` carry stamp <= e; the delta since `e`
-  // is everything stamped after it. Unanswerable once tracking was reset.
+  // is everything stamped after it: the newest end of the stamp list.
+  // Unanswerable once tracking was reset.
   if (since_epoch < delta_floor_ || since_epoch >= epoch_) return std::nullopt;
-  ByteWriter w;
-  std::uint32_t upserts = 0;
-  for (const auto& [key, stamp] : write_epoch_) {
-    if (stamp > since_epoch) ++upserts;
+  std::vector<const StampNode*> upserts;
+  std::vector<const StampNode*> erased;
+  for (const StampNode* n = newest_; n != nullptr && n->second.epoch > since_epoch;
+       n = n->second.older) {
+    (n->second.value == nullptr ? erased : upserts).push_back(n);
   }
-  w.u32(upserts);
-  for (const auto& [key, stamp] : write_epoch_) {
-    if (stamp <= since_epoch) continue;
-    const auto it = data_.find(key);
-    VDEP_ASSERT_MSG(it != data_.end(), "dirty key missing from store");
-    w.str(key);
-    w.str(it->second);
+  const auto by_key = [](const StampNode* a, const StampNode* b) {
+    return a->first < b->first;
+  };
+  std::sort(upserts.begin(), upserts.end(), by_key);
+  std::sort(erased.begin(), erased.end(), by_key);
+  std::size_t bytes = 8;
+  for (const StampNode* n : upserts) bytes += 8 + n->first.size() + n->second.value->size();
+  for (const StampNode* n : erased) bytes += 4 + n->first.size();
+  ByteWriter w(bytes);
+  w.u32(static_cast<std::uint32_t>(upserts.size()));
+  for (const StampNode* n : upserts) {
+    w.str(n->first);
+    w.str(*n->second.value);
   }
-  std::uint32_t erased = 0;
-  for (const auto& [key, stamp] : tombstone_) {
-    if (stamp > since_epoch) ++erased;
-  }
-  w.u32(erased);
-  for (const auto& [key, stamp] : tombstone_) {
-    if (stamp > since_epoch) w.str(key);
-  }
+  w.u32(static_cast<std::uint32_t>(erased.size()));
+  for (const StampNode* n : erased) w.str(n->first);
   return std::move(w).take();
 }
 
@@ -145,23 +173,16 @@ void KvStoreServant::apply_delta(std::span<const std::uint8_t> delta) {
   const auto upserts = r.u32();
   for (std::uint32_t i = 0; i < upserts; ++i) {
     std::string key = r.str();
-    std::string value = r.str();
-    data_[key] = std::move(value);
-    mark_written(key);
+    assign(key, r.str());
   }
   const auto erased = r.u32();
   for (std::uint32_t i = 0; i < erased; ++i) {
     const std::string key = r.str();
-    data_.erase(key);
-    mark_erased(key);
+    if (!erase(key)) stamp(key, nullptr);
   }
 }
 
-std::size_t KvStoreServant::state_size() const {
-  std::size_t total = 4;
-  for (const auto& [key, value] : data_) total += key.size() + value.size() + 8;
-  return total;
-}
+std::size_t KvStoreServant::state_size() const { return bytes_; }
 
 std::uint64_t KvStoreServant::state_digest() const {
   // std::map iterates in key order, so the digest is replica-deterministic.

@@ -16,9 +16,11 @@
 // where an idempotent "put" would hide it.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "replication/app_state.hpp"
 #include "util/calibration.hpp"
@@ -27,6 +29,11 @@ namespace vdep::app {
 
 class KvStoreServant final : public replication::Checkpointable {
  public:
+  KvStoreServant() = default;
+  // The stamp list links nodes of this object's own map.
+  KvStoreServant(const KvStoreServant&) = delete;
+  KvStoreServant& operator=(const KvStoreServant&) = delete;
+
   Result invoke(const std::string& operation, const Bytes& args) override;
 
   [[nodiscard]] Bytes snapshot() const override;
@@ -35,10 +42,12 @@ class KvStoreServant final : public replication::Checkpointable {
   [[nodiscard]] std::uint64_t state_digest() const override;
 
   // Incremental checkpointing: every mutation stamps its key with the open
-  // epoch; erasures leave tombstones. A delta since epoch `e` carries the
-  // keys written after the cut labelled `e` plus the tombstones newer than
-  // it — O(dirty set), not O(state). restore() resets the tracking, after
-  // which only cuts taken from the restored state are answerable.
+  // epoch; erasures leave tombstones. The stamps are also linked in stamp
+  // order, so a delta since epoch `e` walks back from the newest stamp over
+  // only the keys written or erased after the cut labelled `e` — its wall
+  // cost follows the dirty set, not the store. restore() resets the
+  // tracking, after which only cuts taken from the restored state are
+  // answerable.
   [[nodiscard]] bool supports_delta() const override { return true; }
   std::uint64_t cut_epoch() override;
   [[nodiscard]] std::optional<Bytes> snapshot_delta(
@@ -66,19 +75,41 @@ class KvStoreServant final : public replication::Checkpointable {
   static bool decode_flag(const Bytes& body);  // put/erase result
 
  private:
-  void mark_written(const std::string& key);
-  void mark_erased(const std::string& key);
+  // Key -> the epoch of its last mutation and the value it left: the key's
+  // cell in `data_`, or null when the mutation erased it. Holds every key
+  // written or erased since the last restore. Each stamp is also a node of
+  // an intrusive list in stamp order: epochs only grow, and a re-stamped key
+  // moves to the newest end, so the list is sorted by epoch. Map nodes never
+  // move, so the links and cells stay valid until restore() clears both
+  // maps (an erase nulls the cell first).
+  struct Stamp;
+  using StampNode = std::pair<const std::string, Stamp>;
+  struct Stamp {
+    std::uint64_t epoch = 0;
+    const std::string* value = nullptr;
+    StampNode* older = nullptr;
+    StampNode* newer = nullptr;
+  };
+
+  // Sets `key` to `value` / drops `key`, keeping `bytes_` and the stamps in
+  // step. Both return whether the key existed.
+  bool assign(const std::string& key, std::string value);
+  bool erase(const std::string& key);
+  void stamp(const std::string& key, const std::string* value);
 
   std::map<std::string, std::string> data_;
+  // state_size(): 4 + the sum over entries of key + value + 8, kept current
+  // by every mutation.
+  std::size_t bytes_ = 4;
 
   // Dirty-key tracking. `epoch_` is the open (still-mutating) epoch;
   // cut_epoch() closes it. `delta_floor_` is the oldest cut a delta can
   // still be computed against (bumped to the open epoch on restore, which
-  // discards the per-key stamps).
+  // discards the stamps).
   std::uint64_t epoch_ = 1;
   std::uint64_t delta_floor_ = 0;
-  std::map<std::string, std::uint64_t> write_epoch_;  // key -> last write epoch
-  std::map<std::string, std::uint64_t> tombstone_;    // erased key -> erase epoch
+  std::map<std::string, Stamp> stamps_;
+  StampNode* newest_ = nullptr;
 };
 
 }  // namespace vdep::app

@@ -2,6 +2,7 @@
 
 #include "net/link.hpp"
 #include "util/assert.hpp"
+#include "util/bytes.hpp"
 #include "util/calibration.hpp"
 
 namespace vdep::gcs {
@@ -12,23 +13,14 @@ constexpr SimTime kRetransmitTimeout = msec(15);
 
 enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
 
-// Same wire layout ByteWriter would produce (u8 type, u64 seq, u32-length-
-// prefixed inner), written into a pooled buffer instead of a fresh one.
-Payload encode_frame(BufferPool& pool, FrameType type, std::uint64_t seq,
+// u8 type, u64 seq, u32-length-prefixed inner.
+Payload encode_frame(FrameType type, std::uint64_t seq,
                      std::span<const std::uint8_t> inner) {
-  constexpr std::size_t kHeader = 1 + 8 + 4;
-  auto buf = pool.acquire(kHeader + inner.size());
-  std::uint8_t* p = buf->data();
-  *p++ = static_cast<std::uint8_t>(type);
-  for (std::size_t i = 0; i < 8; ++i) {
-    *p++ = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  const auto len = static_cast<std::uint32_t>(inner.size());
-  for (std::size_t i = 0; i < 4; ++i) {
-    *p++ = static_cast<std::uint8_t>(len >> (8 * i));
-  }
-  if (!inner.empty()) std::memcpy(p, inner.data(), inner.size());
-  return Payload(buf, std::span<const std::uint8_t>(buf->data(), buf->size()));
+  ByteWriter w(1 + 8 + 4 + inner.size());
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(seq);
+  w.bytes(inner);
+  return std::move(w).take();
 }
 
 }  // namespace
@@ -53,7 +45,7 @@ void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
   const std::uint64_t seq = peer.next_seq++;
   // The per-peer sequence number forces one splice here, but the resulting
   // frame is shared (not copied) between the retransmit queue and the packet.
-  Payload frame = encode_frame(frame_pool_, FrameType::kData, seq, inner);
+  Payload frame = encode_frame(FrameType::kData, seq, inner);
   const std::size_t wire = net::wire_bytes(payload_bytes, calib::kGcsHeaderBytes) +
                            (inner.size() - payload_bytes);
   peer.unacked[seq] = Unacked{frame, wire};
@@ -62,7 +54,7 @@ void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
 }
 
 void ReliableLink::send_ack(NodeId to, std::uint64_t cumulative) {
-  Payload frame = encode_frame(frame_pool_, FrameType::kAck, cumulative, {});
+  Payload frame = encode_frame(FrameType::kAck, cumulative, {});
   const std::size_t wire = frame.size();
   transmit(to, std::move(frame), wire, /*counted=*/false);
 }

@@ -16,7 +16,6 @@
 
 #include "net/network.hpp"
 #include "sim/actor.hpp"
-#include "util/arena.hpp"
 #include "util/payload.hpp"
 
 namespace vdep::gcs {
@@ -71,9 +70,6 @@ class ReliableLink {
   DeliverFn deliver_;
   std::map<NodeId, PeerTx> tx_;
   std::map<NodeId, PeerRx> rx_;
-  // Recycles frame buffers: a frame is reusable once the network (and, for
-  // data frames, the retransmit queue) has dropped its Payload references.
-  BufferPool frame_pool_;
   std::uint64_t retransmissions_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "replication/message_log.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace vdep::replication {
@@ -11,10 +13,11 @@ void MessageLog::append(LoggedRequest entry) {
   VDEP_ASSERT_MSG(inserted, "duplicate log index");
 }
 
-void MessageLog::truncate_applied(const std::map<ProcessId, std::uint64_t>& applied) {
+void MessageLog::truncate_applied(const AppliedFrontier& applied) {
   truncate_covered([&applied](ProcessId client) -> std::uint64_t {
-    const auto it = applied.find(client);
-    return it == applied.end() ? 0 : it->second;
+    const auto it = std::ranges::lower_bound(applied, client, {},
+                                             &AppliedFrontier::value_type::first);
+    return it == applied.end() || it->first != client ? 0 : it->second;
   });
 }
 

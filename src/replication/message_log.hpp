@@ -2,7 +2,7 @@
 // they await a state transfer).
 //
 // Entries are kept in the replica's local delivery order. A checkpoint's
-// per-client applied map truncates the covered prefix (every entry whose
+// per-client applied frontier truncates the covered prefix (every entry whose
 // retention id the snapshot already reflects); what remains is exactly what
 // a promoted backup must replay.
 #pragma once
@@ -11,6 +11,7 @@
 #include <map>
 
 #include "obs/trace_context.hpp"
+#include "replication/types.hpp"
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
 #include "util/payload.hpp"
@@ -31,9 +32,9 @@ class MessageLog {
  public:
   void append(LoggedRequest entry);
 
-  // Drops every entry already covered by the applied map (retention id at or
-  // below the client's entry).
-  void truncate_applied(const std::map<ProcessId, std::uint64_t>& applied);
+  // Drops every entry already covered by the applied frontier (retention id
+  // at or below the client's entry).
+  void truncate_applied(const AppliedFrontier& applied);
   // The same, reading each client's frontier through `frontier_of(client)`
   // (0 when the client has none).
   template <typename FrontierOf>

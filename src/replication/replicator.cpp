@@ -119,11 +119,10 @@ bool Replicator::is_responder() const {
   return false;
 }
 
-std::map<ProcessId, std::uint64_t> Replicator::applied_frontier() const {
-  std::map<ProcessId, std::uint64_t> out;
-  for (const auto& [client, frontier] : applied_rid_) {
-    out.emplace_hint(out.end(), client, frontier.seq);
-  }
+AppliedFrontier Replicator::applied_frontier() const {
+  AppliedFrontier out;
+  out.reserve(applied_rid_.size());
+  for (const auto& [client, frontier] : applied_rid_) out.emplace_back(client, frontier.seq);
   return out;
 }
 
@@ -688,9 +687,11 @@ CheckpointMsg Replicator::new_cut(bool delta) {
   msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
   std::size_t replies = kCheckpointReplyEntries;
   if (delta) {
+    msg.applied.reserve(moved_clients_.size());
     for (ProcessId client : moved_clients_) {
-      msg.applied.emplace(client, applied_rid_.at(client).seq);
+      msg.applied.emplace_back(client, applied_rid_.at(client).seq);
     }
+    std::ranges::sort(msg.applied);
     replies = std::min<std::uint64_t>(replies, reply_cache_.added() - last_cut_replies_);
   } else {
     msg.applied = applied_frontier();
@@ -853,11 +854,19 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
     app_.restore(msg.app_state);
     ++installs_full_;
     anchor_request_outstanding_ = false;  // the anchor we asked for arrived
-    applied_rid_.clear();
-    moved_clients_.clear();
+    // Rewrite the frontier in place: both sides are sorted by client, so one
+    // merge pass keeps the nodes of clients present in both.
+    auto it = applied_rid_.begin();
     for (const auto& [client, seq] : msg.applied) {
-      applied_rid_.emplace_hint(applied_rid_.end(), client, Frontier{seq, 0});
+      while (it != applied_rid_.end() && it->first < client) it = applied_rid_.erase(it);
+      if (it != applied_rid_.end() && it->first == client) {
+        (it++)->second = Frontier{seq, 0};
+      } else {
+        applied_rid_.emplace_hint(it, client, Frontier{seq, 0});
+      }
     }
+    applied_rid_.erase(it, applied_rid_.end());
+    moved_clients_.clear();
     reply_cache_.restore(msg.reply_cache);
   }
   log_.truncate_covered([this](ProcessId client) -> std::uint64_t {

@@ -104,7 +104,7 @@ class Replicator {
   [[nodiscard]] const ReplyCache& reply_cache() const { return reply_cache_; }
   // Per client, the highest retention id folded into this replica's state:
   // what a full checkpoint cut now would carry.
-  [[nodiscard]] std::map<ProcessId, std::uint64_t> applied_frontier() const;
+  [[nodiscard]] AppliedFrontier applied_frontier() const;
   // Requests discarded because their FT_REQUEST expiration had passed.
   [[nodiscard]] std::uint64_t expired_requests_dropped() const {
     return expired_dropped_;

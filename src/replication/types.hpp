@@ -18,9 +18,12 @@
 //                  extra redundancy) — the Sec. 6 extension direction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/calibration.hpp"
@@ -72,13 +75,18 @@ struct RepEnvelope {
   }
 };
 
+// A per-client applied frontier: (client, highest retention id folded into
+// the state), sorted by client with each client at most once.
+using AppliedFrontier = std::vector<std::pair<ProcessId, std::uint64_t>>;
+
 // A checkpoint: the application snapshot plus everything a backup needs to
 // take over without violating exactly-once:
-//  - `applied` maps each client to the highest retention id folded into this
+//  - `applied` gives each client's highest retention id folded into this
 //    snapshot. Retention ids are per-client monotone (FT-CORBA), so a
-//    request is a duplicate w.r.t. this state iff its id is <= the map's
-//    entry — robust against client retransmissions, group-layer replays and
-//    joiners whose local delivery counts differ from the primary's;
+//    request is a duplicate w.r.t. this state iff its id is <= the
+//    client's entry — robust against client retransmissions, group-layer
+//    replays and joiners whose local delivery counts differ from the
+//    primary's;
 //  - `reply_cache` holds recent replies for resending to retrying clients.
 //
 // Two kinds on the wire. A *full* checkpoint (anchor) carries the whole app
@@ -87,7 +95,7 @@ struct RepEnvelope {
 // since `base_epoch` (the checkpoint id it chains onto) and is only
 // installable on a replica whose state is exactly at `base_epoch`;
 // `delta_epoch` equals `checkpoint_id` and is written explicitly so the
-// chain position survives re-encoding. A full checkpoint's applied map and
+// chain position survives re-encoding. A full checkpoint's frontier and
 // reply cache are complete (every client; the newest 16 replies). A delta's
 // hold only the frontier entries that moved and the replies added since
 // `base_epoch`; installers merge them (frontiers by max, replies appended and
@@ -100,7 +108,7 @@ struct CheckpointMsg {
   std::uint64_t checkpoint_id = 0;
   std::uint64_t base_epoch = 0;   // delta only: predecessor checkpoint id
   std::uint64_t delta_epoch = 0;  // delta only: == checkpoint_id
-  std::map<ProcessId, std::uint64_t> applied;
+  AppliedFrontier applied;
   Payload app_state;  // full snapshot, or the app's delta encoding
   Payload reply_cache;
 
@@ -117,6 +125,10 @@ struct CheckpointMsg {
       io.check(m.base_epoch < m.delta_epoch, "delta checkpoint chains backwards");
     }
     io.seq(m.applied, 16);  // client + retention id
+    io.check(std::ranges::adjacent_find(m.applied, std::greater_equal<>{},
+                                        &AppliedFrontier::value_type::first) ==
+                 m.applied.end(),
+             "checkpoint frontier clients not strictly increasing");
     io(m.app_state, m.reply_cache);
   }
 };

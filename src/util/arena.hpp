@@ -1,24 +1,20 @@
-// Allocation-recycling helpers for the hot paths: a string interner for the
-// tracer's repeated span labels and a buffer pool for wire frames.
+// An allocation-recycling helper for the hot paths: a string interner for
+// the tracer's repeated span labels.
 //
-// Both follow the slot-pool idiom used across the codebase (see
-// sim::detail::EventSlotPool): ownership stays in one arena, hot paths hand
-// out references or recycled slots, and the steady state performs no
-// allocation. Neither is thread-safe, and neither needs to be: every
-// instance is owned by a single kernel's object graph (the tracer's
-// interner, a link's frame pool), and a kernel is confined to one thread —
-// the parallel campaign fleet gives each trial its own kernel rather than
-// sharing these across threads.
+// It follows the slot-pool idiom used across the codebase (see
+// sim::detail::EventSlotPool): ownership stays in one arena, the hot path
+// hands out references, and the steady state performs no allocation. It is
+// not thread-safe, and need not be: every instance is owned by a single
+// kernel's object graph (the tracer), and a kernel is confined to one
+// thread — the parallel campaign fleet gives each trial its own kernel
+// rather than sharing these across threads.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "util/bytes.hpp"
 
 namespace vdep {
 
@@ -41,38 +37,6 @@ class StringInterner {
   // lifetime, so returned views never dangle. Transparent comparator lets
   // lookups run on the string_view without constructing a std::string.
   std::set<std::string, std::less<>> strings_;
-};
-
-// Recycles ref-counted byte buffers for short-lived wire frames. A slot is
-// reusable once every Payload aliasing it has been dropped (use_count back
-// to 1), which restores the "frozen after build" Payload invariant before
-// the buffer is written again.
-class BufferPool {
- public:
-  explicit BufferPool(std::size_t max_pooled = 64) : max_pooled_(max_pooled) {}
-
-  // A buffer resized to `size`: recycled when an unreferenced slot exists,
-  // freshly allocated (and pooled for next time, up to the cap) otherwise.
-  [[nodiscard]] std::shared_ptr<Bytes> acquire(std::size_t size) {
-    for (std::size_t probes = 0; probes < pool_.size(); ++probes) {
-      cursor_ = cursor_ + 1 < pool_.size() ? cursor_ + 1 : 0;
-      auto& slot = pool_[cursor_];
-      if (slot.use_count() == 1) {
-        slot->resize(size);
-        return slot;
-      }
-    }
-    auto buf = std::make_shared<Bytes>(size);
-    if (pool_.size() < max_pooled_) pool_.push_back(buf);
-    return buf;
-  }
-
-  [[nodiscard]] std::size_t pooled() const { return pool_.size(); }
-
- private:
-  std::size_t max_pooled_;
-  std::vector<std::shared_ptr<Bytes>> pool_;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace vdep

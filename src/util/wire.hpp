@@ -190,6 +190,12 @@ class Reader {
     }
   }
 
+  template <typename K, typename V>
+  void get(std::pair<K, V>& kv) {
+    get(kv.first);
+    get(kv.second);
+  }
+
   ByteReader r_;
 };
 

@@ -3,6 +3,12 @@
 // proving the replication API is application-agnostic.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <random>
+#include <span>
+#include <string>
+
 #include "app/kv_store.hpp"
 #include "harness/scenario.hpp"
 
@@ -155,6 +161,150 @@ TEST(KvStore, StateSizeTracksContent) {
   const auto empty = kv.state_size();
   (void)kv.invoke("put", KvStoreServant::encode_put("key", std::string(100, 'v')));
   EXPECT_GT(kv.state_size(), empty + 100);
+}
+
+// The delta and state-size algorithm the store replaced, kept as a reference:
+// it walks every stamp and every entry on each call.
+struct ReferenceStore {
+  std::map<std::string, std::string> data;
+  std::map<std::string, std::uint64_t> write_epoch;
+  std::map<std::string, std::uint64_t> tombstone;
+  std::uint64_t epoch = 1;
+  std::uint64_t floor = 0;
+
+  void written(const std::string& key) {
+    write_epoch[key] = epoch;
+    tombstone.erase(key);
+  }
+  void erased(const std::string& key) {
+    write_epoch.erase(key);
+    tombstone[key] = epoch;
+  }
+  void restore(std::span<const std::uint8_t> snapshot) {
+    data.clear();
+    ByteReader r(snapshot);
+    const auto n = r.u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::string key = r.str();
+      data[std::move(key)] = r.str();
+    }
+    write_epoch.clear();
+    tombstone.clear();
+    floor = epoch;
+  }
+  void apply_delta(std::span<const std::uint8_t> delta) {
+    ByteReader r(delta);
+    const auto upserts = r.u32();
+    for (std::uint32_t i = 0; i < upserts; ++i) {
+      std::string key = r.str();
+      data[key] = r.str();
+      written(key);
+    }
+    const auto erasures = r.u32();
+    for (std::uint32_t i = 0; i < erasures; ++i) {
+      const std::string key = r.str();
+      data.erase(key);
+      erased(key);
+    }
+  }
+  [[nodiscard]] std::optional<Bytes> delta(std::uint64_t since) const {
+    if (since < floor || since >= epoch) return std::nullopt;
+    ByteWriter w;
+    std::uint32_t upserts = 0;
+    for (const auto& [key, stamp] : write_epoch) upserts += stamp > since ? 1 : 0;
+    w.u32(upserts);
+    for (const auto& [key, stamp] : write_epoch) {
+      if (stamp <= since) continue;
+      w.str(key);
+      w.str(data.at(key));
+    }
+    std::uint32_t erasures = 0;
+    for (const auto& [key, stamp] : tombstone) erasures += stamp > since ? 1 : 0;
+    w.u32(erasures);
+    for (const auto& [key, stamp] : tombstone) {
+      if (stamp > since) w.str(key);
+    }
+    return std::move(w).take();
+  }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t total = 4;
+    for (const auto& [key, value] : data) total += key.size() + value.size() + 8;
+    return total;
+  }
+};
+
+// Applies one seeded random mutation to `kv` (and to `ref` when given).
+void random_mutation(std::mt19937_64& rng, KvStoreServant& kv, ReferenceStore* ref) {
+  const std::string key = "k" + std::to_string(rng() % 24);
+  const std::string value(rng() % 20, static_cast<char>('a' + rng() % 26));
+  switch (rng() % 3) {
+    case 0:
+      (void)kv.invoke("put", KvStoreServant::encode_put(key, value));
+      if (ref != nullptr) {
+        ref->data[key] = value;
+        ref->written(key);
+      }
+      break;
+    case 1:
+      (void)kv.invoke("append", KvStoreServant::encode_append(key, value));
+      if (ref != nullptr) {
+        ref->data[key] += value;
+        ref->written(key);
+      }
+      break;
+    default:
+      if (KvStoreServant::decode_flag(
+              kv.invoke("erase", KvStoreServant::encode_key(key)).output) &&
+          ref != nullptr) {
+        ref->data.erase(key);
+        ref->erased(key);
+      }
+      break;
+  }
+}
+
+TEST(KvStore, DeltaAndStateSizeMatchTheFullWalkUnderRandomHistories) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    KvStoreServant kv;
+    ReferenceStore ref;
+    // A second store whose snapshots and deltas the first one installs.
+    KvStoreServant peer;
+    std::uint64_t peer_cut = peer.cut_epoch();
+    for (int step = 0; step < 1500; ++step) {
+      const auto roll = rng() % 100;
+      if (roll < 70) {
+        random_mutation(rng, kv, &ref);
+      } else if (roll < 82) {
+        EXPECT_EQ(kv.cut_epoch(), ref.epoch++);
+      } else if (roll < 92) {
+        random_mutation(rng, peer, nullptr);
+        random_mutation(rng, peer, nullptr);
+        const auto delta = peer.snapshot_delta(peer_cut);
+        ASSERT_TRUE(delta.has_value());
+        peer_cut = peer.cut_epoch();
+        kv.apply_delta(*delta);
+        ref.apply_delta(*delta);
+      } else if (roll < 96) {
+        const Bytes snapshot = (rng() % 2 == 0 ? peer : kv).snapshot();
+        kv.restore(snapshot);
+        ref.restore(snapshot);
+      } else {
+        random_mutation(rng, peer, nullptr);
+      }
+
+      ASSERT_EQ(kv.state_size(), ref.size()) << "step " << step;
+      ASSERT_EQ(kv.items(), ref.data) << "step " << step;
+      // Every cut from just below the floor to the open epoch, answerable or
+      // not, older than the last cut included.
+      for (std::uint64_t since = ref.floor == 0 ? 0 : ref.floor - 1; since <= ref.epoch;
+           ++since) {
+        ASSERT_EQ(kv.snapshot_delta(since), ref.delta(since))
+            << "step " << step << " since " << since;
+      }
+    }
+  }
 }
 
 // --- end-to-end on the replicated stack -------------------------------------

@@ -6,7 +6,6 @@
 // full checkpoint of the same cut would put them.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 
 #include "harness/scenario.hpp"
@@ -158,7 +157,7 @@ int build_chain(Scenario& scenario) {
 
 // What a full checkpoint cut at the chain's tip would install.
 struct FullCut {
-  std::map<ProcessId, std::uint64_t> applied;
+  replication::AppliedFrontier applied;
   Bytes replies;
 };
 

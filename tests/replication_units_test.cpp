@@ -224,8 +224,7 @@ TEST(Envelope, BadTypeThrows) {
 TEST(CheckpointMsgCodec, RoundTrip) {
   CheckpointMsg msg;
   msg.checkpoint_id = 0xabcdef;
-  msg.applied[ProcessId{1}] = 321;
-  msg.applied[ProcessId{9}] = 7;
+  msg.applied = {{ProcessId{1}, 321}, {ProcessId{9}, 7}};
   msg.app_state = filler_bytes(100);
   msg.reply_cache = filler_bytes(30, 7);
   CheckpointMsg out = CheckpointMsg::decode(msg.encode());
@@ -241,7 +240,7 @@ TEST(CheckpointMsgCodec, FullEncodingIsByteIdenticalToPreDeltaFormat) {
   // pins the original layout by hand.
   CheckpointMsg msg;
   msg.checkpoint_id = 0x12345678;
-  msg.applied[ProcessId{2}] = 9;
+  msg.applied = {{ProcessId{2}, 9}};
   msg.app_state = Bytes{0xaa, 0xbb};
   msg.reply_cache = Bytes{0xcc};
 
@@ -261,7 +260,7 @@ TEST(CheckpointMsgCodec, DeltaRoundTripCarriesChainEpochs) {
   msg.checkpoint_id = (7ULL << 20) | 4;
   msg.base_epoch = (7ULL << 20) | 3;
   msg.delta_epoch = msg.checkpoint_id;
-  msg.applied[ProcessId{1}] = 17;
+  msg.applied = {{ProcessId{1}, 17}};
   msg.app_state = filler_bytes(12, 3);
   msg.reply_cache = filler_bytes(5, 9);
   CheckpointMsg out = CheckpointMsg::decode(msg.encode(), CheckpointMsg::Kind::kDelta);
@@ -310,6 +309,29 @@ TEST(CheckpointMsgCodec, DeltaValidationRejectsCorruptChains) {
   }
   EXPECT_NO_THROW((void)CheckpointMsg::decode(Payload(Bytes(good)),
                                               CheckpointMsg::Kind::kDelta));
+}
+
+TEST(CheckpointMsgCodec, RejectsFrontierClientsNotStrictlyIncreasing) {
+  // The frontier travels sorted by client, each client once; a decoder that
+  // took a repeated or descending client would hold a frontier that no
+  // encoder can produce.
+  const auto encoded = [](std::initializer_list<std::uint64_t> clients) {
+    ByteWriter w;
+    w.u64(5);  // checkpoint_id
+    w.u32(static_cast<std::uint32_t>(clients.size()));
+    for (std::uint64_t client : clients) {
+      w.u64(client);
+      w.u64(1);  // retention id
+    }
+    w.bytes(Bytes{});
+    w.bytes(Bytes{});
+    return Payload(std::move(w).take());
+  };
+  EXPECT_THROW((void)CheckpointMsg::decode(encoded({3, 3})), DecodeError);
+  EXPECT_THROW((void)CheckpointMsg::decode(encoded({1, 4, 2})), DecodeError);
+  const CheckpointMsg ok = CheckpointMsg::decode(encoded({1, 2, 4}));
+  ASSERT_EQ(ok.applied.size(), 3u);
+  EXPECT_EQ(ok.applied.back().first, ProcessId{4});
 }
 
 TEST(StateTransferMsgCodec, RoundTripAnchorPlusDeltaSuffix) {
