@@ -1,5 +1,6 @@
-// Fixed instances of every infrastructure wire encoding, shared by the
-// golden-bytes pin and the decoder mutation sweep. Each blob carries the
+// Fixed instances of every infrastructure wire encoding and checkpointed
+// application state layout, shared by the golden-bytes pin and the decoder
+// mutation sweep. Each blob carries the
 // codec's decode-then-encode round trip, so a test can both check that a
 // blob survives decoding unchanged and feed the decoder mutated copies.
 #pragma once
@@ -9,12 +10,16 @@
 #include <string>
 #include <vector>
 
+#include "app/kv_store.hpp"
+#include "app/test_app.hpp"
 #include "gcs/message.hpp"
 #include "gcs/view.hpp"
 #include "monitor/replicated_state.hpp"
 #include "net/fault_plan.hpp"
+#include "orb/cdr.hpp"
 #include "replication/reply_cache.hpp"
 #include "replication/types.hpp"
+#include "shard/shard_servant.hpp"
 #include "util/bytes.hpp"
 #include "util/payload.hpp"
 
@@ -92,7 +97,62 @@ inline replication::CheckpointMsg sample_delta_checkpoint() {
   return m;
 }
 
-// The 17 pinned encodings, in a fixed order.
+// Checkpointed application state: the servant's snapshot and delta encodings
+// round-trip through restore -> snapshot and apply_delta -> snapshot_delta.
+template <typename Servant>
+Bytes reencode_snapshot(std::span<const std::uint8_t> raw) {
+  Servant restored;
+  restored.restore(raw);
+  return restored.snapshot();
+}
+
+template <typename Servant>
+Bytes reencode_delta(std::span<const std::uint8_t> raw) {
+  Servant applied;
+  const std::uint64_t base = applied.cut_epoch();
+  applied.apply_delta(raw);
+  return *applied.snapshot_delta(base);
+}
+
+inline void kv_put(app::KvStoreServant& store, const std::string& key,
+                   const std::string& value) {
+  (void)store.invoke("put", app::KvStoreServant::encode_put(key, value));
+}
+
+inline shard::ShardServant::Result shard_control(shard::ShardServant& servant,
+                                                 const std::string& operation,
+                                                 std::uint64_t id,
+                                                 const shard::KeyRange* range = nullptr,
+                                                 std::uint64_t post_epoch = 0,
+                                                 std::uint64_t target = 0) {
+  orb::CdrWriter w;
+  w.ulonglong(id);
+  if (range != nullptr) {
+    w.ulong(range->lo);
+    w.ulong(range->hi);
+    w.ulonglong(post_epoch);
+    w.ulonglong(target);
+  }
+  return servant.invoke(operation, std::move(w).take());
+}
+
+// A shard that has released one migration (done set, fence epoch) and is
+// frozen mid-way through a second, holding the keys it kept: kiwi and date
+// hash below 0x40000000, apple and lime into the frozen quarter, pear and
+// fig into the released half.
+inline void sample_shard(shard::ShardServant& servant) {
+  for (const char* key : {"apple", "pear", "kiwi", "lime", "date", "fig"}) {
+    const std::string value = std::string(key).substr(0, 2);
+    (void)servant.invoke("put", shard::ShardServant::encode_data_args(1, key, &value));
+  }
+  const shard::KeyRange upper{0x80000000u, 0xffffffffu};
+  (void)shard_control(servant, "shard.freeze", 1, &upper, 2, 9);
+  (void)shard_control(servant, "shard.release", 1);
+  const shard::KeyRange middle{0x40000000u, 0x7fffffffu};
+  (void)shard_control(servant, "shard.freeze", 2, &middle, 3, 10);
+}
+
+// The pinned encodings, in a fixed order.
 inline std::vector<WireBlob> wire_blobs() {
   using replication::CheckpointMsg;
   std::vector<WireBlob> out;
@@ -181,6 +241,36 @@ inline std::vector<WireBlob> wire_blobs() {
                    restored.restore(Payload::copy_of(raw));
                    return restored.serialize_recent(restored.size());
                  }});
+
+  app::KvStoreServant kv;
+  kv_put(kv, "alpha", "1");
+  kv_put(kv, "beta", "22");
+  kv_put(kv, "gamma", "");
+  out.push_back({"KvStore.snapshot", kv.snapshot(),
+                 reencode_snapshot<app::KvStoreServant>});
+  const std::uint64_t kv_cut = kv.cut_epoch();
+  kv_put(kv, "delta", "4444");
+  kv_put(kv, "alpha", "55");
+  (void)kv.invoke("erase", app::KvStoreServant::encode_key("beta"));
+  (void)kv.invoke("erase", app::KvStoreServant::encode_key("omega"));
+  out.push_back({"KvStore.delta", *kv.snapshot_delta(kv_cut),
+                 reencode_delta<app::KvStoreServant>});
+
+  shard::ShardServant sharded({{0, 0xffffffffu}}, 1);
+  sample_shard(sharded);
+  out.push_back({"ShardServant.snapshot", sharded.snapshot(),
+                 reencode_snapshot<shard::ShardServant>});
+  const std::uint64_t shard_cut = sharded.cut_epoch();
+  const std::string value = "le";
+  (void)sharded.invoke("put", shard::ShardServant::encode_data_args(3, "lemon", &value));
+  (void)sharded.invoke("erase", shard::ShardServant::encode_data_args(3, "date", nullptr));
+  out.push_back({"ShardServant.delta", *sharded.snapshot_delta(shard_cut),
+                 reencode_delta<shard::ShardServant>});
+
+  app::TestServant test_app({.state_bytes = 6, .reply_bytes = 16});
+  (void)test_app.invoke("process", filler_bytes(4));
+  out.push_back({"TestServant.snapshot", test_app.snapshot(),
+                 reencode_snapshot<app::TestServant>});
   return out;
 }
 

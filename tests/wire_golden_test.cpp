@@ -1,5 +1,5 @@
 // Golden-bytes pin for the infrastructure wire encodings: the FNV-1a hash of
-// a fixed instance of every message. A round trip cannot see a field order
+// a fixed instance of every message and of every checkpointed app layout. A round trip cannot see a field order
 // that changes symmetrically in encoder and decoder; these hashes can.
 // Re-baseline only for a deliberate wire-format change.
 #include <gtest/gtest.h>
@@ -31,6 +31,11 @@ TEST(WireBytes, GoldenEncodingsAndRoundTrips) {
       {"FaultPlan", 0x1f3c6a42a831c7c9ULL},
       {"StateEntry", 0x62b35f5a2fbe28feULL},
       {"ReplyCache", 0x337bf9ce7ce7bb7bULL},
+      {"KvStore.snapshot", 0x83734cade739e45fULL},
+      {"KvStore.delta", 0xac3adf6dcd23c140ULL},
+      {"ShardServant.snapshot", 0x805481236c3229e7ULL},
+      {"ShardServant.delta", 0xfd4ded8206d43dc9ULL},
+      {"TestServant.snapshot", 0x6854f7709cff2094ULL},
   };
   const auto blobs = wire_blobs();
   ASSERT_EQ(blobs.size(), expected.size());
