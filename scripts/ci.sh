@@ -39,8 +39,8 @@ for arg in "$@"; do
 done
 
 echo "== tier-1 (default build) =="
-# Warnings are errors on the default build; the sanitizer and benchmark
-# trees below keep the toolchain's default.
+# Warnings are errors on the default build and the perfbench build; the
+# sanitizer and benchmark trees below keep the toolchain's default.
 cmake -B "${repo_root}/build" -S "${repo_root}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${repo_root}/build" -j"${jobs}"
 ctest --test-dir "${repo_root}/build" -L tier1 --output-on-failure -j"${jobs}"
@@ -91,8 +91,11 @@ echo "== repository benchmark compiles and runs correct =="
 # then runs for 1 s; its last output line is a JSON result whose "correct"
 # field carries the workload's own checks, and its "digest" lines hash the
 # simulated results, which must match goldens/perfbench_digests.json: a
-# speed-up that moves a simulated result fails here.
-cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench"
+# speed-up that moves a simulated result fails here. The tree builds at -O3
+# (perfbench's Release), whose extra analysis catches what the default
+# build's warnings do not, so warnings are errors here too.
+cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-perfbench" \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${repo_root}/build-perfbench" -j"${jobs}" --target perfbench
 # --trace 1 adds the checks that only a traced run makes: tracing does not
 # change the run, no span is dropped, at most 1% of requests lack a complete

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "orb/cdr.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::app {
 
@@ -73,23 +74,11 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
 }
 
 Bytes KvStoreServant::snapshot() const {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(data_.size()));
-  for (const auto& [key, value] : data_) {
-    w.str(key);
-    w.str(value);
-  }
-  return std::move(w).take();
+  return wire::encode(KvItems<const std::map<std::string, std::string>&>{data_}, bytes_);
 }
 
 void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
-  data_.clear();
-  ByteReader r(snapshot);
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    data_[std::move(key)] = r.str();
-  }
+  data_ = wire::decode<KvItems<std::map<std::string, std::string>>>(snapshot).items;
   bytes_ = 4;
   for (const auto& [key, value] : data_) bytes_ += key.size() + value.size() + 8;
   // The stamps described the overwritten state; deltas can only be answered
@@ -143,41 +132,28 @@ std::optional<Bytes> KvStoreServant::snapshot_delta(std::uint64_t since_epoch) c
   // is everything stamped after it: the newest end of the stamp list.
   // Unanswerable once tracking was reset.
   if (since_epoch < delta_floor_ || since_epoch >= epoch_) return std::nullopt;
-  std::vector<const StampNode*> upserts;
-  std::vector<const StampNode*> erased;
+  KvDelta<std::string_view> delta;
+  std::size_t bytes = 8;
   for (const StampNode* n = newest_; n != nullptr && n->second.epoch > since_epoch;
        n = n->second.older) {
-    (n->second.value == nullptr ? erased : upserts).push_back(n);
+    const std::string& key = n->first;
+    if (n->second.value == nullptr) {
+      delta.erased.emplace_back(key);
+      bytes += 4 + key.size();
+    } else {
+      delta.upserts.items.emplace_back(key, *n->second.value);
+      bytes += 8 + key.size() + n->second.value->size();
+    }
   }
-  const auto by_key = [](const StampNode* a, const StampNode* b) {
-    return a->first < b->first;
-  };
-  std::sort(upserts.begin(), upserts.end(), by_key);
-  std::sort(erased.begin(), erased.end(), by_key);
-  std::size_t bytes = 8;
-  for (const StampNode* n : upserts) bytes += 8 + n->first.size() + n->second.value->size();
-  for (const StampNode* n : erased) bytes += 4 + n->first.size();
-  ByteWriter w(bytes);
-  w.u32(static_cast<std::uint32_t>(upserts.size()));
-  for (const StampNode* n : upserts) {
-    w.str(n->first);
-    w.str(*n->second.value);
-  }
-  w.u32(static_cast<std::uint32_t>(erased.size()));
-  for (const StampNode* n : erased) w.str(n->first);
-  return std::move(w).take();
+  std::ranges::sort(delta.upserts.items);
+  std::ranges::sort(delta.erased);
+  return wire::encode(delta, bytes);
 }
 
 void KvStoreServant::apply_delta(std::span<const std::uint8_t> delta) {
-  ByteReader r(delta);
-  const auto upserts = r.u32();
-  for (std::uint32_t i = 0; i < upserts; ++i) {
-    std::string key = r.str();
-    assign(key, r.str());
-  }
-  const auto erased = r.u32();
-  for (std::uint32_t i = 0; i < erased; ++i) {
-    const std::string key = r.str();
+  auto decoded = wire::decode<KvDelta<std::string>>(delta);
+  for (auto& [key, value] : decoded.upserts.items) assign(key, std::move(value));
+  for (const auto& key : decoded.erased) {
     if (!erase(key)) stamp(key, nullptr);
   }
 }

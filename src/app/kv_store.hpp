@@ -20,12 +20,45 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "replication/app_state.hpp"
 #include "util/calibration.hpp"
 
 namespace vdep::app {
+
+// The KV item list, `u32 n; (str key, str value)*` in key order: a store's
+// snapshot, the upserts of its delta and the range a shard donates. `Items`
+// is a map or a vector of pairs to decode into; a const map reference or
+// pairs of std::string_view encode without copying the store.
+template <typename Items>
+struct KvItems {
+  Items items;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, KvItems& m) {
+    io.seq(m.items, 8);  // two empty strings
+  }
+};
+using KvPairs = KvItems<std::vector<std::pair<std::string, std::string>>>;
+using KvPairViews = KvItems<std::vector<std::pair<std::string_view, std::string_view>>>;
+
+// A delta: the keys written since the base cut with their values, then the
+// keys erased, each list in key order. `Str` is std::string to decode and
+// std::string_view to encode.
+template <typename Str>
+struct KvDelta {
+  KvItems<std::vector<std::pair<Str, Str>>> upserts;
+  std::vector<Str> erased;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, KvDelta& m) {
+    io(m.upserts);
+    io.seq(m.erased, 4);
+  }
+};
 
 class KvStoreServant final : public replication::Checkpointable {
  public:
@@ -47,7 +80,8 @@ class KvStoreServant final : public replication::Checkpointable {
   // only the keys written or erased after the cut labelled `e` — its wall
   // cost follows the dirty set, not the store. restore() resets the
   // tracking, after which only cuts taken from the restored state are
-  // answerable.
+  // answerable. restore() and apply_delta() decode their input whole before
+  // they apply it: a malformed one throws DecodeError and changes nothing.
   [[nodiscard]] bool supports_delta() const override { return true; }
   std::uint64_t cut_epoch() override;
   [[nodiscard]] std::optional<Bytes> snapshot_delta(

@@ -2,6 +2,7 @@
 
 #include "orb/cdr.hpp"
 #include "util/assert.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::app {
 
@@ -50,19 +51,16 @@ orb::Servant::Result TestServant::invoke(const std::string& operation,
   return result;
 }
 
-Bytes TestServant::snapshot() const {
-  ByteWriter w(state_.size() + 24);
-  w.u64(counter_);
-  w.u64(digest_);
-  w.bytes(state_);
-  return std::move(w).take();
-}
+Bytes TestServant::snapshot() const { return wire::encode(*this, state_.size() + 24); }
 
 void TestServant::restore(std::span<const std::uint8_t> snapshot) {
-  ByteReader r(snapshot);
-  counter_ = r.u64();
-  digest_ = r.u64();
-  state_ = r.bytes();
+  // Decoded whole first: a malformed snapshot leaves this state unchanged.
+  TestServant decoded(Config{.state_bytes = 0, .reply_bytes = 0});
+  wire::Reader r(snapshot);
+  r(decoded);
+  counter_ = decoded.counter_;
+  digest_ = decoded.digest_;
+  state_ = std::move(decoded.state_);
 }
 
 std::size_t TestServant::state_size() const { return state_.size() + 16; }

@@ -52,6 +52,12 @@ class TestServant final : public replication::Checkpointable {
   [[nodiscard]] std::uint64_t counter() const { return counter_; }
 
  private:
+  // The snapshot layout.
+  template <typename IO>
+  friend void wire_fields(IO& io, TestServant& m) {
+    io(m.counter_, m.digest_, m.state_);
+  }
+
   Config config_;
   Bytes state_;
   std::uint64_t counter_ = 0;

@@ -45,7 +45,12 @@ void RecordedClient::issue_next() {
   } else {
     rec.op = draw < config_.append_ratio + (1.0 - config_.append_ratio) / 2.0 ? "put" : "get";
     rec.key = config_.key_prefix + std::to_string(rng_.below(config_.key_space));
-    if (rec.op == "put") value = "v" + std::to_string(rec.seq);
+    if (rec.op == "put") {
+      // Appended: GCC 12 at -O3 misreads "v" + std::to_string(..) as an
+      // overlapping copy (-Wrestrict).
+      value += 'v';
+      value += std::to_string(rec.seq);
+    }
   }
   history_.push_back(rec);
 

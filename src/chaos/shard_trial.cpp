@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "shard/cluster.hpp"
 #include "util/assert.hpp"
@@ -139,6 +140,14 @@ RecordedClient::Send router_sender(shard::ShardRouter& router) {
 
 TrialResult run_shard_trial(const TrialConfig& config, const net::FaultPlan& plan) {
   VDEP_ASSERT(config.shards > 1);
+  // The cluster has no dedup-bug seam and no health plane: running without
+  // them would pass a weaker trial than the one asked for.
+  if (config.inject_dedup_bug) {
+    throw std::invalid_argument("sharded trials do not support TrialConfig::inject_dedup_bug");
+  }
+  if (config.health) {
+    throw std::invalid_argument("sharded trials do not support TrialConfig::health");
+  }
   Rng split_rng = Rng(config.seed).fork(0x59117);
 
   shard::ShardedClusterConfig cc;

@@ -49,6 +49,8 @@ struct TrialKind {
 // this call, so the caller must not run the kernel again afterwards.
 [[nodiscard]] TrialResult drive_trial(const TrialConfig& config, const TrialKind& kind);
 
+// Throws std::invalid_argument when `config` sets inject_dedup_bug or
+// health, which only single-group trials implement.
 [[nodiscard]] TrialResult run_shard_trial(const TrialConfig& config,
                                           const net::FaultPlan& plan);
 

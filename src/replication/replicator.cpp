@@ -677,7 +677,7 @@ void Replicator::checkpoint_tick() {
 bool Replicator::can_cut_delta() const {
   return !anchor_requested_ && params_.checkpoint_anchor_interval > 1 &&
          app_.supports_delta() && last_cut_id_.has_value() &&
-         deltas_since_anchor_ + 1 < params_.checkpoint_anchor_interval;
+         chain_deltas_.size() + 1 < params_.checkpoint_anchor_interval;
 }
 
 CheckpointMsg Replicator::new_cut(bool delta) {
@@ -733,12 +733,10 @@ void Replicator::cut_and_multicast(bool donation) {
   Payload enc = msg.encode();
   if (is_delta) {
     chain_deltas_.push_back(enc);
-    ++deltas_since_anchor_;
     ++checkpoints_delta_;
   } else {
     chain_anchor_ = enc;
     chain_deltas_.clear();
-    deltas_since_anchor_ = 0;
     anchor_requested_ = false;
     ++checkpoints_full_;
   }
@@ -881,7 +879,6 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
   last_cut_id_.reset();
   chain_anchor_ = Payload();
   chain_deltas_.clear();
-  deltas_since_anchor_ = 0;
   // Deserialization cost: occupy the CPU (delays whatever comes next). A
   // delta costs its own (dirty-set) bytes, not the full state.
   network_.cpu(process_.host())

@@ -269,7 +269,6 @@ class Replicator {
   std::optional<std::uint64_t> last_cut_id_;  // our last group checkpoint
   std::uint64_t last_cut_app_epoch_ = 0;      // app epoch of that cut
   std::uint64_t last_cut_replies_ = 0;        // reply_cache_.added() at that cut
-  std::uint64_t deltas_since_anchor_ = 0;
   bool anchor_requested_ = false;   // next cut must be a full anchor
   bool pending_donation_ = false;   // state request arrived mid-round
   Payload chain_anchor_;            // encoded full CheckpointMsg

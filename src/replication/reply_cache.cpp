@@ -1,10 +1,27 @@
 #include "replication/reply_cache.hpp"
 
 #include <iterator>
+#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::replication {
+
+namespace {
+
+// What checkpoints carry, oldest first. Decoded replies alias the frame.
+struct Replies {
+  std::vector<std::pair<RequestId, Payload>> entries;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, Replies& m) {
+    io.seq(m.entries, 20);  // client + seq + reply length
+  }
+};
+
+}  // namespace
 
 ReplyCache::ReplyCache(std::size_t capacity) : capacity_(capacity) {
   VDEP_ASSERT(capacity > 0);
@@ -39,32 +56,26 @@ bool ReplyCache::contains(const RequestId& id) const { return entries_.contains(
 
 Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
   const std::size_t n = std::min(max_entries, order_.size());
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(n));
+  Replies replies;
+  replies.entries.reserve(n);
   // Walk back from the newest entry: O(n), not O(cache size).
   for (auto it = std::prev(order_.end(), static_cast<std::ptrdiff_t>(n));
        it != order_.end(); ++it) {
-    w.u64(it->client.value());
-    w.u64(it->seq);
-    w.bytes(entries_.at(*it));
+    replies.entries.emplace_back(*it, entries_.at(*it));
   }
-  return std::move(w).take();
+  return wire::encode(replies);
 }
 
 void ReplyCache::restore(const Payload& raw) {
+  // Decoded whole first: a malformed frame throws before the cache changes.
+  Replies replies = wire::decode<Replies>(raw);
   clear();
-  append(raw, capacity_);
+  for (auto& [id, reply] : replies.entries) put(id, std::move(reply));
 }
 
 void ReplyCache::append(const Payload& raw, std::size_t keep) {
-  ByteReader r(raw.owner(), raw);
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    RequestId id;
-    id.client = ProcessId{r.u64()};
-    id.seq = r.u64();
-    put(id, read_payload(r));
-  }
+  Replies replies = wire::decode<Replies>(raw);
+  for (auto& [id, reply] : replies.entries) put(id, std::move(reply));
   evict_to(keep);
 }
 

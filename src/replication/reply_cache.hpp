@@ -43,7 +43,9 @@ class ReplyCache {
   // them.
   [[nodiscard]] Bytes serialize_recent(std::size_t max_entries) const;
   // Replaces the cache with serialized replies (a full checkpoint's).
-  // Restored entries alias `raw`'s buffer when it carries an owner.
+  // Restored entries alias `raw`'s buffer when it carries an owner. Both
+  // decode `raw` whole first: a malformed one throws DecodeError and leaves
+  // the cache unchanged.
   void restore(const Payload& raw);
   // Appends serialized replies (a delta checkpoint's), then keeps only the
   // newest `keep` entries.

@@ -20,6 +20,15 @@ constexpr double kShardSloAvailabilityTarget = 0.99;
 constexpr double kPutRatio = 0.5;
 constexpr SimTime kWorkloadStart = msec(300);
 
+// `prefix` then `n` in decimal. Appended rather than written
+// `prefix + std::to_string(n)`, which GCC 12 at -O3 misreads as an
+// overlapping copy (-Wrestrict).
+std::string numbered(const char* prefix, std::int64_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
 ShardedClusterConfig normalized(ShardedClusterConfig config) {
   VDEP_ASSERT(config.shards >= 1);
   VDEP_ASSERT(config.clients >= 1);
@@ -107,7 +116,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
 harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& policy) {
   harness::ReplicaGroup::Config group;
   group.id = id;
-  group.name_prefix = "g" + std::to_string(id.value()) + "r";
+  group.name_prefix = numbered("g", static_cast<std::int64_t>(id.value())) + "r";
   group.style = static_cast<replication::ReplicationStyle>(policy.style);
   group.params.checkpoint_interval = config_.checkpoint_interval;
   group.params.checkpoint_every_requests = policy.checkpoint_every_requests;
@@ -247,8 +256,7 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
       return;
     }
     ++st.issued;
-    const std::string key =
-        "u" + std::to_string(st.rng.range(0, wc.key_space - 1));
+    const std::string key = numbered("u", st.rng.range(0, wc.key_space - 1));
     const SimTime issued_at = kernel().now();
     const double pick = st.rng.uniform01();
     auto& r = router(c);
@@ -281,9 +289,9 @@ ShardedCluster::WorkloadResult ShardedCluster::run_workload(const WorkloadConfig
       });
     };
     if (pick < kPutRatio) {
-      r.put(key, "v" + std::to_string(st.issued), on_done);
+      r.put(key, numbered("v", st.issued), on_done);
     } else if (pick < kPutRatio + wc.append_ratio) {
-      r.append(key, "[t" + std::to_string(st.issued) + "]", on_done);
+      r.append(key, numbered("[t", st.issued) + "]", on_done);
     } else {
       r.get(key, on_done);
     }

@@ -48,7 +48,6 @@ DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
       status = ShardStatus::kStaleEpoch;  // lost a reconfiguration race
     } else {
       map_ = std::move(*proposed);
-      ++commits_;
     }
     w.ulong(static_cast<std::uint32_t>(status));
     w.ulonglong(map_.epoch());

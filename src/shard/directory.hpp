@@ -43,7 +43,6 @@ class DirectoryServant final : public replication::Checkpointable {
   }
 
   [[nodiscard]] const ShardMap& map() const { return map_; }
-  [[nodiscard]] std::uint64_t commits() const { return commits_; }
 
   // --- client-side helpers ---------------------------------------------------
   static Bytes encode_commit(const ShardMap& map);
@@ -56,7 +55,6 @@ class DirectoryServant final : public replication::Checkpointable {
 
  private:
   ShardMap map_;
-  std::uint64_t commits_ = 0;
 };
 
 }  // namespace vdep::shard

@@ -4,7 +4,7 @@
 // total, non-overlapping cover of [0, 2^32) by inclusive ranges, each bound
 // to one replica group together with that shard's dependability policy
 // (replication style, replica count, checkpoint profile). Maps are immutable
-// values: every reconfiguration (split, move) produces a successor map with
+// values: every reconfiguration (a split) produces a successor map with
 // epoch+1, and the epoch is the fencing token clients and servants compare.
 //
 // The wire format is pinned by a golden-bytes test: magic "SMAP", a version
@@ -37,6 +37,11 @@ struct KeyRange {
   }
   [[nodiscard]] std::string str() const;
 
+  template <typename IO>
+  friend void wire_fields(IO& io, KeyRange& m) {
+    io(m.lo, m.hi);
+  }
+
   friend bool operator==(const KeyRange&, const KeyRange&) = default;
 };
 
@@ -62,7 +67,7 @@ struct ShardEntry {
 
   template <typename IO>
   friend void wire_fields(IO& io, ShardEntry& m) {
-    io(m.shard, m.range.lo, m.range.hi, m.group, m.policy.style, m.policy.replicas,
+    io(m.shard, m.range, m.group, m.policy.style, m.policy.replicas,
        m.policy.checkpoint_every_requests, m.policy.checkpoint_anchor_interval);
   }
 
@@ -103,10 +108,6 @@ class ShardMap {
   // Throws std::invalid_argument otherwise.
   [[nodiscard]] ShardMap split(std::uint32_t shard_id, std::uint32_t split_point,
                                GroupId target, const ShardPolicy& policy) const;
-
-  // Successor map (epoch+1) with `shard_id` rebound to `target` (whole-range
-  // migration). Throws std::invalid_argument for an unknown shard.
-  [[nodiscard]] ShardMap reassign(std::uint32_t shard_id, GroupId target) const;
 
   [[nodiscard]] Bytes encode() const;
   // Throws DecodeError on malformed input.

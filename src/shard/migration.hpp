@@ -1,4 +1,4 @@
-// MigrationController — drives online shard splits and whole-shard moves.
+// MigrationController — drives online shard splits.
 //
 // The controller is a plain client process (own ORB + ClientCoordinator):
 // every step below is a replicated request, so each step is exactly-once
@@ -36,7 +36,7 @@ class MigrationController {
   struct Record {
     std::uint64_t id = 0;           // migration id (unique per controller)
     std::uint32_t source_shard = 0;
-    std::uint32_t new_shard = 0;    // == source_shard for whole-shard moves
+    std::uint32_t new_shard = 0;    // the upper part's shard id
     KeyRange moved;
     GroupId from;
     GroupId to;
@@ -62,9 +62,6 @@ class MigrationController {
   void split(std::uint32_t shard_id, std::uint32_t split_point,
              GroupId target_group, const ShardPolicy& policy, Done done = {});
 
-  // Move the whole of `shard_id` to `target_group`.
-  void move(std::uint32_t shard_id, GroupId target_group, Done done = {});
-
   [[nodiscard]] bool idle() const { return !busy_ && queue_.empty(); }
   [[nodiscard]] const std::vector<Record>& history() const { return history_; }
   [[nodiscard]] std::uint64_t bytes_moved_total() const { return bytes_moved_total_; }
@@ -75,7 +72,7 @@ class MigrationController {
   void run(std::shared_ptr<Job> job);
   void step(std::shared_ptr<Job> job, const std::string& what,
             const orb::ObjectRef& ref, const std::string& operation, Bytes args,
-            std::function<void(ShardStatus, Bytes)> on_ok);
+            std::function<void(Bytes)> on_ok);
   void finish(std::shared_ptr<Job> job, bool success, const std::string& error);
   [[nodiscard]] orb::ObjectRef group_ref(GroupId group) const;
 

@@ -63,6 +63,8 @@ class ShardServant final : public replication::Checkpointable {
   //   "shard.release"  {ulonglong m}
   Result invoke(const std::string& operation, const Bytes& args) override;
 
+  // A snapshot or delta decodes whole before it is applied: a malformed one
+  // throws DecodeError and changes nothing.
   [[nodiscard]] Bytes snapshot() const override;
   void restore(std::span<const std::uint8_t> snapshot) override;
   [[nodiscard]] std::size_t state_size() const override;
@@ -77,10 +79,12 @@ class ShardServant final : public replication::Checkpointable {
   // --- introspection (oracles/tests read replica state directly) ------------
   [[nodiscard]] const app::KvStoreServant& store() const { return inner_; }
   [[nodiscard]] app::KvStoreServant& store() { return inner_; }
-  [[nodiscard]] const std::vector<KeyRange>& owned_ranges() const { return owned_; }
+  [[nodiscard]] const std::vector<KeyRange>& owned_ranges() const {
+    return control_.owned;
+  }
   [[nodiscard]] bool owns(std::uint32_t hash) const;
-  [[nodiscard]] bool frozen() const { return frozen_.has_value(); }
-  [[nodiscard]] std::uint64_t fence_epoch() const { return fence_epoch_; }
+  [[nodiscard]] bool frozen() const { return control_.frozen.has_value(); }
+  [[nodiscard]] std::uint64_t fence_epoch() const { return control_.fence_epoch; }
   // Keys currently stored whose hash falls outside every owned range
   // (serving them would violate ownership; should be empty after release).
   [[nodiscard]] std::size_t stray_keys() const;
@@ -100,6 +104,30 @@ class ShardServant final : public replication::Checkpointable {
     KeyRange range;
     std::uint64_t post_epoch = 0;  // map epoch once the move commits
     GroupId target;
+
+    template <typename IO>
+    friend void wire_fields(IO& io, Migration& m) {
+      io(m.id, m.range, m.post_epoch, m.target);
+    }
+  };
+
+  // Fencing and migration state. It rides in full ahead of the store in
+  // every snapshot and delta: it is tiny and must survive any chain
+  // position, because a replica promoted from a delta chain mid-migration
+  // has to keep enforcing the freeze.
+  struct Control {
+    std::uint64_t fence_epoch = 0;
+    std::vector<KeyRange> owned;  // sorted by lo, disjoint
+    std::optional<Migration> frozen;
+    std::set<std::uint64_t> done;  // idempotency for install/release
+
+    template <typename IO>
+    friend void wire_fields(IO& io, Control& m) {
+      io(m.fence_epoch);
+      io.seq(m.owned, 8);
+      io(m.frozen);
+      io.seq(m.done, 8);
+    }
   };
 
   Result data_op(const std::string& operation, const Bytes& args);
@@ -114,15 +142,8 @@ class ShardServant final : public replication::Checkpointable {
   void owned_add(KeyRange range);
   void owned_remove(KeyRange range);
 
-  [[nodiscard]] Bytes encode_control() const;
-  // Returns the remaining (inner) portion of the buffer.
-  std::span<const std::uint8_t> decode_control(std::span<const std::uint8_t> raw);
-
   app::KvStoreServant inner_;
-  std::uint64_t fence_epoch_ = 0;
-  std::vector<KeyRange> owned_;  // sorted by lo, disjoint
-  std::optional<Migration> frozen_;
-  std::set<std::uint64_t> done_migrations_;  // idempotency for install/release
+  Control control_;
 };
 
 }  // namespace vdep::shard

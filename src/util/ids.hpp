@@ -56,6 +56,10 @@ struct RequestId {
   std::uint64_t seq = 0;
 
   friend constexpr auto operator<=>(const RequestId&, const RequestId&) = default;
+  template <typename IO>
+  friend void wire_fields(IO& io, RequestId& m) {
+    io(m.client, m.seq);
+  }
 
   [[nodiscard]] std::string str() const {
     return client.str() + "#" + std::to_string(seq);

@@ -1,18 +1,25 @@
 // Wire layouts stated once.
 //
-// Each infrastructure message declares its layout as one field list, a
-// `wire_fields(io, msg)` function found by argument-dependent lookup
-// (usually a hidden friend next to the fields it lists):
+// Each infrastructure message and each checkpointed state layout declares
+// its layout as one field list, a `wire_fields(io, msg)` function found by
+// argument-dependent lookup (usually a hidden friend next to the fields it
+// lists):
 //
 //   template <typename IO>
 //   friend void wire_fields(IO& io, OrdAck& m) { io(m.from, m.group, m.epoch, m.seq); }
 //
 // wire::Writer runs the list over a ByteWriter and wire::Reader runs the
 // same list over a ByteReader, so an encoder and its decoder cannot drift
-// apart. Field kinds:
+// apart. A decoder fills a fresh value, so a caller that commits the value
+// only after decoding returned never applies half a malformed input. Field
+// kinds:
 //   io(a, b, ...)            fixed-width integers, double, SimTime and ids
-//                            as 64-bit values, Payload and std::string as
-//                            length-prefixed blobs, nested messages inline
+//                            as 64-bit values, bool as one byte (decode
+//                            rejects values above 1), Payload, Bytes and
+//                            std::string (std::string_view to encode) as
+//                            length-prefixed blobs, std::optional as a
+//                            one-byte flag then the value, nested messages
+//                            inline
 //   io.enum_in(e, lo, hi, w) an enum as one byte, rejected outside [lo, hi]
 //   io.seq(c, min_bytes)     u32 count + elements of a vector, set or map;
 //                            decode bounds the count by the bytes left
@@ -26,8 +33,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -43,6 +52,11 @@ template <typename T>
 inline constexpr bool kIsId = false;
 template <typename Tag>
 inline constexpr bool kIsId<vdep::detail::StrongId<Tag>> = true;
+
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
 
 class Writer {
  public:
@@ -88,10 +102,16 @@ class Writer {
     else if constexpr (std::is_same_v<T, std::int64_t>) w_.i64(v);
     else if constexpr (std::is_same_v<T, double>) w_.f64(v);
     else if constexpr (std::is_same_v<T, SimTime>) w_.i64(v.count());
+    else if constexpr (std::is_same_v<T, bool>) w_.boolean(v);
     else if constexpr (kIsId<T>) w_.u64(v.value());
     else if constexpr (std::is_same_v<T, Payload>) w_.bytes(v);
+    else if constexpr (std::is_same_v<T, Bytes>) w_.bytes(v);
     else if constexpr (std::is_same_v<T, std::string>) w_.str(v);
-    else {
+    else if constexpr (std::is_same_v<T, std::string_view>) w_.str(v);
+    else if constexpr (kIsOptional<T>) {
+      put(v.has_value());
+      if (v) put(*v);
+    } else {
       static_assert(!std::is_enum_v<T>, "enums go through enum_in");
       // The field list takes its message by non-const reference so that
       // one list serves both directions; the Writer only reads through it.
@@ -181,10 +201,15 @@ class Reader {
     else if constexpr (std::is_same_v<T, std::int64_t>) v = r_.i64();
     else if constexpr (std::is_same_v<T, double>) v = r_.f64();
     else if constexpr (std::is_same_v<T, SimTime>) v = SimTime{r_.i64()};
+    else if constexpr (std::is_same_v<T, bool>) v = r_.boolean();
     else if constexpr (kIsId<T>) v = T{r_.u64()};
     else if constexpr (std::is_same_v<T, Payload>) v = read_payload(r_);
+    else if constexpr (std::is_same_v<T, Bytes>) v = r_.bytes();
     else if constexpr (std::is_same_v<T, std::string>) v = r_.str();
-    else {
+    else if constexpr (kIsOptional<T>) {
+      v.reset();
+      if (read<bool>()) v = read<typename T::value_type>();
+    } else {
       static_assert(!std::is_enum_v<T>, "enums go through enum_in");
       wire_fields(*this, v);
     }

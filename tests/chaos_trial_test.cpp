@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "chaos/campaign.hpp"
 #include "harness/scenario.hpp"
@@ -175,6 +177,28 @@ TEST(ChaosTrial, ShardedTrialReplaysAnExplicitPlan) {
   const TrialResult replay = run_trial(config, pair);
   EXPECT_EQ(replay.plan, pair) << replay.plan.to_string();
   EXPECT_TRUE(replay.pass()) << replay.verdict.to_string();
+}
+
+// A sharded trial has no dedup-bug seam and no health plane, so asking for
+// either is refused by name instead of running a weaker trial that passes.
+TEST(ChaosTrial, ShardedTrialRejectsSettingsItCannotHonour) {
+  TrialConfig config = small_trial(13);
+  config.shards = 4;
+  config.inject_dedup_bug = true;
+  try {
+    (void)run_trial(config);
+    ADD_FAILURE() << "inject_dedup_bug accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("inject_dedup_bug"), std::string::npos) << e.what();
+  }
+  config.inject_dedup_bug = false;
+  config.health = true;
+  try {
+    (void)run_trial(config);
+    ADD_FAILURE() << "health accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("health"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

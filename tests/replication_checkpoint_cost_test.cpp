@@ -239,5 +239,39 @@ TEST(DeltaContents, WarmPromotionAfterTheChainStaysExactlyOnce) {
   EXPECT_EQ(scenario.servant(1).counter(), static_cast<std::uint64_t>(issued));
 }
 
+// --- full installs -------------------------------------------------------------
+
+// A full install replaces the frontier: a client the anchor lacks is no
+// longer applied here, whether it sorts before the anchor's clients (the
+// merge's in-loop erase) or after them (its tail erase).
+TEST(FullInstall, DropsFrontierClientsTheAnchorLacks) {
+  ScenarioConfig config = idle_config(3);
+  config.clients = 3;
+  config.checkpoint_anchor_interval = 1;
+  Scenario scenario(config);
+  settle_clean(scenario);
+  EXPECT_EQ(request_round(scenario, 0, 1), 3);
+  run_for(scenario, kTick * 4);
+  Replicator& backup = scenario.replicator(1);
+  const replication::AppliedFrontier before = backup.applied_frontier();
+  ASSERT_EQ(before.size(), 3u);
+
+  // An anchor that holds only the middle client, multicast as another
+  // replica's checkpoint.
+  replication::CheckpointMsg anchor;
+  anchor.checkpoint_id = 0xfeed;
+  anchor.applied = {before[1]};
+  anchor.app_state = Payload(backup.app().snapshot());
+  anchor.reply_cache = Payload(replication::ReplyCache().serialize_recent(0));
+  const replication::RepEnvelope env{replication::RepEnvelope::Type::kCheckpoint,
+                                     Payload(anchor.encode())};
+  scenario.replicator(2).endpoint().multicast(scenario.group().id(), gcs::ServiceType::kSafe,
+                                              env.encode());
+  const std::uint64_t installs = backup.installs_full();
+  run_for(scenario, msec(200));
+  EXPECT_GT(backup.installs_full(), installs);
+  EXPECT_EQ(backup.applied_frontier(), anchor.applied);
+}
+
 }  // namespace
 }  // namespace vdep::harness

@@ -1,5 +1,5 @@
 // ShardMap codec and algebra: golden wire bytes, random round-trip
-// properties, split/reassign edge cases, and the servant/directory fencing
+// properties, split edge cases, and the servant/directory fencing
 // statuses (wrong-shard, frozen, stale-epoch).
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ TEST(ShardMapTest, GoldenBytes) {
   EXPECT_EQ(ShardMap::decode(raw), map);
 }
 
-TEST(ShardMapTest, RandomSplitReassignRoundTripProperty) {
+TEST(ShardMapTest, RandomSplitRoundTripProperty) {
   Rng rng(0x5eed);
   for (int trial = 0; trial < 50; ++trial) {
     ShardMap map = ShardMap::uniform(
@@ -76,9 +76,7 @@ TEST(ShardMapTest, RandomSplitReassignRoundTripProperty) {
       const auto& entries = map.entries();
       const ShardEntry pick =
           entries[static_cast<std::size_t>(rng.below(entries.size()))];
-      if (rng.chance(0.3)) {
-        map = map.reassign(pick.shard, GroupId{next_group++});
-      } else if (pick.range.lo < pick.range.hi) {
+      if (pick.range.lo < pick.range.hi) {
         const std::uint32_t point = static_cast<std::uint32_t>(
             rng.range(static_cast<std::int64_t>(pick.range.lo) + 1,
                       static_cast<std::int64_t>(pick.range.hi)));

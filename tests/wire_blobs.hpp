@@ -1,8 +1,8 @@
 // Fixed instances of every infrastructure wire encoding and checkpointed
 // application state layout, shared by the golden-bytes pin and the decoder
-// mutation sweep. Each blob carries the
-// codec's decode-then-encode round trip, so a test can both check that a
-// blob survives decoding unchanged and feed the decoder mutated copies.
+// mutation sweep. Each blob carries the codec's decode-then-encode round
+// trip, so a test can both check that a blob survives decoding unchanged and
+// feed the decoder mutated copies.
 #pragma once
 
 #include <functional>
