@@ -1,12 +1,14 @@
-// Fixed instances of every infrastructure wire encoding and checkpointed
-// application state layout, shared by the golden-bytes pin and the decoder
-// mutation sweep. Each blob carries the codec's decode-then-encode round
+// Fixed instances of every infrastructure wire encoding, checkpointed
+// application state layout and CDR layout (GIOP messages with their FT
+// service contexts, servant arguments and results), shared by the
+// golden-bytes pin and the decoder mutation sweep. Each blob carries the codec's decode-then-encode round
 // trip, so a test can both check that a blob survives decoding unchanged and
 // feed the decoder mutated copies.
 #pragma once
 
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,8 +19,10 @@
 #include "monitor/replicated_state.hpp"
 #include "net/fault_plan.hpp"
 #include "orb/cdr.hpp"
+#include "orb/giop.hpp"
 #include "replication/reply_cache.hpp"
 #include "replication/types.hpp"
+#include "shard/directory.hpp"
 #include "shard/shard_servant.hpp"
 #include "util/bytes.hpp"
 #include "util/payload.hpp"
@@ -271,6 +275,184 @@ inline std::vector<WireBlob> wire_blobs() {
   (void)test_app.invoke("process", filler_bytes(4));
   out.push_back({"TestServant.snapshot", test_app.snapshot(),
                  reencode_snapshot<app::TestServant>});
+  return out;
+}
+
+// --- CDR layouts ----------------------------------------------------------------
+
+inline Bytes reencode_giop(std::span<const std::uint8_t> raw) {
+  const orb::GiopMessage msg = orb::decode_giop(raw);
+  if (msg.request) return msg.request->encode();
+  if (msg.reply) return msg.reply->encode();
+  throw DecodeError("GIOP message without a body");
+}
+
+// Servant arguments enter through a fresh servant's invoke(), which answers
+// malformed arguments and never throws them out: a DecodeError escaping it
+// fails the sweep, and arguments it rejects (`invoke` returns false) come
+// back as DecodeError. Accepted arguments re-encode as themselves.
+template <typename Invoke>
+Bytes accepted_args(std::span<const std::uint8_t> raw, Invoke invoke) {
+  const Bytes args(raw.begin(), raw.end());
+  bool accepted = false;
+  try {
+    accepted = invoke(args);
+  } catch (const DecodeError& e) {
+    throw std::logic_error(std::string("DecodeError escaped invoke: ") + e.what());
+  }
+  if (!accepted) throw DecodeError("arguments rejected");
+  return args;
+}
+
+inline bool kv_accepts(const std::string& operation, const Bytes& args) {
+  app::KvStoreServant kv;
+  return kv.invoke(operation, args).ok;
+}
+
+// The status every shard-layer reply opens with.
+inline shard::ShardStatus reply_status(const Bytes& output) {
+  orb::CdrReader r(output);
+  return static_cast<shard::ShardStatus>(r.ulong());
+}
+
+inline bool shard_accepts(shard::ShardServant&& servant, const std::string& operation,
+                          const Bytes& args) {
+  return reply_status(servant.invoke(operation, args).output) !=
+         shard::ShardStatus::kBadRequest;
+}
+
+inline shard::ShardMap sample_map() {
+  return shard::ShardMap::uniform(2, 100, shard::ShardPolicy{});
+}
+
+// The KV result layouts re-encode through a store that answers the same.
+inline Bytes reencode_put_result(std::span<const std::uint8_t> raw) {
+  app::KvStoreServant kv;
+  if (app::KvStoreServant::decode_flag(Bytes(raw.begin(), raw.end()))) kv_put(kv, "k", "");
+  return kv.invoke("put", app::KvStoreServant::encode_put("k", "")).output;
+}
+
+inline Bytes reencode_get_result(std::span<const std::uint8_t> raw) {
+  const auto got = app::KvStoreServant::decode_get(Bytes(raw.begin(), raw.end()));
+  app::KvStoreServant kv;
+  if (got.found) kv_put(kv, "k", got.value);
+  return kv.invoke("get", app::KvStoreServant::encode_key("k")).output;
+}
+
+inline Bytes reencode_data_reply(std::span<const std::uint8_t> raw) {
+  const auto reply = shard::ShardServant::decode_data_reply(Bytes(raw.begin(), raw.end()));
+  orb::CdrWriter w;
+  w.ulong(static_cast<std::uint32_t>(reply.status));
+  if (reply.status == shard::ShardStatus::kOk) w.octets(reply.inner);
+  return std::move(w).take();
+}
+
+inline Bytes reencode_process_reply(std::span<const std::uint8_t> raw) {
+  const auto reply = app::ProcessReply::decode(Bytes(raw.begin(), raw.end()));
+  orb::CdrReader r(raw);
+  (void)r.ulonglong();
+  (void)r.ulonglong();
+  orb::CdrWriter w;
+  w.ulonglong(reply.counter);
+  w.ulonglong(reply.digest);
+  w.octets(r.octets());
+  return std::move(w).take();
+}
+
+// The pinned CDR encodings, in a fixed order.
+inline std::vector<WireBlob> cdr_blobs() {
+  std::vector<WireBlob> out;
+
+  orb::RequestMessage request;
+  request.request_id = 42;
+  request.object_key = ObjectId{1};
+  request.operation = "put";
+  const orb::FtRequestContext ft{ProcessId{11}, 42, NodeId{2}, msec(30000)};
+  request.service_contexts = {ft.to_context(), orb::trace_to_context({0x7777, 0x8888})};
+  request.body = app::KvStoreServant::encode_put("alpha", "1");
+  out.push_back({"GIOP.Request", request.encode(), reencode_giop});
+  orb::ReplyMessage reply;
+  reply.request_id = 42;
+  orb::CdrWriter version;  // view id, view size, rank
+  version.ulonglong(4);
+  version.ulong(3);
+  version.ulong(1);
+  reply.service_contexts = {{orb::kFtGroupVersionContextId, version.data()}};
+  reply.body = Bytes{1};
+  out.push_back({"GIOP.Reply", reply.encode(), reencode_giop});
+
+  app::KvStoreServant kv;
+  const Bytes put_args = app::KvStoreServant::encode_put("alpha", "1");
+  (void)kv.invoke("put", put_args);
+  out.push_back({"KvStore.put.args", put_args, [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) { return kv_accepts("put", a); });
+                 }});
+  out.push_back({"KvStore.put.result", kv.invoke("put", put_args).output, reencode_put_result});
+  const Bytes get_args = app::KvStoreServant::encode_key("alpha");
+  out.push_back({"KvStore.get.args", get_args, [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) { return kv_accepts("get", a); });
+                 }});
+  out.push_back({"KvStore.get.result", kv.invoke("get", get_args).output, reencode_get_result});
+
+  const std::string value = "le";
+  const Bytes data_args = shard::ShardServant::encode_data_args(3, "lemon", &value);
+  shard::ShardServant owner({{0, 0xffffffffu}}, 1);
+  out.push_back({"ShardServant.put.args", data_args, [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) {
+                     return shard_accepts(shard::ShardServant({{0, 0xffffffffu}}, 1), "put", a);
+                   });
+                 }});
+  out.push_back({"ShardServant.put.reply", owner.invoke("put", data_args).output,
+                 reencode_data_reply});
+
+  orb::CdrWriter freeze;  // migration id, range, post epoch, target group
+  freeze.ulonglong(1);
+  freeze.ulong(0x80000000u);
+  freeze.ulong(0xffffffffu);
+  freeze.ulonglong(2);
+  freeze.ulonglong(9);
+  out.push_back({"ShardServant.freeze.args", freeze.data(),
+                 [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) {
+                     return shard_accepts(shard::ShardServant({{0, 0xffffffffu}}, 1),
+                                          "shard.freeze", a);
+                   });
+                 }});
+  const Bytes pear_args = shard::ShardServant::encode_data_args(3, "pear", &value);
+  (void)owner.invoke("put", pear_args);  // pear hashes into the frozen half
+  (void)owner.invoke("shard.freeze", freeze.data());
+  orb::CdrWriter donate;
+  donate.ulonglong(1);
+  const Bytes donate_reply = owner.invoke("shard.donate", donate.data()).output;
+  orb::CdrReader donated(donate_reply);
+  (void)donated.ulong();
+  orb::CdrWriter install;  // migration id, range, post epoch, bundle
+  install.ulonglong(1);
+  install.ulong(0x80000000u);
+  install.ulong(0xffffffffu);
+  install.ulonglong(2);
+  install.octets(donated.octets());
+  out.push_back({"ShardServant.install.args", install.data(),
+                 [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) {
+                     return shard_accepts(shard::ShardServant(), "shard.install", a);
+                   });
+                 }});
+
+  const shard::ShardMap next =
+      sample_map().split(1, 0xc0000000u, GroupId{9}, shard::ShardPolicy{});
+  out.push_back({"Directory.commit.args", shard::DirectoryServant::encode_commit(next),
+                 [](std::span<const std::uint8_t> raw) {
+                   return accepted_args(raw, [](const Bytes& a) {
+                     shard::DirectoryServant directory(sample_map());
+                     return reply_status(directory.invoke("dir.commit", a).output) !=
+                            shard::ShardStatus::kBadRequest;
+                   });
+                 }});
+
+  app::TestServant test_app({.state_bytes = 6, .reply_bytes = 32});
+  out.push_back({"TestServant.process.reply", test_app.invoke("process", filler_bytes(4)).output,
+                 reencode_process_reply});
   return out;
 }
 

@@ -1,5 +1,6 @@
-// Golden-bytes pin for the infrastructure wire encodings: the FNV-1a hash of
-// a fixed instance of every message and of every checkpointed app layout. A round trip cannot see a field order
+// Golden-bytes pin for the wire encodings: the FNV-1a hash of a fixed
+// instance of every infrastructure message, every checkpointed app layout
+// and every CDR layout. A round trip cannot see a field order
 // that changes symmetrically in encoder and decoder; these hashes can.
 // Re-baseline only for a deliberate wire-format change.
 #include <gtest/gtest.h>
@@ -36,8 +37,21 @@ TEST(WireBytes, GoldenEncodingsAndRoundTrips) {
       {"ShardServant.snapshot", 0x805481236c3229e7ULL},
       {"ShardServant.delta", 0xfd4ded8206d43dc9ULL},
       {"TestServant.snapshot", 0x6854f7709cff2094ULL},
+      {"GIOP.Request", 0x184688fa282dc39cULL},
+      {"GIOP.Reply", 0x850ce10a1d9098aeULL},
+      {"KvStore.put.args", 0xc5c40232dbc3d3e4ULL},
+      {"KvStore.put.result", 0xaf63bc4c8601b62cULL},
+      {"KvStore.get.args", 0x08c6a780051b9b4fULL},
+      {"KvStore.get.result", 0x0b01352e7a17d48fULL},
+      {"ShardServant.put.args", 0xaaca6af687cca7b7ULL},
+      {"ShardServant.put.reply", 0xd9559f0fa740bf5cULL},
+      {"ShardServant.freeze.args", 0x3396ae40f821a9abULL},
+      {"ShardServant.install.args", 0xf6c5c9433027e859ULL},
+      {"Directory.commit.args", 0xe108e89c6e353ebeULL},
+      {"TestServant.process.reply", 0x7f29a88d23db2cb1ULL},
   };
-  const auto blobs = wire_blobs();
+  auto blobs = wire_blobs();
+  for (auto& blob : cdr_blobs()) blobs.push_back(std::move(blob));
   ASSERT_EQ(blobs.size(), expected.size());
   for (const auto& blob : blobs) {
     SCOPED_TRACE(blob.name);
