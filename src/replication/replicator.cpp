@@ -839,7 +839,10 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
   // applied frontier and reply cache must match it, and any chain retained
   // for a cold launch is superseded. A delta carries only the frontiers that
   // moved and the replies added since its base, which this replica holds:
-  // merging them gives what a full checkpoint of the same cut would.
+  // merging them gives what a full checkpoint of the same cut would. The
+  // replies decode, and the app state decodes and applies, before anything
+  // else changes: a malformed part throws and installs nothing.
+  auto replies = ReplyCache::decode(msg.reply_cache);
   if (is_delta) {
     app_.apply_delta(msg.app_state);
     ++installs_delta_;
@@ -847,7 +850,7 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
       Frontier& frontier = applied_rid_[client];
       frontier.seq = std::max(frontier.seq, seq);
     }
-    reply_cache_.append(msg.reply_cache, kCheckpointReplyEntries);
+    reply_cache_.append(std::move(replies), kCheckpointReplyEntries);
   } else {
     app_.restore(msg.app_state);
     ++installs_full_;
@@ -865,7 +868,7 @@ void Replicator::install_checkpoint(const CheckpointMsg& msg) {
     }
     applied_rid_.erase(it, applied_rid_.end());
     moved_clients_.clear();
-    reply_cache_.restore(msg.reply_cache);
+    reply_cache_.restore(std::move(replies));
   }
   log_.truncate_covered([this](ProcessId client) -> std::uint64_t {
     const auto it = applied_rid_.find(client);

@@ -1,27 +1,11 @@
 #include "replication/reply_cache.hpp"
 
 #include <iterator>
-#include <utility>
-#include <vector>
 
 #include "util/assert.hpp"
 #include "util/wire.hpp"
 
 namespace vdep::replication {
-
-namespace {
-
-// What checkpoints carry, oldest first. Decoded replies alias the frame.
-struct Replies {
-  std::vector<std::pair<RequestId, Payload>> entries;
-
-  template <typename IO>
-  friend void wire_fields(IO& io, Replies& m) {
-    io.seq(m.entries, 20);  // client + seq + reply length
-  }
-};
-
-}  // namespace
 
 ReplyCache::ReplyCache(std::size_t capacity) : capacity_(capacity) {
   VDEP_ASSERT(capacity > 0);
@@ -66,15 +50,16 @@ Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
   return wire::encode(replies);
 }
 
-void ReplyCache::restore(const Payload& raw) {
-  // Decoded whole first: a malformed frame throws before the cache changes.
-  Replies replies = wire::decode<Replies>(raw);
+ReplyCache::Replies ReplyCache::decode(const Payload& raw) {
+  return wire::decode<Replies>(raw);
+}
+
+void ReplyCache::restore(Replies replies) {
   clear();
   for (auto& [id, reply] : replies.entries) put(id, std::move(reply));
 }
 
-void ReplyCache::append(const Payload& raw, std::size_t keep) {
-  Replies replies = wire::decode<Replies>(raw);
+void ReplyCache::append(Replies replies, std::size_t keep) {
   for (auto& [id, reply] : replies.entries) put(id, std::move(reply));
   evict_to(keep);
 }

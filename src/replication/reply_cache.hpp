@@ -14,6 +14,8 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
@@ -42,14 +44,24 @@ class ReplyCache {
   // (FT-CORBA's request duration policy), so a promoted backup never needs
   // them.
   [[nodiscard]] Bytes serialize_recent(std::size_t max_entries) const;
-  // Replaces the cache with serialized replies (a full checkpoint's).
-  // Restored entries alias `raw`'s buffer when it carries an owner. Both
-  // decode `raw` whole first: a malformed one throws DecodeError and leaves
-  // the cache unchanged.
-  void restore(const Payload& raw);
-  // Appends serialized replies (a delta checkpoint's), then keeps only the
-  // newest `keep` entries.
-  void append(const Payload& raw, std::size_t keep);
+
+  // Serialized replies, oldest first, decoded whole.
+  struct Replies {
+    std::vector<std::pair<RequestId, Payload>> entries;
+
+    template <typename IO>
+    friend void wire_fields(IO& io, Replies& m) {
+      io.seq(m.entries, 20);  // client + seq + reply length
+    }
+  };
+  // Throws DecodeError on a malformed list. The replies alias `raw`'s
+  // buffer when it carries an owner.
+  [[nodiscard]] static Replies decode(const Payload& raw);
+  // Replaces the cache with `replies` (a full checkpoint's).
+  void restore(Replies replies);
+  // Appends `replies` (a delta checkpoint's), then keeps only the newest
+  // `keep` entries.
+  void append(Replies replies, std::size_t keep);
   void clear();
 
  private:

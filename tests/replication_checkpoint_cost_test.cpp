@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "app/test_app.hpp"
 #include "harness/scenario.hpp"
 #include "replication/types.hpp"
 
@@ -271,6 +272,52 @@ TEST(FullInstall, DropsFrontierClientsTheAnchorLacks) {
   run_for(scenario, msec(200));
   EXPECT_GT(backup.installs_full(), installs);
   EXPECT_EQ(backup.applied_frontier(), anchor.applied);
+}
+
+// A full install decodes every part before it applies any: an anchor whose
+// app state is valid but whose reply list is cut short installs nothing.
+TEST(FullInstall, MalformedReplyListInstallsNothing) {
+  ScenarioConfig config = idle_config(3);
+  config.clients = 3;
+  config.checkpoint_anchor_interval = 1;
+  Scenario scenario(config);
+  settle_clean(scenario);
+  EXPECT_EQ(request_round(scenario, 0, 1), 3);
+  run_for(scenario, kTick * 4);
+  Replicator& backup = scenario.replicator(1);
+  const replication::AppliedFrontier frontier = backup.applied_frontier();
+  ASSERT_EQ(frontier.size(), 3u);
+  const std::uint64_t digest = backup.app().state_digest();
+  const auto cached = [&backup] {
+    return backup.reply_cache().serialize_recent(backup.reply_cache().size());
+  };
+  const Bytes replies = cached();
+  ASSERT_FALSE(backup.reply_cache().size() == 0);
+  const std::uint64_t installs = backup.installs_full();
+
+  // A fresh servant's state for one client, and a reply list missing its
+  // last byte.
+  replication::CheckpointMsg anchor;
+  anchor.checkpoint_id = 0xfeed;
+  anchor.applied = {frontier[1]};
+  anchor.app_state = Payload(app::TestServant().snapshot());
+  Bytes truncated = replies;
+  truncated.pop_back();
+  anchor.reply_cache = Payload(std::move(truncated));
+  const replication::RepEnvelope env{replication::RepEnvelope::Type::kCheckpoint,
+                                     Payload(anchor.encode())};
+  scenario.replicator(2).endpoint().multicast(scenario.group().id(), gcs::ServiceType::kSafe,
+                                              env.encode());
+  try {
+    run_for(scenario, msec(200));
+  } catch (const DecodeError&) {
+    // The malformed anchor's error leaves the event loop; the state is what
+    // this test checks.
+  }
+  EXPECT_EQ(backup.app().state_digest(), digest);
+  EXPECT_EQ(backup.applied_frontier(), frontier);
+  EXPECT_EQ(cached(), replies);
+  EXPECT_EQ(backup.installs_full(), installs);
 }
 
 }  // namespace

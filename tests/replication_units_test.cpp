@@ -47,7 +47,7 @@ TEST(ReplyCache, SerializeRestoreRoundTrip) {
   cache.put(rid(1, 1), Bytes{1});
   cache.put(rid(2, 5), Bytes{5, 5});
   ReplyCache other(8);
-  other.restore(cache.serialize_recent(cache.size()));
+  other.restore(ReplyCache::decode(cache.serialize_recent(cache.size())));
   EXPECT_EQ(other.size(), 2u);
   EXPECT_EQ(*other.get(rid(2, 5)), (Bytes{5, 5}));
 }
@@ -56,7 +56,7 @@ TEST(ReplyCache, SerializeRecentKeepsNewest) {
   ReplyCache cache(16);
   for (std::uint64_t i = 1; i <= 10; ++i) cache.put(rid(1, i), Bytes{std::uint8_t(i)});
   ReplyCache other(16);
-  other.restore(cache.serialize_recent(3));
+  other.restore(ReplyCache::decode(cache.serialize_recent(3)));
   EXPECT_EQ(other.size(), 3u);
   EXPECT_FALSE(other.contains(rid(1, 7)));
   EXPECT_TRUE(other.contains(rid(1, 8)));
@@ -87,7 +87,7 @@ TEST(ReplyCache, AppendKeepsTheNewest) {
   for (std::uint64_t i = 1; i <= 16; ++i) base.put(rid(1, i), Bytes{std::uint8_t(i)});
   ReplyCache newer(64);
   for (std::uint64_t i = 17; i <= 21; ++i) newer.put(rid(2, i), Bytes{std::uint8_t(i)});
-  base.append(newer.serialize_recent(5), 16);
+  base.append(ReplyCache::decode(newer.serialize_recent(5)), 16);
   EXPECT_EQ(base.size(), 16u);
   EXPECT_FALSE(base.contains(rid(1, 5)));
   EXPECT_TRUE(base.contains(rid(1, 6)));

@@ -242,7 +242,7 @@ inline std::vector<WireBlob> wire_blobs() {
   out.push_back({"ReplyCache", cache.serialize_recent(cache.size()),
                  [](std::span<const std::uint8_t> raw) {
                    replication::ReplyCache restored;
-                   restored.restore(Payload::copy_of(raw));
+                   restored.restore(replication::ReplyCache::decode(Payload::copy_of(raw)));
                    return restored.serialize_recent(restored.size());
                  }});
 

@@ -120,13 +120,13 @@ TEST(MalformedState, ReplyCacheRestoreAndAppendChangeNothing) {
   const auto fingerprint = [&cache] {
     return std::pair(cache.size(), cache.serialize_recent(cache.size()));
   };
-  const auto as_payload = [](std::span<const std::uint8_t> raw) {
-    return Payload::copy_of(raw);
+  const auto decode = [](std::span<const std::uint8_t> raw) {
+    return replication::ReplyCache::decode(Payload::copy_of(raw));
   };
   expect_prefixes_change_nothing(
-      pinned("ReplyCache"), [&](auto raw) { cache.restore(as_payload(raw)); }, fingerprint);
+      pinned("ReplyCache"), [&](auto raw) { cache.restore(decode(raw)); }, fingerprint);
   expect_prefixes_change_nothing(
-      pinned("ReplyCache"), [&](auto raw) { cache.append(as_payload(raw), 16); }, fingerprint);
+      pinned("ReplyCache"), [&](auto raw) { cache.append(decode(raw), 16); }, fingerprint);
 }
 
 }  // namespace
