@@ -14,62 +14,59 @@ namespace {
 constexpr SimTime kWriteTime = calib::kAppProcessing * 3;
 }  // namespace
 
+std::optional<KvOp> kv_op(std::string_view name) {
+  if (name == "put") return KvOp::kPut;
+  if (name == "get") return KvOp::kGet;
+  if (name == "erase") return KvOp::kErase;
+  if (name == "append") return KvOp::kAppend;
+  if (name == "size") return KvOp::kSize;
+  return std::nullopt;
+}
+
 orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
                                             const Bytes& args) {
-  Result result;
+  const auto op = kv_op(operation);
   try {
-    orb::CdrReader r(args);
-    if (operation == "put") {
-      const std::string key = r.string();
-      std::string value = r.string();
-      result.cpu_time = kWriteTime;
-      orb::CdrWriter w;
-      w.boolean(assign(key, std::move(value)));
-      result.output = std::move(w).take();
-      return result;
-    }
-    if (operation == "append") {
-      const std::string key = r.string();
-      const std::string value = r.string();
-      result.cpu_time = kWriteTime;
-      auto [cell, fresh] = data_.try_emplace(key);
-      cell->second += value;
-      bytes_ += (fresh ? key.size() + 8 : 0) + value.size();
-      stamp(cell->first, &cell->second);
-      orb::CdrWriter w;
-      w.ulong(static_cast<std::uint32_t>(cell->second.size()));
-      result.output = std::move(w).take();
-      return result;
-    }
-    if (operation == "get") {
-      const std::string key = r.string();
-      result.cpu_time = calib::kAppProcessing;
-      orb::CdrWriter w;
-      auto it = data_.find(key);
-      w.boolean(it != data_.end());
-      w.string(it != data_.end() ? it->second : "");
-      result.output = std::move(w).take();
-      return result;
-    }
-    if (operation == "erase") {
-      const std::string key = r.string();
-      result.cpu_time = kWriteTime;
-      orb::CdrWriter w;
-      w.boolean(erase(key));
-      result.output = std::move(w).take();
-      return result;
-    }
-    if (operation == "size") {
-      result.cpu_time = calib::kAppProcessing;
-      orb::CdrWriter w;
-      w.ulong(static_cast<std::uint32_t>(data_.size()));
-      result.output = std::move(w).take();
-      return result;
-    }
+    if (op) return apply(orb::cdr_decode(args, KvArgs{*op, {}, {}}));
   } catch (const DecodeError&) {
     // Malformed arguments: fall through to the failure reply.
   }
-  result.ok = false;
+  Result failed;
+  failed.ok = false;
+  return failed;
+}
+
+orb::Servant::Result KvStoreServant::apply(KvArgs args) {
+  Result result;
+  result.cpu_time = kWriteTime;
+  switch (args.op) {
+    case KvOp::kPut:
+      result.output = orb::cdr_encode(assign(args.key, std::move(args.value)));
+      break;
+    case KvOp::kAppend: {
+      auto [cell, fresh] = data_.try_emplace(std::move(args.key));
+      cell->second += args.value;
+      bytes_ += (fresh ? cell->first.size() + 8 : 0) + args.value.size();
+      stamp(cell->first, &cell->second);
+      result.output = orb::cdr_encode(static_cast<std::uint32_t>(cell->second.size()));
+      break;
+    }
+    case KvOp::kGet: {
+      result.cpu_time = calib::kAppProcessing;
+      const auto it = data_.find(args.key);
+      const bool found = it != data_.end();
+      result.output = orb::cdr_encode(
+          KvGot<std::string_view>{found, found ? std::string_view(it->second) : ""});
+      break;
+    }
+    case KvOp::kErase:
+      result.output = orb::cdr_encode(erase(args.key));
+      break;
+    case KvOp::kSize:
+      result.cpu_time = calib::kAppProcessing;
+      result.output = orb::cdr_encode(static_cast<std::uint32_t>(data_.size()));
+      break;
+  }
   return result;
 }
 
@@ -179,34 +176,22 @@ std::uint64_t KvStoreServant::state_digest() const {
 }
 
 Bytes KvStoreServant::encode_put(const std::string& key, const std::string& value) {
-  orb::CdrWriter w;
-  w.string(key);
-  w.string(value);
-  return std::move(w).take();
+  return orb::cdr_encode(KvArgs{KvOp::kPut, key, value});
 }
 
 Bytes KvStoreServant::encode_key(const std::string& key) {
-  orb::CdrWriter w;
-  w.string(key);
-  return std::move(w).take();
-}
-
-KvStoreServant::GetResult KvStoreServant::decode_get(const Bytes& body) {
-  orb::CdrReader r(body);
-  GetResult out;
-  out.found = r.boolean();
-  out.value = r.string();
-  return out;
-}
-
-bool KvStoreServant::decode_flag(const Bytes& body) {
-  orb::CdrReader r(body);
-  return r.boolean();
+  return orb::cdr_encode(KvArgs{KvOp::kGet, key, {}});
 }
 
 Bytes KvStoreServant::encode_append(const std::string& key, const std::string& value) {
-  return encode_put(key, value);
+  return orb::cdr_encode(KvArgs{KvOp::kAppend, key, value});
 }
+
+KvStoreServant::GetResult KvStoreServant::decode_get(const Bytes& body) {
+  return orb::cdr_decode<GetResult>(body);
+}
+
+bool KvStoreServant::decode_flag(const Bytes& body) { return orb::cdr_decode<bool>(body); }
 
 std::optional<std::string> KvStoreServant::lookup(const std::string& key) const {
   auto it = data_.find(key);

@@ -4,9 +4,9 @@
 // deterministic CDR-typed operations, full-state snapshots, and a digest for
 // consistency checking.
 //
-// Operations (CDR-encoded arguments/results):
+// Operations (CDR arguments KvArgs, results as listed):
 //   "put"    in: string key, string value      out: boolean existed
-//   "get"    in: string key                    out: boolean found, string value
+//   "get"    in: string key                    out: KvGot {found, value}
 //   "erase"  in: string key                    out: boolean existed
 //   "size"   in: -                             out: ulong entries
 //   "append" in: string key, string value      out: ulong new length
@@ -48,6 +48,38 @@ using KvPairViews = KvItems<std::vector<std::pair<std::string_view, std::string_
 // A delta: the keys written since the base cut with their values, then the
 // keys erased, each list in key order. `Str` is std::string to decode and
 // std::string_view to encode.
+enum class KvOp { kPut, kGet, kErase, kAppend, kSize };
+
+// The operation named `name`; nullopt for an unknown one.
+[[nodiscard]] std::optional<KvOp> kv_op(std::string_view name);
+
+// An operation's arguments. `op` is not on the wire: the caller knows it
+// from the operation name, and it picks the fields that follow.
+struct KvArgs {
+  KvOp op = KvOp::kGet;
+  std::string key;    // all but size
+  std::string value;  // put and append
+
+  template <typename IO>
+  friend void wire_fields(IO& io, KvArgs& m) {
+    if (m.op != KvOp::kSize) io(m.key);
+    if (m.op == KvOp::kPut || m.op == KvOp::kAppend) io(m.value);
+  }
+};
+
+// The get result. `Str` is std::string to decode and std::string_view to
+// encode.
+template <typename Str>
+struct KvGot {
+  bool found = false;
+  Str value;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, KvGot& m) {
+    io(m.found, m.value);
+  }
+};
+
 template <typename Str>
 struct KvDelta {
   KvItems<std::vector<std::pair<Str, Str>>> upserts;
@@ -68,6 +100,9 @@ class KvStoreServant final : public replication::Checkpointable {
   KvStoreServant& operator=(const KvStoreServant&) = delete;
 
   Result invoke(const std::string& operation, const Bytes& args) override;
+  // Runs an operation on decoded arguments: what invoke() does once it has
+  // decoded them, at the same simulated CPU time.
+  Result apply(KvArgs args);
 
   [[nodiscard]] Bytes snapshot() const override;
   void restore(std::span<const std::uint8_t> snapshot) override;
@@ -101,10 +136,7 @@ class KvStoreServant final : public replication::Checkpointable {
   static Bytes encode_put(const std::string& key, const std::string& value);
   static Bytes encode_key(const std::string& key);  // for get/erase
   static Bytes encode_append(const std::string& key, const std::string& value);
-  struct GetResult {
-    bool found = false;
-    std::string value;
-  };
+  using GetResult = KvGot<std::string>;
   static GetResult decode_get(const Bytes& body);
   static bool decode_flag(const Bytes& body);  // put/erase result
 

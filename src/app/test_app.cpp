@@ -26,24 +26,17 @@ orb::Servant::Result TestServant::invoke(const std::string& operation,
           static_cast<std::uint8_t>(digest_ >> ((counter_ % 8) * 8));
     }
 
-    orb::CdrWriter w(config_.reply_bytes + 16);
-    w.ulonglong(counter_);
-    w.ulonglong(digest_);
     // Pad the reply to the configured size (response size is one of the
-    // application parameters of Table 1).
-    const std::size_t written = w.size();
-    w.octets(filler_bytes(config_.reply_bytes > written + 4
-                              ? config_.reply_bytes - written - 4
-                              : 0));
-    result.output = std::move(w).take();
+    // application parameters of Table 1): 20 bytes precede the padding.
+    const ProcessReply reply{
+        counter_, digest_,
+        filler_bytes(config_.reply_bytes > 20 ? config_.reply_bytes - 20 : 0)};
+    result.output = orb::cdr_encode(reply, config_.reply_bytes + 16);
     return result;
   }
 
   if (operation == "get_digest") {
-    orb::CdrWriter w;
-    w.ulonglong(counter_);
-    w.ulonglong(digest_);
-    result.output = std::move(w).take();
+    result.output = orb::cdr_encode(ProcessReply{counter_, digest_, {}});
     return result;
   }
 
@@ -66,11 +59,7 @@ void TestServant::restore(std::span<const std::uint8_t> snapshot) {
 std::size_t TestServant::state_size() const { return state_.size() + 16; }
 
 ProcessReply ProcessReply::decode(const Bytes& body) {
-  orb::CdrReader r(body);
-  ProcessReply reply;
-  reply.counter = r.ulonglong();
-  reply.digest = r.ulonglong();
-  return reply;
+  return orb::cdr_decode<ProcessReply>(body);
 }
 
 ClosedLoopClient::ClosedLoopClient(orb::ClientOrb& orb, orb::ObjectRef ref,

@@ -27,7 +27,7 @@ class TestServant final : public replication::Checkpointable {
   // Operations:
   //   "process"    — folds the request payload into the state, returns a
   //                  reply of the configured size carrying (counter, digest);
-  //   "get_digest" — read-only state digest;
+  //   "get_digest" — read-only state digest, in an unpadded reply;
   //   anything else -> user exception.
   Result invoke(const std::string& operation, const Bytes& args) override;
 
@@ -65,10 +65,17 @@ class TestServant final : public replication::Checkpointable {
   std::uint64_t epoch_ = 1;
 };
 
-// Parses the reply body produced by TestServant::invoke("process").
+// The reply of TestServant's "process" and "get_digest": the counter and
+// state digest, then filler padding the reply to its configured size.
 struct ProcessReply {
   std::uint64_t counter = 0;
   std::uint64_t digest = 0;
+  Bytes padding;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, ProcessReply& m) {
+    io(m.counter, m.digest, m.padding);
+  }
 
   static ProcessReply decode(const Bytes& body);
 };

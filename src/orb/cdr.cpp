@@ -10,109 +10,81 @@ void CdrWriter::align(std::size_t n) {
   while (buf_.size() % n != 0) buf_.push_back(0);
 }
 
-template <typename T>
-void CdrWriter::raw(T v, std::size_t alignment) {
-  align(alignment);
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void CdrWriter::octet(std::uint8_t v) { buf_.push_back(v); }
-void CdrWriter::boolean(bool v) { buf_.push_back(v ? 1 : 0); }
-void CdrWriter::ushort(std::uint16_t v) { raw(v, 2); }
-void CdrWriter::ulong(std::uint32_t v) { raw(v, 4); }
-void CdrWriter::ulonglong(std::uint64_t v) { raw(v, 8); }
-void CdrWriter::longlong(std::int64_t v) { raw(static_cast<std::uint64_t>(v), 8); }
-
-void CdrWriter::cdr_double(double v) {
+void CdrWriter::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
-  raw(bits, 8);
+  aligned(bits);
 }
 
-void CdrWriter::string(const std::string& v) {
-  ulong(static_cast<std::uint32_t>(v.size() + 1));
+void CdrWriter::str(std::string_view v) {
+  u32(static_cast<std::uint32_t>(v.size() + 1));
   buf_.insert(buf_.end(), v.begin(), v.end());
   buf_.push_back(0);
 }
 
-void CdrWriter::octets(const Bytes& v) {
-  ulong(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
+void CdrWriter::bytes(std::span<const std::uint8_t> v) {
+  u32(static_cast<std::uint32_t>(v.size()));
+  raw(v);
 }
 
 // --- reader ------------------------------------------------------------------
 
-void CdrReader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) throw DecodeError("CDR underrun");
+DecodeError CdrReader::error(const std::string& what, std::size_t at) const {
+  return DecodeError("CDR " + what + " at byte " + std::to_string(at) + " of " +
+                     std::to_string(data_.size()));
+}
+
+std::span<const std::uint8_t> CdrReader::take(std::size_t n) {
+  if (remaining() < n) throw error("underrun");
+  auto s = data_.subspan(pos_, n);
+  pos_ += n;
+  return s;
 }
 
 void CdrReader::align(std::size_t n) {
-  while (pos_ % n != 0) {
-    need(1);
-    ++pos_;
-  }
+  const std::size_t pad = (n - pos_ % n) % n;
+  (void)take(pad);
 }
 
-template <typename T>
-T CdrReader::raw(std::size_t alignment) {
-  align(alignment);
-  need(sizeof(T));
-  T v = 0;
-  if (little_) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
-  } else {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>((v << 8) | data_[pos_ + i]);
-    }
-  }
-  pos_ += sizeof(T);
-  return v;
-}
-
-std::uint8_t CdrReader::octet() {
-  need(1);
-  return data_[pos_++];
-}
+std::uint8_t CdrReader::u8() { return take(1)[0]; }
 
 bool CdrReader::boolean() {
-  const auto v = octet();
-  if (v > 1) throw DecodeError("CDR boolean out of range");
+  const auto v = u8();
+  if (v > 1) throw error("boolean out of range", pos_ - 1);
   return v == 1;
 }
 
-std::uint16_t CdrReader::ushort() { return raw<std::uint16_t>(2); }
-std::uint32_t CdrReader::ulong() { return raw<std::uint32_t>(4); }
-std::uint64_t CdrReader::ulonglong() { return raw<std::uint64_t>(8); }
-std::int64_t CdrReader::longlong() { return static_cast<std::int64_t>(raw<std::uint64_t>(8)); }
-
-double CdrReader::cdr_double() {
-  const std::uint64_t bits = raw<std::uint64_t>(8);
+double CdrReader::f64() {
+  const std::uint64_t bits = u64();
   double v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
 }
 
-std::string CdrReader::string() {
-  const std::uint32_t len = ulong();
-  if (len == 0) throw DecodeError("CDR string must include its NUL");
-  need(len);
-  if (data_[pos_ + len - 1] != 0) throw DecodeError("CDR string missing NUL");
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len - 1);
-  pos_ += len;
-  return out;
+std::string CdrReader::str() {
+  const std::size_t at = pos_;
+  const std::uint32_t len = u32();
+  if (len == 0) throw error("string must include its NUL", at);
+  const auto s = take(len);
+  if (s.back() != 0) throw error("string missing NUL", at);
+  return std::string(reinterpret_cast<const char*>(s.data()), len - 1);
 }
 
-Bytes CdrReader::octets() {
-  const std::uint32_t len = ulong();
-  need(len);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return out;
+Bytes CdrReader::bytes() {
+  const auto s = take(u32());
+  return Bytes(s.begin(), s.end());
+}
+
+Bytes CdrReader::rest() {
+  const auto s = take(remaining());
+  return Bytes(s.begin(), s.end());
+}
+
+std::uint32_t CdrReader::count(std::size_t min_element_bytes) {
+  const std::size_t at = pos_;
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_element_bytes) throw error("element count exceeds frame", at);
+  return n;
 }
 
 }  // namespace vdep::orb

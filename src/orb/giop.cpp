@@ -1,220 +1,69 @@
 #include "orb/giop.hpp"
 
-#include "util/assert.hpp"
+#include <array>
 
 namespace vdep::orb {
 
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'G', 'I', 'O', 'P'};
+constexpr std::array<std::uint8_t, 4> kMagic = {'G', 'I', 'O', 'P'};
 constexpr std::uint8_t kVersionMajor = 1;
 constexpr std::uint8_t kVersionMinor = 2;
 constexpr std::uint8_t kFlagsLittleEndian = 0x01;
-
-void write_header(CdrWriter& w, GiopMsgType type) {
-  for (std::uint8_t m : kMagic) w.octet(m);
-  w.octet(kVersionMajor);
-  w.octet(kVersionMinor);
-  w.octet(kFlagsLittleEndian);
-  w.octet(static_cast<std::uint8_t>(type));
-  w.ulong(0);  // message size back-patched by finish_header
-}
-
-void finish_header(Bytes& buf) {
-  // Message size excludes the 12-byte GIOP header.
-  const auto size = static_cast<std::uint32_t>(buf.size() - 12);
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf[8 + i] = static_cast<std::uint8_t>(size >> (8 * i));
-  }
-}
-
-void write_contexts(CdrWriter& w, const std::vector<ServiceContext>& contexts) {
-  w.ulong(static_cast<std::uint32_t>(contexts.size()));
-  for (const auto& sc : contexts) {
-    w.ulong(sc.context_id);
-    w.octets(sc.data);
-  }
-}
-
-std::vector<ServiceContext> read_contexts(CdrReader& r) {
-  const std::uint32_t n = r.ulong();
-  if (n > 64) throw DecodeError("unreasonable service context count");
-  std::vector<ServiceContext> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ServiceContext sc;
-    sc.context_id = r.ulong();
-    sc.data = r.octets();
-    out.push_back(std::move(sc));
-  }
-  return out;
-}
+constexpr std::size_t kHeaderBytes = 12;
 
 struct Header {
-  GiopMsgType type;
-  bool little_endian;
+  std::array<std::uint8_t, 4> magic = kMagic;
+  std::uint8_t major = kVersionMajor;
+  std::uint8_t minor = kVersionMinor;
+  std::uint8_t flags = kFlagsLittleEndian;
+  std::uint8_t type = 0;
+  std::uint32_t size = 0;  // bytes after the header
+
+  template <typename IO>
+  friend void wire_fields(IO& io, Header& m) {
+    io(m.magic[0], m.magic[1], m.magic[2], m.magic[3], m.major, m.minor, m.flags, m.type,
+       m.size);
+    io.check(m.magic == kMagic, "bad GIOP magic");
+    io.check(m.major == kVersionMajor && m.minor <= kVersionMinor, "unsupported GIOP version");
+    io.check(m.type <= static_cast<std::uint8_t>(GiopMsgType::kCancelRequest) ||
+                 m.type == static_cast<std::uint8_t>(GiopMsgType::kCloseConnection) ||
+                 m.type == static_cast<std::uint8_t>(GiopMsgType::kMessageError),
+             "bad GIOP message type");
+  }
 };
 
-Header read_header(CdrReader& r) {
-  for (std::uint8_t m : kMagic) {
-    if (r.octet() != m) throw DecodeError("bad GIOP magic");
-  }
-  const auto major = r.octet();
-  const auto minor = r.octet();
-  if (major != kVersionMajor || minor > kVersionMinor) {
-    throw DecodeError("unsupported GIOP version");
-  }
-  const auto flags = r.octet();
-  const auto type = r.octet();
-  if (type > static_cast<std::uint8_t>(GiopMsgType::kMessageError)) {
-    throw DecodeError("bad GIOP message type");
-  }
-  (void)r.ulong();  // size; our transport preserves message boundaries
-  return {static_cast<GiopMsgType>(type), (flags & kFlagsLittleEndian) != 0};
+template <typename Body>
+Bytes encode_giop(GiopMsgType type, const Body& body, std::size_t reserve) {
+  wire::BasicWriter<CdrWriter> w(reserve);
+  w(Header{.type = static_cast<std::uint8_t>(type)}, body);
+  Bytes out = std::move(w).take();
+  const auto size = static_cast<std::uint32_t>(out.size() - kHeaderBytes);
+  for (std::size_t i = 0; i < 4; ++i) out[8 + i] = static_cast<std::uint8_t>(size >> (8 * i));
+  return out;
 }
 
 }  // namespace
 
-ServiceContext FtRequestContext::to_context() const {
-  CdrWriter w;
-  w.ulonglong(client.value());
-  w.ulonglong(retention_id);
-  w.ulonglong(client_daemon.value());
-  w.longlong(expiration.count());
-  return ServiceContext{kFtRequestContextId, std::move(w).take()};
-}
-
-std::optional<FtRequestContext> FtRequestContext::from_contexts(
-    const std::vector<ServiceContext>& contexts) {
-  for (const auto& sc : contexts) {
-    if (sc.context_id != kFtRequestContextId) continue;
-    CdrReader r(sc.data);
-    FtRequestContext ctx;
-    ctx.client = ProcessId{r.ulonglong()};
-    ctx.retention_id = r.ulonglong();
-    ctx.client_daemon = NodeId{r.ulonglong()};
-    ctx.expiration = SimTime{r.longlong()};
-    return ctx;
-  }
-  return std::nullopt;
-}
-
-ServiceContext trace_to_context(const obs::TraceContext& trace) {
-  CdrWriter w;
-  w.ulonglong(trace.trace);
-  w.ulonglong(trace.span);
-  return ServiceContext{kTraceContextId, std::move(w).take()};
-}
-
-obs::TraceContext trace_from_contexts(
-    const std::vector<ServiceContext>& contexts) {
-  for (const auto& sc : contexts) {
-    if (sc.context_id != kTraceContextId) continue;
-    CdrReader r(sc.data);
-    obs::TraceContext ctx;
-    ctx.trace = r.ulonglong();
-    ctx.span = r.ulonglong();
-    return ctx;
-  }
-  return {};
-}
-
 Bytes RequestMessage::encode() const {
-  CdrWriter w(body.size() + 96);
-  write_header(w, GiopMsgType::kRequest);
-  w.ulong(request_id);
-  w.octet(response_expected ? 0x03 : 0x00);  // GIOP 1.2 response_flags
-  w.ulonglong(object_key.value());
-  w.string(operation);
-  write_contexts(w, service_contexts);
-  w.align(8);  // GIOP 1.2 aligns the body
-  Bytes out = std::move(w).take();
-  out.insert(out.end(), body.begin(), body.end());
-  finish_header(out);
-  return out;
+  return encode_giop(GiopMsgType::kRequest, *this, body.size() + 96);
 }
 
 Bytes ReplyMessage::encode() const {
-  CdrWriter w(body.size() + 64);
-  write_header(w, GiopMsgType::kReply);
-  w.ulong(request_id);
-  w.ulong(static_cast<std::uint32_t>(status));
-  write_contexts(w, service_contexts);
-  w.align(8);
-  Bytes out = std::move(w).take();
-  out.insert(out.end(), body.begin(), body.end());
-  finish_header(out);
-  return out;
-}
-
-Bytes CancelRequestMessage::encode() const {
-  CdrWriter w;
-  write_header(w, GiopMsgType::kCancelRequest);
-  w.ulong(request_id);
-  Bytes out = std::move(w).take();
-  finish_header(out);
-  return out;
-}
-
-GiopMsgType peek_giop_type(std::span<const std::uint8_t> raw) {
-  if (raw.size() < 12) throw DecodeError("truncated GIOP header");
-  const auto type = raw[7];
-  if (type > static_cast<std::uint8_t>(GiopMsgType::kMessageError)) {
-    throw DecodeError("bad GIOP message type");
-  }
-  return static_cast<GiopMsgType>(type);
+  return encode_giop(GiopMsgType::kReply, *this, body.size() + 64);
 }
 
 GiopMessage decode_giop(std::span<const std::uint8_t> raw) {
-  CdrReader r(raw);
-  const Header h = read_header(r);
-  CdrReader body_reader(raw, h.little_endian);
-  // Re-read with the right endianness (header itself is endian-agnostic in
-  // the fields we consumed).
-  for (int i = 0; i < 12; ++i) (void)body_reader.octet();
-
+  // The flags octet gives the byte order of every field.
+  const bool little = raw.size() <= 6 || (raw[6] & kFlagsLittleEndian) != 0;
+  wire::BasicReader<CdrReader> r(CdrReader(raw, little));
+  const auto header = r.read<Header>();
+  r.check(header.size == raw.size() - kHeaderBytes, "GIOP size does not match the message");
   GiopMessage msg;
-  msg.type = h.type;
-  switch (h.type) {
-    case GiopMsgType::kRequest: {
-      RequestMessage req;
-      req.request_id = body_reader.ulong();
-      req.response_expected = (body_reader.octet() & 0x03) != 0;
-      req.object_key = ObjectId{body_reader.ulonglong()};
-      req.operation = body_reader.string();
-      req.service_contexts = read_contexts(body_reader);
-      body_reader.align(8);
-      req.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(body_reader.position()),
-                      raw.end());
-      msg.request = std::move(req);
-      return msg;
-    }
-    case GiopMsgType::kReply: {
-      ReplyMessage rep;
-      rep.request_id = body_reader.ulong();
-      const std::uint32_t status = body_reader.ulong();
-      if (status > static_cast<std::uint32_t>(ReplyStatus::kLocationForward)) {
-        throw DecodeError("bad reply status");
-      }
-      rep.status = static_cast<ReplyStatus>(status);
-      rep.service_contexts = read_contexts(body_reader);
-      body_reader.align(8);
-      rep.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(body_reader.position()),
-                      raw.end());
-      msg.reply = std::move(rep);
-      return msg;
-    }
-    case GiopMsgType::kCancelRequest: {
-      CancelRequestMessage c;
-      c.request_id = body_reader.ulong();
-      msg.cancel = c;
-      return msg;
-    }
-    case GiopMsgType::kCloseConnection:
-    case GiopMsgType::kMessageError:
-      return msg;
-  }
-  throw DecodeError("unreachable GIOP type");
+  msg.type = static_cast<GiopMsgType>(header.type);
+  if (msg.type == GiopMsgType::kRequest) msg.request = r.read<RequestMessage>();
+  if (msg.type == GiopMsgType::kReply) msg.reply = r.read<ReplyMessage>();
+  return msg;
 }
 
 }  // namespace vdep::orb

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace_context.hpp"
 #include "orb/cdr.hpp"
 #include "util/ids.hpp"
 #include "util/time.hpp"
@@ -37,7 +36,12 @@ enum class ReplyStatus : std::uint32_t {
 
 struct ServiceContext {
   std::uint32_t context_id = 0;
-  Bytes data;
+  Bytes data;  // a CDR encapsulation of one field list
+
+  template <typename IO>
+  friend void wire_fields(IO& io, ServiceContext& m) {
+    io(m.context_id, m.data);
+  }
 
   friend bool operator==(const ServiceContext&, const ServiceContext&) = default;
 };
@@ -46,16 +50,28 @@ struct ServiceContext {
 // recognizable tags).
 inline constexpr std::uint32_t kFtRequestContextId = 0x46540001;   // "FT"+1
 inline constexpr std::uint32_t kFtGroupVersionContextId = 0x46540002;
+// Trace-context propagation (an obs::TraceContext): the caller's {trace,
+// span} ride the request so server-side spans parent under the client span.
+// Always injected on the replicated path (zeros when tracing is off) so
+// message sizes — and therefore simulated timing — do not depend on whether
+// the tracer is enabled.
 inline constexpr std::uint32_t kTraceContextId = 0x46540003;
 
-// Trace-context propagation: the caller's {trace, span} ride the request as a
-// service context so server-side spans parent under the client span. Always
-// injected on the replicated path (zeros when tracing is off) so message
-// sizes — and therefore simulated timing — do not depend on whether the
-// tracer is enabled.
-[[nodiscard]] ServiceContext trace_to_context(const obs::TraceContext& trace);
-[[nodiscard]] obs::TraceContext trace_from_contexts(
-    const std::vector<ServiceContext>& contexts);
+// A context carrying `value` in CDR.
+template <typename T>
+[[nodiscard]] ServiceContext to_context(std::uint32_t id, const T& value) {
+  return ServiceContext{id, cdr_encode(value)};
+}
+
+// The first context tagged `id`, decoded; nullopt when there is none.
+template <typename T>
+[[nodiscard]] std::optional<T> from_contexts(const std::vector<ServiceContext>& contexts,
+                                             std::uint32_t id) {
+  for (const auto& sc : contexts) {
+    if (sc.context_id == id) return cdr_decode<T>(sc.data);
+  }
+  return std::nullopt;
+}
 
 // FT_REQUEST service context payload: identifies the logical request across
 // retransmissions so server replicas can suppress duplicates.
@@ -65,9 +81,31 @@ struct FtRequestContext {
   NodeId client_daemon;            // where replies should be unicast
   SimTime expiration = kTimeZero;  // paper/FT-CORBA: request expiration time
 
-  [[nodiscard]] ServiceContext to_context() const;
+  template <typename IO>
+  friend void wire_fields(IO& io, FtRequestContext& m) {
+    io(m.client, m.retention_id, m.client_daemon, m.expiration);
+  }
+
+  [[nodiscard]] ServiceContext to_context() const {
+    return orb::to_context(kFtRequestContextId, *this);
+  }
   static std::optional<FtRequestContext> from_contexts(
-      const std::vector<ServiceContext>& contexts);
+      const std::vector<ServiceContext>& contexts) {
+    return orb::from_contexts<FtRequestContext>(contexts, kFtRequestContextId);
+  }
+};
+
+// FT group-version context on replies: the replying replica's view, so a
+// voting client knows how many replies make a majority.
+struct FtGroupVersion {
+  std::uint64_t view_id = 0;
+  std::uint32_t view_size = 0;
+  std::uint32_t rank = 0;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, FtGroupVersion& m) {
+    io(m.view_id, m.view_size, m.rank);
+  }
 };
 
 struct RequestMessage {
@@ -79,6 +117,16 @@ struct RequestMessage {
   Bytes body;  // CDR-encoded in-args
 
   [[nodiscard]] Bytes encode() const;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, RequestMessage& m) {
+    std::uint8_t response_flags = m.response_expected ? 0x03 : 0x00;  // GIOP 1.2
+    io(m.request_id, response_flags, m.object_key, m.operation);
+    io.seq(m.service_contexts, 8);
+    io.align(8);  // GIOP 1.2 aligns the body
+    io.rest(m.body);
+    if constexpr (IO::kDecoding) m.response_expected = (response_flags & 0x03) != 0;
+  }
 };
 
 struct ReplyMessage {
@@ -88,25 +136,25 @@ struct ReplyMessage {
   Bytes body;  // CDR-encoded result / exception
 
   [[nodiscard]] Bytes encode() const;
-};
 
-struct CancelRequestMessage {
-  std::uint32_t request_id = 0;
-
-  [[nodiscard]] Bytes encode() const;
+  template <typename IO>
+  friend void wire_fields(IO& io, ReplyMessage& m) {
+    io(m.request_id);
+    io.enum_in(m.status, ReplyStatus::kNoException, ReplyStatus::kLocationForward,
+               "bad reply status");
+    io.seq(m.service_contexts, 8);
+    io.align(8);
+    io.rest(m.body);
+  }
 };
 
 // Decoded GIOP message (tagged).
 struct GiopMessage {
   GiopMsgType type = GiopMsgType::kMessageError;
-  std::optional<RequestMessage> request;       // kRequest
-  std::optional<ReplyMessage> reply;           // kReply
-  std::optional<CancelRequestMessage> cancel;  // kCancelRequest
+  std::optional<RequestMessage> request;  // kRequest
+  std::optional<ReplyMessage> reply;      // kReply
 };
 
 [[nodiscard]] GiopMessage decode_giop(std::span<const std::uint8_t> raw);
-
-// Convenience peeks that avoid a full decode on hot paths.
-[[nodiscard]] GiopMsgType peek_giop_type(std::span<const std::uint8_t> raw);
 
 }  // namespace vdep::orb

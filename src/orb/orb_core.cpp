@@ -96,7 +96,10 @@ void ServerOrb::handle_request(Payload giop_request, ReplySender send_reply) {
             // Prefer the in-process caller (the replicator's execute span);
             // fall back to the propagated GIOP trace context (direct path).
             obs::TraceContext parent = caller;
-            if (!parent.valid()) parent = trace_from_contexts(req.service_contexts);
+            if (!parent.valid()) {
+              parent = from_contexts<obs::TraceContext>(req.service_contexts, kTraceContextId)
+                           .value_or(obs::TraceContext{});
+            }
             obs::Span span = process_.kernel().tracer().start_span(
                 "orb.dispatch", "orb", process_.name(), parent);
             span.note("op", req.operation);

@@ -42,8 +42,8 @@ void ClientCoordinator::send_request(const orb::ObjectRef& ref, Payload giop) {
   // off): the replicated request's wire size must not depend on tracing.
   obs::Span span = process_.kernel().tracer().start_child(
       "coord.send", "replication", process_.name());
-  parsed.request->service_contexts.push_back(orb::trace_to_context(
-      span.active() ? span.context() : obs::TraceContext{}));
+  parsed.request->service_contexts.push_back(orb::to_context(
+      orb::kTraceContextId, span.active() ? span.context() : obs::TraceContext{}));
 
   RepEnvelope env{RepEnvelope::Type::kRequest, parsed.request->encode()};
 
@@ -126,12 +126,10 @@ void ClientCoordinator::on_private(const gcs::PrivateMessage& msg) {
                  // replicas report in their FT group-version context.
                  if (pending.voters.contains(sender)) return;
                  pending.voters.insert(sender);
-                 for (const auto& sc : parsed.reply->service_contexts) {
-                   if (sc.context_id != orb::kFtGroupVersionContextId) continue;
-                   orb::CdrReader r(sc.data);
-                   (void)r.ulonglong();  // view id
-                   const std::uint32_t size = r.ulong();
-                   pending.best_view_size = std::max(pending.best_view_size, size);
+                 if (const auto version = orb::from_contexts<orb::FtGroupVersion>(
+                         parsed.reply->service_contexts, orb::kFtGroupVersionContextId)) {
+                   pending.best_view_size =
+                       std::max(pending.best_view_size, version->view_size);
                  }
                  const std::uint64_t body_hash = fnv1a(parsed.reply->body);
                  const int count = ++pending.votes[body_hash];

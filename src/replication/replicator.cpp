@@ -215,7 +215,9 @@ void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload g
   rec.giop = std::move(giop);
   // The injected GIOP trace context survives the group layer's re-framing;
   // the group message's own context is the fallback.
-  rec.trace = orb::trace_from_contexts(parsed.request->service_contexts);
+  rec.trace = orb::from_contexts<obs::TraceContext>(parsed.request->service_contexts,
+                                                    orb::kTraceContextId)
+                  .value_or(obs::TraceContext{});
   if (!rec.trace.valid()) rec.trace = msg.trace;
 
   if (uninitialized_ || holding_) {
@@ -588,12 +590,11 @@ void Replicator::send_reply_to_client(const RequestRecord& rec, const Payload& r
 Bytes Replicator::augment_reply(const Payload& reply_giop) const {
   orb::GiopMessage parsed = orb::decode_giop(reply_giop);
   VDEP_ASSERT(parsed.reply.has_value());
-  orb::CdrWriter w;
-  w.ulonglong(view_ ? view_->view_id : 0);
-  w.ulong(view_ ? static_cast<std::uint32_t>(view_->size()) : 0);
-  w.ulong(static_cast<std::uint32_t>(std::min<std::size_t>(my_rank(), 0xffffffff)));
+  const orb::FtGroupVersion version{
+      view_ ? view_->view_id : 0, view_ ? static_cast<std::uint32_t>(view_->size()) : 0,
+      static_cast<std::uint32_t>(std::min<std::size_t>(my_rank(), 0xffffffff))};
   parsed.reply->service_contexts.push_back(
-      orb::ServiceContext{orb::kFtGroupVersionContextId, std::move(w).take()});
+      orb::to_context(orb::kFtGroupVersionContextId, version));
   return parsed.reply->encode();
 }
 

@@ -21,66 +21,48 @@ DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
                                                   const Bytes& args) {
   Result result;
   result.cpu_time = kOpTime;
-  orb::CdrWriter w;
-
   if (operation == "dir.get") {
-    w.ulong(static_cast<std::uint32_t>(ShardStatus::kOk));
-    w.octets(map_.encode());
-    result.output = std::move(w).take();
+    result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, map_.encode()});
     return result;
   }
 
+  ShardStatus status = ShardStatus::kBadRequest;  // also for an unknown operation
   if (operation == "dir.commit") {
     std::optional<ShardMap> proposed;
     try {
-      orb::CdrReader r(args);
-      proposed = ShardMap::decode(r.octets());
+      proposed = ShardMap::decode(orb::cdr_decode<Bytes>(args));
     } catch (const DecodeError&) {
-      // Malformed arguments: answered as a bad request below.
+      // Malformed arguments: a bad request.
     }
-    ShardStatus status = ShardStatus::kOk;
-    std::string why;
-    if (!proposed || !proposed->validate(&why)) {
-      status = ShardStatus::kBadRequest;
-    } else if (proposed->epoch() == map_.epoch() && *proposed == map_) {
-      // Retransmitted commit of the map already in force: idempotent accept.
-    } else if (proposed->epoch() != map_.epoch() + 1) {
-      status = ShardStatus::kStaleEpoch;  // lost a reconfiguration race
-    } else {
-      map_ = std::move(*proposed);
+    if (proposed && proposed->validate()) {
+      if (*proposed == map_) {
+        status = ShardStatus::kOk;  // retransmitted commit of the map in force
+      } else if (proposed->epoch() == map_.epoch() + 1) {
+        map_ = std::move(*proposed);
+        status = ShardStatus::kOk;
+      } else {
+        status = ShardStatus::kStaleEpoch;  // lost a reconfiguration race
+      }
     }
-    w.ulong(static_cast<std::uint32_t>(status));
-    w.ulonglong(map_.epoch());
-    result.output = std::move(w).take();
-    return result;
   }
-
-  w.ulong(static_cast<std::uint32_t>(ShardStatus::kBadRequest));
-  w.ulonglong(map_.epoch());
-  result.output = std::move(w).take();
+  result.output = orb::cdr_encode(CommitReply{{status}, map_.epoch()});
   return result;
 }
 
 Bytes DirectoryServant::encode_commit(const ShardMap& map) {
-  orb::CdrWriter w;
-  w.octets(map.encode());
-  return std::move(w).take();
+  return orb::cdr_encode(map.encode());
 }
 
 DirectoryServant::GetReply DirectoryServant::decode_get_reply(const Bytes& body) {
-  orb::CdrReader r(body);
-  GetReply reply;
-  reply.status = static_cast<ShardStatus>(r.ulong());
-  if (reply.status == ShardStatus::kOk) {
-    const Bytes encoded = r.octets();
-    reply.map = ShardMap::decode(encoded);
-  }
-  return reply;
+  const auto reply = orb::cdr_decode<ResultReply>(body);
+  GetReply out;
+  out.status = reply.status;
+  if (reply.status == ShardStatus::kOk) out.map = ShardMap::decode(reply.result);
+  return out;
 }
 
 ShardStatus DirectoryServant::decode_commit_reply(const Bytes& body) {
-  orb::CdrReader r(body);
-  return static_cast<ShardStatus>(r.ulong());
+  return orb::cdr_decode<CommitReply>(body).status;
 }
 
 }  // namespace vdep::shard

@@ -10,8 +10,9 @@
 // recomputes against the winner's map.
 //
 // Operations:
-//   "dir.get"     in: -                   out: {ulong status; octets map}
-//   "dir.commit"  in: {octets map}        out: {ulong status; ulonglong epoch}
+//   "dir.get"     in: -                   out: ResultReply around the map
+//   "dir.commit"  in: octets map          out: CommitReply
+//   anything else                         out: CommitReply, kBadRequest
 #pragma once
 
 #include "shard/map.hpp"
@@ -23,6 +24,17 @@ namespace vdep::shard {
 // directory is always group 1.
 inline constexpr ObjectId kObjectKey{1};
 inline constexpr GroupId kDirectoryGroup{1};
+
+// The status of a commit (or of an unknown operation), then the epoch of the
+// map in force.
+struct CommitReply : StatusReply {
+  std::uint64_t epoch = 0;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, CommitReply& m) {
+    io(static_cast<StatusReply&>(m), m.epoch);
+  }
+};
 
 class DirectoryServant final : public replication::Checkpointable {
  public:

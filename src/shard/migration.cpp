@@ -19,7 +19,6 @@ struct MigrationController::Job {
 
   Record rec;
   ShardMap next;
-  Bytes bundle;
 };
 
 MigrationController::MigrationController(net::Network& network, gcs::Daemon& daemon,
@@ -111,8 +110,7 @@ void MigrationController::step(std::shared_ptr<Job> job, const std::string& what
                     kernel_.post(kStepRetry, [self] { (*self)(); });
                     return;
                   }
-                  orb::CdrReader r(body);
-                  const auto shard_status = static_cast<ShardStatus>(r.ulong());
+                  const ShardStatus shard_status = orb::cdr_decode<StatusReply>(body).status;
                   if (shard_status != ShardStatus::kOk) {
                     finish(job, false, what + ": " + to_string(shard_status));
                     return;
@@ -153,33 +151,21 @@ void MigrationController::run(std::shared_ptr<Job> job) {
     job->rec.new_shard = current.max_shard_id() + 1;
 
     // 2. Freeze the moving range on the source group.
-    orb::CdrWriter freeze;
-    freeze.ulonglong(job->rec.id);
-    freeze.ulong(job->rec.moved.lo);
-    freeze.ulong(job->rec.moved.hi);
-    freeze.ulonglong(job->next.epoch());
-    freeze.ulonglong(job->target.value());
-    step(job, "freeze", group_ref(job->rec.from), "shard.freeze", std::move(freeze).take(),
+    const ShardServant::Migration freeze{job->rec.id, job->rec.moved, job->next.epoch(),
+                                         job->target};
+    step(job, "freeze", group_ref(job->rec.from), "shard.freeze", orb::cdr_encode(freeze),
          [this, job](Bytes) {
            // 3. Donate: the source cuts the encode-once bundle.
-           orb::CdrWriter donate;
-           donate.ulonglong(job->rec.id);
            step(job, "donate", group_ref(job->rec.from), "shard.donate",
-                std::move(donate).take(), [this, job](Bytes body) {
-                  orb::CdrReader r(body);
-                  (void)r.ulong();  // status, already checked
-                  job->bundle = r.octets();
-                  job->rec.bytes_moved = job->bundle.size();
+                orb::cdr_encode(job->rec.id), [this, job](Bytes body) {
+                  ShardServant::InstallArgs install{job->rec.id, job->rec.moved,
+                                                    job->next.epoch(),
+                                                    orb::cdr_decode<ResultReply>(body).result};
+                  job->rec.bytes_moved = install.bundle.size();
 
                   // 4. Install on the target group.
-                  orb::CdrWriter install;
-                  install.ulonglong(job->rec.id);
-                  install.ulong(job->rec.moved.lo);
-                  install.ulong(job->rec.moved.hi);
-                  install.ulonglong(job->next.epoch());
-                  install.octets(job->bundle);
                   step(job, "install", group_ref(job->target), "shard.install",
-                       std::move(install).take(), [this, job](Bytes) {
+                       orb::cdr_encode(install), [this, job](Bytes) {
                          // 5. Commit the successor map (AGREED within the
                          // directory group).
                          step(job, "commit", group_ref(kDirectoryGroup), "dir.commit",
@@ -190,10 +176,8 @@ void MigrationController::run(std::shared_ptr<Job> job) {
                                 job->rec.committed_map = job->next;
 
                                 // 6. Release the moved keys at the source.
-                                orb::CdrWriter release;
-                                release.ulonglong(job->rec.id);
                                 step(job, "release", group_ref(job->rec.from),
-                                     "shard.release", std::move(release).take(),
+                                     "shard.release", orb::cdr_encode(job->rec.id),
                                      [this, job](Bytes) { finish(job, true, {}); });
                               });
                        });

@@ -73,7 +73,7 @@ void ShardRouter::attempt(std::shared_ptr<RouteState> state) {
                 }
                 auto reply = ShardServant::decode_data_reply(body);
                 if (reply.status == ShardStatus::kOk) {
-                  state->cb(ShardStatus::kOk, std::move(reply.inner));
+                  state->cb(ShardStatus::kOk, std::move(reply.result));
                   return;
                 }
                 state->last_status = reply.status;

@@ -70,10 +70,8 @@ std::size_t ShardServant::stray_keys() const {
 }
 
 ShardServant::Result ShardServant::status_reply(ShardStatus status, SimTime cpu) {
-  orb::CdrWriter w;
-  w.ulong(static_cast<std::uint32_t>(status));
   Result result;
-  result.output = std::move(w).take();
+  result.output = orb::cdr_encode(StatusReply{status});
   result.cpu_time = cpu;
   return result;
 }
@@ -91,16 +89,13 @@ ShardServant::Result ShardServant::invoke(const std::string& operation,
 
 ShardServant::Result ShardServant::data_op(const std::string& operation,
                                            const Bytes& args) {
-  const bool needs_value = operation == "put" || operation == "append";
-  const bool known = needs_value || operation == "get" || operation == "erase";
-  if (!known) return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
+  const auto op = app::kv_op(operation);
+  if (!op || *op == app::KvOp::kSize) {
+    return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
+  }
+  auto decoded = orb::cdr_decode(args, DataArgs{0, {*op, {}, {}}});
 
-  orb::CdrReader r(args);
-  (void)r.ulonglong();  // client's cached map epoch — diagnostic; fencing is by ownership
-  const std::string key = r.string();
-  const std::string value = needs_value ? r.string() : std::string{};
-
-  const std::uint32_t h = shard_hash(key);
+  const std::uint32_t h = shard_hash(decoded.kv.key);
   if (control_.frozen && control_.frozen->range.contains(h)) {
     return status_reply(ShardStatus::kFrozen, kRouteCheckTime);
   }
@@ -108,49 +103,19 @@ ShardServant::Result ShardServant::data_op(const std::string& operation,
     return status_reply(ShardStatus::kWrongShard, kRouteCheckTime);
   }
 
-  Bytes inner_args;
-  if (operation == "put") {
-    inner_args = app::KvStoreServant::encode_put(key, value);
-  } else if (operation == "append") {
-    inner_args = app::KvStoreServant::encode_append(key, value);
-  } else {
-    inner_args = app::KvStoreServant::encode_key(key);
-  }
-  Result inner = inner_.invoke(operation, inner_args);
-  if (!inner.ok) return inner;
-
-  orb::CdrWriter w;
-  w.ulong(static_cast<std::uint32_t>(ShardStatus::kOk));
-  w.octets(inner.output);
+  Result inner = inner_.apply(std::move(decoded.kv));
   Result result;
-  result.output = std::move(w).take();
+  result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, std::move(inner.output)});
   result.cpu_time = kRouteCheckTime + inner.cpu_time;
   return result;
 }
 
 ShardServant::Result ShardServant::control(const std::string& operation,
                                            const Bytes& args) {
-  orb::CdrReader r(args);
-  if (operation == "shard.freeze") {
-    Migration m;
-    m.id = r.ulonglong();
-    m.range.lo = r.ulong();
-    m.range.hi = r.ulong();
-    m.post_epoch = r.ulonglong();
-    m.target = GroupId{r.ulonglong()};
-    return freeze(m);
-  }
-  if (operation == "shard.donate") return donate(r.ulonglong());
-  if (operation == "shard.install") {
-    const std::uint64_t id = r.ulonglong();
-    KeyRange range;
-    range.lo = r.ulong();
-    range.hi = r.ulong();
-    const std::uint64_t post_epoch = r.ulonglong();
-    const Bytes bundle = r.octets();
-    return install(id, range, post_epoch, bundle);
-  }
-  if (operation == "shard.release") return release(r.ulonglong());
+  if (operation == "shard.freeze") return freeze(orb::cdr_decode<Migration>(args));
+  if (operation == "shard.donate") return donate(orb::cdr_decode<std::uint64_t>(args));
+  if (operation == "shard.install") return install(orb::cdr_decode<InstallArgs>(args));
+  if (operation == "shard.release") return release(orb::cdr_decode<std::uint64_t>(args));
   return status_reply(ShardStatus::kBadRequest, kRouteCheckTime);
 }
 
@@ -198,37 +163,29 @@ ShardServant::Result ShardServant::donate(std::uint64_t id) {
   bundle.anchor = Payload(anchor.encode());
   Bytes encoded = bundle.encode();
 
-  const SimTime cpu = kRouteCheckTime + bundle_cpu(encoded.size());
-  orb::CdrWriter w;
-  w.ulong(static_cast<std::uint32_t>(ShardStatus::kOk));
-  w.octets(encoded);
   Result result;
-  result.output = std::move(w).take();
-  result.cpu_time = cpu;
+  result.cpu_time = kRouteCheckTime + bundle_cpu(encoded.size());
+  result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, std::move(encoded)});
   return result;
 }
 
-ShardServant::Result ShardServant::install(std::uint64_t id, KeyRange range,
-                                           std::uint64_t post_epoch,
-                                           const Bytes& bundle) {
-  if (control_.done.count(id) != 0) {
+ShardServant::Result ShardServant::install(const InstallArgs& args) {
+  if (control_.done.count(args.id) != 0) {
     return status_reply(ShardStatus::kOk, kRouteCheckTime);  // duplicate
   }
-  SimTime cpu = kRouteCheckTime + bundle_cpu(bundle.size());
-  const auto msg = replication::StateTransferMsg::decode(Payload::copy_of(bundle));
+  SimTime cpu = kRouteCheckTime + bundle_cpu(args.bundle.size());
+  const auto msg = replication::StateTransferMsg::decode(Payload::copy_of(args.bundle));
   const auto anchor = replication::CheckpointMsg::decode(msg.anchor);
   // Decode the whole range before applying any of it: a malformed bundle
   // must leave the store untouched.
-  const auto range_items = wire::decode<app::KvPairs>(anchor.app_state).items;
-  for (const auto& [key, value] : range_items) {
-    // Through the inner invoke so dirty-set tracking and on_apply stay
-    // coherent with normal writes.
-    Result put = inner_.invoke("put", app::KvStoreServant::encode_put(key, value));
-    cpu = cpu + put.cpu_time;
+  auto range_items = wire::decode<app::KvPairs>(anchor.app_state).items;
+  for (auto& [key, value] : range_items) {
+    // As a put, so dirty-set tracking stays coherent with normal writes.
+    cpu = cpu + inner_.apply({app::KvOp::kPut, std::move(key), std::move(value)}).cpu_time;
   }
-  owned_add(range);
-  control_.fence_epoch = std::max(control_.fence_epoch, post_epoch);
-  control_.done.insert(id);
+  owned_add(args.range);
+  control_.fence_epoch = std::max(control_.fence_epoch, args.post_epoch);
+  control_.done.insert(args.id);
   return status_reply(ShardStatus::kOk, cpu);
 }
 
@@ -244,9 +201,8 @@ ShardServant::Result ShardServant::release(std::uint64_t id) {
   for (const auto& [k, v] : inner_.items()) {
     if (control_.frozen->range.contains(shard_hash(k))) moved.push_back(k);
   }
-  for (const auto& key : moved) {
-    Result erase = inner_.invoke("erase", app::KvStoreServant::encode_key(key));
-    cpu = cpu + erase.cpu_time;
+  for (auto& key : moved) {
+    cpu = cpu + inner_.apply({app::KvOp::kErase, std::move(key), {}}).cpu_time;
   }
   owned_remove(control_.frozen->range);
   control_.fence_epoch = std::max(control_.fence_epoch, control_.frozen->post_epoch);
@@ -287,19 +243,13 @@ void ShardServant::owned_remove(KeyRange range) {
 
 Bytes ShardServant::encode_data_args(std::uint64_t map_epoch, const std::string& key,
                                      const std::string* value) {
-  orb::CdrWriter w;
-  w.ulonglong(map_epoch);
-  w.string(key);
-  if (value != nullptr) w.string(*value);
-  return std::move(w).take();
+  // kPut stands for any operation that carries a value.
+  const auto op = value != nullptr ? app::KvOp::kPut : app::KvOp::kGet;
+  return orb::cdr_encode(DataArgs{map_epoch, {op, key, value != nullptr ? *value : ""}});
 }
 
-ShardServant::DataReply ShardServant::decode_data_reply(const Bytes& body) {
-  orb::CdrReader r(body);
-  DataReply reply;
-  reply.status = static_cast<ShardStatus>(r.ulong());
-  if (reply.status == ShardStatus::kOk) reply.inner = r.octets();
-  return reply;
+ResultReply ShardServant::decode_data_reply(const Bytes& body) {
+  return orb::cdr_decode<ResultReply>(body);
 }
 
 // --- checkpoint/state-transfer integration -----------------------------------

@@ -42,6 +42,30 @@ enum class ShardStatus : std::uint32_t {
 
 [[nodiscard]] std::string to_string(ShardStatus status);
 
+// Every shard-layer reply opens with its status, a CDR enum; control
+// operations answer the status alone.
+struct StatusReply {
+  ShardStatus status = ShardStatus::kOk;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, StatusReply& m) {
+    io.enum_in(m.status, ShardStatus::kOk, ShardStatus::kBadRequest, "unknown shard status");
+  }
+};
+
+// Data operations, shard.donate and dir.get follow a kOk status with their
+// result as an octet sequence: the KV result, the donated bundle, the
+// encoded map.
+struct ResultReply : StatusReply {
+  Bytes result;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, ResultReply& m) {
+    io(static_cast<StatusReply&>(m));
+    if (m.status == ShardStatus::kOk) io(m.result);
+  }
+};
+
 class ShardServant final : public replication::Checkpointable {
  public:
   // A servant joining an existing group starts blank (no ranges); the state
@@ -49,19 +73,47 @@ class ShardServant final : public replication::Checkpointable {
   ShardServant() : ShardServant({}, 0) {}
   ShardServant(std::vector<KeyRange> owned, std::uint64_t fence_epoch);
 
-  // Data: "put" | "get" | "erase" | "append", args = CDR {ulonglong
-  // map_epoch; string key; [string value]}; output = CDR {ulong status;
-  // octets inner_result}.
-  //
-  // Control (issued by the migration controller, idempotent per migration
-  // id `m`):
-  //   "shard.freeze"   {ulonglong m; ulong lo; ulong hi; ulonglong
-  //                     post_epoch; ulonglong target_group}
-  //   "shard.donate"   {ulonglong m} -> {ulong status; octets bundle}
-  //   "shard.install"  {ulonglong m; ulong lo; ulong hi; ulonglong
-  //                     post_epoch; octets bundle}
-  //   "shard.release"  {ulonglong m}
+  // Data: "put" | "get" | "erase" | "append" with DataArgs, answered with
+  // a ResultReply around the KV result. Control (issued by the migration
+  // controller, idempotent per migration id): "shard.freeze" with a
+  // Migration, "shard.donate" with the id (answered with a ResultReply
+  // around the bundle), "shard.install" with InstallArgs, "shard.release"
+  // with the id. The layouts are the field lists below.
   Result invoke(const std::string& operation, const Bytes& args) override;
+
+  struct DataArgs {
+    std::uint64_t map_epoch = 0;  // the client's cached map; diagnostic only
+    app::KvArgs kv;
+
+    template <typename IO>
+    friend void wire_fields(IO& io, DataArgs& m) {
+      io(m.map_epoch, m.kv);
+    }
+  };
+
+  struct Migration {
+    std::uint64_t id = 0;
+    KeyRange range;
+    std::uint64_t post_epoch = 0;  // map epoch once the move commits
+    GroupId target;
+
+    template <typename IO>
+    friend void wire_fields(IO& io, Migration& m) {
+      io(m.id, m.range, m.post_epoch, m.target);
+    }
+  };
+
+  struct InstallArgs {
+    std::uint64_t id = 0;
+    KeyRange range;
+    std::uint64_t post_epoch = 0;
+    Bytes bundle;  // what shard.donate answered
+
+    template <typename IO>
+    friend void wire_fields(IO& io, InstallArgs& m) {
+      io(m.id, m.range, m.post_epoch, m.bundle);
+    }
+  };
 
   // A snapshot or delta decodes whole before it is applied: a malformed one
   // throws DecodeError and changes nothing.
@@ -92,25 +144,9 @@ class ShardServant final : public replication::Checkpointable {
   // --- client-side arg/result helpers ---------------------------------------
   static Bytes encode_data_args(std::uint64_t map_epoch, const std::string& key,
                                 const std::string* value);
-  struct DataReply {
-    ShardStatus status = ShardStatus::kOk;
-    Bytes inner;  // KvStoreServant result bytes when status == kOk
-  };
-  static DataReply decode_data_reply(const Bytes& body);
+  static ResultReply decode_data_reply(const Bytes& body);
 
  private:
-  struct Migration {
-    std::uint64_t id = 0;
-    KeyRange range;
-    std::uint64_t post_epoch = 0;  // map epoch once the move commits
-    GroupId target;
-
-    template <typename IO>
-    friend void wire_fields(IO& io, Migration& m) {
-      io(m.id, m.range, m.post_epoch, m.target);
-    }
-  };
-
   // Fencing and migration state. It rides in full ahead of the store in
   // every snapshot and delta: it is tiny and must survive any chain
   // position, because a replica promoted from a delta chain mid-migration
@@ -134,8 +170,7 @@ class ShardServant final : public replication::Checkpointable {
   Result control(const std::string& operation, const Bytes& args);
   Result freeze(const Migration& m);
   Result donate(std::uint64_t id);
-  Result install(std::uint64_t id, KeyRange range, std::uint64_t post_epoch,
-                 const Bytes& bundle);
+  Result install(const InstallArgs& args);
   Result release(std::uint64_t id);
   [[nodiscard]] static Result status_reply(ShardStatus status, SimTime cpu);
 

@@ -31,6 +31,8 @@ class DecodeError : public std::runtime_error {
 // strings to a growable buffer.
 class ByteWriter {
  public:
+  using Enum = std::uint8_t;  // enums travel as one byte
+
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
 
@@ -79,6 +81,8 @@ class ByteWriter {
 // keeps the storage alive.
 class ByteReader {
  public:
+  using Enum = std::uint8_t;
+
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
   ByteReader(std::shared_ptr<const void> owner, std::span<const std::uint8_t> data)
       : data_(data), owner_(std::move(owner)) {}

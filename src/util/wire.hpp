@@ -1,18 +1,21 @@
 // Wire layouts stated once.
 //
-// Each infrastructure message and each checkpointed state layout declares
-// its layout as one field list, a `wire_fields(io, msg)` function found by
-// argument-dependent lookup (usually a hidden friend next to the fields it
-// lists):
+// Each infrastructure message, checkpointed state layout and CDR layout
+// declares its layout as one field list, a `wire_fields(io, msg)` function
+// found by argument-dependent lookup (usually a hidden friend next to the
+// fields it lists):
 //
 //   template <typename IO>
 //   friend void wire_fields(IO& io, OrdAck& m) { io(m.from, m.group, m.epoch, m.seq); }
 //
-// wire::Writer runs the list over a ByteWriter and wire::Reader runs the
-// same list over a ByteReader, so an encoder and its decoder cannot drift
-// apart. A decoder fills a fresh value, so a caller that commits the value
-// only after decoding returned never applies half a malformed input. Field
-// kinds:
+// wire::BasicWriter runs the list over a byte sink and wire::BasicReader
+// runs the same list over the matching source, so an encoder and its
+// decoder cannot drift apart. Writer/Reader use ByteWriter/ByteReader, the
+// infrastructure's packed little-endian framing; orb::cdr_encode/cdr_decode
+// use the CDR codec, which aligns primitives, NUL-terminates strings and
+// widens enums to four bytes (src/orb/cdr.hpp). A decoder fills a fresh
+// value, so a caller that commits the value only after decoding returned
+// never applies half a malformed input. Field kinds:
 //   io(a, b, ...)            fixed-width integers, double, SimTime and ids
 //                            as 64-bit values, bool as one byte (decode
 //                            rejects values above 1), Payload, Bytes and
@@ -20,12 +23,17 @@
 //                            length-prefixed blobs, std::optional as a
 //                            one-byte flag then the value, nested messages
 //                            inline
-//   io.enum_in(e, lo, hi, w) an enum as one byte, rejected outside [lo, hi]
+//   io.enum_in(e, lo, hi, w) an enum as the codec's Enum type, rejected
+//                            outside [lo, hi]
 //   io.seq(c, min_bytes)     u32 count + elements of a vector, set or map;
 //                            decode bounds the count by the bytes left
 //   io.seq_blobs(c, min)     u32 count + each element as a length-prefixed
 //                            nested encoding
+//   io.align(n), io.rest(b)  CDR only: pad to a multiple of n; the bytes
+//                            up to the end of the frame, unprefixed
 //   io.check(cond, what)     decode throws DecodeError; encode asserts
+//   IO::kDecoding            true in a reader, for a field whose wire form
+//                            differs from its member
 //
 // Decoding through a Reader built on a Payload is zero-copy: Payload
 // fields alias the frame (see read_payload).
@@ -58,9 +66,12 @@ inline constexpr bool kIsOptional = false;
 template <typename T>
 inline constexpr bool kIsOptional<std::optional<T>> = true;
 
-class Writer {
+template <typename Sink>
+class BasicWriter {
  public:
-  explicit Writer(std::size_t reserve = 0) : w_(reserve) {}
+  static constexpr bool kDecoding = false;
+
+  explicit BasicWriter(std::size_t reserve = 0) : w_(reserve) {}
 
   template <typename... T>
   void operator()(const T&... fields) {
@@ -69,7 +80,7 @@ class Writer {
 
   template <typename E>
   void enum_in(E value, E /*lo*/, E /*hi*/, const char* /*what*/) {
-    w_.u8(static_cast<std::uint8_t>(value));
+    put(static_cast<typename Sink::Enum>(value));
   }
 
   template <typename C>
@@ -82,11 +93,14 @@ class Writer {
   void seq_blobs(const C& items, std::size_t /*min_element_bytes*/) {
     w_.u32(static_cast<std::uint32_t>(items.size()));
     for (const auto& item : items) {
-      Writer blob;
+      BasicWriter blob;
       blob(item);
       w_.bytes(blob.w_.data());
     }
   }
+
+  void align(std::size_t n) { w_.align(n); }
+  void rest(const Bytes& v) { w_.raw(v); }
 
   void check(bool cond, const char* what) { VDEP_ASSERT_MSG(cond, what); }
 
@@ -125,14 +139,18 @@ class Writer {
     put(kv.second);
   }
 
-  ByteWriter w_;
+  Sink w_;
 };
 
-class Reader {
+template <typename Source>
+class BasicReader {
  public:
-  explicit Reader(std::span<const std::uint8_t> raw) : r_(raw) {}
+  static constexpr bool kDecoding = true;
+
+  explicit BasicReader(Source source) : r_(std::move(source)) {}
+  explicit BasicReader(std::span<const std::uint8_t> raw) : r_(raw) {}
   // Payload fields decoded through this reader alias `frame`.
-  explicit Reader(const Payload& frame) : r_(frame.owner(), frame) {}
+  explicit BasicReader(const Payload& frame) : r_(frame.owner(), frame) {}
 
   template <typename... T>
   void operator()(T&... fields) {
@@ -148,9 +166,10 @@ class Reader {
 
   template <typename E>
   void enum_in(E& value, E lo, E hi, const char* what) {
+    using Enum = typename Source::Enum;
     const std::size_t at = r_.pos();
-    const std::uint8_t v = r_.u8();
-    if (v < static_cast<std::uint8_t>(lo) || v > static_cast<std::uint8_t>(hi)) {
+    const auto v = read<Enum>();
+    if (v < static_cast<Enum>(lo) || v > static_cast<Enum>(hi)) {
       throw r_.error(what, at);
     }
     value = static_cast<E>(v);
@@ -177,10 +196,13 @@ class Reader {
     const std::uint32_t n = r_.count(min_element_bytes);
     items.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      Reader blob(r_.owner(), r_.bytes_view());
+      BasicReader blob(r_.owner(), r_.bytes_view());
       items.push_back(blob.read<typename C::value_type>());
     }
   }
+
+  void align(std::size_t n) { r_.align(n); }
+  void rest(Bytes& v) { v = r_.rest(); }
 
   void check(bool cond, const char* what) {
     if (!cond) throw r_.error(what);
@@ -189,7 +211,7 @@ class Reader {
   [[nodiscard]] bool at_end() const { return r_.at_end(); }
 
  private:
-  Reader(std::shared_ptr<const void> owner, std::span<const std::uint8_t> raw)
+  BasicReader(std::shared_ptr<const void> owner, std::span<const std::uint8_t> raw)
       : r_(std::move(owner), raw) {}
 
   template <typename T>
@@ -221,8 +243,11 @@ class Reader {
     get(kv.second);
   }
 
-  ByteReader r_;
+  Source r_;
 };
+
+using Writer = BasicWriter<ByteWriter>;
+using Reader = BasicReader<ByteReader>;
 
 // Encodes one message; `reserve` pre-sizes the buffer.
 template <typename T>

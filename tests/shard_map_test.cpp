@@ -184,15 +184,10 @@ TEST(ShardServantTest, FencesStaleRoutesAndFrozenRanges) {
   EXPECT_EQ(ShardServant::decode_data_reply(result.output).status, ShardStatus::kOk);
 
   // Freeze the sub-range around the key: mid-donation requests bounce.
-  orb::CdrWriter w;
-  w.ulonglong(1);  // migration id
-  w.ulong(h);      // lo
-  w.ulong(h);      // hi
-  w.ulonglong(2);  // post_epoch
-  w.ulonglong(99); // target group
-  auto freeze_reply = owner.invoke("shard.freeze", std::move(w).take());
-  orb::CdrReader fr(freeze_reply.output);  // control replies carry status only
-  ASSERT_EQ(static_cast<ShardStatus>(fr.ulong()), ShardStatus::kOk);
+  const ShardServant::Migration freeze{1, {h, h}, 2, GroupId{99}};
+  auto freeze_reply = owner.invoke("shard.freeze", orb::cdr_encode(freeze));
+  // Control replies carry the status only.
+  ASSERT_EQ(orb::cdr_decode<StatusReply>(freeze_reply.output).status, ShardStatus::kOk);
   result = owner.invoke("put", ShardServant::encode_data_args(1, key, &value));
   EXPECT_EQ(ShardServant::decode_data_reply(result.output).status,
             ShardStatus::kFrozen);

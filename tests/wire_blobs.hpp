@@ -129,15 +129,9 @@ inline shard::ShardServant::Result shard_control(shard::ShardServant& servant,
                                                  const shard::KeyRange* range = nullptr,
                                                  std::uint64_t post_epoch = 0,
                                                  std::uint64_t target = 0) {
-  orb::CdrWriter w;
-  w.ulonglong(id);
-  if (range != nullptr) {
-    w.ulong(range->lo);
-    w.ulong(range->hi);
-    w.ulonglong(post_epoch);
-    w.ulonglong(target);
-  }
-  return servant.invoke(operation, std::move(w).take());
+  if (range == nullptr) return servant.invoke(operation, orb::cdr_encode(id));
+  const shard::ShardServant::Migration m{id, *range, post_epoch, GroupId{target}};
+  return servant.invoke(operation, orb::cdr_encode(m));
 }
 
 // A shard that has released one migration (done set, fence epoch) and is
@@ -309,10 +303,8 @@ inline bool kv_accepts(const std::string& operation, const Bytes& args) {
   return kv.invoke(operation, args).ok;
 }
 
-// The status every shard-layer reply opens with.
 inline shard::ShardStatus reply_status(const Bytes& output) {
-  orb::CdrReader r(output);
-  return static_cast<shard::ShardStatus>(r.ulong());
+  return orb::cdr_decode<shard::StatusReply>(output).status;
 }
 
 inline bool shard_accepts(shard::ShardServant&& servant, const std::string& operation,
@@ -325,38 +317,12 @@ inline shard::ShardMap sample_map() {
   return shard::ShardMap::uniform(2, 100, shard::ShardPolicy{});
 }
 
-// The KV result layouts re-encode through a store that answers the same.
-inline Bytes reencode_put_result(std::span<const std::uint8_t> raw) {
-  app::KvStoreServant kv;
-  if (app::KvStoreServant::decode_flag(Bytes(raw.begin(), raw.end()))) kv_put(kv, "k", "");
-  return kv.invoke("put", app::KvStoreServant::encode_put("k", "")).output;
-}
-
-inline Bytes reencode_get_result(std::span<const std::uint8_t> raw) {
-  const auto got = app::KvStoreServant::decode_get(Bytes(raw.begin(), raw.end()));
-  app::KvStoreServant kv;
-  if (got.found) kv_put(kv, "k", got.value);
-  return kv.invoke("get", app::KvStoreServant::encode_key("k")).output;
-}
-
-inline Bytes reencode_data_reply(std::span<const std::uint8_t> raw) {
-  const auto reply = shard::ShardServant::decode_data_reply(Bytes(raw.begin(), raw.end()));
-  orb::CdrWriter w;
-  w.ulong(static_cast<std::uint32_t>(reply.status));
-  if (reply.status == shard::ShardStatus::kOk) w.octets(reply.inner);
-  return std::move(w).take();
-}
-
-inline Bytes reencode_process_reply(std::span<const std::uint8_t> raw) {
-  const auto reply = app::ProcessReply::decode(Bytes(raw.begin(), raw.end()));
-  orb::CdrReader r(raw);
-  (void)r.ulonglong();
-  (void)r.ulonglong();
-  orb::CdrWriter w;
-  w.ulonglong(reply.counter);
-  w.ulonglong(reply.digest);
-  w.octets(r.octets());
-  return std::move(w).take();
+// Results re-encode through their client-side decoders.
+template <typename Decode>
+auto reencode_result(Decode decode) {
+  return [decode](std::span<const std::uint8_t> raw) {
+    return orb::cdr_encode(decode(Bytes(raw.begin(), raw.end())));
+  };
 }
 
 // The pinned CDR encodings, in a fixed order.
@@ -368,16 +334,15 @@ inline std::vector<WireBlob> cdr_blobs() {
   request.object_key = ObjectId{1};
   request.operation = "put";
   const orb::FtRequestContext ft{ProcessId{11}, 42, NodeId{2}, msec(30000)};
-  request.service_contexts = {ft.to_context(), orb::trace_to_context({0x7777, 0x8888})};
+  request.service_contexts = {ft.to_context(),
+                              orb::to_context(orb::kTraceContextId,
+                                              obs::TraceContext{0x7777, 0x8888})};
   request.body = app::KvStoreServant::encode_put("alpha", "1");
   out.push_back({"GIOP.Request", request.encode(), reencode_giop});
   orb::ReplyMessage reply;
   reply.request_id = 42;
-  orb::CdrWriter version;  // view id, view size, rank
-  version.ulonglong(4);
-  version.ulong(3);
-  version.ulong(1);
-  reply.service_contexts = {{orb::kFtGroupVersionContextId, version.data()}};
+  reply.service_contexts = {
+      orb::to_context(orb::kFtGroupVersionContextId, orb::FtGroupVersion{4, 3, 1})};
   reply.body = Bytes{1};
   out.push_back({"GIOP.Reply", reply.encode(), reencode_giop});
 
@@ -387,12 +352,14 @@ inline std::vector<WireBlob> cdr_blobs() {
   out.push_back({"KvStore.put.args", put_args, [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) { return kv_accepts("put", a); });
                  }});
-  out.push_back({"KvStore.put.result", kv.invoke("put", put_args).output, reencode_put_result});
+  out.push_back({"KvStore.put.result", kv.invoke("put", put_args).output,
+                 reencode_result(app::KvStoreServant::decode_flag)});
   const Bytes get_args = app::KvStoreServant::encode_key("alpha");
   out.push_back({"KvStore.get.args", get_args, [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) { return kv_accepts("get", a); });
                  }});
-  out.push_back({"KvStore.get.result", kv.invoke("get", get_args).output, reencode_get_result});
+  out.push_back({"KvStore.get.result", kv.invoke("get", get_args).output,
+                 reencode_result(app::KvStoreServant::decode_get)});
 
   const std::string value = "le";
   const Bytes data_args = shard::ShardServant::encode_data_args(3, "lemon", &value);
@@ -403,15 +370,11 @@ inline std::vector<WireBlob> cdr_blobs() {
                    });
                  }});
   out.push_back({"ShardServant.put.reply", owner.invoke("put", data_args).output,
-                 reencode_data_reply});
+                 reencode_result(shard::ShardServant::decode_data_reply)});
 
-  orb::CdrWriter freeze;  // migration id, range, post epoch, target group
-  freeze.ulonglong(1);
-  freeze.ulong(0x80000000u);
-  freeze.ulong(0xffffffffu);
-  freeze.ulonglong(2);
-  freeze.ulonglong(9);
-  out.push_back({"ShardServant.freeze.args", freeze.data(),
+  const shard::KeyRange upper{0x80000000u, 0xffffffffu};
+  const Bytes freeze = orb::cdr_encode(shard::ShardServant::Migration{1, upper, 2, GroupId{9}});
+  out.push_back({"ShardServant.freeze.args", freeze,
                  [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) {
                      return shard_accepts(shard::ShardServant({{0, 0xffffffffu}}, 1),
@@ -420,19 +383,12 @@ inline std::vector<WireBlob> cdr_blobs() {
                  }});
   const Bytes pear_args = shard::ShardServant::encode_data_args(3, "pear", &value);
   (void)owner.invoke("put", pear_args);  // pear hashes into the frozen half
-  (void)owner.invoke("shard.freeze", freeze.data());
-  orb::CdrWriter donate;
-  donate.ulonglong(1);
-  const Bytes donate_reply = owner.invoke("shard.donate", donate.data()).output;
-  orb::CdrReader donated(donate_reply);
-  (void)donated.ulong();
-  orb::CdrWriter install;  // migration id, range, post epoch, bundle
-  install.ulonglong(1);
-  install.ulong(0x80000000u);
-  install.ulong(0xffffffffu);
-  install.ulonglong(2);
-  install.octets(donated.octets());
-  out.push_back({"ShardServant.install.args", install.data(),
+  (void)owner.invoke("shard.freeze", freeze);
+  const Bytes bundle =
+      shard::ShardServant::decode_data_reply(shard_control(owner, "shard.donate", 1).output)
+          .result;
+  out.push_back({"ShardServant.install.args",
+                 orb::cdr_encode(shard::ShardServant::InstallArgs{1, upper, 2, bundle}),
                  [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) {
                      return shard_accepts(shard::ShardServant(), "shard.install", a);
@@ -452,7 +408,7 @@ inline std::vector<WireBlob> cdr_blobs() {
 
   app::TestServant test_app({.state_bytes = 6, .reply_bytes = 32});
   out.push_back({"TestServant.process.reply", test_app.invoke("process", filler_bytes(4)).output,
-                 reencode_process_reply});
+                 reencode_result(app::ProcessReply::decode)});
   return out;
 }
 

@@ -36,13 +36,8 @@ TEST(ServantArgs, MalformedArgumentsAnswerBadRequest) {
   anchor.app_state = Payload(std::move(range).take());
   replication::StateTransferMsg bundle;
   bundle.anchor = Payload(anchor.encode());
-  orb::CdrWriter install;
-  install.ulonglong(7);  // migration id
-  install.ulong(0x80000000u);
-  install.ulong(0xffffffffu);
-  install.ulonglong(2);  // post epoch
-  install.octets(bundle.encode());
-  EXPECT_EQ(data_status(servant.invoke("shard.install", std::move(install).take())),
+  const ShardServant::InstallArgs install{7, {0x80000000u, 0xffffffffu}, 2, bundle.encode()};
+  EXPECT_EQ(data_status(servant.invoke("shard.install", orb::cdr_encode(install))),
             ShardStatus::kBadRequest);
   EXPECT_TRUE(servant.store().items().empty());
   EXPECT_EQ(servant.owned_ranges().size(), 1u);
