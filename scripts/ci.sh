@@ -4,7 +4,8 @@
 #   2. the golden output manifest (scripts/golden.py check);
 #   3. the shard quick gate (the shard label, without the chaos campaign);
 #   4. smoke runs: kv_cluster --shards 4, micro_checkpoint, micro_health,
-#      macro_events, macro_shard and macro_campaign;
+#      the GIOP round trip of micro_substrate, macro_events, macro_shard and
+#      macro_campaign;
 #   5. the perfbench/ build and a 1-s run of each of its workloads, untraced
 #      and traced, which must report "correct": true (for fleet_sparse: every
 #      client finished and the replicas of each of the 32 delta-chained shards
@@ -70,6 +71,14 @@ echo "== health micro-benchmark smoke run =="
 cmake --build "${repo_root}/build" -j"${jobs}" --target micro_health
 "${repo_root}/build/bench/micro_health" --benchmark_min_time=0.001 > /dev/null
 echo "micro_health runs clean"
+
+echo "== GIOP round-trip smoke run =="
+# VDEP_ASSERT is on in every build type, so this also runs the encode-side
+# io.check asserts of the GIOP field lists on every iteration.
+cmake --build "${repo_root}/build" -j"${jobs}" --target micro_substrate
+"${repo_root}/build/bench/micro_substrate" \
+  --benchmark_filter='BM_GiopRequestRoundTrip' --benchmark_min_time=0.001 > /dev/null
+echo "micro_substrate BM_GiopRequestRoundTrip runs clean"
 
 echo "== macro-benchmark smoke runs =="
 # The whole-scenario events/sec benchmark and the sharded-fleet benchmark

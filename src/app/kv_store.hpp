@@ -45,9 +45,6 @@ struct KvItems {
 using KvPairs = KvItems<std::vector<std::pair<std::string, std::string>>>;
 using KvPairViews = KvItems<std::vector<std::pair<std::string_view, std::string_view>>>;
 
-// A delta: the keys written since the base cut with their values, then the
-// keys erased, each list in key order. `Str` is std::string to decode and
-// std::string_view to encode.
 enum class KvOp { kPut, kGet, kErase, kAppend, kSize };
 
 // The operation named `name`; nullopt for an unknown one.
@@ -80,6 +77,9 @@ struct KvGot {
   }
 };
 
+// A delta: the keys written since the base cut with their values, then the
+// keys erased, each list in key order. `Str` is std::string to decode and
+// std::string_view to encode.
 template <typename Str>
 struct KvDelta {
   KvItems<std::vector<std::pair<Str, Str>>> upserts;

@@ -27,7 +27,7 @@ class TestServant final : public replication::Checkpointable {
   // Operations:
   //   "process"    — folds the request payload into the state, returns a
   //                  reply of the configured size carrying (counter, digest);
-  //   "get_digest" — read-only state digest, in an unpadded reply;
+  //   "get_digest" — read-only state digest, with empty padding;
   //   anything else -> user exception.
   Result invoke(const std::string& operation, const Bytes& args) override;
 
