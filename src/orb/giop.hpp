@@ -57,6 +57,9 @@ inline constexpr std::uint32_t kFtGroupVersionContextId = 0x46540002;
 // the tracer is enabled.
 inline constexpr std::uint32_t kTraceContextId = 0x46540003;
 
+// A message with more service contexts than this is rejected.
+inline constexpr std::size_t kMaxServiceContexts = 64;
+
 // A context carrying `value` in CDR.
 template <typename T>
 [[nodiscard]] ServiceContext to_context(std::uint32_t id, const T& value) {
@@ -123,6 +126,7 @@ struct RequestMessage {
     std::uint8_t response_flags = m.response_expected ? 0x03 : 0x00;  // GIOP 1.2
     io(m.request_id, response_flags, m.object_key, m.operation);
     io.seq(m.service_contexts, 8);
+    io.check(m.service_contexts.size() <= kMaxServiceContexts, "too many service contexts");
     io.align(8);  // GIOP 1.2 aligns the body
     io.rest(m.body);
     if constexpr (IO::kDecoding) m.response_expected = (response_flags & 0x03) != 0;
@@ -143,6 +147,7 @@ struct ReplyMessage {
     io.enum_in(m.status, ReplyStatus::kNoException, ReplyStatus::kLocationForward,
                "bad reply status");
     io.seq(m.service_contexts, 8);
+    io.check(m.service_contexts.size() <= kMaxServiceContexts, "too many service contexts");
     io.align(8);
     io.rest(m.body);
   }
