@@ -4,20 +4,19 @@
 //  1. What do the health-plane primitives cost?  BM_PhiHeartbeat /
 //     BM_PhiQuery price one heartbeat observation and one suspicion query
 //     (both run on every phi tick for every link); BM_WindowCut prices one
-//     telemetry window cut over a realistic registry; BM_SloEvaluate prices
-//     one SLO evaluation against the windowed series.
+//     SLO's window cut over a realistic registry; BM_SloEvaluate prices one
+//     SLO evaluation over its windows.
 //  2. What does the health plane do to an experiment?  BM_ScenarioHealth{Off,On}
 //     runs the same seeded closed-loop replicated scenario both ways; the
 //     simulated results are identical (the monitor only observes), so the
 //     delta is the full health-plane cost: per-request SLO metric feeds plus
-//     all windowed cuts, phi ticks and SLO evaluations. bench/run_bench.sh
+//     all SLO window cuts, phi ticks and SLO evaluations. bench/run_bench.sh
 //     records the pair into BENCH_obs.json next to the tracer costs.
 #include <benchmark/benchmark.h>
 
 #include "harness/scenario.hpp"
 #include "monitor/health/phi_accrual.hpp"
 #include "monitor/health/slo.hpp"
-#include "monitor/health/window.hpp"
 #include "monitor/metrics.hpp"
 #include "util/time.hpp"
 
@@ -51,13 +50,20 @@ void BM_PhiQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PhiQuery);
 
-// One telemetry cut over a registry shaped like a running scenario's: a
+monitor::health::SloSpec service_slo() {
+  monitor::health::SloSpec spec;
+  spec.name = "service";
+  spec.latency_metric = "service.latency_us";
+  spec.request_counter = "service.requests";
+  return spec;
+}
+
+// One SLO window cut over a registry shaped like a running scenario's: a
 // handful of counters, gauges and latency distributions, with fresh samples
-// between cuts so every histogram contributes a delta.
+// between cuts so the SLO's latency histogram contributes a delta.
 void BM_WindowCut(benchmark::State& state) {
   monitor::MetricsRegistry registry;
-  monitor::health::TimeSeries series(64);
-  SimTime now = kTimeZero;
+  monitor::health::SloTracker tracker(service_slo());
   std::uint64_t tick = 0;
   for (auto _ : state) {
     for (int i = 0; i < 8; ++i) {
@@ -67,31 +73,24 @@ void BM_WindowCut(benchmark::State& state) {
       ++tick;
     }
     registry.set_gauge("health.phi_max", 0.3);
-    now += msec(100);
-    benchmark::DoNotOptimize(series.cut(registry, now));
+    tracker.cut(registry);
+    benchmark::DoNotOptimize(tracker);
   }
 }
 BENCHMARK(BM_WindowCut);
 
 void BM_SloEvaluate(benchmark::State& state) {
   monitor::MetricsRegistry registry;
-  monitor::health::TimeSeries series(64);
-  SimTime now = kTimeZero;
+  monitor::health::SloTracker tracker(service_slo());
   for (int w = 0; w < 64; ++w) {
     for (int i = 0; i < 50; ++i) {
       registry.add("service.requests");
       registry.observe("service.latency_us", 900.0 + i);
     }
-    now += msec(100);
-    series.cut(registry, now);
+    tracker.cut(registry);
   }
-  monitor::health::SloSpec spec;
-  spec.name = "service";
-  spec.latency_metric = "service.latency_us";
-  spec.request_counter = "service.requests";
-  const monitor::health::SloTracker tracker(spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tracker.evaluate(series));
+    benchmark::DoNotOptimize(tracker.evaluate());
   }
 }
 BENCHMARK(BM_SloEvaluate);
@@ -116,7 +115,7 @@ void run_scenario(bool health, benchmark::State& state) {
     benchmark::DoNotOptimize(result);
     if (health) {
       state.counters["windows"] = benchmark::Counter(
-          static_cast<double>(scenario.health().series().windows_cut()));
+          static_cast<double>(scenario.health().windows_cut()));
       state.counters["events"] = benchmark::Counter(
           static_cast<double>(scenario.health().events().size()));
     }

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
               result.p99_latency_us);
   std::printf("  health events        %zu (windows cut %llu)\n",
               health.events().size(),
-              static_cast<unsigned long long>(health.series().windows_cut()));
+              static_cast<unsigned long long>(health.windows_cut()));
 
   const std::string events_path = cfg.get_str("events", "");
   if (!events_path.empty()) {

@@ -29,10 +29,6 @@ void AdaptationManager::start() {
   });
 }
 
-void AdaptationManager::set_policy(std::unique_ptr<AdaptationPolicy> policy) {
-  policy_ = std::move(policy);
-}
-
 void AdaptationManager::evaluate() {
   Signals s;
   s.now = replicator_.process().now();

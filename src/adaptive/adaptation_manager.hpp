@@ -42,9 +42,6 @@ class AdaptationManager {
 
   void start();
 
-  // Runtime policy replacement ("policies ... introduced at run time").
-  void set_policy(std::unique_ptr<AdaptationPolicy> policy);
-
   [[nodiscard]] const AdaptationPolicy& policy() const { return *policy_; }
 
  private:

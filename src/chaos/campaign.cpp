@@ -348,7 +348,6 @@ void merge_trial(
                            static_cast<double>(trial.spans_recorded));
     result.metrics.add("chaos.spans_dropped", trial.spans_dropped);
   }
-  result.recovery_series.record(SimTime{index}, trial.recovery_ms);
 
   if (on_trial) on_trial(index, trial_config, trial);
 }

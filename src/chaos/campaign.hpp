@@ -10,7 +10,7 @@
 //
 // A campaign sweeps trials across {replication style x replica count x
 // checkpoint frequency} and aggregates verdicts and recovery-time metrics
-// into monitor::MetricsRegistry / sim::TimeSeries.
+// into a monitor::MetricsRegistry.
 #pragma once
 
 #include <functional>
@@ -21,7 +21,6 @@
 #include "chaos/schedule.hpp"
 #include "monitor/metrics.hpp"
 #include "replication/types.hpp"
-#include "sim/trace.hpp"
 
 namespace vdep::chaos {
 
@@ -141,7 +140,6 @@ struct CampaignResult {
   int trials = 0;
   int passed = 0;
   monitor::MetricsRegistry metrics;          // counters + recovery distribution
-  sim::TimeSeries recovery_series{"chaos_recovery_ms"};  // x = trial index (ns)
   std::vector<CampaignFailure> failures;
 
   [[nodiscard]] bool all_passed() const { return passed == trials; }

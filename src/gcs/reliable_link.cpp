@@ -2,8 +2,8 @@
 
 #include "net/link.hpp"
 #include "util/assert.hpp"
-#include "util/bytes.hpp"
 #include "util/calibration.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::gcs {
 
@@ -11,16 +11,9 @@ namespace {
 
 constexpr SimTime kRetransmitTimeout = msec(15);
 
-enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
-
-// u8 type, u64 seq, u32-length-prefixed inner.
-Payload encode_frame(FrameType type, std::uint64_t seq,
-                     std::span<const std::uint8_t> inner) {
-  ByteWriter w(1 + 8 + 4 + inner.size());
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(seq);
-  w.bytes(inner);
-  return std::move(w).take();
+Payload encode_frame(const LinkFrame& frame) {
+  // u8 type, u64 seq, u32 length and the inner.
+  return Payload(wire::encode(frame, 1 + 8 + 4 + frame.inner.size()));
 }
 
 }  // namespace
@@ -43,18 +36,18 @@ void ReliableLink::transmit(NodeId to, Payload frame, std::size_t wire,
 void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
   auto& peer = tx_[to];
   const std::uint64_t seq = peer.next_seq++;
-  // The per-peer sequence number forces one splice here, but the resulting
-  // frame is shared (not copied) between the retransmit queue and the packet.
-  Payload frame = encode_frame(FrameType::kData, seq, inner);
   const std::size_t wire = net::wire_bytes(payload_bytes, calib::kGcsHeaderBytes) +
                            (inner.size() - payload_bytes);
+  // The per-peer sequence number forces one splice here, but the resulting
+  // frame is shared (not copied) between the retransmit queue and the packet.
+  Payload frame = encode_frame({LinkFrame::Type::kData, seq, std::move(inner)});
   peer.unacked[seq] = Unacked{frame, wire};
   transmit(to, std::move(frame), wire, /*counted=*/true);
   arm_retransmit(to);
 }
 
 void ReliableLink::send_ack(NodeId to, std::uint64_t cumulative) {
-  Payload frame = encode_frame(FrameType::kAck, cumulative, {});
+  Payload frame = encode_frame({LinkFrame::Type::kAck, cumulative, {}});
   const std::size_t wire = frame.size();
   transmit(to, std::move(frame), wire, /*counted=*/false);
 }
@@ -81,15 +74,11 @@ void ReliableLink::forget_peer(NodeId peer) {
 }
 
 void ReliableLink::handle_packet(net::Packet&& packet) {
-  // The reader carries the packet's buffer as its owner, so the inner frame
-  // below is a zero-copy alias of the received bytes.
-  ByteReader r(packet.payload.owner(), packet.payload);
-  const auto type = static_cast<FrameType>(r.u8());
-  const std::uint64_t seq = r.u64();
-  Payload inner = read_payload(r);
-
-  switch (type) {
-    case FrameType::kAck: {
+  // The inner is a zero-copy alias of the received bytes.
+  LinkFrame frame = wire::decode<LinkFrame>(packet.payload);
+  const std::uint64_t seq = frame.seq;
+  switch (frame.type) {
+    case LinkFrame::Type::kAck: {
       auto it = tx_.find(packet.src);
       if (it == tx_.end()) return;
       auto& unacked = it->second.unacked;
@@ -98,10 +87,10 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
       return;
     }
 
-    case FrameType::kData: {
+    case LinkFrame::Type::kData: {
       auto& peer = rx_[packet.src];
       if (seq >= peer.next_expected && !peer.reorder.contains(seq)) {
-        peer.reorder[seq] = std::move(inner);
+        peer.reorder[seq] = std::move(frame.inner);
       }
       // Deliver the contiguous prefix.
       while (true) {
@@ -116,7 +105,6 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
       return;
     }
   }
-  throw r.error("bad link frame type", 0);
 }
 
 }  // namespace vdep::gcs

@@ -20,6 +20,22 @@
 
 namespace vdep::gcs {
 
+// One link frame: a data frame carries an inner message under its per-peer
+// sequence number; an ack carries the cumulative sequence number received
+// and no inner.
+struct LinkFrame {
+  enum class Type : std::uint8_t { kData = 1, kAck = 2 };
+  Type type = Type::kData;
+  std::uint64_t seq = 0;
+  Payload inner;
+
+  template <typename IO>
+  friend void wire_fields(IO& io, LinkFrame& f) {
+    io.enum_in(f.type, Type::kData, Type::kAck, "bad link frame type");
+    io(f.seq, f.inner);
+  }
+};
+
 class ReliableLink {
  public:
   // `deliver` receives in-order inner message frames from a peer daemon; the

@@ -58,9 +58,9 @@ struct ScenarioConfig {
   bool enable_replicated_state = false;
   std::optional<adaptive::RateThresholdPolicy::Config> adaptation;
 
-  // Live health plane: a HealthMonitor attached to every daemon, windowed
-  // telemetry cut from the scenario registry, per-request latency observed
-  // into "service.latency_us"/"service.requests", a default service SLO
+  // Live health plane: a HealthMonitor attached to every daemon, per-request
+  // latency observed into "service.latency_us"/"service.requests", a default
+  // service SLO judged over windows it cuts from the scenario registry
   // (override via `slos`) and per-replica-host CPU queue-depth probes.
   bool health = false;
   std::vector<monitor::health::SloSpec> slos;  // empty = one default SLO

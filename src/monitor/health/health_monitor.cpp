@@ -11,13 +11,12 @@ namespace {
 // scale's cap, i.e. certainty (the co-located daemon saw the crash; there is
 // no model uncertainty to accrue).
 constexpr double kDirectObservation = 100.0;
-constexpr SimTime kWindowInterval = msec(100);  // telemetry cut + SLO/probe cadence
+constexpr SimTime kWindowInterval = msec(100);  // SLO window cut + SLO/probe cadence
 constexpr SimTime kPhiInterval = msec(20);      // failure-detector evaluation cadence
-constexpr std::size_t kWindows = 64;            // TimeSeries ring capacity
 }  // namespace
 
 HealthMonitor::HealthMonitor(sim::Kernel& kernel, MetricsRegistry& registry)
-    : kernel_(kernel), registry_(registry), series_(kWindows) {}
+    : kernel_(kernel), registry_(registry) {}
 
 void HealthMonitor::start() {
   if (running_) return;
@@ -121,10 +120,13 @@ void HealthMonitor::phi_tick() {
 void HealthMonitor::window_tick() {
   if (!running_) return;
   const SimTime now = kernel_.now();
-  series_.cut(registry_, now);
+  // All SLOs cut before any evaluation writes its gauges and counters, so
+  // every window ends at the same registry state.
+  ++windows_cut_;
+  for (auto& [name, slo] : slos_) slo.tracker.cut(registry_);
 
   for (auto& [name, slo] : slos_) {
-    const SloStatus status = slo.tracker.evaluate(series_);
+    const SloStatus status = slo.tracker.evaluate();
     slo_status_[name] = status;
     const auto& spec = slo.tracker.spec();
     registry_.set_gauge("health.slo." + name + ".p99_us", status.p99_us);

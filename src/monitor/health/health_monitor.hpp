@@ -10,9 +10,9 @@
 //    that arrived since their last read (each is reported with its arrival
 //    time, so a detector sees the same inter-arrival times whenever it is
 //    read), then evaluates the link detectors and the
-//    per-replica suspicion gauges; every 100 ms it cuts a
-//    telemetry window from the registry and evaluates SLO trackers and
-//    queue-depth probes against the windowed series.
+//    per-replica suspicion gauges; every 100 ms each SLO tracker cuts a
+//    window of its own metrics, then the trackers and the queue-depth
+//    probes are evaluated.
 //  - Output: suspicion/attainment/burn gauges published back into the same
 //    registry, and a deterministic HealthEvent stream for every state
 //    transition — the signal source AdaptationManager consumes and the
@@ -24,6 +24,7 @@
 // one nullptr compare.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -34,7 +35,6 @@
 #include "monitor/health/events.hpp"
 #include "monitor/health/phi_accrual.hpp"
 #include "monitor/health/slo.hpp"
-#include "monitor/health/window.hpp"
 #include "monitor/metrics.hpp"
 #include "sim/kernel.hpp"
 
@@ -70,7 +70,8 @@ class HealthMonitor final : public gcs::HealthObserver {
                            SimTime now) override;
 
   // --- queries ----------------------------------------------------------------
-  [[nodiscard]] const TimeSeries& series() const { return series_; }
+  // Window ticks so far, one every 100 ms; each cuts one window per SLO.
+  [[nodiscard]] std::uint64_t windows_cut() const { return windows_cut_; }
   [[nodiscard]] const HealthEventStream& stream() const { return stream_; }
   [[nodiscard]] HealthEventStream& stream() { return stream_; }
   [[nodiscard]] const std::vector<HealthEvent>& events() const {
@@ -115,7 +116,7 @@ class HealthMonitor final : public gcs::HealthObserver {
 
   sim::Kernel& kernel_;
   MetricsRegistry& registry_;
-  TimeSeries series_;
+  std::uint64_t windows_cut_ = 0;
   HealthEventStream stream_;
   bool running_ = false;
 

@@ -1,17 +1,23 @@
-// Declarative service-level objectives evaluated against windowed telemetry.
+// Declarative service-level objectives, each judged over its own windows.
 //
 // An SloSpec names the metrics that define a service's health — a latency
 // distribution, a request counter and (optionally) a failure counter — plus
 // the targets: a p99 latency bound and an availability floor, both judged
-// over the last `window` telemetry windows. The tracker is pure: it reads
-// the TimeSeries and returns an SloStatus; the HealthMonitor turns status
-// transitions into breach/recover events and publishes attainment gauges
-// and burn-rate counters.
+// over the last `window` telemetry windows. The tracker cuts those windows
+// itself: each cut() takes the request and failure counter deltas and the
+// latency histogram delta since the previous cut, and keeps the newest
+// `window` of them, so nothing else in the registry is copied. evaluate()
+// returns an SloStatus; the HealthMonitor turns status transitions into
+// breach/recover events and publishes attainment gauges and burn-rate
+// counters.
 #pragma once
 
+#include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
 
-#include "monitor/health/window.hpp"
+#include "monitor/metrics.hpp"
 
 namespace vdep::monitor::health {
 
@@ -48,10 +54,26 @@ class SloTracker {
   explicit SloTracker(SloSpec spec);
 
   [[nodiscard]] const SloSpec& spec() const { return spec_; }
-  [[nodiscard]] SloStatus evaluate(const TimeSeries& series) const;
+  // Closes a window: what the spec's three metrics gained since the last
+  // cut (everything so far on the first). A metric the registry has never
+  // seen contributes nothing.
+  void cut(const MetricsRegistry& registry);
+  // Judges the objective over the last `spec().window` windows.
+  [[nodiscard]] SloStatus evaluate() const;
 
  private:
+  struct Window {
+    std::uint64_t requests = 0;
+    std::uint64_t failures = 0;
+    LogHistogram latency;  // only this window's samples
+  };
+
   SloSpec spec_;
+  std::deque<Window> windows_;  // oldest first, at most spec_.window
+  // The metrics as of the last cut, diffed against on the next one.
+  std::uint64_t last_requests_ = 0;
+  std::uint64_t last_failures_ = 0;
+  std::optional<LogHistogram> last_latency_;
 };
 
 }  // namespace vdep::monitor::health

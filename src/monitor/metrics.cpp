@@ -2,22 +2,6 @@
 
 namespace vdep::monitor {
 
-MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot out;
-  for (const auto& [name, value] : counters) {
-    auto it = earlier.counters.find(name);
-    const std::uint64_t base = it == earlier.counters.end() ? 0 : it->second;
-    out.counters[name] = value >= base ? value - base : 0;
-  }
-  out.gauges = gauges;
-  for (const auto& [name, value] : observations) {
-    auto it = earlier.observations.find(name);
-    const std::uint64_t base = it == earlier.observations.end() ? 0 : it->second;
-    out.observations[name] = value >= base ? value - base : 0;
-  }
-  return out;
-}
-
 void MetricsRegistry::add(const std::string& name, std::uint64_t delta) {
   counters_[name] += delta;
 }
@@ -58,16 +42,6 @@ std::optional<double> MetricsRegistry::percentile(const std::string& name,
   const LogHistogram* h = histogram(name);
   if (h == nullptr) return std::nullopt;
   return h->percentile(p);
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  snap.counters = counters_;
-  snap.gauges = gauges_;
-  for (const auto& [name, dist] : distributions_) {
-    snap.observations[name] = dist.stats.count();
-  }
-  return snap;
 }
 
 void MetricsRegistry::reset() {

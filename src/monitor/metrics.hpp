@@ -19,18 +19,6 @@
 
 namespace vdep::monitor {
 
-// A point-in-time copy of the registry's scalar state. Diffing two snapshots
-// gives per-phase deltas (e.g. "requests executed during the failover").
-struct MetricsSnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, std::uint64_t> observations;  // per-distribution count
-
-  // Deltas since `earlier`: counters and observation counts subtract
-  // (missing-in-earlier reads as 0); gauges keep this snapshot's value.
-  [[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& earlier) const;
-};
-
 class MetricsRegistry {
  public:
   struct Distribution {
@@ -62,8 +50,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, Distribution>& distributions() const {
     return distributions_;
   }
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
 
   void reset();
 

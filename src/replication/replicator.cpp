@@ -162,14 +162,20 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
             handle_request_envelope(msg, std::move(env.payload));
             return;
           case RepEnvelope::Type::kCheckpoint:
-          case RepEnvelope::Type::kCheckpointDelta: {
-            const CheckpointMsg msg = CheckpointMsg::decode(
-                env.payload, env.type == RepEnvelope::Type::kCheckpointDelta
-                                 ? CheckpointMsg::Kind::kDelta
-                                 : CheckpointMsg::Kind::kFull);
-            handle_chain({&msg, 1});
+          case RepEnvelope::Type::kCheckpointDelta:
+          case RepEnvelope::Type::kStateTransfer:
+            // A malformed part installs nothing (install_checkpoint decodes
+            // before it applies), so dropping the delivery keeps the state
+            // this replica had. A later delta then meets the chain-gap rule
+            // and asks for an anchor; the log still holds every request the
+            // dropped part covered.
+            try {
+              handle_checkpoint_envelope(env);
+            } catch (const DecodeError& e) {
+              log_info(process_.now(), "replicator",
+                       process_.name() + " dropped a malformed checkpoint: " + e.what());
+            }
             return;
-          }
           case RepEnvelope::Type::kSwitch:
             handle_switch(SwitchMsg::decode(env.payload));
             return;
@@ -178,17 +184,6 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
             // (or an anchor + delta bundle when a chain is retained).
             if (!uninitialized_ && my_rank() == 0) begin_round(/*donation=*/true);
             return;
-          case RepEnvelope::Type::kStateTransfer: {
-            const StateTransferMsg bundle = StateTransferMsg::decode(env.payload);
-            std::vector<CheckpointMsg> chain;
-            chain.reserve(1 + bundle.deltas.size());
-            chain.push_back(CheckpointMsg::decode(bundle.anchor, CheckpointMsg::Kind::kFull));
-            for (const auto& d : bundle.deltas) {
-              chain.push_back(CheckpointMsg::decode(d, CheckpointMsg::Kind::kDelta));
-            }
-            handle_chain(chain);
-            return;
-          }
           case RepEnvelope::Type::kAnchorRequest:
             // A backup hit a chain gap: the head pins a full anchor. The
             // latch survives an in-flight round (served when it completes).
@@ -196,6 +191,25 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
             return;
         }
       }));
+}
+
+void Replicator::handle_checkpoint_envelope(const RepEnvelope& env) {
+  if (env.type != RepEnvelope::Type::kStateTransfer) {
+    const CheckpointMsg msg = CheckpointMsg::decode(
+        env.payload, env.type == RepEnvelope::Type::kCheckpointDelta
+                         ? CheckpointMsg::Kind::kDelta
+                         : CheckpointMsg::Kind::kFull);
+    handle_chain({&msg, 1});
+    return;
+  }
+  const StateTransferMsg bundle = StateTransferMsg::decode(env.payload);
+  std::vector<CheckpointMsg> chain;
+  chain.reserve(1 + bundle.deltas.size());
+  chain.push_back(CheckpointMsg::decode(bundle.anchor, CheckpointMsg::Kind::kFull));
+  for (const auto& d : bundle.deltas) {
+    chain.push_back(CheckpointMsg::decode(d, CheckpointMsg::Kind::kDelta));
+  }
+  handle_chain(chain);
 }
 
 void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload giop) {
@@ -669,8 +683,8 @@ void Replicator::checkpoint_tick() {
     const bool owed = !last_cut_id_.has_value() || anchor_requested_;
     if (owed || !moved_clients_.empty()) take_checkpoint();
   } else {
-    // Nobody to keep current: snapshot locally so a restart has a recovery
-    // point. Costs quiescence + serialization, no traffic.
+    // Nobody to keep current: a local recovery point. Costs quiescence +
+    // serialization, no traffic.
     take_local_checkpoint();
   }
 }
@@ -681,11 +695,17 @@ bool Replicator::can_cut_delta() const {
          chain_deltas_.size() + 1 < params_.checkpoint_anchor_interval;
 }
 
-CheckpointMsg Replicator::new_cut(bool delta) {
+std::uint64_t Replicator::next_checkpoint_id() {
   ++checkpoint_counter_;
   executions_since_checkpoint_ = 0;
+  const std::uint64_t id = (process_.id().value() << 20) | checkpoint_counter_;
+  if (on_checkpoint_) on_checkpoint_(id);
+  return id;
+}
+
+CheckpointMsg Replicator::new_cut(bool delta) {
   CheckpointMsg msg;
-  msg.checkpoint_id = (process_.id().value() << 20) | checkpoint_counter_;
+  msg.checkpoint_id = next_checkpoint_id();
   std::size_t replies = kCheckpointReplyEntries;
   if (delta) {
     msg.applied.reserve(moved_clients_.size());
@@ -698,7 +718,6 @@ CheckpointMsg Replicator::new_cut(bool delta) {
     msg.applied = applied_frontier();
   }
   msg.reply_cache = reply_cache_.serialize_recent(replies);
-  if (on_checkpoint_) on_checkpoint_(msg.checkpoint_id);
   return msg;
 }
 
@@ -798,10 +817,7 @@ void Replicator::take_local_checkpoint() {
     obs::Span span = process_.kernel().tracer().start_child(
         "rep.checkpoint", "replication", process_.name());
     span.note("local", "1");
-    CheckpointMsg msg = new_cut(/*delta=*/false);
-    msg.app_state = app_.snapshot();
-    stored_chain_.clear();
-    stored_chain_.push_back(std::move(msg));
+    next_checkpoint_id();
     network_.cpu(process_.host())
         .execute(snapshot_cpu_time(app_.state_size(), kSnapshotBytesPerSec),
                  process_.guarded([this] {

@@ -145,6 +145,9 @@ class Replicator {
   void on_group_message(const gcs::GroupMessage& msg);
   void on_view(const gcs::View& view);
   void handle_request_envelope(const gcs::GroupMessage& msg, Payload giop);
+  // A checkpoint, delta or state-transfer envelope: decodes its parts and
+  // hands them to handle_chain. Throws DecodeError on a malformed part.
+  void handle_checkpoint_envelope(const RepEnvelope& env);
 
   // --- per-style rules: each switches on style_ ----------------------------
   // A client request delivered in total order (and not held).
@@ -162,8 +165,10 @@ class Replicator {
   void execute_request(const RequestRecord& rec, bool send_reply);
   // Appends to the backup log.
   void log_request(const RequestRecord& rec);
-  // Quiesce and snapshot locally without multicasting — what a lone passive
-  // primary does so a cold restart still has a recovery point.
+  // Quiesce and pay a local snapshot's CPU cost without multicasting — what
+  // a lone passive primary spends on a recovery point. The cut is numbered
+  // and reported like a group cut; its bytes are not kept, since a restart
+  // rebuilds the replicator.
   void take_local_checkpoint();
   // Passive primary, after each execution: checkpoint every N requests, so
   // backup staleness is bounded in requests, not just in wall-clock time.
@@ -202,9 +207,11 @@ class Replicator {
   // charge CPU, multicast.
   void cut_and_multicast(bool donation);
   [[nodiscard]] bool can_cut_delta() const;
-  // Id, applied frontier and recent replies of a new cut; the caller adds the
-  // app state. A delta carries only the frontiers that moved and the replies
-  // added since our last group cut.
+  // Numbers a new cut (group or local) and reports it to on_checkpoint_.
+  std::uint64_t next_checkpoint_id();
+  // Id, applied frontier and recent replies of a new group cut; the caller
+  // adds the app state. A delta carries only the frontiers that moved and the
+  // replies added since our last group cut.
   [[nodiscard]] CheckpointMsg new_cut(bool delta);
   // Backup side: a delta did not continue our chain — ask the taker for a
   // full anchor (deduplicated until one arrives).

@@ -156,7 +156,6 @@ TEST(ChaosTrial, CampaignSweepCoversTheDesignSpace) {
     EXPECT_GE(result.metrics.counter(std::string("chaos.pass.") + code), 1u)
         << code;
   }
-  EXPECT_EQ(result.recovery_series.points().size(), 10u);
 }
 
 // A sharded trial replays the plan it is given instead of regenerating one

@@ -1,5 +1,5 @@
-// The live health plane: phi-accrual failure detection, windowed telemetry,
-// SLO tracking, the deterministic HealthEvent stream, and the closed loop
+// The live health plane: phi-accrual failure detection, SLO tracking over
+// the tracker's own windows, the deterministic HealthEvent stream, and the closed loop
 // into adaptation — units first, then full-scenario integration.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "monitor/health/health_monitor.hpp"
 #include "monitor/health/phi_accrual.hpp"
 #include "monitor/health/slo.hpp"
-#include "monitor/health/window.hpp"
 #include "shard/cluster.hpp"
 
 namespace vdep::monitor::health {
@@ -60,65 +59,24 @@ TEST(PhiAccrual, OutlierIntervalClamped) {
   EXPECT_LT(d.mean_interval_us(), 25'000.0);
 }
 
-// --- windowed telemetry --------------------------------------------------------
-
-TEST(TimeSeriesWindows, DeltasRatesAndRollingPercentiles) {
-  MetricsRegistry reg;
-  TimeSeries series(8);
-  SimTime t = kTimeZero;
-  for (int w = 1; w <= 5; ++w) {
-    reg.add("ops", 10);
-    for (int i = 0; i < 10; ++i) reg.observe("lat", 100.0 * w);
-    t += msec(100);
-    series.cut(reg, t);
-  }
-
-  EXPECT_EQ(series.windows_cut(), 5u);
-  EXPECT_EQ(series.window(0).deltas.counters.at("ops"), 10u);
-  EXPECT_EQ(series.total("ops", 2), 20u);
-  EXPECT_EQ(series.observations("lat", 3), 30u);
-  // 40 ops across the last 4 windows' 400 ms span.
-  EXPECT_NEAR(series.rate("ops", 4), 100.0, 1e-9);
-  // Newest window is a point mass at 500.
-  ASSERT_TRUE(series.percentile("lat", 50, 1).has_value());
-  EXPECT_NEAR(*series.percentile("lat", 50, 1), 500.0, 500.0 * 0.05);
-  // Unknown names are empty, not errors.
-  EXPECT_EQ(series.total("missing", 4), 0u);
-  EXPECT_FALSE(series.percentile("missing", 99, 4).has_value());
-}
-
-TEST(TimeSeriesWindows, RingWrapKeepsNewest) {
-  MetricsRegistry reg;
-  TimeSeries series(4);
-  SimTime t = kTimeZero;
-  for (int w = 0; w < 6; ++w) {
-    reg.add("ops", static_cast<std::uint64_t>(w + 1));
-    t += msec(50);
-    series.cut(reg, t);
-  }
-  EXPECT_EQ(series.windows_cut(), 6u);
-  EXPECT_EQ(series.size(), 4u);
-  EXPECT_EQ(series.window(0).index, 5u);  // newest
-  EXPECT_EQ(series.window(3).index, 2u);  // oldest retained
-  // Totals aggregate only what the ring still holds: windows 3..6 deltas.
-  EXPECT_EQ(series.total("ops", 99), 3u + 4u + 5u + 6u);
-}
-
 // --- SLO tracking --------------------------------------------------------------
 
-TEST(SloTracker, VacuousBelowMinRequests) {
-  MetricsRegistry reg;
-  TimeSeries series(8);
-  series.cut(reg, msec(100));
-
+SloSpec svc_spec() {
   SloSpec spec;
   spec.name = "svc";
   spec.latency_metric = "lat";
   spec.request_counter = "req";
+  return spec;
+}
+
+TEST(SloTracker, VacuousBelowMinRequests) {
+  MetricsRegistry reg;
+  SloSpec spec = svc_spec();
   spec.min_requests = 5;
   SloTracker tracker(spec);
+  tracker.cut(reg);
 
-  const SloStatus idle = tracker.evaluate(series);
+  const SloStatus idle = tracker.evaluate();
   EXPECT_TRUE(idle.met());
   EXPECT_EQ(idle.requests, 0u);
   EXPECT_DOUBLE_EQ(idle.burn_rate, 0.0);
@@ -126,12 +84,7 @@ TEST(SloTracker, VacuousBelowMinRequests) {
 
 TEST(SloTracker, AvailabilityBurnAndLatencyBreach) {
   MetricsRegistry reg;
-  TimeSeries series(8);
-
-  SloSpec spec;
-  spec.name = "svc";
-  spec.latency_metric = "lat";
-  spec.request_counter = "req";
+  SloSpec spec = svc_spec();
   spec.failure_counter = "fail";
   spec.latency_p99_target_us = 1000.0;
   spec.availability_target = 0.9;
@@ -141,8 +94,8 @@ TEST(SloTracker, AvailabilityBurnAndLatencyBreach) {
   // Healthy window: all requests fast, none failed.
   reg.add("req", 100);
   for (int i = 0; i < 100; ++i) reg.observe("lat", 500.0);
-  series.cut(reg, msec(100));
-  const SloStatus healthy = tracker.evaluate(series);
+  tracker.cut(reg);
+  const SloStatus healthy = tracker.evaluate();
   EXPECT_TRUE(healthy.met());
   EXPECT_DOUBLE_EQ(healthy.availability, 1.0);
   EXPECT_DOUBLE_EQ(healthy.burn_rate, 0.0);
@@ -150,8 +103,8 @@ TEST(SloTracker, AvailabilityBurnAndLatencyBreach) {
   // Availability breach: 20 of 100 fail -> 0.8 < 0.9 target, burn 2x budget.
   reg.add("req", 80);
   reg.add("fail", 20);
-  series.cut(reg, msec(200));
-  const SloStatus burning = tracker.evaluate(series);
+  tracker.cut(reg);
+  const SloStatus burning = tracker.evaluate();
   EXPECT_FALSE(burning.availability_met);
   EXPECT_DOUBLE_EQ(burning.availability, 0.8);
   EXPECT_NEAR(burning.burn_rate, 2.0, 1e-9);
@@ -159,11 +112,72 @@ TEST(SloTracker, AvailabilityBurnAndLatencyBreach) {
   // Latency breach: successful but slow.
   reg.add("req", 100);
   for (int i = 0; i < 100; ++i) reg.observe("lat", 5000.0);
-  series.cut(reg, msec(300));
-  const SloStatus slow = tracker.evaluate(series);
+  tracker.cut(reg);
+  const SloStatus slow = tracker.evaluate();
   EXPECT_FALSE(slow.latency_met);
   EXPECT_TRUE(slow.availability_met);
   EXPECT_GT(slow.p99_us, 1000.0);
+}
+
+TEST(SloTracker, OnlyTheLastWindowsCount) {
+  MetricsRegistry reg;
+  SloSpec spec = svc_spec();
+  spec.window = 4;
+  SloTracker tracker(spec);
+  // Window w adds w requests, each taking 100 * w us.
+  for (int w = 1; w <= 6; ++w) {
+    reg.add("req", static_cast<std::uint64_t>(w));
+    for (int i = 0; i < w; ++i) reg.observe("lat", 100.0 * w);
+    tracker.cut(reg);
+  }
+  // Windows 3..6 only: their counter deltas, and a p99 at the newest
+  // window's latency.
+  const SloStatus four = tracker.evaluate();
+  EXPECT_EQ(four.requests, 3u + 4u + 5u + 6u);
+  EXPECT_NEAR(four.p99_us, 600.0, 600.0 * 0.05);
+
+  // A slow burst ages out: two fast windows later, a two-window SLO sees
+  // only fast samples.
+  spec.window = 2;
+  SloTracker recent(spec);
+  reg.add("req", 10);
+  for (int i = 0; i < 10; ++i) reg.observe("lat", 9000.0);
+  recent.cut(reg);
+  for (int w = 0; w < 2; ++w) {
+    reg.add("req", 10);
+    for (int i = 0; i < 10; ++i) reg.observe("lat", 200.0);
+    recent.cut(reg);
+  }
+  const SloStatus fast = recent.evaluate();
+  EXPECT_EQ(fast.requests, 20u);
+  EXPECT_NEAR(fast.p99_us, 200.0, 200.0 * 0.05);
+}
+
+TEST(SloTracker, MetricsTheRegistryNeverSawReadEmpty) {
+  MetricsRegistry reg;
+  reg.add("other", 7);
+  reg.observe("other_lat", 5000.0);
+
+  // No request counter: no requests, whatever else the registry holds.
+  SloTracker unknown(svc_spec());
+  unknown.cut(reg);
+  unknown.cut(reg);
+  const SloStatus idle = unknown.evaluate();
+  EXPECT_EQ(idle.requests, 0u);
+  EXPECT_EQ(idle.failures, 0u);
+  EXPECT_TRUE(idle.met());
+
+  // Requests but no latency distribution: no latency sample to judge.
+  SloSpec spec = svc_spec();
+  spec.min_requests = 0;
+  spec.latency_p99_target_us = 1.0;
+  SloTracker no_latency(spec);
+  reg.add("req", 3);
+  no_latency.cut(reg);
+  const SloStatus status = no_latency.evaluate();
+  EXPECT_EQ(status.requests, 3u);
+  EXPECT_DOUBLE_EQ(status.p99_us, 0.0);
+  EXPECT_TRUE(status.latency_met);
 }
 
 // --- event stream --------------------------------------------------------------
@@ -371,7 +385,7 @@ TEST(HealthScenario, FaultFreeRunIsSilent) {
   scenario.drain();
 
   auto& health = scenario.health();
-  EXPECT_GT(health.series().windows_cut(), 0u);
+  EXPECT_GT(health.windows_cut(), 0u);
   for (const auto& e : health.events()) {
     EXPECT_TRUE(e.kind == HealthEventKind::kReplicaClear ||
                 e.kind == HealthEventKind::kLinkClear ||

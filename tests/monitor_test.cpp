@@ -51,52 +51,6 @@ TEST(MetricsRegistry, PercentilesFromLogHistogram) {
   EXPECT_DOUBLE_EQ(all.at("latency").histogram.max(), 1000.0);
 }
 
-TEST(MetricsRegistry, SnapshotDiffGivesPerPhaseDeltas) {
-  MetricsRegistry m;
-  m.add("executed", 10);
-  m.set_gauge("load", 0.4);
-  m.observe("latency", 5.0);
-  const MetricsSnapshot before = m.snapshot();
-
-  m.add("executed", 7);
-  m.add("new_counter", 3);  // appears only after the first snapshot
-  m.set_gauge("load", 0.9);
-  m.observe("latency", 6.0);
-  m.observe("latency", 7.0);
-  const MetricsSnapshot after = m.snapshot();
-
-  const MetricsSnapshot delta = after.diff(before);
-  EXPECT_EQ(delta.counters.at("executed"), 7u);
-  EXPECT_EQ(delta.counters.at("new_counter"), 3u);  // missing-in-earlier = 0
-  EXPECT_DOUBLE_EQ(delta.gauges.at("load"), 0.9);   // gauges keep last value
-  EXPECT_EQ(delta.observations.at("latency"), 2u);
-}
-
-TEST(MetricsRegistry, SnapshotDiffEdgeCases) {
-  MetricsRegistry m;
-  m.add("stable", 5);
-  m.set_gauge("old_gauge", 1.5);
-  const MetricsSnapshot earlier = m.snapshot();
-
-  // A distribution that did not exist in the earlier snapshot: its whole
-  // observation count is the delta.
-  m.observe("fresh_dist", 1.0);
-  m.observe("fresh_dist", 2.0);
-  m.observe("fresh_dist", 3.0);
-  m.set_gauge("new_gauge", 9.0);
-  const MetricsSnapshot later = m.snapshot();
-  const MetricsSnapshot delta = later.diff(earlier);
-
-  // Unchanged counter reads a zero delta (present, not dropped).
-  EXPECT_EQ(delta.counters.at("stable"), 0u);
-  // Missing-in-earlier distribution: full count.
-  EXPECT_EQ(delta.observations.at("fresh_dist"), 3u);
-  // Gauges carry the later snapshot's values — both the untouched one and
-  // the newcomer.
-  EXPECT_DOUBLE_EQ(delta.gauges.at("old_gauge"), 1.5);
-  EXPECT_DOUBLE_EQ(delta.gauges.at("new_gauge"), 9.0);
-}
-
 TEST(ThresholdWatcher, HysteresisAndDwell) {
   ThresholdWatcher w(100, 200, msec(50));
   // Starts low; values between the thresholds never transition.

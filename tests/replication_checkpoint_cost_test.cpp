@@ -275,7 +275,8 @@ TEST(FullInstall, DropsFrontierClientsTheAnchorLacks) {
 }
 
 // A full install decodes every part before it applies any: an anchor whose
-// app state is valid but whose reply list is cut short installs nothing.
+// app state is valid but whose reply list is cut short installs nothing, and
+// the replica drops it without stopping the run.
 TEST(FullInstall, MalformedReplyListInstallsNothing) {
   ScenarioConfig config = idle_config(3);
   config.clients = 3;
@@ -308,17 +309,76 @@ TEST(FullInstall, MalformedReplyListInstallsNothing) {
                                      Payload(anchor.encode())};
   scenario.replicator(2).endpoint().multicast(scenario.group().id(), gcs::ServiceType::kSafe,
                                               env.encode());
-  try {
-    run_for(scenario, msec(200));
-  } catch (const DecodeError&) {
-    // The malformed anchor's error leaves the event loop; the state is what
-    // this test checks.
-  }
+  // The replicas drop the malformed anchor; the run goes on.
+  run_for(scenario, msec(200));
   EXPECT_EQ(backup.app().state_digest(), digest);
   EXPECT_EQ(backup.applied_frontier(), frontier);
   EXPECT_EQ(cached(), replies);
   EXPECT_EQ(backup.installs_full(), installs);
 }
+
+// --- chain gaps ------------------------------------------------------------------
+
+// A delta whose base is not a backup's chain position is a gap: the backup
+// skips it and asks the taker for a full anchor, and later deltas chain onto
+// that anchor. A warm backup then holds the taker's state; a cold backup only
+// retains the chain, so it holds the taker's state once it is promoted.
+class ChainGap : public ::testing::TestWithParam<ReplicationStyle> {};
+
+TEST_P(ChainGap, BackupRequestsAnAnchorAndConverges) {
+  ScenarioConfig config = idle_config(3);
+  config.clients = 3;
+  config.style = GetParam();
+  Scenario scenario(config);
+  settle_clean(scenario);
+  EXPECT_EQ(request_round(scenario, 0, 1), 3);
+  run_for(scenario, kTick * 4);
+
+  // A delta of another lineage, multicast as another replica's checkpoint.
+  // Its base check comes first, so its parts are never decoded.
+  replication::CheckpointMsg gap;
+  gap.kind = replication::CheckpointMsg::Kind::kDelta;
+  gap.checkpoint_id = 0xbeef;
+  gap.base_epoch = 0xbee0;
+  gap.delta_epoch = 0xbeef;
+  gap.reply_cache = Payload(replication::ReplyCache().serialize_recent(0));
+  const replication::RepEnvelope env{replication::RepEnvelope::Type::kCheckpointDelta,
+                                     Payload(gap.encode())};
+  scenario.replicator(2).endpoint().multicast(scenario.group().id(), gcs::ServiceType::kSafe,
+                                              env.encode());
+  run_for(scenario, msec(300));
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(scenario.replicator(i).anchor_requests_sent(), 1u) << "replica " << i;
+  }
+
+  // Requests after the gap travel as deltas on the re-requested anchor.
+  const std::uint64_t deltas = scenario.replicator(0).checkpoints_delta_taken();
+  EXPECT_EQ(request_round(scenario, 0, 1), 3);
+  run_for(scenario, kTick * 4);
+  EXPECT_GT(scenario.replicator(0).checkpoints_delta_taken(), deltas);
+  const std::uint64_t taker = scenario.replicator(0).app().state_digest();
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(scenario.replicator(i).anchor_requests_sent(), 1u) << "replica " << i;
+  }
+
+  if (GetParam() == ReplicationStyle::kWarmPassive) {
+    for (int i = 1; i < 3; ++i) {
+      EXPECT_EQ(scenario.replicator(i).app().state_digest(), taker) << "replica " << i;
+    }
+    return;
+  }
+  scenario.fault_plan().crash_process(scenario.kernel().now() + msec(10),
+                                      scenario.replica_pid(0));
+  scenario.arm_faults();
+  run_for(scenario, sec(3));
+  ASSERT_TRUE(scenario.replicator(1).is_responder());
+  EXPECT_EQ(scenario.replicator(1).app().state_digest(), taker);
+}
+
+INSTANTIATE_TEST_SUITE_P(PassiveStyles, ChainGap,
+                         ::testing::Values(ReplicationStyle::kWarmPassive,
+                                           ReplicationStyle::kColdPassive),
+                         [](const auto& info) { return to_string(info.param); });
 
 }  // namespace
 }  // namespace vdep::harness

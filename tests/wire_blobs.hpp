@@ -1,9 +1,10 @@
-// Fixed instances of every infrastructure wire encoding, checkpointed
-// application state layout and CDR layout (GIOP messages with their FT
-// service contexts, servant arguments and results), shared by the
-// golden-bytes pin and the decoder mutation sweep. Each blob carries the codec's decode-then-encode round
-// trip, so a test can both check that a blob survives decoding unchanged and
-// feed the decoder mutated copies.
+// Fixed instances of every infrastructure wire encoding (the reliable link's
+// frames included), checkpointed application state layout and CDR layout
+// (GIOP messages with their FT service contexts, servant arguments and
+// results), shared by the golden-bytes pin and the decoder mutation sweep.
+// Each blob carries the codec's decode-then-encode round trip, so a test can
+// both check that a blob survives decoding unchanged and feed the decoder
+// mutated copies.
 #pragma once
 
 #include <functional>
@@ -15,6 +16,7 @@
 #include "app/kv_store.hpp"
 #include "app/test_app.hpp"
 #include "gcs/message.hpp"
+#include "gcs/reliable_link.hpp"
 #include "gcs/view.hpp"
 #include "monitor/replicated_state.hpp"
 #include "net/fault_plan.hpp"
@@ -26,6 +28,7 @@
 #include "shard/shard_servant.hpp"
 #include "util/bytes.hpp"
 #include "util/payload.hpp"
+#include "util/wire.hpp"
 
 namespace vdep::wire_test {
 
@@ -180,6 +183,16 @@ inline std::vector<WireBlob> wire_blobs() {
   out.push_back({"FwdAck",
                  gcs::encode_inner(gcs::FwdAck{GroupId{7}, {ProcessId{11}, 3}}).to_bytes(),
                  reencode_inner});
+  const auto reencode_link = [](std::span<const std::uint8_t> raw) {
+    return wire::encode(wire::decode<gcs::LinkFrame>(raw));
+  };
+  out.push_back({"LinkFrame.data",
+                 wire::encode(gcs::LinkFrame{gcs::LinkFrame::Type::kData, 9,
+                                             gcs::encode_inner(sample_ord_ack())}),
+                 reencode_link});
+  out.push_back({"LinkFrame.ack",
+                 wire::encode(gcs::LinkFrame{gcs::LinkFrame::Type::kAck, 8, {}}),
+                 reencode_link});
 
   out.push_back({"View", sample_view().encode(), [](std::span<const std::uint8_t> raw) {
                    return gcs::View::decode(raw).encode();

@@ -23,6 +23,8 @@ TEST(WireBytes, GoldenEncodingsAndRoundTrips) {
       {"SyncState", 0x3701cbc4ad0a3189ULL},
       {"PrivateMsg", 0x9109a4b547a33f9fULL},
       {"FwdAck", 0x94420547c12e5bd8ULL},
+      {"LinkFrame.data", 0x62744cdcc549c04cULL},
+      {"LinkFrame.ack", 0x4694e996d221583dULL},
       {"View", 0x0df2772755ae3c7fULL},
       {"CheckpointMsg.full", 0xa26a4391eb95cf0fULL},
       {"CheckpointMsg.delta", 0x4cbe59abf5a9edeeULL},
