@@ -6,12 +6,14 @@
 
 #include "gcs/message.hpp"
 #include "gcs/ordering.hpp"
+#include "gcs/reliable_link.hpp"
 #include "orb/giop.hpp"
 #include "replication/reply_cache.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 using namespace vdep;
 
@@ -74,7 +76,7 @@ void BM_GiopRequestRoundTrip(benchmark::State& state) {
   ctx.client_daemon = NodeId{0};
   req.service_contexts.push_back(ctx.to_context());
   for (auto _ : state) {
-    Bytes wire = req.encode();
+    Payload wire = req.encode();
     auto decoded = orb::decode_giop(wire);
     benchmark::DoNotOptimize(decoded);
   }
@@ -158,11 +160,7 @@ gcs::Ordered make_fanout_msg(std::size_t payload_size) {
 
 // ReliableLink's outer frame: type byte, sequence, length-prefixed inner.
 Bytes splice_link_frame(std::span<const std::uint8_t> inner) {
-  ByteWriter w(inner.size() + 16);
-  w.u8(1);
-  w.u64(42);
-  w.bytes(inner);
-  return std::move(w).take();
+  return wire::encode<Bytes>(gcs::LinkFrame{gcs::LinkFrame::Type::kData, 42, Payload({}, inner)});
 }
 
 void BM_FanoutEncodePerDest(benchmark::State& state) {

@@ -41,37 +41,37 @@ orb::Servant::Result KvStoreServant::apply(KvArgs args) {
   result.cpu_time = kWriteTime;
   switch (args.op) {
     case KvOp::kPut:
-      result.output = orb::cdr_encode(assign(args.key, std::move(args.value)));
+      result.output = orb::cdr_encode<Bytes>(assign(args.key, std::move(args.value)));
       break;
     case KvOp::kAppend: {
       auto [cell, fresh] = data_.try_emplace(std::move(args.key));
       cell->second += args.value;
       bytes_ += (fresh ? cell->first.size() + 8 : 0) + args.value.size();
       stamp(cell->first, &cell->second);
-      result.output = orb::cdr_encode(static_cast<std::uint32_t>(cell->second.size()));
+      result.output = orb::cdr_encode<Bytes>(static_cast<std::uint32_t>(cell->second.size()));
       break;
     }
     case KvOp::kGet: {
       result.cpu_time = calib::kAppProcessing;
       const auto it = data_.find(args.key);
       const bool found = it != data_.end();
-      result.output = orb::cdr_encode(
+      result.output = orb::cdr_encode<Bytes>(
           KvGot<std::string_view>{found, found ? std::string_view(it->second) : ""});
       break;
     }
     case KvOp::kErase:
-      result.output = orb::cdr_encode(erase(args.key));
+      result.output = orb::cdr_encode<Bytes>(erase(args.key));
       break;
     case KvOp::kSize:
       result.cpu_time = calib::kAppProcessing;
-      result.output = orb::cdr_encode(static_cast<std::uint32_t>(data_.size()));
+      result.output = orb::cdr_encode<Bytes>(static_cast<std::uint32_t>(data_.size()));
       break;
   }
   return result;
 }
 
 Bytes KvStoreServant::snapshot() const {
-  return wire::encode(KvItems<const std::map<std::string, std::string>&>{data_}, bytes_);
+  return wire::encode<Bytes>(KvItems<const std::map<std::string, std::string>&>{data_});
 }
 
 void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
@@ -130,21 +130,18 @@ std::optional<Bytes> KvStoreServant::snapshot_delta(std::uint64_t since_epoch) c
   // Unanswerable once tracking was reset.
   if (since_epoch < delta_floor_ || since_epoch >= epoch_) return std::nullopt;
   KvDelta<std::string_view> delta;
-  std::size_t bytes = 8;
   for (const StampNode* n = newest_; n != nullptr && n->second.epoch > since_epoch;
        n = n->second.older) {
     const std::string& key = n->first;
     if (n->second.value == nullptr) {
       delta.erased.emplace_back(key);
-      bytes += 4 + key.size();
     } else {
       delta.upserts.items.emplace_back(key, *n->second.value);
-      bytes += 8 + key.size() + n->second.value->size();
     }
   }
   std::ranges::sort(delta.upserts.items);
   std::ranges::sort(delta.erased);
-  return wire::encode(delta, bytes);
+  return wire::encode<Bytes>(delta);
 }
 
 void KvStoreServant::apply_delta(std::span<const std::uint8_t> delta) {
@@ -176,15 +173,15 @@ std::uint64_t KvStoreServant::state_digest() const {
 }
 
 Bytes KvStoreServant::encode_put(const std::string& key, const std::string& value) {
-  return orb::cdr_encode(KvArgs{KvOp::kPut, key, value});
+  return orb::cdr_encode<Bytes>(KvArgs{KvOp::kPut, key, value});
 }
 
 Bytes KvStoreServant::encode_key(const std::string& key) {
-  return orb::cdr_encode(KvArgs{KvOp::kGet, key, {}});
+  return orb::cdr_encode<Bytes>(KvArgs{KvOp::kGet, key, {}});
 }
 
 Bytes KvStoreServant::encode_append(const std::string& key, const std::string& value) {
-  return orb::cdr_encode(KvArgs{KvOp::kAppend, key, value});
+  return orb::cdr_encode<Bytes>(KvArgs{KvOp::kAppend, key, value});
 }
 
 KvStoreServant::GetResult KvStoreServant::decode_get(const Bytes& body) {

@@ -31,12 +31,12 @@ orb::Servant::Result TestServant::invoke(const std::string& operation,
     const ProcessReply reply{
         counter_, digest_,
         filler_bytes(config_.reply_bytes > 20 ? config_.reply_bytes - 20 : 0)};
-    result.output = orb::cdr_encode(reply, config_.reply_bytes + 16);
+    result.output = orb::cdr_encode<Bytes>(reply);
     return result;
   }
 
   if (operation == "get_digest") {
-    result.output = orb::cdr_encode(ProcessReply{counter_, digest_, {}});
+    result.output = orb::cdr_encode<Bytes>(ProcessReply{counter_, digest_, {}});
     return result;
   }
 
@@ -44,7 +44,7 @@ orb::Servant::Result TestServant::invoke(const std::string& operation,
   return result;
 }
 
-Bytes TestServant::snapshot() const { return wire::encode(*this, state_.size() + 24); }
+Bytes TestServant::snapshot() const { return wire::encode<Bytes>(*this); }
 
 void TestServant::restore(std::span<const std::uint8_t> snapshot) {
   // Decoded whole first: a malformed snapshot leaves this state unchanged.

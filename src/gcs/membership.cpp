@@ -8,9 +8,12 @@
 namespace vdep::gcs {
 
 std::vector<NodeId> LeaderState::member_daemons(const View& view) {
-  std::set<NodeId> uniq;
-  for (const auto& m : view.members) uniq.insert(m.daemon);
-  return {uniq.begin(), uniq.end()};
+  std::vector<NodeId> daemons;
+  daemons.reserve(view.members.size());
+  for (const auto& m : view.members) daemons.push_back(m.daemon);
+  std::sort(daemons.begin(), daemons.end());
+  daemons.erase(std::unique(daemons.begin(), daemons.end()), daemons.end());
+  return daemons;
 }
 
 std::optional<View> LeaderState::current_view(GroupId group) const {

@@ -49,10 +49,9 @@ std::uint64_t encode_inner_count() { return g_encode_inner_count; }
 
 Payload encode_inner(const InnerMsg& msg) {
   ++g_encode_inner_count;
-  wire::Writer w;
-  w(static_cast<std::uint8_t>(msg.index() + 1));
-  std::visit([&w](const auto& m) { w(m); }, msg);
-  return std::move(w).take();
+  const auto tag = static_cast<std::uint8_t>(msg.index() + 1);
+  return std::visit(
+      [tag](const auto& m) { return wire::encode_with<Payload, ByteWriter>(tag, m); }, msg);
 }
 
 InnerMsg decode_inner(const Payload& frame) { return decode_inner_from(wire::Reader(frame)); }

@@ -11,11 +11,6 @@ namespace {
 
 constexpr SimTime kRetransmitTimeout = msec(15);
 
-Payload encode_frame(const LinkFrame& frame) {
-  // u8 type, u64 seq, u32 length and the inner.
-  return Payload(wire::encode(frame, 1 + 8 + 4 + frame.inner.size()));
-}
-
 }  // namespace
 
 ReliableLink::ReliableLink(sim::Process& owner, net::Network& network, DeliverFn deliver)
@@ -40,14 +35,14 @@ void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
                            (inner.size() - payload_bytes);
   // The per-peer sequence number forces one splice here, but the resulting
   // frame is shared (not copied) between the retransmit queue and the packet.
-  Payload frame = encode_frame({LinkFrame::Type::kData, seq, std::move(inner)});
-  peer.unacked[seq] = Unacked{frame, wire};
+  Payload frame = wire::encode(LinkFrame{LinkFrame::Type::kData, seq, std::move(inner)});
+  peer.unacked.push_back(Unacked{seq, frame, wire});
   transmit(to, std::move(frame), wire, /*counted=*/true);
   arm_retransmit(to);
 }
 
 void ReliableLink::send_ack(NodeId to, std::uint64_t cumulative) {
-  Payload frame = encode_frame({LinkFrame::Type::kAck, cumulative, {}});
+  Payload frame = wire::encode(LinkFrame{LinkFrame::Type::kAck, cumulative, {}});
   const std::size_t wire = frame.size();
   transmit(to, std::move(frame), wire, /*counted=*/false);
 }
@@ -58,7 +53,7 @@ void ReliableLink::arm_retransmit(NodeId to) {
   peer.retransmit_timer = owner_.post(kRetransmitTimeout, [this, to] {
     auto it = tx_.find(to);
     if (it == tx_.end() || it->second.unacked.empty()) return;
-    for (const auto& [seq, u] : it->second.unacked) {
+    for (const auto& u : it->second.unacked) {
       ++retransmissions_;
       transmit(to, u.frame, u.wire_bytes, /*counted=*/true);
     }
@@ -82,17 +77,20 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
       auto it = tx_.find(packet.src);
       if (it == tx_.end()) return;
       auto& unacked = it->second.unacked;
-      unacked.erase(unacked.begin(), unacked.upper_bound(seq));
+      while (!unacked.empty() && unacked.front().seq <= seq) unacked.pop_front();
       if (unacked.empty()) it->second.retransmit_timer.cancel();
       return;
     }
 
     case LinkFrame::Type::kData: {
       auto& peer = rx_[packet.src];
-      if (seq >= peer.next_expected && !peer.reorder.contains(seq)) {
-        peer.reorder[seq] = std::move(frame.inner);
+      if (seq == peer.next_expected) {
+        ++peer.next_expected;
+        deliver_(packet.src, std::move(frame.inner));
+      } else if (seq > peer.next_expected) {
+        peer.reorder.try_emplace(seq, std::move(frame.inner));
       }
-      // Deliver the contiguous prefix.
+      // Then the buffered frames that are now next in order.
       while (true) {
         auto dit = peer.reorder.find(peer.next_expected);
         if (dit == peer.reorder.end()) break;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 
@@ -62,19 +63,20 @@ class ReliableLink {
 
  private:
   struct Unacked {
+    std::uint64_t seq;
     Payload frame;  // shares the buffer with the original transmission
     std::size_t wire_bytes;
   };
 
   struct PeerTx {
     std::uint64_t next_seq = 1;
-    std::map<std::uint64_t, Unacked> unacked;
+    std::deque<Unacked> unacked;  // in sequence order
     sim::EventHandle retransmit_timer;
   };
 
   struct PeerRx {
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, Payload> reorder;  // aliases received packet frames
+    std::map<std::uint64_t, Payload> reorder;  // out-of-order frames, aliased
   };
 
   void transmit(NodeId to, Payload frame, std::size_t wire, bool counted);

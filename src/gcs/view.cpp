@@ -26,7 +26,7 @@ std::optional<std::size_t> View::rank_of(ProcessId p) const {
   return std::nullopt;
 }
 
-Bytes View::encode() const { return wire::encode(*this); }
+Payload View::encode() const { return wire::encode(*this); }
 
 View View::decode(std::span<const std::uint8_t> raw) { return wire::decode<View>(raw); }
 

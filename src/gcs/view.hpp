@@ -16,6 +16,7 @@
 
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
+#include "util/payload.hpp"
 
 namespace vdep::gcs {
 
@@ -42,7 +43,7 @@ struct View {
   [[nodiscard]] std::optional<std::size_t> rank_of(ProcessId p) const;
   [[nodiscard]] std::size_t size() const { return members.size(); }
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   static View decode(std::span<const std::uint8_t> raw);
   template <typename IO>
   friend void wire_fields(IO& io, View& m) {

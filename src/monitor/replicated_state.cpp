@@ -6,7 +6,7 @@
 
 namespace vdep::monitor {
 
-Bytes StateEntry::encode() const { return wire::encode(*this); }
+Payload StateEntry::encode() const { return wire::encode(*this); }
 
 StateEntry StateEntry::decode(std::span<const std::uint8_t> raw) {
   return wire::decode<StateEntry>(raw);

@@ -27,7 +27,7 @@ struct StateEntry {
   double request_rate = 0.0;
   std::map<std::string, double> extra;
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   static StateEntry decode(std::span<const std::uint8_t> raw);
   template <typename IO>
   friend void wire_fields(IO& io, StateEntry& m) {

@@ -24,7 +24,7 @@ struct Frame {
     io(m.channel, m.tcp_port, m.seq, m.message);
   }
 
-  [[nodiscard]] Bytes encode() const { return wire::encode(*this, message.size() + 32); }
+  [[nodiscard]] Payload encode() const { return wire::encode(*this); }
 };
 
 }  // namespace
@@ -117,7 +117,7 @@ ChannelPtr ChannelManager::connect(NodeId from, NodeId to, std::uint16_t tcp_por
   return channel;
 }
 
-void ChannelManager::transmit(NodeId from, NodeId to, Bytes frame,
+void ChannelManager::transmit(NodeId from, NodeId to, Payload frame,
                               std::size_t payload_bytes) {
   Packet p;
   p.src = from;

@@ -83,7 +83,7 @@ class ChannelManager {
 
   void ensure_bound(NodeId host);
   void handle_packet(NodeId host, Packet&& packet);
-  void transmit(NodeId from, NodeId to, Bytes frame, std::size_t payload_bytes);
+  void transmit(NodeId from, NodeId to, Payload frame, std::size_t payload_bytes);
 
   struct Endpoint {
     NodeId host;

@@ -210,7 +210,7 @@ std::string FaultPlan::to_string() const {
   return out;
 }
 
-Bytes FaultPlan::encode() const { return wire::encode(*this); }
+Bytes FaultPlan::encode() const { return wire::encode<Bytes>(*this); }
 
 FaultPlan FaultPlan::decode(std::span<const std::uint8_t> raw) {
   return wire::decode<FaultPlan>(raw);

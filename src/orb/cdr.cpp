@@ -4,29 +4,6 @@
 
 namespace vdep::orb {
 
-// --- writer ------------------------------------------------------------------
-
-void CdrWriter::align(std::size_t n) {
-  while (buf_.size() % n != 0) buf_.push_back(0);
-}
-
-void CdrWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  aligned(bits);
-}
-
-void CdrWriter::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size() + 1));
-  buf_.insert(buf_.end(), v.begin(), v.end());
-  buf_.push_back(0);
-}
-
-void CdrWriter::bytes(std::span<const std::uint8_t> v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  raw(v);
-}
-
 // --- reader ------------------------------------------------------------------
 
 DecodeError CdrReader::error(const std::string& what, std::size_t at) const {
@@ -72,11 +49,6 @@ std::string CdrReader::str() {
 
 Bytes CdrReader::bytes() {
   const auto s = take(u32());
-  return Bytes(s.begin(), s.end());
-}
-
-Bytes CdrReader::rest() {
-  const auto s = take(remaining());
   return Bytes(s.begin(), s.end());
 }
 

@@ -34,29 +34,15 @@ struct Header {
 };
 
 template <typename Body>
-Bytes encode_giop(GiopMsgType type, const Body& body, std::size_t reserve) {
-  wire::BasicWriter<CdrWriter> w(reserve);
-  w(Header{.type = static_cast<std::uint8_t>(type)}, body);
-  Bytes out = std::move(w).take();
-  const auto size = static_cast<std::uint32_t>(out.size() - kHeaderBytes);
-  for (std::size_t i = 0; i < 4; ++i) out[8 + i] = static_cast<std::uint8_t>(size >> (8 * i));
-  return out;
+Payload encode_giop(GiopMsgType type, const Body& body) {
+  const std::size_t size = wire::encoded_size<CdrWriter>(Header{}, body);
+  const Header header{.type = static_cast<std::uint8_t>(type),
+                      .size = static_cast<std::uint32_t>(size - kHeaderBytes)};
+  return wire::encode_sized<Payload, CdrWriter>(size, header, body);
 }
 
-}  // namespace
-
-Bytes RequestMessage::encode() const {
-  return encode_giop(GiopMsgType::kRequest, *this, body.size() + 96);
-}
-
-Bytes ReplyMessage::encode() const {
-  return encode_giop(GiopMsgType::kReply, *this, body.size() + 64);
-}
-
-GiopMessage decode_giop(std::span<const std::uint8_t> raw) {
-  // The flags octet gives the byte order of every field.
-  const bool little = raw.size() <= 6 || (raw[6] & kFlagsLittleEndian) != 0;
-  wire::BasicReader<CdrReader> r(CdrReader(raw, little));
+GiopMessage decode(const CdrReader& reader, std::span<const std::uint8_t> raw) {
+  wire::BasicReader<CdrReader> r(reader);
   const auto header = r.read<Header>();
   r.check(header.size == raw.size() - kHeaderBytes, "GIOP size does not match the message");
   GiopMessage msg;
@@ -64,6 +50,25 @@ GiopMessage decode_giop(std::span<const std::uint8_t> raw) {
   if (msg.type == GiopMsgType::kRequest) msg.request = r.read<RequestMessage>();
   if (msg.type == GiopMsgType::kReply) msg.reply = r.read<ReplyMessage>();
   return msg;
+}
+
+// The flags octet gives the byte order of every field.
+bool little_endian(std::span<const std::uint8_t> raw) {
+  return raw.size() <= 6 || (raw[6] & kFlagsLittleEndian) != 0;
+}
+
+}  // namespace
+
+Payload RequestMessage::encode() const { return encode_giop(GiopMsgType::kRequest, *this); }
+
+Payload ReplyMessage::encode() const { return encode_giop(GiopMsgType::kReply, *this); }
+
+GiopMessage decode_giop(const Payload& raw) {
+  return decode(CdrReader(raw.owner(), raw, little_endian(raw)), raw);
+}
+
+GiopMessage decode_giop(std::span<const std::uint8_t> raw) {
+  return decode(CdrReader(raw, little_endian(raw)), raw);
 }
 
 }  // namespace vdep::orb

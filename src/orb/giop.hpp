@@ -36,7 +36,7 @@ enum class ReplyStatus : std::uint32_t {
 
 struct ServiceContext {
   std::uint32_t context_id = 0;
-  Bytes data;  // a CDR encapsulation of one field list
+  Payload data;  // a CDR encapsulation of one field list
 
   template <typename IO>
   friend void wire_fields(IO& io, ServiceContext& m) {
@@ -117,9 +117,11 @@ struct RequestMessage {
   ObjectId object_key;
   std::string operation;
   std::vector<ServiceContext> service_contexts;
-  Bytes body;  // CDR-encoded in-args
+  // CDR-encoded in-args. A decoded body aliases the message; to encode, a
+  // body may also be an owner-less view of bytes that outlive encode().
+  Payload body;
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
 
   template <typename IO>
   friend void wire_fields(IO& io, RequestMessage& m) {
@@ -137,9 +139,9 @@ struct ReplyMessage {
   std::uint32_t request_id = 0;
   ReplyStatus status = ReplyStatus::kNoException;
   std::vector<ServiceContext> service_contexts;
-  Bytes body;  // CDR-encoded result / exception
+  Payload body;  // CDR-encoded result / exception, as RequestMessage::body
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
 
   template <typename IO>
   friend void wire_fields(IO& io, ReplyMessage& m) {
@@ -160,6 +162,9 @@ struct GiopMessage {
   std::optional<ReplyMessage> reply;      // kReply
 };
 
+// Service-context data and bodies decoded from a Payload alias it; the span
+// overload copies them.
+[[nodiscard]] GiopMessage decode_giop(const Payload& raw);
 [[nodiscard]] GiopMessage decode_giop(std::span<const std::uint8_t> raw);
 
 }  // namespace vdep::orb

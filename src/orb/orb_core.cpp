@@ -27,7 +27,7 @@ std::uint32_t ClientOrb::invoke(const ObjectRef& ref, const std::string& operati
   req.request_id = next_request_id_++;
   req.object_key = ref.object_key;
   req.operation = operation;
-  req.body = std::move(args);
+  req.body = Payload({}, args);  // a view of `args`, encoded below
 
   // Root span of the whole request tree; ends when the reply retires the
   // pending entry. Everything downstream — transport, daemon, replicas —
@@ -67,7 +67,7 @@ void ClientOrb::on_reply_bytes(Payload&& giop) {
         entry.span.note("status",
                         std::to_string(static_cast<std::uint32_t>(msg.reply->status)));
         entry.span.end();
-        entry.cb(msg.reply->status, std::move(msg.reply->body));
+        entry.cb(msg.reply->status, msg.reply->body.to_bytes());
       }));
 }
 
@@ -106,33 +106,27 @@ void ServerOrb::handle_request(Payload giop_request, ReplySender send_reply) {
 
             ReplyMessage rep;
             rep.request_id = req.request_id;
-            SimTime exec_time = kTimeZero;
+            Servant::Result result;
 
             Servant* servant = poa_.find(req.object_key);
             if (servant == nullptr) {
               rep.status = ReplyStatus::kSystemException;
             } else {
-              Servant::Result result = servant->invoke(req.operation, req.body);
-              exec_time = result.cpu_time;
+              result = servant->invoke(req.operation, req.body.to_bytes());
               rep.status =
                   result.ok ? ReplyStatus::kNoException : ReplyStatus::kUserException;
-              rep.body = std::move(result.output);
+              rep.body = Payload({}, result.output);  // a view, encoded below
             }
 
             if (!req.response_expected) return;
-            // std::function captures must be copyable; park the move-only
-            // span in a shared_ptr (allocated only when tracing is on).
-            std::shared_ptr<obs::Span> open;
-            if (span.active()) open = std::make_shared<obs::Span>(std::move(span));
             network_.cpu(process_.host())
-                .execute(exec_time + traversal_cost_,
-                         process_.guarded([this, rep = std::move(rep), open,
+                .execute(result.cpu_time + traversal_cost_,
+                         process_.guarded([this, reply = rep.encode(), span = std::move(span),
                                            send_reply = std::move(send_reply)]() mutable {
-                           obs::Tracer::Scope scope(
-                               process_.kernel().tracer(),
-                               open ? open->context() : obs::TraceContext{});
-                           if (open) open->end();
-                           send_reply(rep.encode());
+                           obs::Tracer::Scope scope(process_.kernel().tracer(),
+                                                    span.context());
+                           span.end();
+                           send_reply(std::move(reply));
                          }));
           }));
 }

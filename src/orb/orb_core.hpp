@@ -89,7 +89,10 @@ class ServerOrb {
   ServerOrb(net::Network& network, sim::Process& process, Poa& poa,
             SimTime traversal_cost = calib::kOrbTraversal);
 
-  using ReplySender = std::function<void(Payload giop_reply)>;
+  // The reply continuation rides both CPU events of a dispatch, so it is
+  // stored inline and sized to nest inside an EventClosure: 72 bytes hold
+  // the replicator's continuation.
+  using ReplySender = sim::Closure<void(Payload giop_reply), 72>;
 
   // Feeds one GIOP request; unmarshals, dispatches, and (if a response is
   // expected) marshals the reply into `send_reply`.

@@ -36,13 +36,15 @@ void ClientCoordinator::send_request(const orb::ObjectRef& ref, Payload giop) {
   ctx.retention_id = parsed.request->request_id;
   ctx.client_daemon = endpoint_->daemon_host();
   ctx.expiration = process_.now() + kRequestExpiration;
-  parsed.request->service_contexts.push_back(ctx.to_context());
+  auto& contexts = parsed.request->service_contexts;
+  contexts.reserve(contexts.size() + 2);
+  contexts.push_back(ctx.to_context());
 
   // The trace context is injected unconditionally (zeros when tracing is
   // off): the replicated request's wire size must not depend on tracing.
   obs::Span span = process_.kernel().tracer().start_child(
       "coord.send", "replication", process_.name());
-  parsed.request->service_contexts.push_back(orb::to_context(
+  contexts.push_back(orb::to_context(
       orb::kTraceContextId, span.active() ? span.context() : obs::TraceContext{}));
 
   RepEnvelope env{RepEnvelope::Type::kRequest, parsed.request->encode()};

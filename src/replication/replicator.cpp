@@ -76,7 +76,8 @@ void Replicator::start(ReplicationStyle style, bool join_existing) {
   // SAFE checkpoint here once caused double-execution on promotion.)
   endpoint_->set_view_handler([this](const gcs::View& v) {
     network_.cpu(process_.host())
-        .execute(calib::kReplicatorTraversal, process_.guarded([this, v] { on_view(v); }));
+        .execute(calib::kReplicatorTraversal,
+                 process_.guarded([this, view = v] { on_view(view); }));
   });
 
   style_ = style;
@@ -558,13 +559,10 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
   }
   obs::Tracer::Scope scope(tracer, exec_span.active() ? exec_span.context()
                                                       : rec.trace);
-  std::shared_ptr<obs::Span> open;
-  if (exec_span.active()) open = std::make_shared<obs::Span>(std::move(exec_span));
-  orb_.handle_request(rec.giop, [this, open, rid = rec.rid,
-                                 client_daemon = rec.client_daemon,
-                                 trace = rec.trace,
-                                 send_reply](Payload reply_giop) {
-    if (open) open->end();
+  orb_.handle_request(rec.giop, [this, span = std::move(exec_span), rid = rec.rid,
+                                 client_daemon = rec.client_daemon, trace = rec.trace,
+                                 send_reply](Payload reply_giop) mutable {
+    span.end();
     // The cache entry and the reply in flight share one buffer.
     reply_cache_.put(rid, reply_giop);
     if (send_reply) {
@@ -601,7 +599,7 @@ void Replicator::send_reply_to_client(const RequestRecord& rec, const Payload& r
                }));
 }
 
-Bytes Replicator::augment_reply(const Payload& reply_giop) const {
+Payload Replicator::augment_reply(const Payload& reply_giop) const {
   orb::GiopMessage parsed = orb::decode_giop(reply_giop);
   VDEP_ASSERT(parsed.reply.has_value());
   const orb::FtGroupVersion version{

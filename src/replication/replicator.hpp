@@ -223,7 +223,7 @@ class Replicator {
   void complete_switch();
   void drain_holdq();
   void send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop);
-  [[nodiscard]] Bytes augment_reply(const Payload& reply_giop) const;
+  [[nodiscard]] Payload augment_reply(const Payload& reply_giop) const;
   void arm_timer();
   void request_state_transfer();
 

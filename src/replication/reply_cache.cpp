@@ -38,7 +38,7 @@ std::optional<Payload> ReplyCache::get(const RequestId& id) const {
 
 bool ReplyCache::contains(const RequestId& id) const { return entries_.contains(id); }
 
-Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
+Payload ReplyCache::serialize_recent(std::size_t max_entries) const {
   const std::size_t n = std::min(max_entries, order_.size());
   Replies replies;
   replies.entries.reserve(n);

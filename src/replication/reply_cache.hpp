@@ -43,7 +43,7 @@ class ReplyCache {
   // carry. Older replies are past the client retransmission window
   // (FT-CORBA's request duration policy), so a promoted backup never needs
   // them.
-  [[nodiscard]] Bytes serialize_recent(std::size_t max_entries) const;
+  [[nodiscard]] Payload serialize_recent(std::size_t max_entries) const;
 
   // Serialized replies, oldest first, decoded whole.
   struct Replies {

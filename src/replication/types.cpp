@@ -37,13 +37,11 @@ std::string style_code(ReplicationStyle style) {
   return "?";
 }
 
-Bytes RepEnvelope::encode() const { return wire::encode(*this, payload.size() + 8); }
+Payload RepEnvelope::encode() const { return wire::encode(*this); }
 
 RepEnvelope RepEnvelope::decode(const Payload& raw) { return wire::decode<RepEnvelope>(raw); }
 
-Bytes CheckpointMsg::encode() const {
-  return wire::encode(*this, app_state.size() + reply_cache.size() + 48);
-}
+Payload CheckpointMsg::encode() const { return wire::encode(*this); }
 
 CheckpointMsg CheckpointMsg::decode(const Payload& raw, Kind kind) {
   wire::Reader r(raw);
@@ -53,17 +51,13 @@ CheckpointMsg CheckpointMsg::decode(const Payload& raw, Kind kind) {
   return m;
 }
 
-Bytes StateTransferMsg::encode() const {
-  std::size_t total = anchor.size() + 16;
-  for (const auto& d : deltas) total += d.size() + 4;
-  return wire::encode(*this, total);
-}
+Payload StateTransferMsg::encode() const { return wire::encode(*this); }
 
 StateTransferMsg StateTransferMsg::decode(const Payload& raw) {
   return wire::decode<StateTransferMsg>(raw);
 }
 
-Bytes SwitchMsg::encode() const { return wire::encode(*this); }
+Payload SwitchMsg::encode() const { return wire::encode(*this); }
 
 SwitchMsg SwitchMsg::decode(std::span<const std::uint8_t> raw) {
   return wire::decode<SwitchMsg>(raw);

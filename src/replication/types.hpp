@@ -65,7 +65,7 @@ struct RepEnvelope {
   Type type = Type::kRequest;
   Payload payload;
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   // The decoded payload aliases `raw`'s buffer when it carries an owner.
   static RepEnvelope decode(const Payload& raw);
   template <typename IO>
@@ -112,7 +112,7 @@ struct CheckpointMsg {
   Payload app_state;  // full snapshot, or the app's delta encoding
   Payload reply_cache;
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   static CheckpointMsg decode(const Payload& raw, Kind kind = Kind::kFull);
   // The kind itself travels in the envelope type (kCheckpointDelta), so
   // full checkpoints stay byte-identical to the pre-delta wire format.
@@ -141,7 +141,7 @@ struct StateTransferMsg {
   Payload anchor;               // encoded full CheckpointMsg
   std::vector<Payload> deltas;  // encoded delta CheckpointMsgs, chain order
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   static StateTransferMsg decode(const Payload& raw);
   template <typename IO>
   friend void wire_fields(IO& io, StateTransferMsg& m) {
@@ -156,7 +156,7 @@ struct SwitchMsg {
   // discarded at delivery (paper Fig. 5, step I).
   ProcessId initiator;
 
-  [[nodiscard]] Bytes encode() const;
+  [[nodiscard]] Payload encode() const;
   static SwitchMsg decode(std::span<const std::uint8_t> raw);
   template <typename IO>
   friend void wire_fields(IO& io, SwitchMsg& m) {

@@ -22,7 +22,7 @@ DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
   Result result;
   result.cpu_time = kOpTime;
   if (operation == "dir.get") {
-    result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, map_.encode()});
+    result.output = orb::cdr_encode<Bytes>(ResultReply{{ShardStatus::kOk}, map_.encode()});
     return result;
   }
 
@@ -45,12 +45,12 @@ DirectoryServant::Result DirectoryServant::invoke(const std::string& operation,
       }
     }
   }
-  result.output = orb::cdr_encode(CommitReply{{status}, map_.epoch()});
+  result.output = orb::cdr_encode<Bytes>(CommitReply{{status}, map_.epoch()});
   return result;
 }
 
 Bytes DirectoryServant::encode_commit(const ShardMap& map) {
-  return orb::cdr_encode(map.encode());
+  return orb::cdr_encode<Bytes>(map.encode());
 }
 
 DirectoryServant::GetReply DirectoryServant::decode_get_reply(const Bytes& body) {

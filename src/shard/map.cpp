@@ -136,7 +136,7 @@ ShardMap ShardMap::split(std::uint32_t shard_id, std::uint32_t split_point,
   throw std::invalid_argument("unknown shard id " + std::to_string(shard_id));
 }
 
-Bytes ShardMap::encode() const { return wire::encode(*this); }
+Bytes ShardMap::encode() const { return wire::encode<Bytes>(*this); }
 
 ShardMap ShardMap::decode(std::span<const std::uint8_t> raw) {
   wire::Reader r(raw);

@@ -153,11 +153,11 @@ void MigrationController::run(std::shared_ptr<Job> job) {
     // 2. Freeze the moving range on the source group.
     const ShardServant::Migration freeze{job->rec.id, job->rec.moved, job->next.epoch(),
                                          job->target};
-    step(job, "freeze", group_ref(job->rec.from), "shard.freeze", orb::cdr_encode(freeze),
+    step(job, "freeze", group_ref(job->rec.from), "shard.freeze", orb::cdr_encode<Bytes>(freeze),
          [this, job](Bytes) {
            // 3. Donate: the source cuts the encode-once bundle.
            step(job, "donate", group_ref(job->rec.from), "shard.donate",
-                orb::cdr_encode(job->rec.id), [this, job](Bytes body) {
+                orb::cdr_encode<Bytes>(job->rec.id), [this, job](Bytes body) {
                   ShardServant::InstallArgs install{job->rec.id, job->rec.moved,
                                                     job->next.epoch(),
                                                     orb::cdr_decode<ResultReply>(body).result};
@@ -165,7 +165,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
 
                   // 4. Install on the target group.
                   step(job, "install", group_ref(job->target), "shard.install",
-                       orb::cdr_encode(install), [this, job](Bytes) {
+                       orb::cdr_encode<Bytes>(install), [this, job](Bytes) {
                          // 5. Commit the successor map (AGREED within the
                          // directory group).
                          step(job, "commit", group_ref(kDirectoryGroup), "dir.commit",
@@ -177,7 +177,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
 
                                 // 6. Release the moved keys at the source.
                                 step(job, "release", group_ref(job->rec.from),
-                                     "shard.release", orb::cdr_encode(job->rec.id),
+                                     "shard.release", orb::cdr_encode<Bytes>(job->rec.id),
                                      [this, job](Bytes) { finish(job, true, {}); });
                               });
                        });

@@ -18,21 +18,19 @@ SimTime bundle_cpu(std::size_t bytes) {
 }
 
 // A snapshot or delta: the control state, then the store's snapshot or
-// delta, each a length-prefixed blob.
+// delta, each a length-prefixed blob. Encoding refers to both (the control
+// state is written in place); decoding fills its own.
+template <typename Control, typename Inner>
 struct Frame {
-  Bytes control;
-  Bytes inner;
+  Control control;
+  Inner inner;
 
   template <typename IO>
   friend void wire_fields(IO& io, Frame& m) {
-    io(m.control, m.inner);
+    io.blob(m.control);
+    io(m.inner);
   }
 };
-
-Bytes encode_frame(Frame frame) {
-  const std::size_t bytes = 8 + frame.control.size() + frame.inner.size();
-  return wire::encode(frame, bytes);
-}
 
 }  // namespace
 
@@ -71,7 +69,7 @@ std::size_t ShardServant::stray_keys() const {
 
 ShardServant::Result ShardServant::status_reply(ShardStatus status, SimTime cpu) {
   Result result;
-  result.output = orb::cdr_encode(StatusReply{status});
+  result.output = orb::cdr_encode<Bytes>(StatusReply{status});
   result.cpu_time = cpu;
   return result;
 }
@@ -105,7 +103,7 @@ ShardServant::Result ShardServant::data_op(const std::string& operation,
 
   Result inner = inner_.apply(std::move(decoded.kv));
   Result result;
-  result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, std::move(inner.output)});
+  result.output = orb::cdr_encode<Bytes>(ResultReply{{ShardStatus::kOk}, std::move(inner.output)});
   result.cpu_time = kRouteCheckTime + inner.cpu_time;
   return result;
 }
@@ -158,14 +156,14 @@ ShardServant::Result ShardServant::donate(std::uint64_t id) {
       donated.items.emplace_back(key, value);
     }
   }
-  anchor.app_state = Payload(wire::encode(donated));
+  anchor.app_state = wire::encode(donated);
   replication::StateTransferMsg bundle;
-  bundle.anchor = Payload(anchor.encode());
-  Bytes encoded = bundle.encode();
+  bundle.anchor = anchor.encode();
+  Bytes encoded = wire::encode<Bytes>(bundle);
 
   Result result;
   result.cpu_time = kRouteCheckTime + bundle_cpu(encoded.size());
-  result.output = orb::cdr_encode(ResultReply{{ShardStatus::kOk}, std::move(encoded)});
+  result.output = orb::cdr_encode<Bytes>(ResultReply{{ShardStatus::kOk}, std::move(encoded)});
   return result;
 }
 
@@ -245,7 +243,7 @@ Bytes ShardServant::encode_data_args(std::uint64_t map_epoch, const std::string&
                                      const std::string* value) {
   // kPut stands for any operation that carries a value.
   const auto op = value != nullptr ? app::KvOp::kPut : app::KvOp::kGet;
-  return orb::cdr_encode(DataArgs{map_epoch, {op, key, value != nullptr ? *value : ""}});
+  return orb::cdr_encode<Bytes>(DataArgs{map_epoch, {op, key, value != nullptr ? *value : ""}});
 }
 
 ResultReply ShardServant::decode_data_reply(const Bytes& body) {
@@ -255,18 +253,18 @@ ResultReply ShardServant::decode_data_reply(const Bytes& body) {
 // --- checkpoint/state-transfer integration -----------------------------------
 
 Bytes ShardServant::snapshot() const {
-  return encode_frame({wire::encode(control_), inner_.snapshot()});
+  const Bytes inner = inner_.snapshot();
+  return wire::encode<Bytes>(Frame<const Control&, const Bytes&>{control_, inner});
 }
 
 void ShardServant::restore(std::span<const std::uint8_t> snapshot) {
-  const auto frame = wire::decode<Frame>(snapshot);
-  auto control = wire::decode<Control>(frame.control);
+  auto frame = wire::decode<Frame<Control, Bytes>>(snapshot);
   inner_.restore(frame.inner);
-  control_ = std::move(control);
+  control_ = std::move(frame.control);
 }
 
 std::size_t ShardServant::state_size() const {
-  return inner_.state_size() + wire::encode(control_).size();
+  return inner_.state_size() + wire::encoded_size<ByteWriter>(control_);
 }
 
 std::uint64_t ShardServant::state_digest() const {
@@ -276,16 +274,15 @@ std::uint64_t ShardServant::state_digest() const {
 std::uint64_t ShardServant::cut_epoch() { return inner_.cut_epoch(); }
 
 std::optional<Bytes> ShardServant::snapshot_delta(std::uint64_t since_epoch) const {
-  auto inner = inner_.snapshot_delta(since_epoch);
+  const auto inner = inner_.snapshot_delta(since_epoch);
   if (!inner) return std::nullopt;
-  return encode_frame({wire::encode(control_), std::move(*inner)});
+  return wire::encode<Bytes>(Frame<const Control&, const Bytes&>{control_, *inner});
 }
 
 void ShardServant::apply_delta(std::span<const std::uint8_t> delta) {
-  const auto frame = wire::decode<Frame>(delta);
-  auto control = wire::decode<Control>(frame.control);
+  auto frame = wire::decode<Frame<Control, Bytes>>(delta);
   inner_.apply_delta(frame.inner);
-  control_ = std::move(control);
+  control_ = std::move(frame.control);
 }
 
 }  // namespace vdep::shard

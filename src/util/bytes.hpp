@@ -7,6 +7,7 @@
 // which follows CORBA alignment rules instead.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -15,6 +16,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace vdep {
 
@@ -27,50 +30,92 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Appends fixed-width little-endian integers, length-prefixed blobs and
-// strings to a growable buffer.
-class ByteWriter {
+namespace detail {
+
+// The core both byte codecs share. With kWrite, it writes into a buffer
+// sized beforehand and asserts (in every build type) that no write runs
+// past it. Without kWrite, it writes nothing and only counts: the size pass
+// of util/wire.hpp, which sizes that buffer exactly.
+template <bool kWrite>
+class ByteSink {
+ public:
+  ByteSink() requires(!kWrite) = default;
+  explicit ByteSink(std::span<std::uint8_t> out) requires kWrite : out_(out) {}
+
+  // Bytes appended as they are.
+  void raw(std::span<const std::uint8_t> v) {
+    if constexpr (kWrite) {
+      if (!v.empty()) std::memcpy(grab(v.size()), v.data(), v.size());
+    } else {
+      pos_ += v.size();
+    }
+  }
+
+  // Bytes written (or counted) so far.
+  [[nodiscard]] std::size_t size() const { return pos_; }
+
+ protected:
+  template <typename T>
+  void little_endian(T v) {
+    if constexpr (kWrite) {
+      std::uint8_t* p = grab(sizeof(T));
+      for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    } else {
+      pos_ += sizeof(T);
+    }
+  }
+
+  void zeros(std::size_t n) {
+    if constexpr (kWrite) {
+      if (n > 0) std::memset(grab(n), 0, n);
+    } else {
+      pos_ += n;
+    }
+  }
+
+ private:
+  std::uint8_t* grab(std::size_t n) {
+    VDEP_ASSERT_MSG(n <= out_.size() - pos_, "write past the end of the sized buffer");
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace detail
+
+// Writes fixed-width little-endian integers, length-prefixed blobs and
+// strings: ByteWriter into a buffer sized beforehand, ByteSizer counting
+// the bytes ByteWriter would write for the same calls.
+template <bool kWrite>
+class BasicByteWriter : public detail::ByteSink<kWrite> {
  public:
   using Enum = std::uint8_t;  // enums travel as one byte
+  using Sizer = BasicByteWriter<false>;
+  using detail::ByteSink<kWrite>::ByteSink;
 
-  ByteWriter() = default;
-  explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
-
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw_int(v); }
-  void u32(std::uint32_t v) { raw_int(v); }
-  void u64(std::uint64_t v) { raw_int(v); }
-  void i64(std::int64_t v) { raw_int(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    raw_int(bits);
-  }
+  void u8(std::uint8_t v) { this->little_endian(v); }
+  void u16(std::uint16_t v) { this->little_endian(v); }
+  void u32(std::uint32_t v) { this->little_endian(v); }
+  void u64(std::uint64_t v) { this->little_endian(v); }
+  void i64(std::int64_t v) { this->little_endian(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { this->little_endian(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void bytes(std::span<const std::uint8_t> v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    buf_.insert(buf_.end(), v.begin(), v.end());
+    this->raw(v);
   }
   void str(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    buf_.insert(buf_.end(), v.begin(), v.end());
+    bytes({reinterpret_cast<const std::uint8_t*>(v.data()), v.size()});
   }
-
-  [[nodiscard]] const Bytes& data() const& { return buf_; }
-  [[nodiscard]] Bytes take() && { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-
- private:
-  template <typename T>
-  void raw_int(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  Bytes buf_;
 };
+
+using ByteWriter = BasicByteWriter<true>;
+using ByteSizer = BasicByteWriter<false>;
 
 // Reads values written by ByteWriter. Throws DecodeError on underrun; error
 // messages carry the reader position so malformed frames are diagnosable.

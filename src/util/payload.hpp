@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <utility>
@@ -28,18 +29,41 @@ class Payload {
 
   // Freezes a buffer. Implicit on rvalues only: adopting a Bytes is one move,
   // while adopting an lvalue would silently deep-copy — spell that copy_of().
-  Payload(Bytes&& buf)  // NOLINT(google-explicit-constructor)
-      : Payload(std::make_shared<const Bytes>(std::move(buf))) {}
-
-  explicit Payload(std::shared_ptr<const Bytes> buf)
-      : owner_(buf), data_(buf ? buf->data() : nullptr), size_(buf ? buf->size() : 0) {}
+  // The adopted vector keeps its own block, so this costs a second one for
+  // the reference count; encoders build single-block Payloads (filled()).
+  Payload(Bytes&& buf) {  // NOLINT(google-explicit-constructor)
+    auto owned = std::make_shared<const Bytes>(std::move(buf));
+    data_ = owned->data();
+    size_ = owned->size();
+    owner_ = std::move(owned);
+  }
 
   // Aliasing view: `view` must point into storage kept alive by `owner`.
   Payload(std::shared_ptr<const void> owner, std::span<const std::uint8_t> view)
       : owner_(std::move(owner)), data_(view.data()), size_(view.size()) {}
 
+  // One allocation holding `size` bytes and their reference count; `fill`
+  // writes every byte of the span it is handed. The encoders build their
+  // frames this way (util/wire.hpp).
+  template <typename Fill>
+  [[nodiscard]] static Payload filled(std::size_t size, Fill&& fill) {
+    auto block = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    std::uint8_t* data = block.get();
+    fill(std::span<std::uint8_t>(data, size));
+    return Payload(std::shared_ptr<const void>(std::move(block), data), {data, size});
+  }
+
   [[nodiscard]] static Payload copy_of(std::span<const std::uint8_t> view) {
-    return Payload(Bytes(view.begin(), view.end()));
+    return filled(view.size(), [view](std::span<std::uint8_t> out) {
+      if (!view.empty()) std::memcpy(out.data(), view.data(), view.size());
+    });
+  }
+
+  // An alias of `view` kept alive by `owner`, or a copy when there is none,
+  // so the result is always safe to retain.
+  [[nodiscard]] static Payload alias_or_copy(const std::shared_ptr<const void>& owner,
+                                             std::span<const std::uint8_t> view) {
+    return owner ? Payload(owner, view) : copy_of(view);
   }
 
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
@@ -78,8 +102,10 @@ class Payload {
 };
 
 // Reads a length-prefixed blob as a Payload. Aliases the reader's frame when
-// the reader carries an owner (zero-copy); deep-copies otherwise so the
-// result is always safe to retain.
-[[nodiscard]] Payload read_payload(ByteReader& r);
+// the reader carries an owner (zero-copy); deep-copies otherwise.
+[[nodiscard]] inline Payload read_payload(ByteReader& r) {
+  const auto view = r.bytes_view();
+  return Payload::alias_or_copy(r.owner(), view);
+}
 
 }  // namespace vdep

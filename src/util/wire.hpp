@@ -15,7 +15,15 @@
 // use the CDR codec, which aligns primitives, NUL-terminates strings and
 // widens enums to four bytes (src/orb/cdr.hpp). A decoder fills a fresh
 // value, so a caller that commits the value only after decoding returned
-// never applies half a malformed input. Field kinds:
+// never applies half a malformed input.
+//
+// Encoding takes two passes over the list. The size pass runs it over the
+// sink's Sizer (ByteSizer, CdrSizer), which counts what the sink would
+// write, alignment padding included, and writes nothing. The write pass
+// then fills one block of exactly that size: wire::encode, cdr_encode and
+// the frame encoders built on encode_with allocate once per message and
+// never grow a buffer. A write past the block, or a block left short,
+// fails a VDEP_ASSERT in every build type. Field kinds:
 //   io(a, b, ...)            fixed-width integers, double, SimTime and ids
 //                            as 64-bit values, bool as one byte (decode
 //                            rejects values above 1), Payload, Bytes and
@@ -27,16 +35,18 @@
 //                            outside [lo, hi]
 //   io.seq(c, min_bytes)     u32 count + elements of a vector, set or map;
 //                            decode bounds the count by the bytes left
-//   io.seq_blobs(c, min)     u32 count + each element as a length-prefixed
-//                            nested encoding
-//   io.align(n), io.rest(b)  CDR only: pad to a multiple of n; the bytes
-//                            up to the end of the frame, unprefixed
+//   io.blob(m)               one value as a length-prefixed nested encoding
+//                            (packed framing only)
+//   io.seq_blobs(c, min)     u32 count + each element as an io.blob
+//   io.align(n), io.rest(p)  CDR only: pad to a multiple of n; a Payload
+//                            holding the bytes up to the end of the frame,
+//                            unprefixed
 //   io.check(cond, what)     decode throws DecodeError; encode asserts
 //   IO::kDecoding            true in a reader, for a field whose wire form
 //                            differs from its member
 //
 // Decoding through a Reader built on a Payload is zero-copy: Payload
-// fields alias the frame (see read_payload).
+// fields alias the frame; a reader built on a plain span copies them.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +76,16 @@ inline constexpr bool kIsOptional = false;
 template <typename T>
 inline constexpr bool kIsOptional<std::optional<T>> = true;
 
+template <typename Sink, typename... T>
+[[nodiscard]] std::size_t encoded_size(const T&... fields);
+
 template <typename Sink>
 class BasicWriter {
  public:
   static constexpr bool kDecoding = false;
 
-  explicit BasicWriter(std::size_t reserve = 0) : w_(reserve) {}
+  BasicWriter() = default;
+  explicit BasicWriter(Sink sink) : w_(std::move(sink)) {}
 
   template <typename... T>
   void operator()(const T&... fields) {
@@ -92,19 +106,25 @@ class BasicWriter {
   template <typename C>
   void seq_blobs(const C& items, std::size_t /*min_element_bytes*/) {
     w_.u32(static_cast<std::uint32_t>(items.size()));
-    for (const auto& item : items) {
-      BasicWriter blob;
-      blob(item);
-      w_.bytes(blob.w_.data());
-    }
+    for (const auto& item : items) blob(item);
+  }
+
+  // The blob is written in place after its size pass; in the packed
+  // framing that is byte for byte its own encoding (CDR would realign it).
+  template <typename T>
+  void blob(const T& item) {
+    static_assert(!requires { w_.align(1); }, "blob is packed framing only");
+    w_.u32(static_cast<std::uint32_t>(encoded_size<Sink>(item)));
+    put(item);
   }
 
   void align(std::size_t n) { w_.align(n); }
-  void rest(const Bytes& v) { w_.raw(v); }
+  void rest(std::span<const std::uint8_t> v) { w_.raw(v); }
 
   void check(bool cond, const char* what) { VDEP_ASSERT_MSG(cond, what); }
 
-  [[nodiscard]] Bytes take() && { return std::move(w_).take(); }
+  // Bytes written (or, in a size pass, counted) so far.
+  [[nodiscard]] std::size_t size() const { return w_.size(); }
 
  private:
   template <typename T>
@@ -195,14 +215,18 @@ class BasicReader {
   void seq_blobs(C& items, std::size_t min_element_bytes) {
     const std::uint32_t n = r_.count(min_element_bytes);
     items.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      BasicReader blob(r_.owner(), r_.bytes_view());
-      items.push_back(blob.read<typename C::value_type>());
-    }
+    for (std::uint32_t i = 0; i < n; ++i) blob(items.emplace_back());
+  }
+
+  // Decodes within the blob's bytes only; bytes it leaves are ignored.
+  template <typename T>
+  void blob(T& item) {
+    BasicReader nested(r_.owner(), r_.bytes_view());
+    nested(item);
   }
 
   void align(std::size_t n) { r_.align(n); }
-  void rest(Bytes& v) { v = r_.rest(); }
+  void rest(Payload& v) { v = aliased(r_.rest()); }
 
   void check(bool cond, const char* what) {
     if (!cond) throw r_.error(what);
@@ -225,7 +249,7 @@ class BasicReader {
     else if constexpr (std::is_same_v<T, SimTime>) v = SimTime{r_.i64()};
     else if constexpr (std::is_same_v<T, bool>) v = r_.boolean();
     else if constexpr (kIsId<T>) v = T{r_.u64()};
-    else if constexpr (std::is_same_v<T, Payload>) v = read_payload(r_);
+    else if constexpr (std::is_same_v<T, Payload>) v = aliased(r_.bytes_view());
     else if constexpr (std::is_same_v<T, Bytes>) v = r_.bytes();
     else if constexpr (std::is_same_v<T, std::string>) v = r_.str();
     else if constexpr (kIsOptional<T>) {
@@ -243,18 +267,53 @@ class BasicReader {
     get(kv.second);
   }
 
+  [[nodiscard]] Payload aliased(std::span<const std::uint8_t> bytes) const {
+    return Payload::alias_or_copy(r_.owner(), bytes);
+  }
+
   Source r_;
 };
 
 using Writer = BasicWriter<ByteWriter>;
 using Reader = BasicReader<ByteReader>;
 
-// Encodes one message; `reserve` pre-sizes the buffer.
-template <typename T>
-[[nodiscard]] Bytes encode(const T& msg, std::size_t reserve = 0) {
-  Writer w(reserve);
-  w(msg);
-  return std::move(w).take();
+// The exact length of `fields` written through Sink: the size pass.
+template <typename Sink, typename... T>
+std::size_t encoded_size(const T&... fields) {
+  BasicWriter<typename Sink::Sizer> sizer;
+  sizer(fields...);
+  return sizer.size();
+}
+
+// Writes `fields`, which take exactly `size` bytes through Sink, into one
+// block of that size: a Payload (its bytes and its reference count in one
+// allocation) or Bytes. Asserts that the write filled the block.
+template <typename Out, typename Sink, typename... T>
+[[nodiscard]] Out encode_sized(std::size_t size, const T&... fields) {
+  auto fill = [&](std::span<std::uint8_t> out) {
+    BasicWriter<Sink> w{Sink(out)};
+    w(fields...);
+    VDEP_ASSERT_MSG(w.size() == size, "the write pass disagrees with the size pass");
+  };
+  if constexpr (std::is_same_v<Out, Payload>) {
+    return Payload::filled(size, fill);
+  } else {
+    static_assert(std::is_same_v<Out, Bytes>, "encodes into a Payload or Bytes");
+    Bytes out(size);
+    fill(out);
+    return out;
+  }
+}
+
+template <typename Out, typename Sink, typename... T>
+[[nodiscard]] Out encode_with(const T&... fields) {
+  return encode_sized<Out, Sink>(encoded_size<Sink>(fields...), fields...);
+}
+
+// Encodes one message in the packed framing.
+template <typename Out = Payload, typename T>
+[[nodiscard]] Out encode(const T& msg) {
+  return encode_with<Out, ByteWriter>(msg);
 }
 
 // Decodes one message; trailing bytes are ignored. The Payload overload

@@ -11,6 +11,7 @@
 
 #include "app/kv_store.hpp"
 #include "harness/scenario.hpp"
+#include "written.hpp"
 
 namespace vdep::app {
 namespace {
@@ -209,22 +210,22 @@ struct ReferenceStore {
   }
   [[nodiscard]] std::optional<Bytes> delta(std::uint64_t since) const {
     if (since < floor || since >= epoch) return std::nullopt;
-    ByteWriter w;
-    std::uint32_t upserts = 0;
-    for (const auto& [key, stamp] : write_epoch) upserts += stamp > since ? 1 : 0;
-    w.u32(upserts);
-    for (const auto& [key, stamp] : write_epoch) {
-      if (stamp <= since) continue;
-      w.str(key);
-      w.str(data.at(key));
-    }
-    std::uint32_t erasures = 0;
-    for (const auto& [key, stamp] : tombstone) erasures += stamp > since ? 1 : 0;
-    w.u32(erasures);
-    for (const auto& [key, stamp] : tombstone) {
-      if (stamp > since) w.str(key);
-    }
-    return std::move(w).take();
+    return testing::written<ByteWriter>([this, since](auto& w) {
+      std::uint32_t upserts = 0;
+      for (const auto& [key, stamp] : write_epoch) upserts += stamp > since ? 1 : 0;
+      w.u32(upserts);
+      for (const auto& [key, stamp] : write_epoch) {
+        if (stamp <= since) continue;
+        w.str(key);
+        w.str(data.at(key));
+      }
+      std::uint32_t erasures = 0;
+      for (const auto& [key, stamp] : tombstone) erasures += stamp > since ? 1 : 0;
+      w.u32(erasures);
+      for (const auto& [key, stamp] : tombstone) {
+        if (stamp > since) w.str(key);
+      }
+    });
   }
   [[nodiscard]] std::size_t size() const {
     std::size_t total = 4;

@@ -8,6 +8,7 @@
 #include "harness/fabric.hpp"
 #include "util/payload.hpp"
 #include "util/rng.hpp"
+#include "written.hpp"
 
 namespace vdep::gcs {
 namespace {
@@ -53,9 +54,8 @@ TEST(Payload, AliasingViewKeepsOwnerAlive) {
 }
 
 TEST(Payload, ReadPayloadAliasesOwnedFrameAndCopiesUnowned) {
-  ByteWriter w;
-  w.bytes(filler_bytes(40));
-  Bytes encoded = std::move(w).take();
+  const Bytes encoded =
+      testing::written<ByteWriter>([](auto& w) { w.bytes(filler_bytes(40)); });
 
   {  // Owner-aware reader: the result aliases the frame.
     Payload frame{Bytes(encoded)};

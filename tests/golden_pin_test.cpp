@@ -35,6 +35,7 @@
 #include "obs/export.hpp"
 #include "shard/cluster.hpp"
 #include "util/bytes.hpp"
+#include "written.hpp"
 
 namespace vdep {
 namespace {
@@ -44,9 +45,9 @@ std::uint64_t fnv1a_text(const std::string& text) {
 }
 
 std::uint64_t fnv1a_digests(const std::vector<std::uint64_t>& digests) {
-  ByteWriter w;
-  for (std::uint64_t d : digests) w.u64(d);
-  return fnv1a(std::move(w).take());
+  return fnv1a(testing::written<ByteWriter>([&digests](auto& w) {
+    for (std::uint64_t d : digests) w.u64(d);
+  }));
 }
 
 // The scenario's group controller: group() where the harness exposes one,

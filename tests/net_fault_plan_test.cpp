@@ -130,15 +130,14 @@ TEST(FaultPlanEdge, DecodeRejectsActionsTheBuildersRefuse) {
   constexpr std::size_t kUntil = 4 + 1 + 8;
   constexpr std::size_t kValue = kUntil + 8 * 4 + 4 + 4;
   const auto patched = [](const FaultPlan& plan, std::size_t offset, auto v) {
-    ByteWriter w;
+    Bytes bytes = plan.encode();
+    EXPECT_EQ(bytes.size(), kValue + 8);
+    ByteWriter w(std::span<std::uint8_t>(bytes).subspan(offset, 8));
     if constexpr (std::is_same_v<decltype(v), double>) {
       w.f64(v);
     } else {
       w.i64(v.count());
     }
-    Bytes bytes = plan.encode();
-    EXPECT_EQ(bytes.size(), kValue + 8);
-    std::copy(w.data().begin(), w.data().end(), bytes.begin() + static_cast<long>(offset));
     return bytes;
   };
   FaultPlan loss;

@@ -131,11 +131,11 @@ TEST(Tracer, NotesAttachInOrder) {
 
 TEST(TraceContext, WireRoundTripAndZeroWhenInvalid) {
   obs::TraceContext ctx{0x1234, 0x5678};
-  const Bytes bytes = wire::encode(ctx);
+  const Bytes bytes = wire::encode<Bytes>(ctx);
   EXPECT_EQ(bytes.size(), 16u);  // always 16 bytes on the wire
   EXPECT_EQ(wire::decode<obs::TraceContext>(bytes), ctx);
 
-  const Bytes zero = wire::encode(obs::TraceContext{});
+  const Bytes zero = wire::encode<Bytes>(obs::TraceContext{});
   EXPECT_EQ(zero.size(), 16u);  // disabled tracing: same size, all zeros
   EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
                           [](std::uint8_t b) { return b == 0; }));

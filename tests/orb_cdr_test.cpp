@@ -1,23 +1,27 @@
 #include <gtest/gtest.h>
 
 #include "orb/cdr.hpp"
+#include "written.hpp"
 
 namespace vdep::orb {
 namespace {
 
-TEST(Cdr, PrimitiveRoundTrip) {
-  CdrWriter w;
-  w.u8(7);
-  w.boolean(true);
-  w.u16(0x1234);
-  w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefULL);
-  w.i64(-12345);
-  w.f64(2.71828);
-  w.str("corba");
-  w.bytes(Bytes{9, 8, 7});
+using testing::written;
 
-  CdrReader r(w.data());
+TEST(Cdr, PrimitiveRoundTrip) {
+  const Bytes raw = written<CdrWriter>([](auto& w) {
+    w.u8(7);
+    w.boolean(true);
+    w.u16(0x1234);
+    w.u32(0xdeadbeef);
+    w.u64(0x0123456789abcdefULL);
+    w.i64(-12345);
+    w.f64(2.71828);
+    w.str("corba");
+    w.bytes(Bytes{9, 8, 7});
+  });
+
+  CdrReader r(raw);
   EXPECT_EQ(r.u8(), 7);
   EXPECT_TRUE(r.boolean());
   EXPECT_EQ(r.u16(), 0x1234);
@@ -31,16 +35,17 @@ TEST(Cdr, PrimitiveRoundTrip) {
 }
 
 TEST(Cdr, AlignmentPadsRelativeToStreamStart) {
-  CdrWriter w;
-  w.u8(1);     // position 1
-  w.u32(5);     // aligns to 4: pads 3
+  Bytes raw(24, 0xff);
+  CdrWriter w(raw);
+  w.u8(1);   // position 1
+  w.u32(5);  // aligns to 4: pads 3
   EXPECT_EQ(w.size(), 8u);
-  EXPECT_EQ(w.data()[1], 0);  // padding
-  w.u8(2);     // position 9
-  w.u64(6); // aligns to 8: pads 7
+  EXPECT_EQ(raw[1], 0);  // padding
+  w.u8(2);   // position 9
+  w.u64(6);  // aligns to 8: pads 7
   EXPECT_EQ(w.size(), 24u);
 
-  CdrReader r(w.data());
+  CdrReader r(raw);
   EXPECT_EQ(r.u8(), 1);
   EXPECT_EQ(r.u32(), 5u);
   EXPECT_EQ(r.u8(), 2);
@@ -48,7 +53,7 @@ TEST(Cdr, AlignmentPadsRelativeToStreamStart) {
 }
 
 TEST(Cdr, AlreadyAlignedAddsNoPadding) {
-  CdrWriter w;
+  CdrSizer w;
   w.u32(1);
   w.u32(2);
   EXPECT_EQ(w.size(), 8u);
@@ -57,17 +62,15 @@ TEST(Cdr, AlreadyAlignedAddsNoPadding) {
 TEST(Cdr, BigEndianReaderDecodesSwapped) {
   // Writer emits little-endian; a reader told the stream is big-endian must
   // produce the byte-swapped value — verifying the flag is honoured.
-  CdrWriter w;
-  w.u32(0x01020304);
-  CdrReader r(w.data(), /*little_endian=*/false);
+  const Bytes raw = written<CdrWriter>([](auto& w) { w.u32(0x01020304); });
+  CdrReader r(raw, /*little_endian=*/false);
   EXPECT_EQ(r.u32(), 0x04030201u);
 }
 
 TEST(Cdr, StringRequiresNulTerminator) {
-  CdrWriter w;
-  w.u32(3);  // length including NUL
+  // length including NUL
+  Bytes raw = written<CdrWriter>([](auto& w) { w.u32(3); });
   // Manually corrupt: append "abc" without NUL via octets of raw buffer.
-  Bytes raw = w.data();
   raw.push_back('a');
   raw.push_back('b');
   raw.push_back('c');  // should be NUL
@@ -76,32 +79,31 @@ TEST(Cdr, StringRequiresNulTerminator) {
 }
 
 TEST(Cdr, EmptyStringHasNul) {
-  CdrWriter w;
-  w.str("");
-  CdrReader r(w.data());
+  const Bytes raw = written<CdrWriter>([](auto& w) { w.str(""); });
+  CdrReader r(raw);
   EXPECT_EQ(r.str(), "");
 }
 
 TEST(Cdr, UnderrunThrows) {
-  CdrWriter w;
-  w.u16(1);
-  CdrReader r(w.data());
+  const Bytes raw = written<CdrWriter>([](auto& w) { w.u16(1); });
+  CdrReader r(raw);
   EXPECT_THROW((void)r.u64(), DecodeError);
 }
 
 TEST(Cdr, ZeroLengthStringPrefixRejected) {
-  CdrWriter w;
-  w.u32(0);  // CORBA strings always include their NUL: length >= 1
-  CdrReader r(w.data());
+  // CORBA strings always include their NUL: length >= 1
+  const Bytes raw = written<CdrWriter>([](auto& w) { w.u32(0); });
+  CdrReader r(raw);
   EXPECT_THROW((void)r.str(), DecodeError);
 }
 
 TEST(Cdr, DoubleSpecialValues) {
-  CdrWriter w;
-  w.f64(0.0);
-  w.f64(-0.0);
-  w.f64(1e308);
-  CdrReader r(w.data());
+  const Bytes raw = written<CdrWriter>([](auto& w) {
+    w.f64(0.0);
+    w.f64(-0.0);
+    w.f64(1e308);
+  });
+  CdrReader r(raw);
   EXPECT_DOUBLE_EQ(r.f64(), 0.0);
   EXPECT_DOUBLE_EQ(r.f64(), -0.0);
   EXPECT_DOUBLE_EQ(r.f64(), 1e308);

@@ -13,7 +13,7 @@ TEST(Giop, RequestRoundTrip) {
   req.operation = "process";
   req.body = filler_bytes(100);
 
-  const Bytes wire = req.encode();
+  const Bytes wire = req.encode().to_bytes();
   GiopMessage msg = decode_giop(wire);
   ASSERT_TRUE(msg.request.has_value());
   EXPECT_EQ(msg.request->request_id, 42u);
@@ -107,7 +107,7 @@ TEST(Giop, RewritingRequestPreservesBody) {
 TEST(Giop, BadMagicThrows) {
   RequestMessage req;
   req.operation = "x";
-  Bytes wire = req.encode();
+  Bytes wire = req.encode().to_bytes();
   wire[0] = 'X';
   EXPECT_THROW((void)decode_giop(wire), DecodeError);
 }
@@ -120,7 +120,7 @@ TEST(Giop, TruncatedHeaderThrows) {
 TEST(Giop, BadVersionThrows) {
   RequestMessage req;
   req.operation = "x";
-  Bytes wire = req.encode();
+  Bytes wire = req.encode().to_bytes();
   wire[4] = 9;  // major version
   EXPECT_THROW((void)decode_giop(wire), DecodeError);
 }
@@ -128,7 +128,7 @@ TEST(Giop, BadVersionThrows) {
 TEST(Giop, BadReplyStatusThrows) {
   ReplyMessage rep;
   rep.request_id = 1;
-  Bytes wire = rep.encode();
+  Bytes wire = rep.encode().to_bytes();
   // Reply status is the second ulong after the 12-byte header.
   wire[16] = 200;
   EXPECT_THROW((void)decode_giop(wire), DecodeError);

@@ -159,7 +159,7 @@ int build_chain(Scenario& scenario) {
 // What a full checkpoint cut at the chain's tip would install.
 struct FullCut {
   replication::AppliedFrontier applied;
-  Bytes replies;
+  Payload replies;
 };
 
 FullCut full_cut_of(const Replicator& taker) {
@@ -292,7 +292,7 @@ TEST(FullInstall, MalformedReplyListInstallsNothing) {
   const auto cached = [&backup] {
     return backup.reply_cache().serialize_recent(backup.reply_cache().size());
   };
-  const Bytes replies = cached();
+  const Payload replies = cached();
   ASSERT_FALSE(backup.reply_cache().size() == 0);
   const std::uint64_t installs = backup.installs_full();
 
@@ -302,7 +302,7 @@ TEST(FullInstall, MalformedReplyListInstallsNothing) {
   anchor.checkpoint_id = 0xfeed;
   anchor.applied = {frontier[1]};
   anchor.app_state = Payload(app::TestServant().snapshot());
-  Bytes truncated = replies;
+  Bytes truncated = replies.to_bytes();
   truncated.pop_back();
   anchor.reply_cache = Payload(std::move(truncated));
   const replication::RepEnvelope env{replication::RepEnvelope::Type::kCheckpoint,

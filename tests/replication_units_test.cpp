@@ -8,6 +8,7 @@
 #include "replication/message_log.hpp"
 #include "replication/reply_cache.hpp"
 #include "replication/types.hpp"
+#include "written.hpp"
 
 namespace vdep::replication {
 namespace {
@@ -70,7 +71,7 @@ TEST(ReplyCache, SerializeRecentOnAFullCacheReturnsTheNewestInOrder) {
   }
   ASSERT_EQ(cache.size(), 4096u);
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{16}, std::size_t{4096}}) {
-    const Bytes raw = cache.serialize_recent(n);
+    const Payload raw = cache.serialize_recent(n);
     ByteReader r(raw);
     ASSERT_EQ(r.u32(), n);
     for (std::uint64_t seq = 5001 - n; seq <= 5000; ++seq) {
@@ -244,14 +245,15 @@ TEST(CheckpointMsgCodec, FullEncodingIsByteIdenticalToPreDeltaFormat) {
   msg.app_state = Bytes{0xaa, 0xbb};
   msg.reply_cache = Bytes{0xcc};
 
-  ByteWriter w;
-  w.u64(0x12345678);             // checkpoint_id
-  w.u32(1);                      // applied entries
-  w.u64(2);                      // client pid
-  w.u64(9);                      // retention id
-  w.bytes(Bytes{0xaa, 0xbb});    // app_state (length-prefixed)
-  w.bytes(Bytes{0xcc});          // reply_cache (length-prefixed)
-  EXPECT_EQ(msg.encode(), std::move(w).take());
+  const Bytes expected = testing::written<ByteWriter>([](auto& w) {
+    w.u64(0x12345678);           // checkpoint_id
+    w.u32(1);                    // applied entries
+    w.u64(2);                    // client pid
+    w.u64(9);                    // retention id
+    w.bytes(Bytes{0xaa, 0xbb});  // app_state (length-prefixed)
+    w.bytes(Bytes{0xcc});        // reply_cache (length-prefixed)
+  });
+  EXPECT_EQ(msg.encode(), expected);
 }
 
 TEST(CheckpointMsgCodec, DeltaRoundTripCarriesChainEpochs) {
@@ -279,31 +281,33 @@ TEST(CheckpointMsgCodec, DeltaValidationRejectsCorruptChains) {
   msg.checkpoint_id = 10;
   msg.delta_epoch = 10;
   msg.base_epoch = 9;
-  const Bytes good = msg.encode();
+  const Bytes good = msg.encode().to_bytes();
 
   // delta_epoch must equal checkpoint_id.
   {
-    ByteWriter w;
-    w.u64(10);   // checkpoint_id
-    w.u64(9);    // base_epoch
-    w.u64(11);   // delta_epoch != checkpoint_id
-    w.u32(0);
-    w.bytes(Bytes{});
-    w.bytes(Bytes{});
-    EXPECT_THROW((void)CheckpointMsg::decode(Payload(std::move(w).take()),
+    Bytes raw = testing::written<ByteWriter>([](auto& w) {
+      w.u64(10);  // checkpoint_id
+      w.u64(9);   // base_epoch
+      w.u64(11);  // delta_epoch != checkpoint_id
+      w.u32(0);
+      w.bytes(Bytes{});
+      w.bytes(Bytes{});
+    });
+    EXPECT_THROW((void)CheckpointMsg::decode(Payload(std::move(raw)),
                                              CheckpointMsg::Kind::kDelta),
                  DecodeError);
   }
   // A delta must chain forwards (base < delta).
   {
-    ByteWriter w;
-    w.u64(10);
-    w.u64(10);   // base_epoch == delta_epoch
-    w.u64(10);
-    w.u32(0);
-    w.bytes(Bytes{});
-    w.bytes(Bytes{});
-    EXPECT_THROW((void)CheckpointMsg::decode(Payload(std::move(w).take()),
+    Bytes raw = testing::written<ByteWriter>([](auto& w) {
+      w.u64(10);
+      w.u64(10);  // base_epoch == delta_epoch
+      w.u64(10);
+      w.u32(0);
+      w.bytes(Bytes{});
+      w.bytes(Bytes{});
+    });
+    EXPECT_THROW((void)CheckpointMsg::decode(Payload(std::move(raw)),
                                              CheckpointMsg::Kind::kDelta),
                  DecodeError);
   }
@@ -316,16 +320,16 @@ TEST(CheckpointMsgCodec, RejectsFrontierClientsNotStrictlyIncreasing) {
   // took a repeated or descending client would hold a frontier that no
   // encoder can produce.
   const auto encoded = [](std::initializer_list<std::uint64_t> clients) {
-    ByteWriter w;
-    w.u64(5);  // checkpoint_id
-    w.u32(static_cast<std::uint32_t>(clients.size()));
-    for (std::uint64_t client : clients) {
-      w.u64(client);
-      w.u64(1);  // retention id
-    }
-    w.bytes(Bytes{});
-    w.bytes(Bytes{});
-    return Payload(std::move(w).take());
+    return Payload(testing::written<ByteWriter>([clients](auto& w) {
+      w.u64(5);  // checkpoint_id
+      w.u32(static_cast<std::uint32_t>(clients.size()));
+      for (std::uint64_t client : clients) {
+        w.u64(client);
+        w.u64(1);  // retention id
+      }
+      w.bytes(Bytes{});
+      w.bytes(Bytes{});
+    }));
   };
   EXPECT_THROW((void)CheckpointMsg::decode(encoded({3, 3})), DecodeError);
   EXPECT_THROW((void)CheckpointMsg::decode(encoded({1, 4, 2})), DecodeError);

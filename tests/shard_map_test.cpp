@@ -185,7 +185,7 @@ TEST(ShardServantTest, FencesStaleRoutesAndFrozenRanges) {
 
   // Freeze the sub-range around the key: mid-donation requests bounce.
   const ShardServant::Migration freeze{1, {h, h}, 2, GroupId{99}};
-  auto freeze_reply = owner.invoke("shard.freeze", orb::cdr_encode(freeze));
+  auto freeze_reply = owner.invoke("shard.freeze", orb::cdr_encode<Bytes>(freeze));
   // Control replies carry the status only.
   ASSERT_EQ(orb::cdr_decode<StatusReply>(freeze_reply.output).status, ShardStatus::kOk);
   result = owner.invoke("put", ShardServant::encode_data_args(1, key, &value));

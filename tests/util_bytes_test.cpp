@@ -5,24 +5,28 @@
 #include "replication/types.hpp"
 #include "shard/map.hpp"
 #include "util/bytes.hpp"
+#include "written.hpp"
 
 namespace vdep {
 namespace {
 
-TEST(ByteWriter, RoundTripsAllPrimitives) {
-  ByteWriter w;
-  w.u8(0xab);
-  w.u16(0xbeef);
-  w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefULL);
-  w.i64(-42);
-  w.f64(3.14159);
-  w.boolean(true);
-  w.boolean(false);
-  w.str("hello");
-  w.bytes(Bytes{1, 2, 3});
+using testing::written;
 
-  ByteReader r(w.data());
+TEST(ByteWriter, RoundTripsAllPrimitives) {
+  const Bytes raw = written<ByteWriter>([](auto& w) {
+    w.u8(0xab);
+    w.u16(0xbeef);
+    w.u32(0xdeadbeef);
+    w.u64(0x0123456789abcdefULL);
+    w.i64(-42);
+    w.f64(3.14159);
+    w.boolean(true);
+    w.boolean(false);
+    w.str("hello");
+    w.bytes(Bytes{1, 2, 3});
+  });
+
+  ByteReader r(raw);
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0xbeef);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
@@ -37,25 +41,22 @@ TEST(ByteWriter, RoundTripsAllPrimitives) {
 }
 
 TEST(ByteWriter, LittleEndianLayout) {
-  ByteWriter w;
-  w.u32(0x01020304);
-  ASSERT_EQ(w.size(), 4u);
-  EXPECT_EQ(w.data()[0], 0x04);
-  EXPECT_EQ(w.data()[3], 0x01);
+  const Bytes raw = written<ByteWriter>([](auto& w) { w.u32(0x01020304); });
+  ASSERT_EQ(raw.size(), 4u);
+  EXPECT_EQ(raw[0], 0x04);
+  EXPECT_EQ(raw[3], 0x01);
 }
 
 TEST(ByteReader, UnderrunThrows) {
-  ByteWriter w;
-  w.u16(7);
-  ByteReader r(w.data());
+  const Bytes raw = written<ByteWriter>([](auto& w) { w.u16(7); });
+  ByteReader r(raw);
   (void)r.u8();
   EXPECT_THROW((void)r.u32(), DecodeError);
 }
 
 TEST(ByteReader, TruncatedStringThrows) {
-  ByteWriter w;
-  w.u32(100);  // claims 100 bytes follow
-  ByteReader r(w.data());
+  const Bytes raw = written<ByteWriter>([](auto& w) { w.u32(100); });  // claims 100 bytes
+  ByteReader r(raw);
   EXPECT_THROW((void)r.str(), DecodeError);
 }
 
@@ -66,20 +67,22 @@ TEST(ByteReader, BadBooleanThrows) {
 }
 
 TEST(ByteReader, EmptyBytesAndStrings) {
-  ByteWriter w;
+  Bytes raw(16);
+  ByteWriter w(raw);
   w.str("");
   w.bytes({});
-  ByteReader r(w.data());
+  ByteReader r(std::span<const std::uint8_t>(raw).first(w.size()));
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.bytes().empty());
   EXPECT_TRUE(r.at_end());
 }
 
 TEST(ByteReader, RemainingTracksPosition) {
-  ByteWriter w;
-  w.u64(1);
-  w.u64(2);
-  ByteReader r(w.data());
+  const Bytes raw = written<ByteWriter>([](auto& w) {
+    w.u64(1);
+    w.u64(2);
+  });
+  ByteReader r(raw);
   EXPECT_EQ(r.remaining(), 16u);
   (void)r.u64();
   EXPECT_EQ(r.remaining(), 8u);
@@ -101,35 +104,39 @@ TEST(Fnv1a, KnownProperties) {
   EXPECT_EQ(fnv1a(a), fnv1a(a));
 }
 
+constexpr std::uint32_t kHuge = 0xffffffff;
+
 // A frame whose element count claims far more elements than its remaining
 // bytes can hold is rejected as corrupt before any allocation sized by it.
 TEST(ByteReader, OversizedCountsThrowDecodeError) {
-  constexpr std::uint32_t kHuge = 0xffffffff;
-  ByteWriter view;
-  view.u64(1);  // group
-  view.u64(2);  // view id
-  view.u32(kHuge);
-  EXPECT_THROW((void)gcs::View::decode(view.data()), DecodeError);
+  const Bytes view = written<ByteWriter>([](auto& w) {
+    w.u64(1);  // group
+    w.u64(2);  // view id
+    w.u32(kHuge);
+  });
+  EXPECT_THROW((void)gcs::View::decode(view), DecodeError);
 
   // SyncState carries four counts; each one is checked.
   for (int field = 0; field < 4; ++field) {
-    ByteWriter sync;
-    sync.u8(6);   // SyncState's inner-message tag
-    sync.u64(3);  // term
-    sync.u64(4);  // from
-    for (int i = 0; i < field; ++i) sync.u32(0);
-    sync.u32(kHuge);
-    EXPECT_THROW((void)gcs::decode_inner(sync.data()), DecodeError) << "count " << field;
+    const Bytes sync = written<ByteWriter>([field](auto& w) {
+      w.u8(6);   // SyncState's inner-message tag
+      w.u64(3);  // term
+      w.u64(4);  // from
+      for (int i = 0; i < field; ++i) w.u32(0);
+      w.u32(kHuge);
+    });
+    EXPECT_THROW((void)gcs::decode_inner(sync), DecodeError) << "count " << field;
   }
 
   Bytes map = shard::ShardMap().encode();
   for (std::size_t i = map.size() - 4; i < map.size(); ++i) map[i] = 0xff;
   EXPECT_THROW((void)shard::ShardMap::decode(map), DecodeError);
 
-  ByteWriter bundle;
-  bundle.u32(0);  // empty anchor
-  bundle.u32(kHuge);
-  EXPECT_THROW((void)replication::StateTransferMsg::decode(Payload(std::move(bundle).take())),
+  Bytes bundle = written<ByteWriter>([](auto& w) {
+    w.u32(0);  // empty anchor
+    w.u32(kHuge);
+  });
+  EXPECT_THROW((void)replication::StateTransferMsg::decode(Payload(std::move(bundle))),
                DecodeError);
 }
 

@@ -32,16 +32,23 @@
 
 namespace vdep::wire_test {
 
-struct WireBlob {
-  std::string name;
-  Bytes bytes;
-  // Decodes `raw` and encodes the result again; throws DecodeError when
-  // `raw` is malformed.
-  std::function<Bytes(std::span<const std::uint8_t>)> reencode;
+// An encoder's output as Bytes: the message encoders return Payloads, the
+// servant APIs Bytes.
+struct Encoded : Bytes {
+  Encoded(Bytes bytes) : Bytes(std::move(bytes)) {}           // NOLINT
+  Encoded(const Payload& frame) : Bytes(frame.to_bytes()) {}  // NOLINT
 };
 
-inline Bytes reencode_inner(std::span<const std::uint8_t> raw) {
-  return gcs::encode_inner(gcs::decode_inner(Payload::copy_of(raw))).to_bytes();
+struct WireBlob {
+  std::string name;
+  Encoded bytes;
+  // Decodes `raw` and encodes the result again; throws DecodeError when
+  // `raw` is malformed.
+  std::function<Encoded(std::span<const std::uint8_t>)> reencode;
+};
+
+inline Encoded reencode_inner(std::span<const std::uint8_t> raw) {
+  return gcs::encode_inner(gcs::decode_inner(Payload::copy_of(raw)));
 }
 
 inline gcs::View sample_view() {
@@ -132,9 +139,9 @@ inline shard::ShardServant::Result shard_control(shard::ShardServant& servant,
                                                  const shard::KeyRange* range = nullptr,
                                                  std::uint64_t post_epoch = 0,
                                                  std::uint64_t target = 0) {
-  if (range == nullptr) return servant.invoke(operation, orb::cdr_encode(id));
+  if (range == nullptr) return servant.invoke(operation, orb::cdr_encode<Bytes>(id));
   const shard::ShardServant::Migration m{id, *range, post_epoch, GroupId{target}};
-  return servant.invoke(operation, orb::cdr_encode(m));
+  return servant.invoke(operation, orb::cdr_encode<Bytes>(m));
 }
 
 // A shard that has released one migration (done set, fence epoch) and is
@@ -287,7 +294,7 @@ inline std::vector<WireBlob> wire_blobs() {
 
 // --- CDR layouts ----------------------------------------------------------------
 
-inline Bytes reencode_giop(std::span<const std::uint8_t> raw) {
+inline Encoded reencode_giop(std::span<const std::uint8_t> raw) {
   const orb::GiopMessage msg = orb::decode_giop(raw);
   if (msg.request) return msg.request->encode();
   if (msg.reply) return msg.reply->encode();
@@ -334,7 +341,7 @@ inline shard::ShardMap sample_map() {
 template <typename Decode>
 auto reencode_result(Decode decode) {
   return [decode](std::span<const std::uint8_t> raw) {
-    return orb::cdr_encode(decode(Bytes(raw.begin(), raw.end())));
+    return orb::cdr_encode<Bytes>(decode(Bytes(raw.begin(), raw.end())));
   };
 }
 
@@ -386,7 +393,8 @@ inline std::vector<WireBlob> cdr_blobs() {
                  reencode_result(shard::ShardServant::decode_data_reply)});
 
   const shard::KeyRange upper{0x80000000u, 0xffffffffu};
-  const Bytes freeze = orb::cdr_encode(shard::ShardServant::Migration{1, upper, 2, GroupId{9}});
+  const Bytes freeze =
+      orb::cdr_encode<Bytes>(shard::ShardServant::Migration{1, upper, 2, GroupId{9}});
   out.push_back({"ShardServant.freeze.args", freeze,
                  [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) {
@@ -401,7 +409,7 @@ inline std::vector<WireBlob> cdr_blobs() {
       shard::ShardServant::decode_data_reply(shard_control(owner, "shard.donate", 1).output)
           .result;
   out.push_back({"ShardServant.install.args",
-                 orb::cdr_encode(shard::ShardServant::InstallArgs{1, upper, 2, bundle}),
+                 orb::cdr_encode<Bytes>(shard::ShardServant::InstallArgs{1, upper, 2, bundle}),
                  [](std::span<const std::uint8_t> raw) {
                    return accepted_args(raw, [](const Bytes& a) {
                      return shard_accepts(shard::ShardServant(), "shard.install", a);

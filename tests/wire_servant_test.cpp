@@ -13,6 +13,7 @@
 #include "shard/directory.hpp"
 #include "shard/shard_servant.hpp"
 #include "wire_blobs.hpp"
+#include "written.hpp"
 
 namespace vdep::shard {
 namespace {
@@ -28,16 +29,17 @@ TEST(ServantArgs, MalformedArgumentsAnswerBadRequest) {
   EXPECT_FALSE(servant.frozen());
 
   // An install whose donated range claims two items but holds one.
-  ByteWriter range;
-  range.u32(2);
-  range.str("a");
-  range.str("b");
   replication::CheckpointMsg anchor;
-  anchor.app_state = Payload(std::move(range).take());
+  anchor.app_state = Payload(testing::written<ByteWriter>([](auto& range) {
+    range.u32(2);
+    range.str("a");
+    range.str("b");
+  }));
   replication::StateTransferMsg bundle;
-  bundle.anchor = Payload(anchor.encode());
-  const ShardServant::InstallArgs install{7, {0x80000000u, 0xffffffffu}, 2, bundle.encode()};
-  EXPECT_EQ(data_status(servant.invoke("shard.install", orb::cdr_encode(install))),
+  bundle.anchor = anchor.encode();
+  const ShardServant::InstallArgs install{7, {0x80000000u, 0xffffffffu}, 2,
+                                          bundle.encode().to_bytes()};
+  EXPECT_EQ(data_status(servant.invoke("shard.install", orb::cdr_encode<Bytes>(install))),
             ShardStatus::kBadRequest);
   EXPECT_TRUE(servant.store().items().empty());
   EXPECT_EQ(servant.owned_ranges().size(), 1u);
