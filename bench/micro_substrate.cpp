@@ -174,10 +174,10 @@ void BM_FanoutEncodePerDest(benchmark::State& state) {
       copied += payload_size;
       Bytes link = splice_link_frame(frame);        // splice per destination
       copied += payload_size;
-      ByteReader r(link);                           // receiver: no owner -> copies
-      (void)r.u8();
-      (void)r.u64();
-      Payload inner = read_payload(r);              // deep copy out of the frame
+      wire::Reader r(link);                         // receiver: no owner -> copies
+      (void)r.read<std::uint8_t>();
+      (void)r.read<std::uint64_t>();
+      Payload inner = r.read<Payload>();            // deep copy out of the frame
       copied += payload_size;
       auto decoded = gcs::decode_inner(inner.view());  // deep copy of the payload
       copied += payload_size;
@@ -201,10 +201,10 @@ void BM_FanoutEncodeOnce(benchmark::State& state) {
     for (int d = 0; d < kFanoutDests; ++d) {
       Payload link = splice_link_frame(frame);      // one splice per destination
       copied += payload_size;
-      ByteReader r(link.owner(), link);             // receiver: owner-aware
-      (void)r.u8();
-      (void)r.u64();
-      Payload inner = read_payload(r);              // aliases the link frame
+      wire::Reader r(link);                         // receiver: owner-aware
+      (void)r.read<std::uint8_t>();
+      (void)r.read<std::uint64_t>();
+      Payload inner = r.read<Payload>();            // aliases the link frame
       auto decoded = gcs::decode_inner(inner);      // payload aliases too
       benchmark::DoNotOptimize(decoded);
     }

@@ -144,6 +144,12 @@ if trace == "1":
 done
 echo "perfbench builds clean, every workload reports correct traced and untraced, digests and work counts match"
 
+# Scratch directories of the benchmark gate and the determinism gates below,
+# removed however the script exits, a failed gate included.
+bench_dir="$(mktemp -d)"
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "${bench_dir}" "${trace_dir}"' EXIT
+
 echo "== benchmark regression gates (scripts/bench_gates.json) =="
 # Re-measures every gated binary in Release and compares each recorded
 # BENCH_*.json baseline against the fresh numbers, with the per-file metric
@@ -152,7 +158,6 @@ echo "== benchmark regression gates (scripts/bench_gates.json) =="
 gate_file="${repo_root}/scripts/bench_gates.json"
 cmake -B "${repo_root}/build-bench" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
-bench_dir="$(mktemp -d)"
 # Fresh measurements land at the gate's "current" name (distinct from the
 # baseline name when several gated binaries share one recorded baseline).
 # --list-gates prints "-" for an empty filter: `read` with a tab IFS would
@@ -175,11 +180,8 @@ done < <(python3 "${repo_root}/scripts/check_bench_regression.py" \
 python3 "${repo_root}/scripts/check_bench_regression.py" \
   --gate-file "${gate_file}" \
   --baseline-dir "${repo_root}" --current-dir "${bench_dir}"
-rm -rf "${bench_dir}"
 
 echo "== trace determinism gate =="
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "${trace_dir}"' EXIT
 "${repo_root}/build/examples/trace_explorer" seed=42 \
   out="${trace_dir}/run1.json" txt="${trace_dir}/run1.txt" > /dev/null
 "${repo_root}/build/examples/trace_explorer" seed=42 \

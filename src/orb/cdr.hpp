@@ -2,19 +2,19 @@
 //
 // Application payloads and GIOP messages travel in CDR: primitive types are
 // aligned to their natural boundary relative to the start of the stream,
-// strings carry their NUL, enums are four bytes, and a byte-order flag lets
-// a reader decode either endianness (we emit little-endian, as an x86 TAO
-// would). This is the encoding the replicator intercepts and re-writes when
-// it injects FT service contexts.
+// strings carry their NUL and enums are four bytes. Every stream is
+// little-endian, as an x86 TAO writes it; decode_giop rejects a GIOP header
+// whose byte-order flag says big-endian. This is the encoding the replicator
+// intercepts and re-writes when it injects FT service contexts.
 //
-// CdrWriter/CdrReader have the primitive interface of ByteWriter/ByteReader,
+// CdrWriter/CdrReader have the primitive interface of ByteWriter/ByteReader
+// and are built on the same cores (detail::ByteSink, detail::ByteSource),
 // so the wire_fields lists of util/wire.hpp run over CDR as well:
 // cdr_encode/cdr_decode are wire::encode/decode for CDR.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -65,62 +65,35 @@ class BasicCdrWriter : public detail::ByteSink<kWrite> {
 using CdrWriter = BasicCdrWriter<true>;
 using CdrSizer = BasicCdrWriter<false>;
 
-class CdrReader {
+// Reads CDR written by CdrWriter: ByteSource's core plus CDR's alignment
+// relative to the stream start and NUL-terminated strings.
+class CdrReader : public detail::ByteSource<CdrReader> {
  public:
   using Enum = std::uint32_t;
+  using ByteSource::ByteSource;
 
-  // `little_endian` is the stream's byte-order flag (from the GIOP header).
-  // The reader aliases `data`; it must not outlive the underlying buffer.
-  // With an `owner` keeping `data` alive, decoded Payload fields alias it,
-  // as with ByteReader.
-  explicit CdrReader(std::span<const std::uint8_t> data, bool little_endian = true)
-      : data_(data), little_(little_endian) {}
-  CdrReader(std::shared_ptr<const void> owner, std::span<const std::uint8_t> data,
-            bool little_endian = true)
-      : data_(data), owner_(std::move(owner)), little_(little_endian) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] bool boolean();
   [[nodiscard]] std::uint16_t u16() { return aligned<std::uint16_t>(); }
   [[nodiscard]] std::uint32_t u32() { return aligned<std::uint32_t>(); }
   [[nodiscard]] std::uint64_t u64() { return aligned<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str();
-  [[nodiscard]] Bytes bytes();
-  // A sequence<octet>'s bytes, aliasing the stream.
-  [[nodiscard]] std::span<const std::uint8_t> bytes_view() { return take(u32()); }
+  // CORBA string: ulong length including NUL, bytes, NUL.
+  [[nodiscard]] std::string str() {
+    const std::size_t at = pos();
+    const std::uint32_t len = u32();
+    if (len == 0) throw error("string must include its NUL", at);
+    const auto s = take(len);
+    if (s.back() != 0) throw error("string missing NUL", at);
+    return std::string(reinterpret_cast<const char*>(s.data()), len - 1);
+  }
   // The bytes up to the end of the stream, aliasing it.
   [[nodiscard]] std::span<const std::uint8_t> rest() { return take(remaining()); }
-  // A ulong element count, bounded as ByteReader::count bounds it.
-  [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes);
-  void align(std::size_t n);
-
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] const std::shared_ptr<const void>& owner() const { return owner_; }
-  [[nodiscard]] DecodeError error(const std::string& what) const { return error(what, pos_); }
-  [[nodiscard]] DecodeError error(const std::string& what, std::size_t at) const;
+  void align(std::size_t n) { (void)take((n - pos() % n) % n); }
 
  private:
-  std::span<const std::uint8_t> take(std::size_t n);
-
   template <typename T>
   [[nodiscard]] T aligned() {
     align(sizeof(T));
-    const auto s = take(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      const std::size_t shift = 8 * (little_ ? i : sizeof(T) - 1 - i);
-      v = static_cast<T>(v | (static_cast<T>(s[i]) << shift));
-    }
-    return v;
+    return little_endian<T>();
   }
-
-  std::span<const std::uint8_t> data_;
-  std::shared_ptr<const void> owner_;
-  bool little_;
-  std::size_t pos_ = 0;
 };
 
 // Encodes one field list (or one field) in CDR, into one exactly sized

@@ -26,6 +26,8 @@ struct Header {
        m.size);
     io.check(m.magic == kMagic, "bad GIOP magic");
     io.check(m.major == kVersionMajor && m.minor <= kVersionMinor, "unsupported GIOP version");
+    // Every field is read little-endian, as every ORB here writes it.
+    io.check((m.flags & kFlagsLittleEndian) != 0, "big-endian GIOP is not supported");
     io.check(m.type <= static_cast<std::uint8_t>(GiopMsgType::kCancelRequest) ||
                  m.type == static_cast<std::uint8_t>(GiopMsgType::kCloseConnection) ||
                  m.type == static_cast<std::uint8_t>(GiopMsgType::kMessageError),
@@ -41,8 +43,9 @@ Payload encode_giop(GiopMsgType type, const Body& body) {
   return wire::encode_sized<Payload, CdrWriter>(size, header, body);
 }
 
-GiopMessage decode(const CdrReader& reader, std::span<const std::uint8_t> raw) {
-  wire::BasicReader<CdrReader> r(reader);
+template <typename Raw>
+GiopMessage decode(const Raw& raw) {
+  wire::BasicReader<CdrReader> r(raw);
   const auto header = r.read<Header>();
   r.check(header.size == raw.size() - kHeaderBytes, "GIOP size does not match the message");
   GiopMessage msg;
@@ -52,23 +55,14 @@ GiopMessage decode(const CdrReader& reader, std::span<const std::uint8_t> raw) {
   return msg;
 }
 
-// The flags octet gives the byte order of every field.
-bool little_endian(std::span<const std::uint8_t> raw) {
-  return raw.size() <= 6 || (raw[6] & kFlagsLittleEndian) != 0;
-}
-
 }  // namespace
 
 Payload RequestMessage::encode() const { return encode_giop(GiopMsgType::kRequest, *this); }
 
 Payload ReplyMessage::encode() const { return encode_giop(GiopMsgType::kReply, *this); }
 
-GiopMessage decode_giop(const Payload& raw) {
-  return decode(CdrReader(raw.owner(), raw, little_endian(raw)), raw);
-}
+GiopMessage decode_giop(const Payload& raw) { return decode(raw); }
 
-GiopMessage decode_giop(std::span<const std::uint8_t> raw) {
-  return decode(CdrReader(raw, little_endian(raw)), raw);
-}
+GiopMessage decode_giop(std::span<const std::uint8_t> raw) { return decode(raw); }
 
 }  // namespace vdep::orb

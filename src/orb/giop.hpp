@@ -1,7 +1,8 @@
 // GIOP-style inter-ORB messages.
 //
 // A faithful-in-shape subset of GIOP 1.2: magic "GIOP", version, byte-order
-// flag, message type, and Request/Reply bodies with request ids, object
+// flag (always little-endian; decode rejects the other order), message type,
+// and Request/Reply bodies with request ids, object
 // keys, operation names and service contexts. The replicator understands and
 // rewrites these messages — in particular it injects the FT_REQUEST service
 // context (client identity + retention id) that makes requests idempotent

@@ -6,7 +6,7 @@
 
 namespace vdep::replication {
 
-void MessageLog::append(LoggedRequest entry) {
+void MessageLog::append(RequestRecord entry) {
   bytes_ += entry.giop.size();
   const auto index = entry.index;
   auto [it, inserted] = entries_.emplace(index, std::move(entry));
@@ -21,8 +21,8 @@ void MessageLog::truncate_applied(const AppliedFrontier& applied) {
   });
 }
 
-std::vector<LoggedRequest> MessageLog::take_all() {
-  std::vector<LoggedRequest> out;
+std::vector<RequestRecord> MessageLog::take_all() {
+  std::vector<RequestRecord> out;
   out.reserve(entries_.size());
   // Move each entry out (the shared giop payload changes hands without a
   // refcount round-trip or buffer copy); the hollow map skeleton is then

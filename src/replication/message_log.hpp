@@ -19,18 +19,20 @@
 
 namespace vdep::replication {
 
-struct LoggedRequest {
-  std::uint64_t index = 0;   // local delivery index (1-based, per replica)
-  RequestId request_id;      // FT_REQUEST identity
-  NodeId client_daemon;      // where to send the reply on replay
+// A client request as delivered by the group layer, with its FT identity:
+// what the replicator executes and what the log keeps.
+struct RequestRecord {
+  std::uint64_t index = 0;         // local delivery index (1-based, per replica)
+  RequestId request_id;            // FT_REQUEST identity
+  NodeId client_daemon;            // where the reply goes
   SimTime expiration = kTimeZero;  // FT_REQUEST expiration (0 = none)
-  Payload giop;              // the raw request (shared with the RequestRecord)
-  obs::TraceContext trace;   // caller's context, so replayed spans re-link
+  Payload giop;                    // raw GIOP request (aliases the delivered frame)
+  obs::TraceContext trace;         // caller's context, so replayed spans re-link
 };
 
 class MessageLog {
  public:
-  void append(LoggedRequest entry);
+  void append(RequestRecord entry);
 
   // Drops every entry already covered by the applied frontier (retention id
   // at or below the client's entry).
@@ -40,7 +42,7 @@ class MessageLog {
   template <typename FrontierOf>
   void truncate_covered(FrontierOf&& frontier_of) {
     std::erase_if(entries_, [&](const auto& kv) {
-      const LoggedRequest& e = kv.second;
+      const RequestRecord& e = kv.second;
       if (e.request_id.seq > frontier_of(e.request_id.client)) return false;
       bytes_ -= e.giop.size();
       return true;
@@ -49,7 +51,7 @@ class MessageLog {
 
   // All retained entries in delivery order; the log is cleared. Used by
   // promotion/rollback replay.
-  [[nodiscard]] std::vector<LoggedRequest> take_all();
+  [[nodiscard]] std::vector<RequestRecord> take_all();
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
@@ -58,7 +60,7 @@ class MessageLog {
   void clear();
 
  private:
-  std::map<std::uint64_t, LoggedRequest> entries_;
+  std::map<std::uint64_t, RequestRecord> entries_;
   std::size_t bytes_ = 0;
 };
 

@@ -224,7 +224,7 @@ void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload g
 
   RequestRecord rec;
   rec.index = request_index_;
-  rec.rid = RequestId{ft->client, ft->retention_id};
+  rec.request_id = RequestId{ft->client, ft->retention_id};
   rec.client_daemon = ft->client_daemon;
   rec.expiration = ft->expiration;
   rec.giop = std::move(giop);
@@ -242,7 +242,7 @@ void Replicator::handle_request_envelope(const gcs::GroupMessage& msg, Payload g
       span.note("reason", uninitialized_ ? "state_transfer_pending" : "quiescence_hold");
     }
     if (uninitialized_) {
-      log_request(rec);
+      log_.append(std::move(rec));
     } else {
       holdq_.push_back(std::move(rec));
     }
@@ -428,7 +428,7 @@ void Replicator::on_request(const RequestRecord& rec) {
     case ReplicationStyle::kHybrid:
       if (!is_responder()) {
         // Backups, hybrid observers and a still-launching cold promotee log.
-        log_request(rec);
+        log_.append(rec);
         return;
       }
       execute_request(rec, /*send_reply=*/true);
@@ -518,17 +518,17 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
   // Exactly-once: retention ids are per-client monotone, so anything at or
   // below the applied frontier is a duplicate (client retransmission,
   // group-layer replay, or already covered by an installed checkpoint).
-  Frontier& frontier = applied_rid_[rec.rid.client];
-  if (rec.rid.seq <= frontier.seq && !params_.skip_reply_dedup) {
+  Frontier& frontier = applied_rid_[rec.request_id.client];
+  if (rec.request_id.seq <= frontier.seq && !params_.skip_reply_dedup) {
     obs::Span span;
     if (rec.trace.valid()) {
       span = tracer.start_span("rep.execute", "replication", process_.name(),
                                rec.trace);
     }
     if (send_reply) {
-      if (auto cached = reply_cache_.get(rec.rid)) {
+      if (auto cached = reply_cache_.get(rec.request_id)) {
         span.note("outcome", "dedup_cache_hit");
-        send_reply_to_client(rec, *cached);
+        send_reply_to_client(rec.request_id, rec.client_daemon, rec.trace, *cached);
       } else {
         span.note("outcome", "dedup_cache_miss");
       }
@@ -540,10 +540,10 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
     }
     return;
   }
-  frontier.seq = std::max(frontier.seq, rec.rid.seq);
+  frontier.seq = std::max(frontier.seq, rec.request_id.seq);
   if (frontier.moved_in != cut_generation_) {
     frontier.moved_in = cut_generation_;
-    moved_clients_.push_back(rec.rid.client);
+    moved_clients_.push_back(rec.request_id.client);
   }
 
   quiescence_.begin_execution();
@@ -559,34 +559,24 @@ void Replicator::execute_request(const RequestRecord& rec, bool send_reply) {
   }
   obs::Tracer::Scope scope(tracer, exec_span.active() ? exec_span.context()
                                                       : rec.trace);
-  orb_.handle_request(rec.giop, [this, span = std::move(exec_span), rid = rec.rid,
+  orb_.handle_request(rec.giop, [this, span = std::move(exec_span), rid = rec.request_id,
                                  client_daemon = rec.client_daemon, trace = rec.trace,
                                  send_reply](Payload reply_giop) mutable {
     span.end();
     // The cache entry and the reply in flight share one buffer.
     reply_cache_.put(rid, reply_giop);
-    if (send_reply) {
-      RequestRecord stub;
-      stub.rid = rid;
-      stub.client_daemon = client_daemon;
-      stub.trace = trace;
-      send_reply_to_client(stub, reply_giop);
-    }
+    if (send_reply) send_reply_to_client(rid, client_daemon, trace, reply_giop);
     quiescence_.end_execution();
   });
 }
 
-void Replicator::log_request(const RequestRecord& rec) {
-  log_.append(LoggedRequest{rec.index, rec.rid, rec.client_daemon, rec.expiration,
-                            rec.giop, rec.trace});
-}
-
-void Replicator::send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop) {
+void Replicator::send_reply_to_client(const RequestId& rid, NodeId daemon,
+                                      const obs::TraceContext& trace,
+                                      const Payload& reply_giop) {
   // Interposition cost on the way out, then unicast to the client's daemon.
   network_.cpu(process_.host())
       .execute(calib::kReplicatorTraversal,
-               process_.guarded([this, rid = rec.rid, daemon = rec.client_daemon,
-                                 trace = rec.trace,
+               process_.guarded([this, rid, daemon, trace,
                                  reply = augment_reply(reply_giop)]() mutable {
                  obs::Span span;
                  if (trace.valid()) {
@@ -938,16 +928,7 @@ void Replicator::install_stored_chain() {
 }
 
 void Replicator::replay_log(bool send_replies) {
-  for (auto& e : log_.take_all()) {
-    RequestRecord rec;
-    rec.index = e.index;
-    rec.rid = e.request_id;
-    rec.client_daemon = e.client_daemon;
-    rec.expiration = e.expiration;
-    rec.giop = std::move(e.giop);  // take_all() yields owned entries
-    rec.trace = e.trace;
-    execute_request(rec, send_replies);
-  }
+  for (const RequestRecord& rec : log_.take_all()) execute_request(rec, send_replies);
 }
 
 void Replicator::trace_promotion(ReplicationStyle style) {

@@ -34,16 +34,6 @@
 
 namespace vdep::replication {
 
-// A client request as delivered by the group layer, with its FT identity.
-struct RequestRecord {
-  std::uint64_t index = 0;  // local delivery index (1-based)
-  RequestId rid;            // FT_REQUEST identity
-  NodeId client_daemon;     // reply destination daemon
-  SimTime expiration = kTimeZero;  // FT_REQUEST expiration (0 = none)
-  Payload giop;             // raw GIOP request (aliases the delivered frame)
-  obs::TraceContext trace;  // caller's context (from the GIOP trace context)
-};
-
 class Replicator {
  public:
   Replicator(net::Network& network, gcs::Daemon& daemon, sim::Process& process,
@@ -163,8 +153,6 @@ class Replicator {
   // Executes a request through the ORB (dedup via reply cache); replies to
   // the client iff `send_reply`.
   void execute_request(const RequestRecord& rec, bool send_reply);
-  // Appends to the backup log.
-  void log_request(const RequestRecord& rec);
   // Quiesce and pay a local snapshot's CPU cost without multicasting — what
   // a lone passive primary spends on a recovery point. The cut is numbered
   // and reported like a group cut; its bytes are not kept, since a restart
@@ -222,7 +210,8 @@ class Replicator {
   void trace_promotion(ReplicationStyle style);
   void complete_switch();
   void drain_holdq();
-  void send_reply_to_client(const RequestRecord& rec, const Payload& reply_giop);
+  void send_reply_to_client(const RequestId& rid, NodeId daemon, const obs::TraceContext& trace,
+                            const Payload& reply_giop);
   [[nodiscard]] Payload augment_reply(const Payload& reply_giop) const;
   void arm_timer();
   void request_state_transfer();

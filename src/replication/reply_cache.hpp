@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
@@ -73,7 +73,7 @@ class ReplyCache {
   // queue of ids. (LRU would touch on get; FIFO matches "old requests have
   // expired" semantics from FT-CORBA's request duration policy.)
   std::map<RequestId, Payload> entries_;
-  std::list<RequestId> order_;
+  std::deque<RequestId> order_;
 };
 
 }  // namespace vdep::replication

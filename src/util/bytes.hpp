@@ -5,6 +5,10 @@
 // state their layouts over it as field lists (util/wire.hpp). Application
 // payloads carried over the ORB use the CDR encoding in src/orb/cdr.hpp,
 // which follows CORBA alignment rules instead.
+//
+// The two framings share their plumbing: the writers are built on
+// detail::ByteSink and the readers on detail::ByteSource, which holds the
+// bounds check, the element-count bound and the decode errors for both.
 #pragma once
 
 #include <bit>
@@ -117,56 +121,39 @@ class BasicByteWriter : public detail::ByteSink<kWrite> {
 using ByteWriter = BasicByteWriter<true>;
 using ByteSizer = BasicByteWriter<false>;
 
-// Reads values written by ByteWriter. Throws DecodeError on underrun; error
-// messages carry the reader position so malformed frames are diagnosable.
-//
-// A reader may carry an `owner` keepalive for the frame it reads from; when
-// present, bytes_view()/str_view() results (and Payloads cut from them via
-// read_payload) may safely alias the frame, since whoever holds the owner
-// keeps the storage alive.
-class ByteReader {
- public:
-  using Enum = std::uint8_t;
+namespace detail {
 
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
-  ByteReader(std::shared_ptr<const void> owner, std::span<const std::uint8_t> data)
+// The core both byte readers share, the mirror of ByteSink: the frame, its
+// owner and the read position; the bounds check every read goes through;
+// element counts bounded by the bytes left; and position-annotated
+// DecodeErrors. `Framing` (ByteReader, orb::CdrReader) supplies u32/u64,
+// which lay out (and, in CDR, align) the integers the core reads through it.
+//
+// With an `owner` keepalive for the frame, bytes_view() results (and the
+// Payloads wire::BasicReader cuts from them) may alias the frame, since
+// whoever holds the owner keeps the storage alive. Without one, views are
+// only valid while the frame is.
+template <typename Framing>
+class ByteSource {
+ public:
+  explicit ByteSource(std::span<const std::uint8_t> data) : data_(data) {}
+  ByteSource(std::shared_ptr<const void> owner, std::span<const std::uint8_t> data)
       : data_(data), owner_(std::move(owner)) {}
 
   [[nodiscard]] std::uint8_t u8() { return take(1)[0]; }
-  [[nodiscard]] std::uint16_t u16() { return raw_int<std::uint16_t>(); }
-  [[nodiscard]] std::uint32_t u32() { return raw_int<std::uint32_t>(); }
-  [[nodiscard]] std::uint64_t u64() { return raw_int<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64() {
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
   [[nodiscard]] bool boolean() {
-    std::uint8_t v = u8();
+    const std::uint8_t v = u8();
     if (v > 1) throw error("boolean out of range", pos_ - 1);
     return v == 1;
   }
+  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(framing().u64()); }
+  [[nodiscard]] double f64() { return std::bit_cast<double>(framing().u64()); }
 
+  // A u32-length-prefixed byte string, aliasing the frame.
+  [[nodiscard]] std::span<const std::uint8_t> bytes_view() { return take(framing().u32()); }
   [[nodiscard]] Bytes bytes() {
-    auto s = bytes_view();
+    const auto s = bytes_view();
     return Bytes(s.begin(), s.end());
-  }
-  [[nodiscard]] std::string str() {
-    auto s = str_view();
-    return std::string(s);
-  }
-
-  // Non-copying accessors: the returned view aliases the reader's buffer and
-  // is only valid while that buffer (or the reader's owner) lives.
-  [[nodiscard]] std::span<const std::uint8_t> bytes_view() {
-    const std::uint32_t n = u32();
-    return take(n);
-  }
-  [[nodiscard]] std::string_view str_view() {
-    auto s = bytes_view();
-    return std::string_view(reinterpret_cast<const char*>(s.data()), s.size());
   }
 
   // A u32 element count read from the frame. Each element takes at least
@@ -174,7 +161,7 @@ class ByteReader {
   // corrupt; rejecting it keeps a hostile count from driving reserve().
   [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes) {
     const std::size_t at = pos_;
-    const std::uint32_t n = u32();
+    const std::uint32_t n = framing().u32();
     if (n > remaining() / min_element_bytes) throw error("element count exceeds frame", at);
     return n;
   }
@@ -186,25 +173,24 @@ class ByteReader {
 
   // Builds a DecodeError annotated with the current (or given) position, for
   // range checks performed by message decoders on top of this reader.
-  [[nodiscard]] DecodeError error(const std::string& what) const {
-    return error(what, pos_);
-  }
+  [[nodiscard]] DecodeError error(const std::string& what) const { return error(what, pos_); }
   [[nodiscard]] DecodeError error(const std::string& what, std::size_t at) const {
     return DecodeError(what + " at byte " + std::to_string(at) + " of " +
                        std::to_string(data_.size()));
   }
 
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
+ protected:
+  // The next `n` bytes; throws DecodeError when fewer are left.
+  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
     if (remaining() < n) throw error("buffer underrun");
-    auto s = data_.subspan(pos_, n);
+    const auto s = data_.subspan(pos_, n);
     pos_ += n;
     return s;
   }
 
   template <typename T>
-  [[nodiscard]] T raw_int() {
-    auto s = take(sizeof(T));
+  [[nodiscard]] T little_endian() {
+    const auto s = take(sizeof(T));
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       v = static_cast<T>(v | (static_cast<T>(s[i]) << (8 * i)));
@@ -212,9 +198,30 @@ class ByteReader {
     return v;
   }
 
+ private:
+  Framing& framing() { return static_cast<Framing&>(*this); }
+
   std::span<const std::uint8_t> data_;
   std::shared_ptr<const void> owner_;
   std::size_t pos_ = 0;
+};
+
+}  // namespace detail
+
+// Reads values written by ByteWriter. Throws DecodeError on underrun; error
+// messages carry the reader position so malformed frames are diagnosable.
+class ByteReader : public detail::ByteSource<ByteReader> {
+ public:
+  using Enum = std::uint8_t;
+  using ByteSource::ByteSource;
+
+  [[nodiscard]] std::uint16_t u16() { return little_endian<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return little_endian<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return little_endian<std::uint64_t>(); }
+  [[nodiscard]] std::string str() {
+    const auto s = bytes_view();
+    return std::string(reinterpret_cast<const char*>(s.data()), s.size());
+  }
 };
 
 // Produces a payload of `size` deterministic filler bytes (used by workload

@@ -4,7 +4,8 @@
 // pointer copy plus a refcount bump, never a byte copy. This is what lets the
 // leader daemon encode a fan-out frame once and hand the same buffer to every
 // destination, and what lets decode alias sub-ranges of a received frame
-// (via the owner-aware ByteReader) instead of splicing them out.
+// (via a reader that carries the frame's owner, util/wire.hpp) instead of
+// splicing them out.
 //
 // Invariants:
 //  - The underlying buffer is never mutated after the Payload is built.
@@ -83,8 +84,8 @@ class Payload {
   // Diagnostic only — used by tests to assert fan-out really shares.
   [[nodiscard]] long use_count() const { return owner_.use_count(); }
 
-  // Keepalive for the underlying buffer; pass to ByteReader so decoded
-  // sub-views can alias this frame.
+  // Keepalive for the underlying buffer; a reader built on this Payload
+  // holds it so decoded sub-views can alias this frame.
   [[nodiscard]] const std::shared_ptr<const void>& owner() const { return owner_; }
 
   friend bool operator==(const Payload& a, const Payload& b) {
@@ -100,12 +101,5 @@ class Payload {
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
-
-// Reads a length-prefixed blob as a Payload. Aliases the reader's frame when
-// the reader carries an owner (zero-copy); deep-copies otherwise.
-[[nodiscard]] inline Payload read_payload(ByteReader& r) {
-  const auto view = r.bytes_view();
-  return Payload::alias_or_copy(r.owner(), view);
-}
 
 }  // namespace vdep

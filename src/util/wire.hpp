@@ -13,9 +13,11 @@
 // decoder cannot drift apart. Writer/Reader use ByteWriter/ByteReader, the
 // infrastructure's packed little-endian framing; orb::cdr_encode/cdr_decode
 // use the CDR codec, which aligns primitives, NUL-terminates strings and
-// widens enums to four bytes (src/orb/cdr.hpp). A decoder fills a fresh
-// value, so a caller that commits the value only after decoding returned
-// never applies half a malformed input.
+// widens enums to four bytes (src/orb/cdr.hpp). Both readers are built on
+// detail::ByteSource (util/bytes.hpp), the one place that bounds every read
+// and every element count, so a list decodes as strictly over either
+// framing. A decoder fills a fresh value, so a caller that commits the value
+// only after decoding returned never applies half a malformed input.
 //
 // Encoding takes two passes over the list. The size pass runs it over the
 // sink's Sizer (ByteSizer, CdrSizer), which counts what the sink would

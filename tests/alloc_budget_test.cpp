@@ -127,14 +127,14 @@ void expect_budget(const Window& window, std::uint64_t pinned) {
       << static_cast<double>(window.allocations) / kMeasured << " per request";
 }
 
-// 93.4 per request.
+// 90.5 per request.
 TEST(AllocBudget, ActiveThreeReplicas) {
-  expect_budget(measure(replication::ReplicationStyle::kActive, 3), 37368);
+  expect_budget(measure(replication::ReplicationStyle::kActive, 3), 36210);
 }
 
-// 61.5 per request, checkpoint rounds included.
+// 59.8 per request, checkpoint rounds included.
 TEST(AllocBudget, WarmPassiveTwoReplicas) {
-  expect_budget(measure(replication::ReplicationStyle::kWarmPassive, 2), 24592);
+  expect_budget(measure(replication::ReplicationStyle::kWarmPassive, 2), 23901);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "harness/fabric.hpp"
 #include "util/payload.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 #include "written.hpp"
 
 namespace vdep::gcs {
@@ -59,16 +60,16 @@ TEST(Payload, ReadPayloadAliasesOwnedFrameAndCopiesUnowned) {
 
   {  // Owner-aware reader: the result aliases the frame.
     Payload frame{Bytes(encoded)};
-    ByteReader r(frame.owner(), frame);
-    Payload inner = read_payload(r);
+    wire::Reader r(frame);
+    Payload inner = r.read<Payload>();
     EXPECT_EQ(inner, filler_bytes(40));
     EXPECT_GE(inner.data(), frame.data());
     EXPECT_LE(inner.data() + inner.size(), frame.data() + frame.size());
     EXPECT_EQ(frame.use_count(), 3);  // frame + the reader's keepalive + inner
   }
   {  // Plain-span reader: the result must be an independent deep copy.
-    ByteReader r(encoded);
-    Payload inner = read_payload(r);
+    wire::Reader r(encoded);
+    Payload inner = r.read<Payload>();
     EXPECT_EQ(inner, filler_bytes(40));
     EXPECT_TRUE(inner.data() < encoded.data() ||
                 inner.data() >= encoded.data() + encoded.size());

@@ -59,14 +59,6 @@ TEST(Cdr, AlreadyAlignedAddsNoPadding) {
   EXPECT_EQ(w.size(), 8u);
 }
 
-TEST(Cdr, BigEndianReaderDecodesSwapped) {
-  // Writer emits little-endian; a reader told the stream is big-endian must
-  // produce the byte-swapped value — verifying the flag is honoured.
-  const Bytes raw = written<CdrWriter>([](auto& w) { w.u32(0x01020304); });
-  CdrReader r(raw, /*little_endian=*/false);
-  EXPECT_EQ(r.u32(), 0x04030201u);
-}
-
 TEST(Cdr, StringRequiresNulTerminator) {
   // length including NUL
   Bytes raw = written<CdrWriter>([](auto& w) { w.u32(3); });

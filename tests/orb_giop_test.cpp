@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "orb/giop.hpp"
 
 namespace vdep::orb {
@@ -123,6 +125,57 @@ TEST(Giop, BadVersionThrows) {
   Bytes wire = req.encode().to_bytes();
   wire[4] = 9;  // major version
   EXPECT_THROW((void)decode_giop(wire), DecodeError);
+}
+
+// A Request written by hand in either byte order: every multi-byte field
+// aligned as CDR aligns it and laid out in that order, and the flags octet
+// saying which order it is.
+Bytes hand_written_request(bool little_endian) {
+  Bytes out;
+  auto put = [&out, little_endian](std::uint64_t v, std::size_t width) {
+    while (out.size() % width != 0) out.push_back(0);
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::size_t byte = little_endian ? i : width - 1 - i;
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * byte)));
+    }
+  };
+  for (const char c : {'G', 'I', 'O', 'P'}) put(static_cast<std::uint8_t>(c), 1);
+  put(1, 1);                      // version 1.2
+  put(2, 1);
+  put(little_endian ? 1 : 0, 1);  // flags: the byte-order bit
+  put(0, 1);                      // Request
+  put(0, 4);                      // size, set below
+  put(42, 4);                     // request id
+  put(0x03, 1);                   // response expected
+  put(7, 8);                      // object key
+  put(8, 4);                      // "process" and its NUL
+  for (const char c : std::string_view("process")) put(static_cast<std::uint8_t>(c), 1);
+  put(0, 1);
+  put(0, 4);                      // no service contexts
+  while (out.size() % 8 != 0) out.push_back(0);  // the body's alignment
+  for (const std::uint8_t b : filler_bytes(16)) out.push_back(b);
+
+  const std::size_t size = out.size() - 12;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t byte = little_endian ? i : 3 - i;
+    out[8 + i] = static_cast<std::uint8_t>(size >> (8 * byte));
+  }
+  return out;
+}
+
+// Every stream is little-endian: a big-endian Request is rejected whole,
+// although the same message in little-endian order decodes.
+TEST(Giop, BigEndianRequestThrows) {
+  const Bytes little = hand_written_request(/*little_endian=*/true);
+  const GiopMessage msg = decode_giop(little);
+  ASSERT_TRUE(msg.request.has_value());
+  EXPECT_EQ(msg.request->request_id, 42u);
+  EXPECT_EQ(msg.request->object_key, ObjectId{7});
+  EXPECT_EQ(msg.request->operation, "process");
+  EXPECT_EQ(msg.request->body, filler_bytes(16));
+
+  const Bytes big = hand_written_request(/*little_endian=*/false);
+  EXPECT_THROW((void)decode_giop(big), DecodeError);
 }
 
 TEST(Giop, BadReplyStatusThrows) {

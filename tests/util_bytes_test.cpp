@@ -2,6 +2,8 @@
 
 #include "gcs/message.hpp"
 #include "gcs/view.hpp"
+#include "orb/cdr.hpp"
+#include "orb/giop.hpp"
 #include "replication/types.hpp"
 #include "shard/map.hpp"
 #include "util/bytes.hpp"
@@ -138,6 +140,33 @@ TEST(ByteReader, OversizedCountsThrowDecodeError) {
   });
   EXPECT_THROW((void)replication::StateTransferMsg::decode(Payload(std::move(bundle))),
                DecodeError);
+
+  // CDR reads through the same bounds: a GIOP Request claiming 0xffffffff
+  // service contexts...
+  auto request = [](std::uint32_t size) {
+    return written<orb::CdrWriter>([size](auto& w) {
+      for (const char c : {'G', 'I', 'O', 'P'}) w.u8(static_cast<std::uint8_t>(c));
+      w.u8(1);  // version 1.2
+      w.u8(2);
+      w.u8(1);  // little-endian
+      w.u8(0);  // Request
+      w.u32(size);
+      w.u32(1);  // request id
+      w.u8(3);   // response expected
+      w.u64(7);  // object key
+      w.str("op");
+      w.u32(kHuge);
+    });
+  };
+  const Bytes giop = request(static_cast<std::uint32_t>(request(0).size() - 12));
+  EXPECT_THROW((void)orb::decode_giop(giop), DecodeError);
+
+  // ...and an octet sequence whose length runs past the frame.
+  const Bytes octets = written<orb::CdrWriter>([](auto& w) {
+    w.u32(kHuge);
+    w.u32(0);
+  });
+  EXPECT_THROW((void)orb::cdr_decode<Bytes>(octets), DecodeError);
 }
 
 }  // namespace
