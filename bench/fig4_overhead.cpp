@@ -25,7 +25,7 @@ namespace {
 struct Mode {
   const char* label;
   bool replicated;
-  interpose::InterceptMode intercept;
+  harness::InterceptMode intercept;
   replication::ReplicationStyle style;
 };
 
@@ -37,17 +37,17 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
 
   const Mode modes[] = {
-      {"No interceptor", false, interpose::InterceptMode::kNone,
+      {"No interceptor", false, harness::InterceptMode::kNone,
        replication::ReplicationStyle::kActive},
-      {"Client intercepted", false, interpose::InterceptMode::kClientOnly,
+      {"Client intercepted", false, harness::InterceptMode::kClientOnly,
        replication::ReplicationStyle::kActive},
-      {"Server intercepted", false, interpose::InterceptMode::kServerOnly,
+      {"Server intercepted", false, harness::InterceptMode::kServerOnly,
        replication::ReplicationStyle::kActive},
-      {"Server & client intercepted", false, interpose::InterceptMode::kBoth,
+      {"Server & client intercepted", false, harness::InterceptMode::kBoth,
        replication::ReplicationStyle::kActive},
-      {"Warm passive (1 replica)", true, interpose::InterceptMode::kNone,
+      {"Warm passive (1 replica)", true, harness::InterceptMode::kNone,
        replication::ReplicationStyle::kWarmPassive},
-      {"Active (1 replica)", true, interpose::InterceptMode::kNone,
+      {"Active (1 replica)", true, harness::InterceptMode::kNone,
        replication::ReplicationStyle::kActive},
   };
 

@@ -57,42 +57,26 @@ echo "== shard quick gate =="
 # shard campaign out of the quick gate (scripts/ci.sh runs it below).
 ctest --test-dir "${repo_root}/build" -L shard -LE chaos --output-on-failure -j"${jobs}"
 
-echo "== kv_cluster multi-shard smoke =="
-cmake --build "${repo_root}/build" -j"${jobs}" --target kv_cluster
-"${repo_root}/build/examples/kv_cluster" --shards 4 > /dev/null
-echo "kv_cluster --shards 4 runs clean"
-
-echo "== checkpoint micro-benchmark smoke run =="
-cmake --build "${repo_root}/build" -j"${jobs}" --target micro_checkpoint
-"${repo_root}/build/bench/micro_checkpoint" --benchmark_min_time=0.001 > /dev/null
-echo "micro_checkpoint runs clean"
-
-echo "== health micro-benchmark smoke run =="
-cmake --build "${repo_root}/build" -j"${jobs}" --target micro_health
-"${repo_root}/build/bench/micro_health" --benchmark_min_time=0.001 > /dev/null
-echo "micro_health runs clean"
-
-echo "== GIOP round-trip smoke run =="
-# VDEP_ASSERT is on in every build type, so this also runs the encode-side
-# io.check asserts of the GIOP field lists on every iteration.
-cmake --build "${repo_root}/build" -j"${jobs}" --target micro_substrate
-"${repo_root}/build/bench/micro_substrate" \
-  --benchmark_filter='BM_GiopRequestRoundTrip' --benchmark_min_time=0.001 > /dev/null
-echo "micro_substrate BM_GiopRequestRoundTrip runs clean"
-
-echo "== macro-benchmark smoke runs =="
-# The whole-scenario events/sec benchmark and the sharded-fleet benchmark
-# must run on the default build (small configurations; the recorded
-# baselines are measured in Release below).
-cmake --build "${repo_root}/build" -j"${jobs}" --target macro_events \
-  --target macro_shard --target macro_campaign
-"${repo_root}/build/bench/macro_events" \
-  --benchmark_filter='BM_MacroKernelChurn' --benchmark_min_time=0.01 > /dev/null
-"${repo_root}/build/bench/macro_shard" \
-  --benchmark_filter='BM_MacroShardFleet/8/1000' --benchmark_min_time=0.01 > /dev/null
-"${repo_root}/build/bench/macro_campaign" \
-  --benchmark_filter='BM_CampaignTrials/8' --benchmark_min_time=0.01 > /dev/null
-echo "macro_events, macro_shard and macro_campaign run clean"
+echo "== smoke runs =="
+# Stage 1 built every example and benchmark (all are in ALL). VDEP_ASSERT is
+# on in every build type, so the GIOP round trip also runs the encode-side
+# io.check asserts of the GIOP field lists on every iteration. The
+# whole-scenario events/sec, sharded-fleet and campaign benchmarks run small
+# configurations here; their recorded baselines are measured in Release below.
+smoke_runs=(
+  "examples/kv_cluster --shards 4"
+  "bench/micro_checkpoint --benchmark_min_time=0.001"
+  "bench/micro_health --benchmark_min_time=0.001"
+  "bench/micro_substrate --benchmark_filter=BM_GiopRequestRoundTrip --benchmark_min_time=0.001"
+  "bench/macro_events --benchmark_filter=BM_MacroKernelChurn --benchmark_min_time=0.01"
+  "bench/macro_shard --benchmark_filter=BM_MacroShardFleet/8/1000 --benchmark_min_time=0.01"
+  "bench/macro_campaign --benchmark_filter=BM_CampaignTrials/8 --benchmark_min_time=0.01"
+)
+for smoke in "${smoke_runs[@]}"; do
+  read -r -a smoke_argv <<< "${smoke}"
+  "${repo_root}/build/${smoke_argv[0]}" "${smoke_argv[@]:1}" > /dev/null
+  echo "${smoke} runs clean"
+done
 
 echo "== repository benchmark compiles and runs correct =="
 # perfbench/ drives the harness through its public API; building it here
@@ -201,7 +185,6 @@ echo "== health-event determinism gate =="
 # One seeded chaos trial with the live health plane, run twice: the rendered
 # HealthEvent stream (suspect/clear, SLO breach/recover — with sequence ids
 # and sim-time stamps) must replay byte-identically from the seed.
-cmake --build "${repo_root}/build" -j"${jobs}" --target health_dashboard
 "${repo_root}/build/examples/health_dashboard" chaos=1 seed=42 \
   events="${trace_dir}/health1.txt" > /dev/null
 "${repo_root}/build/examples/health_dashboard" chaos=1 seed=42 \

@@ -19,8 +19,6 @@ struct Signals {
   SimTime now = kTimeZero;
   double request_rate = 0.0;   // agreed requests/s at the service
   double cpu_load = 0.0;       // max CPU load across replicas
-  double bandwidth_mbps = 0.0; // measured network usage
-  double avg_latency_us = 0.0; // smoothed round-trip estimate
   std::size_t replicas = 0;
 
   // Health-plane signals, filled when the AdaptationManager has a

@@ -121,16 +121,10 @@ Scenario::Scenario(ScenarioConfig config)
       client.coordinator = coordinator.get();
       orb.use_transport(std::move(coordinator));
     } else {
-      std::unique_ptr<orb::ClientTransport> transport =
-          std::make_unique<orb::DirectClientTransport>(channels_, host);
-      const bool client_intercepted =
-          config_.intercept == interpose::InterceptMode::kClientOnly ||
-          config_.intercept == interpose::InterceptMode::kBoth;
-      if (client_intercepted) {
-        transport = std::make_unique<interpose::InterceptOnlyClientTransport>(
-            network(), process, std::move(transport));
-      }
-      orb.use_transport(std::move(transport));
+      const bool intercepted = config_.intercept == InterceptMode::kClientOnly ||
+                               config_.intercept == InterceptMode::kBoth;
+      orb.use_transport(
+          std::make_unique<orb::DirectClientTransport>(channels_, process, intercepted));
     }
   }
 }
@@ -146,15 +140,10 @@ void Scenario::boot_replica(int index) {
   auto& node = group_->node(index);
   node.started = true;
   if (index != 0) return;
-  const bool server_intercepted = config_.intercept == interpose::InterceptMode::kServerOnly ||
-                                  config_.intercept == interpose::InterceptMode::kBoth;
-  if (server_intercepted) {
-    intercepting_acceptor_ = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
-        channels_, node.process.host(), kServerPort, node.orb);
-  } else {
-    acceptor_ = std::make_unique<orb::DirectServerAcceptor>(channels_, node.process.host(),
-                                                            kServerPort, node.orb);
-  }
+  const bool intercepted = config_.intercept == InterceptMode::kServerOnly ||
+                           config_.intercept == InterceptMode::kBoth;
+  acceptor_ = std::make_unique<orb::DirectServerAcceptor>(channels_, node.process.host(),
+                                                          kServerPort, node.orb, intercepted);
 }
 
 std::unique_ptr<ReplicaGroup::Attachment> Scenario::attach_monitoring(

@@ -7,9 +7,10 @@
 // then max_replicas server hosts. The server is one harness::ReplicaGroup,
 // exposed as group(): it is the knobs::ReplicaGroupController the knob
 // layer actuates (style switches, replica growth/shrink with state transfer,
-// checkpoint-interval changes). Scenario itself keeps the Fig. 4 plain and
-// intercepted server paths, the service SLO and CPU backlog probes, and the
-// per-replica monitoring/adaptation.
+// checkpoint-interval changes). Scenario itself keeps the Fig. 4 plain TCP
+// path (one orb::DirectServerAcceptor and one orb::DirectClientTransport per
+// client, each side intercepted or not per InterceptMode), the service SLO
+// and CPU backlog probes, and the per-replica monitoring/adaptation.
 #pragma once
 
 #include <memory>
@@ -21,11 +22,19 @@
 #include "app/workload.hpp"
 #include "harness/fabric.hpp"
 #include "harness/replica_group.hpp"
-#include "interpose/interposer.hpp"
 #include "replication/client_coordinator.hpp"
 #include "sim/trace.hpp"
 
 namespace vdep::harness {
+
+// Which sides of the plain TCP path (Fig. 4's middle bars) have their socket
+// calls intercepted without redirection.
+enum class InterceptMode : std::uint8_t {
+  kNone = 0,        // plain TCP (baseline)
+  kClientOnly = 1,  // client's syscalls intercepted
+  kServerOnly = 2,  // server's syscalls intercepted
+  kBoth = 3,        // both sides intercepted
+};
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
@@ -39,7 +48,7 @@ struct ScenarioConfig {
   // Transport mode: replicated (through the replicator + group comm) or the
   // plain/intercepted TCP paths of Fig. 4.
   bool replicated = true;
-  interpose::InterceptMode intercept = interpose::InterceptMode::kNone;
+  InterceptMode intercept = InterceptMode::kNone;
   replication::ResponsePolicy response_policy = replication::ResponsePolicy::kFirstReply;
 
   // Application parameters (Table 1).
@@ -201,7 +210,6 @@ class Scenario final {
   std::unique_ptr<ReplicaGroup> group_;
   // Non-replicated modes (Fig. 4 baseline / interception-only bars).
   std::unique_ptr<orb::DirectServerAcceptor> acceptor_;
-  std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor_;
   std::vector<ClientBundle> clients_;
 };
 

@@ -9,7 +9,7 @@ namespace vdep::net {
 
 namespace {
 
-enum class FrameType : std::uint8_t { kSyn = 1, kData = 2, kFin = 3 };
+enum class FrameType : std::uint8_t { kSyn = 1, kData = 2 };
 
 struct Frame {
   FrameType type;
@@ -20,7 +20,7 @@ struct Frame {
 
   template <typename IO>
   friend void wire_fields(IO& io, Frame& m) {
-    io.enum_in(m.type, FrameType::kSyn, FrameType::kFin, "bad channel frame type");
+    io.enum_in(m.type, FrameType::kSyn, FrameType::kData, "bad channel frame type");
     io(m.channel, m.tcp_port, m.seq, m.message);
   }
 
@@ -39,24 +39,13 @@ void Channel::set_receive_handler(ReceiveHandler handler) {
   flush_in_order();
 }
 
-void Channel::set_close_handler(CloseHandler handler) { on_close_ = std::move(handler); }
-
 void Channel::send(Payload message) {
-  if (!open_) return;
   Frame f{FrameType::kData, id_.value(), 0, next_send_seq_++, std::move(message)};
   const std::size_t payload = f.message.size();
   mgr_.transmit(local_, remote_, f.encode(), payload);
 }
 
-void Channel::close() {
-  if (!open_) return;
-  open_ = false;
-  Frame f{FrameType::kFin, id_.value(), 0, 0, {}};
-  mgr_.transmit(local_, remote_, f.encode(), 0);
-}
-
 void Channel::on_data(std::uint64_t seq, Payload&& message) {
-  if (!open_) return;
   reorder_[seq] = std::move(message);
   flush_in_order();
 }
@@ -72,14 +61,7 @@ void Channel::flush_in_order() {
     reorder_.erase(it);
     ++next_recv_seq_;
     on_receive_(std::move(msg));
-    if (!open_) return;
   }
-}
-
-void Channel::on_fin() {
-  if (!open_) return;
-  open_ = false;
-  if (on_close_) on_close_();
 }
 
 // --- ChannelManager ------------------------------------------------------------
@@ -169,12 +151,7 @@ void ChannelManager::handle_packet(NodeId host, Packet&& packet) {
     return;
   }
 
-  if (f.type == FrameType::kData) {
-    channel->on_data(f.seq, std::move(f.message));
-  } else {
-    channel->on_fin();
-    endpoints_.erase(key);
-  }
+  channel->on_data(f.seq, std::move(f.message));
 }
 
 }  // namespace vdep::net

@@ -1,10 +1,12 @@
 // TCP-like message channels: reliable, ordered, connection-oriented pipes
 // between two hosts.
 //
-// This is the transport the unmodified CORBA path uses (the "no interceptor"
-// baseline of Fig. 4): a client ORB connects to a server ORB and exchanges
-// GIOP messages over a channel. Message boundaries are preserved (one send ==
-// one receive), matching how the ORB reads whole GIOP messages off a socket.
+// This is the transport of the non-replicated CORBA path (the four plain TCP
+// bars of Fig. 4, intercepted or not): a client ORB connects to a server ORB
+// and exchanges GIOP messages over a channel. Message boundaries are
+// preserved (one send == one receive), matching how the ORB reads whole GIOP
+// messages off a socket. Channels are never closed; a channel lives as long
+// as its owners hold it.
 #pragma once
 
 #include <cstdint>
@@ -21,22 +23,13 @@ class ChannelManager;
 class Channel : public std::enable_shared_from_this<Channel> {
  public:
   using ReceiveHandler = std::function<void(Payload&&)>;
-  using CloseHandler = std::function<void()>;
 
   // Delivered messages arrive through this handler, in send order.
   void set_receive_handler(ReceiveHandler handler);
-  void set_close_handler(CloseHandler handler);
 
-  // Sends one message to the peer. No-op on a closed channel. The message
-  // buffer is frozen and shared with the in-flight frame.
+  // Sends one message to the peer. The message buffer is frozen and shared
+  // with the in-flight frame.
   void send(Payload message);
-
-  // Closes both directions; the peer's close handler fires.
-  void close();
-
-  [[nodiscard]] bool open() const { return open_; }
-  [[nodiscard]] NodeId local_host() const { return local_; }
-  [[nodiscard]] ChannelId id() const { return id_; }
 
  private:
   friend class ChannelManager;
@@ -44,19 +37,16 @@ class Channel : public std::enable_shared_from_this<Channel> {
   Channel(ChannelManager& mgr, ChannelId id, NodeId local, NodeId remote);
 
   void on_data(std::uint64_t seq, Payload&& message);
-  void on_fin();
   void flush_in_order();
 
   ChannelManager& mgr_;
   ChannelId id_;
   NodeId local_;
   NodeId remote_;
-  bool open_ = true;
   std::uint64_t next_send_seq_ = 0;
   std::uint64_t next_recv_seq_ = 0;
   std::map<std::uint64_t, Payload> reorder_;  // aliases received packet frames
   ReceiveHandler on_receive_;
-  CloseHandler on_close_;
 };
 
 using ChannelPtr = std::shared_ptr<Channel>;
@@ -96,7 +86,7 @@ class ChannelManager {
   // Channel endpoints by (host, channel id): both sides of a channel share
   // the id but live on different hosts.
   std::map<std::pair<NodeId, std::uint64_t>, std::weak_ptr<Channel>> endpoints_;
-  // Early data/fin frames for channels whose SYN has not landed yet; parks
+  // Early data frames for channels whose SYN has not landed yet; parks
   // the received frame itself (shared, not re-encoded).
   std::map<std::pair<NodeId, std::uint64_t>, std::vector<Payload>> pending_frames_;
   std::set<NodeId> bound_hosts_;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "util/ids.hpp"
 
@@ -30,14 +29,6 @@ struct ObjectRef {
   ObjectId object_key;
   std::optional<DirectProfile> direct;
   std::optional<GroupProfile> group;
-
-  [[nodiscard]] bool replicated() const { return group.has_value(); }
-  [[nodiscard]] std::string str() const {
-    std::string s = "objref(key=" + object_key.str();
-    if (direct) s += ", host=" + direct->host.str() + ":" + std::to_string(direct->port);
-    if (group) s += ", group=" + group->group.str();
-    return s + ")";
-  }
 
   friend bool operator==(const ObjectRef&, const ObjectRef&) = default;
 };

@@ -134,31 +134,69 @@ void ServerOrb::handle_request(Payload giop_request, ReplySender send_reply) {
 // --- direct TCP transports --------------------------------------------------------
 
 DirectClientTransport::DirectClientTransport(net::ChannelManager& channels,
-                                             NodeId local_host)
-    : channels_(channels), local_(local_host) {}
+                                             sim::Process& process, bool intercepted)
+    : channels_(channels), process_(process), intercepted_(intercepted) {}
+
+template <typename F>
+void DirectClientTransport::pass(F&& fn) {
+  if (!intercepted_) {
+    fn();
+    return;
+  }
+  channels_.network().cpu(process_.host()).execute(calib::kInterceptOnlyTraversal,
+                                                   process_.guarded(std::forward<F>(fn)));
+}
 
 void DirectClientTransport::send_request(const ObjectRef& ref, Payload giop) {
-  VDEP_ASSERT_MSG(ref.direct.has_value(), "direct transport needs a direct profile");
-  const auto key = std::make_pair(ref.direct->host, ref.direct->port);
-  auto it = connections_.find(key);
-  if (it == connections_.end()) {
-    auto channel = channels_.connect(local_, ref.direct->host, ref.direct->port);
-    channel->set_receive_handler([this](Payload&& reply) { deliver_reply(std::move(reply)); });
-    it = connections_.emplace(key, std::move(channel)).first;
-  }
-  it->second->send(std::move(giop));
+  pass([this, ref, giop = std::move(giop)]() mutable {
+    VDEP_ASSERT_MSG(ref.direct.has_value(), "direct transport needs a direct profile");
+    const auto key = std::make_pair(ref.direct->host, ref.direct->port);
+    auto it = connections_.find(key);
+    if (it == connections_.end()) {
+      auto channel = channels_.connect(process_.host(), ref.direct->host, ref.direct->port);
+      channel->set_receive_handler([this](Payload&& reply) {
+        pass([this, reply = std::move(reply)]() mutable { deliver_reply(std::move(reply)); });
+      });
+      it = connections_.emplace(key, std::move(channel)).first;
+    }
+    it->second->send(std::move(giop));
+  });
 }
 
 DirectServerAcceptor::DirectServerAcceptor(net::ChannelManager& channels, NodeId host,
-                                           std::uint16_t port, ServerOrb& orb)
+                                           std::uint16_t port, ServerOrb& orb,
+                                           bool intercepted)
     : channels_(channels), host_(host), port_(port) {
-  channels_.listen(host, port, [this, &orb](net::ChannelPtr channel) {
+  channels_.listen(host, port, [this, &orb, intercepted](net::ChannelPtr channel) {
     accepted_.push_back(channel);
-    std::weak_ptr<net::Channel> weak = channel;
-    channel->set_receive_handler([&orb, weak](Payload&& request) {
-      orb.handle_request(std::move(request), [weak](Payload reply) {
-        if (auto ch = weak.lock(); ch && ch->open()) ch->send(std::move(reply));
+    // Replies return on the originating channel while it lives. An
+    // intercepted server runs one trampoline before the ORB sees a request
+    // and one before its reply goes out.
+    auto dispatch = [&orb, &network = channels_.network(), host = host_, intercepted,
+                     weak = std::weak_ptr<net::Channel>(channel)](Payload&& request) {
+      orb.handle_request(std::move(request), [&network, host, intercepted,
+                                              weak](Payload reply) {
+        auto send = [weak, reply = std::move(reply)]() mutable {
+          if (auto ch = weak.lock()) ch->send(std::move(reply));
+        };
+        if (intercepted) {
+          network.cpu(host).execute(calib::kInterceptOnlyTraversal, std::move(send));
+        } else {
+          send();
+        }
       });
+    };
+    if (!intercepted) {
+      channel->set_receive_handler(std::move(dispatch));
+      return;
+    }
+    channel->set_receive_handler([&orb, &network = channels_.network(), host = host_,
+                                  dispatch](Payload&& request) {
+      network.cpu(host).execute(
+          calib::kInterceptOnlyTraversal,
+          orb.process().guarded([dispatch, request = std::move(request)]() mutable {
+            dispatch(std::move(request));
+          }));
     });
   });
 }

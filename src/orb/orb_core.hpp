@@ -1,11 +1,12 @@
 // Client- and server-side ORB cores.
 //
 // The client ORB marshals requests, correlates replies by request id and
-// hands bytes to a pluggable ClientTransport — plain TCP channels here, or
-// the replicator's interposed transport (src/interpose). The server ORB
-// unmarshals requests, dispatches through the POA and marshals replies back
-// through whatever sender the transport supplied. Each traversal charges the
-// calibrated ORB cost (Fig. 3: 398 us per round trip across 4 traversals).
+// hands bytes to a pluggable ClientTransport — the plain TCP transports
+// below, or the replicator's redirecting one
+// (replication::ClientCoordinator). The server ORB unmarshals requests,
+// dispatches through the POA and marshals replies back through whatever
+// sender the transport supplied. Each traversal charges the calibrated ORB
+// cost (Fig. 3: 398 us per round trip across 4 traversals).
 #pragma once
 
 #include <functional>
@@ -108,17 +109,29 @@ class ServerOrb {
   SimTime traversal_cost_;
 };
 
-// --- plain TCP transports (the non-replicated baseline path) -------------------
+// --- plain TCP transports (the non-replicated path of Fig. 4) -----------------
+//
+// An `intercepted` side models MEAD trapping the ORB's socket calls without
+// redirecting them: it charges calib::kInterceptOnlyTraversal on its host
+// CPU around every request and reply it carries; a plain side charges
+// nothing and queues no CPU work.
 
 class DirectClientTransport final : public ClientTransport {
  public:
-  DirectClientTransport(net::ChannelManager& channels, NodeId local_host);
+  DirectClientTransport(net::ChannelManager& channels, sim::Process& process,
+                        bool intercepted = false);
 
   void send_request(const ObjectRef& ref, Payload giop) override;
 
  private:
+  // Runs `fn` at once on a plain side; on an intercepted one, after one
+  // trampoline on the host CPU and only if the process still lives.
+  template <typename F>
+  void pass(F&& fn);
+
   net::ChannelManager& channels_;
-  NodeId local_;
+  sim::Process& process_;
+  bool intercepted_;
   std::map<std::pair<NodeId, std::uint16_t>, net::ChannelPtr> connections_;
 };
 
@@ -127,7 +140,7 @@ class DirectClientTransport final : public ClientTransport {
 class DirectServerAcceptor {
  public:
   DirectServerAcceptor(net::ChannelManager& channels, NodeId host, std::uint16_t port,
-                       ServerOrb& orb);
+                       ServerOrb& orb, bool intercepted = false);
   ~DirectServerAcceptor();
 
   DirectServerAcceptor(const DirectServerAcceptor&) = delete;

@@ -113,7 +113,7 @@ TEST(PaperShape, Figure3BreakdownBallpark) {
 }
 
 TEST(PaperShape, Figure4InterceptionCheapReplicationCostly) {
-  auto run_mode = [](bool replicated, interpose::InterceptMode mode) {
+  auto run_mode = [](bool replicated, InterceptMode mode) {
     ScenarioConfig config;
     config.clients = 1;
     config.replicas = 1;
@@ -125,9 +125,9 @@ TEST(PaperShape, Figure4InterceptionCheapReplicationCostly) {
     cycle.requests_per_client = 800;
     return scenario.run_closed_loop(cycle).avg_latency_us;
   };
-  const double baseline = run_mode(false, interpose::InterceptMode::kNone);
-  const double both = run_mode(false, interpose::InterceptMode::kBoth);
-  const double active = run_mode(true, interpose::InterceptMode::kNone);
+  const double baseline = run_mode(false, InterceptMode::kNone);
+  const double both = run_mode(false, InterceptMode::kBoth);
+  const double active = run_mode(true, InterceptMode::kNone);
 
   // Interception alone adds little; the replication path roughly doubles RTT.
   EXPECT_LT(both, baseline * 1.25);

@@ -101,37 +101,6 @@ TEST_F(ChannelFixture, SynToClosedPortIsDropped) {
   EXPECT_FALSE(got);
 }
 
-TEST_F(ChannelFixture, CloseNotifiesPeer) {
-  bool server_closed = false;
-  ChannelPtr server_side;
-  channels.listen(b, 7000, [&](ChannelPtr ch) {
-    server_side = ch;
-    ch->set_close_handler([&] { server_closed = true; });
-  });
-  auto client = channels.connect(a, b, 7000);
-  kernel.run();
-  client->close();
-  kernel.run();
-  EXPECT_TRUE(server_closed);
-  EXPECT_FALSE(client->open());
-  ASSERT_TRUE(server_side != nullptr);
-  EXPECT_FALSE(server_side->open());
-}
-
-TEST_F(ChannelFixture, SendAfterCloseIsNoOp) {
-  std::vector<Payload> received;
-  channels.listen(b, 7000, [&](ChannelPtr ch) {
-    static ChannelPtr keep;
-    keep = ch;
-    ch->set_receive_handler([&](Payload&& msg) { received.push_back(std::move(msg)); });
-  });
-  auto client = channels.connect(a, b, 7000);
-  client->close();
-  client->send(Bytes{1});
-  kernel.run();
-  EXPECT_TRUE(received.empty());
-}
-
 TEST_F(ChannelFixture, MultipleConcurrentChannels) {
   std::vector<int> received;  // channel tag per message
   channels.listen(b, 7000, [&](ChannelPtr ch) {

@@ -1,8 +1,7 @@
-// Client/server ORB over the plain TCP transport (the baseline path), plus
-// POA routing and interception-only wrappers.
+// Client/server ORB over the plain TCP transports (the baseline path, with
+// and without interception), plus POA routing.
 #include <gtest/gtest.h>
 
-#include "interpose/interposer.hpp"
 #include "orb/orb_core.hpp"
 
 namespace vdep::orb {
@@ -24,8 +23,10 @@ struct EchoServant : Servant {
   int invocations = 0;
 };
 
-struct OrbFixture : ::testing::Test {
-  OrbFixture() : kernel(1), network(kernel), channels(network) {
+// One client and one server host with their ORBs; the echo servant is
+// active under ObjectId 1.
+struct OrbBed {
+  OrbBed() : kernel(1), network(kernel), channels(network) {
     client_host = network.add_host("client");
     server_host = network.add_host("server");
     client_proc = std::make_unique<sim::Process>(kernel, ProcessId{1}, client_host, "c");
@@ -44,7 +45,7 @@ struct OrbFixture : ::testing::Test {
 
   void use_direct_transport() {
     client_orb->use_transport(
-        std::make_unique<DirectClientTransport>(channels, client_host));
+        std::make_unique<DirectClientTransport>(channels, *client_proc));
   }
 
   sim::Kernel kernel;
@@ -57,6 +58,8 @@ struct OrbFixture : ::testing::Test {
   std::unique_ptr<ServerOrb> server_orb;
   std::unique_ptr<ClientOrb> client_orb;
 };
+
+struct OrbFixture : ::testing::Test, OrbBed {};
 
 TEST_F(OrbFixture, InvokeRoundTrip) {
   DirectServerAcceptor acceptor(channels, server_host, 7000, *server_orb);
@@ -146,24 +149,48 @@ TEST_F(OrbFixture, PoaActivateDeactivate) {
 }
 
 TEST_F(OrbFixture, InterceptOnlyTransportsAddCostNotBehaviour) {
-  interpose::InterceptOnlyServerAcceptor acceptor(channels, server_host, 7000,
-                                                  *server_orb);
-  client_orb->use_transport(std::make_unique<interpose::InterceptOnlyClientTransport>(
-      network, *client_proc,
-      std::make_unique<DirectClientTransport>(channels, client_host)));
+  // Three back-to-back requests on a fresh bed per mode; returns each one's
+  // round trip.
+  auto round_trips = [](bool client_intercepted, bool server_intercepted) {
+    OrbBed bed;
+    DirectServerAcceptor acceptor(bed.channels, bed.server_host, 7000, *bed.server_orb,
+                                  server_intercepted);
+    bed.client_orb->use_transport(std::make_unique<DirectClientTransport>(
+        bed.channels, *bed.client_proc, client_intercepted));
+    std::vector<SimTime> rtts;
+    std::function<void()> next = [&] {
+      const SimTime sent = bed.kernel.now();
+      bed.client_orb->invoke(bed.direct_ref(), "echo", Bytes{5, 6},
+                             [&, sent](ReplyStatus status, Bytes body) {
+                               EXPECT_EQ(status, ReplyStatus::kNoException);
+                               EXPECT_EQ(body, (Bytes{6, 5}));
+                               rtts.push_back(bed.kernel.now() - sent);
+                               if (rtts.size() < 3) next();
+                             });
+    };
+    next();
+    bed.kernel.run();
+    EXPECT_EQ(bed.servant.invocations, 3);
+    return rtts;
+  };
 
-  SimTime done = kTimeZero;
-  Bytes body_out;
-  client_orb->invoke(direct_ref(), "echo", Bytes{5, 6},
-                     [&](ReplyStatus status, Bytes body) {
-                       EXPECT_EQ(status, ReplyStatus::kNoException);
-                       body_out = std::move(body);
-                       done = kernel.now();
-                     });
-  kernel.run();
-  EXPECT_EQ(body_out, (Bytes{6, 5}));
-  // Both sides intercepted: 4 trampoline costs on top of the baseline.
-  EXPECT_GT(to_usec(done), 600.0 + 4 * to_usec(calib::kInterceptOnlyTraversal) - 60);
+  // Each intercepted side adds one trampoline on the way out and one on the
+  // way back, and nothing else.
+  const SimTime side = 2 * calib::kInterceptOnlyTraversal;
+  const std::vector<SimTime> plain = round_trips(false, false);
+  const std::vector<SimTime> client = round_trips(true, false);
+  const std::vector<SimTime> server = round_trips(false, true);
+  const std::vector<SimTime> both = round_trips(true, true);
+  ASSERT_EQ(plain.size(), 3u);
+  ASSERT_EQ(client.size(), 3u);
+  ASSERT_EQ(server.size(), 3u);
+  ASSERT_EQ(both.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(client[i] - plain[i], side);
+    EXPECT_EQ(server[i] - plain[i], side);
+    EXPECT_EQ(both[i] - plain[i], 2 * side);
+  }
 }
 
 TEST_F(OrbFixture, LargePayloadRoundTrip) {
