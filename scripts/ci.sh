@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate. Stages, in order:
-#   1. the tier-1 suite on the default build, with warnings as errors;
+#   1. no getenv in src/, then the tier-1 suite on the default build, with
+#      warnings as errors;
 #   2. the golden output manifest (scripts/golden.py check);
 #   3. the shard quick gate (the shard label, without the chaos campaign);
 #   4. smoke runs: kv_cluster --shards 4, micro_checkpoint, micro_health,
@@ -40,6 +41,12 @@ for arg in "$@"; do
 done
 
 echo "== tier-1 (default build) =="
+# Settings are options and config fields, never environment variables: the
+# library reads none, so a run depends only on its arguments and seed.
+if grep -rn getenv "${repo_root}/src/"; then
+  echo "src/ reads an environment variable (getenv above)" >&2
+  exit 1
+fi
 # Warnings are errors on the default build and the perfbench build; the
 # sanitizer and benchmark trees below keep the toolchain's default.
 cmake -B "${repo_root}/build" -S "${repo_root}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON

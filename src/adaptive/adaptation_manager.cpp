@@ -1,7 +1,6 @@
 #include "adaptive/adaptation_manager.hpp"
 
 #include "obs/tracer.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::adaptive {
 
@@ -78,10 +77,6 @@ void AdaptationManager::evaluate() {
     return;
   }
 
-  log_info(s.now, "adaptation",
-           replicator_.process().name() + " policy '" + policy_->name() +
-               "' requests switch to " + replication::to_string(*desired) +
-               " (rate=" + std::to_string(s.request_rate) + " req/s)");
   span.note("action", "initiated");
   obs::Tracer::Scope scope(tracer, span.context());
   replicator_.request_style_switch(*desired);

@@ -7,7 +7,6 @@
 #include "obs/tracer.hpp"
 #include "util/assert.hpp"
 #include "util/calibration.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::gcs {
 
@@ -240,8 +239,6 @@ void Daemon::handle_takeover(NodeId from, const Takeover& t) {
     if (d < t.leader && d != host()) fd_->mark_dead(d);
   }
   if (leader_ != host()) leader_state_.reset();
-  log_info(now(), "gcs", name() + " accepts leader daemon@" + t.leader.str() +
-                             " term " + std::to_string(t.term));
   send_inner(from, local_sync_state(t.term));
 }
 
@@ -411,7 +408,6 @@ void Daemon::start_takeover() {
   sync_term_ = term_ + 1;
   sync_collected_.clear();
   sync_collected_.emplace(host(), local_sync_state(sync_term_));
-  log_info(now(), "gcs", name() + " starts takeover, term " + std::to_string(sync_term_));
   for (NodeId d : fd_->live_peers()) {
     send_inner(d, Takeover{sync_term_, host()});
   }
@@ -441,7 +437,6 @@ void Daemon::maybe_finish_takeover() {
     span.note("term", std::to_string(term_));
     span.note("synced_daemons", std::to_string(states.size()));
   }
-  log_info(now(), "gcs", name() + " is leader, term " + std::to_string(term_));
   emit(leader_state_->bootstrap(states, live));
 
   auto queued = std::move(queued_during_sync_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/calibration.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::gcs {
 
@@ -61,8 +60,6 @@ void FailureDetector::tick() {
         st.last_heard + calib::kDefaultHeartbeatInterval * calib::kDefaultHeartbeatMisses;
     if (owner_.now() > deadline) {
       st.suspected = true;
-      log_info(owner_.now(), "fd",
-               owner_.name() + " suspects daemon@" + peer.str());
       on_suspect_(peer);
     }
   }

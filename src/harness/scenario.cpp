@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::harness {
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "knobs/design_space.hpp"
 #include "util/time.hpp"
@@ -33,39 +32,28 @@ struct AvailabilityModel {
   SimTime cold_failover = msec(1000);    // launch + install + replay
 };
 
-// Style-dependent failover outage. A measured incremental-checkpoint
-// profile shrinks the passive styles' outages: cheaper checkpoints let a
-// passive primary checkpoint more often at the same blackout budget, which
-// shrinks backup staleness and therefore the replay component of failover in
-// proportion to the profile's average byte ratio:
-//   warm' = warm * ratio
-//   cold' = (cold - warm) + warm * ratio   (the launch part does not shrink)
-// Active/semi-active failovers involve no checkpoints and are unchanged.
-// Without a profile every style takes the model's failover time as it is.
+// Style-dependent failover outage, as the model states it (hybrid fails
+// over like semi-active: its active core takes over at once).
 [[nodiscard]] SimTime failover_time(replication::ReplicationStyle style,
-                                    const AvailabilityModel& model,
-                                    const std::optional<CheckpointProfile>& profile = {});
+                                    const AvailabilityModel& model);
 
 // Steady-state availability of a configuration under the model, with the
 // failover outages above.
-[[nodiscard]] double predicted_availability(
-    const Configuration& config, const AvailabilityModel& model,
-    const std::optional<CheckpointProfile>& profile = {});
+[[nodiscard]] double predicted_availability(const Configuration& config,
+                                            const AvailabilityModel& model);
 
 struct AvailabilityChoice {
   Configuration config;
   double availability = 0.0;
 };
 
-// Picks the cheapest configuration meeting `target` (e.g. 0.999): fewest
-// replicas first, then the most resource-frugal style. Styles considered are
-// those present in `allowed` (defaults to all four). With a profile, passive
-// styles are evaluated with the rescaled failover outages: a good delta
-// profile can make warm passive meet a target that previously forced an
-// active configuration.
+// Picks the cheapest configuration meeting `target` (e.g. 0.999) with at
+// most five replicas: fewest replicas first, then the most resource-frugal
+// style (cold passive, warm passive, semi-active, active). Hybrid is not
+// considered: the model gives it semi-active's failover, so it could only
+// tie with semi-active, and its active-core size is not part of a
+// Configuration.
 [[nodiscard]] std::optional<AvailabilityChoice> choose_for_availability(
-    double target, const AvailabilityModel& model,
-    const std::optional<CheckpointProfile>& profile = {}, int max_replicas = 5,
-    std::vector<replication::ReplicationStyle> allowed = {});
+    double target, const AvailabilityModel& model);
 
 }  // namespace vdep::knobs

@@ -5,17 +5,6 @@
 
 namespace vdep::knobs {
 
-double CheckpointProfile::average_bytes() const {
-  if (anchor_interval <= 1 || full_bytes <= 0.0) return full_bytes;
-  const double k = static_cast<double>(anchor_interval);
-  return (full_bytes + (k - 1.0) * std::min(delta_bytes, full_bytes)) / k;
-}
-
-double CheckpointProfile::average_ratio() const {
-  if (full_bytes <= 0.0) return 1.0;
-  return average_bytes() / full_bytes;
-}
-
 void DesignSpaceMap::add(DesignPoint point) { points_.push_back(std::move(point)); }
 
 std::optional<DesignPoint> DesignSpaceMap::find(const Configuration& config,

@@ -29,25 +29,6 @@ struct Configuration {
   }
 };
 
-// Measured incremental-checkpoint profile: the average encoded size of a
-// full anchor vs. a dirty-set delta, and the anchor cadence K (every K-th
-// checkpoint full). Sources: bench/micro_checkpoint or the replicator's
-// byte telemetry. The knob layer rescales the checkpoint-driven parts of its
-// models with average_ratio() — warm-failover staleness and passive-style
-// checkpoint bandwidth both shrink with the dirty fraction.
-struct CheckpointProfile {
-  double full_bytes = 0.0;
-  double delta_bytes = 0.0;
-  std::uint32_t anchor_interval = 1;
-
-  // Mean encoded bytes per checkpoint over one anchor period: one full plus
-  // K-1 deltas (a delta never counts for more than a full).
-  [[nodiscard]] double average_bytes() const;
-  // average_bytes / full_bytes, in (0, 1]; 1 when deltas are off or the
-  // profile is empty.
-  [[nodiscard]] double average_ratio() const;
-};
-
 struct DesignPoint {
   Configuration config;
   int clients = 1;

@@ -4,12 +4,6 @@
 
 namespace vdep::knobs {
 
-namespace {
-// The share of a passive configuration's measured bandwidth that is
-// checkpoint multicast.
-constexpr double kCheckpointBandwidthFraction = 0.5;
-}  // namespace
-
 std::optional<PolicyEntry> ScalabilityPolicy::for_clients(int clients) const {
   for (const auto& e : entries) {
     if (e.clients == clients) return e;
@@ -68,23 +62,6 @@ ScalabilityPolicy synthesize_scalability_policy(
   std::sort(policy.entries.begin(), policy.entries.end(),
             [](const PolicyEntry& a, const PolicyEntry& b) { return a.clients < b.clients; });
   return policy;
-}
-
-DesignSpaceMap rescale_checkpoint_bandwidth(const DesignSpaceMap& map,
-                                            const CheckpointProfile& profile) {
-  const double ratio = std::clamp(profile.average_ratio(), 0.0, 1.0);
-  DesignSpaceMap out;
-  for (DesignPoint p : map.points()) {
-    using replication::ReplicationStyle;
-    const bool passive = p.config.style == ReplicationStyle::kWarmPassive ||
-                         p.config.style == ReplicationStyle::kColdPassive;
-    if (passive) {
-      p.bandwidth_mbps *=
-          (1.0 - kCheckpointBandwidthFraction) + kCheckpointBandwidthFraction * ratio;
-    }
-    out.add(p);
-  }
-  return out;
 }
 
 }  // namespace vdep::knobs

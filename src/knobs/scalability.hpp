@@ -50,13 +50,4 @@ struct ScalabilityPolicy {
 [[nodiscard]] ScalabilityPolicy synthesize_scalability_policy(
     const DesignSpaceMap& map, const ScalabilityRequirements& requirements);
 
-// Rescales the checkpoint-traffic component of the profiled bandwidth for
-// the passive styles under an incremental-checkpoint profile: half of a
-// passive configuration's measured bandwidth is taken to be checkpoint
-// multicast, and that half shrinks by the profile's average byte ratio.
-// Re-synthesizing the policy from the rescaled map lets passive
-// configurations pass bandwidth limits they failed with full snapshots.
-[[nodiscard]] DesignSpaceMap rescale_checkpoint_bandwidth(const DesignSpaceMap& map,
-                                                          const CheckpointProfile& profile);
-
 }  // namespace vdep::knobs

@@ -66,8 +66,7 @@ std::string VersatileDependability::get(std::string_view name) const {
   }
   if (id == KnobId::kAvailability) {
     const Configuration config{controller_.style(), controller_.replica_count()};
-    return std::to_string(
-        predicted_availability(config, *availability_model_, checkpoint_profile_));
+    return std::to_string(predicted_availability(config, *availability_model_));
   }
   return std::visit(Format{}, controller_.read(id).value);
 }
@@ -92,10 +91,7 @@ void VersatileDependability::set(std::string_view name, const std::string& text)
 
 const ScalabilityPolicy& VersatileDependability::install_scalability_knob(
     const DesignSpaceMap& map, const ScalabilityRequirements& requirements) {
-  scalability_policy_ = synthesize_scalability_policy(
-      checkpoint_profile_ ? rescale_checkpoint_bandwidth(map, *checkpoint_profile_)
-                          : map,
-      requirements);
+  scalability_policy_ = synthesize_scalability_policy(map, requirements);
   return *scalability_policy_;
 }
 
@@ -113,17 +109,10 @@ void VersatileDependability::install_availability_knob(AvailabilityModel model) 
   availability_model_ = model;
 }
 
-void VersatileDependability::set_checkpoint_profile(CheckpointProfile profile) {
-  checkpoint_profile_ = profile;
-  // Keep the actuated cadence consistent with the profile the policies use.
-  controller_.set_checkpoint_anchor_interval(
-      profile.anchor_interval >= 1 ? profile.anchor_interval : 1);
-}
-
 std::optional<AvailabilityChoice> VersatileDependability::tune_for_availability(
     double target) {
   if (!availability_model_) return std::nullopt;
-  auto choice = choose_for_availability(target, *availability_model_, checkpoint_profile_);
+  auto choice = choose_for_availability(target, *availability_model_);
   if (!choice) return std::nullopt;
   controller_.set_replica_count(choice->config.replicas);
   controller_.set_style(choice->config.style);

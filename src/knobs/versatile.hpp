@@ -30,8 +30,7 @@ class VersatileDependability {
   [[nodiscard]] std::vector<KnobDescriptor> knobs() const;
   // A knob's current value as text (Scalability: the applied client count,
   // or empty; Availability: the current configuration's predicted
-  // availability, under the checkpoint profile when one is set). Throws
-  // std::out_of_range for a knob not listed.
+  // availability). Throws std::out_of_range for a knob not listed.
   [[nodiscard]] std::string get(std::string_view name) const;
   // Parses `text` and sets the knob. Throws std::out_of_range for a knob not
   // listed and std::invalid_argument for text that is not one whole value or
@@ -51,15 +50,6 @@ class VersatileDependability {
   void install_availability_knob(AvailabilityModel model);
   std::optional<AvailabilityChoice> tune_for_availability(double target);
 
-  // Installs a measured incremental-checkpoint profile (delta vs. full
-  // bytes). Once set, tune_for_availability evaluates passive styles with
-  // the rescaled failover model, and scalability-policy synthesis sees
-  // checkpoint bandwidth shrunk by the profile's average byte ratio.
-  void set_checkpoint_profile(CheckpointProfile profile);
-  [[nodiscard]] const std::optional<CheckpointProfile>& checkpoint_profile() const {
-    return checkpoint_profile_;
-  }
-
  private:
   [[nodiscard]] bool installed(KnobId id) const;
   [[nodiscard]] const KnobDescriptor& listed(std::string_view name) const;
@@ -68,7 +58,6 @@ class VersatileDependability {
   std::optional<ScalabilityPolicy> scalability_policy_;
   std::optional<int> applied_clients_;
   std::optional<AvailabilityModel> availability_model_;
-  std::optional<CheckpointProfile> checkpoint_profile_;
 };
 
 }  // namespace vdep::knobs

@@ -2,7 +2,6 @@
 
 #include "net/link.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 #include "util/wire.hpp"
 
 namespace vdep::net {
@@ -117,10 +116,7 @@ void ChannelManager::handle_packet(NodeId host, Packet&& packet) {
 
   if (f.type == FrameType::kSyn) {
     auto lit = listeners_.find({host, f.tcp_port});
-    if (lit == listeners_.end()) {
-      log_debug(network_.kernel().now(), "tcp", "SYN to closed port; dropped");
-      return;
-    }
+    if (lit == listeners_.end()) return;  // SYN to a closed port: dropped
     auto channel =
         std::shared_ptr<Channel>(new Channel(*this, ChannelId{f.channel}, host, packet.src));
     endpoints_[key] = channel;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::net {
 
@@ -180,11 +179,7 @@ void Network::deliver(Packet&& packet) {
   auto& dst = host_rec(packet.dst);
   if (!dst.up) return;
   auto it = dst.handlers.find(packet.port);
-  if (it == dst.handlers.end()) {
-    log_debug(kernel_.now(), "net",
-              "dropping packet to unbound port on " + dst.name);
-    return;
-  }
+  if (it == dst.handlers.end()) return;  // unbound port: dropped
   it->second(std::move(packet));
 }
 

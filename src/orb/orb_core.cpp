@@ -1,7 +1,6 @@
 #include "orb/orb_core.hpp"
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::orb {
 
@@ -56,10 +55,7 @@ void ClientOrb::on_reply_bytes(Payload&& giop) {
   network_.cpu(process_.host())
       .execute(traversal_cost_, process_.guarded([this, raw = std::move(giop)] {
         GiopMessage msg = decode_giop(raw);
-        if (msg.type != GiopMsgType::kReply || !msg.reply) {
-          log_warn(process_.now(), "orb", "client got non-reply GIOP message");
-          return;
-        }
+        if (msg.type != GiopMsgType::kReply || !msg.reply) return;
         auto it = pending_.find(msg.reply->request_id);
         if (it == pending_.end()) return;  // late/duplicate reply
         Pending entry = std::move(it->second);
@@ -87,10 +83,7 @@ void ServerOrb::handle_request(Payload giop_request, ReplySender send_reply) {
           process_.guarded([this, caller, raw = std::move(giop_request),
                             send_reply = std::move(send_reply)]() mutable {
             GiopMessage msg = decode_giop(raw);
-            if (msg.type != GiopMsgType::kRequest || !msg.request) {
-              log_warn(process_.now(), "orb", "server got non-request GIOP message");
-              return;
-            }
+            if (msg.type != GiopMsgType::kRequest || !msg.request) return;
             RequestMessage& req = *msg.request;
 
             // Prefer the in-process caller (the replicator's execute span);

@@ -3,7 +3,6 @@
 #include "orb/giop.hpp"
 #include "util/assert.hpp"
 #include "util/calibration.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::replication {
 
@@ -82,10 +81,13 @@ void ClientCoordinator::arm_retry(std::uint32_t request_id) {
     auto pit = outstanding_.find(request_id);
     if (pit == outstanding_.end()) return;
     if (pit->second.retries >= kMaxRetries) {
+      // Fail the request like CORBA's TRANSIENT: the caller sees a system
+      // exception through the normal reply path instead of waiting forever.
       pit->second.span.note("outcome", "gave_up");
-      log_warn(process_.now(), "client-coord",
-               process_.name() + " giving up on request " + std::to_string(request_id));
-      outstanding_.erase(pit);
+      orb::ReplyMessage transient;
+      transient.request_id = request_id;
+      transient.status = orb::ReplyStatus::kSystemException;
+      complete(request_id, transient.encode());
       return;
     }
     ++pit->second.retries;

@@ -6,7 +6,6 @@
 #include "orb/giop.hpp"
 #include "util/assert.hpp"
 #include "util/calibration.hpp"
-#include "util/logging.hpp"
 
 namespace vdep::replication {
 
@@ -172,9 +171,7 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
             // dropped part covered.
             try {
               handle_checkpoint_envelope(env);
-            } catch (const DecodeError& e) {
-              log_info(process_.now(), "replicator",
-                       process_.name() + " dropped a malformed checkpoint: " + e.what());
+            } catch (const DecodeError&) {
             }
             return;
           case RepEnvelope::Type::kSwitch:
@@ -276,9 +273,6 @@ void Replicator::handle_chain(std::span<const CheckpointMsg> chain) {
     uninitialized_ = false;
     // Quiet replay: the live replicas already replied to these requests.
     replay_log(/*send_replies=*/false);
-    const std::string parts =
-        chain.size() > 1 ? " (chain of " + std::to_string(chain.size()) + ")" : "";
-    log_info(process_.now(), "replicator", process_.name() + " state transfer complete" + parts);
     if (switch_awaiting_checkpoint_) complete_switch();
     return;
   }
@@ -312,9 +306,6 @@ void Replicator::handle_switch(const SwitchMsg& msg) {
       "rep.switch", "replication", process_.name());
   switch_span_.note("from", to_string(style_));
   switch_span_.note("to", to_string(msg.target));
-  log_info(process_.now(), "replicator",
-           process_.name() + " switch " + to_string(style_) + " -> " +
-               to_string(msg.target));
 
   if (needs_final_checkpoint(style_, msg.target)) {
     // Step II, case 1 (passive -> active): everyone enqueues application
@@ -348,9 +339,6 @@ void Replicator::complete_switch() {
   switch_awaiting_checkpoint_ = false;
   switch_span_.end();
   switch_history_.push_back(SwitchRecord{switch_started_, process_.now(), from, to});
-  log_info(process_.now(), "replicator",
-           process_.name() + " now " + to_string(to) +
-               (is_responder() ? " (responder)" : ""));
   holding_ = false;
   drain_holdq();
 }
@@ -389,8 +377,6 @@ void Replicator::on_view(const gcs::View& view) {
     const bool old_head_gone =
         !old->members.empty() && !view.contains(old->members.front().process);
     if (old_head_gone) {
-      log_info(process_.now(), "replicator",
-               process_.name() + " switch rollback: primary crashed before checkpoint");
       switch_span_.note("rollback", "primary_crashed_before_checkpoint");
       if (dormant_cold()) install_stored_chain();
       replay_log(true);
@@ -786,8 +772,6 @@ void Replicator::request_anchor() {
   if (anchor_request_outstanding_) return;  // one in flight is enough
   anchor_request_outstanding_ = true;
   ++anchor_requests_;
-  log_info(process_.now(), "replicator",
-           process_.name() + " checkpoint chain gap: requesting full anchor");
   if (process_.kernel().tracer().enabled()) {
     auto span = process_.kernel().tracer().start_child("rep.anchor_request",
                                                        "replication", process_.name());
@@ -941,9 +925,6 @@ void Replicator::trace_promotion(ReplicationStyle style) {
 
 void Replicator::promote_warm() {
   trace_promotion(ReplicationStyle::kWarmPassive);
-  log_info(process_.now(), "replicator",
-           process_.name() + " promoted to primary (warm), replaying " +
-               std::to_string(log_.size()) + " requests");
   replay_log(true);
 }
 
@@ -954,13 +935,11 @@ bool Replicator::dormant_cold() const {
 void Replicator::promote_cold() {
   if (cold_launch_pending_) return;
   cold_launch_pending_ = true;
-  log_info(process_.now(), "replicator", process_.name() + " launching cold backup");
   process_.post(kColdLaunchDelay, [this] {
     trace_promotion(ReplicationStyle::kColdPassive);
     install_stored_chain();
     cold_launch_pending_ = false;
     replay_log(true);
-    log_info(process_.now(), "replicator", process_.name() + " cold backup live");
   });
 }
 

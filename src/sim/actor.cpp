@@ -1,7 +1,5 @@
 #include "sim/actor.hpp"
 
-#include "util/logging.hpp"
-
 namespace vdep::sim {
 
 Process::Process(Kernel& kernel, ProcessId id, NodeId host, std::string name)
@@ -9,7 +7,6 @@ Process::Process(Kernel& kernel, ProcessId id, NodeId host, std::string name)
 
 void Process::crash() {
   if (!alive_) return;
-  log_info(kernel_.now(), "process", name_ + " CRASH");
   alive_ = false;
   ++epoch_;
   // Copy: listeners may unsubscribe/re-subscribe during iteration.
@@ -19,7 +16,6 @@ void Process::crash() {
 
 void Process::restart() {
   if (alive_) return;
-  log_info(kernel_.now(), "process", name_ + " RESTART");
   alive_ = true;
   ++epoch_;
   auto listeners = restart_listeners_;

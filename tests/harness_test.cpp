@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
@@ -202,6 +203,28 @@ TEST(ReplicaGroup, RecoverRebuildsCrashedNode) {
   const auto digests = scenario.live_state_digests();
   ASSERT_EQ(digests.size(), 2u);
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+// A request nobody can serve fails once the coordinator's retries run out:
+// the caller sees a system exception (CORBA's TRANSIENT) instead of waiting
+// forever, and the ORB holds nothing for it.
+TEST(Scenario, ExhaustedRetriesFailTheRequest) {
+  ScenarioConfig config;
+  config.replicas = 1;
+  config.max_replicas = 1;
+  Scenario scenario(config);
+  scenario.fault_plan().crash_process(msec(100), scenario.replica_pid(0));
+  scenario.arm_faults();
+
+  std::optional<orb::ReplyStatus> status;
+  scenario.kernel().post_at(msec(300), [&] {
+    scenario.client_orb(0).invoke(scenario.object_ref(), "process", Bytes(16),
+                                  [&](orb::ReplyStatus s, Bytes) { status = s; });
+  });
+  scenario.kernel().run_until(sec(20));
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(*status, orb::ReplyStatus::kSystemException);
+  EXPECT_EQ(scenario.client_orb(0).outstanding(), 0u);
 }
 
 TEST(Scenario, OpenLoopSuppressionUnderOverload) {

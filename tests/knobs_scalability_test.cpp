@@ -127,35 +127,5 @@ TEST(ScalabilityPolicy, ImpossibleRequirementsReportInfeasible) {
   EXPECT_FALSE(policy.for_clients(1).has_value());
 }
 
-TEST(ScalabilityPolicy, DeltaProfileRescuesPassiveBandwidth) {
-  // ratio = (100 + 9*10) / (10 * 100) = 0.19; with half of passive bandwidth
-  // being checkpoint multicast, passive points shrink to 59.5% of measured.
-  const CheckpointProfile profile{100.0, 10.0, 10};
-  const DesignSpaceMap rescaled = rescale_checkpoint_bandwidth(paper_map(), profile);
-
-  // Passive points scaled, active points untouched, latency untouched.
-  const auto p3_before = paper_map().find(kP3, 4);
-  const auto p3_after = rescaled.find(kP3, 4);
-  ASSERT_TRUE(p3_before && p3_after);
-  EXPECT_NEAR(p3_after->bandwidth_mbps, p3_before->bandwidth_mbps * 0.595, 1e-9);
-  EXPECT_DOUBLE_EQ(p3_after->latency_us, p3_before->latency_us);
-  const auto a3_after = rescaled.find(kA3, 4);
-  ASSERT_TRUE(a3_after);
-  EXPECT_DOUBLE_EQ(a3_after->bandwidth_mbps, 4.20);
-
-  // Under a 2 MB/s plane the full-snapshot map must fall back to P(2) at
-  // 4 clients (P(3)'s 2.315 MB/s is over); the rescaled map keeps P(3)
-  // feasible (1.377 MB/s) and its extra fault tolerance wins the selection.
-  ScalabilityRequirements tight;
-  tight.max_bandwidth_mbps = 2.0;
-  const auto before = synthesize_scalability_policy(paper_map(), tight).for_clients(4);
-  const auto after = synthesize_scalability_policy(rescaled, tight).for_clients(4);
-  ASSERT_TRUE(before.has_value());
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(before->config, kP2);
-  EXPECT_EQ(after->config, kP3);
-  EXPECT_GT(after->faults_tolerated, before->faults_tolerated);
-}
-
 }  // namespace
 }  // namespace vdep::knobs

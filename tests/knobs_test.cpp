@@ -224,66 +224,6 @@ TEST(Availability, FailoverTimesOrdered) {
             failover_time(ReplicationStyle::kColdPassive, model));
 }
 
-// --- incremental-checkpoint profile ----------------------------------------------
-
-TEST(CheckpointProfileMath, AveragesOneFullPlusDeltasPerAnchorPeriod) {
-  const CheckpointProfile profile{1000.0, 50.0, 4};
-  // F D D D: (1000 + 3*50) / 4.
-  EXPECT_DOUBLE_EQ(profile.average_bytes(), 287.5);
-  EXPECT_DOUBLE_EQ(profile.average_ratio(), 0.2875);
-
-  // K = 1: every checkpoint full, ratio exactly 1 (the seed protocol).
-  EXPECT_DOUBLE_EQ((CheckpointProfile{1000.0, 50.0, 1}).average_ratio(), 1.0);
-  // A delta never counts for more than a full (dense-write worst case).
-  EXPECT_DOUBLE_EQ((CheckpointProfile{1000.0, 2000.0, 2}).average_ratio(), 1.0);
-  // Empty profile degrades to neutral, not NaN.
-  EXPECT_DOUBLE_EQ(CheckpointProfile{}.average_ratio(), 1.0);
-}
-
-TEST(Availability, DeltaProfileShrinksPassiveFailoverOnly) {
-  AvailabilityModel model;
-  const CheckpointProfile profile{10000.0, 1000.0, 10};  // ratio 0.19
-  const double ratio = profile.average_ratio();
-  EXPECT_NEAR(ratio, 0.19, 1e-9);
-
-  // Warm replay shrinks in proportion; cold keeps its launch component.
-  EXPECT_EQ(failover_time(ReplicationStyle::kWarmPassive, model, profile),
-            sec_f(to_sec(model.warm_failover) * ratio));
-  const SimTime cold = failover_time(ReplicationStyle::kColdPassive, model, profile);
-  EXPECT_GT(cold, model.cold_failover - model.warm_failover);
-  EXPECT_LT(cold, model.cold_failover);
-  // Active styles take no checkpoints: unchanged.
-  EXPECT_EQ(failover_time(ReplicationStyle::kActive, model, profile),
-            failover_time(ReplicationStyle::kActive, model));
-
-  // Net effect: the same warm-passive pair is predicted more available.
-  const Configuration p2{ReplicationStyle::kWarmPassive, 2};
-  EXPECT_GT(predicted_availability(p2, model, profile),
-            predicted_availability(p2, model));
-}
-
-TEST(Availability, DeltaProfileCanUnlockATargetFullSnapshotsMiss) {
-  // A model where warm-passive replay is the availability bottleneck.
-  AvailabilityModel model;
-  model.mttf = sec(600);
-  model.warm_failover = msec(800);
-  const CheckpointProfile profile{20000.0, 400.0, 16};
-
-  const Configuration p3{ReplicationStyle::kWarmPassive, 3};
-  const double target = predicted_availability(p3, model, profile);
-  EXPECT_GT(target, predicted_availability(p3, model));
-
-  // choose_for_availability under the profile meets a target the plain
-  // model cannot reach with the same allowed styles.
-  const std::vector<ReplicationStyle> warm_only = {ReplicationStyle::kWarmPassive};
-  auto plain = choose_for_availability(target, model, std::nullopt, 3, warm_only);
-  auto with_profile =
-      choose_for_availability(target, model, profile, 3, warm_only);
-  EXPECT_FALSE(plain.has_value());
-  ASSERT_TRUE(with_profile.has_value());
-  EXPECT_GE(with_profile->availability, target);
-}
-
 // --- the facade ------------------------------------------------------------------
 
 TEST(VersatileDependability, RegistersStandardKnobsAndActuates) {
@@ -361,6 +301,15 @@ TEST(VersatileDependability, GetSetRoundTripsEveryKnob) {
   EXPECT_EQ(vd.get("Availability"),
             std::to_string(predicted_availability(
                 {controller.style_, controller.replicas_}, AvailabilityModel{})));
+  // A target one replica cannot meet: style and count both reach the
+  // controller, and the knob reads back the choice's availability.
+  const auto three_nines = choose_for_availability(0.999, AvailabilityModel{});
+  ASSERT_TRUE(three_nines.has_value());
+  EXPECT_EQ(three_nines->config.replicas, 2);
+  vd.set("Availability", "0.999");
+  EXPECT_EQ(controller.style_, three_nines->config.style);
+  EXPECT_EQ(controller.replicas_, three_nines->config.replicas);
+  EXPECT_EQ(vd.get("Availability"), std::to_string(three_nines->availability));
 }
 
 TEST(VersatileDependability, RejectsUnknownNameAndUnparsableText) {
@@ -383,27 +332,6 @@ TEST(VersatileDependability, RejectsUnknownNameAndUnparsableText) {
   EXPECT_EQ(controller.replicas_, 2);
   EXPECT_EQ(controller.interval_, msec(50));
   EXPECT_EQ(controller.anchor_interval_, 1u);
-}
-
-TEST(VersatileDependability, CheckpointProfileActuatesAnchorIntervalKnob) {
-  FakeController controller;
-  VersatileDependability vd(controller);
-  EXPECT_EQ(vd.get("CheckpointAnchorInterval"), "1");
-
-  vd.set_checkpoint_profile({20000.0, 400.0, 8});
-  EXPECT_EQ(controller.anchor_interval_, 8u);
-  EXPECT_EQ(vd.get("CheckpointAnchorInterval"), "8");
-  ASSERT_TRUE(vd.checkpoint_profile().has_value());
-  EXPECT_LT(vd.checkpoint_profile()->average_ratio(), 0.15);
-
-  // With the profile installed, availability tuning evaluates passive
-  // styles under the rescaled failover model, and the knob reads back the
-  // availability the choice was made with.
-  vd.install_availability_knob(AvailabilityModel{});
-  auto choice = vd.tune_for_availability(0.999);
-  ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(controller.replicas_, choice->config.replicas);
-  EXPECT_EQ(vd.get("Availability"), std::to_string(choice->availability));
 }
 
 TEST(VersatileDependability, ScalabilityKnobDrivesController) {
