@@ -75,6 +75,12 @@ void ClosedLoopClient::issue_next() {
   const SimTime sent = orb_.process().now();
   orb_.invoke(ref_, "process", filler_bytes(config_.request_bytes),
               [this, sent](orb::ReplyStatus status, Bytes /*body*/) {
+                if (status == orb::ReplyStatus::kSystemException) {
+                  // The coordinator gave up (CORBA's TRANSIENT): not a
+                  // completion; the loop goes on with the next request.
+                  issue_next();
+                  return;
+                }
                 VDEP_ASSERT_MSG(status == orb::ReplyStatus::kNoException,
                                 "micro-benchmark request failed");
                 const SimTime now = orb_.process().now();

@@ -84,10 +84,14 @@ void OpenLoopClient::issue() {
   ++outstanding_;
   const SimTime sent = orb_.process().now();
   orb_.invoke(ref_, "process", filler_bytes(config_.request_bytes),
-              [this, sent](orb::ReplyStatus /*status*/, Bytes /*body*/) {
-                ++completed_;
+              [this, sent](orb::ReplyStatus status, Bytes /*body*/) {
                 --outstanding_;
-                latencies_.add(to_usec(orb_.process().now() - sent));
+                // A failed request (the coordinator gave up) is neither a
+                // completion nor a latency sample; issued() still counts it.
+                if (status == orb::ReplyStatus::kNoException) {
+                  ++completed_;
+                  latencies_.add(to_usec(orb_.process().now() - sent));
+                }
                 if (finished_ && outstanding_ == 0 && on_done_) on_done_();
               });
 }

@@ -170,11 +170,23 @@ Verdict check_bounded_recovery(const TrialObservation& obs) {
   return v;
 }
 
+Verdict check_no_request_gave_up(const TrialObservation& obs) {
+  Verdict v;
+  for (const auto& op : obs.history) {
+    if (op.completed_at && !op.ok) {
+      v.failures.push_back("liveness: client" + std::to_string(op.client) + " request " +
+                           std::to_string(op.seq) + " gave up");
+    }
+  }
+  return v;
+}
+
 Verdict check_all(const TrialObservation& obs) {
   Verdict v = check_exactly_once(obs);
   v.merge(check_view_agreement(obs));
   v.merge(check_checkpoint_monotonic(obs));
   v.merge(check_bounded_recovery(obs));
+  v.merge(check_no_request_gave_up(obs));
   return v;
 }
 

@@ -12,7 +12,8 @@
 //   monotonicity      ids taken by one replica incarnation only move forward.
 //   bounded         — crash-tolerance of the replication styles and of the
 //   recovery          Fig. 5 switch protocol: after the last fault lifts, the
-//                     workload finishes within a bounded recovery window.
+//                     workload finishes within a bounded recovery window, and
+//                     no KV request is given up by the client coordinator.
 #pragma once
 
 #include <map>
@@ -75,6 +76,11 @@ struct Verdict {
 [[nodiscard]] Verdict check_view_agreement(const TrialObservation& obs);
 [[nodiscard]] Verdict check_checkpoint_monotonic(const TrialObservation& obs);
 [[nodiscard]] Verdict check_bounded_recovery(const TrialObservation& obs);
+// KV trials only: no op completed with an error. The recorded clients send
+// only well-formed requests, so an error reply means the coordinator ran out
+// of retries. A sharded op may legitimately fail when its router runs out of
+// attempts, so shard trials skip this oracle.
+[[nodiscard]] Verdict check_no_request_gave_up(const TrialObservation& obs);
 
 // All of the above, merged.
 [[nodiscard]] Verdict check_all(const TrialObservation& obs);

@@ -136,6 +136,33 @@ TEST(ChaosTrial, InjectedDedupBugIsCaughtByExactlyOnceOracle) {
       << result.verdict.to_string();
 }
 
+// A request the coordinator gives up on fails the trial even when the rest
+// of the workload finishes in time.
+TEST(ChaosTrial, GivenUpRequestFailsLiveness) {
+  TrialObservation obs;
+  TrialObservation::ReplicaState replica;
+  replica.live = true;
+  replica.view_id = 1;
+  obs.replicas.push_back(replica);
+  obs.all_clients_done = true;
+  OpRecord answered;
+  answered.op = "get";
+  answered.key = "k";
+  answered.completed_at = msec(10);
+  answered.ok = true;
+  OpRecord gave_up = answered;
+  gave_up.seq = 1;
+  gave_up.ok = false;
+  obs.history = {answered};
+  EXPECT_TRUE(check_all(obs).pass()) << check_all(obs).to_string();
+  obs.history.push_back(gave_up);
+  const Verdict verdict = check_all(obs);
+  EXPECT_FALSE(verdict.pass());
+  EXPECT_NE(verdict.to_string().find("client0 request 1 gave up"), std::string::npos)
+      << verdict.to_string();
+  EXPECT_TRUE(check_bounded_recovery(obs).pass());
+}
+
 TEST(ChaosTrial, CampaignSweepCoversTheDesignSpace) {
   CampaignConfig config;
   config.seed = 3;

@@ -227,6 +227,46 @@ TEST(Scenario, ExhaustedRetriesFailTheRequest) {
   EXPECT_EQ(scenario.client_orb(0).outstanding(), 0u);
 }
 
+// Cut off from the only replica for the rest of the run, requests fail once
+// the retry budget is spent: the open-loop client counts none of them as
+// completed or as a latency sample, and the closed-loop client moves on to
+// its next request instead of aborting.
+TEST(Scenario, GivenUpRequestsAreNotCompletions) {
+  ScenarioConfig config;
+  config.clients = 1;
+  config.replicas = 1;
+  config.max_replicas = 1;
+  const auto cut_off = [](Scenario& scenario) {
+    scenario.fault_plan().partition_window(sec(1), sec(60), {scenario.client_host(0)},
+                                           {scenario.replica_host(0)});
+  };
+  {
+    Scenario scenario(config);
+    cut_off(scenario);
+    Scenario::OpenLoopConfig open;
+    open.plan = app::RatePlan::constant(20);
+    open.duration = sec(12);
+    const auto result = scenario.run_open_loop(open);
+    EXPECT_GT(result.totals.completed, 0u);
+    EXPECT_LT(result.totals.completed, 30u);  // ~16 arrive before the cut
+    EXPECT_LT(result.totals.max_latency_us, 1e6);
+  }
+  {
+    Scenario scenario(config);
+    cut_off(scenario);
+    Scenario::CycleConfig cycle;
+    cycle.warmup_requests = 0;
+    cycle.requests_per_client = 2000;
+    cycle.max_duration = sec(30);
+    const auto result = scenario.run_closed_loop(cycle);
+    EXPECT_GT(result.completed, 0u);
+    EXPECT_LT(result.completed, 2000u);
+    EXPECT_LT(result.max_latency_us, 1e6);
+    // Two requests given up after 25 retries each, and a third in flight.
+    EXPECT_GT(result.retransmissions, 50u);
+  }
+}
+
 TEST(Scenario, OpenLoopSuppressionUnderOverload) {
   // Offered far beyond capacity: the client caps in-flight work and sheds
   // the excess instead of melting down.
